@@ -29,5 +29,5 @@ def test_remark3_architecture_comparison(benchmark, results_dir, setup,
     assert set(means) == {"cvae_gan", "cgan", "cvae", "bicycle_gan"}
     # All architectures must produce overlapping (non-degenerate) distributions.
     # (Whether cVAE-GAN wins, as the paper reports, depends on the training
-    # budget; EXPERIMENTS.md records the ranking observed at each profile.)
+    # budget.)
     assert all(value < 0.98 for value in means.values())

@@ -14,16 +14,10 @@ Two families of measurements live here:
   only enforced when the host has at least ``GATE_MIN_CORES`` cores, so
   undersized runners still record numbers without failing the job.
 
-* the **lazy-graph fusion ladder** (``--lazy``): batched sampling through
-  the warmed cjit backend with lazy realization (fused elementwise
-  chains, folded concatenations, analytic expand columns) against the
-  eager per-op path on the same backend and model, held to the core-gated
-  ``FUSION_SPEEDUP_THRESHOLD``.
-
 Results are merged into ``benchmarks/results/pipeline.json`` (the CI-tracked
 throughput file): the ``train`` key holds the latest run and
 ``train_series`` accumulates one entry per run for cross-PR tracking
-(likewise ``cjit``/``cjit_series`` and ``fusion``/``fusion_series``).
+(likewise ``cjit``/``cjit_series`` and ``obs``/``obs_series``).
 
 ``--smoke`` additionally runs the float32 end-to-end acceptance path: train
 a small cVAE-GAN in float32, serve it through the batched
@@ -86,29 +80,6 @@ CJIT_SPEEDUP_THRESHOLD = 1.3
 CONV_STEP_CHANNELS = 16
 CONV_STEPS_PER_ROUND = 5
 CONV_ROUNDS = 6
-
-#: Lazy-graph fusion ladder: batched sampling through the warmed cjit
-#: backend with lazy realization on vs. the eager per-op path on the same
-#: backend and model.  Sampling is the realizer's first consumer — the
-#: fused elementwise chains, folded concatenations and analytic expand
-#: columns all fire on the generator forward — so this is the honest
-#: measure of what the lazy graph buys end to end.
-FUSION_SPEEDUP_THRESHOLD = 1.25
-FUSION_ROUNDS = 6
-
-#: Training-tape fusion ladder (``--train-fusion``): a conv-bias →
-#: train-mode BatchNorm → leaky-ReLU training step (forward fusion, fused
-#: backward kernels, arena-recycled scratch, Adam) on the warmed cjit
-#: backend under the tape vs the same step on the eager numpy path —
-#: weights are bit-identical either way (test-enforced), so the ratio is
-#: pure realization machinery.
-TRAIN_FUSION_SPEEDUP_THRESHOLD = 1.25
-TRAIN_FUSION_ROUNDS = 8
-#: Channel width of the tape ladder's conv block: wide enough that the
-#: compiled column lowering (whose advantage grows with C*K*K) dominates
-#: the shared BLAS/batch-stat work, below the width where BLAS packing
-#: swallows the ratio again.
-TRAIN_FUSION_CHANNELS = 24
 
 #: Observability disabled-cost gate (``--obs``): the shipped conv training
 #: step (kernel-profiling hooks present, tracing off) vs the same backend
@@ -291,228 +262,6 @@ def merge_cjit_results(results: dict):
             1.0 / results["conv_step"]["cjit_seconds"],
     }))
     return _merge_tracked_results({"cjit": results, "cjit_series": series})
-
-
-def _fusion_sampling_stages(cjit):
-    """Paired lazy / eager batched-sampling stages over one shared model.
-
-    Both stages drive the *same* model and generative channel through the
-    same warmed compiled backend; only the lazy-default policy differs, so
-    the ratio isolates the realizer (fused chains, concat folds, expand
-    columns) from weight-init and cache luck.
-    """
-    from repro.channel import GenerativeChannel
-    from repro.core import ModelConfig, build_model
-    from repro.nn import set_lazy_default, use_backend
-
-    config = replace(ModelConfig.small(TRAIN_ARRAY_SIZE, epochs=1,
-                                       batch_size=16), dtype="float32")
-    model = build_model("cvae_gan", config, rng=np.random.default_rng(1))
-    channel = GenerativeChannel(model, rng=np.random.default_rng(2))
-    blocks = np.random.default_rng(6).integers(
-        0, 8, size=(SAMPLE_BLOCKS, TRAIN_ARRAY_SIZE, TRAIN_ARRAY_SIZE))
-
-    def make_stage(lazy: bool):
-        def stage():
-            previous = set_lazy_default(lazy)
-            try:
-                with use_backend(cjit):
-                    for _ in range(SAMPLE_PASSES_PER_ROUND):
-                        channel.read_repeated(blocks, 7000,
-                                              num_samples=SAMPLE_COUNT)
-            finally:
-                set_lazy_default(previous)
-        return stage
-
-    return make_stage(True), make_stage(False)
-
-
-def run_fusion_benchmark() -> dict | None:
-    """Lazy-graph realization vs eager per-op sampling on warmed cjit.
-
-    Returns ``None`` (after printing why) without a C compiler: the fused
-    chains would fall back to the NumPy lowering and the comparison would
-    measure graph bookkeeping instead of fused kernels.
-    """
-    from repro.nn.backend import build_backend
-    from repro.nn.cjit import cjit_available
-
-    if not cjit_available():
-        print("skipping fusion benchmark: no C compiler (cc/clang/gcc) "
-              "on PATH")
-        return None
-    cjit = build_backend("cjit")
-    warmed = cjit.warm(dtypes=("float32",))
-    lazy_stage, eager_stage = _fusion_sampling_stages(cjit)
-    timings = _interleaved_best(lazy_stage, eager_stage, FUSION_ROUNDS,
-                                labels=("lazy", "eager"))
-    cells = SAMPLE_BLOCKS * SAMPLE_COUNT * TRAIN_ARRAY_SIZE ** 2
-    fusion = cjit.fusion_stats()
-    return {
-        "sampling": {
-            "cells": cells,
-            "lazy_seconds": timings["lazy"] / SAMPLE_PASSES_PER_ROUND,
-            "eager_seconds": timings["eager"] / SAMPLE_PASSES_PER_ROUND,
-            "lazy_voltages_per_second":
-                cells * SAMPLE_PASSES_PER_ROUND / timings["lazy"],
-            "speedup": timings["eager"] / timings["lazy"],
-        },
-        "fusion": fusion,
-        "compiler": cjit.stats()["compiler"],
-        "warmed_kernels": warmed,
-        "compiled": int(cjit.compiled),
-        "fallbacks": int(cjit.fallbacks),
-        "cpu_count": os.cpu_count() or 1,
-    }
-
-
-def check_fusion_threshold(results: dict) -> list[str]:
-    """Core-gated lazy-over-eager speedup failure (empty list = pass)."""
-    if results["cpu_count"] < GATE_MIN_CORES:
-        return []
-    speedup = results["sampling"]["speedup"]
-    if speedup < FUSION_SPEEDUP_THRESHOLD:
-        return [f"sampling: lazy realization is {speedup:.2f}x over eager "
-                f"cjit, below the {FUSION_SPEEDUP_THRESHOLD:.2f}x threshold"]
-    return []
-
-
-def merge_fusion_results(results: dict):
-    """Fold a fusion run into the tracked file (``fusion`` +
-    ``fusion_series``)."""
-    series = load_results().get("fusion_series", [])
-    series.append(series_entry(results["cpu_count"], {
-        "lazy_sampling_speedup": results["sampling"]["speedup"],
-        "lazy_voltages_per_second":
-            results["sampling"]["lazy_voltages_per_second"],
-    }))
-    return _merge_tracked_results({"fusion": results,
-                                   "fusion_series": series})
-
-
-def _tape_train_steps(backend, lazy_on: bool):
-    """A zero-argument 'fused training step' stage for the tape ladder.
-
-    One pix2pix-style block under gradients: conv-bias (tape stage) →
-    train-mode BatchNorm normalize+affine → leaky-ReLU, squared-activation
-    loss, fused backward kernels and an Adam update over every parameter —
-    the exact mix the training tape fuses.
-    """
-    from repro.nn import Tensor
-    from repro.nn import functional as F
-    from repro.nn.backend import use_backend
-    from repro.nn.layers import BatchNorm2d
-    from repro.nn.lazy import lazy_eval
-    from repro.nn.optim import Adam
-
-    rng = np.random.default_rng(0)
-    x = Tensor(rng.standard_normal(
-        (TRAIN_BATCH, TRAIN_FUSION_CHANNELS,
-         TRAIN_ARRAY_SIZE, TRAIN_ARRAY_SIZE)).astype(np.float32),
-        requires_grad=True)
-    w = Tensor((rng.standard_normal(
-        (TRAIN_FUSION_CHANNELS, TRAIN_FUSION_CHANNELS, 4, 4)) * 0.02)
-        .astype(np.float32), requires_grad=True)
-    b = Tensor(np.zeros(TRAIN_FUSION_CHANNELS, dtype=np.float32),
-               requires_grad=True)
-    norm = BatchNorm2d(TRAIN_FUSION_CHANNELS).to(np.float32)
-    params = [w, b, norm.weight, norm.bias]
-    optimizer = Adam(params, lr=1e-3)
-
-    def stage():
-        with use_backend(backend), lazy_eval(lazy_on):
-            for _ in range(CONV_STEPS_PER_ROUND):
-                out = F.conv2d(x, w, b, stride=2, padding=1)
-                out = norm(out).leaky_relu(0.2)
-                loss = (out * out).mean()
-                x.zero_grad()
-                for param in params:
-                    param.zero_grad()
-                loss.backward()
-                optimizer.step()
-    return stage
-
-
-def run_train_fusion_benchmark() -> dict | None:
-    """Tape-mode training on warmed cjit vs the eager numpy training step.
-
-    Returns ``None`` (after printing why) without a C compiler — the fused
-    forward/backward chains would fall back to the NumPy lowering and the
-    ratio would measure tape bookkeeping instead of fused kernels.  Also
-    reports the arena's peak scratch bytes over the measured steps (the
-    saved-for-backward realization plan's working set).
-    """
-    from repro.nn.backend import build_backend
-    from repro.nn.cjit import cjit_available
-
-    if not cjit_available():
-        print("skipping train-fusion benchmark: no C compiler "
-              "(cc/clang/gcc) on PATH")
-        return None
-    cjit = build_backend("cjit")
-    warmed = cjit.warm(dtypes=("float32",))
-    cjit.arena.reset_peak()
-    timings = _interleaved_best(_tape_train_steps(cjit, lazy_on=True),
-                                _tape_train_steps(build_backend("numpy"),
-                                                  lazy_on=False),
-                                TRAIN_FUSION_ROUNDS,
-                                labels=("tape_cjit", "eager_numpy"))
-    fusion = cjit.fusion_stats()
-    trace_summary = _traced_step_block(_tape_train_steps(cjit, lazy_on=True))
-    return {
-        "trace_summary": trace_summary,
-        "train_step": {
-            "array_size": TRAIN_ARRAY_SIZE,
-            "batch_size": TRAIN_BATCH,
-            "channels": TRAIN_FUSION_CHANNELS,
-            "tape_cjit_seconds":
-                timings["tape_cjit"] / CONV_STEPS_PER_ROUND,
-            "eager_numpy_seconds":
-                timings["eager_numpy"] / CONV_STEPS_PER_ROUND,
-            "speedup": timings["eager_numpy"] / timings["tape_cjit"],
-        },
-        "arena_peak_bytes": int(cjit.arena.stats()["peak_bytes"]),
-        "train_counters": {
-            "train_fwd_chains": fusion["train_fwd_chains"],
-            "train_fwd_stages": fusion["train_fwd_stages"],
-            "train_bwd_kernels": fusion["train_bwd_kernels"],
-            "fallbacks": fusion["fallbacks"],
-        },
-        "compiler": cjit.stats()["compiler"],
-        "warmed_kernels": warmed,
-        "compiled": int(cjit.compiled),
-        "cpu_count": os.cpu_count() or 1,
-    }
-
-
-def check_train_fusion_threshold(results: dict) -> list[str]:
-    """Core-gated tape-over-eager speedup failure (empty list = pass)."""
-    if results["cpu_count"] < GATE_MIN_CORES:
-        return []
-    speedup = results["train_step"]["speedup"]
-    if speedup < TRAIN_FUSION_SPEEDUP_THRESHOLD:
-        return [f"train_step: taped cjit training is {speedup:.2f}x over "
-                f"eager numpy, below the "
-                f"{TRAIN_FUSION_SPEEDUP_THRESHOLD:.2f}x threshold"]
-    return []
-
-
-def merge_train_fusion_results(results: dict):
-    """Fold a tape-training run into the tracked file (``train_fusion`` +
-    ``train_fusion_series``).
-
-    The series keeps only higher-is-better metrics (speedup, step rate);
-    the arena peak lives in the ``train_fusion`` result dict where a size
-    change is visible without alerting the regression checker.
-    """
-    series = load_results().get("train_fusion_series", [])
-    series.append(series_entry(results["cpu_count"], {
-        "train_fusion_speedup": results["train_step"]["speedup"],
-        "train_fusion_steps_per_second":
-            1.0 / results["train_step"]["tape_cjit_seconds"],
-    }))
-    return _merge_tracked_results({"train_fusion": results,
-                                   "train_fusion_series": series})
 
 
 def _traced_step_block(stage) -> dict:
@@ -712,15 +461,6 @@ def main() -> None:
                         help="'numpy' runs the float32-vs-float64 precision "
                              "ladder; 'cjit' runs the warmed compiled-kernel "
                              "vs numpy conv-training-step comparison")
-    parser.add_argument("--lazy", action="store_true",
-                        help="run the lazy-graph fusion ladder: batched "
-                             "sampling with lazy realization vs the eager "
-                             "per-op path on the warmed cjit backend")
-    parser.add_argument("--train-fusion", action="store_true",
-                        help="run the training-tape fusion ladder: a fused "
-                             "conv/BatchNorm/leaky-ReLU training step on "
-                             "the warmed cjit backend under the tape vs "
-                             "the eager numpy step")
     parser.add_argument("--obs", action="store_true",
                         help="run the observability disabled-cost gate: the "
                              "shipped conv training step (kernel hooks in "
@@ -750,46 +490,6 @@ def main() -> None:
         smoke = run_float32_smoke()
         print("float32 smoke:", json.dumps(smoke, indent=2))
     if args.skip_ladder:
-        return
-
-    if args.train_fusion:
-        results = run_train_fusion_benchmark()
-        if results is None:
-            return  # no compiler: nothing honest to measure or record
-        path = merge_train_fusion_results(results)
-        print(json.dumps(results, indent=2))
-        print(f"merged into {path}")
-        failures = check_train_fusion_threshold(results)
-        if failures:
-            raise SystemExit("train-fusion regression: "
-                             + "; ".join(failures))
-        alerts = check_series_regression(
-            load_results().get("train_fusion_series", []))
-        if results["cpu_count"] < GATE_MIN_CORES:
-            for alert in alerts:
-                print(f"WARNING train-fusion series regression: {alert}")
-        elif alerts:
-            raise SystemExit("train-fusion series regression: "
-                             + "; ".join(alerts))
-        return
-
-    if args.lazy:
-        results = run_fusion_benchmark()
-        if results is None:
-            return  # no compiler: nothing honest to measure or record
-        path = merge_fusion_results(results)
-        print(json.dumps(results, indent=2))
-        print(f"merged into {path}")
-        failures = check_fusion_threshold(results)
-        if failures:
-            raise SystemExit("fusion regression: " + "; ".join(failures))
-        alerts = check_series_regression(load_results().get("fusion_series",
-                                                            []))
-        if results["cpu_count"] < GATE_MIN_CORES:
-            for alert in alerts:
-                print(f"WARNING fusion series regression: {alert}")
-        elif alerts:
-            raise SystemExit("fusion series regression: " + "; ".join(alerts))
         return
 
     if args.backend == "cjit":

@@ -3,7 +3,7 @@
 Training the generative models is expensive in pure NumPy, so it happens once
 per session here (untimed); the individual benchmarks time the evaluation
 stages that regenerate each figure and write the reproduced rows/series to
-``benchmarks/results/`` for EXPERIMENTS.md.
+``benchmarks/results/``.
 """
 
 from __future__ import annotations

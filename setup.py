@@ -1,10 +1,23 @@
-"""Setuptools shim.
+"""Setuptools packaging for the ``repro`` library.
 
-The project is fully described by ``pyproject.toml``; this file exists so the
-package can be installed in environments without the ``wheel`` package (where
-PEP 660 editable installs are unavailable) via ``python setup.py develop``.
+The package lives under ``src/`` and needs only NumPy and SciPy at run time.
+Install it with ``pip install .``, or with ``python setup.py develop`` where
+PEP 660 editable installs are unavailable (no ``wheel`` package).
 """
 
-from setuptools import setup
+import re
+from pathlib import Path
 
-setup()
+from setuptools import find_packages, setup
+
+_INIT = Path(__file__).resolve().parent / "src" / "repro" / "__init__.py"
+VERSION = re.search(r'^__version__ = "([^"]+)"', _INIT.read_text(),
+                    re.MULTILINE).group(1)
+
+setup(
+    name="repro",
+    version=VERSION,
+    package_dir={"": "src"},
+    packages=find_packages("src"),
+    install_requires=["numpy", "scipy"],
+)

@@ -13,7 +13,6 @@ import numpy as np
 
 from repro.core.config import ModelConfig
 from repro.nn import Module, Tensor, no_grad
-from repro.nn.lazy import lazy_default, lazy_eval
 
 __all__ = ["ConditionalGenerativeModel"]
 
@@ -76,8 +75,7 @@ class ConditionalGenerativeModel(Module):
 
     def sample(self, program_levels: np.ndarray, pe_normalized: np.ndarray,
                rng: np.random.Generator,
-               latent: np.ndarray | None = None,
-               lazy: bool | None = None) -> np.ndarray:
+               latent: np.ndarray | None = None) -> np.ndarray:
         """Generate normalised voltages for normalised program-level arrays.
 
         Parameters
@@ -90,17 +88,12 @@ class ConditionalGenerativeModel(Module):
             Random generator for the prior latent sample.
         latent:
             Optional fixed latent vectors of shape ``(N, latent_dim)``.
-        lazy:
-            Run the forward pass through the lazy graph + fused-kernel
-            realizer of :mod:`repro.nn.lazy` (bit-identical to eager).
-            ``None`` defers to :func:`repro.nn.lazy.lazy_default`.
         """
         was_training = self.training
         dtype = self.dtype
-        use_lazy = lazy_default() if lazy is None else bool(lazy)
         self.eval()
         try:
-            with no_grad(), lazy_eval(use_lazy):
+            with no_grad():
                 if latent is None:
                     latent_tensor = self.prior_latent(program_levels.shape[0],
                                                       rng)

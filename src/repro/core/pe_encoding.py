@@ -11,8 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.nn import lazy as _lazy
-from repro.nn.tensor import Tensor, concatenate, is_grad_enabled
+from repro.nn.tensor import Tensor, concatenate
 
 __all__ = ["pe_feature_vector", "spatial_replicate", "concat_condition",
            "replicate_latent"]
@@ -92,13 +91,6 @@ def replicate_latent(latent: Tensor, height: int, width: int) -> Tensor:
     if height < 1 or width < 1:
         raise ValueError("height and width must be positive")
     batch, dim = latent.shape
-    if _lazy.is_lazy_enabled() and not is_grad_enabled():
-        # A spatially-constant map: recorded as an ``expand`` node whose
-        # columns the conv lowering fills analytically (the map itself is
-        # usually never built).  ``x * 1.0 == x`` bitwise, so this matches
-        # the eager broadcast-multiply exactly.
-        return Tensor._from_lazy(_lazy.expand(latent.data, height, width),
-                                 "replicate_latent")
     reshaped = latent.reshape(batch, dim, 1, 1)
     ones = Tensor(np.ones((1, 1, height, width), dtype=latent.data.dtype))
     return reshaped * ones
@@ -113,22 +105,9 @@ def concat_condition(features: Tensor, condition: np.ndarray) -> Tensor:
     ``C + d`` channels, the "channel-wise combination" of Section III-B.
     """
     # The conditioning map adopts the feature map's dtype so concatenation
-    # never upcasts a float32 activation graph (``features.dtype`` reads
-    # lazy metadata without realizing).
+    # never upcasts a float32 activation graph.
     condition = np.asarray(condition, dtype=features.dtype)
     batch, _, height, width = features.shape
-    if _lazy.is_lazy_enabled() and not is_grad_enabled():
-        if condition.ndim == 2 and condition.shape[0] == batch:
-            node = _lazy.concat([features._lazy_node(),
-                                 _lazy.expand(condition, height, width)],
-                                axis=1)
-            return Tensor._from_lazy(node, "concat_condition")
-        if condition.ndim == 4 and condition.shape[0] == batch \
-                and condition.shape[2:] == (height, width):
-            node = _lazy.concat([features._lazy_node(),
-                                 _lazy.const(condition)], axis=1)
-            return Tensor._from_lazy(node, "concat_condition")
-        # Incompatible shapes fall through to the eager path's validation.
     if condition.ndim == 2:
         condition = spatial_replicate(condition, height, width)
     if condition.shape[0] != batch or condition.shape[2:] != (height, width):

@@ -18,7 +18,6 @@ from repro.data.loaders import BatchIterator
 from repro.data.normalize import LevelNormalizer, PENormalizer, VoltageNormalizer
 from repro.flash.params import FlashParameters
 from repro.nn import Adam, Tensor
-from repro.nn.lazy import lazy_default, lazy_eval
 
 __all__ = ["TrainingHistory", "Trainer"]
 
@@ -58,18 +57,12 @@ class Trainer:
                  dataset: FlashChannelDataset,
                  params: FlashParameters | None = None,
                  rng: np.random.Generator | None = None,
-                 max_steps_per_epoch: int | None = None,
-                 lazy: bool | None = None):
+                 max_steps_per_epoch: int | None = None):
         self.model = model
         self.dataset = dataset
         self.params = params if params is not None else FlashParameters()
         self.rng = rng if rng is not None else np.random.default_rng()
         self.max_steps_per_epoch = max_steps_per_epoch
-        #: Whether train steps run with lazy tape recording (fused forward
-        #: chains + fused backward kernels).  ``None`` defers to the
-        #: process-wide :func:`repro.nn.lazy.lazy_default` policy; weights
-        #: are bit-identical either way (test-enforced).
-        self.lazy = lazy_default() if lazy is None else bool(lazy)
 
         config = model.config
         self.level_normalizer = LevelNormalizer()
@@ -107,12 +100,6 @@ class Trainer:
     def train_step(self, program_levels: np.ndarray, voltages: np.ndarray,
                    pe_cycles: np.ndarray) -> dict[str, float]:
         """One optimisation step on a single mini-batch."""
-        with lazy_eval(self.lazy):
-            return self._train_step_impl(program_levels, voltages, pe_cycles)
-
-    def _train_step_impl(self, program_levels: np.ndarray,
-                         voltages: np.ndarray,
-                         pe_cycles: np.ndarray) -> dict[str, float]:
         level_tensor, voltage_tensor, pe_normalized = self._prepare_batch(
             program_levels, voltages, pe_cycles)
         stats: dict[str, float] = {}

@@ -3,7 +3,7 @@
 Each module exposes a ``run_*`` function returning a result object with
 ``rows()`` (machine-readable) and ``format()`` (plain text) methods.  The
 benchmark harness under ``benchmarks/`` calls these drivers and prints the
-same rows/series the paper reports; EXPERIMENTS.md records the comparison.
+same rows/series the paper reports.
 """
 
 from repro.experiments.common import ExperimentSetup, PAPER_PE_CYCLES

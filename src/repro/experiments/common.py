@@ -6,7 +6,7 @@ fitted channel backends behind the unified protocol — at one of two scales:
 
 * ``"quick"`` (default): 16x16 arrays, narrow networks, a few minutes of
   CPU training.  Shapes and orderings are reproduced; absolute numbers are
-  noisier than the paper's (see EXPERIMENTS.md).
+  noisier than the paper's.
 * ``"paper"``: the 64x64 / C64..C512 configuration of Remarks 1 and 2.  This
   is faithful to the paper but is not tractable on CPU within the benchmark
   harness; it exists so users with patience (or a port of ``repro.nn`` to an

@@ -34,8 +34,6 @@ from repro.nn.dtypes import (
 )
 from repro.nn.tensor import Tensor, no_grad
 from repro.nn import functional
-from repro.nn import lazy
-from repro.nn.lazy import lazy_eval, lazy_default, set_lazy_default
 from repro.nn.layers import (
     Module,
     Sequential,
@@ -77,10 +75,6 @@ __all__ = [
     "Tensor",
     "no_grad",
     "functional",
-    "lazy",
-    "lazy_eval",
-    "lazy_default",
-    "set_lazy_default",
     "backend",
     "ArrayBackend",
     "get_backend",

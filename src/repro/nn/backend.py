@@ -62,8 +62,8 @@ __all__ = [
 #: (a :class:`repro.obs.trace.KernelProfiler`).  ``None`` means profiling is
 #: off, and the per-kernel hook below is a single global load + ``None``
 #: check — the near-zero disabled cost the obs tests pin.  A module global
-#: (not per-backend state) so the realizer and every backend subclass share
-#: one switch without importing :mod:`repro.obs`.
+#: (not per-backend state) so every backend subclass shares one switch
+#: without importing :mod:`repro.obs`.
 KERNEL_PROFILER = None
 
 
@@ -72,7 +72,7 @@ def set_kernel_profiler(profiler):
 
     Returns the previous profiler so scoped users can restore it.  The
     profiler only needs ``enter() -> token | None`` / ``exit(name, token)``
-    (and ``phase_enter``/``phase_exit`` for the realize-barrier timings).
+    (and ``phase_enter``/``phase_exit`` for the cjit compile timings).
     """
     global KERNEL_PROFILER
     previous = KERNEL_PROFILER
@@ -207,47 +207,13 @@ class ArrayBackend:
 
     def __init__(self):
         self.arena = BufferArena()
-        #: Lazy-graph realization counters (see :mod:`repro.nn.lazy` and
-        #: the ``--stats`` CLI): how many nodes this backend realized, how
-        #: many elementwise chains it fused (and their total stage count),
-        #: how many concatenations / constant-map expansions were folded
-        #: into segmented im2col columns, and how many chains (or chain
-        #: tails) fell back to the plain per-op path.
-        self.fusion_counters: dict[str, int] = {
-            "realized_nodes": 0,
-            "fused_chains": 0,
-            "fused_stages": 0,
-            "concat_folds": 0,
-            "expand_folds": 0,
-            "fallbacks": 0,
-            # Training-path (autograd tape) counters: stage chains recorded
-            # with gradients enabled, and the fused backward kernels
-            # (``fused_elementwise_bwd`` / ``bn_bwd_dx``) that lower them.
-            "train_fwd_chains": 0,
-            "train_fwd_stages": 0,
-            "train_bwd_kernels": 0,
-        }
-
-    def fusion_stats(self) -> dict[str, int]:
-        """Snapshot of the lazy-graph fusion/realization counters.
-
-        The values are published to (and read back from) a
-        :class:`repro.obs.metrics.MetricsRegistry` under ``nn.fusion.*`` —
-        the unified stats surface — so this dict is now a compatibility view
-        over the registry, same numbers, same keys.
-        """
-        from repro.obs.metrics import backend_registry
-
-        snapshot = backend_registry(self).snapshot()
-        return {key: int(snapshot[f"nn.fusion.{key}"]["value"])
-                for key in self.fusion_counters}
 
     def stats(self) -> dict[str, dict]:
         """Deprecated ad-hoc stats surface, kept as a thin registry view.
 
         Returns the full :func:`repro.obs.metrics.backend_registry` snapshot
-        (``nn.fusion.*``, ``nn.arena.*`` and — on compiled backends —
-        ``nn.cjit.*``).  New code should use the registry directly.
+        (``nn.arena.*`` and, on compiled backends, ``nn.cjit.*``).  New
+        code should use the registry directly.
         """
         from repro.obs.metrics import backend_registry
 
@@ -302,63 +268,6 @@ class ArrayBackend:
                 cols[:, :, i, j, :, :] = x[:, :, i:i_end:stride, j:j_end:stride]
         return cols.reshape(batch, channels * kernel * kernel, out_h * out_w)
 
-    @profiled_kernel("im2col_into")
-    def im2col_into(self, x: np.ndarray, cols6: np.ndarray, c_offset: int,
-                    kernel: int, stride: int, padding: int) -> None:
-        """Write ``x``'s im2col columns into a channel slice of ``cols6``.
-
-        ``cols6`` is the un-flattened ``(N, C_total, K, K, H_out, W_out)``
-        column buffer of a concatenated input; ``x`` supplies channels
-        ``[c_offset, c_offset + C_part)``.  The written values are exactly
-        the rows :meth:`im2col` would produce for the materialized
-        concatenation — the lazy realizer uses this to fold channel
-        concatenations into the conv lowering without building them.
-        """
-        channels = x.shape[1]
-        out_h, out_w = cols6.shape[4], cols6.shape[5]
-        if padding > 0:
-            x = np.pad(x, ((0, 0), (0, 0), (padding, padding),
-                           (padding, padding)))
-        view = cols6[:, c_offset:c_offset + channels]
-        for i in range(kernel):
-            i_end = i + stride * out_h
-            for j in range(kernel):
-                j_end = j + stride * out_w
-                view[:, :, i, j, :, :] = x[:, :, i:i_end:stride,
-                                           j:j_end:stride]
-
-    @profiled_kernel("expand_cols_into")
-    def expand_cols_into(self, values: np.ndarray, cols6: np.ndarray,
-                         c_offset: int, height: int, width: int,
-                         kernel: int, stride: int, padding: int) -> None:
-        """Write a spatially-constant map's im2col columns into ``cols6``.
-
-        ``values`` has shape ``(N, d)``; its implied ``(N, d, height,
-        width)`` constant map is never built — each column element is the
-        per-sample constant where the window position lands in bounds and
-        zero where it falls into the padding, exactly what :meth:`im2col`
-        would gather from the materialized map.  One broadcast write
-        covers every position, then the (few) border rows and columns are
-        zeroed; with ``padding == 0`` every position is in bounds.
-        """
-        out_h, out_w = cols6.shape[4], cols6.shape[5]
-        target = cols6[:, c_offset:c_offset + values.shape[1]]
-        target[...] = values[:, :, None, None, None, None]
-        if padding == 0:
-            return
-        row_positions = stride * np.arange(out_h) - padding
-        col_positions = stride * np.arange(out_w) - padding
-        for i in range(kernel):
-            rows_bad = (row_positions + i < 0) \
-                | (row_positions + i >= height)
-            for j in range(kernel):
-                cols_bad = (col_positions + j < 0) \
-                    | (col_positions + j >= width)
-                if rows_bad.any():
-                    target[:, :, i, j, rows_bad, :] = 0
-                if cols_bad.any():
-                    target[:, :, i, j, :, cols_bad] = 0
-
     @profiled_kernel("col2im")
     def col2im(self, cols: np.ndarray,
                input_shape: tuple[int, int, int, int],
@@ -402,163 +311,8 @@ class ArrayBackend:
         return np.where(x > 0, x, x * negative_slope)
 
     # ------------------------------------------------------------------ #
-    # Fused elementwise stage chains (lazy-graph realization)
+    # Train-mode BatchNorm backward (closed form)
     # ------------------------------------------------------------------ #
-    @profiled_kernel("fused_elementwise")
-    def fused_elementwise(self, x: np.ndarray, stages: list[tuple],
-                          inplace: bool = False) -> np.ndarray:
-        """Apply a recorded elementwise stage chain in one pass over ``x``.
-
-        ``stages`` is the chain the lazy realizer collected — tuples of
-        ``(kind, *operands)`` with kinds from
-        :data:`repro.nn.lazy.STAGE_KINDS`.  The reference lowering applies
-        the stages sequentially with the exact eager expressions (same
-        ufuncs, scalars pre-cast to the array dtype — one rounding per
-        recorded op), reusing ``x`` as the accumulator when ``inplace``
-        says the caller owns it.  Accelerated backends override this with
-        genuinely single-pass implementations; results must stay
-        bit-identical to this sequence.
-        """
-        self.fusion_counters["fused_chains"] += 1
-        self.fusion_counters["fused_stages"] += len(stages)
-        return self._apply_stages(x, stages, inplace)
-
-    def _apply_stages(self, x: np.ndarray, stages: list[tuple],
-                      inplace: bool) -> np.ndarray:
-        buf = x
-        owned = bool(inplace)
-        for item in stages:
-            kind = item[0]
-            if kind in ("bias_add", "affine"):
-                channel_shape = (1, -1) + (1,) * (buf.ndim - 2)
-                vec = item[1].reshape(channel_shape)
-                if kind == "affine":
-                    shift = item[2].reshape(channel_shape)
-                    if owned:
-                        np.multiply(buf, vec, out=buf)
-                    else:
-                        buf = buf * vec
-                        owned = True
-                    np.add(buf, shift, out=buf)
-                elif owned:
-                    np.add(buf, vec, out=buf)
-                else:
-                    buf = buf + vec
-                    owned = True
-            elif kind == "leaky_relu":
-                buf = self.leaky_relu(buf, item[1])
-                owned = True
-            elif kind == "relu":
-                buf = self.relu(buf)
-                owned = True
-            elif kind == "tanh":
-                buf = self.tanh(buf)
-                owned = True
-            elif kind == "sigmoid":
-                buf = self.sigmoid(buf)
-                owned = True
-            elif kind == "neg":
-                if owned:
-                    np.negative(buf, out=buf)
-                else:
-                    buf = -buf
-                    owned = True
-            elif kind in ("mul_scalar", "add_scalar", "div_scalar"):
-                scalar = buf.dtype.type(item[1])
-                ufunc = {"mul_scalar": np.multiply, "add_scalar": np.add,
-                         "div_scalar": np.divide}[kind]
-                if owned:
-                    ufunc(buf, scalar, out=buf)
-                else:
-                    buf = ufunc(buf, scalar)
-                    owned = True
-            elif kind == "cast":
-                # Same-dtype casts are identity at record time already;
-                # ``copy=False`` keeps the repeated-realize path a no-op.
-                buf = buf.astype(item[1], copy=False)
-            else:
-                raise ValueError(f"unknown fused stage kind {kind!r}")
-        return buf
-
-    # ------------------------------------------------------------------ #
-    # Fused backward kernels (training-path tape realization)
-    # ------------------------------------------------------------------ #
-    @profiled_kernel("fused_elementwise_bwd")
-    def fused_elementwise_bwd(self, grad: np.ndarray, stages: list[tuple],
-                              output: np.ndarray,
-                              inplace: bool = False) -> np.ndarray:
-        """Reverse-mode pass through a run of multiplier-only stages.
-
-        ``stages`` is a (forward-ordered) run of recorded stages whose
-        input gradient is a pure elementwise multiplier of the output
-        gradient — activations whose mask is recoverable from the chain
-        output ``output`` (``leaky_relu``, ``relu``) and scalar arithmetic
-        (``mul_scalar`` / ``div_scalar`` / ``neg`` / ``add_scalar``).  The
-        reference lowering applies the multipliers in reverse stage order
-        with the exact eager gradient expressions; accelerated backends
-        collapse them into one compiled pass and must stay bit-identical.
-        ``inplace`` lets a caller that owns ``grad`` reuse it as the
-        accumulator.
-        """
-        self.fusion_counters["train_bwd_kernels"] += 1
-        buf = grad
-        owned = bool(inplace)
-        for item in reversed(stages):
-            kind = item[0]
-            if kind == "leaky_relu":
-                scale = np.where(output > 0, output.dtype.type(1.0),
-                                 output.dtype.type(item[1]))
-                if owned:
-                    np.multiply(buf, scale, out=buf)
-                else:
-                    buf = buf * scale
-                    owned = True
-            elif kind == "relu":
-                mask = output > 0
-                if owned:
-                    np.multiply(buf, mask, out=buf)
-                else:
-                    buf = buf * mask
-                    owned = True
-            elif kind == "tanh":
-                # Same expression (and rounding) as the eager backward:
-                # ``grad * (1.0 - value ** 2)``.
-                scale = 1.0 - output ** 2
-                if owned:
-                    np.multiply(buf, scale, out=buf)
-                else:
-                    buf = buf * scale
-                    owned = True
-            elif kind == "sigmoid":
-                # Eager evaluates ``grad * value * (1.0 - value)`` left to
-                # right; the association is preserved exactly.
-                if owned:
-                    np.multiply(buf, output, out=buf)
-                else:
-                    buf = buf * output
-                    owned = True
-                np.multiply(buf, 1.0 - output, out=buf)
-            elif kind == "neg":
-                if owned:
-                    np.negative(buf, out=buf)
-                else:
-                    buf = -buf
-                    owned = True
-            elif kind in ("mul_scalar", "div_scalar"):
-                scalar = buf.dtype.type(item[1])
-                ufunc = np.multiply if kind == "mul_scalar" else np.divide
-                if owned:
-                    ufunc(buf, scalar, out=buf)
-                else:
-                    buf = ufunc(buf, scalar)
-                    owned = True
-            elif kind == "add_scalar":
-                pass  # d(x + s)/dx == 1: the gradient passes through
-            else:
-                raise ValueError(
-                    f"stage kind {kind!r} has no multiplier backward")
-        return buf
-
     @profiled_kernel("bn_bwd_reductions")
     def bn_bwd_reductions(self, grad: np.ndarray, x: np.ndarray,
                           mean: np.ndarray,
@@ -566,7 +320,7 @@ class ArrayBackend:
         """Per-channel ``Σg`` and ``Σg·x̂`` of a train-mode BatchNorm.
 
         The normalized input ``x̂`` is rebuilt into one arena scratch
-        buffer (backward never saved it — the realization plan).  The
+        buffer (backward never saved it).  The
         sums stay NumPy pairwise reductions on *every* backend: compiled
         ports must not override them, or the numpy-vs-cjit bit-identity
         contract on weight gradients breaks (C sequential sums round
@@ -591,7 +345,6 @@ class ArrayBackend:
         the element order is fixed — two multiplies, then two adds — so a
         compiled override stays bit-identical.
         """
-        self.fusion_counters["train_bwd_kernels"] += 1
         channel_shape = (1, -1, 1, 1)
         out = grad * s1.reshape(channel_shape)
         term = self.scratch_out(x.shape, x.dtype)
@@ -682,8 +435,8 @@ class NumpyBackend(ArrayBackend):
 class ReferenceBackend(ArrayBackend):
     """Plain reference kernels, never using the scratch arena.
 
-    Used by the conformance tests to check that arena reuse and kernel
-    fusion in an accelerated backend do not change results; every scratch
+    Used by the conformance tests to check that arena reuse and compiled
+    kernels in an accelerated backend do not change results; every scratch
     request gets a fresh allocation instead of a pooled buffer.
     """
 
@@ -761,88 +514,6 @@ def use_backend(backend: str | ArrayBackend):
 from repro.nn import cjit as _cjit  # noqa: E402,F401  (registers "cjit")
 
 
-def _report_fusion_stats(canonical, cache_dir) -> None:
-    """``--stats``: realize one probe chain per backend, print counters.
-
-    The probe is the canonical sampling micro-chain (concat of a real map
-    and a constant map → conv → bias → affine → leaky-ReLU), recorded
-    lazily and realized — so a fresh process still reports meaningful
-    fusion counters per backend, mirroring the cjit ``stats()`` pattern.
-    """
-    from repro.nn import functional as F
-    from repro.nn import lazy
-    from repro.nn.cjit import cjit_available
-    from repro.nn.tensor import Tensor, concatenate, no_grad
-
-    def probe(backend_obj):
-        rng = np.random.default_rng(0)
-        x = Tensor(rng.standard_normal((2, 3, 8, 8)).astype(np.float32))
-        weight = Tensor(rng.standard_normal((4, 9, 4, 4))
-                        .astype(np.float32) * 0.1)
-        bias = Tensor(rng.standard_normal(4).astype(np.float32))
-        scale = rng.standard_normal(4).astype(np.float32)
-        shift = rng.standard_normal(4).astype(np.float32)
-        # ``canonical.use_backend``: under ``python -m`` this module also
-        # exists as ``__main__``, whose class objects would fail the
-        # canonical isinstance check.
-        with canonical.use_backend(backend_obj), no_grad(), lazy.lazy_eval():
-            latent_map = Tensor._from_lazy(
-                lazy.expand(rng.standard_normal((2, 6))
-                            .astype(np.float32), 8, 8))
-            stacked = concatenate([x, latent_map], axis=1)
-            out = F.conv2d(stacked, weight, bias, stride=2, padding=1)
-            out = Tensor._from_lazy(
-                lazy.stage(out._lazy, "affine", (scale, shift)))
-            out = out.leaky_relu(0.2)
-            out.numpy()  # realize within the backend scope
-
-    def train_probe(backend_obj):
-        """A grad-enabled micro train step: conv-bias → BN train → leaky."""
-        from repro.nn.layers import BatchNorm2d
-
-        rng = np.random.default_rng(0)
-        x = Tensor(rng.standard_normal((2, 3, 8, 8)).astype(np.float32))
-        weight = Tensor(rng.standard_normal((4, 3, 3, 3))
-                        .astype(np.float32) * 0.1, requires_grad=True)
-        bias = Tensor(rng.standard_normal(4).astype(np.float32),
-                      requires_grad=True)
-        norm = BatchNorm2d(4).to(np.float32)
-        with canonical.use_backend(backend_obj), lazy.lazy_eval():
-            out = F.conv2d(x, weight, bias, stride=1, padding=1)
-            out = norm(out)
-            out = out.leaky_relu(0.2)
-            (out * out).mean().backward()
-
-    # Both reports read through the unified obs metrics registry
-    # (``nn.fusion.*`` / ``nn.arena.*`` gauges) rather than the per-backend
-    # dicts; the printed format is unchanged (CI greps assert it).
-    from repro.obs.metrics import backend_registry
-
-    names = ["numpy"] + (["cjit"] if cjit_available() else [])
-    for name in names:
-        kwargs = {"cache_dir": cache_dir} if name == "cjit" else {}
-        backend_obj = canonical.build_backend(name, **kwargs)
-        probe(backend_obj)
-        registry = backend_registry(backend_obj)
-        print(f"{name} fusion stats: "
-              + ", ".join(f"{key}={registry.gauge(f'nn.fusion.{key}').value}"
-                          for key in backend_obj.fusion_counters))
-    # Training-path counters come from *fresh* instances so the sampling
-    # probe's counts above stay untouched (CI greps assert both lines).
-    for name in names:
-        kwargs = {"cache_dir": cache_dir} if name == "cjit" else {}
-        backend_obj = canonical.build_backend(name, **kwargs)
-        train_probe(backend_obj)
-        registry = backend_registry(backend_obj)
-        keys = ("train_fwd_chains", "train_fwd_stages", "train_bwd_kernels",
-                "fallbacks")
-        arena_peak = registry.gauge("nn.arena.peak_bytes").value
-        print(f"{name} train fusion stats: "
-              + ", ".join(f"{key}={registry.gauge(f'nn.fusion.{key}').value}"
-                          for key in keys)
-              + f", arena_peak_bytes={arena_peak}")
-
-
 def main(argv: list[str] | None = None) -> int:
     """``python -m repro.nn.backend``: registry + compiler report, ``--warm``.
 
@@ -869,11 +540,6 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--cache-dir", default=None,
                         help="kernel cache directory (default: "
                              "$REPRO_KERNEL_CACHE or ./.repro-kernel-cache)")
-    parser.add_argument("--stats", action="store_true",
-                        help="run a small lazy-graph probe chain on each "
-                             "backend and report its fusion/realization "
-                             "counters (fused chains, kernels compiled, "
-                             "fallbacks)")
     args = parser.parse_args(argv)
 
     registry = canonical.BACKEND_REGISTRY
@@ -882,9 +548,6 @@ def main(argv: list[str] | None = None) -> int:
     for name in sorted(registry):
         marker = " (current)" if name == current else ""
         print(f"  {name}: {registry[name].__name__}{marker}")
-
-    if args.stats:
-        _report_fusion_stats(canonical, args.cache_dir)
 
     compiler = find_compiler()
     if compiler is None:

@@ -17,10 +17,8 @@ by contrast, raises :class:`repro.nn.cjit.compiler.KernelCompileError`
 with the compiler stderr attached — a poisoned kernel is a bug, not a
 slow path.
 
-``matmul`` stays on NumPy's BLAS by default (it is both the parity
-reference and faster than any portable C loop); set ``REPRO_CJIT_MATMUL=1``
-or pass ``c_matmul=True`` to route it through the rendered BLAS-free tiled
-kernel on hosts without a BLAS.
+``matmul`` stays on NumPy's BLAS: it is both the parity reference and
+faster than any portable C loop.
 """
 
 from __future__ import annotations
@@ -41,18 +39,11 @@ from repro.nn.cjit.compiler import (
     platform_tag,
 )
 from repro.nn.cjit.render import (
-    FUSED_BWD_STAGE_CODES,
-    FUSED_STAGE_CODES,
     SUPPORTED_DTYPES,
     KernelSpec,
     bn_bwd_dx_spec,
     conv_spec,
     elementwise_spec,
-    expand_cols_spec,
-    fused_bwd_spec,
-    fused_spec,
-    im2col_seg_spec,
-    matmul_spec,
     reduce_spec,
     render_kernel,
     standard_kernel_specs,
@@ -63,8 +54,6 @@ __all__ = ["CJitBackend", "kernel_cache_key"]
 
 _DTYPE_NAMES = {np.dtype(np.float32): "float32",
                 np.dtype(np.float64): "float64"}
-
-_MATMUL_ENV = "REPRO_CJIT_MATMUL"
 
 
 def kernel_cache_key(source: str, compiler_tag: str, platform: str) -> str:
@@ -88,8 +77,7 @@ class CJitBackend(NumpyBackend):
     name = "cjit"
 
     def __init__(self, cache_dir: str | os.PathLike | None = None,
-                 require_compiler: bool = False,
-                 c_matmul: bool | None = None):
+                 require_compiler: bool = False):
         super().__init__()
         from repro.artifacts.kernels import KernelCache
 
@@ -99,22 +87,10 @@ class CJitBackend(NumpyBackend):
                 "cjit backend requires a C compiler (cc/clang/gcc) on PATH "
                 "and none was found")
         self.cache = KernelCache(cache_dir)
-        if c_matmul is None:
-            c_matmul = os.environ.get(_MATMUL_ENV, "").lower() \
-                in ("1", "true", "yes")
-        self.c_matmul = bool(c_matmul)
         self._functions: dict[str, object] = {}
         self._libraries: dict[str, ctypes.CDLL] = {}
-        #: Memoized spec->function lookups for the lazy-realizer hot path,
-        #: keyed by the cheap spec parameters so repeated realizations skip
-        #: re-rendering the KernelSpec (None is cached too: a compiler-less
-        #: host should not re-render per call either).
-        self._fast_fns: dict[tuple, object] = {}
         self.compiled = 0
         self.fallbacks = 0
-        #: How many lazy-graph chain signatures were compiled as fused C
-        #: kernels (a subset of ``compiled``; reported by ``--stats``).
-        self.fusion_counters["fused_kernels_compiled"] = 0
 
     # ------------------------------------------------------------------ #
     # Kernel materialisation: render -> cache -> compile -> dlopen
@@ -237,44 +213,6 @@ class CJitBackend(NumpyBackend):
         return result
 
     # ------------------------------------------------------------------ #
-    # Optional BLAS-free tiled matmul
-    # ------------------------------------------------------------------ #
-    @profiled_kernel("matmul")
-    def matmul(self, a: np.ndarray, b: np.ndarray,
-               out: np.ndarray | None = None) -> np.ndarray:
-        if not self.c_matmul:
-            return super().matmul(a, b, out=out)
-        dtype = self._dtype_name(a, b)
-        if dtype is None or a.ndim not in (2, 3) or b.ndim not in (2, 3) \
-                or (out is not None and not out.flags["C_CONTIGUOUS"]):
-            self.fallbacks += 1
-            return super().matmul(a, b, out=out)
-        m, k = a.shape[-2:]
-        k2, n = b.shape[-2:]
-        if k2 != k or (a.ndim == 3 and b.ndim == 3
-                       and a.shape[0] != b.shape[0]):
-            # Shape errors and partial broadcasts go through NumPy, which
-            # either handles them or raises the canonical message.
-            self.fallbacks += 1
-            return super().matmul(a, b, out=out)
-        fn = self._kernel(matmul_spec(dtype))
-        if fn is None:
-            self.fallbacks += 1
-            return super().matmul(a, b, out=out)
-        batch = max(a.shape[0] if a.ndim == 3 else 1,
-                    b.shape[0] if b.ndim == 3 else 1)
-        a = np.ascontiguousarray(a)
-        b = np.ascontiguousarray(b)
-        out_shape = (batch, m, n) if (a.ndim == 3 or b.ndim == 3) else (m, n)
-        if out is None:
-            out = np.zeros(out_shape, dtype=a.dtype)
-        else:
-            out[...] = 0
-        fn(_ptr(a), _ptr(b), _ptr(out), batch, m, k, n,
-           m * k if a.ndim == 3 else 0, k * n if b.ndim == 3 else 0)
-        return out
-
-    # ------------------------------------------------------------------ #
     # Elementwise
     # ------------------------------------------------------------------ #
     @profiled_kernel("leaky_relu")
@@ -291,156 +229,18 @@ class CJitBackend(NumpyBackend):
         return out
 
     # ------------------------------------------------------------------ #
-    # Lazy-graph lowerings: fused stage chains + segmented im2col
+    # Train-mode BatchNorm backward
     # ------------------------------------------------------------------ #
-    _CHANNEL_STAGE_CODES = ("b", "a")
-
-    @profiled_kernel("fused_elementwise")
-    def fused_elementwise(self, x: np.ndarray, stages: list[tuple],
-                          inplace: bool = False) -> np.ndarray:
-        """Run a fused stage chain through one generated C kernel.
-
-        The renderable prefix of the chain (see
-        :data:`repro.nn.cjit.render.FUSED_STAGE_CODES`) becomes a single
-        compiled pass keyed by its chain signature; any remainder — tanh /
-        sigmoid / cast, whose NumPy bit patterns libm cannot reproduce —
-        is applied NumPy-side on the kernel's output.  Unsupported dtypes,
-        non-NCHW inputs under per-channel stages, and compiler-less hosts
-        fall back to the inherited sequential lowering (bit-identical
-        either way).
-        """
-        if not isinstance(x, np.ndarray) or x.ndim == 0:
-            # Scalar chain bases (0-d loss arithmetic) have no compiled
-            # path; the sequential lowering is the bit-exact reference.
-            return super().fused_elementwise(x, stages, inplace=inplace)
-        self.fusion_counters["fused_chains"] += 1
-        self.fusion_counters["fused_stages"] += len(stages)
-        codes: list[str] = []
-        operands = [x]
-        for item in stages:
-            code = FUSED_STAGE_CODES.get(item[0])
-            if code is None:
-                break
-            if code in self._CHANNEL_STAGE_CODES:
-                operands.extend(item[1:])
-            codes.append(code)
-        channel = any(code in self._CHANNEL_STAGE_CODES for code in codes)
-        dtype = self._dtype_name(*operands)
-        fn = None
-        if codes and dtype is not None and not (channel and x.ndim != 4):
-            key = ("fused", dtype, *codes)
-            try:
-                fn = self._fast_fns[key]
-            except KeyError:
-                compiled_before = self.compiled
-                fn = self._kernel(fused_spec(tuple(codes), dtype))
-                self.fusion_counters["fused_kernels_compiled"] += \
-                    self.compiled - compiled_before
-                self._fast_fns[key] = fn
-        if fn is None:
-            if codes:
-                self.fusion_counters["fallbacks"] += 1
-            return self._apply_stages(x, stages, inplace)
-        buf = x if x.flags["C_CONTIGUOUS"] else np.ascontiguousarray(x)
-        # The kernel may write its input in place only when the realizer
-        # owns the buffer (or the contiguity copy just made one).
-        out = buf if (inplace or buf is not x) else np.empty_like(buf)
-        args: list = [_ptr(buf), _ptr(out), buf.size]
-        args += [x.shape[1], x.shape[2] * x.shape[3]] if channel else [1, 1]
-        keepalive = []
-        for item, code in zip(stages, codes):
-            if code in self._CHANNEL_STAGE_CODES:
-                for vec in item[1:]:
-                    vec = np.ascontiguousarray(vec)
-                    keepalive.append(vec)
-                    args.append(_ptr(vec))
-            elif code in ("l", "m", "p", "d"):
-                args.append(float(item[1]))
-        fn(*args)
-        del keepalive
-        remainder = stages[len(codes):]
-        if remainder:
-            return self._apply_stages(out, remainder, inplace=True)
-        return out
-
-    _BWD_OUTPUT_KINDS = ("leaky_relu", "relu", "tanh", "sigmoid")
-
-    @profiled_kernel("fused_elementwise_bwd")
-    def fused_elementwise_bwd(self, grad: np.ndarray, stages: list[tuple],
-                              output: np.ndarray,
-                              inplace: bool = False) -> np.ndarray:
-        """Collapse a run of backward multipliers into one compiled pass.
-
-        The stage run is all-or-nothing: any kind outside
-        :data:`repro.nn.cjit.render.FUSED_BWD_STAGE_CODES` (or a dtype the
-        renderer cannot specialize) sends the whole run through the
-        inherited sequential NumPy lowering — bit-identical either way.
-        The compiled symbol is keyed by the reversed (application-order)
-        chain signature, memoized like the forward fused kernels.
-        """
-        codes: list[str] = []
-        for item in reversed(stages):
-            code = FUSED_BWD_STAGE_CODES.get(item[0])
-            if code is None:
-                codes = []
-                break
-            codes.append(code)
-        needs_output = any(item[0] in self._BWD_OUTPUT_KINDS
-                           for item in stages)
-        operands = [grad] + ([output] if needs_output else [])
-        dtype = self._dtype_name(*operands) \
-            if all(isinstance(op, np.ndarray) for op in operands) else None
-        fn = None
-        if codes and dtype is not None and grad.ndim > 0 \
-                and (not needs_output or output.shape == grad.shape):
-            key = ("fused_bwd", dtype, *codes)
-            try:
-                fn = self._fast_fns[key]
-            except KeyError:
-                compiled_before = self.compiled
-                fn = self._kernel(fused_bwd_spec(tuple(codes), dtype))
-                self.fusion_counters["fused_kernels_compiled"] += \
-                    self.compiled - compiled_before
-                self._fast_fns[key] = fn
-        if fn is None:
-            if codes:
-                self.fusion_counters["fallbacks"] += 1
-            return super().fused_elementwise_bwd(grad, stages, output,
-                                                 inplace=inplace)
-        self.fusion_counters["train_bwd_kernels"] += 1
-        buf = grad if grad.flags["C_CONTIGUOUS"] \
-            else np.ascontiguousarray(grad)
-        out = buf if (inplace or buf is not grad) else np.empty_like(buf)
-        args: list = [_ptr(buf)]
-        if needs_output:
-            y = output if output.flags["C_CONTIGUOUS"] \
-                else np.ascontiguousarray(output)
-        else:
-            y = buf  # dummy; the rendered kernel never reads it
-        args += [_ptr(y), _ptr(out), buf.size]
-        for item in reversed(stages):
-            if FUSED_BWD_STAGE_CODES[item[0]] in ("l", "m", "d"):
-                args.append(float(item[1]))
-        fn(*args)
-        return out
-
     @profiled_kernel("bn_bwd_dx")
     def bn_bwd_dx(self, grad: np.ndarray, x: np.ndarray, s1: np.ndarray,
                   s2: np.ndarray, s3: np.ndarray) -> np.ndarray:
         """Compiled train-mode BatchNorm input gradient (one pass)."""
         dtype = self._dtype_name(grad, x, s1, s2, s3)
-        fn = None
-        if dtype is not None and grad.ndim == 4:
-            key = ("bn_bwd_dx", dtype)
-            try:
-                fn = self._fast_fns[key]
-            except KeyError:
-                fn = self._kernel(bn_bwd_dx_spec(dtype))
-                self._fast_fns[key] = fn
+        fn = self._kernel(bn_bwd_dx_spec(dtype)) \
+            if dtype is not None and grad.ndim == 4 else None
         if fn is None:
             self.fallbacks += 1
             return super().bn_bwd_dx(grad, x, s1, s2, s3)
-        self.fusion_counters["train_bwd_kernels"] += 1
         g = np.ascontiguousarray(grad)
         xc = np.ascontiguousarray(x)
         s1c = np.ascontiguousarray(s1)
@@ -450,53 +250,6 @@ class CJitBackend(NumpyBackend):
         fn(_ptr(g), _ptr(xc), _ptr(out), g.size, g.shape[1],
            g.shape[2] * g.shape[3], _ptr(s1c), _ptr(s2c), _ptr(s3c))
         return out
-
-    @profiled_kernel("im2col_into")
-    def im2col_into(self, x: np.ndarray, cols6: np.ndarray, c_offset: int,
-                    kernel: int, stride: int, padding: int) -> None:
-        dtype = self._dtype_name(x, cols6)
-        fn = None
-        if dtype and cols6.flags["C_CONTIGUOUS"]:
-            key = ("im2col_seg", dtype, kernel, stride, padding)
-            try:
-                fn = self._fast_fns[key]
-            except KeyError:
-                fn = self._kernel(im2col_seg_spec(dtype, kernel, stride,
-                                                  padding))
-                self._fast_fns[key] = fn
-        if fn is None:
-            self.fallbacks += 1
-            return super().im2col_into(x, cols6, c_offset, kernel, stride,
-                                       padding)
-        batch, channels, height, width = x.shape
-        out_h, out_w = cols6.shape[4], cols6.shape[5]
-        x = np.ascontiguousarray(x)
-        fn(_ptr(x), _ptr(cols6), batch, channels, height, width,
-           out_h, out_w, cols6.shape[1], int(c_offset))
-
-    @profiled_kernel("expand_cols_into")
-    def expand_cols_into(self, values: np.ndarray, cols6: np.ndarray,
-                         c_offset: int, height: int, width: int,
-                         kernel: int, stride: int, padding: int) -> None:
-        dtype = self._dtype_name(values, cols6)
-        fn = None
-        if dtype and cols6.flags["C_CONTIGUOUS"]:
-            key = ("expand_cols", dtype, kernel, stride, padding)
-            try:
-                fn = self._fast_fns[key]
-            except KeyError:
-                fn = self._kernel(expand_cols_spec(dtype, kernel, stride,
-                                                   padding))
-                self._fast_fns[key] = fn
-        if fn is None:
-            self.fallbacks += 1
-            return super().expand_cols_into(values, cols6, c_offset, height,
-                                            width, kernel, stride, padding)
-        batch, channels = values.shape
-        out_h, out_w = cols6.shape[4], cols6.shape[5]
-        values = np.ascontiguousarray(values)
-        fn(_ptr(values), _ptr(cols6), batch, channels, height, width,
-           out_h, out_w, cols6.shape[1], int(c_offset))
 
     # ------------------------------------------------------------------ #
     # Fused elementwise + reduction kernels (float64 accumulation)
@@ -602,5 +355,4 @@ class CJitBackend(NumpyBackend):
             "fallbacks": int(snapshot["nn.cjit.fallbacks"]["value"]),
             "cache": {key: int(snapshot[f"nn.cjit.cache.{key}"]["value"])
                       for key in self.cache.stats()},
-            "c_matmul": self.c_matmul,
         }

@@ -23,9 +23,8 @@ Exactness contract (mirrored by the conformance tests):
   counterparts but sum sequentially rather than pairwise, so loss scalars
   agree to documented tolerances (~1e-12 relative in float64) instead of
   bit-for-bit.
-* The tiled matmul is a BLAS-free fallback with its own summation order;
-  it is opt-in (``REPRO_CJIT_MATMUL=1``) because NumPy's BLAS is both
-  faster and the parity reference.
+* ``bn_bwd_dx`` performs the NumPy reference's two multiplies then two
+  adds per element and is **bit-identical**.
 """
 
 from __future__ import annotations
@@ -34,9 +33,7 @@ import ctypes
 from dataclasses import dataclass, field
 
 __all__ = ["KernelSpec", "render_kernel", "conv_spec", "reduce_spec",
-           "update_spec", "elementwise_spec", "matmul_spec", "fused_spec",
-           "fused_bwd_spec", "bn_bwd_dx_spec", "im2col_seg_spec",
-           "expand_cols_spec", "FUSED_STAGE_CODES", "FUSED_BWD_STAGE_CODES",
+           "update_spec", "elementwise_spec", "bn_bwd_dx_spec",
            "standard_kernel_specs", "SUPPORTED_DTYPES"]
 
 #: Dtypes the renderer can specialize for (everything else falls back).
@@ -145,139 +142,12 @@ def elementwise_spec(op: str, dtype: str) -> KernelSpec:
     return KernelSpec(op=op, dtype=dtype, argtypes=(ptr, ptr, _I64, _F64))
 
 
-#: Lazy-graph stage kinds renderable inside one fused elementwise kernel,
-#: keyed to the single-letter codes that form the chain signature.  Stages
-#: whose NumPy semantics a libm call cannot reproduce bit-for-bit (tanh,
-#: sigmoid, cast) are deliberately absent — the lazy realizer splits the
-#: chain and applies them NumPy-side.
-FUSED_STAGE_CODES = {
-    "bias_add": "b",
-    "affine": "a",
-    "leaky_relu": "l",
-    "relu": "r",
-    "neg": "n",
-    "mul_scalar": "m",
-    "add_scalar": "p",
-    "div_scalar": "d",
-}
-
-#: Codes whose operand is a per-channel vector (needs the channel index).
-_CHANNEL_CODES = frozenset("ba")
-#: ctypes operand tail appended per stage code, in chain order.
-_FUSED_OPERANDS = {"b": 1, "a": 2, "l": 0, "r": 0, "n": 0,
-                   "m": 0, "p": 0, "d": 0}
-#: Codes that take one runtime double (slope / scalar operand).
-_SCALAR_CODES = frozenset("lmpd")
-
-
-def fused_spec(codes: tuple[str, ...], dtype: str) -> KernelSpec:
-    """Fused elementwise-chain spec; ``codes`` is the chain signature.
-
-    The exported symbol is keyed by the chain (``fused_b_a_l_f32``), so the
-    on-disk kernel cache naturally deduplicates chains across call sites.
-    Runtime arguments: input / output pointers (which may alias for the
-    in-place path), total element count, channel count and inner spatial
-    extent (for per-channel operands), then one operand group per stage in
-    chain order.
-    """
-    ptr = _ptr(dtype)
-    argtypes: list = [ptr, ptr, _I64, _I64, _I64]
-    for code in codes:
-        if code not in _FUSED_OPERANDS:
-            raise ValueError(f"unknown fused stage code {code!r}")
-        argtypes.extend([ptr] * _FUSED_OPERANDS[code])
-        if code in _SCALAR_CODES:
-            argtypes.append(_F64)
-    return KernelSpec(op="fused_" + "_".join(codes), dtype=dtype,
-                      argtypes=tuple(argtypes))
-
-
-#: Tape stage kinds whose *backward* multiplier is renderable inside one
-#: fused backward kernel.  Unlike the forward table, tanh and sigmoid are
-#: present: their backward multipliers (``1 - y**2`` and ``y * (1 - y)``)
-#: are pure multiply/subtract over the saved chain output — no libm call
-#: — so ``-ffp-contract=off`` makes them bit-identical to NumPy.
-FUSED_BWD_STAGE_CODES = {
-    "leaky_relu": "l",
-    "relu": "r",
-    "tanh": "t",
-    "sigmoid": "s",
-    "neg": "n",
-    "mul_scalar": "m",
-    "add_scalar": "p",
-    "div_scalar": "d",
-}
-
-#: Backward codes that take one runtime double (slope / scalar operand).
-_BWD_SCALAR_CODES = frozenset("lmd")
-#: Backward codes whose multiplier reads the saved chain output.
-_BWD_OUTPUT_CODES = frozenset("lrts")
-
-
-def fused_bwd_spec(codes: tuple[str, ...], dtype: str) -> KernelSpec:
-    """Fused backward-multiplier spec; ``codes`` is the *reverse-order*
-    (application-order) signature of the recorded stage run.
-
-    Runtime arguments: incoming gradient, saved chain output (ignored by
-    runs without output-reading stages — the caller passes the gradient
-    pointer as a dummy), output gradient (may alias the incoming gradient
-    for the owned/in-place path), element count, then one runtime double
-    per scalar-carrying stage in application order.
-    """
-    ptr = _ptr(dtype)
-    argtypes: list = [ptr, ptr, ptr, _I64]
-    for code in codes:
-        if code not in FUSED_BWD_STAGE_CODES.values():
-            raise ValueError(f"unknown fused backward stage code {code!r}")
-        if code in _BWD_SCALAR_CODES:
-            argtypes.append(_F64)
-    return KernelSpec(op="fusedbwd_" + "_".join(codes), dtype=dtype,
-                      argtypes=tuple(argtypes))
-
-
 def bn_bwd_dx_spec(dtype: str) -> KernelSpec:
     """Train-mode BatchNorm input-gradient spec (``g*s1 + x*s2 + s3``)."""
     ptr = _ptr(dtype)
     return KernelSpec(op="bn_bwd_dx", dtype=dtype,
                       argtypes=(ptr, ptr, ptr, _I64, _I64, _I64,
                                 ptr, ptr, ptr))
-
-
-def expand_cols_spec(dtype: str, kernel: int, stride: int,
-                     padding: int) -> KernelSpec:
-    """Columns of a spatially-constant ``(N, d)`` map, written straight
-    into a channel slice of shared convolution columns (no map built)."""
-    ptr = _ptr(dtype)
-    return KernelSpec(
-        op="expand_cols", dtype=dtype,
-        params=(("kernel", kernel), ("stride", stride), ("padding", padding)),
-        argtypes=(ptr, ptr, _I64, _I64, _I64, _I64, _I64, _I64, _I64, _I64),
-    )
-
-
-def im2col_seg_spec(dtype: str, kernel: int, stride: int,
-                    padding: int) -> KernelSpec:
-    """Segmented ``im2col``: gather into a channel slice of shared columns.
-
-    Same window geometry specialization as ``im2col``, plus two runtime
-    arguments — the total channel stride of the shared ``(n, C_total, K,
-    K, oh, ow)`` buffer and this part's channel offset within it — so a
-    concatenation's columns can be written without materializing it.
-    """
-    ptr = _ptr(dtype)
-    return KernelSpec(
-        op="im2col_seg", dtype=dtype,
-        params=(("kernel", kernel), ("stride", stride), ("padding", padding)),
-        argtypes=(ptr, ptr, _I64, _I64, _I64, _I64, _I64, _I64, _I64, _I64),
-    )
-
-
-def matmul_spec(dtype: str) -> KernelSpec:
-    """Batched BLAS-free tiled matmul spec (runtime dims + batch strides)."""
-    ptr = _ptr(dtype)
-    return KernelSpec(op="matmul", dtype=dtype,
-                      argtypes=(ptr, ptr, ptr,
-                                _I64, _I64, _I64, _I64, _I64, _I64))
 
 
 # --------------------------------------------------------------------- #
@@ -322,230 +192,6 @@ void {spec.symbol}(const {T}* restrict x, {T}* restrict cols,
                 out += ow;
             }}
         }}
-    }}
-}}
-"""
-
-
-def _render_im2col_seg(spec: KernelSpec) -> str:
-    T = _CTYPE[spec.dtype]
-    params = dict(spec.params)
-    K, S, P = params["kernel"], params["stride"], params["padding"]
-    return f"""\
-/* Segmented im2col: gather an NCHW part into its channel slice of a
-   shared (n, c_stride, {K}, {K}, oh, ow) column buffer at channel offset
-   c_offset.  Same gather (and bits) as the plain im2col kernel; only the
-   output placement differs, so a concatenation's columns assemble
-   part-by-part without materializing the concatenation itself. */
-void {spec.symbol}(const {T}* restrict x, {T}* restrict cols,
-                   i64 n, i64 c, i64 h, i64 w, i64 oh, i64 ow,
-                   i64 c_stride, i64 c_offset) {{
-    for (i64 b = 0; b < n; ++b)
-    for (i64 ch = 0; ch < c; ++ch) {{
-        const {T}* plane = x + (b * c + ch) * h * w;
-        {T}* out = cols
-            + ((b * c_stride + c_offset + ch) * {K * K}) * oh * ow;
-        for (i64 i = 0; i < {K}; ++i)
-        for (i64 j = 0; j < {K}; ++j) {{
-            /* 0 <= j + S*ox - P < w  <=>  lo <= ox < hi */
-            i64 lo = {P} - j + {S} - 1;
-            lo = lo > 0 ? lo / {S} : 0;
-            if (lo > ow) lo = ow;
-            i64 hi = (w + {P} - j + {S} - 1) / {S};
-            if (hi > ow) hi = ow;
-            if (hi < lo) hi = lo;
-            for (i64 oy = 0; oy < oh; ++oy) {{
-                const i64 iy = i + {S} * oy - {P};
-                if (iy < 0 || iy >= h) {{
-                    for (i64 ox = 0; ox < ow; ++ox) out[ox] = ({T})0;
-                    out += ow;
-                    continue;
-                }}
-                const {T}* row = plane + iy * w;
-                for (i64 ox = 0; ox < lo; ++ox) out[ox] = ({T})0;
-                for (i64 ox = lo; ox < hi; ++ox)
-                    out[ox] = row[{S} * ox + j - {P}];
-                for (i64 ox = hi; ox < ow; ++ox) out[ox] = ({T})0;
-                out += ow;
-            }}
-        }}
-    }}
-}}
-"""
-
-
-def _render_expand_cols(spec: KernelSpec) -> str:
-    T = _CTYPE[spec.dtype]
-    params = dict(spec.params)
-    K, S, P = params["kernel"], params["stride"], params["padding"]
-    return f"""\
-/* Columns of a spatially-constant (n, d) map: the per-sample constant
-   where the window position is in bounds, zero in the padding — written
-   into channel slice [c_offset, c_offset + d) of a shared
-   (n, c_stride, {K}, {K}, oh, ow) column buffer.  Identical placement to
-   im2col_seg over the materialized (n, d, h, w) map, without the map. */
-void {spec.symbol}(const {T}* restrict values, {T}* restrict cols,
-                   i64 n, i64 d, i64 h, i64 w, i64 oh, i64 ow,
-                   i64 c_stride, i64 c_offset) {{
-    for (i64 b = 0; b < n; ++b)
-    for (i64 ch = 0; ch < d; ++ch) {{
-        const {T} v = values[b * d + ch];
-        {T}* out = cols
-            + ((b * c_stride + c_offset + ch) * {K * K}) * oh * ow;
-        for (i64 i = 0; i < {K}; ++i)
-        for (i64 j = 0; j < {K}; ++j) {{
-            /* 0 <= j + S*ox - P < w  <=>  lo <= ox < hi */
-            i64 lo = {P} - j + {S} - 1;
-            lo = lo > 0 ? lo / {S} : 0;
-            if (lo > ow) lo = ow;
-            i64 hi = (w + {P} - j + {S} - 1) / {S};
-            if (hi > ow) hi = ow;
-            if (hi < lo) hi = lo;
-            for (i64 oy = 0; oy < oh; ++oy) {{
-                const i64 iy = i + {S} * oy - {P};
-                if (iy < 0 || iy >= h) {{
-                    for (i64 ox = 0; ox < ow; ++ox) out[ox] = ({T})0;
-                    out += ow;
-                    continue;
-                }}
-                for (i64 ox = 0; ox < lo; ++ox) out[ox] = ({T})0;
-                for (i64 ox = lo; ox < hi; ++ox) out[ox] = v;
-                for (i64 ox = hi; ox < ow; ++ox) out[ox] = ({T})0;
-                out += ow;
-            }}
-        }}
-    }}
-}}
-"""
-
-
-def _fused_codes(spec: KernelSpec) -> list[str]:
-    return spec.op.split("_")[1:]
-
-
-def _render_fused(spec: KernelSpec) -> str:
-    """One elementwise pass applying a whole fused stage chain.
-
-    Every stage replays its NumPy counterpart exactly: one rounding per
-    recorded op, scalars pre-cast to the element dtype, the affine stage
-    multiplying then adding (two roundings, like the eager BatchNorm
-    expression), and relu/leaky-relu propagating NaN the way
-    ``np.maximum`` / ``np.where`` do.  ``x`` and ``out`` may alias (the
-    in-place realization path), which is safe because every stage maps
-    index ``i`` to index ``i`` — hence no ``restrict`` here.
-    """
-    T = _CTYPE[spec.dtype]
-    codes = _fused_codes(spec)
-    args, setup, body = [], [], []
-    channel = any(code in _CHANNEL_CODES for code in codes)
-    for k, code in enumerate(codes):
-        if code == "b":
-            args.append(f"const {T}* b{k}")
-            body.append(f"v = v + b{k}[ch];")
-        elif code == "a":
-            args.append(f"const {T}* sc{k}")
-            args.append(f"const {T}* sh{k}")
-            body.append(f"v = v * sc{k}[ch];")
-            body.append(f"v = v + sh{k}[ch];")
-        elif code == "l":
-            args.append(f"double s{k}")
-            setup.append(f"const {T} s{k}_t = ({T})s{k};")
-            body.append(f"v = v > ({T})0 ? v : v * s{k}_t;")
-        elif code == "r":
-            # NaN keeps itself (np.maximum semantics); -0 maps to +0.
-            body.append(f"v = (v > ({T})0 || v != v) ? v : ({T})0;")
-        elif code == "n":
-            body.append("v = -v;")
-        elif code in ("m", "p", "d"):
-            args.append(f"double s{k}")
-            setup.append(f"const {T} s{k}_t = ({T})s{k};")
-            operator = {"m": "*", "p": "+", "d": "/"}[code]
-            body.append(f"v = v {operator} s{k}_t;")
-        else:  # pragma: no cover - fused_spec already validated
-            raise ValueError(f"unknown fused stage code {code!r}")
-    arg_text = "".join(f",\n                   {arg}" for arg in args)
-    setup_text = "".join(f"    {line}\n" for line in setup)
-    if channel:
-        stage_text = "".join(f"            {line}\n" for line in body)
-        loop = f"""\
-    const i64 outer = n / (c * inner);
-    for (i64 o = 0; o < outer; ++o)
-    for (i64 ch = 0; ch < c; ++ch) {{
-        const i64 base = (o * c + ch) * inner;
-        for (i64 k = 0; k < inner; ++k) {{
-            {T} v = x[base + k];
-{stage_text}            out[base + k] = v;
-        }}
-    }}"""
-    else:
-        stage_text = "".join(f"        {line}\n" for line in body)
-        loop = f"""\
-    (void)c; (void)inner;
-    for (i64 i = 0; i < n; ++i) {{
-        {T} v = x[i];
-{stage_text}        out[i] = v;
-    }}"""
-    return f"""\
-/* Fused elementwise chain [{' -> '.join(codes)}]: one pass, one rounding
-   per stage, bit-identical to the sequential NumPy stages. */
-void {spec.symbol}(const {T}* x, {T}* out, i64 n, i64 c, i64 inner{arg_text}) {{
-{setup_text}{loop}
-}}
-"""
-
-
-def _render_fused_bwd(spec: KernelSpec) -> str:
-    """One backward pass collapsing a run of multiplier-only stages.
-
-    Each stage multiplier replays its NumPy reference rounding-for-
-    rounding: a mask multiply by 1 is skipped outright (IEEE ``v * 1``
-    returns ``v`` bit-for-bit), a false mask multiplies by literal zero
-    (preserving NumPy's signed zeros and NaN propagation), tanh/sigmoid
-    rebuild their multipliers from the saved output with one rounding per
-    recorded op, and ``-ffp-contract=off`` keeps every multiply/subtract
-    separate.  ``g`` and ``out`` may alias (the owned-gradient path);
-    every stage maps index ``i`` to index ``i``.
-    """
-    T = _CTYPE[spec.dtype]
-    codes = _fused_codes(spec)
-    args, setup, body = [], [], []
-    uses_output = any(code in _BWD_OUTPUT_CODES for code in codes)
-    for k, code in enumerate(codes):
-        if code == "l":
-            args.append(f"double s{k}")
-            setup.append(f"const {T} s{k}_t = ({T})s{k};")
-            body.append(f"v = y[i] > ({T})0 ? v : v * s{k}_t;")
-        elif code == "r":
-            body.append(f"v = y[i] > ({T})0 ? v : v * ({T})0;")
-        elif code == "t":
-            body.append(f"v = v * (({T})1 - y[i] * y[i]);")
-        elif code == "s":
-            body.append("v = v * y[i];")
-            body.append(f"v = v * (({T})1 - y[i]);")
-        elif code == "n":
-            body.append("v = -v;")
-        elif code in ("m", "d"):
-            args.append(f"double s{k}")
-            setup.append(f"const {T} s{k}_t = ({T})s{k};")
-            operator = "*" if code == "m" else "/"
-            body.append(f"v = v {operator} s{k}_t;")
-        elif code == "p":
-            body.append("/* add_scalar: gradient passes through. */")
-        else:  # pragma: no cover - fused_bwd_spec already validated
-            raise ValueError(f"unknown fused backward stage code {code!r}")
-    arg_text = "".join(f",\n                   {arg}" for arg in args)
-    setup_text = "".join(f"    {line}\n" for line in setup)
-    stage_text = "".join(f"        {line}\n" for line in body)
-    y_decl = f"const {T}* y" if uses_output else f"const {T}* y_unused"
-    y_silence = "" if uses_output else "    (void)y_unused;\n"
-    return f"""\
-/* Fused backward multipliers [{' -> '.join(codes)}] (application order):
-   one pass over the incoming gradient, bit-identical to the sequential
-   NumPy stage multipliers. */
-void {spec.symbol}(const {T}* g, {y_decl}, {T}* out, i64 n{arg_text}) {{
-{setup_text}{y_silence}    for (i64 i = 0; i < n; ++i) {{
-        {T} v = g[i];
-{stage_text}        out[i] = v;
     }}
 }}
 """
@@ -765,46 +411,8 @@ void {spec.symbol}(const {T}* x, {T}* out, i64 n, double slope) {{
 """
 
 
-#: Block edge of the cache-tiled matmul fallback.
-_MATMUL_TILE = 64
-
-
-def _render_matmul(spec: KernelSpec) -> str:
-    T = _CTYPE[spec.dtype]
-    TK = _MATMUL_TILE
-    return f"""\
-/* Batched BLAS-free matmul: out[b] += a[b] @ bmat[b] over a zeroed out.
-   k is blocked in {TK}-wide tiles so each (i, k-tile) pass streams one
-   cached row of a against rows of bmat; a_stride/b_stride are 0 when the
-   operand is broadcast across the batch. */
-void {spec.symbol}(const {T}* a, const {T}* bmat, {T}* out,
-                   i64 batch, i64 m, i64 k, i64 n,
-                   i64 a_stride, i64 b_stride) {{
-    for (i64 b = 0; b < batch; ++b) {{
-        const {T}* A = a + b * a_stride;
-        const {T}* B = bmat + b * b_stride;
-        {T}* O = out + b * m * n;
-        for (i64 k0 = 0; k0 < k; k0 += {TK}) {{
-            const i64 k1 = k0 + {TK} < k ? k0 + {TK} : k;
-            for (i64 i = 0; i < m; ++i) {{
-                {T}* orow = O + i * n;
-                for (i64 kk = k0; kk < k1; ++kk) {{
-                    const {T} aval = A[i * k + kk];
-                    const {T}* brow = B + kk * n;
-                    for (i64 j = 0; j < n; ++j)
-                        orow[j] += aval * brow[j];
-                }}
-            }}
-        }}
-    }}
-}}
-"""
-
-
 _RENDERERS = {
     "im2col": _render_im2col,
-    "im2col_seg": _render_im2col_seg,
-    "expand_cols": _render_expand_cols,
     "col2im": _render_col2im,
     "sum_squares": _render_sum_squares,
     "abs_sum": _render_abs_sum,
@@ -814,7 +422,6 @@ _RENDERERS = {
     "adam_update": _render_adam_update,
     "leaky_relu": _render_leaky_relu,
     "bn_bwd_dx": _render_bn_bwd_dx,
-    "matmul": _render_matmul,
 }
 
 
@@ -823,10 +430,6 @@ def render_kernel(spec: KernelSpec) -> str:
     if spec.dtype not in SUPPORTED_DTYPES:
         raise ValueError(f"cannot render dtype {spec.dtype!r}; supported: "
                          f"{SUPPORTED_DTYPES}")
-    if spec.op.startswith("fusedbwd_"):
-        return _PRELUDE + "\n" + _render_fused_bwd(spec)
-    if spec.op.startswith("fused_"):
-        return _PRELUDE + "\n" + _render_fused(spec)
     try:
         body = _RENDERERS[spec.op]
     except KeyError:
@@ -840,20 +443,6 @@ def render_kernel(spec: KernelSpec) -> str:
 #: encoder's 3x3/s1/p1 stem) — the standard warm set.
 STANDARD_CONV_GEOMETRIES = ((4, 2, 1), (4, 1, 1), (3, 1, 1))
 
-#: Fused chain signatures the paper's generator blocks record under lazy
-#: sampling: conv-bias → BatchNorm eval affine → activation (down blocks
-#: leaky-ReLU, up blocks ReLU), plus the bias-only tail of the output
-#: block (whose tanh realizes NumPy-side).  The training tape records the
-#: same ``("b", "a", "l")`` chain for both activations (ReLU is taped as
-#: slope-0 leaky-ReLU) plus bias-affine pairs on the normalized blocks.
-STANDARD_FUSED_CHAINS = (("b", "a", "l"), ("b", "a", "r"), ("b", "a"),
-                         ("b", "l"), ("b",))
-
-#: Backward multiplier runs the standard architectures record: the taped
-#: activations (ReLU lowers to slope-0 leaky-ReLU), the tanh/sigmoid
-#: output heads and the scalar arithmetic of the loss preamble.
-STANDARD_FUSED_BWD_CHAINS = (("l",), ("t",), ("s",), ("m",))
-
 
 def standard_kernel_specs(dtypes=SUPPORTED_DTYPES) -> list[KernelSpec]:
     """The kernel set ``--warm`` pre-compiles into the cache."""
@@ -861,18 +450,11 @@ def standard_kernel_specs(dtypes=SUPPORTED_DTYPES) -> list[KernelSpec]:
     for dtype in dtypes:
         for kernel, stride, padding in STANDARD_CONV_GEOMETRIES:
             specs.append(conv_spec("im2col", dtype, kernel, stride, padding))
-            specs.append(im2col_seg_spec(dtype, kernel, stride, padding))
-            specs.append(expand_cols_spec(dtype, kernel, stride, padding))
             specs.append(conv_spec("col2im", dtype, kernel, stride, padding))
         for op in ("sum_squares", "abs_sum", "bce_logits", "gaussian_kl"):
             specs.append(reduce_spec(op, dtype))
         specs.append(update_spec("sgd_update", dtype))
         specs.append(update_spec("adam_update", dtype))
         specs.append(elementwise_spec("leaky_relu", dtype))
-        for chain in STANDARD_FUSED_CHAINS:
-            specs.append(fused_spec(chain, dtype))
-        for chain in STANDARD_FUSED_BWD_CHAINS:
-            specs.append(fused_bwd_spec(chain, dtype))
         specs.append(bn_bwd_dx_spec(dtype))
-        specs.append(matmul_spec(dtype))
     return specs

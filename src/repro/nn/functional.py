@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.nn import lazy as _lazy
 from repro.nn.backend import get_backend
 from repro.nn.tensor import Tensor, is_grad_enabled
 
@@ -64,29 +63,6 @@ def _needs_graph(*tensors: Tensor | None) -> bool:
                                      for t in tensors)
 
 
-def _tape_bias_add(out: Tensor, bias: Tensor, reduce_grad) -> Tensor:
-    """Record a conv bias as a tape stage instead of an eager add.
-
-    The bias add opens (or extends) a fused elementwise chain — the next
-    BatchNorm affine / activation stages land in the same single
-    ``fused_elementwise`` pass — while backward accumulates the bias
-    gradient through ``reduce_grad`` (each conv passes its exact eager
-    reduction expression, keeping the tape bit-identical to eager) and
-    passes the output gradient through to the conv node unchanged.
-    """
-    child = out._tape_child("bias_add", (bias.data,), "conv_bias",
-                            extra_parents=(bias,))
-    bias_needs = bias.requires_grad
-
-    def _backward():
-        grad = child.grad
-        if bias_needs and bias.requires_grad:
-            bias._accumulate(reduce_grad(grad))
-        out._accumulate(grad)
-    child._backward = _backward
-    return child
-
-
 def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None,
            stride: int = 1, padding: int = 0) -> Tensor:
     """2-D convolution (cross-correlation) over an NCHW tensor.
@@ -113,14 +89,6 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None,
 
     backend = get_backend()
     needs_graph = _needs_graph(x, weight, bias)
-    if not needs_graph and _lazy.is_lazy_enabled():
-        node = _lazy.conv2d(x._lazy_node(), weight.data, stride, padding)
-        if bias is not None:
-            node = _lazy.stage(node, "bias_add", (bias.data,))
-        return Tensor._from_lazy(node, "conv2d")
-    # Under grad with lazy recording enabled (the training tape), the bias
-    # is deferred to a fused-chain stage instead of an eager add.
-    tape_bias = needs_graph and bias is not None and _lazy.is_lazy_enabled()
     # The column matrix is the largest allocation of the forward pass; it
     # must be fresh only when backward will actually read it — the weight
     # gradient is its sole backward consumer, so graph-free paths *and*
@@ -133,12 +101,11 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None,
     # (N, C_out, H_out * W_out) via a BLAS-batched matmul (markedly faster
     # than the equivalent einsum for these shapes).
     out_data = backend.matmul(weight_flat, cols)
-    if bias is not None and not tape_bias:
+    if bias is not None:
         out_data += bias.data.reshape(1, -1, 1)
     out_data = out_data.reshape(batch, out_channels, out_h, out_w)
 
-    parents = [x, weight] if (bias is None or tape_bias) \
-        else [x, weight, bias]
+    parents = [x, weight] if bias is None else [x, weight, bias]
     out = x._make_child(out_data, parents, "conv2d")
     if out.requires_grad:
         input_shape = x.shape
@@ -149,7 +116,7 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None,
                 grad_weight = backend.matmul(
                     grad_out, cols.transpose(0, 2, 1)).sum(axis=0)
                 weight._accumulate(grad_weight.reshape(weight.shape))
-            if bias is not None and not tape_bias and bias.requires_grad:
+            if bias is not None and bias.requires_grad:
                 bias._accumulate(grad_out.sum(axis=(0, 2)))
             if x.requires_grad:
                 # The column gradient dies with this call: arena scratch.
@@ -162,10 +129,6 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None,
                     backend.col2im(grad_cols, input_shape, kernel, stride,
                                    padding))
         out._backward = _backward
-    if tape_bias:
-        out = _tape_bias_add(
-            out, bias,
-            lambda g: g.reshape(batch, out_channels, -1).sum(axis=(0, 2)))
     return out
 
 
@@ -195,31 +158,22 @@ def conv_transpose2d(x: Tensor, weight: Tensor, bias: Tensor | None = None,
     output_shape = (batch, out_channels, out_h, out_w)
 
     backend = get_backend()
-    needs_graph = _needs_graph(x, weight, bias)
-    if not needs_graph and _lazy.is_lazy_enabled():
-        node = _lazy.conv_transpose2d(x._lazy_node(), weight.data, stride,
-                                      padding)
-        if bias is not None:
-            node = _lazy.stage(node, "bias_add", (bias.data,))
-        return Tensor._from_lazy(node, "conv_transpose2d")
     # The transposed convolution is the adjoint of a convolution that maps the
     # output grid back to the input grid; the forward pass therefore uses
     # col2im and the backward pass uses im2col.  Backward never reads the
     # forward column matrix (its consumers are ``col2im`` and nothing
     # else), so it always comes from the arena — the saved-for-backward
     # plan keeps only ``x_flat`` (a view of the input) alive.
-    tape_bias = needs_graph and bias is not None and _lazy.is_lazy_enabled()
     x_flat = x.data.reshape(batch, in_channels, -1)
     weight_flat = weight.data.reshape(in_channels, -1)  # (C_in, C_out*K*K)
     scratch = backend.scratch_out(
         (batch, weight_flat.shape[1], x_flat.shape[2]), x.data.dtype)
     cols = backend.matmul(weight_flat.T, x_flat, out=scratch)
     out_data = backend.col2im(cols, output_shape, kernel, stride, padding)
-    if bias is not None and not tape_bias:
+    if bias is not None:
         out_data += bias.data.reshape(1, -1, 1, 1)
 
-    parents = [x, weight] if (bias is None or tape_bias) \
-        else [x, weight, bias]
+    parents = [x, weight] if bias is None else [x, weight, bias]
     out = x._make_child(out_data, parents, "conv_transpose2d")
     if out.requires_grad:
         def _backward():
@@ -233,11 +187,9 @@ def conv_transpose2d(x: Tensor, weight: Tensor, bias: Tensor | None = None,
                 grad_weight = backend.matmul(
                     x_flat, grad_cols.transpose(0, 2, 1)).sum(axis=0)
                 weight._accumulate(grad_weight.reshape(weight.shape))
-            if bias is not None and not tape_bias and bias.requires_grad:
+            if bias is not None and bias.requires_grad:
                 bias._accumulate(out.grad.sum(axis=(0, 2, 3)))
         out._backward = _backward
-    if tape_bias:
-        out = _tape_bias_add(out, bias, lambda g: g.sum(axis=(0, 2, 3)))
     return out
 
 

@@ -16,7 +16,6 @@ import numpy as np
 
 from repro.nn import functional as F
 from repro.nn import init
-from repro.nn import lazy as _lazy
 from repro.nn.backend import get_backend
 from repro.nn.dtypes import get_default_dtype, resolve_dtype
 from repro.nn.tensor import Tensor, is_grad_enabled
@@ -383,15 +382,13 @@ class BatchNorm2d(Module):
     def _train_forward(self, x: Tensor) -> Tensor:
         """Closed-form train-mode path: one affine map, analytic backward.
 
-        The batch statistics force a realization barrier anyway (the mean
-        and variance need the values), so the normalization folds into a
-        single per-channel affine ``y = x * scale + shift`` — recordable
-        as a fused-chain stage both on no-grad rollouts and on the
-        training tape — with the textbook closed-form backward in place
-        of the generic autograd decomposition (which would materialize
-        five intermediates and their gradients).
+        With the batch statistics in hand the normalization folds into a
+        single per-channel affine ``y = x * scale + shift``, with the
+        textbook closed-form backward in place of the generic autograd
+        decomposition (which would materialize five intermediates and
+        their gradients).
         """
-        x_data = x.data  # realization barrier
+        x_data = x.data
         mean = x_data.mean(axis=(0, 2, 3))
         var = x_data.var(axis=(0, 2, 3))
         momentum = self.momentum
@@ -403,31 +400,13 @@ class BatchNorm2d(Module):
         scale = self.weight.data * invstd
         shift = self.bias.data - mean * scale
         channel_shape = (1, -1, 1, 1)
-        if not is_grad_enabled():
-            if _lazy.is_lazy_enabled():
-                # Training-mode rollout under ``no_grad`` (the GAN's
-                # frozen phases): the affine is a plain lazy stage the
-                # realizer fuses with the surrounding chain.
-                node = _lazy.stage(_lazy.const(x_data), "affine",
-                                   (scale, shift))
-                return Tensor._from_lazy(node, "batchnorm_train")
-            data = x_data * scale.reshape(channel_shape) \
-                + shift.reshape(channel_shape)
-            return x._make_child(data, (x,), "batchnorm_train")
-        backend = get_backend()
+        data = x_data * scale.reshape(channel_shape) \
+            + shift.reshape(channel_shape)
         weight, bias = self.weight, self.bias
-        parents = (x, weight, bias)
-        if x._tape_recording() or (_lazy.is_lazy_enabled()
-                                   and (weight.requires_grad
-                                        or bias.requires_grad)):
-            out = x._tape_child("affine", (scale, shift), "batchnorm_train",
-                                extra_parents=(weight, bias))
-        else:
-            data = x_data * scale.reshape(channel_shape) \
-                + shift.reshape(channel_shape)
-            out = x._make_child(data, parents, "batchnorm_train")
-            if not out.requires_grad:
-                return out
+        out = x._make_child(data, (x, weight, bias), "batchnorm_train")
+        if not out.requires_grad:
+            return out
+        backend = get_backend()
         x_needs = x.requires_grad
         w_needs = weight.requires_grad
         b_needs = bias.requires_grad
@@ -463,8 +442,6 @@ class BatchNorm2d(Module):
         scale = self.weight.data / np.sqrt(self._buffers["running_var"]
                                            + self.eps)
         shift = self.bias.data - self._buffers["running_mean"] * scale
-        if x._lazy_recording():
-            return x._lazy_stage("affine", (scale, shift), "batchnorm_eval")
         data = x.data * scale.reshape(1, -1, 1, 1) \
             + shift.reshape(1, -1, 1, 1)
         return x._make_child(data, (x,), "batchnorm_eval")

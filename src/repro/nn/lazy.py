@@ -1,394 +1,15 @@
-"""Lazy evaluation graph + fused-kernel realization for graph-free paths.
+"""Evaluation policy of :mod:`repro.nn`, for tools that record it.
 
-On ``no_grad`` forward passes (batched generative sampling, the inference
-side of every channel backend) the eager engine materializes one full array
-per operation: conv output, bias add, BatchNorm eval affine, activation —
-four buffers where one would do.  This module adopts the lazy-evaluation
-shape of tinygrad (``accel/lazy/ops_lazy.py`` → ``engine/realize.py`` →
-``codegen/lowerer.py``): operations *record* :class:`LazyOp` nodes instead
-of computing, and a realizer walks the graph when a value is demanded,
-deciding fusion globally rather than per call site:
-
-* **elementwise chains** (conv-bias add → BatchNorm eval affine →
-  leaky-ReLU → scalar arithmetic / cast) collapse into one
-  ``fused_elementwise`` backend call — a single in-place pass on
-  :class:`~repro.nn.backend.NumpyBackend`, one generated C kernel per
-  chain signature on the ``cjit`` backend;
-* **concatenations feeding a convolution** are never materialized: each
-  part's ``im2col`` columns are written straight into channel slices of
-  one shared column buffer (``im2col_into``);
-* **spatially-constant maps** (the replicated latent and P/E conditioning
-  channels of the paper's generator) are ``expand`` nodes whose columns
-  are filled analytically — the ``(N, d, H, W)`` maps themselves are
-  never built.
-
-Graph-free recording is active only inside :func:`lazy_eval` with
-gradients disabled.  With gradients *enabled*, :func:`lazy_eval` switches
-the engine to **tape-mode recording** instead (``Tensor._tape_child``):
-elementwise training chains (conv-bias add → BatchNorm train-mode
-normalize+affine → leaky-ReLU) still record stage nodes over a realized
-base — so the forward pass fuses them into single ``fused_elementwise``
-calls at the next barrier — while the autograd tape keeps one lightweight
-node per stage holding chain metadata rather than materialized
-intermediates.  Backward lowers those nodes through the backend's fused
-backward kernels (``fused_elementwise_bwd`` for activation/scalar
-multiplier runs with masks recovered from the chain *output*,
-``bn_bwd_dx`` for the BatchNorm closed form), and mid-chain values that
-backward never reads are simply never computed (the saved-for-backward
-realization plan).  Realization is bit-identical to the eager pipeline on
-both paths: every lowering preserves the exact operation order and
-rounding of the eager kernels (segmented ``im2col`` is pure indexing, the
-single BLAS matmul per conv is kept whole, fused stages apply one
-rounding per recorded op, fused backward multipliers replay the eager
-gradient expressions).
-
-``Tensor.data`` is the universal realization barrier: any operation the
-recorder does not understand reads ``.data``, which realizes the graph
-and continues eagerly — falling back is never an error, with or without
-gradients.
+Every operation computes its NumPy result when it is called; there is no
+deferred graph to opt into.  The end-to-end benchmark prints this policy in
+its host record, next to the array backend and dtype.
 """
 
 from __future__ import annotations
 
-import contextlib
-import os
-import threading
-
-import numpy as np
-
-from repro.nn import backend as _backend_mod
-from repro.nn.backend import get_backend
-
-__all__ = [
-    "LazyOp",
-    "STAGE_KINDS",
-    "lazy_eval",
-    "is_lazy_enabled",
-    "lazy_default",
-    "set_lazy_default",
-    "const",
-    "expand",
-    "concat",
-    "conv2d",
-    "conv_transpose2d",
-    "stage",
-    "realize",
-]
-
-#: Elementwise stage operators the realizer can fuse into one chain.  Each
-#: stage maps one array to one array of the same shape; ``params`` hold the
-#: stage operands (per-channel vectors, scalars, a target dtype for casts).
-STAGE_KINDS = frozenset({
-    "bias_add",      # + vec[c] over the channel axis          (vec,)
-    "affine",        # * scale[c] + shift[c] (BatchNorm eval)  (scale, shift)
-    "leaky_relu",    # where(x > 0, x, x * slope)              (slope,)
-    "relu",          # maximum(x, 0)                           ()
-    "tanh",          # ()
-    "sigmoid",       # ()
-    "neg",           # ()
-    "mul_scalar",    # (scalar,)
-    "add_scalar",    # (scalar,)
-    "div_scalar",    # (scalar,)
-    "cast",          # astype                                  (dtype,)
-})
-
-_ENV_DEFAULT = "REPRO_NN_LAZY"
-
-
-class _LazyState(threading.local):
-    def __init__(self):
-        self.enabled = False
-
-
-_STATE = _LazyState()
-#: Process-wide override of the environment default (None = use the env).
-_DEFAULT_OVERRIDE: bool | None = None
-
-
-def is_lazy_enabled() -> bool:
-    """Whether operations currently record lazy nodes (this thread)."""
-    return _STATE.enabled
-
-
-@contextlib.contextmanager
-def lazy_eval(enabled: bool = True):
-    """Scoped lazy-recording switch (graph-free ops record, not compute)."""
-    previous = _STATE.enabled
-    _STATE.enabled = bool(enabled)
-    try:
-        yield
-    finally:
-        _STATE.enabled = previous
+__all__ = ["lazy_default"]
 
 
 def lazy_default() -> bool:
-    """Whether consumers that default to lazy realization (``sample``)
-    should use it: ``set_lazy_default`` override, else ``REPRO_NN_LAZY``
-    (unset/1/true = on, 0/false/no = off)."""
-    if _DEFAULT_OVERRIDE is not None:
-        return _DEFAULT_OVERRIDE
-    return os.environ.get(_ENV_DEFAULT, "1").lower() not in ("0", "false",
-                                                             "no")
-
-
-def set_lazy_default(value: bool | None) -> bool | None:
-    """Override (or with ``None`` restore) the :func:`lazy_default` policy;
-    returns the previous override so callers can nest."""
-    global _DEFAULT_OVERRIDE
-    previous = _DEFAULT_OVERRIDE
-    _DEFAULT_OVERRIDE = value if value is None else bool(value)
-    return previous
-
-
-class LazyOp:
-    """One node of the lazy graph: an operator, sources, and metadata.
-
-    ``shape`` / ``dtype`` are known at record time so shape-dependent model
-    code (the U-Net's per-block spatial sizes) runs without realizing.
-    ``value`` caches the realized array; ``consumers`` counts recorded
-    uses, letting the realizer skip caching single-use intermediates.
-    """
-
-    __slots__ = ("op", "srcs", "params", "shape", "dtype", "value",
-                 "consumers")
-
-    def __init__(self, op: str, srcs: tuple, params: tuple,
-                 shape: tuple[int, ...], dtype):
-        self.op = op
-        self.srcs = srcs
-        self.params = params
-        self.shape = tuple(int(s) for s in shape)
-        self.dtype = np.dtype(dtype)
-        self.value: np.ndarray | None = None
-        self.consumers = 0
-        for src in srcs:
-            src.consumers += 1
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging helper
-        state = "realized" if self.value is not None else "pending"
-        return f"LazyOp({self.op!r}, shape={self.shape}, {state})"
-
-
-# --------------------------------------------------------------------- #
-# Node constructors (the recording API)
-# --------------------------------------------------------------------- #
-def const(array: np.ndarray) -> LazyOp:
-    """A leaf node wrapping an already-materialized array."""
-    node = LazyOp("const", (), (array,), array.shape, array.dtype)
-    node.value = array
-    return node
-
-
-def expand(values: np.ndarray, height: int, width: int) -> LazyOp:
-    """A spatially-constant ``(N, d, H, W)`` map of per-sample vectors.
-
-    Replicated latent vectors and P/E feature maps are ``expand`` nodes:
-    realized standalone they broadcast; consumed by a convolution their
-    columns are filled analytically and the map is never built.
-    """
-    values = np.ascontiguousarray(values)
-    if values.ndim != 2:
-        raise ValueError("expand values must have shape (N, d)")
-    shape = (values.shape[0], values.shape[1], int(height), int(width))
-    return LazyOp("expand", (), (values,), shape, values.dtype)
-
-
-def concat(parts: list[LazyOp], axis: int = 1) -> LazyOp:
-    """Concatenation along ``axis`` (channel-wise in the generator)."""
-    shape = list(parts[0].shape)
-    shape[axis] = sum(p.shape[axis] for p in parts)
-    return LazyOp("concat", tuple(parts), (int(axis),), tuple(shape),
-                  parts[0].dtype)
-
-
-def _conv_out(size: int, kernel: int, stride: int, padding: int) -> int:
-    return (size + 2 * padding - kernel) // stride + 1
-
-
-def conv2d(src: LazyOp, weight: np.ndarray, stride: int,
-           padding: int) -> LazyOp:
-    batch, _, height, width = src.shape
-    out_channels, _, kernel, _ = weight.shape
-    out_h = _conv_out(height, kernel, stride, padding)
-    out_w = _conv_out(width, kernel, stride, padding)
-    return LazyOp("conv2d", (src,), (weight, int(stride), int(padding)),
-                  (batch, out_channels, out_h, out_w), src.dtype)
-
-
-def conv_transpose2d(src: LazyOp, weight: np.ndarray, stride: int,
-                     padding: int) -> LazyOp:
-    batch, _, height, width = src.shape
-    _, out_channels, kernel, _ = weight.shape
-    out_h = (height - 1) * stride - 2 * padding + kernel
-    out_w = (width - 1) * stride - 2 * padding + kernel
-    return LazyOp("conv_transpose2d", (src,),
-                  (weight, int(stride), int(padding)),
-                  (batch, out_channels, out_h, out_w), src.dtype)
-
-
-def stage(src: LazyOp, kind: str, params: tuple = ()) -> LazyOp:
-    """An elementwise stage on top of ``src`` (same shape, maybe-new dtype)."""
-    if kind not in STAGE_KINDS:
-        raise ValueError(f"unknown stage kind {kind!r}")
-    dtype = np.dtype(params[0]) if kind == "cast" else src.dtype
-    return LazyOp(kind, (src,), params, src.shape, dtype)
-
-
-# --------------------------------------------------------------------- #
-# Realization
-# --------------------------------------------------------------------- #
-def realize(node: LazyOp) -> np.ndarray:
-    """The materialized value of ``node`` (computed once, then cached).
-
-    With kernel profiling enabled (:mod:`repro.obs`), each outermost
-    realization barrier — the recursive descent that lowers a recorded
-    subgraph through the backend — is timed into the ``nn.phase.realize``
-    histogram; the kernels it dispatches report individually under
-    ``nn.kernel.*``.  Disabled, the hook is one global load + ``None``
-    check.
-    """
-    if node.value is None:
-        profiler = _backend_mod.KERNEL_PROFILER
-        if profiler is None:
-            node.value = _compute(node)
-        else:
-            token = profiler.phase_enter()
-            if token is None:
-                node.value = _compute(node)
-            else:
-                try:
-                    node.value = _compute(node)
-                finally:
-                    profiler.phase_exit("realize", token)
-    return node.value
-
-
-def _compute(node: LazyOp) -> np.ndarray:
-    backend = get_backend()
-    backend.fusion_counters["realized_nodes"] += 1
-    if node.op in STAGE_KINDS:
-        return _compute_chain(node, backend)
-    if node.op == "const":
-        return node.params[0]
-    if node.op == "expand":
-        values = node.params[0]
-        # A read-only broadcast view: consumers only ever copy from it
-        # (np.concatenate, im2col gather); the realizer never writes it.
-        return np.broadcast_to(values[:, :, None, None], node.shape)
-    if node.op == "concat":
-        axis = node.params[0]
-        return np.concatenate([realize(part) for part in node.srcs],
-                              axis=axis)
-    if node.op == "conv2d":
-        return _compute_conv2d(node, backend)
-    if node.op == "conv_transpose2d":
-        return _compute_conv_transpose2d(node, backend)
-    raise ValueError(f"cannot realize op {node.op!r}")  # pragma: no cover
-
-
-def _compute_chain(node: LazyOp, backend) -> np.ndarray:
-    """Collect the longest unrealized single-consumer stage chain ending at
-    ``node`` and lower it through one ``fused_elementwise`` call."""
-    stages: list[tuple] = []
-    cursor = node
-    while True:
-        stages.append((cursor.op, *cursor.params))
-        src = cursor.srcs[0]
-        if src.op in STAGE_KINDS and src.value is None and src.consumers <= 1:
-            cursor = src
-            continue
-        break
-    stages.reverse()
-    base = cursor.srcs[0]
-    # The fused pass may run in place only on a buffer freshly computed for
-    # this chain: conv / concat outputs are new allocations, while ``const``
-    # wraps caller-owned arrays and ``expand`` realizes to read-only views.
-    if base.value is None and base.consumers <= 1 \
-            and base.op in ("conv2d", "conv_transpose2d", "concat"):
-        base_value = _compute(base)  # not cached: consumed only by the chain
-        inplace = True
-    else:
-        base_value = realize(base)
-        inplace = False
-    return backend.fused_elementwise(base_value, stages, inplace=inplace)
-
-
-def _compute_conv2d(node: LazyOp, backend) -> np.ndarray:
-    weight, stride, padding = node.params
-    src = node.srcs[0]
-    kernel = weight.shape[2]
-    batch, out_channels, out_h, out_w = node.shape
-    if src.op == "concat" and src.value is None and src.params[0] == 1:
-        cols = _segmented_cols(src, kernel, stride, padding, out_h, out_w,
-                               backend)
-        backend.fusion_counters["concat_folds"] += 1
-    else:
-        x = realize(src)
-        cols = backend.im2col(x, kernel, stride, padding, scratch=True)
-    weight_flat = weight.reshape(out_channels, -1)
-    out = backend.matmul(weight_flat, cols)
-    return out.reshape(node.shape)
-
-
-def _segmented_cols(concat_node: LazyOp, kernel: int, stride: int,
-                    padding: int, out_h: int, out_w: int,
-                    backend) -> np.ndarray:
-    """The im2col columns of a channel concatenation, without building it.
-
-    Each part's columns land in its channel slice of one shared ``(N, C,
-    K, K, oh, ow)`` buffer — the same rows, in the same ``(c, i, j)``
-    order, the eager path produces from the materialized concatenation, so
-    the downstream matmul is bit-identical.  ``expand`` parts are lowered
-    analytically: in-bounds positions take the per-sample constant,
-    padding positions zero.
-    """
-    parts = concat_node.srcs
-    batch, channels, height, width = concat_node.shape
-    # Realize array-backed parts *before* borrowing the arena column
-    # buffer: realizing a part may run whole upstream layers whose own
-    # scratch requests could collide with an already-borrowed key.
-    part_values = [None if (part.op == "expand" and part.value is None)
-                   else realize(part) for part in parts]
-    cols6 = backend.scratch_out(
-        (batch, channels, kernel, kernel, out_h, out_w), concat_node.dtype)
-    offset = 0
-    for part, value in zip(parts, part_values):
-        part_channels = part.shape[1]
-        if value is None:
-            backend.expand_cols_into(part.params[0], cols6, offset,
-                                     height, width, kernel, stride, padding)
-            backend.fusion_counters["expand_folds"] += 1
-        else:
-            backend.im2col_into(value, cols6, offset, kernel, stride,
-                                padding)
-        offset += part_channels
-    return cols6.reshape(batch, channels * kernel * kernel, out_h * out_w)
-
-
-def _compute_conv_transpose2d(node: LazyOp, backend) -> np.ndarray:
-    # The transposed conv's matmul contracts over the *input* channels, so
-    # a concatenated source cannot be split without changing the BLAS
-    # summation order (and the bits); the concatenation is materialized and
-    # the lowering replays the eager kernel sequence exactly.  A
-    # single-consumer concatenation is materialized into an arena buffer,
-    # though — it dies as soon as the matmul below has read it.
-    weight, stride, padding = node.params
-    src = node.srcs[0]
-    if src.op == "concat" and src.value is None and src.consumers <= 1:
-        axis = src.params[0]
-        # Realize the parts before borrowing the arena buffer (upstream
-        # realization may request colliding scratch keys).
-        values = [realize(part) for part in src.srcs]
-        buf = backend.scratch_out(src.shape, src.dtype)
-        x = np.concatenate(values, axis=axis, out=buf)
-        backend.fusion_counters["concat_folds"] += 1
-    else:
-        x = realize(src)
-    batch, in_channels = x.shape[0], x.shape[1]
-    kernel = weight.shape[2]
-    x_flat = x.reshape(batch, in_channels, -1)
-    weight_flat = weight.reshape(in_channels, -1)
-    scratch = backend.scratch_out(
-        (batch, weight_flat.shape[1], x_flat.shape[2]), x.dtype)
-    cols = backend.matmul(weight_flat.T, x_flat, out=scratch)
-    return backend.col2im(cols, node.shape, kernel, stride, padding)
+    """Whether ``repro.nn`` defers evaluation by default: never."""
+    return False

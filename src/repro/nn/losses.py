@@ -11,11 +11,9 @@ Loss values accumulate in float64 regardless of the activation dtype — the
 scalar is where float32 round-off would actually compound — while the
 gradients flowing back into the network keep the network's dtype.
 
-Reading ``prediction.data`` doubles as the realization barrier of the lazy
-tape (:mod:`repro.nn.lazy`): a fused training-path chain materializes here,
-and the closed-form gradient buffers are handed to the tape via
-``_accumulate_owned`` — they are freshly built, so the first accumulation
-adopts them without a defensive copy.
+The closed-form gradient buffers are handed over via ``_accumulate_owned``:
+they are freshly built, so the first accumulation adopts them without a
+defensive copy.
 """
 
 from __future__ import annotations

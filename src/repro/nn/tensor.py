@@ -3,7 +3,8 @@
 The engine is deliberately small: a :class:`Tensor` wraps an ``numpy.ndarray``
 and records, for every differentiable operation, a closure that accumulates
 gradients into its parents.  Calling :meth:`Tensor.backward` walks the recorded
-graph in reverse topological order.
+graph in reverse topological order and releases it as it goes, so a step's
+saved activations are freed as soon as its loss is dropped.
 
 Broadcasting is fully supported: gradients flowing into a broadcast operand are
 reduced (summed) back to the operand's original shape by :func:`_unbroadcast`.
@@ -24,7 +25,6 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from repro.nn import lazy as _lazy
 from repro.nn.backend import get_backend
 from repro.nn.dtypes import get_default_dtype
 
@@ -64,12 +64,11 @@ def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     return grad.reshape(shape)
 
 
-def _scalar_or_none(value) -> float | None:
-    """``value`` as a Python float when it is a plain scalar, else None."""
-    if isinstance(value, (int, float)) or (np.isscalar(value)
-                                           and isinstance(value, np.number)):
-        return float(value)
-    return None
+def _released() -> None:
+    """Backward closure of a node whose graph a ``backward()`` released."""
+    raise RuntimeError("backward() reached a tensor whose graph was already "
+                       "released by an earlier backward(); recompute the "
+                       "forward pass to differentiate again")
 
 
 def _as_array(value, dtype=None) -> np.ndarray:
@@ -104,8 +103,8 @@ class Tensor:
         Optional explicit dtype for the wrapped array.
     """
 
-    __slots__ = ("_data", "_lazy", "grad", "requires_grad", "_backward",
-                 "_parents", "_op")
+    __slots__ = ("data", "grad", "requires_grad", "_backward", "_parents",
+                 "_op")
 
     def __init__(self, data, requires_grad: bool = False, dtype=None):
         self.data = _as_array(data, dtype=dtype)
@@ -114,128 +113,6 @@ class Tensor:
         self._backward: Callable[[], None] | None = None
         self._parents: tuple[Tensor, ...] = ()
         self._op: str = ""
-
-    # ------------------------------------------------------------------ #
-    # Lazy-graph plumbing
-    # ------------------------------------------------------------------ #
-    @property
-    def data(self) -> np.ndarray:
-        """The wrapped array; reading it realizes a pending lazy graph.
-
-        This is the universal fallback barrier of :mod:`repro.nn.lazy`:
-        any operation the lazy recorder does not understand reads
-        ``.data``, which materializes the recorded graph (with fusion) and
-        continues eagerly.
-        """
-        if self._lazy is not None:
-            self._data = _lazy.realize(self._lazy)
-            self._lazy = None
-        return self._data
-
-    @data.setter
-    def data(self, value: np.ndarray) -> None:
-        self._data = value
-        self._lazy = None
-
-    @staticmethod
-    def _from_lazy(node, op: str = "") -> "Tensor":
-        """Wrap a recorded :class:`~repro.nn.lazy.LazyOp` (graph-free)."""
-        tensor = Tensor.__new__(Tensor)
-        tensor._data = None
-        tensor._lazy = node
-        tensor.requires_grad = False
-        tensor.grad = None
-        tensor._backward = None
-        tensor._parents = ()
-        tensor._op = op or node.op
-        return tensor
-
-    def _lazy_node(self):
-        """This tensor as a lazy node (a ``const`` leaf when eager)."""
-        return self._lazy if self._lazy is not None \
-            else _lazy.const(self._data)
-
-    def _lazy_recording(self) -> bool:
-        """Whether elementwise ops on this tensor extend a lazy chain."""
-        return (self._lazy is not None and not _GRAD_ENABLED
-                and _lazy.is_lazy_enabled())
-
-    def _lazy_stage(self, kind: str, params: tuple = (),
-                    op: str = "") -> "Tensor":
-        return Tensor._from_lazy(_lazy.stage(self._lazy, kind, params),
-                                 op or kind)
-
-    # ------------------------------------------------------------------ #
-    # Tape-mode recording (lazy realization with gradients enabled)
-    # ------------------------------------------------------------------ #
-    def _tape_recording(self) -> bool:
-        """Whether elementwise ops on this tensor record tape stages.
-
-        Inside :func:`~repro.nn.lazy.lazy_eval` with gradients enabled,
-        elementwise chains are recorded as lazy stage nodes — so the
-        forward pass fuses them into one ``fused_elementwise`` call at the
-        next realization barrier — while the autograd tape keeps one
-        lightweight node per stage (chain metadata, not materialized
-        intermediates); the backward pass lowers those nodes through the
-        fused backward kernels of the backend.
-
-        0-d tensors (loss scalars) never record: a one-element fused
-        kernel buys nothing, and the eager scalar path is already the
-        bit-exact reference.
-        """
-        return (_GRAD_ENABLED and self.requires_grad
-                and self.ndim > 0 and _lazy.is_lazy_enabled())
-
-    def _tape_child(self, kind: str, params: tuple, op: str,
-                    extra_parents: tuple = ()) -> "Tensor":
-        """A stage child that is simultaneously lazy and differentiable.
-
-        The child's ``_lazy`` extends this tensor's pending chain (or
-        starts a fresh one over the realized value); the caller installs
-        the matching ``_backward``.  Mid-chain children are never
-        materialized unless backward (or another consumer) actually reads
-        them — the saved-for-backward realization plan.
-        """
-        counters = get_backend().fusion_counters
-        if self._lazy is not None:
-            node = self._lazy
-        else:
-            node = _lazy.const(self._data)
-            counters["train_fwd_chains"] += 1
-        counters["train_fwd_stages"] += 1
-        child = Tensor.__new__(Tensor)
-        child._data = None
-        child._lazy = _lazy.stage(node, kind, params)
-        child.requires_grad = True
-        child.grad = None
-        child._backward = None
-        child._parents = (self,) + tuple(extra_parents)
-        child._op = op
-        return child
-
-    def _tape_multiplier_stage(self, kind: str, params: tuple = (),
-                               op: str = "") -> "Tensor":
-        """Record a stage whose input gradient is a pure multiplier.
-
-        Covers the activations whose mask is recoverable from the chain
-        *output* (leaky-ReLU / ReLU-as-slope-0 / tanh / sigmoid) and
-        scalar arithmetic; backward is one ``fused_elementwise_bwd`` call.
-        """
-        backend = get_backend()
-        child = self._tape_child(kind, params, op or kind)
-        stage_item = (kind, *params)
-        needs_output = kind in ("leaky_relu", "relu", "tanh", "sigmoid")
-
-        def _backward():
-            output = child.data if needs_output else None
-            grad_in = backend.fused_elementwise_bwd(child.grad, [stage_item],
-                                                    output)
-            if grad_in is child.grad:
-                self._accumulate(grad_in)
-            else:
-                self._accumulate_owned(grad_in)
-        child._backward = _backward
-        return child
 
     # ------------------------------------------------------------------ #
     # Construction helpers
@@ -287,33 +164,21 @@ class Tensor:
     # ------------------------------------------------------------------ #
     # Introspection
     # ------------------------------------------------------------------ #
-    # Shape/dtype questions are answered from lazy-node metadata without
-    # realizing: model code branching on activation shapes (the U-Net's
-    # per-block spatial sizes) must not force materialization.
     @property
     def shape(self) -> tuple[int, ...]:
-        if self._lazy is not None:
-            return self._lazy.shape
-        return self._data.shape
+        return self.data.shape
 
     @property
     def ndim(self) -> int:
-        return len(self.shape)
+        return self.data.ndim
 
     @property
     def size(self) -> int:
-        if self._lazy is not None:
-            size = 1
-            for extent in self._lazy.shape:
-                size *= extent
-            return size
-        return self._data.size
+        return self.data.size
 
     @property
     def dtype(self):
-        if self._lazy is not None:
-            return self._lazy.dtype
-        return self._data.dtype
+        return self.data.dtype
 
     def numpy(self) -> np.ndarray:
         """Return the underlying array (detached view)."""
@@ -329,14 +194,11 @@ class Tensor:
     def astype(self, dtype) -> "Tensor":
         """Differentiable dtype cast (gradients are cast back on backward).
 
-        A same-dtype cast is the identity — no copy, no graph node — on
-        both the eager and the lazy path.
+        A same-dtype cast is the identity: no copy, no graph node.
         """
         dtype = np.dtype(dtype)
         if dtype == self.dtype:
             return self
-        if self._lazy_recording():
-            return self._lazy_stage("cast", (dtype,), "astype")
         out = self._make_child(self.data.astype(dtype), (self,), "astype")
         if out.requires_grad:
             def _backward():
@@ -372,9 +234,7 @@ class Tensor:
     def _accumulate(self, grad: np.ndarray) -> None:
         # Accumulation is dtype preserving: whatever dtype the incoming
         # gradient arrives with (e.g. the float64 scalar seeding a loss), the
-        # stored gradient keeps the tensor's own dtype.  ``self.dtype`` (not
-        # ``self.data.dtype``) so accumulating into a mid-chain tape tensor
-        # does not force its forward value to materialize.
+        # stored gradient keeps the tensor's own dtype.
         if self.grad is None:
             self.grad = np.array(grad, dtype=self.dtype, copy=True)
         else:
@@ -383,11 +243,11 @@ class Tensor:
     def _accumulate_owned(self, grad: np.ndarray) -> None:
         """Accumulate a gradient buffer the caller hands over.
 
-        The fused backward kernels of the tape path produce fresh arrays
-        nothing else references; adopting them in place of the defensive
-        first-accumulation copy is the tape's in-place grad accumulation.
-        Falls back to :meth:`_accumulate` whenever adoption would change
-        semantics (existing gradient, dtype/shape mismatch).
+        Backward kernels that return fresh arrays nothing else references
+        (``col2im``, the conv input gradient, ``bn_bwd_dx``) hand them over
+        here, skipping the defensive first-accumulation copy.  Falls back
+        to :meth:`_accumulate` whenever adoption would change semantics
+        (existing gradient, dtype/shape mismatch).
         """
         if (self.grad is None and isinstance(grad, np.ndarray)
                 and grad.dtype == self.dtype and grad.shape == self.shape):
@@ -409,6 +269,10 @@ class Tensor:
             ``1`` and is only optional for scalar tensors.  An external
             gradient must already have this tensor's dtype (no silent casts)
             and a shape broadcastable to the tensor's shape.
+
+        The walked graph is released: a later ``backward()`` that reaches
+        one of its nodes raises ``RuntimeError``.  Leaf tensors keep
+        accumulating gradients across graphs.
         """
         if not self.requires_grad:
             raise RuntimeError("called backward() on a tensor that does not "
@@ -455,22 +319,21 @@ class Tensor:
 
         self._accumulate(grad)
         for node in reversed(topo):
-            if node._backward is not None and node.grad is not None:
-                node._backward()
+            backward = node._backward
+            if backward is None:
+                continue
+            if node.grad is not None:
+                backward()
+            # Every closure refers to its own output, so an intact graph is
+            # a reference cycle that only the cyclic collector would free,
+            # saved activations included.  Release it node by node instead.
+            node._backward = _released
+            node._parents = ()
 
     # ------------------------------------------------------------------ #
     # Elementwise arithmetic
     # ------------------------------------------------------------------ #
     def __add__(self, other) -> "Tensor":
-        if self._lazy_recording():
-            scalar = _scalar_or_none(other)
-            if scalar is not None:
-                return self._lazy_stage("add_scalar", (scalar,), "add")
-        elif self._tape_recording():
-            scalar = _scalar_or_none(other)
-            if scalar is not None:
-                return self._tape_multiplier_stage("add_scalar", (scalar,),
-                                                   "add")
         other = Tensor._coerce(other, self.data.dtype)
         out = self._make_child(self.data + other.data, (self, other), "add")
 
@@ -486,10 +349,6 @@ class Tensor:
     __radd__ = __add__
 
     def __neg__(self) -> "Tensor":
-        if self._lazy_recording():
-            return self._lazy_stage("neg")
-        if self._tape_recording():
-            return self._tape_multiplier_stage("neg")
         out = self._make_child(-self.data, (self,), "neg")
         if out.requires_grad:
             def _backward():
@@ -498,32 +357,12 @@ class Tensor:
         return out
 
     def __sub__(self, other) -> "Tensor":
-        if self._lazy_recording():
-            scalar = _scalar_or_none(other)
-            if scalar is not None:
-                # Matches the eager x + (-s): dtype rounding is symmetric
-                # under negation, so casting -s equals negating cast s.
-                return self._lazy_stage("add_scalar", (-scalar,), "sub")
-        elif self._tape_recording():
-            scalar = _scalar_or_none(other)
-            if scalar is not None:
-                return self._tape_multiplier_stage("add_scalar", (-scalar,),
-                                                   "sub")
         return self + (-Tensor._coerce(other, self.data.dtype))
 
     def __rsub__(self, other) -> "Tensor":
         return Tensor._coerce(other, self.data.dtype) + (-self)
 
     def __mul__(self, other) -> "Tensor":
-        if self._lazy_recording():
-            scalar = _scalar_or_none(other)
-            if scalar is not None:
-                return self._lazy_stage("mul_scalar", (scalar,), "mul")
-        elif self._tape_recording():
-            scalar = _scalar_or_none(other)
-            if scalar is not None:
-                return self._tape_multiplier_stage("mul_scalar", (scalar,),
-                                                   "mul")
         other = Tensor._coerce(other, self.data.dtype)
         out = self._make_child(self.data * other.data, (self, other), "mul")
         if out.requires_grad:
@@ -538,15 +377,6 @@ class Tensor:
     __rmul__ = __mul__
 
     def __truediv__(self, other) -> "Tensor":
-        if self._lazy_recording():
-            scalar = _scalar_or_none(other)
-            if scalar is not None:
-                return self._lazy_stage("div_scalar", (scalar,), "div")
-        elif self._tape_recording():
-            scalar = _scalar_or_none(other)
-            if scalar is not None:
-                return self._tape_multiplier_stage("div_scalar", (scalar,),
-                                                   "div")
         other = Tensor._coerce(other, self.data.dtype)
         out = self._make_child(self.data / other.data, (self, other), "div")
         if out.requires_grad:
@@ -596,10 +426,6 @@ class Tensor:
         return self ** 0.5
 
     def tanh(self) -> "Tensor":
-        if self._lazy_recording():
-            return self._lazy_stage("tanh")
-        if self._tape_recording():
-            return self._tape_multiplier_stage("tanh")
         value = get_backend().tanh(self.data)
         out = self._make_child(value, (self,), "tanh")
         if out.requires_grad:
@@ -609,10 +435,6 @@ class Tensor:
         return out
 
     def sigmoid(self) -> "Tensor":
-        if self._lazy_recording():
-            return self._lazy_stage("sigmoid")
-        if self._tape_recording():
-            return self._tape_multiplier_stage("sigmoid")
         value = get_backend().sigmoid(self.data)
         out = self._make_child(value, (self,), "sigmoid")
         if out.requires_grad:
@@ -632,17 +454,9 @@ class Tensor:
         return _GRAD_ENABLED and self.requires_grad
 
     def relu(self) -> "Tensor":
-        if self._lazy_recording():
-            return self._lazy_stage("relu")
         if not self._needs_graph():
             return self._make_child(get_backend().relu(self.data), (self,),
                                     "relu")
-        if self._tape_recording():
-            # Recorded as slope-0 leaky-ReLU: ``where(x > 0, x, x * 0)``
-            # reproduces the eager grad-mode ``x * mask`` bit for bit
-            # (including the sign of zero), where ``maximum(x, 0)`` would
-            # not; the backward mask is recovered from the chain output.
-            return self._tape_multiplier_stage("leaky_relu", (0.0,), "relu")
         mask = self.data > 0
         out = self._make_child(self.data * mask, (self,), "relu")
         if out.requires_grad:
@@ -652,15 +466,10 @@ class Tensor:
         return out
 
     def leaky_relu(self, negative_slope: float = 0.2) -> "Tensor":
-        if self._lazy_recording():
-            return self._lazy_stage("leaky_relu", (float(negative_slope),))
         if not self._needs_graph():
             return self._make_child(
                 get_backend().leaky_relu(self.data, negative_slope),
                 (self,), "leaky_relu")
-        if self._tape_recording():
-            return self._tape_multiplier_stage(
-                "leaky_relu", (float(negative_slope),))
         mask = self.data > 0
         scale = np.where(mask, self.data.dtype.type(1.0),
                          self.data.dtype.type(negative_slope))
@@ -830,10 +639,6 @@ class Tensor:
 def concatenate(tensors: Iterable[Tensor], axis: int = 0) -> Tensor:
     """Concatenate tensors along ``axis`` with gradient support."""
     tensors = [Tensor.ensure(t) for t in tensors]
-    if (_lazy.is_lazy_enabled() and not _GRAD_ENABLED
-            and any(t._lazy is not None for t in tensors)):
-        node = _lazy.concat([t._lazy_node() for t in tensors], axis)
-        return Tensor._from_lazy(node, "concat")
     data = np.concatenate([t.data for t in tensors], axis=axis)
     template = tensors[0]
     out = template._make_child(data, tensors, "concat")

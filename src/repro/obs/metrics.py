@@ -1,9 +1,9 @@
 """Process-wide metrics registry: counters, gauges and histograms.
 
 This is the unified stats surface for the whole stack.  Before this module
-existed every subsystem grew its own ad-hoc dict — ``ArrayBackend.
-fusion_counters``, ``BufferArena.stats()``, ``ConditionCache.stats()``,
-``KernelCache.stats()``, ``RemoteExecutor.last_run_stats`` — with no way to
+existed every subsystem grew its own ad-hoc dict — ``BufferArena.stats()``,
+``ConditionCache.stats()``, ``KernelCache.stats()``,
+``RemoteExecutor.last_run_stats`` — with no way to
 merge them across shards or ship them across the remote transport.  The
 registry keeps the hot paths untouched (backends still bump plain dict
 counters) and unifies at the read side: :func:`backend_registry` publishes a
@@ -223,15 +223,12 @@ def backend_registry(backend: Any,
                      ) -> MetricsRegistry:
     """Publish an ``ArrayBackend``'s ad-hoc counters as registry metrics.
 
-    This is the unification seam for the legacy stats surfaces: fusion
-    counters land under ``nn.fusion.*``, arena traffic under ``nn.arena.*``
-    and compiled-backend state under ``nn.cjit.*``.  ``python -m
-    repro.nn.backend --stats``, ``ArrayBackend.fusion_stats()`` and the
-    benchmarks all read through this instead of bespoke per-backend dicts.
+    This is the unification seam for the legacy stats surfaces: arena
+    traffic lands under ``nn.arena.*`` and compiled-backend state under
+    ``nn.cjit.*``.  ``ArrayBackend.stats()`` and the benchmarks read
+    through this instead of bespoke per-backend dicts.
     """
     registry = registry if registry is not None else MetricsRegistry()
-    for key, value in getattr(backend, "fusion_counters", {}).items():
-        registry.gauge(f"nn.fusion.{key}").set(int(value))
     arena = getattr(backend, "arena", None)
     if arena is not None and hasattr(arena, "stats"):
         for key, value in arena.stats().items():

@@ -253,7 +253,8 @@ class KernelProfiler:
 
     def phase_enter(self) -> Optional[float]:
         """Like :meth:`enter` but on a separate depth channel, used for
-        coarse phases (lazy realize barriers) that *contain* kernel calls."""
+        coarse phases (cjit compiles) that can start inside a timed kernel
+        call."""
         local = self._local
         if getattr(local, "phase_depth", 0):
             return None

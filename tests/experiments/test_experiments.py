@@ -3,7 +3,7 @@
 These tests use very small workloads and an *untrained* generative model —
 they validate the plumbing of every driver (data flow, normalisation,
 result/row/format contracts), while the benchmark harness produces the
-full-quality numbers recorded in EXPERIMENTS.md.
+full-quality numbers.
 """
 
 from __future__ import annotations

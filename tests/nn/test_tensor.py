@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -78,6 +81,39 @@ class TestTensorBasics:
         (tensor * 3.0).sum().backward()
         tensor.zero_grad()
         assert tensor.grad is None
+
+
+class TestGraphRelease:
+    """``backward()`` releases the graph it walked."""
+
+    def test_dropped_loss_frees_activations_without_gc(self, rng):
+        # An intact graph is a reference cycle (every closure refers to its
+        # own output), so with the cyclic collector off it would outlive
+        # the loss; the released graph dies by reference counting alone.
+        gc.disable()
+        try:
+            x = _tensor(rng, (4, 8))
+            w = _tensor(rng, (8, 3))
+            hidden = (x @ w).tanh()
+            activation = weakref.ref(hidden.data)
+            loss = (hidden * hidden).mean()
+            loss.backward()
+            del hidden, loss
+            assert activation() is None
+        finally:
+            gc.enable()
+        assert x.grad is not None and w.grad is not None
+
+    def test_backward_through_released_graph_raises(self, rng):
+        x = _tensor(rng, (3,))
+        hidden = x * 2.0
+        loss = hidden.sum()
+        loss.backward()
+        with pytest.raises(RuntimeError, match="released"):
+            loss.backward()
+        # A new graph built on a released intermediate cannot reach ``x``.
+        with pytest.raises(RuntimeError, match="released"):
+            (hidden * 3.0).sum().backward()
 
 
 class TestArithmeticForward:

@@ -111,11 +111,14 @@ class TestLegacySurfaceBridges:
             cache.publish_metrics()
         assert shard.totals()["channel.cache.misses"] == 1
 
-    def test_backend_registry_mirrors_fusion_stats(self):
+    def test_backend_registry_mirrors_arena_stats(self):
         pytest.importorskip("numpy")
+        import numpy as np
+
         from repro.nn.backend import ArrayBackend
 
         backend = ArrayBackend()
+        backend.scratch_out((4, 4), np.float32)
         snapshot = metrics.backend_registry(backend).snapshot()
-        for key, value in backend.fusion_stats().items():
-            assert snapshot[f"nn.fusion.{key}"]["value"] == value
+        for key, value in backend.arena.stats().items():
+            assert snapshot[f"nn.arena.{key}"]["value"] == value

@@ -121,9 +121,9 @@ class TestKernelProfiler:
             token = profiler.enter()  # kernels inside a phase still record
             assert token is not None
             profiler.exit("k", token)
-            profiler.phase_exit("realize", phase)
+            profiler.phase_exit("cjit_compile", phase)
         assert registry.histogram("nn.kernel.k").count == 1
-        assert registry.histogram("nn.phase.realize").count == 1
+        assert registry.histogram("nn.phase.cjit_compile").count == 1
 
     def test_backend_hook_installed_and_cleared_with_tracing(self):
         pytest.importorskip("numpy")
