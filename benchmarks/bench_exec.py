@@ -33,8 +33,8 @@ Run standalone (``PYTHONPATH=src python benchmarks/bench_exec.py``); pass
 CI ``exec-remote`` job), ``--obs-smoke`` for the traced fleet campaign
 with trace-schema, Chrome-export, and worker-log checks (the CI
 ``obs-smoke`` job; ``--trace-out`` picks the trace file location), or
-``--steal`` for the work-stealing-vs-static gate on a tail-heavy plan
-(the CI ``exec-elastic`` job; tracked as ``steal``/``steal_series`` in
+``--guided`` for the guided-chunks-vs-static gate on a tail-heavy plan
+(the CI ``exec-elastic`` job; tracked as ``guided``/``guided_series`` in
 ``pipeline.json``).
 """
 
@@ -261,13 +261,14 @@ def run_obs_smoke(trace_out: str | None = None, quiet: bool = False) -> dict:
     return trace_summary_block(records)
 
 
-#: The work-stealing gate: a deliberately tail-heavy plan, statically cut
-#: into two shards so one worker holds all the weight.  Stealing must beat
-#: that static placement by this factor when two cores are available.
-STEAL_SPEEDUP_THRESHOLD = 1.2
-STEAL_UNITS = 24
-STEAL_HEAVY_FROM = 12
-STEAL_HEAVY_SECONDS = 0.05
+#: The guided-chunk gate: a deliberately tail-heavy plan.  Cut statically
+#: into two shards, one worker holds all the weight; the engine's default
+#: guided chunks must beat that placement by this factor when two cores are
+#: available.
+GUIDED_SPEEDUP_THRESHOLD = 1.2
+GUIDED_UNITS = 24
+GUIDED_HEAVY_FROM = 12
+GUIDED_HEAVY_SECONDS = 0.05
 
 
 def _imbalanced_unit(unit, rng, *, heavy_from, heavy_seconds):
@@ -276,13 +277,13 @@ def _imbalanced_unit(unit, rng, *, heavy_from, heavy_seconds):
     return float(unit) + float(rng.random())
 
 
-def run_steal_benchmark() -> dict:
-    """Static placement vs work stealing on the tail-heavy plan.
+def run_guided_benchmark() -> dict:
+    """Static placement vs the default guided chunks on the tail-heavy plan.
 
-    Both fleets run the identical plan as two static shards; only the
-    ``steal`` knob differs.  Speculation is off so the comparison isolates
-    the stealing path, and both runs must reduce bit-identical to serial
-    before any timing is trusted.
+    One default-configured 2-worker fleet runs the identical plan twice: as
+    two static shards (``num_shards=2``) and with the engine's default
+    guided chunks.  Both runs must reduce bit-identical to serial before any
+    timing is trusted.
     """
     from repro.exec import MonteCarloPlan, RemoteExecutor, run_plan
 
@@ -290,74 +291,69 @@ def run_steal_benchmark() -> dict:
     # unpickle it even when this file runs as a script (module __main__).
     import bench_exec
     plan = MonteCarloPlan(task=bench_exec._imbalanced_unit,
-                          units=tuple(range(STEAL_UNITS)), seed=17,
-                          context={"heavy_from": STEAL_HEAVY_FROM,
-                                   "heavy_seconds": STEAL_HEAVY_SECONDS})
+                          units=tuple(range(GUIDED_UNITS)), seed=17,
+                          context={"heavy_from": GUIDED_HEAVY_FROM,
+                                   "heavy_seconds": GUIDED_HEAVY_SECONDS})
     reference = run_plan(plan, executor="serial")
     timings: dict[str, dict] = {}
-    for label, steal in (("static", False), ("stealing", True)):
-        executor = RemoteExecutor(workers=2, steal=steal, steal_wait=0.05,
-                                  heartbeat_interval=0.05, speculate=False,
-                                  straggler_wait=30.0)
-        try:
-            # Warm-up spawns and handshakes the fleet outside the window.
-            run_plan(plan, executor=executor, num_shards=2)
+    executor = RemoteExecutor(workers=2)
+    try:
+        # Warm-up spawns and handshakes the fleet outside the window.
+        run_plan(plan, executor=executor)
+        for label, num_shards in (("static", 2), ("guided", None)):
             start = time.perf_counter()
-            results = run_plan(plan, executor=executor, num_shards=2)
+            results = run_plan(plan, executor=executor,
+                               num_shards=num_shards)
             seconds = time.perf_counter() - start
-        finally:
-            executor.close()
-        if results != reference:
-            raise SystemExit(f"{label} placement diverged from serial — "
-                             "the stealing schedule broke determinism")
-        timings[label] = {
-            "seconds": seconds,
-            "stats": {key: executor.last_run_stats[key]
-                      for key in ("steals", "steal_requests", "dispatches")},
-        }
+            if results != reference:
+                raise SystemExit(f"{label} placement diverged from serial "
+                                 "— the schedule broke determinism")
+            timings[label] = {
+                "seconds": seconds,
+                "dispatches": executor.last_run_stats["dispatches"]}
+    finally:
+        executor.close()
     return {
-        "units": STEAL_UNITS,
-        "heavy_from": STEAL_HEAVY_FROM,
-        "heavy_seconds": STEAL_HEAVY_SECONDS,
+        "units": GUIDED_UNITS,
+        "heavy_from": GUIDED_HEAVY_FROM,
+        "heavy_seconds": GUIDED_HEAVY_SECONDS,
         "static_seconds": timings["static"]["seconds"],
-        "stealing_seconds": timings["stealing"]["seconds"],
-        "stealing_stats": timings["stealing"]["stats"],
-        "speedup_stealing_vs_static": (timings["static"]["seconds"] /
-                                       timings["stealing"]["seconds"]),
+        "guided_seconds": timings["guided"]["seconds"],
+        "guided_dispatches": timings["guided"]["dispatches"],
+        "speedup_guided_vs_static": (timings["static"]["seconds"] /
+                                     timings["guided"]["seconds"]),
         "cpu_count": os.cpu_count() or 1,
     }
 
 
-def merge_steal_results(results: dict):
-    """Fold the stealing gate into pipeline.json (steal + series)."""
+def merge_guided_results(results: dict):
+    """Fold the guided-chunk gate into pipeline.json (guided + series)."""
     from results_io import load_results
 
-    series = load_results().get("steal_series", [])
+    series = load_results().get("guided_series", [])
     series.append({
         "date": datetime.now(timezone.utc).strftime("%Y-%m-%d"),
         "cpu_count": results["cpu_count"],
-        "speedup_stealing_vs_static": round(
-            results["speedup_stealing_vs_static"], 2),
+        "speedup_guided_vs_static": round(
+            results["speedup_guided_vs_static"], 2),
     })
-    return _merge_tracked_results({"steal": results, "steal_series": series})
+    return _merge_tracked_results({"guided": results,
+                                   "guided_series": series})
 
 
-def run_steal_gate() -> None:
-    """The CI ``exec-elastic`` gate: stealing must engage and must pay."""
-    results = run_steal_benchmark()
-    path = merge_steal_results(results)
+def run_guided_gate() -> None:
+    """The CI ``exec-elastic`` gate: guided chunks must pay."""
+    results = run_guided_benchmark()
+    path = merge_guided_results(results)
     print(json.dumps(results, indent=2))
     print(f"merged into {path}")
-    if results["stealing_stats"]["steals"] < 1:
-        raise SystemExit("stealing run never split a shard — the steal "
-                         "path did not engage")
-    speedup = results["speedup_stealing_vs_static"]
-    if results["cpu_count"] >= 2 and speedup < STEAL_SPEEDUP_THRESHOLD:
-        raise SystemExit(f"work stealing {speedup:.2f}x over static "
+    speedup = results["speedup_guided_vs_static"]
+    if results["cpu_count"] >= 2 and speedup < GUIDED_SPEEDUP_THRESHOLD:
+        raise SystemExit(f"guided chunks {speedup:.2f}x over static "
                          f"placement is below the "
-                         f"{STEAL_SPEEDUP_THRESHOLD:.1f}x threshold")
-    print(f"steal gate OK: {speedup:.2f}x over static placement, "
-          f"{results['stealing_stats']['steals']} steal(s)")
+                         f"{GUIDED_SPEEDUP_THRESHOLD:.1f}x threshold")
+    print(f"guided gate OK: {speedup:.2f}x over static placement in "
+          f"{results['guided_dispatches']} chunk(s)")
 
 
 def merge_results(results: dict):
@@ -388,8 +384,8 @@ def main() -> None:
                         help="run only the traced 2-worker fleet campaign "
                              "with schema/export/worker-log checks (the CI "
                              "obs-smoke gate)")
-    parser.add_argument("--steal", action="store_true",
-                        help="run only the work-stealing-vs-static gate on "
+    parser.add_argument("--guided", action="store_true",
+                        help="run only the guided-chunks-vs-static gate on "
                              "the tail-heavy plan (the CI exec-elastic gate)")
     parser.add_argument("--trace-out", default=None, metavar="PATH",
                         help="with --obs-smoke: write the trace JSONL here "
@@ -406,8 +402,8 @@ def main() -> None:
     if args.obs_smoke:
         run_obs_smoke(args.trace_out)
         return
-    if args.steal:
-        run_steal_gate()
+    if args.guided:
+        run_guided_gate()
         return
     results = run_exec_benchmark(args.codewords)
     # Self-profile of the traced smoke campaign rides along in pipeline.json,

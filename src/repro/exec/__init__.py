@@ -6,11 +6,10 @@ frame-error campaigns, the figure drivers — runs through this package:
 1. describe the sweep as a :class:`MonteCarloPlan` (a picklable task over
    independent units plus a seed and shared context);
 2. pick an execution backend by name via :func:`build_executor`
-   (``"serial"``, ``"thread"``, ``"process"``, ``"async"``, ``"remote"``,
-   or ``"auto"``);
-3. :func:`run_plan` shards the units, runs them, folds worker cache entries
-   back into the parent, and reduces the per-unit results with a mergeable
-   :class:`Reducer`.
+   (``"serial"``, ``"process"``, ``"remote"``, or ``"auto"``);
+3. :func:`run_plan` cuts the units into guided chunks that the workers pull
+   in order, runs them, folds worker cache entries back into the parent,
+   and reduces the per-unit results with a mergeable :class:`Reducer`.
 
 Randomness is anchored per unit (``SeedSequence(seed, spawn_key=(i,))``), so
 sharded execution is **bit-identical** to serial for a fixed seed — the
@@ -34,11 +33,9 @@ from repro.exec.reducers import (
 )
 from repro.exec.executors import (
     EXECUTOR_REGISTRY,
-    AsyncExecutor,
     Executor,
     ProcessExecutor,
     SerialExecutor,
-    ThreadExecutor,
     build_executor,
     register_executor,
 )
@@ -64,9 +61,7 @@ __all__ = [
     "HistogramReducer",
     "Executor",
     "SerialExecutor",
-    "ThreadExecutor",
     "ProcessExecutor",
-    "AsyncExecutor",
     "RemoteExecutor",
     "RemoteExecutorError",
     "TransportError",

@@ -5,8 +5,11 @@ goes through — the time-aware constrained-code selector, the BCH/LDPC
 frame-error campaigns, and the figure drivers.  It guarantees:
 
 * **Determinism** — per-unit :class:`numpy.random.SeedSequence` splitting
-  and unit-ordered reduction make the output bit-identical for any executor
-  and worker count (test-enforced in ``tests/exec/``).
+  and unit-ordered reduction make the output bit-identical for any executor,
+  worker count and chunking (test-enforced in ``tests/exec/``).
+* **Load balance** — by default the units are cut into guided chunks
+  (:meth:`~repro.exec.MonteCarloPlan.chunks`) that pool and fleet workers
+  pull in order as they go idle; a serial run gets one chunk.
 * **Cache continuity** — when shards run in worker processes, the condition
   caches their context objects accumulated are folded back into the parent's
   caches via :meth:`repro.channel.ConditionCache.merge`, so a sharded sweep
@@ -42,18 +45,18 @@ def run_plan(plan: MonteCarloPlan, reducer: Reducer | None = None,
         Folds the per-unit results (in unit order) into the final value;
         when omitted the raw per-unit result list is returned.
     executor:
-        An executor backend name (``"auto"``, ``"serial"``, ``"thread"``,
-        ``"process"``, ``"remote"``), a built :class:`Executor`, or None
+        An executor backend name (``"auto"``, ``"serial"``, ``"process"``,
+        ``"remote"``), a built :class:`Executor`, or None
         for ``"auto"``.  A caller-provided instance keeps its worker pool
         (or remote fleet) alive across calls; name-built backends are
         closed when the call returns.
     workers:
         Worker count for pool executors (defaults to the CPU count).
     num_shards:
-        Number of shards to cut the plan into; defaults to the executor's
-        worker count times the plan's ``shards_per_worker`` oversharding
-        factor.  A pure throughput knob: results are bit-identical for any
-        value.
+        Cut the plan into this many balanced contiguous shards instead of
+        the default guided chunks (``ceil(remaining units / (2 *
+        workers))`` each, one chunk for one worker).  A pure throughput
+        knob: results are bit-identical for any value.
     merge_caches:
         Fold per-worker condition-cache entries back into the parent context
         objects (only applies to executors that do not share memory).
@@ -70,17 +73,12 @@ def run_plan(plan: MonteCarloPlan, reducer: Reducer | None = None,
     with obs_context.plan_scope(plan, backend.name,
                                 backend.workers) as trace_ctx:
         try:
-            shards = plan.shards(num_shards if num_shards is not None
-                                 else backend.default_shards()
-                                 * plan.shards_per_worker)
+            shards = (plan.chunks(backend.workers) if num_shards is None
+                      else plan.shards(num_shards))
             if trace_ctx is not None:
                 shards = [dataclasses.replace(shard, trace=trace_ctx)
                           for shard in shards]
-            # Ordered by first-unit position, not shard index: the remote
-            # backend's work stealing splits shards mid-run, and stolen
-            # tails carry fresh indices past the original range.
-            shard_results = sorted(backend.map_shards(shards),
-                                   key=lambda result: result.start)
+            shard_results = backend.map_shards(shards)
         finally:
             if owns_backend:
                 # A backend built for this one call must not leak its worker

@@ -2,22 +2,20 @@
 
 ``build_executor(name, workers)`` mirrors :func:`repro.channel.build_channel`:
 consumers name an execution backend in configuration and never touch pool
-plumbing.  Four backends exist:
+plumbing.  Three backends exist:
 
 * ``"serial"`` — run every shard in-process (the reference path);
-* ``"thread"`` — a :class:`concurrent.futures.ThreadPoolExecutor` pool,
-  useful when the task releases the GIL (BLAS-heavy workloads);
 * ``"process"`` — a :class:`concurrent.futures.ProcessPoolExecutor` pool;
   shards are pickled to workers, and cache snapshots travel back for the
   engine to merge;
 * ``"remote"`` — a worker fleet over the socket transport
   (:class:`repro.exec.RemoteExecutor`): spawned localhost subprocesses by
   default, or pre-started ``python -m repro.exec.worker --serve`` hosts,
-  with per-shard acknowledgement, bounded retry, work stealing, heartbeats
-  and straggler re-dispatch;
-* ``"async"`` — an :mod:`asyncio` event loop running shards concurrently
-  in one process, for sweeps whose units await external I/O (service
-  calls, object-store checkpoint reads) rather than burning local CPU.
+  with per-shard acknowledgement, bounded retry and heartbeats.
+
+Pool and fleet workers pull the engine's guided chunks
+(:meth:`~repro.exec.MonteCarloPlan.chunks`) in order as they go idle; that
+is the only load balancing.
 
 ``"auto"`` picks ``"serial"`` for one worker and ``"process"`` otherwise.
 Because plan randomness is anchored per unit, every backend produces
@@ -27,16 +25,13 @@ bit-identical results — the choice is purely a throughput decision.
 from __future__ import annotations
 
 import concurrent.futures
-import copy
-import dataclasses
 import os
 from typing import Callable
 
 from repro.exec.plan import ShardResult, ShardSpec
 
-__all__ = ["Executor", "SerialExecutor", "ThreadExecutor", "ProcessExecutor",
-           "AsyncExecutor", "EXECUTOR_REGISTRY", "register_executor",
-           "build_executor"]
+__all__ = ["Executor", "SerialExecutor", "ProcessExecutor",
+           "EXECUTOR_REGISTRY", "register_executor", "build_executor"]
 
 
 class Executor:
@@ -45,9 +40,9 @@ class Executor:
     Attributes
     ----------
     shares_memory:
-        True when shards run against the caller's own objects (serial,
-        threads); the engine then skips cache merging because the parent's
-        caches were updated in place.
+        True when shards run against the caller's own objects (serial); the
+        engine then skips cache merging because the parent's caches were
+        updated in place.
     """
 
     name = "base"
@@ -59,11 +54,8 @@ class Executor:
         self.workers = workers if workers is not None \
             else max(1, os.cpu_count() or 1)
 
-    def default_shards(self) -> int:
-        """How many shards to cut a plan into (one per worker)."""
-        return max(1, self.workers)
-
     def map_shards(self, shards: list[ShardSpec]) -> list[ShardResult]:
+        """Run every shard; return their results in shard order."""
         raise NotImplementedError
 
     def close(self) -> None:
@@ -90,68 +82,6 @@ class SerialExecutor(Executor):
         return [shard.run() for shard in shards]
 
 
-class ThreadExecutor(Executor):
-    """Thread-pool execution; worthwhile when the task releases the GIL.
-
-    Context objects are not generally thread-safe (e.g. the simulator
-    adapter swaps its internal generator around each read), so every shard
-    runs against a private deep copy of the context — the same isolation a
-    process pool gets from pickling — and the engine merges the per-shard
-    cache snapshots back, keeping thread execution bit-identical to serial.
-    """
-
-    name = "thread"
-    shares_memory = False
-
-    def __init__(self, workers: int | None = None):
-        super().__init__(workers)
-        self._pool: concurrent.futures.ThreadPoolExecutor | None = None
-
-    def map_shards(self, shards: list[ShardSpec]) -> list[ShardResult]:
-        if self._pool is None:
-            self._pool = concurrent.futures.ThreadPoolExecutor(
-                max_workers=self.workers)
-        return list(self._pool.map(_run_shard_isolated, shards))
-
-    def close(self) -> None:
-        if self._pool is not None:
-            self._pool.shutdown()
-            self._pool = None
-
-
-def _isolated_copy(shard: ShardSpec) -> ShardSpec:
-    """The shard with a private deep copy of its context (if it has one)."""
-    if len(shard.context) > 0:
-        shard = dataclasses.replace(shard,
-                                    context=copy.deepcopy(shard.context))
-    return shard
-
-
-def _snapshot_ref_caches(shard: ShardSpec, result: ShardResult) -> None:
-    """Snapshot caches of :class:`ChannelRef`-bearing shards in place.
-
-    ChannelRef resolution is shared per *thread*, so a later shard on the
-    same thread (pool thread, or the async loop's single thread) would
-    reset/mutate the very cache object this result references (process
-    workers are insulated by pickling).  Snapshot copies keep every
-    ShardResult self-consistent for the engine's merge.
-    """
-    from repro.exec.plan import ChannelRef
-
-    if any(isinstance(value, ChannelRef)
-           for value in shard.context.values()):
-        result.caches = {key: copy.deepcopy(cache)
-                         for key, cache in result.caches.items()}
-
-
-def _run_shard_isolated(shard: ShardSpec) -> ShardResult:
-    """Thread-pool entry point: run on a private copy of the context."""
-    isolated = _isolated_copy(shard)
-    result = isolated.run(collect_caches=True)
-    _snapshot_ref_caches(shard, result)
-    return result
-
-
 def _run_shard_collecting(shard: ShardSpec) -> ShardResult:
     """Process-pool entry point: snapshot caches for the parent to merge."""
     return shard.run(collect_caches=True)
@@ -160,10 +90,12 @@ def _run_shard_collecting(shard: ShardSpec) -> ShardResult:
 class ProcessExecutor(Executor):
     """Process-pool execution via :mod:`concurrent.futures`.
 
-    Each shard is pickled to a worker together with its context; the worker
-    returns per-unit results plus snapshots of every condition cache the
-    context carries, which the engine folds back into the parent objects
-    through :meth:`repro.channel.ConditionCache.merge`.
+    Each shard is pickled to a worker together with its context (pickled
+    once per run and unpickled once per worker, see
+    :class:`~repro.exec.ShardSpec`); the worker returns per-unit results
+    plus snapshots of every condition cache the context carries, which the
+    engine folds back into the parent objects through
+    :meth:`repro.channel.ConditionCache.merge`.
     """
 
     name = "process"
@@ -188,57 +120,6 @@ class ProcessExecutor(Executor):
             self._pool = None
 
 
-class AsyncExecutor(Executor):
-    """Run shards concurrently on an :mod:`asyncio` event loop.
-
-    For sweeps whose units spend their time *awaiting* — remote inference
-    calls, object-store checkpoint reads — not computing: a task may return
-    a coroutine (awaited per unit, in unit order), and up to ``workers``
-    shards are in flight at once, bounded by a semaphore.  Plain synchronous
-    tasks also work (each shard then runs without ever yielding the loop),
-    so the conformance contract — bit-identical to serial — holds for both.
-
-    Shards interleave on one thread, so each runs against a private deep
-    copy of the context, exactly like the thread pool; the engine merges the
-    per-shard cache snapshots back.  Note that because all shards share the
-    thread, tracing spans of concurrently awaiting shards may interleave —
-    the obs battery therefore exercises this backend for metrics, not span
-    nesting.
-    """
-
-    name = "async"
-    shares_memory = False
-
-    def map_shards(self, shards: list[ShardSpec]) -> list[ShardResult]:
-        import asyncio
-
-        try:
-            asyncio.get_running_loop()
-        except RuntimeError:
-            pass
-        else:
-            raise RuntimeError(
-                "AsyncExecutor.map_shards cannot run inside an active "
-                "asyncio event loop; await the plan's shards directly or "
-                "run the plan from synchronous code")
-        return asyncio.run(self._map(shards))
-
-    async def _map(self, shards: list[ShardSpec]) -> list[ShardResult]:
-        import asyncio
-
-        gate = asyncio.Semaphore(self.workers)
-
-        async def run_one(shard: ShardSpec) -> ShardResult:
-            async with gate:
-                isolated = _isolated_copy(shard)
-                result = await isolated.run_async(collect_caches=True)
-                _snapshot_ref_caches(shard, result)
-                return result
-
-        return list(await asyncio.gather(*(run_one(shard)
-                                           for shard in shards)))
-
-
 #: Executor classes keyed by backend name (mirrors ``CHANNEL_REGISTRY``).
 EXECUTOR_REGISTRY: dict[str, Callable[..., Executor]] = {}
 
@@ -254,9 +135,7 @@ def register_executor(name: str):
 
 
 register_executor("serial")(SerialExecutor)
-register_executor("thread")(ThreadExecutor)
 register_executor("process")(ProcessExecutor)
-register_executor("async")(AsyncExecutor)
 # "remote" registers itself at the bottom of repro.exec.remote (which
 # imports this module, so the registration cannot live here); the package
 # __init__ imports both, keeping the registry complete for any consumer.

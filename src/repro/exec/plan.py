@@ -4,8 +4,8 @@ Every quantitative result in this repository is a Monte-Carlo sweep: draw
 random blocks (or codewords, or latent samples), push them through a channel
 backend, and aggregate statistics.  A :class:`MonteCarloPlan` captures such a
 sweep as data — a picklable *task* applied to a sequence of *units*, a seed,
-and a shared *context* — so the same plan can run serially, across threads,
-or across worker processes with **bit-identical** results.
+and a shared *context* — so the same plan can run serially or across worker
+processes with **bit-identical** results.
 
 Determinism is anchored per *unit*, not per shard: unit ``i`` always draws
 from ``np.random.SeedSequence(seed, spawn_key=(i,))`` no matter which shard
@@ -17,7 +17,9 @@ changes the numbers — only the wall-clock time.
 from __future__ import annotations
 
 import os
+import pickle
 import threading
+import uuid
 import zlib
 from collections import OrderedDict
 from dataclasses import dataclass, field
@@ -49,16 +51,16 @@ def stable_seed(*components: Any) -> tuple[int, ...]:
 
 
 #: Channels cold-started from :class:`ChannelRef`\ s, keyed by
-#: ``(ref key, thread id)``.  The thread key gives each worker process (and
-#: each thread-pool thread) a private backend — checkpoints load once per
-#: worker instead of once per shard, without ever sharing one stateful
-#: channel across concurrent shards.  A capped LRU: when a long-lived
-#: parent cycles many thread pools or checkpoints, the least recently used
-#: resolutions are dropped (the next use simply reloads) instead of pinning
-#: every model ever resolved for the life of the process.  Accesses refresh
-#: recency, so an entry in active use — notably the parent thread's, which
-#: the engine's cache merge peeks at after every pool thread has resolved —
-#: is not evicted by a burst of per-thread resolutions.
+#: ``(ref key, thread id)``.  Every shard a worker process runs executes on
+#: one thread (a pool worker's, or a remote worker's shard thread), so a
+#: checkpoint loads once per worker instead of once per shard; the thread
+#: key keeps concurrent callers in one process from sharing one stateful
+#: channel.  A capped LRU: when a long-lived parent cycles many checkpoints,
+#: the least recently used resolutions are dropped (the next use simply
+#: reloads) instead of pinning every model ever resolved for the life of
+#: the process.  Accesses refresh recency, so an entry in active use —
+#: notably the parent thread's, which the engine's cache merge peeks at — is
+#: not evicted by a burst of other resolutions.
 _RESOLVED_CHANNELS: "OrderedDict[tuple, Any]" = OrderedDict()
 _RESOLVE_LOCK = threading.Lock()
 _RESOLVE_CACHE_MAX = 64
@@ -82,7 +84,7 @@ class ChannelRef:
     """A cheaply-picklable checkpoint reference standing in for a channel.
 
     Put one in a plan's ``context`` instead of a live backend and every
-    shard — serial, thread, process pool or remote fleet — resolves it to a
+    shard — serial, process pool or remote fleet — resolves it to a
     channel via ``build_channel(name, checkpoint=path)`` at run time
     (:mod:`repro.artifacts`).  The wire then carries a registry name and a
     path instead of megabytes of pickled model state, and workers cold-start
@@ -90,9 +92,9 @@ class ChannelRef:
     (:class:`repro.artifacts.CheckpointError` family) when the checkpoint is
     corrupt rather than computing garbage tallies.
 
-    Resolution is memoized per ``(reference, thread)``: a pool worker
-    running many shards loads the checkpoint once, while concurrent
-    thread-pool shards never share one stateful backend.  The memo is a
+    Resolution is memoized per ``(reference, thread)``: a pool or fleet
+    worker running many shards loads the checkpoint once, while concurrent
+    threads never share one stateful backend.  The memo is a
     small bounded cache — and it means a checkpoint rewritten *at the same
     path mid-process* may be served stale; write new checkpoints to new
     directories (the zoo convention) to re-resolve.
@@ -169,6 +171,48 @@ class ChannelRef:
                 f"checkpoint={self.checkpoint!r}{options})")
 
 
+#: The plan context this process last received, as ``(token, context)``.
+#: Every chunk cut from one run carries the context pickled once under one
+#: token; a worker that already holds that token reuses its copy instead of
+#: unpickling the bytes again.  Only the latest run's context is kept.
+_received_context: tuple[str, Mapping[str, Any]] | None = None
+
+
+def _receive_context(token: str, payload: bytes) -> Mapping[str, Any]:
+    """Unpickle a shipped context, or return this process's copy of it."""
+    global _received_context
+    received = _received_context
+    if received is None or received[0] != token:
+        received = (token, pickle.loads(payload))
+        _received_context = received
+    return received[1]
+
+
+class _ContextShipment:
+    """One plan context, pickled once for every chunk of one cut.
+
+    A pool or fleet pickles each chunk it dispatches; without this, a live
+    model in the context would be pickled into every chunk and unpickled
+    again by every one.  The shipment pickles the context on first use (a
+    serial run never does) and stands in for it in each chunk's pickle, so
+    a worker unpickles the context once per run and keeps that copy for
+    the run's later chunks.
+    """
+
+    def __init__(self, context: Mapping[str, Any]):
+        self.context = context
+        self._lock = threading.Lock()
+        self._wire: tuple[str, bytes] | None = None
+
+    def __reduce__(self):
+        with self._lock:
+            if self._wire is None:
+                self._wire = (uuid.uuid4().hex,
+                              pickle.dumps(self.context,
+                                           protocol=pickle.HIGHEST_PROTOCOL))
+        return _receive_context, self._wire
+
+
 def collect_cache_bearers(context: Mapping[str, Any]
                           ) -> dict[str, ConditionCache]:
     """Condition caches reachable from a plan context, keyed by context key.
@@ -213,6 +257,12 @@ class ShardSpec:
     context, the plan seed and the global index of its first unit, so a
     worker process reconstructs every unit's generator exactly as the serial
     path would.
+
+    The specs of one cut share their context: each pickles it as the bytes
+    the cut pickled once, and a worker process unpickles those on its first
+    spec of the cut and hands the same copy to the rest.  Context state such
+    as condition caches therefore carries over between a worker's chunks of
+    one run, as it does between the units of a serial run.
     """
 
     index: int
@@ -225,30 +275,23 @@ class ShardSpec:
     #: engine when tracing is enabled; ``None`` otherwise.  Tiny and
     #: picklable, so it rides the remote transport with the spec.
     trace: Any = None
+    #: The context pickled once for every chunk of the same cut (set by
+    #: :meth:`MonteCarloPlan.chunks` / :meth:`MonteCarloPlan.shards`).
+    shipment: Any = field(default=None, repr=False, compare=False)
+
+    def __reduce__(self):
+        # A spec whose context was replaced after the cut pickles it plainly.
+        context = self.context
+        if self.shipment is not None and self.shipment.context is context:
+            context = self.shipment
+        return (ShardSpec, (self.index, self.start, self.units, self.task,
+                            self.seed, context, self.trace))
 
     def unit_rng(self, offset: int) -> np.random.Generator:
         """The generator of the unit at ``offset`` within this shard."""
         sequence = np.random.SeedSequence(
             self.seed, spawn_key=(self.start + offset,))
         return np.random.default_rng(sequence)
-
-    def subspec(self, lo: int, hi: int, index: int | None = None
-                ) -> "ShardSpec":
-        """A spec covering units ``[lo, hi)`` of this shard.
-
-        The work-stealing scheduler splits an in-flight shard by cutting its
-        unexecuted tail into a new spec.  Global unit positions are preserved
-        (``start`` shifts by ``lo``), so per-unit seeding — and therefore the
-        reduced output — is identical under any split schedule.
-        """
-        if not 0 <= lo <= hi <= len(self.units):
-            raise ValueError(
-                f"subspec bounds [{lo}, {hi}) outside shard of "
-                f"{len(self.units)} units")
-        return ShardSpec(index=self.index if index is None else index,
-                         start=self.start + lo, units=self.units[lo:hi],
-                         task=self.task, seed=self.seed, context=self.context,
-                         trace=self.trace)
 
     def resolved_context(self) -> Mapping[str, Any]:
         """The context with every :class:`ChannelRef` replaced by its live
@@ -260,8 +303,7 @@ class ShardSpec:
                 else value
                 for key, value in self.context.items()}
 
-    def run(self, collect_caches: bool = False,
-            control: Any = None) -> ShardResult:
+    def run(self, collect_caches: bool = False) -> ShardResult:
         """Execute the units of this shard in order.
 
         ``collect_caches=True`` (used by process executors, whose shard runs
@@ -269,74 +311,27 @@ class ShardSpec:
         the returned snapshots report this shard's activity only, then
         attaches the caches for the engine to merge back into the parent.
 
-        ``control`` is an optional cooperation hook for the elastic worker:
-        an object with ``stop_before(offset) -> bool`` (consulted before each
-        unit — returning True ends the run early, e.g. because the tail was
-        stolen) and ``completed(offset)`` (called after each unit, feeding
-        heartbeat progress).  A truncated run returns only the units actually
-        executed; callers own reconciling that with the stolen boundary.
-
         When the spec carries a trace context the run is wrapped in an
         ``exec.shard`` span; in a foreign process the span/metric records
         come back in ``ShardResult.obs`` (see :mod:`repro.obs.context`).
         """
         if self.trace is None:
-            return self._run(collect_caches, control)
+            return self._run(collect_caches)
         from repro.obs.context import observe_shard
 
         with observe_shard(self) as obs_box:
-            result = self._run(collect_caches, control)
+            result = self._run(collect_caches)
         if obs_box.envelope is not None:
             result.obs = obs_box.envelope
         return result
 
-    async def run_async(self, collect_caches: bool = False) -> ShardResult:
-        """Like :meth:`run`, awaiting any awaitable the task returns.
-
-        Used by the ``async`` executor for sweeps whose units spend their
-        time in external I/O.  A synchronous task behaves exactly as under
-        :meth:`run`; a coroutine-returning task is awaited per unit, in unit
-        order, so the result list is identical either way.
-        """
-        if self.trace is None:
-            return await self._run_async(collect_caches)
-        from repro.obs.context import observe_shard
-
-        with observe_shard(self) as obs_box:
-            result = await self._run_async(collect_caches)
-        if obs_box.envelope is not None:
-            result.obs = obs_box.envelope
-        return result
-
-    def _prepare(self, collect_caches: bool):
+    def _run(self, collect_caches: bool) -> ShardResult:
         context = self.resolved_context()
         caches = collect_cache_bearers(context) if collect_caches else {}
         for cache in caches.values():
             cache.reset_stats()
-        return context, caches
-
-    def _run(self, collect_caches: bool, control: Any = None) -> ShardResult:
-        context, caches = self._prepare(collect_caches)
-        results = []
-        for offset, unit in enumerate(self.units):
-            if control is not None and control.stop_before(offset):
-                break
-            results.append(self.task(unit, self.unit_rng(offset), **context))
-            if control is not None:
-                control.completed(offset)
-        return ShardResult(index=self.index, start=self.start,
-                           results=results, caches=caches)
-
-    async def _run_async(self, collect_caches: bool) -> ShardResult:
-        import inspect
-
-        context, caches = self._prepare(collect_caches)
-        results = []
-        for offset, unit in enumerate(self.units):
-            value = self.task(unit, self.unit_rng(offset), **context)
-            if inspect.isawaitable(value):
-                value = await value
-            results.append(value)
+        results = [self.task(unit, self.unit_rng(offset), **context)
+                   for offset, unit in enumerate(self.units)]
         return ShardResult(index=self.index, start=self.start,
                            results=results, caches=caches)
 
@@ -359,25 +354,18 @@ class MonteCarloPlan:
         ints, e.g. from :func:`stable_seed`).
     context:
         Keyword arguments shared by every task call (channel backends, code
-        objects, parameters).  Pickled once per shard, not once per unit.
-        A :class:`ChannelRef` value ships as a checkpoint path and is
-        cold-started from the on-disk model zoo on the executing worker —
-        the cheap way to move channels to process pools and remote fleets.
-    shards_per_worker:
-        Oversharding factor: the engine's default shard count becomes
-        ``workers * shards_per_worker`` instead of one shard per worker.
-        Contiguous splits are balanced by unit *count*, not by unit *cost*;
-        cutting more, smaller shards lets a pool executor absorb per-unit
-        cost variance (a cheap form of work stealing).  Purely a throughput
-        knob — per-unit seeding keeps the output bit-identical for any
-        value (test-enforced).
+        objects, parameters).  A pool or fleet pickles it once per run;
+        each chunk carries those bytes, and each worker unpickles them once
+        and keeps its copy for the run.  A :class:`ChannelRef` value ships
+        as a checkpoint path instead and is cold-started from the on-disk
+        model zoo on the executing worker — the cheap way to move channels
+        to process pools and remote fleets.
     """
 
     task: Callable[..., Any]
     units: tuple
     seed: int | tuple[int, ...] = 0
     context: Mapping[str, Any] = field(default_factory=dict)
-    shards_per_worker: int = 1
 
     def __post_init__(self):
         if not callable(self.task):
@@ -385,9 +373,6 @@ class MonteCarloPlan:
         object.__setattr__(self, "units", tuple(self.units))
         if not self.units:
             raise ValueError("a plan needs at least one unit")
-        if (not isinstance(self.shards_per_worker, (int, np.integer))
-                or self.shards_per_worker < 1):
-            raise ValueError("shards_per_worker must be a positive integer")
 
     @property
     def num_units(self) -> int:
@@ -410,8 +395,40 @@ class MonteCarloPlan:
         if num_shards < 1:
             raise ValueError("num_shards must be positive")
         num_shards = min(num_shards, self.num_units)
-        bounds = np.linspace(0, self.num_units, num_shards + 1).astype(int)
-        return [ShardSpec(index=shard, start=int(bounds[shard]),
-                          units=self.units[bounds[shard]:bounds[shard + 1]],
-                          task=self.task, seed=self.seed, context=self.context)
-                for shard in range(num_shards)]
+        return self._cut(np.linspace(0, self.num_units,
+                                     num_shards + 1).astype(int))
+
+    def chunks(self, workers: int) -> list[ShardSpec]:
+        """Guided self-scheduling chunks for ``workers`` pulling in order.
+
+        Each chunk takes ``ceil(remaining units / (2 * workers))`` of the
+        units left after the chunks before it, so sizes never increase and
+        the chunks cover the units contiguously.  This is guided
+        self-scheduling (Polychronopoulos & Kuck, *IEEE TC* 1987; OpenMP
+        ``schedule(guided)``) with the half-share chunk of factoring
+        (Hummel, Schonberg & Flynn, *CACM* 1992): a plain guided first chunk
+        is a whole worker's share, so a worker that pulls it and runs slower
+        than the rest sets the finish time; half shares leave later chunks
+        for the faster workers.  Large early chunks keep dispatches few; the
+        small late ones let workers that pull the next chunk as they go idle
+        even out their finish times.  One worker gets one chunk.
+        """
+        if workers < 1:
+            raise ValueError("workers must be positive")
+        if workers == 1:
+            return self._cut([0, self.num_units])
+        bounds = [0]
+        while bounds[-1] < self.num_units:
+            remaining = self.num_units - bounds[-1]
+            bounds.append(bounds[-1] + -(-remaining // (2 * workers)))
+        return self._cut(bounds)
+
+    def _cut(self, bounds: Sequence[int]) -> list[ShardSpec]:
+        """One spec per ``[bounds[i], bounds[i + 1])`` slice of the units."""
+        shipment = _ContextShipment(self.context)
+        return [ShardSpec(index=index, start=int(lo),
+                          units=self.units[lo:hi], task=self.task,
+                          seed=self.seed, context=self.context,
+                          shipment=shipment)
+                for index, (lo, hi) in enumerate(zip(bounds[:-1],
+                                                     bounds[1:]))]

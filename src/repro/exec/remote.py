@@ -11,7 +11,10 @@ length-prefixed transport of :mod:`repro.exec.transport`.  Two topologies:
   connect to serving workers (``python -m repro.exec.worker --serve``),
   the multi-host deployment shape.
 
-Scheduling is a shared work queue with five robustness mechanisms:
+Scheduling is a shared queue of the engine's guided chunks
+(:meth:`~repro.exec.MonteCarloPlan.chunks`): each worker's drive thread
+pulls the next chunk, in order, whenever its worker goes idle — the only
+load balancing there is.  Three robustness mechanisms ride on the queue:
 
 * **Acknowledgement** — a worker acks every shard on receipt, so the parent
   can tell a dispatch that never arrived from a death mid-execution: an
@@ -19,18 +22,10 @@ Scheduling is a shared work queue with five robustness mechanisms:
 * **Bounded retry** — a shard whose worker raised or died is re-queued up to
   ``max_retries`` times; exhaustion re-raises the original worker exception
   with the worker traceback attached as a note.
-* **Work stealing** — an idle worker with nothing pending asks the busiest
-  single-copy shard's worker to give up its unexecuted tail; the victim
-  stops at a unit boundary it reports back, the scheduler splits the shard
-  there (the tail becomes a new shard on the queue), and per-unit seeding
-  keeps the reduced output identical under any split schedule.
-* **Heartbeats** — a running worker reports units-done every
+* **Heartbeats** — a worker running a shard beacons every
   ``heartbeat_interval`` seconds; a worker silent past ``heartbeat_timeout``
-  (wedged, preempted, SIGSTOPped) is drained exactly like a death, so a
+  (wedged, preempted, partitioned) is drained exactly like a death, so a
   silent stall can never hold the sweep hostage.
-* **Straggler re-dispatch** — near the tail, idle workers additionally
-  speculatively re-run the slowest in-flight shards; the first result per
-  shard wins and duplicates are dropped.
 
 The fleet is *elastic*: :meth:`RemoteExecutor.attach` admits a late-joining
 serving worker into an in-flight ``map_shards`` (its drive thread joins the
@@ -39,7 +34,7 @@ mid-run — spot-instance style grow/shrink without restarting the sweep.
 
 None of this can change the numbers: shard results are deterministic
 functions of the plan (randomness is anchored per unit), so retries,
-duplicates, steals and fleet size leave the output bit-identical to
+chunking and fleet size leave the output bit-identical to
 :class:`~repro.exec.SerialExecutor` — the same contract every other backend
 honours, enforced by ``tests/exec/test_executor_conformance.py`` and
 ``tests/exec/test_elastic.py``.
@@ -59,7 +54,6 @@ import socket
 import subprocess
 import sys
 import threading
-import time
 from collections import deque
 from pathlib import Path
 from typing import Any
@@ -69,7 +63,6 @@ from repro.exec.plan import ShardResult, ShardSpec
 from repro.exec.transport import (
     PROTOCOL_VERSION,
     Connection,
-    TransportClosedError,
     TransportConnectError,
     TransportError,
     TransportTimeoutError,
@@ -110,14 +103,8 @@ class _Worker:
         self.process = process
         self.address = address
         self.alive = True
-        #: Serializes writers: the worker's own drive thread (shard
-        #: dispatches) and any idle worker's drive thread (steal requests)
-        #: share this connection's outbound stream.
-        self.send_lock = threading.Lock()
-
-    def send(self, message: Any) -> None:
-        with self.send_lock:
-            self.conn.send(message)
+        #: True while a shard is out on this worker (set by its drive thread).
+        self.busy = False
 
     def dead(self) -> bool:
         return (not self.alive or self.conn.closed
@@ -129,7 +116,7 @@ class _Worker:
         graceful = shutdown and not self.conn.closed
         if graceful:
             try:
-                self.send(("shutdown",))
+                self.conn.send(("shutdown",))
             except TransportError:
                 graceful = False
         self.conn.close()
@@ -147,46 +134,25 @@ class _Worker:
 
 
 class _ShardScheduler:
-    """Thread-safe shard queue with retry, speculation and deduplication.
+    """Thread-safe in-order shard queue with acknowledgement-aware retry.
 
     One instance serves one ``map_shards`` call; each worker's drive thread
     pulls work via :meth:`next_shard` and reports through
     :meth:`completed` / :meth:`errored` / :meth:`worker_lost`.
     """
 
-    def __init__(self, shards: list[ShardSpec], *, max_retries: int,
-                 speculate: bool, straggler_wait: float, max_copies: int,
-                 steal: bool = True, steal_wait: float = 0.25):
+    def __init__(self, shards: list[ShardSpec], *, max_retries: int):
         self.max_retries = max_retries
-        self.speculate = speculate
-        self.straggler_wait = straggler_wait
-        self.max_copies = max_copies
-        self.steal = steal
-        self.steal_wait = steal_wait
         self._cond = threading.Condition()
         self._pending = deque(shards)
         self._total = len(shards)
-        #: The authoritative current spec per shard index.  A steal
-        #: truncates the victim's spec in place here (the tail becomes a new
-        #: entry under a fresh index), so every re-queue path dispatches the
-        #: post-split spec, never a stale full-range one.
-        self._specs: dict[int, ShardSpec] = {spec.index: spec
-                                             for spec in shards}
-        self._next_index = 1 + max((spec.index for spec in shards),
-                                   default=-1)
-        #: shard index -> {"spec", "workers": set, "since": float,
-        #: "copies": [dispatch times], "progress": units done (heartbeat),
-        #: "split": a steal already cut this shard, "steal_requested": float}
-        self._running: dict[int, dict] = {}
         self._results: dict[int, ShardResult] = {}
         self._failures: dict[int, list[tuple[BaseException, str]]] = {}
         self._registered = 0
         self.fatal_error: BaseException | None = None
         self.fatal_note: str | None = None
         self.stats = {"dispatches": 0, "acks": 0, "retries": 0,
-                      "unacked_redispatches": 0, "duplicates": 0,
-                      "deduplicated": 0, "worker_deaths": 0,
-                      "steals": 0, "steal_requests": 0, "stale_skips": 0,
+                      "unacked_redispatches": 0, "worker_deaths": 0,
                       "heartbeats": 0, "heartbeat_timeouts": 0, "joins": 0}
 
     # -- worker lifecycle --------------------------------------------------
@@ -220,237 +186,33 @@ class _ShardScheduler:
     def _finished(self) -> bool:
         return len(self._results) == self._total or self.fatal_error is not None
 
-    def next_shard(self, worker: _Worker) -> ShardSpec | None:
-        """Block until there is work for ``worker`` (None: run is over).
+    def next_shard(self) -> ShardSpec | None:
+        """Block until there is a shard to dispatch (None: run is over).
 
-        An idle worker prefers, in order: a pending shard, a speculative
-        copy of a straggler, and finally *stealing* — asking the busiest
-        single-copy shard's worker to give up its unexecuted tail.  The
-        steal request is sent from here (outside the scheduler lock — it is
-        a blocking socket write); the victim's reply lands on the victim's
-        own drive thread, which queues the tail via :meth:`stolen`, and this
-        worker picks it up as ordinary pending work on a later iteration.
+        Shards leave the queue in order; a worker with nothing to pull waits
+        for a retry to re-queue one or for the run to end.
         """
-        while True:
-            request = None
-            with self._cond:
-                if self._finished():
-                    self._cond.notify_all()
-                    return None
-                spec = self._pop_pending(worker)
-                if spec is not None:
-                    return spec
-                if self.speculate:
-                    spec = self._straggler_for(worker)
-                    if spec is not None:
-                        self.stats["duplicates"] += 1
-                        self.stats["dispatches"] += 1
-                        obs_trace.event("exec.speculate", shard=spec.index,
-                                        worker=_worker_label(worker))
-                        return spec
-                if self.steal:
-                    request = self._steal_candidate(worker)
-                if request is None:
-                    self._cond.wait(timeout=0.05)
-                    continue
-            victim, index, offset = request
-            obs_trace.event("exec.steal_request", shard=index, offset=offset,
-                            worker=_worker_label(victim),
-                            thief=_worker_label(worker))
-            try:
-                victim.send(("steal", index, offset))
-            except TransportError:
-                # The victim is dying; its drive thread will requeue the
-                # shard.  Clear the in-flight marker so another steal (or
-                # speculation) is not starved meanwhile.
-                with self._cond:
-                    entry = self._running.get(index)
-                    if entry is not None:
-                        entry["steal_requested"] = None
-
-    def _pop_pending(self, worker: _Worker) -> ShardSpec | None:
-        """The next pending spec, skipping stale entries.
-
-        A spec re-queued by :meth:`_requeue_unacked` whose speculative copy
-        then won stays in the queue; dispatching it would fully re-execute a
-        shard that already completed.  Such entries are dropped here, and
-        the dispatched spec is always the authoritative (post-split) one.
-        """
-        while self._pending:
-            spec = self._pending.popleft()
-            if spec.index in self._results:
-                self.stats["stale_skips"] += 1
-                obs_trace.event("exec.stale_skip", shard=spec.index)
-                continue
-            spec = self._specs.get(spec.index, spec)
-            self._mark_dispatch(spec, worker)
-            return spec
-        return None
-
-    def _mark_dispatch(self, spec: ShardSpec, worker: _Worker) -> None:
-        now = time.monotonic()
-        entry = self._running.get(spec.index)
-        if entry is None:
-            entry = self._running[spec.index] = {
-                "spec": spec, "workers": set(), "since": now, "copies": [],
-                "progress": 0, "split": False, "steal_requested": None}
-        entry["workers"].add(worker)
-        entry["copies"].append(now)
-        self.stats["dispatches"] += 1
-
-    def _straggler_for(self, worker: _Worker) -> ShardSpec | None:
-        """The slowest in-flight shard worth duplicating onto ``worker``.
-
-        Staleness is judged from the shard's *latest* dispatch: each
-        additional copy must wait out its own ``straggler_wait`` before the
-        next one launches, so one slow shard ramps to ``max_copies``
-        gradually instead of absorbing every idle worker in a single wait
-        cycle.  Shards with a steal request in flight are skipped — a
-        speculative full-range copy racing a concurrent split would cover
-        units the stolen tail also covers.
-        """
-        now = time.monotonic()
-        candidates = [
-            entry for entry in self._running.values()
-            if worker not in entry["workers"]
-            and entry["workers"]  # someone is actually running it
-            and len(entry["workers"]) < self.max_copies
-            and entry["steal_requested"] is None
-            and entry["copies"]
-            and now - entry["copies"][-1] >= self.straggler_wait]
-        if not candidates:
+        with self._cond:
+            while not self._finished():
+                if self._pending:
+                    self.stats["dispatches"] += 1
+                    return self._pending.popleft()
+                self._cond.wait()
             return None
-        entry = min(candidates, key=lambda item: item["since"])
-        entry["workers"].add(worker)
-        entry["copies"].append(now)
-        return entry["spec"]
-
-    def _steal_candidate(self, worker: _Worker
-                         ) -> "tuple[_Worker, int, int] | None":
-        """Pick ``(victim, shard index, offset)`` to steal, or None.
-
-        Only single-copy shards are candidates (a speculative race over a
-        split range could double-count units), the victim must have held
-        the shard at least ``steal_wait`` (give fast shards a chance to
-        just finish), at least two units must remain beyond the last
-        heartbeat's progress, and at most one steal per shard is in flight.
-        The shard with the most remaining units is split near the middle
-        of its remainder.
-        """
-        now = time.monotonic()
-        best = None
-        best_remaining = 0
-        retry_after = max(self.steal_wait * 4, 1.0)
-        for entry in self._running.values():
-            if worker in entry["workers"] or len(entry["workers"]) != 1:
-                continue
-            if (entry["steal_requested"] is not None
-                    and now - entry["steal_requested"] < retry_after):
-                continue
-            if now - entry["copies"][-1] < self.steal_wait:
-                continue
-            remaining = len(entry["spec"].units) - entry["progress"]
-            if remaining < 2:
-                continue
-            if remaining > best_remaining:
-                best, best_remaining = entry, remaining
-        if best is None:
-            return None
-        best["steal_requested"] = now
-        self.stats["steal_requests"] += 1
-        victim = next(iter(best["workers"]))
-        offset = best["progress"] + (best_remaining + 1) // 2
-        return victim, best["spec"].index, offset
 
     # -- outcomes ----------------------------------------------------------
 
-    def acked(self, index: int) -> None:
+    def acked(self) -> None:
         with self._cond:
             self.stats["acks"] += 1
 
-    def heartbeat(self, worker: _Worker, index: int, done: int) -> None:
-        """A running worker reported ``done`` units executed on ``index``."""
+    def heartbeat(self) -> None:
         with self._cond:
             self.stats["heartbeats"] += 1
-            entry = self._running.get(index)
-            if entry is not None:
-                entry["progress"] = max(entry["progress"], int(done))
 
-    def stolen(self, worker: _Worker, index: int,
-               boundary: int | None) -> None:
-        """The victim's reply to a steal: it will stop before ``boundary``.
-
-        ``None`` (the run already finished on the worker) and boundaries at
-        or past the current spec's end are no-ops; otherwise the shard is
-        split at the boundary and the tail queued as a new shard.
-        """
+    def completed(self, result: ShardResult) -> None:
         with self._cond:
-            entry = self._running.get(index)
-            if entry is not None:
-                entry["steal_requested"] = None
-            if boundary is None or index in self._results:
-                # Nothing was given up, or the shard completed first (its
-                # result, arriving on the same drive thread, may overtake
-                # this reply — completed() reconciled any short run).
-                self._cond.notify_all()
-                return
-            self._split(index, int(boundary), worker)
-            self._cond.notify_all()
-
-    def _split(self, index: int, boundary: int, worker: _Worker) -> bool:
-        """Cut ``[boundary, end)`` off shard ``index`` into a new pending
-        shard (no-op when the boundary covers the whole current spec)."""
-        spec = self._specs.get(index)
-        if spec is None or not 0 <= boundary < len(spec.units):
-            return False
-        tail = spec.subspec(boundary, len(spec.units),
-                            index=self._next_index)
-        self._next_index += 1
-        head = spec.subspec(0, boundary)
-        self._specs[index] = head
-        self._specs[tail.index] = tail
-        entry = self._running.get(index)
-        if entry is not None:
-            entry["spec"] = head
-            entry["split"] = True
-        self._total += 1
-        self._pending.append(tail)
-        self.stats["steals"] += 1
-        obs_trace.event("exec.steal", shard=index, new_shard=tail.index,
-                        boundary=boundary, units=len(tail.units),
-                        worker=_worker_label(worker))
-        return True
-
-    def completed(self, worker: _Worker, result: ShardResult) -> None:
-        with self._cond:
-            if result.index in self._results:
-                # A speculative duplicate finished after the winner: results
-                # are deterministic, so dropping it loses nothing — each
-                # shard is counted exactly once.  Its observability envelope
-                # is adopted as *abandoned* evidence: the spans land on the
-                # timeline flagged, the metrics are dropped so merged totals
-                # still count every unit exactly once.
-                self.stats["deduplicated"] += 1
-                obs_trace.event("exec.dedup", shard=result.index,
-                                worker=_worker_label(worker))
-                obs_context.adopt_abandoned(getattr(result, "obs", None))
-            else:
-                spec = self._specs.get(result.index)
-                expected = (len(spec.units) if spec is not None
-                            else len(result.results))
-                if len(result.results) > expected:
-                    # A full-range copy raced a concurrent split; results
-                    # are deterministic per unit, so the head is exactly
-                    # the prefix.
-                    del result.results[expected:]
-                elif len(result.results) < expected:
-                    # The worker stopped early (a steal reply still in
-                    # flight, or a session teardown at a unit boundary):
-                    # whatever it did not cover becomes a new pending
-                    # shard, exactly as a processed steal reply would.
-                    self._split(result.index, len(result.results), worker)
-                self._results[result.index] = result
-            self._running.pop(result.index, None)
+            self._results[result.index] = result
             self._cond.notify_all()
 
     def errored(self, worker: _Worker, spec: ShardSpec,
@@ -461,7 +223,7 @@ class _ShardScheduler:
                                  diagnostics)
             self._cond.notify_all()
 
-    def worker_lost(self, worker: _Worker, spec: ShardSpec | None,
+    def worker_lost(self, worker: _Worker, spec: ShardSpec,
                     error: TransportError, acked: bool = True,
                     timed_out: bool = False) -> None:
         """The transport to ``worker`` died (or went silent), mid-shard.
@@ -480,83 +242,55 @@ class _ShardScheduler:
                 self.stats["heartbeat_timeouts"] += 1
                 obs_trace.event("exec.heartbeat_timeout",
                                 worker=_worker_label(worker),
-                                shard=None if spec is None else spec.index)
+                                shard=spec.index)
             obs_trace.event("exec.worker_death",
-                            worker=_worker_label(worker),
-                            shard=None if spec is None else spec.index,
+                            worker=_worker_label(worker), shard=spec.index,
                             acked=acked)
-            if spec is not None and not acked:
-                self._requeue_unacked(worker, spec)
-            elif spec is not None:
+            if acked:
                 self._record_failure(
                     worker, spec, error,
                     f"worker connection lost mid-shard: {error}")
+            else:
+                self._pending.appendleft(spec)
+                self.stats["unacked_redispatches"] += 1
+                obs_trace.event("exec.requeue_unacked", shard=spec.index,
+                                worker=_worker_label(worker))
             self._cond.notify_all()
-
-    def _requeue_unacked(self, worker: _Worker, spec: ShardSpec) -> None:
-        if spec.index in self._results:
-            return
-        entry = self._running.get(spec.index)
-        if entry is not None:
-            entry["workers"].discard(worker)
-            if entry["workers"]:
-                return  # another copy is still running; let it race
-        self._running.pop(spec.index, None)
-        self._pending.appendleft(self._specs.get(spec.index, spec))
-        self.stats["unacked_redispatches"] += 1
-        obs_trace.event("exec.requeue_unacked", shard=spec.index,
-                        worker=_worker_label(worker))
 
     def _record_failure(self, worker: _Worker, spec: ShardSpec,
                         error: BaseException, worker_traceback: str,
                         diagnostics: dict | None = None) -> None:
-        if spec.index in self._results:
-            return  # another copy already delivered this shard
-        entry = self._running.get(spec.index)
-        if entry is not None:
-            entry["workers"].discard(worker)
         failures = self._failures.setdefault(spec.index, [])
         failures.append((error, worker_traceback))
-        if entry is not None and entry["workers"]:
-            # A duplicate copy is still running; let it race — even past the
-            # retry budget, since a live copy delivering makes the failures
-            # moot (speculation must never turn a survivable run fatal).
-            return
-        if len(failures) > self.max_retries:
-            if self.fatal_error is None:
-                self.fatal_error = error
-                culprit = ""
-                if diagnostics:
-                    culprit = (
-                        f" [worker pid {diagnostics.get('pid')}, last span "
-                        f"{diagnostics.get('last_span')!r}]")
-                self.fatal_note = (
-                    f"shard {spec.index} failed on {len(failures)} worker "
-                    f"attempt(s) (retry budget {self.max_retries}); last "
-                    f"worker traceback{culprit}:\n{worker_traceback}")
-            self._running.pop(spec.index, None)
-        else:
-            self._running.pop(spec.index, None)
-            self._pending.appendleft(self._specs.get(spec.index, spec))
+        if len(failures) <= self.max_retries:
+            self._pending.appendleft(spec)
             self.stats["retries"] += 1
             obs_trace.event("exec.retry", shard=spec.index,
                             attempt=len(failures),
                             worker=_worker_label(worker),
                             error=f"{type(error).__name__}: {error}")
+        elif self.fatal_error is None:
+            self.fatal_error = error
+            culprit = ""
+            if diagnostics:
+                culprit = (
+                    f" [worker pid {diagnostics.get('pid')}, last span "
+                    f"{diagnostics.get('last_span')!r}]")
+            self.fatal_note = (
+                f"shard {spec.index} failed on {len(failures)} worker "
+                f"attempt(s) (retry budget {self.max_retries}); last "
+                f"worker traceback{culprit}:\n{worker_traceback}")
 
     # -- completion --------------------------------------------------------
 
     def wait(self) -> None:
         with self._cond:
             while not self._finished() and self._registered > 0:
-                self._cond.wait(timeout=0.25)
+                self._cond.wait()
 
     def ordered_results(self) -> list[ShardResult]:
         with self._cond:
-            # Stolen tails carry fresh indices, so unit position — not the
-            # dispatch index — is the global order.
-            return sorted(self._results.values(),
-                          key=lambda result: result.start)
+            return [self._results[index] for index in sorted(self._results)]
 
 
 class RemoteExecutor(Executor):
@@ -574,20 +308,8 @@ class RemoteExecutor(Executor):
     max_retries:
         How many times a failed shard (worker exception or death) is
         re-dispatched before the original error is re-raised.
-    speculate:
-        Enable straggler re-dispatch: once no pending shards remain, idle
-        workers re-run in-flight shards older than ``straggler_wait``
-        seconds (at most ``max_copies`` concurrent copies per shard); the
-        first result wins.
-    steal:
-        Enable work stealing: an idle worker with nothing pending asks the
-        busiest single-copy shard's worker (idle for ``steal_wait``
-        seconds first) to give up the unexecuted tail of its shard, which
-        becomes a new pending shard.  Output is bit-identical under any
-        stealing schedule (per-unit seeding), test-enforced.
     heartbeat_interval:
-        Seconds between a running worker's progress heartbeats (0 disables
-        them).  Heartbeat progress also feeds steal decisions.
+        Seconds between a running worker's heartbeats (0 disables them).
     heartbeat_timeout:
         Seconds of mid-shard silence after which a worker is declared
         stalled and drained like a death (its shard re-queued under the
@@ -595,9 +317,6 @@ class RemoteExecutor(Executor):
     connect_timeout:
         Seconds to wait for a worker to come up / accept before raising
         :class:`~repro.exec.transport.TransportConnectError`.
-    drain_timeout:
-        Seconds to wait, after the run is decided, for threads still
-        receiving late duplicate results before their connections are cut.
     worker_log_dir:
         Directory for per-worker structured JSONL logs (spawned fleet
         only): each worker is launched with ``--log-file`` pointing at
@@ -607,7 +326,7 @@ class RemoteExecutor(Executor):
     The fleet persists across :func:`~repro.exec.run_plan` calls (dead
     members are replaced on the next call) and is torn down by
     :meth:`close`.  ``last_run_stats`` exposes the previous run's dispatch /
-    ack / retry / duplicate / dedup / death counters.
+    ack / retry / death / heartbeat counters.
     """
 
     name = "remote"
@@ -615,12 +334,9 @@ class RemoteExecutor(Executor):
 
     def __init__(self, workers: int | None = None,
                  hosts: list[str] | None = None, max_retries: int = 2,
-                 speculate: bool = True, straggler_wait: float = 1.0,
-                 max_copies: int = 2, steal: bool = True,
-                 steal_wait: float = 0.25, heartbeat_interval: float = 0.25,
+                 heartbeat_interval: float = 0.25,
                  heartbeat_timeout: float = 10.0,
                  connect_timeout: float = 10.0,
-                 drain_timeout: float = 10.0,
                  worker_log_dir: str | os.PathLike | None = None):
         self.hosts = list(hosts) if hosts is not None else None
         if self.hosts is not None:
@@ -630,9 +346,6 @@ class RemoteExecutor(Executor):
         super().__init__(workers)
         if max_retries < 0:
             raise ValueError("max_retries must be non-negative")
-        if max_copies < 2:
-            raise ValueError("max_copies must be at least 2 (the original "
-                             "plus one speculative copy)")
         if heartbeat_interval < 0 or heartbeat_timeout <= 0:
             raise ValueError("heartbeat_interval must be >= 0 and "
                              "heartbeat_timeout positive")
@@ -640,15 +353,9 @@ class RemoteExecutor(Executor):
             raise ValueError("heartbeat_timeout must exceed "
                              "heartbeat_interval")
         self.max_retries = max_retries
-        self.speculate = speculate
-        self.straggler_wait = straggler_wait
-        self.max_copies = max_copies
-        self.steal = steal
-        self.steal_wait = steal_wait
         self.heartbeat_interval = heartbeat_interval
         self.heartbeat_timeout = heartbeat_timeout
         self.connect_timeout = connect_timeout
-        self.drain_timeout = drain_timeout
         self.worker_log_dir = (Path(worker_log_dir)
                                if worker_log_dir is not None else None)
         self.last_run_stats: dict[str, int] = {}
@@ -699,7 +406,7 @@ class RemoteExecutor(Executor):
         The elastic grow path: connect to a ``python -m repro.exec.worker
         --serve`` process and, when a ``map_shards`` is in flight, register
         it with the live scheduler and start a drive thread so it pulls
-        (or steals) work immediately.  Outside a run it simply joins the
+        the next pending chunk immediately.  Outside a run it simply joins the
         fleet for the next one.
         """
         worker = self._connect_host(address)
@@ -803,10 +510,7 @@ class RemoteExecutor(Executor):
 
     def map_shards(self, shards: list[ShardSpec]) -> list[ShardResult]:
         traced = obs_trace.is_enabled()
-        scheduler = _ShardScheduler(
-            shards, max_retries=self.max_retries, speculate=self.speculate,
-            straggler_wait=self.straggler_wait, max_copies=self.max_copies,
-            steal=self.steal, steal_wait=self.steal_wait)
+        scheduler = _ShardScheduler(shards, max_retries=self.max_retries)
         # Fleet repair and scheduler activation are one critical section, so
         # an attach() racing the run start either lands in the starting
         # fleet or joins the already-active scheduler — never neither.
@@ -829,7 +533,7 @@ class RemoteExecutor(Executor):
             self._active_scheduler = None
             threads = self._active_threads
             self._active_threads = []
-        self._drain(threads)
+        self._drain(threads, cut=scheduler.fatal_error is not None)
         self.last_run_stats = dict(scheduler.stats)
         if traced:
             after = self._transport_totals()
@@ -853,19 +557,19 @@ class RemoteExecutor(Executor):
                 totals[key] += getattr(worker.conn, key, 0)
         return totals
 
-    def _drain(self, threads: list[tuple[threading.Thread, _Worker]]) -> None:
-        """Collect late duplicate results, then cut whatever still blocks."""
-        deadline = time.monotonic() + self.drain_timeout
-        for thread, _ in threads:
-            thread.join(timeout=max(deadline - time.monotonic(), 0.05))
-        for thread, worker in threads:
-            if thread.is_alive():
-                # The worker is wedged mid-shard; shut the socket down so
-                # the blocked recv in its drive thread returns (the run is
-                # already decided).  close() would deadlock here — it
-                # contends on the buffered reader's lock.
-                worker.alive = False
-                worker.conn.shutdown()
+    def _drain(self, threads: list[tuple[threading.Thread, _Worker]],
+               cut: bool) -> None:
+        """Join the drive threads.  With ``cut`` (a fatal error decided the
+        run) first cut the connections of workers still running a shard:
+        their results would be thrown away."""
+        if cut:
+            for _, worker in threads:
+                if worker.busy:
+                    # Shut the socket down so the blocked recv in the drive
+                    # thread returns.  close() would deadlock here — it
+                    # contends on the buffered reader's lock.
+                    worker.alive = False
+                    worker.conn.shutdown()
         for thread, _ in threads:
             thread.join()
 
@@ -875,12 +579,13 @@ class RemoteExecutor(Executor):
                     if self.heartbeat_interval > 0 else None)
         try:
             while True:
-                spec = scheduler.next_shard(worker)
+                spec = scheduler.next_shard()
                 if spec is None:
                     return
                 acked = False
+                worker.busy = True
                 try:
-                    worker.send(("shard", spec))
+                    worker.conn.send(("shard", spec))
                     # While a shard is out, the worker is never legitimately
                     # silent for long: acks are immediate and heartbeats
                     # periodic.  Arm the watchdog so a silent stall surfaces
@@ -892,29 +597,25 @@ class RemoteExecutor(Executor):
                             message = worker.conn.recv()
                             kind = message[0]
                             if kind == "ack":
-                                scheduler.acked(spec.index)
+                                scheduler.acked()
                                 acked = True
                             elif kind == "heartbeat":
-                                scheduler.heartbeat(worker, message[1],
-                                                    message[2])
-                            elif kind == "stolen":
-                                scheduler.stolen(worker, message[1],
-                                                 message[2])
+                                scheduler.heartbeat()
                             elif kind == "result":
-                                scheduler.completed(worker, message[1])
+                                scheduler.completed(message[1])
                                 break
                             elif kind == "error":
                                 scheduler.errored(
                                     worker, spec,
                                     self._unpickle(message[2]), message[3],
-                                    message[4] if len(message) > 4
-                                    else None)
+                                    message[4])
                                 break
                             else:
                                 raise TransportError(
                                     f"unexpected {kind!r} message from "
                                     f"{worker.conn.peer}")
                     finally:
+                        worker.busy = False
                         if watchdog is not None:
                             worker.conn.settimeout(None)
                 except TransportTimeoutError as error:

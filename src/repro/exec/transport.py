@@ -41,11 +41,11 @@ __all__ = [
     "format_address",
 ]
 
-#: Bumped whenever the message framing or the handshake changes shape;
-#: parent and worker refuse to talk across versions.  Version 2 added the
-#: elastic-scheduler messages: worker heartbeats, mid-shard steal requests
-#: and the ``stolen`` boundary reply.
-PROTOCOL_VERSION = 2
+#: Bumped whenever the message framing, the handshake or the session
+#: messages change shape; parent and worker refuse to talk across versions.
+#: In version 3 the parent sends nothing while a shard runs, and heartbeats
+#: carry no progress count.
+PROTOCOL_VERSION = 3
 
 _MAGIC = b"RXC1"
 _HEADER = struct.Struct(">4sQ")
@@ -159,6 +159,12 @@ class Connection:
                 peer = f"{host}:{port}"
             except OSError:
                 peer = "?"
+        if sock.family in (socket.AF_INET, socket.AF_INET6):
+            # A frame larger than the write buffer leaves in two writes, its
+            # header and then its payload.  With Nagle's algorithm on, the
+            # payload waits for the peer's delayed ACK of the header: tens
+            # of milliseconds on every such shard result.
+            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         return cls(sock.makefile("rb"), sock.makefile("wb"), sock=sock,
                    peer=peer)
 

@@ -16,28 +16,35 @@ of two topologies:
 Session protocol (every frame a pickled message):
 
 1. worker → ``("hello", {"pid", "protocol"})`` — version handshake;
-2. parent → ``("init", {"sys_path", "cwd"})`` — the parent's import paths,
-   applied before any shard is unpickled so plan tasks defined outside the
-   installed package (test modules, scripts) resolve exactly as they would
-   in a :class:`concurrent.futures.ProcessPoolExecutor` worker;
+2. parent → ``("init", {"sys_path", "cwd", "main_path",
+   "heartbeat_interval"})`` — the parent's import paths, applied before any
+   shard is unpickled so plan tasks defined outside the installed package
+   (test modules, scripts) resolve exactly as they would in a
+   :class:`concurrent.futures.ProcessPoolExecutor` worker;
 3. repeated: parent → ``("shard", ShardSpec)``; worker → ``("ack", index)``
    the moment the shard is in hand (so the parent can tell a lost dispatch
-   from a death mid-execution), then runs it on a dedicated thread and sends
-   ``("result", ShardResult)`` or ``("error", index, exc_bytes, traceback)``;
-   while the shard runs, a heartbeat thread sends
-   ``("heartbeat", index, units_done)`` every ``heartbeat_interval`` seconds
-   (from the init options) so the parent can detect a silent stall, and the
-   session loop keeps listening so the parent may send
-   ``("steal", index, offset)`` — the worker then stops before unit
-   ``offset`` (or the earliest unit it has not started, whichever is later)
-   and replies ``("stolen", index, boundary)`` with the actual cut;
-4. parent → ``("shutdown",)`` ends the session.
+   from a death mid-execution), then runs it on the process's shard thread
+   and sends ``("result", ShardResult)`` or ``("error", index, exc_bytes,
+   traceback, diagnostics)``.  While the shard runs, the session thread
+   sends ``("heartbeat",)`` every ``heartbeat_interval`` seconds so the
+   parent can detect a silent stall; it is the only writer, so no heartbeat
+   ever trails the terminal frame.  The parent sends nothing while a shard
+   runs, so a worker notices a parent that vanished mid-shard when a
+   heartbeat (or the terminal frame) fails to send — the shard thread
+   finishes the abandoned chunk regardless, and the next session's first
+   shard waits for it;
+4. parent → ``("ping",)`` between runs, answered with ``("pong",)`` — the
+   parent's health probe of a reused connection;
+5. parent → ``("shutdown",)`` ends the session.
 
 Shards run with ``collect_caches=True``: condition-cache snapshots travel
-back for the parent engine to merge, exactly as process-pool shards do.  A
-context holding a :class:`repro.exec.ChannelRef` cold-starts its channel
-from the on-disk model zoo here, on the worker, so the wire carries a path
-instead of a pickled model.
+back for the parent engine to merge, exactly as process-pool shards do.
+The chunks of one run share one context, unpickled on the worker's first
+chunk of the run and reused by the rest (see
+:class:`repro.exec.ShardSpec`).  A context holding a
+:class:`repro.exec.ChannelRef` cold-starts its channel from the on-disk
+model zoo here, on the worker, so the wire carries a path instead of a
+pickled model.
 
 ``--log-file PATH`` appends structured JSONL events (start, connect,
 session, per-shard, errors) to ``PATH``.  The ``start`` event is written
@@ -50,14 +57,14 @@ events are additionally mirrored to stderr as single JSON lines.
 from __future__ import annotations
 
 import argparse
+import concurrent.futures
 import json
 import os
 import pickle
 import sys
-import threading
 import time
 import traceback
-from typing import Any, Callable, Mapping
+from typing import Any, Mapping
 
 from repro.exec import transport
 
@@ -174,110 +181,49 @@ def _error_diagnostics() -> dict[str, Any]:
     return {"pid": os.getpid(), "last_span": _last_span_name()}
 
 
-class _ShardRun:
-    """One in-flight shard: a runner thread plus an optional heartbeat.
+#: Runs every shard this process executes, one at a time.  Off the main
+#: thread: glibc hands the main thread's heap back to the OS after large
+#: frees, so NumPy temporaries there page-fault in again on every reuse
+#: (the LDPC campaign of ``benchmarks/bench_exec.py`` took 20–40% less time
+#: off the main thread of a 2-vCPU Linux host).  And always the same
+#: thread, so a :class:`repro.exec.ChannelRef` — resolved once per thread —
+#: is cold-started once per worker.
+_shard_thread: concurrent.futures.ThreadPoolExecutor | None = None
 
-    The runner executes the spec through the cooperative ``control`` hooks
-    of :meth:`ShardSpec.run` (this object *is* the control), sends the
-    terminal ``result``/``error`` message itself, then sets ``finished``.
-    The heartbeat thread reports units-done every ``heartbeat_interval``
-    seconds until then.  :meth:`steal` — called from the session loop when
-    the parent asks for the tail — lowers the stop boundary and returns the
-    actual cut, never below a unit already started.
+
+def _run_shard(spec, conn: transport.Connection, log: WorkerLog,
+               heartbeat_interval: float) -> None:
+    """Run one shard on the shard thread, then send its terminal
+    ``result``/``error`` frame.
+
+    While the shard runs, the session thread sends ``("heartbeat",)`` every
+    ``heartbeat_interval`` seconds (0 disables them).  It is the only
+    thread that writes to the connection, so no heartbeat can trail the
+    terminal frame, where the parent's next health probe would read it
+    instead of its ``pong``.
     """
+    global _shard_thread
 
-    def __init__(self, spec, send: Callable[[Any], None], log: WorkerLog,
-                 heartbeat_interval: float = 0.0):
-        self.spec = spec
-        self._send = send
-        self._log = log
-        self._interval = heartbeat_interval
-        self._lock = threading.Lock()
-        self._stop_at = len(spec.units)
-        self._done = 0                      # units fully executed
-        self._executing: int | None = None  # offset currently in the task
-        self.finished = threading.Event()
-        self._runner = threading.Thread(target=self._run_shard, daemon=True,
-                                        name=f"shard-{spec.index}")
-        self._heartbeat: threading.Thread | None = None
-        if heartbeat_interval and heartbeat_interval > 0:
-            self._heartbeat = threading.Thread(
-                target=self._beat, daemon=True,
-                name=f"heartbeat-{spec.index}")
-
-    def start(self) -> None:
-        self._runner.start()
-        if self._heartbeat is not None:
-            self._heartbeat.start()
-
-    # -- control protocol consumed by ShardSpec.run (runner thread) --------
-
-    def stop_before(self, offset: int) -> bool:
-        with self._lock:
-            if offset >= self._stop_at:
-                return True
-            self._executing = offset
-            return False
-
-    def completed(self, offset: int) -> None:
-        with self._lock:
-            self._done = offset + 1
-            self._executing = None
-
-    # -- session-loop side --------------------------------------------------
-
-    def steal(self, requested: int) -> int | None:
-        """Lower the stop boundary toward ``requested``; return the cut.
-
-        The boundary never drops below the earliest unit not yet started
-        (a unit mid-task cannot be unexecuted), and never rises above the
-        current boundary.  Returns ``None`` when the run already finished —
-        there is no tail left to give.
-        """
-        with self._lock:
-            if self.finished.is_set():
-                return None
-            floor = (self._executing + 1 if self._executing is not None
-                     else self._done)
-            boundary = min(max(int(requested), floor), self._stop_at)
-            self._stop_at = boundary
-            return boundary
-
-    def abort(self) -> None:
-        """Stop as soon as the unit in flight completes (session teardown)."""
-        self.steal(0)
-
-    # -- worker threads ------------------------------------------------------
-
-    def _beat(self) -> None:
-        while not self.finished.wait(self._interval):
-            with self._lock:
-                done = self._done
-            try:
-                self._send(("heartbeat", self.spec.index, done))
-            except transport.TransportError:
-                return
-
-    def _run_shard(self) -> None:
-        spec = self.spec
-        try:
-            try:
-                result = spec.run(collect_caches=True, control=self)
-            except BaseException as error:
-                self._log.log("shard_error", level="error", shard=spec.index,
-                              error=f"{type(error).__name__}: {error}",
-                              last_span=_last_span_name())
-                self._send(("error", spec.index, _pickled_exception(error),
-                            traceback.format_exc(), _error_diagnostics()))
-            else:
-                self._log.log("shard_done", shard=spec.index,
-                              units_done=len(result.results))
-                self._send(("result", result))
-        except transport.TransportError as error:
-            self._log.log("result_send_failed", level="error",
-                          shard=spec.index, error=str(error))
-        finally:
-            self.finished.set()
+    if _shard_thread is None:
+        _shard_thread = concurrent.futures.ThreadPoolExecutor(
+            max_workers=1, thread_name_prefix="repro-shard")
+    future = _shard_thread.submit(spec.run, collect_caches=True)
+    while not concurrent.futures.wait(
+            [future], timeout=heartbeat_interval or None).done:
+        conn.send(("heartbeat",))
+    try:
+        result = future.result()
+    except Exception as error:
+        log.log("shard_error", level="error", shard=spec.index,
+                error=f"{type(error).__name__}: {error}",
+                last_span=_last_span_name())
+        message = ("error", spec.index, _pickled_exception(error),
+                   traceback.format_exc(), _error_diagnostics())
+    else:
+        log.log("shard_done", shard=spec.index,
+                units_done=len(result.results))
+        message = ("result", result)
+    conn.send(message)
 
 
 def serve_connection(conn: transport.Connection,
@@ -285,85 +231,53 @@ def serve_connection(conn: transport.Connection,
     """Run one parent session over an established connection."""
     if log is None:
         log = WorkerLog()
-    send_lock = threading.Lock()
-
-    def send(message: Any) -> None:
-        # One frame at a time: the session loop, the shard runner and the
-        # heartbeat thread all write to the same stream.
-        with send_lock:
-            conn.send(message)
-
-    send(("hello", {"pid": os.getpid(),
-                    "protocol": transport.PROTOCOL_VERSION}))
+    conn.send(("hello", {"pid": os.getpid(),
+                         "protocol": transport.PROTOCOL_VERSION}))
     log.log("session_start", peer=conn.peer)
-    active: _ShardRun | None = None
     heartbeat_interval = 0.0
-    try:
-        while True:
-            try:
-                message = conn.recv()
-            except transport.TransportClosedError:
-                log.log("session_end", peer=conn.peer, reason="closed")
-                return
-            except transport.TransportError as error:
-                # Bad magic / oversized frame: the stream is desynchronized
-                # and nothing further on it can be trusted — end the session
-                # (the parent sees the close as a worker loss and re-queues).
-                log.log("desynchronized_stream", level="error",
-                        error=str(error))
-                return
-            except Exception as error:
-                # The frame arrived but its payload would not unpickle (e.g.
-                # a task module this worker cannot import).  The framing is
-                # intact, so report and keep the session alive; the parent
-                # retries the shard elsewhere.
-                log.log("unpicklable_frame", level="error", error=str(error))
-                send(("error", None, _pickled_exception(error),
-                      traceback.format_exc(), _error_diagnostics()))
-                continue
-            kind = message[0]
-            if kind == "init":
-                options = message[1]
-                heartbeat_interval = float(
-                    options.get("heartbeat_interval") or 0.0)
-                _apply_init(options)
-            elif kind == "ping":
-                send(("pong",))
-            elif kind == "shutdown":
-                log.log("session_end", peer=conn.peer, reason="shutdown")
-                return
-            elif kind == "shard":
-                spec = message[1]
-                if active is not None:
-                    # The parent pipelines at most one shard per worker, so
-                    # a fresh dispatch means the previous run's terminal
-                    # message is at most moments away.
-                    active.finished.wait()
-                send(("ack", spec.index))
-                log.log("shard_start", shard=spec.index,
-                        units=len(spec.units), traced=spec.trace is not None)
-                active = _ShardRun(spec, send, log, heartbeat_interval)
-                active.start()
-            elif kind == "steal":
-                index, offset = message[1], message[2]
-                boundary = None
-                if active is not None and active.spec.index == index:
-                    boundary = active.steal(offset)
-                send(("stolen", index, boundary))
-                if boundary is not None:
-                    log.log("shard_stolen", shard=index, boundary=boundary)
-            else:
-                send(("error", None,
-                      _pickled_exception(
-                          RuntimeError(f"unknown message kind {kind!r}")),
-                      "", _error_diagnostics()))
-    finally:
-        if active is not None and not active.finished.is_set():
-            # The session died under a running shard: stop it at the next
-            # unit boundary so a persistent --serve worker is free for its
-            # next parent (the result has nowhere to go anyway).
-            active.abort()
-            active.finished.wait(timeout=5.0)
+    while True:
+        try:
+            message = conn.recv()
+        except transport.TransportClosedError:
+            log.log("session_end", peer=conn.peer, reason="closed")
+            return
+        except transport.TransportError as error:
+            # Bad magic / oversized frame: the stream is desynchronized
+            # and nothing further on it can be trusted — end the session
+            # (the parent sees the close as a worker loss and re-queues).
+            log.log("desynchronized_stream", level="error", error=str(error))
+            return
+        except Exception as error:
+            # The frame arrived but its payload would not unpickle (e.g.
+            # a task module this worker cannot import).  The framing is
+            # intact, so report and keep the session alive; the parent
+            # retries the shard elsewhere.
+            log.log("unpicklable_frame", level="error", error=str(error))
+            conn.send(("error", None, _pickled_exception(error),
+                       traceback.format_exc(), _error_diagnostics()))
+            continue
+        kind = message[0]
+        if kind == "init":
+            options = message[1]
+            heartbeat_interval = float(
+                options.get("heartbeat_interval") or 0.0)
+            _apply_init(options)
+        elif kind == "ping":
+            conn.send(("pong",))
+        elif kind == "shutdown":
+            log.log("session_end", peer=conn.peer, reason="shutdown")
+            return
+        elif kind == "shard":
+            spec = message[1]
+            conn.send(("ack", spec.index))
+            log.log("shard_start", shard=spec.index, units=len(spec.units),
+                    traced=spec.trace is not None)
+            _run_shard(spec, conn, log, heartbeat_interval)
+        else:
+            conn.send(("error", None,
+                       _pickled_exception(
+                           RuntimeError(f"unknown message kind {kind!r}")),
+                       "", _error_diagnostics()))
 
 
 def main(argv: list[str] | None = None) -> None:
@@ -426,8 +340,8 @@ def main(argv: list[str] | None = None) -> None:
                 try:
                     serve_connection(conn, log)
                 except transport.TransportError as error:
-                    # The parent vanished mid-session (crash, severed
-                    # straggler connection).  A persistent server outlives
+                    # The parent vanished mid-session (crash, or a
+                    # connection it cut).  A persistent server outlives
                     # its parents: log and accept the next one.
                     log.log("parent_lost", level="error", peer=conn.peer,
                             error=str(error))

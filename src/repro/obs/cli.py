@@ -3,7 +3,7 @@
 Subcommands:
 
 ``summarize TRACE``
-    Per-phase breakdown, shard timeline with retry/straggler/dedup events,
+    Per-phase breakdown, shard timeline with retry/worker-death events,
     merged metric totals and top-N kernels.  ``--json`` for machine output.
 ``chrome TRACE [-o OUT]``
     Export to Chrome Trace Event JSON (load in ``chrome://tracing`` or

@@ -4,7 +4,7 @@ The engine stamps each ``ShardSpec`` with a tiny picklable
 :class:`TraceContext` (trace id + the plan span's id).  How the shard's
 observability data gets home depends on where the shard runs:
 
-- **Same process, same trace** (serial and thread executors): the shard's
+- **Same process, same trace** (the serial executor): the shard's
   ``exec.shard`` span records directly into the live tracer, parented to the
   plan span.
 - **Another process** (process pool and remote fleet workers): the shard runs
@@ -125,9 +125,8 @@ def observe_shard(spec: Any) -> Iterator[_ShardObs]:
 
 def merge_shard_envelopes(results: Iterable[Any]) -> None:
     """Fold worker-side envelopes from ``ShardResult.obs`` into the parent
-    tracer and process registry.  Call only for results that won (the remote
-    scheduler adopts straggler-dedup losers separately, marked abandoned,
-    and never merges their metrics)."""
+    tracer and process registry — one envelope per shard, so merged totals
+    count every unit exactly once."""
     tracer = _trace.active_tracer()
     registry = _metrics.get_registry()
     for result in results:
@@ -137,21 +136,6 @@ def merge_shard_envelopes(results: Iterable[Any]) -> None:
         if tracer is not None:
             tracer.adopt(envelope.get("spans", ()))
         registry.merge_snapshot(envelope.get("metrics", {}))
-
-
-def adopt_abandoned(envelope: Optional[Dict[str, Any]],
-                    **event_attrs: Any) -> None:
-    """Adopt a discarded shard attempt's spans, marked ``abandoned``.
-
-    Used by the remote scheduler when straggler dedup drops a duplicate
-    result: the duplicate's timeline is kept as evidence, but its metrics are
-    deliberately *not* merged, so merged metric totals count every unit
-    exactly once.
-    """
-    tracer = _trace.active_tracer()
-    if tracer is None or not envelope:
-        return
-    tracer.adopt(envelope.get("spans", ()), abandoned=True)
 
 
 def record_fleet_stats(stats: Dict[str, int],

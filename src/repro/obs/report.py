@@ -3,8 +3,8 @@
 Consumes the record stream defined in :mod:`repro.obs.sink` and produces:
 
 - :func:`summarize` — per-span-name phase breakdown, the shard timeline
-  (with retry/straggler/dedup events and abandoned attempts), merged metric
-  totals and the top-N kernels by cumulative time;
+  (with retry and worker-death events), merged metric totals and the top-N
+  kernels by cumulative time;
 - :func:`format_summary` — the human layout ``python -m repro.obs
   summarize`` prints;
 - :func:`chrome_trace` — a ``chrome://tracing`` / Perfetto-loadable JSON
@@ -37,16 +37,13 @@ def summarize(records: Iterable[Dict[str, Any]],
             pids.add(record.get("pid"))
             name = record.get("name", "?")
             agg = spans.setdefault(
-                name, {"count": 0, "total": 0.0, "max": 0.0, "errors": 0,
-                       "abandoned": 0})
+                name, {"count": 0, "total": 0.0, "max": 0.0, "errors": 0})
             duration = float(record.get("dur", 0.0))
             agg["count"] += 1
             agg["total"] += duration
             agg["max"] = max(agg["max"], duration)
             if record.get("error"):
                 agg["errors"] += 1
-            if record.get("abandoned"):
-                agg["abandoned"] += 1
             if name == "exec.shard":
                 attrs = record.get("attrs", {})
                 shards.append({
@@ -55,7 +52,6 @@ def summarize(records: Iterable[Dict[str, Any]],
                     "pid": record.get("pid"),
                     "t0": record.get("t0"),
                     "dur": duration,
-                    "abandoned": bool(record.get("abandoned")),
                 })
         elif kind == "event":
             name = record.get("name", "?")
@@ -113,11 +109,7 @@ def format_summary(summary: Dict[str, Any]) -> str:
     lines.append("per-phase breakdown (by span name):")
     lines.append(f"  {'span':<28} {'count':>6} {'total_s':>10} {'max_s':>10}")
     for name, agg in summary["spans"].items():
-        suffix = ""
-        if agg["errors"]:
-            suffix += f"  errors={agg['errors']}"
-        if agg["abandoned"]:
-            suffix += f"  abandoned={agg['abandoned']}"
+        suffix = f"  errors={agg['errors']}" if agg["errors"] else ""
         lines.append(f"  {name:<28} {agg['count']:>6} {agg['total']:>10.4f} "
                      f"{agg['max']:>10.4f}{suffix}")
 
@@ -126,11 +118,10 @@ def format_summary(summary: Dict[str, Any]) -> str:
         lines.append("")
         lines.append("shard timeline:")
         for entry in summary["shards"]:
-            flag = "  [abandoned]" if entry["abandoned"] else ""
             lines.append(
                 f"  shard {entry['shard']!s:>4}  pid {entry['pid']}  "
                 f"+{entry['t0'] - origin:7.3f}s  {entry['dur']:8.4f}s  "
-                f"{entry['units']} unit(s){flag}")
+                f"{entry['units']} unit(s)")
 
     if summary["events"]:
         lines.append("")
@@ -170,8 +161,6 @@ def chrome_trace(records: Iterable[Dict[str, Any]]) -> Dict[str, Any]:
             args = dict(record.get("attrs", {}))
             if record.get("error"):
                 args["error"] = record["error"]
-            if record.get("abandoned"):
-                args["abandoned"] = True
             trace_events.append({
                 "name": record["name"],
                 "ph": "X",
@@ -179,7 +168,7 @@ def chrome_trace(records: Iterable[Dict[str, Any]]) -> Dict[str, Any]:
                 "dur": record["dur"] * 1e6,
                 "pid": record["pid"],
                 "tid": record.get("tid", 0),
-                "cat": "abandoned" if record.get("abandoned") else "span",
+                "cat": "span",
                 "args": args,
             })
         elif kind == "event":

@@ -9,12 +9,12 @@ checks:
     ``{"type": "meta", "trace", "t0", "pid", "argv"}`` — one per tracer.
 ``span``
     ``{"type": "span", "trace", "span", "parent", "name", "t0", "dur",
-    "pid", "tid"}`` plus optional ``attrs`` (dict), ``error`` (exception
-    class name) and ``abandoned`` (bool, straggler-dedup losers).
+    "pid", "tid"}`` plus optional ``attrs`` (dict) and ``error`` (exception
+    class name).
 ``event``
     ``{"type": "event", "trace", "name", "ts", "pid"}`` plus optional
-    ``parent``/``attrs`` — instantaneous scheduler facts (retries,
-    speculation, dedup, worker deaths).
+    ``parent``/``attrs`` — instantaneous scheduler facts (retries, unacked
+    re-queues, heartbeat timeouts, worker deaths and joins).
 ``metrics``
     ``{"type": "metrics", "trace", "scope", "pid", "snapshot"}`` where
     ``snapshot`` maps metric names to the plain-dict snapshots produced by

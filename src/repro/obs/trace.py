@@ -66,18 +66,9 @@ class Tracer:
             if self.sink is not None:
                 self.sink.write(record)
 
-    def adopt(self, records: Iterable[Dict[str, Any]],
-              abandoned: bool = False) -> None:
-        """Merge records produced by a worker-side tracer into this one.
-
-        ``abandoned=True`` marks spans from a shard attempt whose result was
-        discarded (straggler-dedup loser): the timeline keeps the evidence,
-        but reports can tell it apart from the work that produced the output.
-        """
+    def adopt(self, records: Iterable[Dict[str, Any]]) -> None:
+        """Merge records produced by a worker-side tracer into this one."""
         for record in records:
-            if abandoned:
-                record = dict(record)
-                record["abandoned"] = True
             self.emit(record)
 
 
@@ -202,7 +193,7 @@ def span(name: str, *, parent: Optional[str] = None, **attrs: Any):
 
 
 def event(name: str, *, parent: Optional[str] = None, **attrs: Any) -> None:
-    """Record an instantaneous event (retry, dedup, worker death, ...)."""
+    """Record an instantaneous event (retry, worker death, ...)."""
     tracer = active_tracer()
     if tracer is None:
         return

@@ -1,40 +1,22 @@
-"""Elastic-scheduler battery: work stealing, heartbeats, grow/shrink.
+"""Elastic-fleet battery: deaths, heartbeats, grow/shrink under guided chunks.
 
 The contract under test is the same as everywhere else in ``tests/exec/``:
-**bit-identical reducers under any stealing schedule** — forced steals,
-heartbeat-timed-out (SIGSTOPped) workers, and a fleet that grows via
-:meth:`RemoteExecutor.attach` and shrinks via a mid-run kill must all leave
-the output exactly equal to the serial reference.  The ``async`` executor's
-coroutine path is covered here too.
+**bit-identical reducers under any schedule** — a worker killed mid-chunk,
+a heartbeat-timed-out (silently partitioned) worker, and a fleet that grows
+via :meth:`RemoteExecutor.attach` and shrinks via a mid-run kill must all
+leave the output exactly equal to the serial reference.  Every run here uses
+the engine's default guided chunks.
 """
 
 from __future__ import annotations
 
-import asyncio
 import os
 import subprocess
 import sys
 import threading
 import time
 
-import pytest
-
-from repro.exec import (
-    AsyncExecutor,
-    MonteCarloPlan,
-    RemoteExecutor,
-    build_executor,
-    run_plan,
-)
-
-
-def _tail_heavy(unit, rng, *, heavy_from, heavy_seconds):
-    """An imbalanced plan: units past ``heavy_from`` are slow."""
-    if int(unit) >= int(heavy_from):
-        time.sleep(float(heavy_seconds))
-    else:
-        time.sleep(0.001)
-    return float(unit) + float(rng.random())
+from repro.exec import MonteCarloPlan, RemoteExecutor, run_plan
 
 
 def _stall_once(unit, rng, *, flag):
@@ -60,7 +42,19 @@ def _stall_once(unit, rng, *, flag):
     return value
 
 
-def _sleepy(unit, rng, *, seconds):
+def _die_once_heavy(unit, rng, *, flag):
+    """Slow units plus one worker suicide mid-chunk."""
+    value = float(unit) + float(rng.random())
+    if int(unit) == 3 and not os.path.exists(flag):
+        open(flag, "w").close()
+        os._exit(17)
+    time.sleep(0.02)
+    return value
+
+
+def _marked_sleep(unit, rng, *, seconds, marks):
+    """Sleep, after leaving a ``<pid>`` marker saying who runs a unit now."""
+    open(os.path.join(marks, str(os.getpid())), "w").close()
     time.sleep(float(seconds))
     return float(unit) + float(rng.random())
 
@@ -69,22 +63,58 @@ def _sync_value(unit, rng):
     return float(unit) + float(rng.random())
 
 
-async def _awaited_value(unit, rng):
-    await asyncio.sleep(0.001)
+def _worker_pid(unit, rng, *, seconds):
+    time.sleep(float(seconds))
+    return os.getpid()
+
+
+def _sleep_then(unit, rng, *, seconds, fail):
+    """Sleep past a few heartbeat intervals, then return or raise."""
+    time.sleep(float(seconds))
+    if fail:
+        raise ValueError(f"failed unit {unit}")
     return float(unit) + float(rng.random())
 
 
-#: Cross-shard concurrency tracker for the async executor (shards share the
-#: event-loop thread, so a module global is visible to all of them).
-_CONCURRENCY = {"active": 0, "peak": 0}
+def _thread_ident(unit, rng):
+    return threading.get_ident()
 
 
-async def _tracking_value(unit, rng):
-    _CONCURRENCY["active"] += 1
-    _CONCURRENCY["peak"] = max(_CONCURRENCY["peak"], _CONCURRENCY["active"])
-    await asyncio.sleep(0.01)
-    _CONCURRENCY["active"] -= 1
-    return float(unit)
+class _ScriptedConnection:
+    """An in-memory worker connection: replays parent frames, records the
+    worker's frames and the threads that sent them."""
+
+    peer = "scripted"
+
+    def __init__(self, incoming):
+        self._incoming = list(incoming)
+        self._lock = threading.Lock()
+        self.sent = []
+        self.senders = set()
+
+    def send(self, message):
+        with self._lock:
+            self.senders.add(threading.get_ident())
+            self.sent.append(message)
+
+    def recv(self):
+        from repro.exec import transport
+
+        if not self._incoming:
+            raise transport.TransportClosedError("script exhausted")
+        return self._incoming.pop(0)
+
+
+def _serve_script(*shards, heartbeat_interval):
+    """Run one worker session over ``shards``, pinging after each."""
+    from repro.exec.worker import serve_connection
+
+    incoming = [("init", {"heartbeat_interval": heartbeat_interval})]
+    for shard in shards:
+        incoming += [("shard", shard), ("ping",)]
+    conn = _ScriptedConnection(incoming)
+    serve_connection(conn)
+    return conn
 
 
 def _serve_worker():
@@ -97,127 +127,163 @@ def _serve_worker():
     return process, address
 
 
-class TestWorkStealing:
-    def test_forced_steal_stays_bit_identical(self):
-        """Two static shards, all the weight in the second: the idle worker
-        must steal the heavy tail, and the reduced output must not move."""
-        plan = MonteCarloPlan(task=_tail_heavy, units=tuple(range(12)),
-                              seed=29, context={"heavy_from": 6,
-                                                "heavy_seconds": 0.1})
-        reference = run_plan(plan, executor="serial")
-        executor = RemoteExecutor(workers=2, steal=True, steal_wait=0.05,
-                                  heartbeat_interval=0.05,
-                                  straggler_wait=30.0)
-        try:
-            results = run_plan(plan, executor=executor, num_shards=2)
-        finally:
-            executor.close()
-        assert results == reference
-        assert executor.last_run_stats["steals"] >= 1
-        assert executor.last_run_stats["heartbeats"] >= 1
+def _wait_for(predicate, timeout=10.0):
+    deadline = time.monotonic() + timeout
+    while not predicate():
+        if time.monotonic() > deadline:
+            raise TimeoutError("condition not reached")
+        time.sleep(0.01)
 
-    def test_steal_disabled_never_splits(self):
-        plan = MonteCarloPlan(task=_tail_heavy, units=tuple(range(8)),
-                              seed=29, context={"heavy_from": 4,
-                                                "heavy_seconds": 0.05})
-        reference = run_plan(plan, executor="serial")
-        executor = RemoteExecutor(workers=2, steal=False,
-                                  straggler_wait=30.0)
-        try:
-            results = run_plan(plan, executor=executor, num_shards=2)
-        finally:
-            executor.close()
-        assert results == reference
-        assert executor.last_run_stats["steals"] == 0
-        assert executor.last_run_stats["steal_requests"] == 0
 
-    def test_worker_death_under_stealing_schedule(self, tmp_path):
-        """Post-ack death with aggressive stealing enabled: the retry and
-        split machinery compose without double-counting a unit."""
+class TestWorkerDeath:
+    def test_worker_death_under_guided_chunks(self, tmp_path):
+        """A post-ack death inside the first (largest) chunk: the chunk is
+        retried whole and no unit is double-counted."""
         flag = tmp_path / "died"
         plan = MonteCarloPlan(task=_die_once_heavy, units=tuple(range(10)),
                               seed=31, context={"flag": str(flag)})
         flag.touch()
         reference = run_plan(plan, executor="serial")
         flag.unlink()
-        executor = RemoteExecutor(workers=2, max_retries=2, steal=True,
-                                  steal_wait=0.05, heartbeat_interval=0.05,
-                                  straggler_wait=30.0)
+        executor = RemoteExecutor(workers=2, max_retries=2,
+                                  heartbeat_interval=0.05)
         try:
-            results = run_plan(plan, executor=executor, num_shards=2)
+            results = run_plan(plan, executor=executor)
         finally:
             executor.close()
         assert results == reference
         assert executor.last_run_stats["worker_deaths"] >= 1
+        assert executor.last_run_stats["retries"] >= 1
 
 
-def _die_once_heavy(unit, rng, *, flag):
-    """Slow units plus one worker suicide, to overlap retries with steals."""
-    value = float(unit) + float(rng.random())
-    if int(unit) == 3 and not os.path.exists(flag):
-        open(flag, "w").close()
-        os._exit(17)
-    time.sleep(0.02)
-    return value
-
-
-class TestHeartbeatTimeout:
+class TestHeartbeats:
     def test_silent_worker_drained_and_output_identical(self, tmp_path):
         """A silently stalled (partitioned) worker is detected by heartbeat
         timeout and drained like a death; the sweep completes bit-identical
-        on the survivor — under a stealing schedule."""
+        on the survivor."""
         flag = tmp_path / "stalled"
         plan = MonteCarloPlan(task=_stall_once, units=tuple(range(8)),
                               seed=37, context={"flag": str(flag)})
         flag.touch()
         reference = run_plan(plan, executor="serial")
         flag.unlink()
-        executor = RemoteExecutor(workers=2, max_retries=2, steal=True,
-                                  steal_wait=0.05, heartbeat_interval=0.05,
-                                  heartbeat_timeout=0.75,
-                                  straggler_wait=30.0)
+        executor = RemoteExecutor(workers=2, max_retries=2,
+                                  heartbeat_interval=0.05,
+                                  heartbeat_timeout=0.75)
         try:
-            results = run_plan(plan, executor=executor, num_shards=2)
+            results = run_plan(plan, executor=executor)
         finally:
             executor.close()
         assert results == reference
         assert executor.last_run_stats["heartbeat_timeouts"] >= 1
         assert executor.last_run_stats["worker_deaths"] >= 1
 
+    def test_late_heartbeat_never_fails_the_health_probe(self):
+        """Regression: a heartbeat sent after a shard's result used to be
+        read by the next run's ping probe instead of ``pong``, so a healthy
+        worker was killed and respawned.  Ten back-to-back runs must keep
+        the same two workers."""
+        plan = MonteCarloPlan(task=_worker_pid, units=tuple(range(8)),
+                              seed=71, context={"seconds": 0.02})
+        executor = RemoteExecutor(workers=2, heartbeat_interval=0.02)
+        pids = set()
+        try:
+            for _ in range(10):
+                pids.update(run_plan(plan, executor=executor,
+                                     num_shards=8))
+        finally:
+            executor.close()
+        assert len(pids) == 2
+
+
+class TestWorkerSession:
+    """One worker session, driven in-process over a scripted connection."""
+
+    def _sleeper(self, fail):
+        plan = MonteCarloPlan(task=_sleep_then, units=(0, 1), seed=73,
+                              context={"seconds": 0.05, "fail": fail})
+        [shard] = plan.chunks(1)
+        return shard
+
+    def test_no_heartbeat_trails_a_result(self):
+        conn = _serve_script(self._sleeper(fail=False),
+                             heartbeat_interval=0.01)
+        kinds = [message[0] for message in conn.sent]
+        assert kinds[:2] == ["hello", "ack"]
+        assert "heartbeat" in kinds
+        assert kinds[kinds.index("result"):] == ["result", "pong"]
+        assert conn.senders == {threading.get_ident()}
+
+    def test_no_heartbeat_trails_an_error(self):
+        conn = _serve_script(self._sleeper(fail=True),
+                             heartbeat_interval=0.01)
+        kinds = [message[0] for message in conn.sent]
+        assert "heartbeat" in kinds
+        assert kinds[kinds.index("error"):] == ["error", "pong"]
+        assert conn.senders == {threading.get_ident()}
+
+    def test_shards_run_on_one_thread_off_the_session_thread(self):
+        """Every shard of a worker runs on one thread (so per-thread state,
+        the channel-reference resolve memo, is built once per worker) that
+        is not the session thread (the main thread of a worker process)."""
+        plan = MonteCarloPlan(task=_thread_ident, units=tuple(range(6)),
+                              seed=79)
+        chunks = plan.chunks(3)
+        conn = _serve_script(*chunks, heartbeat_interval=0.01)
+        results = [message[1] for message in conn.sent
+                   if message[0] == "result"]
+        assert [result.index for result in results] == [
+            chunk.index for chunk in chunks]
+        idents = {ident for result in results for ident in result.results}
+        assert len(idents) == 1
+        assert idents != {threading.get_ident()}
+
 
 class TestElasticFleet:
-    def test_fleet_grows_and_shrinks_mid_run(self):
-        """A --serve worker attached into an in-flight map_shards takes
-        work (grow), is killed mid-run (shrink), and the output never
-        moves."""
-        plan = MonteCarloPlan(task=_sleepy, units=tuple(range(10)),
-                              seed=41, context={"seconds": 0.2})
+    def test_fleet_grows_and_shrinks_mid_run(self, tmp_path):
+        """A --serve worker attached into an in-flight map_shards pulls a
+        pending chunk (grow), is killed while running it (shrink), and the
+        output never moves."""
+        marks = tmp_path / "marks"
+        marks.mkdir()
+        # Guided chunks for two workers: 8, 4, 2, 1, 1 units of 0.1 s, so
+        # small chunks are still pending while the first two run.
+        plan = MonteCarloPlan(task=_marked_sleep, units=tuple(range(16)),
+                              seed=41, context={"seconds": 0.1,
+                                                "marks": str(marks)})
         reference = run_plan(plan, executor="serial")
+        for mark in marks.iterdir():
+            mark.unlink()
         process, address = _serve_worker()
-        executor = RemoteExecutor(workers=1, max_retries=3,
-                                  heartbeat_interval=0.05,
-                                  straggler_wait=30.0)
+        executor = RemoteExecutor(workers=2, max_retries=3,
+                                  heartbeat_interval=0.05)
         failures = []
 
         def grow_then_shrink():
             try:
-                time.sleep(0.2)
+                # Attach once a unit runs (the scheduler is live), then kill
+                # the newcomer once it is running a unit of its own.
+                _wait_for(lambda: any(marks.iterdir()))
                 executor.attach(address)
-                time.sleep(0.4)
+                _wait_for((marks / str(process.pid)).exists)
                 process.kill()
             except Exception as error:  # pragma: no cover - surfaced below
                 failures.append(error)
 
-        helper = threading.Thread(target=grow_then_shrink)
         try:
+            # Spawn and handshake the fleet before the measured run.
+            run_plan(MonteCarloPlan(task=_sync_value, units=(0, 1), seed=1),
+                     executor=executor)
+            helper = threading.Thread(target=grow_then_shrink)
             helper.start()
-            results = run_plan(plan, executor=executor,
-                               num_shards=plan.num_units)
-            helper.join()
+            results = run_plan(plan, executor=executor)
+            helper.join(timeout=30)
         finally:
             executor.close()
             process.kill()
             process.wait(timeout=10)
+            process.stdout.close()
+        assert not helper.is_alive()
         assert not failures
         assert results == reference
         assert executor.last_run_stats["joins"] >= 1
@@ -228,7 +294,7 @@ class TestElasticFleet:
                               seed=43)
         reference = run_plan(plan, executor="serial")
         process, address = _serve_worker()
-        executor = RemoteExecutor(workers=1, straggler_wait=30.0)
+        executor = RemoteExecutor(workers=1)
         try:
             executor.attach(address)  # no run in flight: joins the fleet
             results = run_plan(plan, executor=executor)
@@ -237,42 +303,4 @@ class TestElasticFleet:
             executor.close()
             process.kill()
             process.wait(timeout=10)
-
-
-class TestAsyncExecutor:
-    def test_coroutine_task_matches_sync_serial_reference(self):
-        sync_plan = MonteCarloPlan(task=_sync_value, units=tuple(range(10)),
-                                   seed=47)
-        async_plan = MonteCarloPlan(task=_awaited_value,
-                                    units=tuple(range(10)), seed=47)
-        reference = run_plan(sync_plan, executor="serial")
-        assert run_plan(async_plan, executor="async", workers=3) == reference
-
-    def test_sync_task_runs_unchanged(self):
-        plan = MonteCarloPlan(task=_sync_value, units=tuple(range(7)),
-                              seed=53)
-        reference = run_plan(plan, executor="serial")
-        assert run_plan(plan, executor="async", workers=2) == reference
-
-    def test_concurrency_bounded_by_workers(self):
-        _CONCURRENCY["active"] = _CONCURRENCY["peak"] = 0
-        plan = MonteCarloPlan(task=_tracking_value, units=tuple(range(8)),
-                              seed=59)
-        run_plan(plan, executor="async", workers=2, num_shards=8)
-        assert _CONCURRENCY["peak"] == 2
-
-    def test_build_executor_resolves_async(self):
-        executor = build_executor("async", workers=2)
-        assert isinstance(executor, AsyncExecutor)
-        assert executor.shares_memory is False
-
-    def test_refuses_nested_event_loop(self):
-        plan = MonteCarloPlan(task=_sync_value, units=tuple(range(2)),
-                              seed=61)
-        executor = AsyncExecutor(workers=1)
-
-        async def inside_loop():
-            executor.map_shards(plan.shards(1))
-
-        with pytest.raises(RuntimeError, match="event loop"):
-            asyncio.run(inside_loop())
+            process.stdout.close()

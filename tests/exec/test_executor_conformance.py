@@ -1,17 +1,16 @@
 """One conformance battery over every executor backend.
 
 The determinism contract of ``repro.exec`` says the executor is a pure
-throughput knob: for a fixed seed, every backend — serial, thread pool,
-process pool, remote fleet — must produce bit-identical per-unit results,
-identical reductions, the same merged condition-cache state, and must be
-invariant under the ``shards_per_worker`` oversharding knob.  This battery
-runs the same assertions over all four registered backends so a new
-executor cannot land without honouring the contract.
+throughput knob: for a fixed seed, every backend — serial, process pool,
+remote fleet — must produce bit-identical per-unit results, identical
+reductions, the same merged condition-cache state, and must be invariant
+under how the plan is cut (guided chunks or ``num_shards`` balanced
+shards).  This battery runs the same assertions over all three registered
+backends so a new executor cannot land without honouring the contract.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import subprocess
 import sys
 
@@ -30,7 +29,7 @@ from repro.exec import (
 )
 from repro.flash import BlockGeometry
 
-BACKENDS = ("serial", "thread", "process", "async", "remote")
+BACKENDS = ("serial", "process", "remote")
 WORKERS = 2
 
 
@@ -60,10 +59,7 @@ def _cached_draw(unit, rng, *, channel):
 def backend(request):
     """One long-lived executor per backend; the remote fleet (worker
     subprocesses) is spawned once for the whole battery."""
-    if request.param == "remote":
-        executor = RemoteExecutor(workers=WORKERS, straggler_wait=5.0)
-    else:
-        executor = build_executor(request.param, workers=WORKERS)
+    executor = build_executor(request.param, workers=WORKERS)
     yield executor
     executor.close()
 
@@ -127,18 +123,18 @@ class TestCacheConformance:
             assert stats["merges"] == 0
             assert stats["merged_entries"] == 0
         else:
-            # Thread, process and remote all fold one snapshot per shard
-            # back into the parent — identical counters for all three.
+            # Process and remote both fold one snapshot per shard back
+            # into the parent — identical counters for both.
             assert stats["merges"] == 2
             assert stats["merged_entries"] == 4
 
 
-class TestOvershardingConformance:
-    @pytest.mark.parametrize("factor", [1, 3])
-    def test_output_invariant_for_any_factor(self, backend, plan, reference,
-                                             factor):
-        oversharded = dataclasses.replace(plan, shards_per_worker=factor)
-        assert run_plan(oversharded, executor=backend) == reference
+class TestChunkingConformance:
+    @pytest.mark.parametrize("num_shards", [None, 1, 3 * WORKERS])
+    def test_output_invariant_for_any_cut(self, backend, plan, reference,
+                                          num_shards):
+        assert run_plan(plan, executor=backend,
+                        num_shards=num_shards) == reference
 
 
 class TestServeModeFleet:

@@ -12,7 +12,6 @@ from repro.exec import (
     ProcessExecutor,
     SerialExecutor,
     TallyReducer,
-    ThreadExecutor,
     build_executor,
     run_plan,
 )
@@ -23,13 +22,6 @@ def _draw(unit, rng):
     return float(rng.random())
 
 
-def _paired_block_sum(unit, rng, *, channel):
-    """Task hitting the simulator's internal rng swap (thread-unsafe if
-    shards shared the channel object)."""
-    program, voltages = channel.paired_blocks(1, 7000, rng=rng)
-    return float(voltages.sum())
-
-
 def _cached_estimate(unit, rng, *, channel):
     """Plan task exercising the channel's per-condition LRU cache."""
     return channel.level_error_rate_estimate(4000 + 1000 * int(unit),
@@ -38,8 +30,7 @@ def _cached_estimate(unit, rng, *, channel):
 
 class TestBuildExecutor:
     def test_registry_names(self):
-        assert set(EXECUTOR_REGISTRY) == {"serial", "thread", "process",
-                                          "async", "remote"}
+        assert set(EXECUTOR_REGISTRY) == {"serial", "process", "remote"}
 
     def test_remote_resolves_by_name(self):
         from repro.exec import RemoteExecutor
@@ -57,7 +48,7 @@ class TestBuildExecutor:
         assert isinstance(build_executor("auto", workers=4), ProcessExecutor)
 
     def test_by_name(self):
-        assert isinstance(build_executor("thread", workers=2), ThreadExecutor)
+        assert isinstance(build_executor("serial"), SerialExecutor)
         assert build_executor("process", workers=3).workers == 3
 
     def test_instance_passthrough(self):
@@ -84,26 +75,8 @@ class TestRunPlan:
 
     def test_every_executor_agrees(self, plan):
         serial = run_plan(plan, executor="serial")
-        thread = run_plan(plan, executor="thread", workers=2)
         process = run_plan(plan, executor="process", workers=2)
-        assert serial == thread == process
-
-    def test_thread_executor_isolates_stateful_context(self):
-        """Shards must not race on the simulator's internal rng swap.
-
-        The simulator adapter temporarily rebinds its sampler's generator
-        around each read; without per-shard context isolation, concurrent
-        thread shards cross-contaminate their streams and diverge from
-        serial.
-        """
-        channel = build_channel("simulator", geometry=BlockGeometry(16, 16),
-                                rng=np.random.default_rng(1))
-        plan = MonteCarloPlan(task=_paired_block_sum,
-                              units=tuple(range(16)), seed=2,
-                              context={"channel": channel})
-        serial = run_plan(plan, executor="serial")
-        for _ in range(5):
-            assert run_plan(plan, executor="thread", workers=8) == serial
+        assert serial == process
 
     def test_num_shards_is_a_throughput_knob(self, plan):
         one = run_plan(plan, executor="serial", num_shards=1)
@@ -131,10 +104,11 @@ class TestWorkerCacheMerging:
         channel.cache.clear()
         run_plan(self._plan(channel), executor="process", workers=2)
         stats = channel.cache.stats()
-        # Each worker computed its shard's conditions; the parent adopted
-        # every entry even though no compute ran in this process.
+        # Each worker computed its shards' conditions; the parent adopted
+        # every entry even though no compute ran in this process — one
+        # merge per guided chunk (1 + 1 + 1 + 1 units).
         assert stats["size"] == 4
-        assert stats["merges"] == 2
+        assert stats["merges"] == 4
         assert stats["merged_entries"] == 4
         assert stats["misses"] == 4
 

@@ -3,15 +3,14 @@
 The tracing contract mirrors the determinism contract: the executor is a
 pure throughput knob, so a traced run must produce the same span *tree*
 (modulo timing and process ids) and the same merged metric totals on every
-backend.  Under faults the accounting must stay exact: a straggler-dedup
-loser's spans land on the timeline marked abandoned but its metrics are
-never merged, so merged totals count every unit exactly once.
+backend.  Under faults the accounting must stay exact: a dead worker's
+envelope never comes home and the retry's does, so merged totals count
+every unit exactly once.
 """
 
 from __future__ import annotations
 
 import os
-import time
 
 import pytest
 
@@ -23,7 +22,7 @@ from repro.exec import (
 )
 from repro.obs import metrics, trace
 
-BACKENDS = ("serial", "thread", "process", "remote")
+BACKENDS = ("serial", "process", "remote")
 WORKERS = 2
 
 # The propagation claim is about these spans; engine bookkeeping spans
@@ -37,17 +36,6 @@ def _traced_unit(unit, rng, *, scale):
     with trace.span("task.unit", unit=int(unit)):
         metrics.get_registry().inc("task.units")
         return scale * float(unit) + float(rng.random())
-
-
-def _slow_traced(unit, rng, *, flag):
-    """Unit 5's first execution anywhere is a straggler."""
-    with trace.span("task.unit", unit=int(unit)):
-        metrics.get_registry().inc("task.units")
-        value = float(unit) + float(rng.random())
-    if int(unit) == 5 and not os.path.exists(flag):
-        open(flag, "w").close()
-        time.sleep(1.5)
-    return value
 
 
 def _die_traced(unit, rng, *, flag):
@@ -81,7 +69,7 @@ def _span_tree(records):
     names = {r["span"]: r["name"] for r in records if r["type"] == "span"}
     edges = {}
     for record in records:
-        if record["type"] != "span" or record.get("abandoned"):
+        if record["type"] != "span":
             continue
         name = record["name"]
         if name not in TREE_SPANS:
@@ -111,10 +99,7 @@ class TestConformance:
     @pytest.mark.parametrize("backend_name", BACKENDS)
     def test_span_tree_and_metric_totals_identical(self, backend_name, plan,
                                                    reference):
-        if backend_name == "remote":
-            executor = RemoteExecutor(workers=WORKERS, straggler_wait=5.0)
-        else:
-            executor = build_executor(backend_name, workers=WORKERS)
+        executor = build_executor(backend_name, workers=WORKERS)
         try:
             results, records, totals = _traced_run(plan, executor)
         finally:
@@ -138,41 +123,6 @@ class TestConformance:
 
 
 class TestFaultAccounting:
-    def test_dedup_losers_abandoned_and_counted_once(self, tmp_path):
-        flag = tmp_path / "slowed"
-        plan = MonteCarloPlan(task=_slow_traced, units=tuple(range(6)),
-                              seed=11, context={"flag": str(flag)})
-        flag.touch()
-        reference = run_plan(plan, executor="serial")
-        flag.unlink()
-
-        executor = RemoteExecutor(workers=2, straggler_wait=0.05,
-                                  max_retries=1)
-        try:
-            results, records, totals = _traced_run(plan, executor,
-                                                   num_shards=2)
-            stats = executor.last_run_stats
-        finally:
-            executor.close()
-        assert results == reference
-        # Exactly one *winning* shard span per index, whatever raced.
-        winners = {}
-        for record in records:
-            if record["type"] == "span" and record["name"] == "exec.shard" \
-                    and not record.get("abandoned"):
-                index = record["attrs"]["shard"]
-                winners[index] = winners.get(index, 0) + 1
-        assert winners == {0: 1, 1: 1}
-        # Metrics are merged from winners only: every unit exactly once.
-        assert totals["task.units"] == plan.num_units
-        assert totals["exec.fleet.deduplicated"] == stats["deduplicated"]
-        if stats["deduplicated"]:
-            abandoned = [r for r in records if r.get("abandoned")]
-            assert abandoned  # the loser's timeline survives as evidence
-            event_names = [r["name"] for r in records
-                           if r["type"] == "event"]
-            assert "exec.dedup" in event_names
-
     def test_killed_worker_keeps_totals_exact(self, tmp_path):
         flag = tmp_path / "died"
         plan = MonteCarloPlan(task=_die_traced, units=tuple(range(8)),
@@ -181,8 +131,7 @@ class TestFaultAccounting:
         reference = run_plan(plan, executor="serial")
         flag.unlink()
 
-        executor = RemoteExecutor(workers=2, max_retries=2,
-                                  straggler_wait=10.0)
+        executor = RemoteExecutor(workers=2, max_retries=2)
         try:
             results, records, totals = _traced_run(plan, executor)
             stats = executor.last_run_stats
@@ -199,7 +148,7 @@ class TestFaultAccounting:
 
     def test_exhaustion_note_names_the_worker(self):
         plan = MonteCarloPlan(task=_boom, units=tuple(range(4)), seed=1)
-        executor = RemoteExecutor(workers=2, max_retries=1, speculate=False)
+        executor = RemoteExecutor(workers=2, max_retries=1)
         try:
             with pytest.raises(ValueError, match="boom at unit 2") as info:
                 run_plan(plan, executor=executor)

@@ -1,8 +1,8 @@
 """Fault injection for the remote executor.
 
 The distributed backend must stay on the determinism contract *under
-failure*: a worker killed mid-shard, a fleet that cannot be reached, a
-straggler racing its speculative duplicate, and a shard that fails past its
+failure*: a worker killed mid-chunk, a fleet that cannot be reached, a
+worker speaking another protocol version, and a shard that fails past its
 retry budget all have pinned behaviours — bit-identical output where the
 run survives, a typed error carrying the original worker traceback where it
 cannot.
@@ -11,6 +11,7 @@ cannot.
 from __future__ import annotations
 
 import os
+import threading
 import time
 
 import pytest
@@ -18,10 +19,15 @@ import pytest
 from repro.exec import (
     MonteCarloPlan,
     RemoteExecutor,
-    TallyReducer,
+    RemoteExecutorError,
+    ShardResult,
+    TransportClosedError,
     TransportConnectError,
+    TransportError,
     run_plan,
 )
+from repro.exec import transport
+from repro.exec.remote import _ShardScheduler
 
 
 def _die_once(unit, rng, *, flag):
@@ -33,13 +39,8 @@ def _die_once(unit, rng, *, flag):
     return value
 
 
-def _slow_once(unit, rng, *, flag):
-    """Make unit 5's first execution a straggler (its re-run is fast)."""
-    value = float(unit) + float(rng.random())
-    if int(unit) == 5 and not os.path.exists(flag):
-        open(flag, "w").close()
-        time.sleep(1.5)
-    return value
+def _value(unit, rng):
+    return float(unit) + float(rng.random())
 
 
 def _boom(unit, rng):
@@ -47,6 +48,19 @@ def _boom(unit, rng):
     if int(unit) == 2:
         raise ValueError("boom at unit 2")
     return float(unit)
+
+
+def _slow_or_fail(unit, rng, *, marks, seconds):
+    """Unit 0 runs for ``seconds`` after leaving a ``<pid>`` marker; unit 1
+    fails as soon as unit 0 is running."""
+    if int(unit) == 0:
+        open(os.path.join(marks, str(os.getpid())), "w").close()
+        time.sleep(float(seconds))
+        return 0.0
+    deadline = time.monotonic() + 10.0
+    while not os.listdir(marks) and time.monotonic() < deadline:
+        time.sleep(0.01)
+    raise ValueError("fails at once")
 
 
 def _plan(task, units=8, **context):
@@ -62,8 +76,7 @@ class TestWorkerDeath:
         reference = run_plan(plan, executor="serial")
         flag.unlink()
 
-        executor = RemoteExecutor(workers=2, max_retries=2,
-                                  straggler_wait=10.0)
+        executor = RemoteExecutor(workers=2, max_retries=2)
         try:
             results = run_plan(plan, executor=executor)
         finally:
@@ -76,8 +89,7 @@ class TestWorkerDeath:
         """A later run on the same executor gets a full-strength fleet."""
         flag = tmp_path / "died"
         plan = _plan(_die_once, flag=str(flag))
-        executor = RemoteExecutor(workers=2, max_retries=2,
-                                  straggler_wait=10.0)
+        executor = RemoteExecutor(workers=2, max_retries=2)
         try:
             run_plan(plan, executor=executor)  # kills one worker
             healthy = _plan(_die_once, flag=str(flag))  # flag now exists
@@ -101,195 +113,172 @@ class TestDeadTransport:
         assert time.monotonic() - start < 10.0  # typed error, not a hang
 
 
-class TestStragglerRedispatch:
-    def test_duplicate_results_deduplicated_and_counted_once(self, tmp_path):
-        flag = tmp_path / "slowed"
-        plan = _plan(_slow_once, units=6, flag=str(flag))
-        flag.touch()
-        reference = run_plan(plan, executor="serial")
-        tally_reference = run_plan(plan, reducer=TallyReducer(),
-                                   executor="serial")
-        flag.unlink()
+def _serve_fake_worker(protocol):
+    """A one-shot worker that announces ``protocol`` at handshake.
 
-        executor = RemoteExecutor(workers=2, straggler_wait=0.05,
-                                  max_retries=1)
+    Returns the address it listens on; the serving thread answers one
+    connection with a ``hello`` frame and then waits for the parent to hang
+    up.
+    """
+    listener = transport.listen()
+    address = transport.format_address(*listener.getsockname()[:2])
+
+    def serve():
+        client, _ = listener.accept()
+        listener.close()
+        conn = transport.Connection.from_socket(client)
         try:
-            results = run_plan(plan, executor=executor)
+            conn.send(("hello", {"pid": os.getpid(), "protocol": protocol}))
+            conn.recv()
+        except TransportError:
+            pass
+        finally:
+            conn.close()
+
+    threading.Thread(target=serve, daemon=True).start()
+    return address
+
+
+class TestHandshake:
+    def test_other_protocol_version_refused_on_attach(self):
+        older = transport.PROTOCOL_VERSION - 1
+        address = _serve_fake_worker(older)
+        executor = RemoteExecutor(workers=1, connect_timeout=5.0)
+        try:
+            with pytest.raises(TransportError, match=f"protocol {older} "):
+                executor.attach(address)
         finally:
             executor.close()
-        # The idle worker speculatively re-ran the straggling shard; the
-        # duplicate result was dropped, so every unit is counted exactly
-        # once and the output is still bit-identical to serial.
-        assert results == reference
-        assert len(results) == plan.num_units
-        assert sum(results) == tally_reference
-        assert executor.last_run_stats["duplicates"] >= 1
-        assert executor.last_run_stats["deduplicated"] >= 1
+
+    def test_other_protocol_version_refused_as_host(self):
+        newer = transport.PROTOCOL_VERSION + 1
+        address = _serve_fake_worker(newer)
+        plan = _plan(_value, units=2)
+        executor = RemoteExecutor(hosts=[address], connect_timeout=5.0)
+        try:
+            with pytest.raises(TransportError, match=f"protocol {newer} "):
+                run_plan(plan, executor=executor)
+        finally:
+            executor.close()
+
+
+def _complete(scheduler, shard):
+    result = ShardResult(index=shard.index, start=shard.start,
+                         results=[1.0] * len(shard.units))
+    scheduler.completed(result)
+    return result
 
 
 class TestSchedulerEdgeCases:
-    def test_exhaustion_deferred_while_duplicate_copy_runs(self):
-        """A duplicate copy's death must not fail a shard whose original is
-        still running — speculation can never turn a survivable run fatal."""
-        from repro.exec import ShardResult, TransportClosedError
-        from repro.exec.remote import _ShardScheduler
-
-        plan = _plan(_boom, units=4)
-        [shard] = plan.shards(1)
-        scheduler = _ShardScheduler([shard], max_retries=0, speculate=True,
-                                    straggler_wait=0.0, max_copies=2)
-        original_worker, duplicate_worker = object(), object()
-        assert scheduler.next_shard(original_worker) is shard
-        # Tail speculation: the only shard is immediately duplicated.
-        assert scheduler.next_shard(duplicate_worker) is shard
-
-        scheduler.worker_lost(duplicate_worker, shard,
-                              TransportClosedError("duplicate died"))
-        assert scheduler.fatal_error is None  # original still racing
-
-        result = ShardResult(index=shard.index, start=shard.start,
-                             results=[1.0] * len(shard.units))
-        scheduler.completed(original_worker, result)
-        assert scheduler.fatal_error is None
-        assert scheduler.ordered_results() == [result]
+    def test_chunks_leave_the_queue_in_order(self):
+        chunks = _plan(_boom, units=10).chunks(2)
+        scheduler = _ShardScheduler(chunks, max_retries=0)
+        pulled = [scheduler.next_shard() for _ in chunks]
+        assert pulled == chunks
+        results = [_complete(scheduler, chunk) for chunk in reversed(pulled)]
+        assert scheduler.next_shard() is None
+        assert scheduler.ordered_results() == results[::-1]
 
     def test_unacked_dispatch_requeues_without_consuming_budget(self):
-        """A death before the ack means the shard never started: re-queue
-        freely, even with a zero retry budget."""
-        from repro.exec import ShardResult, TransportClosedError
-        from repro.exec.remote import _ShardScheduler
-
-        plan = _plan(_boom, units=4)
-        [shard] = plan.shards(1)
-        scheduler = _ShardScheduler([shard], max_retries=0, speculate=False,
-                                    straggler_wait=0.0, max_copies=2)
-        lost_worker, healthy_worker = object(), object()
-        assert scheduler.next_shard(lost_worker) is shard
-        scheduler.worker_lost(lost_worker, shard,
+        """A death before the ack means the chunk never started: re-queue it
+        at the head of the queue, even with a zero retry budget."""
+        chunks = _plan(_boom, units=4).chunks(2)  # 1, 1, 1, 1 units
+        scheduler = _ShardScheduler(chunks, max_retries=0)
+        lost_worker = object()
+        first = scheduler.next_shard()
+        assert first is chunks[0]
+        scheduler.worker_lost(lost_worker, first,
                               TransportClosedError("died pre-ack"),
                               acked=False)
         assert scheduler.fatal_error is None
         assert scheduler.stats["unacked_redispatches"] == 1
-        assert scheduler.next_shard(healthy_worker) is shard  # re-queued
-        result = ShardResult(index=shard.index, start=shard.start,
-                             results=[1.0] * len(shard.units))
-        scheduler.completed(healthy_worker, result)
-        assert scheduler.ordered_results() == [result]
-
-    def test_exhaustion_fires_once_no_copy_is_left(self):
-        from repro.exec import TransportClosedError
-        from repro.exec.remote import _ShardScheduler
-
-        plan = _plan(_boom, units=4)
-        [shard] = plan.shards(1)
-        scheduler = _ShardScheduler([shard], max_retries=0, speculate=True,
-                                    straggler_wait=0.0, max_copies=2)
-        workers = object(), object()
-        for worker in workers:
-            assert scheduler.next_shard(worker) is shard
-        scheduler.worker_lost(workers[0], shard,
-                              TransportClosedError("first died"))
-        assert scheduler.fatal_error is None
-        scheduler.worker_lost(workers[1], shard,
-                              TransportClosedError("second died"))
-        assert scheduler.fatal_error is not None
-
-    def test_stale_requeued_spec_not_redispatched_after_completion(self):
-        """Regression: a shard re-queued by ``_requeue_unacked`` whose
-        presumed-lost copy then *wins* used to stay in the pending queue and
-        be fully re-executed after completion.  The stale entry must be
-        skipped at dispatch."""
-        from repro.exec import ShardResult, TransportClosedError
-        from repro.exec.remote import _ShardScheduler
-
-        plan = _plan(_boom, units=12)
-        shard0, shard1, shard2 = plan.shards(3)
-        scheduler = _ShardScheduler([shard0, shard1, shard2], max_retries=2,
-                                    speculate=False, straggler_wait=10.0,
-                                    max_copies=2, steal=False)
-        worker_a, worker_b, worker_c = object(), object(), object()
-        assert scheduler.next_shard(worker_a) is shard0
-        assert scheduler.next_shard(worker_b) is shard1
-        # The transport to worker A hiccups before the ack arrives: shard 0
-        # is presumed never-started and re-queued for free...
-        scheduler.worker_lost(worker_a, shard0,
-                              TransportClosedError("presumed lost"),
-                              acked=False)
-        assert scheduler.stats["unacked_redispatches"] == 1
-        # ... but the dispatch had actually landed, and its result wins.
-        result0 = ShardResult(index=shard0.index, start=shard0.start,
-                              results=[1.0] * len(shard0.units))
-        scheduler.completed(worker_a, result0)
-        # The next dispatch must skip the stale pending copy of shard 0 and
-        # hand out the untouched shard 2 — not re-execute completed work.
-        assert scheduler.next_shard(worker_c) is shard2
-        assert scheduler.stats["stale_skips"] == 1
-        assert scheduler.stats["dispatches"] == 3  # one per distinct shard
-
-    def test_straggler_copies_each_wait_their_own_cycle(self):
-        """Regression: staleness was keyed to the shard's *first* dispatch,
-        so the moment one shard crossed ``straggler_wait`` every idle worker
-        piled on duplicates up to ``max_copies`` in the same wait cycle.
-        Each additional copy must wait its own ``straggler_wait`` from the
-        previous dispatch."""
-        from repro.exec.remote import _ShardScheduler
-
-        plan = _plan(_boom, units=4)
-        [shard] = plan.shards(1)
-        scheduler = _ShardScheduler([shard], max_retries=0, speculate=True,
-                                    straggler_wait=0.2, max_copies=3,
-                                    steal=False)
-        first, second, third = object(), object(), object()
-        assert scheduler.next_shard(first) is shard
-        time.sleep(0.25)
-        with scheduler._cond:
-            assert scheduler._straggler_for(second) is shard
-            # The fresh copy reset the staleness clock: a third copy may
-            # not launch in the same wait cycle.
-            assert scheduler._straggler_for(third) is None
-        time.sleep(0.25)
-        with scheduler._cond:
-            assert scheduler._straggler_for(third) is shard
+        assert scheduler.stats["retries"] == 0
+        # Re-queued ahead of the chunks never dispatched.
+        pulled = [scheduler.next_shard() for _ in chunks]
+        assert pulled == chunks
+        results = [_complete(scheduler, chunk) for chunk in pulled]
+        assert scheduler.ordered_results() == results
 
     def test_death_in_ack_to_start_window_consumes_budget(self):
         """A death *after* the ack — even before the first unit ran — counts
         against the retry budget: the shard reached the worker, so it may be
         poison."""
-        from repro.exec import TransportClosedError
-        from repro.exec.remote import _ShardScheduler
-
-        plan = _plan(_boom, units=4)
-        [shard] = plan.shards(1)
-        scheduler = _ShardScheduler([shard], max_retries=1, speculate=False,
-                                    straggler_wait=10.0, max_copies=2,
-                                    steal=False)
-        doomed, healthy = object(), object()
-        assert scheduler.next_shard(doomed) is shard
-        scheduler.acked(shard.index)
-        scheduler.worker_lost(doomed, shard,
+        chunks = _plan(_boom, units=4).chunks(2)
+        scheduler = _ShardScheduler(chunks, max_retries=1)
+        doomed = object()
+        first = scheduler.next_shard()
+        scheduler.acked()
+        scheduler.worker_lost(doomed, first,
                               TransportClosedError("died between ack and "
                                                    "first unit"),
                               acked=True)
         assert scheduler.fatal_error is None
         assert scheduler.stats["retries"] == 1
-        assert scheduler.next_shard(healthy) is shard
+        assert scheduler.next_shard() is first
+
+    def test_errored_chunk_retries_ahead_of_undispatched_chunks(self):
+        chunks = _plan(_boom, units=4).chunks(2)  # 1, 1, 1, 1 units
+        scheduler = _ShardScheduler(chunks, max_retries=1)
+        first = scheduler.next_shard()
+        scheduler.errored(object(), first, ValueError("boom"), "tb")
+        assert scheduler.fatal_error is None
+        assert scheduler.stats["retries"] == 1
+        assert [scheduler.next_shard() for _ in chunks] == chunks
+
+    def test_idle_worker_pulls_a_requeued_chunk(self):
+        """A worker with nothing to pull blocks until a failed chunk is
+        re-queued, then takes it; it is released once the run is over."""
+        chunks = _plan(_boom, units=2).chunks(2)  # 1, 1 units
+        scheduler = _ShardScheduler(chunks, max_retries=1)
+        first, second = scheduler.next_shard(), scheduler.next_shard()
+        pulled = []
+
+        def idle_worker():
+            while (spec := scheduler.next_shard()) is not None:
+                pulled.append(spec)
+                _complete(scheduler, spec)
+
+        waiter = threading.Thread(target=idle_worker)
+        waiter.start()
+        waiter.join(timeout=0.1)
+        assert waiter.is_alive() and not pulled
+        scheduler.errored(object(), first, ValueError("boom"), "tb")
+        _complete(scheduler, second)
+        waiter.join(timeout=10)
+        assert not waiter.is_alive()
+        assert pulled == [first]
+        assert [result.index for result in scheduler.ordered_results()] == [
+            0, 1]
+
+    def test_losing_every_worker_is_fatal(self):
+        chunks = _plan(_boom, units=4).chunks(2)
+        scheduler = _ShardScheduler(chunks, max_retries=2)
+        scheduler.register_worker()
+        scheduler.register_worker()
+        first = scheduler.next_shard()
+        scheduler.worker_lost(object(), first,
+                              TransportClosedError("gone"), acked=True)
+        scheduler.deregister_worker()
+        assert scheduler.fatal_error is None  # one worker is left
+        scheduler.deregister_worker()
+        assert isinstance(scheduler.fatal_error, RemoteExecutorError)
+        assert "4 shard(s) incomplete" in str(scheduler.fatal_error)
+        assert scheduler.fatal_note.startswith("last worker failure:\n")
+        assert "worker connection lost mid-shard" in scheduler.fatal_note
+        scheduler.wait()  # returns: no worker is left to wait for
+        assert scheduler.next_shard() is None
 
     def test_death_in_ack_to_start_window_fatal_without_budget(self):
-        from repro.exec import TransportClosedError
-        from repro.exec.remote import _ShardScheduler
-
-        plan = _plan(_boom, units=4)
-        [shard] = plan.shards(1)
-        scheduler = _ShardScheduler([shard], max_retries=0, speculate=False,
-                                    straggler_wait=10.0, max_copies=2,
-                                    steal=False)
+        chunks = _plan(_boom, units=4).chunks(2)
+        scheduler = _ShardScheduler(chunks, max_retries=0)
         worker = object()
-        assert scheduler.next_shard(worker) is shard
-        scheduler.acked(shard.index)
-        scheduler.worker_lost(worker, shard,
+        first = scheduler.next_shard()
+        scheduler.acked()
+        scheduler.worker_lost(worker, first,
                               TransportClosedError("died post-ack"),
                               acked=True)
         assert scheduler.fatal_error is not None
+        assert scheduler.next_shard() is None  # the run is decided
 
 
 class TestWorkerMainFixup:
@@ -338,7 +327,7 @@ class TestFleetHealthProbe:
             [sys.executable, "-m", "repro.exec.worker",
              "--serve", "127.0.0.1:0"],
             stdout=subprocess.PIPE, text=True)
-        plan = _plan(_slow_once, units=4, flag="/nonexistent-flag")
+        plan = _plan(_value, units=4)
         try:
             address = process.stdout.readline().split()[-1]
             executor = RemoteExecutor(hosts=[address], connect_timeout=1.0)
@@ -356,10 +345,53 @@ class TestFleetHealthProbe:
             process.wait(timeout=10)
 
 
+class TestFatalErrorCut:
+    def test_cut_serve_host_answers_the_next_parent_mid_chunk(self,
+                                                              tmp_path):
+        """A fatal error raises at once and cuts the --serve host still
+        running a chunk.  That host takes the next parent's handshake while
+        the abandoned chunk still runs, and runs the new parent's chunk
+        after it."""
+        import subprocess
+        import sys
+
+        processes = [subprocess.Popen(
+            [sys.executable, "-m", "repro.exec.worker", "--serve",
+             "127.0.0.1:0"], stdout=subprocess.PIPE, text=True)
+            for _ in range(2)]
+        try:
+            addresses = {process.pid: process.stdout.readline().split()[-1]
+                         for process in processes}
+            plan = _plan(_slow_or_fail, units=2, marks=str(tmp_path),
+                         seconds=5.0)
+            executor = RemoteExecutor(hosts=list(addresses.values()),
+                                      max_retries=0)
+            start = time.monotonic()
+            try:
+                with pytest.raises(ValueError, match="fails at once"):
+                    run_plan(plan, executor=executor, num_shards=2)
+                assert time.monotonic() - start < 3.0
+            finally:
+                executor.close()
+            [busy_pid] = [int(name) for name in os.listdir(tmp_path)]
+            quick = _plan(_value, units=2)
+            again = RemoteExecutor(hosts=[addresses[busy_pid]],
+                                   connect_timeout=2.0)
+            try:
+                assert run_plan(quick, executor=again) == run_plan(
+                    quick, executor="serial")
+            finally:
+                again.close()
+        finally:
+            for process in processes:
+                process.kill()
+                process.wait(timeout=10)
+
+
 class TestRetryBudget:
     def test_exhaustion_surfaces_original_error_and_worker_traceback(self):
         plan = _plan(_boom, units=4)
-        executor = RemoteExecutor(workers=2, max_retries=1, speculate=False)
+        executor = RemoteExecutor(workers=2, max_retries=1)
         try:
             with pytest.raises(ValueError, match="boom at unit 2") as info:
                 run_plan(plan, executor=executor)

@@ -11,6 +11,8 @@ than computing garbage tallies.
 
 from __future__ import annotations
 
+import os
+
 import numpy as np
 import pytest
 
@@ -29,10 +31,9 @@ def _voltage_sum(unit, rng, *, channel):
     return float(np.asarray(voltages).sum())
 
 
-def _cached_probe(unit, rng, *, channel):
-    """A unit-rng-anchored artifact served from the channel's cache."""
-    return channel.cache.get_or_compute(("probe", int(unit)),
-                                        lambda: float(rng.random()))
+def _channel_identity(unit, rng, *, channel):
+    """Which process ran the unit, against which resolved channel object."""
+    return os.getpid(), id(channel)
 
 
 @pytest.fixture(scope="module")
@@ -77,31 +78,27 @@ class TestColdStartEquivalence:
     def test_remote_worker_cold_start_matches_in_memory(self, checkpoint,
                                                         reference):
         ref_plan = _plan(ChannelRef.from_checkpoint(checkpoint))
-        executor = RemoteExecutor(workers=2, straggler_wait=5.0)
+        executor = RemoteExecutor(workers=2)
         try:
             assert run_plan(ref_plan, executor=executor) == reference
         finally:
             executor.close()
 
-    def test_thread_pool_ref_snapshots_stay_independent(self, checkpoint):
-        """Shards sharing one per-thread resolved channel must still report
-        per-shard cache snapshots: a single pool thread running two shards
-        of different sizes merges the true per-shard counters into the
-        parent, not the last shard's counters twice."""
-        ref = ChannelRef.from_checkpoint(checkpoint)
-        plan = MonteCarloPlan(task=_cached_probe, units=(0, 1, 2), seed=4,
-                              context={"channel": ref})
-        serial = run_plan(plan, executor="serial")
-        parent = ref.resolve()  # the parent-side bearer the engine merges into
-        parent.cache.clear()
-        results = run_plan(plan, executor="thread", workers=1, num_shards=2)
-        assert results == serial
-        stats = parent.cache.stats()
-        assert stats["merges"] == 2
-        assert stats["size"] == 3
-        # Shard sizes are 1 and 2: aliased snapshots would double-count the
-        # last shard (4 misses); independent snapshots report 1 + 2.
-        assert stats["hits"] + stats["misses"] == 3
+    def test_remote_worker_cold_starts_once_across_shards(self, checkpoint):
+        """Regression: each shard used to run on a fresh thread, and the
+        resolve memo is keyed by thread, so one worker re-loaded the
+        checkpoint for some of its shards.  Every shard now runs on the
+        worker's session thread: one worker, one resolved channel."""
+        plan = MonteCarloPlan(task=_channel_identity, units=tuple(range(8)),
+                              seed=2, context={
+                                  "channel": ChannelRef.from_checkpoint(
+                                      checkpoint)})
+        executor = RemoteExecutor(workers=1)
+        try:
+            results = run_plan(plan, executor=executor, num_shards=8)
+        finally:
+            executor.close()
+        assert len(set(results)) == 1
 
 
 class TestCorruptedCheckpoint:
@@ -125,7 +122,7 @@ class TestCorruptedCheckpoint:
 
     def test_remote_worker_raises_typed_error(self, corrupted):
         plan = _plan(ChannelRef("cvae_gan", corrupted))
-        executor = RemoteExecutor(workers=2, max_retries=0, speculate=False)
+        executor = RemoteExecutor(workers=2, max_retries=0)
         try:
             with pytest.raises(CheckpointIntegrityError) as info:
                 run_plan(plan, executor=executor)

@@ -20,7 +20,8 @@ def _clean_process_registry():
 
 
 def _make_trace(path):
-    """A small real trace: nested spans, a scheduler event, kernel metrics."""
+    """A small real trace: nested spans, a scheduler event, kernel metrics
+    and one adopted worker span."""
     with trace.tracing(str(path), trace_id="t-test") as tracer:
         with trace.span("exec.plan", units=4):
             with trace.span("exec.shard", shard=0, start=0, units=2):
@@ -35,7 +36,7 @@ def _make_trace(path):
         tracer.adopt([{"type": "span", "trace": "t-test", "span": "x-9",
                        "parent": None, "name": "exec.shard", "t0": 1.0,
                        "dur": 0.5, "pid": 999, "tid": 1,
-                       "attrs": {"shard": 1, "units": 2}}], abandoned=True)
+                       "attrs": {"shard": 1, "units": 2}}])
     return path
 
 
@@ -69,9 +70,7 @@ class TestSummarize:
         assert summary["trace"] == "t-test"
         assert summary["spans"]["exec.plan"]["count"] == 1
         assert summary["spans"]["exec.shard"]["count"] == 3
-        assert summary["spans"]["exec.shard"]["abandoned"] == 1
-        timeline = summary["shards"]
-        assert [entry["abandoned"] for entry in timeline].count(True) == 1
+        assert len(summary["shards"]) == 3
         assert summary["events"] == {"exec.retry": 1}
         assert summary["kernels"][0]["kernel"] == "matmul"
         assert summary["kernels"][0]["calls"] == 2
@@ -80,7 +79,7 @@ class TestSummarize:
         text = report.format_summary(
             report.summarize(sink.read_trace(trace_file)))
         assert "exec.plan" in text
-        assert "[abandoned]" in text
+        assert "shard timeline" in text
         assert "exec.retry=1" in text
         assert "matmul" in text
 
@@ -97,9 +96,9 @@ class TestChromeExport:
         assert json.loads(json.dumps(exported)) == exported
         phases = {event["ph"] for event in exported["traceEvents"]}
         assert phases == {"X", "i"}
-        abandoned = [event for event in exported["traceEvents"]
-                     if event.get("cat") == "abandoned"]
-        assert len(abandoned) == 1
+        adopted = [event for event in exported["traceEvents"]
+                   if event["ph"] == "X" and event["pid"] == 999]
+        assert len(adopted) == 1  # the worker span lands on the timeline
         for event in exported["traceEvents"]:
             assert event["ts"] >= 0  # all times relative to the origin
 

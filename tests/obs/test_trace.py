@@ -64,16 +64,6 @@ class TestSpans:
         [record] = [r for r in tracer.records if r["type"] == "span"]
         assert record["attrs"] == {"fixed": 1, "late": 2}
 
-    def test_adopt_marks_abandoned_without_mutating_source(self):
-        foreign = [{"type": "span", "trace": "t", "span": "a-1",
-                    "parent": None, "name": "exec.shard", "t0": 0.0,
-                    "dur": 0.1, "pid": 1, "tid": 1}]
-        with trace.tracing() as tracer:
-            tracer.adopt(foreign, abandoned=True)
-        adopted = [r for r in tracer.records if r.get("abandoned")]
-        assert len(adopted) == 1
-        assert "abandoned" not in foreign[0]
-
     def test_enable_twice_is_an_error(self):
         trace.enable_tracing()
         try:
