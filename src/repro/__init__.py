@@ -25,9 +25,9 @@ The package is organised as a stack of subsystems:
     registry, with batched sampling and per-condition caching.
 ``repro.exec``
     The sharded Monte-Carlo execution engine: every sweep is a
-    ``MonteCarloPlan`` run over pluggable serial/thread/process executors
+    ``MonteCarloPlan`` run over pluggable serial/process/remote executors
     with per-unit seed splitting (bit-identical for any worker count) and
-    mergeable reducers/caches.
+    mergeable reducers.
 ``repro.eval``
     Evaluation metrics: conditional PDFs, divergences, level error counts and
     ICI pattern analysis.

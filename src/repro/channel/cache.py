@@ -8,11 +8,11 @@ recompute and small to store, so every :class:`repro.channel.ChannelModel`
 carries a :class:`ConditionCache` keyed by the condition tuple.
 
 The cache is a plain ordered-dict LRU: no external dependency, deterministic
-eviction, and hit/miss/merge counters so benchmarks can report cache
-effectiveness.  Because the sharded execution engine (:mod:`repro.exec`)
-pickles cache-bearing objects into worker processes, the cache is also
-*mergeable*: :meth:`merge` folds a worker's entries back into the parent
-while respecting LRU order and capacity.
+eviction, and hit/miss counters so benchmarks can report cache
+effectiveness.  A worker of the sharded execution engine (:mod:`repro.exec`)
+fills its own copy of a context's cache, and those entries stay in the
+worker: an artifact every shard needs is computed in the parent and passed
+in the plan context instead.
 """
 
 from __future__ import annotations
@@ -56,7 +56,8 @@ class ConditionCache:
             raise ValueError("maxsize must be non-negative")
         self.maxsize = maxsize
         self._entries: "OrderedDict[Hashable, Any]" = OrderedDict()
-        self.reset_stats()
+        self.hits = 0
+        self.misses = 0
 
     def __len__(self) -> int:
         return sum(1 for value in self._entries.values()
@@ -105,59 +106,15 @@ class ConditionCache:
             self._entries.popitem(last=False)
         return value
 
-    def merge(self, other: "ConditionCache") -> int:
-        """Fold another cache's entries into this one, LRU-respecting.
-
-        Entries are taken in the other cache's LRU order (least recent
-        first), so the most recently used entries of both caches survive
-        capacity eviction.  On a key conflict this cache keeps its own value
-        — the deterministic compute contract means both sides hold the same
-        artifact — and only refreshes the key's recency.  The other cache's
-        hit/miss counters are added to this one's, so :meth:`stats` reflects
-        the whole (possibly sharded) workload.  Returns the number of new
-        entries adopted.
-        """
-        if other is self:
-            raise ValueError("cannot merge a cache into itself")
-        adopted = 0
-        for key, value in list(other._entries.items()):
-            if isinstance(value, _InFlight):
-                continue
-            if key in self._entries:
-                if not isinstance(self._entries[key], _InFlight):
-                    self._entries.move_to_end(key)
-            elif self.maxsize > 0:
-                self._entries[key] = value
-                adopted += 1
-                if len(self._entries) > self.maxsize:
-                    self._entries.popitem(last=False)
-        self.hits += other.hits
-        self.misses += other.misses
-        self.merges += 1
-        self.merged_entries += adopted
-        return adopted
-
     def clear(self) -> None:
-        """Drop every entry and reset all counters."""
+        """Drop every entry and reset both counters."""
         self._entries.clear()
-        self.reset_stats()
-
-    def reset_stats(self) -> None:
-        """Zero the hit/miss/merge counters, keeping the entries.
-
-        Shard workers call this before running so their returned snapshot
-        reports the shard's own activity, not the parent's pickled history.
-        """
         self.hits = 0
         self.misses = 0
-        self.merges = 0
-        self.merged_entries = 0
 
     def stats(self) -> dict[str, int]:
-        """Hit/miss/merge/size counters (useful in benchmark reports)."""
-        return {"hits": self.hits, "misses": self.misses,
-                "merges": self.merges, "merged_entries": self.merged_entries,
-                "size": len(self)}
+        """Hit/miss/size counters (useful in benchmark reports)."""
+        return {"hits": self.hits, "misses": self.misses, "size": len(self)}
 
     def publish_metrics(self, prefix: str = "channel.cache",
                         registry: Any = None) -> Any:

@@ -14,8 +14,8 @@ refitting — with sampling bit-identical to the model that was saved;
 ``save_channel`` writes such checkpoints.
 
 ``resolve_channel`` additionally accepts already-built backends and the
-legacy concrete classes (:class:`repro.flash.FlashChannel`,
-:class:`repro.core.sampling.GenerativeChannelModel`, fitted statistical
+concrete classes behind them (:class:`repro.flash.FlashChannel`, a
+:class:`repro.core.base.ConditionalGenerativeModel`, fitted statistical
 models), wrapping them into protocol adapters, so every public API that takes
 a ``channel`` argument accepts any spelling.
 """
@@ -166,8 +166,8 @@ def resolve_channel(channel, **kwargs) -> ChannelModel:
 
     Accepts a registry name, an already-built :class:`ChannelModel`, a
     :class:`repro.exec.ChannelRef` (resolved from its on-disk checkpoint,
-    memoized per thread), or one of the legacy concrete classes (which are
-    wrapped in their adapter).  ``kwargs`` are only applied when a new
+    memoized per thread), or one of the concrete classes behind the
+    adapters (which are wrapped in their adapter).  ``kwargs`` are only applied when a new
     backend is constructed.
     """
     if isinstance(channel, ChannelModel):
@@ -191,10 +191,6 @@ def resolve_channel(channel, **kwargs) -> ChannelModel:
         return GenerativeChannel(channel, **kwargs)
     if isinstance(channel, StatisticalChannelModel):
         return BaselineChannel(channel, **kwargs)
-    from repro.core.sampling import GenerativeChannelModel
-
-    if isinstance(channel, GenerativeChannelModel):
-        return GenerativeChannel(channel, **kwargs)
     raise TypeError(f"cannot interpret {type(channel).__name__} as a channel "
                     "backend; pass a registry name, a ChannelModel, or one "
                     "of the supported concrete channel classes")

@@ -90,11 +90,12 @@ class ConditionalVAEGAN(ConditionalGenerativeModel):
             fake = self.generator(program_levels, pe_normalized, latent)
         real_logits = self.discriminator(program_levels, voltages)
         fake_logits = self.discriminator(program_levels, Tensor(fake.numpy()))
-        loss = bce_with_logits_loss(real_logits, 1.0) \
-            + bce_with_logits_loss(fake_logits, 0.0)
+        real_loss = bce_with_logits_loss(real_logits, 1.0)
+        fake_loss = bce_with_logits_loss(fake_logits, 0.0)
+        loss = real_loss + fake_loss
         stats = {
-            "d_real": bce_with_logits_loss(real_logits, 1.0).item(),
-            "d_fake": bce_with_logits_loss(fake_logits, 0.0).item(),
+            "d_real": real_loss.item(),
+            "d_fake": fake_loss.item(),
             "d_total": loss.item(),
         }
         return loss, stats

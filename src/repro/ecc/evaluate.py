@@ -284,11 +284,12 @@ def evaluate_ldpc_over_channel(code: LDPCCode, channel, pe_cycles: float,
     if density_table is None:
         density_table = _seeded_density_table(live, pe_cycles, seed,
                                               params)
-    # Only a ChannelRef keeps its original spelling (so the plan context
-    # ships a checkpoint path and workers cold-start from the zoo); every
-    # other spelling passes the backend resolved above, so the seed draw,
-    # the density table, the task calls and the worker cache merges all hit
-    # one instance.
+    # The density table is computed here, in the parent, and every shard
+    # gets it through the plan context.  Only a ChannelRef keeps its
+    # original spelling (so the plan context ships a checkpoint path and
+    # workers cold-start from the zoo); every other spelling passes the
+    # backend resolved above, so the seed draw, the density table and the
+    # serial task calls all hit one instance.
     campaign_channel = channel if isinstance(channel, ChannelRef) else live
     return _run_campaign(_ldpc_group_task, code, campaign_channel, pe_cycles,
                          num_codewords, rng, params, executor, workers,

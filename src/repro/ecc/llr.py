@@ -119,9 +119,9 @@ def densities_from_channel(channel, pe_cycles: float, num_bins: int = 128,
                            ) -> LevelDensityTable:
     """Estimate the density table by sampling a channel-like object.
 
-    ``channel`` must expose ``paired_blocks(num_blocks, pe_cycles)`` — both
-    :class:`repro.flash.FlashChannel` and
-    :class:`repro.core.sampling.GenerativeChannelModel` do.
+    ``channel`` must expose ``paired_blocks(num_blocks, pe_cycles)`` —
+    :class:`repro.flash.FlashChannel` and every
+    :class:`repro.channel.ChannelModel` do.
     """
     program, voltages = channel.paired_blocks(num_blocks, pe_cycles)
     return densities_from_samples(program, voltages, num_bins=num_bins,

@@ -8,8 +8,8 @@ frame-error campaigns, the figure drivers — runs through this package:
 2. pick an execution backend by name via :func:`build_executor`
    (``"serial"``, ``"process"``, ``"remote"``, or ``"auto"``);
 3. :func:`run_plan` cuts the units into guided chunks that the workers pull
-   in order, runs them, folds worker cache entries back into the parent,
-   and reduces the per-unit results with a mergeable :class:`Reducer`.
+   in order, runs them, and reduces the per-unit results with a mergeable
+   :class:`Reducer`.
 
 Randomness is anchored per unit (``SeedSequence(seed, spawn_key=(i,))``), so
 sharded execution is **bit-identical** to serial for a fixed seed — the

@@ -1,4 +1,4 @@
-"""The sharded Monte-Carlo engine: plan -> shards -> reduce -> merge caches.
+"""The sharded Monte-Carlo engine: plan -> shards -> reduce.
 
 :func:`run_plan` is the single entry point every sweep in this repository
 goes through — the time-aware constrained-code selector, the BCH/LDPC
@@ -10,10 +10,12 @@ frame-error campaigns, and the figure drivers.  It guarantees:
 * **Load balance** — by default the units are cut into guided chunks
   (:meth:`~repro.exec.MonteCarloPlan.chunks`) that pool and fleet workers
   pull in order as they go idle; a serial run gets one chunk.
-* **Cache continuity** — when shards run in worker processes, the condition
-  caches their context objects accumulated are folded back into the parent's
-  caches via :meth:`repro.channel.ConditionCache.merge`, so a sharded sweep
-  warms the same caches a serial one would.
+
+A shard sends back its per-unit results and, when traced, its obs envelope.
+Condition-cache entries a pool or fleet worker computes stay in that worker;
+an artifact every shard needs is computed in the parent and passed in the
+plan context (as :func:`repro.ecc.evaluate_ldpc_over_channel` does with its
+density table).
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ import dataclasses
 from typing import Any
 
 from repro.exec.executors import Executor, build_executor
-from repro.exec.plan import MonteCarloPlan, collect_cache_bearers
+from repro.exec.plan import MonteCarloPlan
 from repro.exec.reducers import Reducer
 from repro.obs import context as obs_context
 from repro.obs import trace as obs_trace
@@ -33,8 +35,7 @@ __all__ = ["run_plan"]
 def run_plan(plan: MonteCarloPlan, reducer: Reducer | None = None,
              executor: str | Executor | None = None,
              workers: int | None = None,
-             num_shards: int | None = None,
-             merge_caches: bool = True) -> Any:
+             num_shards: int | None = None) -> Any:
     """Execute a Monte-Carlo plan and reduce its per-unit results.
 
     Parameters
@@ -57,9 +58,6 @@ def run_plan(plan: MonteCarloPlan, reducer: Reducer | None = None,
         the default guided chunks (``ceil(remaining units / (2 *
         workers))`` each, one chunk for one worker).  A pure throughput
         knob: results are bit-identical for any value.
-    merge_caches:
-        Fold per-worker condition-cache entries back into the parent context
-        objects (only applies to executors that do not share memory).
     """
     owns_backend = not isinstance(executor, Executor)
     backend = executor if isinstance(executor, Executor) \
@@ -67,9 +65,8 @@ def run_plan(plan: MonteCarloPlan, reducer: Reducer | None = None,
                             workers)
     # With tracing enabled the whole call runs under an ``exec.plan`` span
     # and every shard is stamped with its trace context; workers' span and
-    # metric envelopes merge back below, next to the cache snapshots they
-    # are modelled on.  Disabled, plan_scope yields None and nothing else
-    # here runs.
+    # metric envelopes merge back below.  Disabled, plan_scope yields None
+    # and nothing else here runs.
     with obs_context.plan_scope(plan, backend.name,
                                 backend.workers) as trace_ctx:
         try:
@@ -86,14 +83,6 @@ def run_plan(plan: MonteCarloPlan, reducer: Reducer | None = None,
                 backend.close()
         if trace_ctx is not None:
             obs_context.merge_shard_envelopes(shard_results)
-        if merge_caches and not backend.shares_memory:
-            with obs_trace.span("exec.merge_caches"):
-                parent_caches = collect_cache_bearers(plan.context)
-                for shard_result in shard_results:
-                    for key, snapshot in shard_result.caches.items():
-                        parent = parent_caches.get(key)
-                        if parent is not None and parent is not snapshot:
-                            parent.merge(snapshot)
         results = [result for shard_result in shard_results
                    for result in shard_result.results]
         with obs_trace.span("exec.reduce"):

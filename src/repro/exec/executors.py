@@ -6,8 +6,7 @@ plumbing.  Three backends exist:
 
 * ``"serial"`` — run every shard in-process (the reference path);
 * ``"process"`` — a :class:`concurrent.futures.ProcessPoolExecutor` pool;
-  shards are pickled to workers, and cache snapshots travel back for the
-  engine to merge;
+  shards are pickled to workers and their results pickled back;
 * ``"remote"`` — a worker fleet over the socket transport
   (:class:`repro.exec.RemoteExecutor`): spawned localhost subprocesses by
   default, or pre-started ``python -m repro.exec.worker --serve`` hosts,
@@ -35,18 +34,9 @@ __all__ = ["Executor", "SerialExecutor", "ProcessExecutor",
 
 
 class Executor:
-    """Base class of every shard executor.
-
-    Attributes
-    ----------
-    shares_memory:
-        True when shards run against the caller's own objects (serial); the
-        engine then skips cache merging because the parent's caches were
-        updated in place.
-    """
+    """Base class of every shard executor."""
 
     name = "base"
-    shares_memory = True
 
     def __init__(self, workers: int | None = None):
         if workers is not None and workers < 1:
@@ -82,24 +72,16 @@ class SerialExecutor(Executor):
         return [shard.run() for shard in shards]
 
 
-def _run_shard_collecting(shard: ShardSpec) -> ShardResult:
-    """Process-pool entry point: snapshot caches for the parent to merge."""
-    return shard.run(collect_caches=True)
-
-
 class ProcessExecutor(Executor):
     """Process-pool execution via :mod:`concurrent.futures`.
 
     Each shard is pickled to a worker together with its context (pickled
     once per run and unpickled once per worker, see
-    :class:`~repro.exec.ShardSpec`); the worker returns per-unit results
-    plus snapshots of every condition cache the context carries, which the
-    engine folds back into the parent objects through
-    :meth:`repro.channel.ConditionCache.merge`.
+    :class:`~repro.exec.ShardSpec`); the worker returns the shard's per-unit
+    results.
     """
 
     name = "process"
-    shares_memory = False
 
     def __init__(self, workers: int | None = None):
         super().__init__(workers)
@@ -112,7 +94,7 @@ class ProcessExecutor(Executor):
         if self._pool is None:
             self._pool = concurrent.futures.ProcessPoolExecutor(
                 max_workers=self.workers)
-        return list(self._pool.map(_run_shard_collecting, shards))
+        return list(self._pool.map(ShardSpec.run, shards))
 
     def close(self) -> None:
         if self._pool is not None:

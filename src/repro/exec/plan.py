@@ -27,8 +27,6 @@ from typing import Any, Callable, Mapping, Sequence
 
 import numpy as np
 
-from repro.channel.cache import ConditionCache
-
 __all__ = ["MonteCarloPlan", "ShardSpec", "ShardResult", "ChannelRef",
            "stable_seed"]
 
@@ -58,9 +56,8 @@ def stable_seed(*components: Any) -> tuple[int, ...]:
 #: channel.  A capped LRU: when a long-lived parent cycles many checkpoints,
 #: the least recently used resolutions are dropped (the next use simply
 #: reloads) instead of pinning every model ever resolved for the life of
-#: the process.  Accesses refresh recency, so an entry in active use —
-#: notably the parent thread's, which the engine's cache merge peeks at — is
-#: not evicted by a burst of other resolutions.
+#: the process.  Accesses refresh recency, so an entry in active use is not
+#: evicted by a burst of other resolutions.
 _RESOLVED_CHANNELS: "OrderedDict[tuple, Any]" = OrderedDict()
 _RESOLVE_LOCK = threading.Lock()
 _RESOLVE_CACHE_MAX = 64
@@ -119,7 +116,7 @@ class ChannelRef:
         """Identity of the referenced build (name, path, frozen kwargs).
 
         Computed once — freezing checksums array-valued kwargs, and the key
-        is consulted on every resolve/peek.
+        is consulted on every resolve.
         """
         if self._key is None:
             options = tuple(sorted((name, _freeze_option(value))
@@ -130,39 +127,22 @@ class ChannelRef:
     def resolve(self):
         """The live backend, built from the checkpoint on this thread's
         first use."""
-        channel = self.peek()
-        if channel is None:
-            from repro.channel.registry import build_channel
-
-            key = (self.key(), threading.get_ident())
-            channel = build_channel(self.name, checkpoint=self.checkpoint,
-                                    **self.kwargs)
-            with _RESOLVE_LOCK:
-                channel = _RESOLVED_CHANNELS.setdefault(key, channel)
-                _RESOLVED_CHANNELS.move_to_end(key)
-                while len(_RESOLVED_CHANNELS) > _RESOLVE_CACHE_MAX:
-                    _RESOLVED_CHANNELS.popitem(last=False)
-        return channel
-
-    def peek(self):
-        """The backend this thread already resolved, or None (no load)."""
         key = (self.key(), threading.get_ident())
         with _RESOLVE_LOCK:
             channel = _RESOLVED_CHANNELS.get(key)
             if channel is not None:
                 _RESOLVED_CHANNELS.move_to_end(key)
-            return channel
+                return channel
+        from repro.channel.registry import build_channel
 
-    @property
-    def cache(self):
-        """The resolved backend's condition cache (None until resolved).
-
-        Exposing the cache of an *already-resolved* reference lets
-        :func:`collect_cache_bearers` fold worker snapshots into the parent
-        whenever the parent itself has used the channel, without forcing a
-        checkpoint load purely for bookkeeping.
-        """
-        return getattr(self.peek(), "cache", None)
+        channel = build_channel(self.name, checkpoint=self.checkpoint,
+                                **self.kwargs)
+        with _RESOLVE_LOCK:
+            channel = _RESOLVED_CHANNELS.setdefault(key, channel)
+            _RESOLVED_CHANNELS.move_to_end(key)
+            while len(_RESOLVED_CHANNELS) > _RESOLVE_CACHE_MAX:
+                _RESOLVED_CHANNELS.popitem(last=False)
+        return channel
 
     def __repr__(self) -> str:
         options = "".join(f", {name}={value!r}"
@@ -213,39 +193,18 @@ class _ContextShipment:
         return _receive_context, self._wire
 
 
-def collect_cache_bearers(context: Mapping[str, Any]
-                          ) -> dict[str, ConditionCache]:
-    """Condition caches reachable from a plan context, keyed by context key.
-
-    A context value participates if it *is* a :class:`ConditionCache` or
-    carries one as its ``cache`` attribute (every
-    :class:`repro.channel.ChannelModel` does; a :class:`ChannelRef` does
-    once this thread has resolved it).  The engine uses this map to fold
-    per-worker cache entries back into the parent objects.
-    """
-    bearers: dict[str, ConditionCache] = {}
-    for key, value in context.items():
-        if isinstance(value, ConditionCache):
-            bearers[key] = value
-        else:
-            cache = getattr(value, "cache", None)
-            if isinstance(cache, ConditionCache):
-                bearers[key] = cache
-    return bearers
-
-
 @dataclass
 class ShardResult:
-    """Per-unit results (in unit order) and cache snapshots of one shard."""
+    """Per-unit results (in unit order) of one shard, and nothing of its
+    context: cache entries a worker computed stay in the worker."""
 
     index: int
     start: int
     results: list
-    caches: dict[str, ConditionCache] = field(default_factory=dict)
     #: Observability envelope (worker-side spans + metrics snapshots) set by
     #: :meth:`ShardSpec.run` when the spec carries a trace context and runs
-    #: outside the tracing process; merged by the engine exactly like the
-    #: cache snapshots above.  ``None`` on untraced or same-process runs.
+    #: outside the tracing process; merged into the parent by the engine.
+    #: ``None`` on untraced or same-process runs.
     obs: dict[str, Any] | None = None
 
 
@@ -262,7 +221,8 @@ class ShardSpec:
     the cut pickled once, and a worker process unpickles those on its first
     spec of the cut and hands the same copy to the rest.  Context state such
     as condition caches therefore carries over between a worker's chunks of
-    one run, as it does between the units of a serial run.
+    one run, as it does between the units of a serial run; it never travels
+    back to the parent.
     """
 
     index: int
@@ -303,37 +263,29 @@ class ShardSpec:
                 else value
                 for key, value in self.context.items()}
 
-    def run(self, collect_caches: bool = False) -> ShardResult:
+    def run(self) -> ShardResult:
         """Execute the units of this shard in order.
-
-        ``collect_caches=True`` (used by process executors, whose shard runs
-        on a pickled copy of the context) resets the cache counters first so
-        the returned snapshots report this shard's activity only, then
-        attaches the caches for the engine to merge back into the parent.
 
         When the spec carries a trace context the run is wrapped in an
         ``exec.shard`` span; in a foreign process the span/metric records
         come back in ``ShardResult.obs`` (see :mod:`repro.obs.context`).
         """
         if self.trace is None:
-            return self._run(collect_caches)
+            return self._run()
         from repro.obs.context import observe_shard
 
         with observe_shard(self) as obs_box:
-            result = self._run(collect_caches)
+            result = self._run()
         if obs_box.envelope is not None:
             result.obs = obs_box.envelope
         return result
 
-    def _run(self, collect_caches: bool) -> ShardResult:
+    def _run(self) -> ShardResult:
         context = self.resolved_context()
-        caches = collect_cache_bearers(context) if collect_caches else {}
-        for cache in caches.values():
-            cache.reset_stats()
         results = [self.task(unit, self.unit_rng(offset), **context)
                    for offset, unit in enumerate(self.units)]
         return ShardResult(index=self.index, start=self.start,
-                           results=results, caches=caches)
+                           results=results)
 
 
 @dataclass(frozen=True)

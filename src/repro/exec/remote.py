@@ -27,10 +27,9 @@ load balancing there is.  Three robustness mechanisms ride on the queue:
   (wedged, preempted, partitioned) is drained exactly like a death, so a
   silent stall can never hold the sweep hostage.
 
-The fleet is *elastic*: :meth:`RemoteExecutor.attach` admits a late-joining
-serving worker into an in-flight ``map_shards`` (its drive thread joins the
-live scheduler), and heartbeat-timed-out or dead workers are drained
-mid-run — spot-instance style grow/shrink without restarting the sweep.
+A run's fleet is fixed once it starts: workers that die or time out are
+drained mid-run and the sweep completes on the survivors, and
+:meth:`RemoteExecutor.map_shards` replaces them before the next run.
 
 None of this can change the numbers: shard results are deterministic
 functions of the plan (randomness is anchored per unit), so retries,
@@ -39,12 +38,9 @@ chunking and fleet size leave the output bit-identical to
 honours, enforced by ``tests/exec/test_executor_conformance.py`` and
 ``tests/exec/test_elastic.py``.
 
-Worker condition-cache snapshots travel back inside each
-:class:`~repro.exec.ShardResult` and are merged into the parent by the
-engine, exactly as for the process pool.  Contexts holding a
-:class:`~repro.exec.ChannelRef` ship a checkpoint path instead of a live
-model; each worker cold-starts the channel from the on-disk zoo
-(:mod:`repro.artifacts`) once and reuses it across its shards.
+Contexts holding a :class:`~repro.exec.ChannelRef` ship a checkpoint path
+instead of a live model; each worker cold-starts the channel from the
+on-disk zoo (:mod:`repro.artifacts`) once and reuses it across its shards.
 """
 
 from __future__ import annotations
@@ -153,18 +149,13 @@ class _ShardScheduler:
         self.fatal_note: str | None = None
         self.stats = {"dispatches": 0, "acks": 0, "retries": 0,
                       "unacked_redispatches": 0, "worker_deaths": 0,
-                      "heartbeats": 0, "heartbeat_timeouts": 0, "joins": 0}
+                      "heartbeats": 0, "heartbeat_timeouts": 0}
 
     # -- worker lifecycle --------------------------------------------------
 
-    def register_worker(self, joined: bool = False,
-                        worker: "_Worker | None" = None) -> None:
+    def register_worker(self) -> None:
         with self._cond:
             self._registered += 1
-            if joined:
-                self.stats["joins"] += 1
-                obs_trace.event("exec.worker_join",
-                                worker=_worker_label(worker))
             obs_context.record_fleet_size(self._registered)
             self._cond.notify_all()
 
@@ -330,7 +321,6 @@ class RemoteExecutor(Executor):
     """
 
     name = "remote"
-    shares_memory = False
 
     def __init__(self, workers: int | None = None,
                  hosts: list[str] | None = None, max_retries: int = 2,
@@ -362,11 +352,6 @@ class RemoteExecutor(Executor):
         self._workers: list[_Worker] = []
         self._listener: socket.socket | None = None
         self._spawned = 0
-        #: Guards fleet mutations against a concurrent attach(); the active
-        #: scheduler/threads let attach() join a run already in flight.
-        self._fleet_lock = threading.Lock()
-        self._active_scheduler: _ShardScheduler | None = None
-        self._active_threads: list[tuple[threading.Thread, _Worker]] = []
 
     # -- fleet management --------------------------------------------------
 
@@ -376,7 +361,6 @@ class RemoteExecutor(Executor):
         Reused connections are ping-probed: a worker that exited since the
         last run (a ``--once`` server, a crashed host) leaves the local
         socket looking open, and only a round-trip proves it still serves.
-        Caller must hold ``_fleet_lock``.
         """
         for worker in self._workers:
             if worker.dead() or not self._responds(worker):
@@ -399,31 +383,6 @@ class RemoteExecutor(Executor):
         else:
             while len(self._workers) < self.workers:
                 self._workers.append(self._spawn_worker())
-
-    def attach(self, address: str) -> None:
-        """Admit a serving worker at ``address`` into the fleet — mid-run.
-
-        The elastic grow path: connect to a ``python -m repro.exec.worker
-        --serve`` process and, when a ``map_shards`` is in flight, register
-        it with the live scheduler and start a drive thread so it pulls
-        the next pending chunk immediately.  Outside a run it simply joins the
-        fleet for the next one.
-        """
-        worker = self._connect_host(address)
-        with self._fleet_lock:
-            self._workers.append(worker)
-            if self.hosts is not None and address not in self.hosts:
-                self.hosts.append(address)
-            scheduler = self._active_scheduler
-            thread = None
-            if scheduler is not None:
-                scheduler.register_worker(joined=True, worker=worker)
-                thread = threading.Thread(target=self._drive_worker,
-                                          args=(worker, scheduler),
-                                          daemon=True)
-                self._active_threads.append((thread, worker))
-        if thread is not None:
-            thread.start()
 
     def _responds(self, worker: _Worker) -> bool:
         """Round-trip a ping over a reused connection (bounded wait)."""
@@ -511,28 +470,17 @@ class RemoteExecutor(Executor):
     def map_shards(self, shards: list[ShardSpec]) -> list[ShardResult]:
         traced = obs_trace.is_enabled()
         scheduler = _ShardScheduler(shards, max_retries=self.max_retries)
-        # Fleet repair and scheduler activation are one critical section, so
-        # an attach() racing the run start either lands in the starting
-        # fleet or joins the already-active scheduler — never neither.
-        with self._fleet_lock:
-            self._ensure_fleet()
-            traffic_before = self._transport_totals() if traced else {}
-            self._active_scheduler = scheduler
-            self._active_threads = []
-            for worker in list(self._workers):
-                scheduler.register_worker()
-                thread = threading.Thread(target=self._drive_worker,
-                                          args=(worker, scheduler),
-                                          daemon=True)
-                self._active_threads.append((thread, worker))
-            threads = list(self._active_threads)
+        self._ensure_fleet()
+        traffic_before = self._transport_totals() if traced else {}
+        threads = []
+        for worker in self._workers:
+            scheduler.register_worker()
+            threads.append((threading.Thread(target=self._drive_worker,
+                                             args=(worker, scheduler),
+                                             daemon=True), worker))
         for thread, _ in threads:
             thread.start()
         scheduler.wait()
-        with self._fleet_lock:
-            self._active_scheduler = None
-            threads = self._active_threads
-            self._active_threads = []
         self._drain(threads, cut=scheduler.fatal_error is not None)
         self.last_run_stats = dict(scheduler.stats)
         if traced:

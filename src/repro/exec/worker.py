@@ -37,9 +37,9 @@ Session protocol (every frame a pickled message):
    parent's health probe of a reused connection;
 5. parent → ``("shutdown",)`` ends the session.
 
-Shards run with ``collect_caches=True``: condition-cache snapshots travel
-back for the parent engine to merge, exactly as process-pool shards do.
-The chunks of one run share one context, unpickled on the worker's first
+A result frame carries the shard's per-unit results and, when traced, its
+obs envelope; condition-cache entries the shard computed stay here.  The
+chunks of one run share one context, unpickled on the worker's first
 chunk of the run and reused by the rest (see
 :class:`repro.exec.ShardSpec`).  A context holding a
 :class:`repro.exec.ChannelRef` cold-starts its channel from the on-disk
@@ -207,7 +207,7 @@ def _run_shard(spec, conn: transport.Connection, log: WorkerLog,
     if _shard_thread is None:
         _shard_thread = concurrent.futures.ThreadPoolExecutor(
             max_workers=1, thread_name_prefix="repro-shard")
-    future = _shard_thread.submit(spec.run, collect_caches=True)
+    future = _shard_thread.submit(spec.run)
     while not concurrent.futures.wait(
             [future], timeout=heartbeat_interval or None).done:
         conn.send(("heartbeat",))

@@ -90,8 +90,8 @@ def run_fig4(measured_arrays: dict[int, tuple[np.ndarray, np.ndarray]],
     model:
         Any channel backend whose conditional PDFs are compared against the
         measured arrays — a registered name, a
-        :class:`repro.channel.ChannelModel`, or a legacy wrapper (typically
-        the trained generative model).
+        :class:`repro.channel.ChannelModel` (typically the trained
+        generative model), or a concrete model it wraps.
     levels:
         Program levels whose PDFs are estimated (1..7 in the paper).
     bins:

@@ -91,8 +91,8 @@ def run_fig6(program_levels: np.ndarray, voltages: np.ndarray,
              executor=None, workers: int | None = None) -> Fig6Result:
     """Regenerate Fig. 6 from measured evaluation arrays and a trained model.
 
-    ``model`` is any channel backend (registered name, channel model, or
-    legacy wrapper).  The modeled pie is always computed from
+    ``model`` is any channel backend (registered name, channel model, or a
+    concrete model it wraps).  The modeled pie is always computed from
     ``program_levels`` (the arrays the backend reads back).  The measured pie
     defaults to ``voltages`` but can be computed from a larger measured-only
     sample via ``measured_program``/``measured_voltages``: the paper's

@@ -18,8 +18,7 @@ returns a shared no-op handle, the NN kernel hooks skip timing entirely, and
 
 Shards running in other processes (process pool, remote fleet) record into a
 shard-local tracer/registry whose snapshots ride back in the
-``ShardResult.obs`` envelope and merge into the parent timeline — the same
-pattern the engine already uses for ``ConditionCache`` snapshots.
+``ShardResult.obs`` envelope and merge into the parent timeline.
 """
 
 from repro.obs.metrics import (MetricsRegistry, backend_registry,

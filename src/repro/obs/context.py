@@ -9,8 +9,7 @@ observability data gets home depends on where the shard runs:
   plan span.
 - **Another process** (process pool and remote fleet workers): the shard runs
   under a temporary thread-local tracer and a shard-local metrics registry;
-  both snapshots ride back in ``ShardResult.obs`` — the same envelope
-  pattern ``ConditionCache`` snapshots use — and
+  both snapshots ride back in the ``ShardResult.obs`` envelope, and
   :func:`merge_shard_envelopes` folds them into the parent timeline.
 
 Everything here is a no-op (and never imported by the hot path) when the
@@ -156,8 +155,8 @@ def record_fleet_stats(stats: Dict[str, int],
 def record_fleet_size(size: int) -> None:
     """Publish the current fleet size as the ``exec.fleet.size`` gauge.
 
-    The gauge holds the *peak* concurrent fleet — the number grow/shrink
-    telemetry cares about — so a regrowth after deaths never lowers it.
+    The gauge holds the *peak* fleet — the fleet a run starts with, since
+    workers only leave mid-run — so a later replenishment never lowers it.
     Only recorded while tracing (the zero-cost contract).
     """
     if not _trace.is_enabled():

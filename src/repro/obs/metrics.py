@@ -11,7 +11,7 @@ backend's counters under canonical ``nn.*`` metric names, and anything that
 used to read a bespoke dict now reads the registry snapshot.
 
 Merge semantics (used when worker-side snapshots ride back in the shard
-result envelope, exactly like ``ConditionCache`` snapshots):
+result envelope):
 
 - counters add,
 - gauges take the max (they model high-water marks like arena peak bytes),
@@ -200,8 +200,7 @@ def get_registry() -> MetricsRegistry:
 
     Normally the process registry; inside a worker-side shard observation a
     thread-local shard registry is installed so the shard's metrics can ride
-    back in the result envelope and merge into the parent, exactly like
-    ``ConditionCache`` snapshots.
+    back in the result envelope and merge into the parent.
     """
     override = getattr(_ACTIVE, "registry", None)
     return override if override is not None else _PROCESS_REGISTRY

@@ -14,7 +14,7 @@ checks:
 ``event``
     ``{"type": "event", "trace", "name", "ts", "pid"}`` plus optional
     ``parent``/``attrs`` — instantaneous scheduler facts (retries, unacked
-    re-queues, heartbeat timeouts, worker deaths and joins).
+    re-queues, heartbeat timeouts and worker deaths).
 ``metrics``
     ``{"type": "metrics", "trace", "scope", "pid", "snapshot"}`` where
     ``snapshot`` maps metric names to the plain-dict snapshots produced by

@@ -11,8 +11,7 @@ Design constraints, in priority order:
 2. **Cross-process mergeable.**  Spans are plain dict records carrying a
    ``trace`` id, a ``span`` id and a ``parent`` id.  A worker process records
    into a local :class:`Tracer` whose records ride back in the shard result
-   envelope and are adopted into the parent tracer — same pattern as
-   ``ConditionCache`` snapshot merging.
+   envelope and are adopted into the parent tracer.
 3. **Kernel profiling is opt-in and sampled.**  The NN backends carry a
    module-global profiler slot (``repro.nn.backend.KERNEL_PROFILER``); when
    tracing is enabled a :class:`KernelProfiler` is installed there and

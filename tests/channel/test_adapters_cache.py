@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import pickle
+
 import numpy as np
 import pytest
 
@@ -14,7 +16,7 @@ from repro.channel import (
     resolve_channel,
 )
 from repro.channel.adapters import _tile_arrays, _untile_arrays
-from repro.core import GenerativeChannelModel, ModelConfig, build_model
+from repro.core import ModelConfig, build_model
 from repro.data import generate_paired_dataset
 from repro.flash import BlockGeometry, FlashChannel
 
@@ -26,8 +28,7 @@ class TestConditionCache:
         for _ in range(3):
             cache.get_or_compute("key", lambda: calls.append(1) or len(calls))
         assert calls == [1]
-        assert cache.stats() == {"hits": 2, "misses": 1, "merges": 0,
-                                 "merged_entries": 0, "size": 1}
+        assert cache.stats() == {"hits": 2, "misses": 1, "size": 1}
 
     def test_lru_eviction(self):
         cache = ConditionCache(maxsize=2)
@@ -49,6 +50,31 @@ class TestConditionCache:
         cache.get_or_compute("a", lambda: 1)
         cache.clear()
         assert len(cache) == 0 and cache.stats()["hits"] == 0
+
+    def test_membership_leaves_counters_recency_and_in_flight_keys_alone(
+            self):
+        cache = ConditionCache(maxsize=2)
+        cache.get_or_compute("a", lambda: 1)
+        cache.get_or_compute("b", lambda: 2)
+        assert "a" in cache                    # no hit and no refresh ...
+        cache.get_or_compute("c", lambda: 3)   # ... so "a" is evicted
+        assert "a" not in cache and "b" in cache
+        seen = []
+        cache.get_or_compute("d", lambda: seen.append("d" in cache) or 4)
+        assert seen == [False] and "d" in cache
+        assert cache.stats() == {"hits": 0, "misses": 4, "size": 2}
+
+    def test_pickled_copy_keeps_its_entries_apart_from_the_original(self):
+        """A worker's unpickled copy serves the parent's entries, and what
+        it computes stays in the copy."""
+        cache = ConditionCache(maxsize=4)
+        cache.get_or_compute("shared", lambda: "parent")
+        copy = pickle.loads(pickle.dumps(cache))
+        assert copy.get_or_compute("shared", lambda: "worker") == "parent"
+        copy.get_or_compute("fresh", lambda: 3)
+        assert "fresh" in copy and "fresh" not in cache
+        assert cache.stats() == {"hits": 0, "misses": 1, "size": 1}
+        assert copy.stats() == {"hits": 1, "misses": 2, "size": 2}
 
     def test_rejects_negative_size(self):
         with pytest.raises(ValueError):
@@ -103,46 +129,6 @@ class TestConditionCache:
         thread.join(timeout=5)
         assert not errors
         assert value == "slow"
-
-    def test_merge_adopts_new_entries_and_counts(self):
-        parent, worker = ConditionCache(maxsize=8), ConditionCache(maxsize=8)
-        parent.get_or_compute("shared", lambda: "parent")
-        worker.get_or_compute("shared", lambda: "worker")
-        worker.get_or_compute("fresh", lambda: 3)
-        adopted = parent.merge(worker)
-        assert adopted == 1
-        assert parent.get_or_compute("fresh", lambda: None) == 3
-        # Parent wins on conflicts (deterministic computes agree anyway).
-        assert parent.get_or_compute("shared", lambda: None) == "parent"
-        stats = parent.stats()
-        assert stats["merges"] == 1 and stats["merged_entries"] == 1
-        # Worker activity is folded into the parent's counters.
-        assert stats["misses"] == 1 + 2
-
-    def test_merge_respects_lru_capacity(self):
-        parent, worker = ConditionCache(maxsize=2), ConditionCache(maxsize=4)
-        parent.get_or_compute("old", lambda: 0)
-        parent.get_or_compute("recent", lambda: 1)
-        for key in ("w1", "w2"):
-            worker.get_or_compute(key, lambda: key)
-        parent.merge(worker)
-        # Capacity 2: the worker's most recent entry survives alongside the
-        # last inserted; the parent's stale entries were evicted first.
-        assert len(parent) == 2 and "w2" in parent
-
-    def test_merge_refreshes_conflict_recency(self):
-        parent, worker = ConditionCache(maxsize=2), ConditionCache(maxsize=2)
-        parent.get_or_compute("a", lambda: 1)
-        parent.get_or_compute("b", lambda: 2)
-        worker.get_or_compute("a", lambda: 1)
-        parent.merge(worker)
-        parent.get_or_compute("c", lambda: 3)   # evicts "b", not "a"
-        assert "a" in parent and "b" not in parent
-
-    def test_merge_rejects_self(self):
-        cache = ConditionCache()
-        with pytest.raises(ValueError):
-            cache.merge(cache)
 
 
 class TestTiling:
@@ -237,11 +223,10 @@ class TestResolveChannel:
         assert wrapped.simulator is simulator
         assert wrapped.rng is simulator.rng
 
-    def test_wraps_legacy_generative_wrapper(self):
+    def test_wraps_generative_model(self):
         model = build_model("cvae_gan", ModelConfig.tiny(),
                             rng=np.random.default_rng(1))
-        legacy = GenerativeChannelModel(model, rng=np.random.default_rng(2))
-        wrapped = resolve_channel(legacy)
+        wrapped = resolve_channel(model)
         assert isinstance(wrapped, GenerativeChannel)
         assert wrapped.model is model
 

@@ -1,16 +1,16 @@
-"""Tests for the four architectures, the trainer and the inference wrapper."""
+"""Tests for the four architectures, the trainer and the generative channel."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
+from repro.channel import GenerativeChannel
 from repro.core import (
     BicycleGAN,
     ConditionalGAN,
     ConditionalVAE,
     ConditionalVAEGAN,
-    GenerativeChannelModel,
     MODEL_REGISTRY,
     ModelConfig,
     Trainer,
@@ -176,31 +176,38 @@ class TestTrainer:
         assert "g_total" in summary and "d_total" in summary
 
 
-class TestGenerativeChannelModel:
+class TestGenerativeChannelSampling:
     @pytest.fixture(scope="class")
     def wrapper(self):
         config = ModelConfig.tiny()
         model = build_model("cvae_gan", config, rng=np.random.default_rng(9))
-        return GenerativeChannelModel(model, rng=np.random.default_rng(10))
+        return GenerativeChannel(model, rng=np.random.default_rng(10))
 
     def test_read_single_array(self, wrapper):
         program = np.random.default_rng(0).integers(0, 8, size=(8, 8))
-        voltages = wrapper.read(program, 7000)
+        voltages = wrapper.read_voltages(program, 7000)
         assert voltages.shape == (8, 8)
         assert voltages.min() >= 0.0 and voltages.max() <= 650.0
 
     def test_read_batched_arrays(self, wrapper):
         program = np.random.default_rng(0).integers(0, 8, size=(5, 8, 8))
-        voltages = wrapper.read(program, 4000)
+        voltages = wrapper.read_voltages(program, 4000)
         assert voltages.shape == (5, 8, 8)
-
-    def test_read_rejects_wrong_size(self, wrapper):
-        with pytest.raises(ValueError):
-            wrapper.read(np.zeros((16, 16), dtype=int), 4000)
 
     def test_read_rejects_wrong_rank(self, wrapper):
         with pytest.raises(ValueError):
-            wrapper.read(np.zeros(8, dtype=int), 4000)
+            wrapper.read_voltages(np.zeros(8, dtype=int), 4000)
+
+    @pytest.mark.parametrize("level", [-1, 8])
+    def test_read_rejects_out_of_range_levels(self, wrapper, level):
+        program = np.zeros((8, 8), dtype=int)
+        program[3, 4] = level
+        with pytest.raises(ValueError, match="program levels"):
+            wrapper.read_voltages(program, 4000)
+
+    def test_read_rejects_negative_pe_cycles(self, wrapper):
+        with pytest.raises(ValueError, match="pe_cycles"):
+            wrapper.read_voltages(np.zeros((8, 8), dtype=int), -1)
 
     def test_read_repeated_default_samples(self, wrapper):
         program = np.zeros((8, 8), dtype=int)

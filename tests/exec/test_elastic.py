@@ -1,18 +1,15 @@
-"""Elastic-fleet battery: deaths, heartbeats, grow/shrink under guided chunks.
+"""Fleet battery: deaths, heartbeats and worker sessions under guided chunks.
 
 The contract under test is the same as everywhere else in ``tests/exec/``:
-**bit-identical reducers under any schedule** — a worker killed mid-chunk,
-a heartbeat-timed-out (silently partitioned) worker, and a fleet that grows
-via :meth:`RemoteExecutor.attach` and shrinks via a mid-run kill must all
-leave the output exactly equal to the serial reference.  Every run here uses
-the engine's default guided chunks.
+**bit-identical reducers under any schedule** — a worker killed mid-chunk
+and a heartbeat-timed-out (silently partitioned) worker shrink the fleet
+mid-run, and must leave the output exactly equal to the serial reference.
+Every run here uses the engine's default guided chunks.
 """
 
 from __future__ import annotations
 
 import os
-import subprocess
-import sys
 import threading
 import time
 
@@ -50,17 +47,6 @@ def _die_once_heavy(unit, rng, *, flag):
         os._exit(17)
     time.sleep(0.02)
     return value
-
-
-def _marked_sleep(unit, rng, *, seconds, marks):
-    """Sleep, after leaving a ``<pid>`` marker saying who runs a unit now."""
-    open(os.path.join(marks, str(os.getpid())), "w").close()
-    time.sleep(float(seconds))
-    return float(unit) + float(rng.random())
-
-
-def _sync_value(unit, rng):
-    return float(unit) + float(rng.random())
 
 
 def _worker_pid(unit, rng, *, seconds):
@@ -115,24 +101,6 @@ def _serve_script(*shards, heartbeat_interval):
     conn = _ScriptedConnection(incoming)
     serve_connection(conn)
     return conn
-
-
-def _serve_worker():
-    """Start a --serve worker; returns (process, address)."""
-    process = subprocess.Popen(
-        [sys.executable, "-m", "repro.exec.worker", "--serve",
-         "127.0.0.1:0"],
-        stdout=subprocess.PIPE, text=True)
-    address = process.stdout.readline().split()[-1]
-    return process, address
-
-
-def _wait_for(predicate, timeout=10.0):
-    deadline = time.monotonic() + timeout
-    while not predicate():
-        if time.monotonic() > deadline:
-            raise TimeoutError("condition not reached")
-        time.sleep(0.01)
 
 
 class TestWorkerDeath:
@@ -237,70 +205,3 @@ class TestWorkerSession:
         idents = {ident for result in results for ident in result.results}
         assert len(idents) == 1
         assert idents != {threading.get_ident()}
-
-
-class TestElasticFleet:
-    def test_fleet_grows_and_shrinks_mid_run(self, tmp_path):
-        """A --serve worker attached into an in-flight map_shards pulls a
-        pending chunk (grow), is killed while running it (shrink), and the
-        output never moves."""
-        marks = tmp_path / "marks"
-        marks.mkdir()
-        # Guided chunks for two workers: 8, 4, 2, 1, 1 units of 0.1 s, so
-        # small chunks are still pending while the first two run.
-        plan = MonteCarloPlan(task=_marked_sleep, units=tuple(range(16)),
-                              seed=41, context={"seconds": 0.1,
-                                                "marks": str(marks)})
-        reference = run_plan(plan, executor="serial")
-        for mark in marks.iterdir():
-            mark.unlink()
-        process, address = _serve_worker()
-        executor = RemoteExecutor(workers=2, max_retries=3,
-                                  heartbeat_interval=0.05)
-        failures = []
-
-        def grow_then_shrink():
-            try:
-                # Attach once a unit runs (the scheduler is live), then kill
-                # the newcomer once it is running a unit of its own.
-                _wait_for(lambda: any(marks.iterdir()))
-                executor.attach(address)
-                _wait_for((marks / str(process.pid)).exists)
-                process.kill()
-            except Exception as error:  # pragma: no cover - surfaced below
-                failures.append(error)
-
-        try:
-            # Spawn and handshake the fleet before the measured run.
-            run_plan(MonteCarloPlan(task=_sync_value, units=(0, 1), seed=1),
-                     executor=executor)
-            helper = threading.Thread(target=grow_then_shrink)
-            helper.start()
-            results = run_plan(plan, executor=executor)
-            helper.join(timeout=30)
-        finally:
-            executor.close()
-            process.kill()
-            process.wait(timeout=10)
-            process.stdout.close()
-        assert not helper.is_alive()
-        assert not failures
-        assert results == reference
-        assert executor.last_run_stats["joins"] >= 1
-        assert executor.last_run_stats["worker_deaths"] >= 1
-
-    def test_attach_between_runs_joins_next_fleet(self):
-        plan = MonteCarloPlan(task=_sync_value, units=tuple(range(6)),
-                              seed=43)
-        reference = run_plan(plan, executor="serial")
-        process, address = _serve_worker()
-        executor = RemoteExecutor(workers=1)
-        try:
-            executor.attach(address)  # no run in flight: joins the fleet
-            results = run_plan(plan, executor=executor)
-            assert results == reference
-        finally:
-            executor.close()
-            process.kill()
-            process.wait(timeout=10)
-            process.stdout.close()

@@ -1,6 +1,8 @@
-"""Executor registry, engine dispatch and worker cache merging."""
+"""Executor registry, engine dispatch, and what shard results carry."""
 
 from __future__ import annotations
+
+import pickle
 
 import numpy as np
 import pytest
@@ -10,12 +12,14 @@ from repro.exec import (
     EXECUTOR_REGISTRY,
     MonteCarloPlan,
     ProcessExecutor,
+    RemoteExecutor,
     SerialExecutor,
     TallyReducer,
     build_executor,
     run_plan,
 )
 from repro.flash import BlockGeometry
+from repro.obs import metrics, trace
 
 
 def _draw(unit, rng):
@@ -26,6 +30,15 @@ def _cached_estimate(unit, rng, *, channel):
     """Plan task exercising the channel's per-condition LRU cache."""
     return channel.level_error_rate_estimate(4000 + 1000 * int(unit),
                                              num_blocks=1)
+
+
+def _first_unit_wins(unit, rng, *, channel):
+    """Every unit returns whichever unit first filled the shared entry."""
+    return channel.cache.get_or_compute("first", lambda: int(unit))
+
+
+def _cache_filler(unit, rng, *, cache):
+    return cache.get_or_compute(int(unit), lambda: float(rng.random()))
 
 
 class TestBuildExecutor:
@@ -89,7 +102,7 @@ class TestRunPlan:
         assert total == pytest.approx(sum(run_plan(plan)))
 
 
-class TestWorkerCacheMerging:
+class TestContextCaches:
     @pytest.fixture
     def channel(self):
         return build_channel("simulator", geometry=BlockGeometry(16, 16),
@@ -100,45 +113,53 @@ class TestWorkerCacheMerging:
                               units=tuple(range(units)), seed=3,
                               context={"channel": channel})
 
-    def test_process_pool_entries_fold_into_parent(self, channel):
-        channel.cache.clear()
-        run_plan(self._plan(channel), executor="process", workers=2)
-        stats = channel.cache.stats()
-        # Each worker computed its shards' conditions; the parent adopted
-        # every entry even though no compute ran in this process — one
-        # merge per guided chunk (1 + 1 + 1 + 1 units).
-        assert stats["size"] == 4
-        assert stats["merges"] == 4
-        assert stats["merged_entries"] == 4
-        assert stats["misses"] == 4
-
-    def test_merged_entries_serve_parent_hits(self, channel):
-        channel.cache.clear()
-        run_plan(self._plan(channel), executor="process", workers=2)
-        before = channel.cache.stats()["misses"]
-        # Re-running serially now hits the merged entries.
-        run_plan(self._plan(channel), executor="serial")
-        assert channel.cache.stats()["misses"] == before
-
     def test_serial_execution_does_not_double_count(self, channel):
-        channel.cache.clear()
         run_plan(self._plan(channel), executor="serial")
-        stats = channel.cache.stats()
-        assert stats["merges"] == 0 and stats["misses"] == 4
+        assert channel.cache.stats() == {"hits": 0, "misses": 4, "size": 4}
 
-    def test_merge_can_be_disabled(self, channel):
-        channel.cache.clear()
-        run_plan(self._plan(channel), executor="process", workers=2,
-                 merge_caches=False)
-        assert channel.cache.stats()["size"] == 0
+    def test_result_frames_do_not_carry_the_context_cache(self, channel):
+        """Workers send back their results, not the cache they were
+        shipped: a 1 MiB cache entry rides out with the context but never
+        back with a result."""
+        channel.cache.get_or_compute("ballast", lambda: bytes(1 << 20))
+        executor = RemoteExecutor(workers=2)
+        try:
+            run_plan(MonteCarloPlan(task=_draw, units=(0, 1), seed=1),
+                     executor=executor)
+            metrics.process_registry().reset()
+            with trace.tracing():
+                run_plan(self._plan(channel, units=8), executor=executor)
+            received = metrics.process_registry().totals()[
+                "exec.transport.bytes_received"]
+        finally:
+            trace.disable_tracing()
+            metrics.process_registry().reset()
+            executor.close()
+        assert received < 64 * 1024
 
-    def test_explicit_cache_context_value_is_merged(self):
+    def test_shard_result_pickles_without_the_context_cache(self, channel):
+        """What a pool worker pickles back is the per-unit results alone."""
+        channel.cache.get_or_compute("ballast", lambda: bytes(1 << 20))
+        (shard,) = self._plan(channel).shards(1)
+        assert len(pickle.dumps(shard.run())) < 64 * 1024
+
+    @pytest.mark.parametrize("executor", ["process", "remote"])
+    def test_worker_cache_carries_over_between_its_chunks(self, channel,
+                                                          executor):
+        """A worker keeps its copy of the context for the whole run, so its
+        later chunks hit the entry its first chunk computed, as the units
+        of a serial run do; the entry never reaches the parent."""
+        plan = MonteCarloPlan(task=_first_unit_wins, units=tuple(range(4)),
+                              seed=3, context={"channel": channel})
+        results = run_plan(plan, executor=executor, workers=1, num_shards=4)
+        assert results == [0, 0, 0, 0]
+        assert "first" not in channel.cache
+        assert run_plan(plan, executor="serial") == results
+
+    def test_explicit_cache_context_value_stays_in_the_worker(self):
         cache = ConditionCache(maxsize=8)
         plan = MonteCarloPlan(task=_cache_filler, units=(0, 1), seed=0,
                               context={"cache": cache})
-        run_plan(plan, executor="process", workers=2)
-        assert cache.stats()["size"] == 2
-
-
-def _cache_filler(unit, rng, *, cache):
-    return cache.get_or_compute(int(unit), lambda: float(rng.random()))
+        results = run_plan(plan, executor="process", workers=2)
+        assert cache.stats() == {"hits": 0, "misses": 0, "size": 0}
+        assert results == run_plan(plan, executor="serial")

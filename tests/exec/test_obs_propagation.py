@@ -25,10 +25,7 @@ from repro.obs import metrics, trace
 BACKENDS = ("serial", "process", "remote")
 WORKERS = 2
 
-# The propagation claim is about these spans; engine bookkeeping spans
-# (exec.merge_caches) legitimately differ between memory-sharing and
-# isolating backends.
-TREE_SPANS = {"exec.plan", "exec.shard", "task.unit"}
+TREE_SPANS = {"exec.plan", "exec.shard", "exec.reduce", "task.unit"}
 
 
 def _traced_unit(unit, rng, *, scale):
@@ -108,6 +105,7 @@ class TestConformance:
         assert _span_tree(records) == {
             ("exec.plan", None): 1,
             ("exec.shard", "exec.plan"): 4,
+            ("exec.reduce", "exec.plan"): 1,
             ("task.unit", "exec.shard"): 12,
         }
         assert totals["task.units"] == 12

@@ -140,26 +140,22 @@ def _serve_fake_worker(protocol):
 
 
 class TestHandshake:
-    def test_other_protocol_version_refused_on_attach(self):
-        older = transport.PROTOCOL_VERSION - 1
-        address = _serve_fake_worker(older)
-        executor = RemoteExecutor(workers=1, connect_timeout=5.0)
+    @staticmethod
+    def _assert_refused_as_host(protocol):
+        address = _serve_fake_worker(protocol)
+        plan = _plan(_value, units=2)
+        executor = RemoteExecutor(hosts=[address], connect_timeout=5.0)
         try:
-            with pytest.raises(TransportError, match=f"protocol {older} "):
-                executor.attach(address)
+            with pytest.raises(TransportError, match=f"protocol {protocol} "):
+                run_plan(plan, executor=executor)
         finally:
             executor.close()
 
     def test_other_protocol_version_refused_as_host(self):
-        newer = transport.PROTOCOL_VERSION + 1
-        address = _serve_fake_worker(newer)
-        plan = _plan(_value, units=2)
-        executor = RemoteExecutor(hosts=[address], connect_timeout=5.0)
-        try:
-            with pytest.raises(TransportError, match=f"protocol {newer} "):
-                run_plan(plan, executor=executor)
-        finally:
-            executor.close()
+        self._assert_refused_as_host(transport.PROTOCOL_VERSION + 1)
+
+    def test_older_protocol_version_refused_as_host(self):
+        self._assert_refused_as_host(transport.PROTOCOL_VERSION - 1)
 
 
 def _complete(scheduler, shard):

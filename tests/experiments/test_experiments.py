@@ -11,7 +11,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core import GenerativeChannelModel, ModelConfig, build_model
+from repro.channel import GenerativeChannel
+from repro.core import ModelConfig, build_model
 from repro.data import generate_paired_dataset
 from repro.experiments import (
     ExperimentSetup,
@@ -35,7 +36,7 @@ def channel():
 def untrained_model():
     config = ModelConfig.tiny()
     model = build_model("cvae_gan", config, rng=np.random.default_rng(42))
-    return GenerativeChannelModel(model, rng=np.random.default_rng(43))
+    return GenerativeChannel(model, rng=np.random.default_rng(43))
 
 
 @pytest.fixture(scope="module")

@@ -364,21 +364,24 @@ def tiny_dataset():
 
 
 class TestTrainStepReleasesGraph:
-    @pytest.mark.parametrize("arch", ARCHITECTURES)
-    def test_generator_outputs_freed_without_cyclic_gc(self, arch,
-                                                       tiny_dataset):
+    """One train step with the cyclic GC disabled must free every output of
+    a spied-on network: a graph that ``backward()`` never walks stays a
+    reference cycle until the GC runs."""
+
+    def _outputs_after_step(self, arch, network, tiny_dataset):
         config = replace(ModelConfig.tiny(), dtype="float32")
         model = build_model(arch, config, rng=np.random.default_rng(21))
         trainer = Trainer(model, tiny_dataset, rng=np.random.default_rng(22))
+        module = getattr(model, network)
         outputs = []
-        forward = model.generator.forward
+        forward = module.forward
 
         def spy(*args, **kwargs):
             out = forward(*args, **kwargs)
             outputs.append(weakref.ref(out.data))
             return out
 
-        model.generator.forward = spy
+        module.forward = spy
         gc.collect()
         gc.disable()
         try:
@@ -386,5 +389,20 @@ class TestTrainStepReleasesGraph:
             alive = [ref for ref in outputs if ref() is not None]
         finally:
             gc.enable()
+        return outputs, alive
+
+    @pytest.mark.parametrize("arch", ARCHITECTURES)
+    def test_generator_outputs_freed_without_cyclic_gc(self, arch,
+                                                       tiny_dataset):
+        outputs, alive = self._outputs_after_step(arch, "generator",
+                                                  tiny_dataset)
+        assert outputs
+        assert not alive
+
+    @pytest.mark.parametrize("arch", ["cgan", "cvae_gan", "bicycle_gan"])
+    def test_discriminator_outputs_freed_without_cyclic_gc(self, arch,
+                                                           tiny_dataset):
+        outputs, alive = self._outputs_after_step(arch, "discriminator",
+                                                  tiny_dataset)
         assert outputs
         assert not alive
