@@ -14,7 +14,8 @@ size the error-correction code:
 4. run a soft-decision LDPC code using LLRs computed from the channel's soft
    voltages, showing the gain soft information buys at end of life.
 
-Run with ``python examples/ecc_evaluation.py`` (about a minute on CPU).
+Run with ``PYTHONPATH=src python examples/ecc_evaluation.py`` (about 1.5 s
+on a 2-vCPU x86-64 host).
 """
 
 from __future__ import annotations

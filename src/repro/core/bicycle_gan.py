@@ -70,7 +70,7 @@ class BicycleGAN(ConditionalGenerativeModel):
         generated = self.generator(program_levels, pe_normalized, prior_latent)
         lr_logits = self.discriminator(program_levels, generated)
         lr_adversarial = bce_with_logits_loss(lr_logits, 1.0)
-        recovered_mu, _ = self.encoder(generated, pe_normalized)
+        recovered_mu = self.encoder.mean(generated, pe_normalized)
         latent_regression = l1_loss(recovered_mu, prior_latent)
 
         total = vae_adversarial + lr_adversarial \

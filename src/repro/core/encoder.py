@@ -76,13 +76,23 @@ class ResNetEncoder(Module):
         pe_normalized:
             Normalised P/E cycle counts of shape ``(N,)``.
         """
+        pooled = self._features(voltages, pe_normalized)
+        return self.fc_mu(pooled), self.fc_logvar(pooled)
+
+    def mean(self, voltages: Tensor, pe_normalized: np.ndarray) -> Tensor:
+        """Only the posterior mean ``mu``: the log-variance head is not run,
+        so no graph is built through it."""
+        return self.fc_mu(self._features(voltages, pe_normalized))
+
+    def _features(self, voltages: Tensor,
+                  pe_normalized: np.ndarray) -> Tensor:
+        """The shared trunk: pooled residual features of the (VL, P/E) pair."""
         pe_features = pe_feature_vector(pe_normalized, self.config.pe_dim)
         conditioned = concat_condition(voltages, pe_features)
         out = self.activation(self.stem_bn(self.stem(conditioned)))
         out = self.block1(out)
         out = self.block2(out)
-        pooled = self.pool(out)
-        return self.fc_mu(pooled), self.fc_logvar(pooled)
+        return self.pool(out)
 
     def sample_latent(self, mu: Tensor, logvar: Tensor,
                       rng: np.random.Generator) -> Tensor:

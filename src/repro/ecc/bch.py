@@ -7,9 +7,14 @@ capability ``t``).  The implementation is textbook:
 
 * the generator polynomial is the LCM of the minimal polynomials of
   ``alpha, alpha^2, ..., alpha^{2t}``;
-* encoding is systematic (message bits followed by parity bits);
+* encoding is systematic (parity bits, then the message bits);
 * decoding computes syndromes, runs the Berlekamp-Massey algorithm to find
-  the error-locator polynomial and locates the errors by Chien search.
+  the error-locator polynomial and locates the errors by Chien search
+  (Lin & Costello, *Error Control Coding*, ch. 6).
+
+Encoding, syndromes and the Chien search are lookups in tables built once
+per code, so a batch of words is encoded and decoded together; only
+Berlekamp-Massey runs per word, for the words whose syndrome is nonzero.
 """
 
 from __future__ import annotations
@@ -57,6 +62,7 @@ class BCHCode:
         if self.k <= 0:
             raise ValueError(f"BCH(m={m}, t={t}) has no message bits; "
                              f"reduce t or increase m")
+        self._build_tables()
 
     def _build_generator(self) -> Gf2Polynomial:
         generator = Gf2Polynomial([1])
@@ -70,30 +76,60 @@ class BCHCode:
             generator = generator * minimal
         return generator
 
+    def _build_tables(self) -> None:
+        """Precompute the encoder matrix and the syndrome and Chien tables.
+
+        Field elements and their logs fit 16 bits, parity bits 8, which
+        keeps a pickled code small.
+        """
+        order = self.field.order
+        self._exp = self.field.exp_table.tolist()
+        self._log = self.field.log_table.tolist()
+        # Row i is x^(n-k+i) mod g(x): the parity that message bit i adds.
+        self._parity_matrix = np.zeros((self.k, self.n_minus_k),
+                                       dtype=np.uint8)
+        for row in range(self.k):
+            monomial = Gf2Polynomial([0] * (self.n_minus_k + row) + [1])
+            remainder = (monomial % self.generator).coefficients
+            self._parity_matrix[row, :len(remainder)] = remainder
+        positions = np.arange(self.n)[:, None]
+        # S_j = sum_i r_i alpha^(i j), j = 1..2t, is an XOR over this table.
+        self._syndrome_table = self.field.exp_table[
+            positions * np.arange(1, 2 * self.t + 1) % order
+        ].astype(np.uint16)
+        # An error at position i is a root alpha^(-i) of the error locator:
+        # log(alpha^(-i d)) for every position i and locator degree d <= t.
+        self._chien_logs = (-positions * np.arange(self.t + 1)
+                            % order).astype(np.uint16)
+
     # ------------------------------------------------------------------ #
     # Encoding
     # ------------------------------------------------------------------ #
     def encode(self, message: np.ndarray) -> np.ndarray:
         """Systematically encode ``k`` message bits into an ``n``-bit codeword.
 
-        The codeword layout is ``[message | parity]`` where the parity bits
-        are the remainder of ``message(x) * x^(n-k)`` modulo the generator.
+        The codeword layout is ``[parity | message]`` (coefficients lowest
+        degree first) where the parity bits are the remainder of
+        ``message(x) * x^(n-k)`` modulo the generator.
         """
-        message = np.asarray(message).astype(np.int64) & 1
+        message = np.asarray(message)
         if message.shape != (self.k,):
             raise ValueError(f"message must have shape ({self.k},), "
                              f"got {message.shape}")
-        # Coefficients are lowest-degree first; placing the message bits in
-        # the high-degree positions multiplies the message polynomial by
-        # x^(n-k).
-        shifted = Gf2Polynomial([0] * self.n_minus_k + list(message))
-        remainder = shifted % self.generator
-        parity = np.zeros(self.n_minus_k, dtype=np.int64)
-        for degree, coefficient in enumerate(remainder.coefficients):
-            parity[degree] = coefficient
-        # Codeword coefficients (lowest degree first): parity then message.
-        codeword = np.concatenate([parity, message])
-        return codeword
+        return self.encode_batch(message[None])[0]
+
+    def encode_batch(self, messages: np.ndarray) -> np.ndarray:
+        """Encode a ``(B, k)`` batch of messages in one GF(2) matrix product.
+
+        The remainder is linear in the message, so the parity of a message
+        is the XOR of the precomputed remainders of its one bits.
+        """
+        messages = np.asarray(messages).astype(np.int64) & 1
+        if messages.ndim != 2 or messages.shape[1] != self.k:
+            raise ValueError(f"messages must have shape (B, {self.k}), "
+                             f"got {messages.shape}")
+        parity = messages @ self._parity_matrix % 2
+        return np.concatenate([parity, messages], axis=1)
 
     def message_from_codeword(self, codeword: np.ndarray) -> np.ndarray:
         """Extract the systematic message bits from a codeword."""
@@ -104,39 +140,44 @@ class BCHCode:
 
     def is_codeword(self, word: np.ndarray) -> bool:
         """Whether ``word`` has all-zero syndromes."""
-        return all(s == 0 for s in self._syndromes(np.asarray(word) & 1))
+        word = np.asarray(word)
+        if word.shape != (self.n,):
+            raise ValueError(f"word must have shape ({self.n},)")
+        return not self._syndromes(word[None] & 1).any()
 
     # ------------------------------------------------------------------ #
     # Decoding
     # ------------------------------------------------------------------ #
-    def _syndromes(self, received: np.ndarray) -> list[int]:
-        syndromes = []
-        for power in range(1, 2 * self.t + 1):
-            syndromes.append(self.field.poly_eval(
-                received.tolist(), self.field.alpha_power(power)))
-        return syndromes
+    def _syndromes(self, words: np.ndarray) -> np.ndarray:
+        """``(B, 2t)`` syndromes of a ``(B, n)`` 0/1 batch."""
+        selected = np.where(words[:, :, None] != 0, self._syndrome_table, 0)
+        return np.bitwise_xor.reduce(selected, axis=1)
 
     def _berlekamp_massey(self, syndromes: list[int]) -> list[int]:
         """Error-locator polynomial (coefficients, lowest degree first)."""
-        field = self.field
+        exp, log, order = self._exp, self._log, self.field.order
+
+        def multiply(a: int, b: int) -> int:
+            return exp[log[a] + log[b]] if a and b else 0
+
         locator = [1]
         previous = [1]
         shift = 1
         previous_discrepancy = 1
         for index in range(2 * self.t):
             discrepancy = syndromes[index]
-            for degree in range(1, len(locator)):
-                if degree <= index:
-                    discrepancy ^= field.multiply(locator[degree],
-                                                  syndromes[index - degree])
+            for degree in range(1, min(len(locator), index + 1)):
+                discrepancy ^= multiply(locator[degree],
+                                        syndromes[index - degree])
             if discrepancy == 0:
                 shift += 1
                 continue
-            scale = field.divide(discrepancy, previous_discrepancy)
+            scale = exp[(log[discrepancy] - log[previous_discrepancy])
+                        % order]
             candidate = locator + [0] * max(
                 0, len(previous) + shift - len(locator))
             for degree, coefficient in enumerate(previous):
-                candidate[degree + shift] ^= field.multiply(scale, coefficient)
+                candidate[degree + shift] ^= multiply(scale, coefficient)
             if 2 * (len(locator) - 1) <= index:
                 previous = list(locator)
                 previous_discrepancy = discrepancy
@@ -148,48 +189,74 @@ class BCHCode:
             locator.pop()
         return locator
 
-    def _chien_search(self, locator: list[int]) -> list[int]:
-        """Positions of the errors located by the error-locator polynomial."""
-        positions = []
-        for position in range(self.n):
-            # An error at position i corresponds to a root alpha^{-i}.
-            x = self.field.alpha_power(-position)
-            if self.field.poly_eval(locator, x) == 0:
-                positions.append(position)
-        return positions
+    def _error_positions(self, syndromes: list[int]) -> np.ndarray | None:
+        """Error positions of one word, or ``None`` past the capability.
+
+        The locator's degree is checked first, so the Chien search (the
+        locator evaluated at every ``alpha^(-i)`` in one table lookup)
+        only sees degrees the table covers.
+        """
+        locator = self._berlekamp_massey(syndromes)
+        degree = len(locator) - 1
+        if degree > self.t:
+            return None
+        coefficients = np.array(locator)
+        terms = np.nonzero(coefficients)[0]
+        logs = self.field.log_table[coefficients[terms]]
+        values = np.bitwise_xor.reduce(
+            self.field.exp_table[self._chien_logs[:, terms] + logs], axis=1)
+        positions = np.nonzero(values == 0)[0]
+        return positions if positions.size == degree else None
 
     def decode(self, received: np.ndarray) -> BCHDecodingResult:
-        """Decode a (possibly corrupted) ``n``-bit word.
+        """Decode one (possibly corrupted) ``n``-bit word.
 
-        Returns the corrected codeword, the extracted message, the number of
-        corrected bits, and a success flag.  Decoding fails (success=False,
-        word returned uncorrected) when the error pattern exceeds the design
-        capability and the locator degree disagrees with the number of roots.
+        The one-row case of :meth:`decode_batch`.
         """
-        received = np.asarray(received).astype(np.int64) & 1
+        received = np.asarray(received)
         if received.shape != (self.n,):
             raise ValueError(f"received word must have shape ({self.n},)")
-        syndromes = self._syndromes(received)
-        if all(s == 0 for s in syndromes):
-            return BCHDecodingResult(codeword=received.copy(),
-                                     message=self.message_from_codeword(received),
-                                     corrected_errors=0, success=True)
-        locator = self._berlekamp_massey(syndromes)
-        positions = self._chien_search(locator)
-        locator_degree = len(locator) - 1
-        if locator_degree > self.t or len(positions) != locator_degree:
-            return BCHDecodingResult(codeword=received.copy(),
-                                     message=self.message_from_codeword(received),
-                                     corrected_errors=0, success=False)
+        return self.decode_batch(received[None])[0]
+
+    def decode_batch(self, received: np.ndarray) -> list[BCHDecodingResult]:
+        """Decode a ``(B, n)`` batch of (possibly corrupted) words.
+
+        Returns, per word, the corrected codeword, the extracted message,
+        the number of corrected bits, and a success flag.  Decoding fails
+        (success=False, word returned uncorrected) when the error pattern
+        exceeds the design capability: the locator's degree exceeds ``t``,
+        disagrees with its number of roots, or the corrected word is not a
+        codeword.  Syndromes and the re-check are batched table lookups;
+        Berlekamp-Massey runs only for words with a nonzero syndrome.
+        """
+        received = np.asarray(received).astype(np.int64) & 1
+        if received.ndim != 2 or received.shape[1] != self.n:
+            raise ValueError(f"received words must have shape (B, {self.n}), "
+                             f"got {received.shape}")
         corrected = received.copy()
-        corrected[positions] ^= 1
-        if not self.is_codeword(corrected):
-            return BCHDecodingResult(codeword=received.copy(),
-                                     message=self.message_from_codeword(received),
-                                     corrected_errors=0, success=False)
-        return BCHDecodingResult(codeword=corrected,
-                                 message=self.message_from_codeword(corrected),
-                                 corrected_errors=len(positions), success=True)
+        errors = np.zeros(len(received), dtype=np.int64)
+        success = np.ones(len(received), dtype=bool)
+        syndromes = self._syndromes(received)
+        located = []
+        for row in np.nonzero(syndromes.any(axis=1))[0]:
+            positions = self._error_positions(syndromes[row].tolist())
+            if positions is None:
+                success[row] = False
+                continue
+            corrected[row, positions] ^= 1
+            errors[row] = positions.size
+            located.append(row)
+        located = np.array(located, dtype=np.intp)
+        rejected = located[self._syndromes(corrected[located]).any(axis=1)]
+        corrected[rejected] = received[rejected]
+        errors[rejected] = 0
+        success[rejected] = False
+        return [BCHDecodingResult(codeword=corrected[row],
+                                  message=self.message_from_codeword(
+                                      corrected[row]),
+                                  corrected_errors=int(errors[row]),
+                                  success=bool(success[row]))
+                for row in range(len(received))]
 
     # ------------------------------------------------------------------ #
     # Summaries

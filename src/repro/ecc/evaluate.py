@@ -7,18 +7,17 @@ correction strength does a BCH code need at a given P/E count, and how much
 does soft-decision LDPC decoding gain from the model's soft voltages?
 
 Every helper takes the channel through the unified protocol
-(:mod:`repro.channel`): pass a registered backend name, a
-:class:`~repro.channel.ChannelModel`, or a legacy concrete channel object.
+(:mod:`repro.channel`): pass a registered backend name or a
+:class:`~repro.channel.ChannelModel`.
 
 The campaigns run on the sharded Monte-Carlo engine (:mod:`repro.exec`):
 codewords are evaluated in groups — each group programmed as one stacked
 array so the codeword bits see realistic wordline/bitline neighbours — with
 one :class:`~repro.exec.ShardSpec` per worker.  Randomness is anchored per
 group, so ``executor="process", workers=4`` returns bit-identical results to
-the serial path for the same seed.  Codes exposing batch operations
-(:meth:`repro.ecc.LDPCCode.encode_batch`,
-:meth:`repro.ecc.LDPCCode.decode_min_sum_batch`) are encoded and decoded in
-vectorized batches; others fall back to the scalar path.
+the serial path for the same seed.  Each group is encoded and decoded as
+one batch (``encode_batch``, then :meth:`repro.ecc.BCHCode.decode_batch` or
+:meth:`repro.ecc.LDPCCode.decode_min_sum_batch`).
 """
 
 from __future__ import annotations
@@ -64,14 +63,6 @@ class CodewordChannelResult:
         return int(round(self.frame_error_rate * self.codewords))
 
 
-def _encode_codewords(code, messages: np.ndarray) -> np.ndarray:
-    """Encode a batch of messages, vectorized when the code supports it."""
-    encode_batch = getattr(code, "encode_batch", None)
-    if encode_batch is not None:
-        return np.asarray(encode_batch(messages))
-    return np.stack([code.encode(message) for message in messages])
-
-
 def _transmit_lower_page(channel: ChannelModel, messages: np.ndarray, code,
                          pe_cycles: float, rng: np.random.Generator,
                          params: FlashParameters | None
@@ -83,7 +74,7 @@ def _transmit_lower_page(channel: ChannelModel, messages: np.ndarray, code,
     neighbour levels and ICI.  Returns ``(codewords, voltages)`` where both
     have shape ``(num_codewords, n)``.
     """
-    codewords = _encode_codewords(code, messages)
+    codewords = code.encode_batch(messages)
     middle = rng.integers(0, 2, size=codewords.shape)
     upper = rng.integers(0, 2, size=codewords.shape)
     levels = program_pages(codewords, middle, upper)
@@ -118,8 +109,7 @@ def _bch_group_task(unit, rng, *, code, channel, pe_cycles, params):
     codewords, voltages = _transmit_lower_page(channel, messages, code,
                                                pe_cycles, rng, params)
     received = _received_lower_page(voltages, params)
-    decoded = [code.decode(received[index]) for index in range(count)]
-    records = _group_records(codewords, decoded)
+    records = _group_records(codewords, code.decode_batch(received))
     records[:, 0] = np.count_nonzero(received != codewords, axis=1)
     return records
 
@@ -133,13 +123,7 @@ def _ldpc_group_task(unit, rng, *, code, channel, pe_cycles, params,
                                                pe_cycles, rng, params)
     received = _received_lower_page(voltages, params)
     llrs = page_llrs(voltages, LOWER_PAGE, density_table)
-    decode_batch = getattr(code, "decode_min_sum_batch", None)
-    if decode_batch is not None:
-        decoded = decode_batch(llrs, max_iterations=max_iterations)
-    else:
-        decoded = [code.decode_min_sum(llrs[index],
-                                       max_iterations=max_iterations)
-                   for index in range(count)]
+    decoded = code.decode_min_sum_batch(llrs, max_iterations=max_iterations)
     records = _group_records(codewords, decoded)
     records[:, 0] = np.count_nonzero(received != codewords, axis=1)
     return records
@@ -273,7 +257,6 @@ def evaluate_ldpc_over_channel(code: LDPCCode, channel, pe_cycles: float,
     omitted, the table is estimated from blocks derived from the campaign
     seed (served from the backend's per-condition LRU cache on repeated
     queries), so a by-name channel run is reproducible end to end.
-    Decoding uses the vectorized batch decoder when the code provides one.
     ``executor`` / ``workers`` / ``seed`` behave as in
     :func:`evaluate_bch_over_channel`.
     """

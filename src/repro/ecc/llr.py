@@ -62,10 +62,8 @@ class LevelDensityTable:
         if np.any(self.densities < 0):
             raise ValueError("densities must be non-negative")
 
-    def lookup(self, voltages: np.ndarray, level: int) -> np.ndarray:
-        """Density of ``level`` at each voltage (nearest-grid-point lookup)."""
-        if not 0 <= level < NUM_LEVELS:
-            raise ValueError("level must lie in [0, 8)")
+    def _nearest(self, voltages: np.ndarray) -> np.ndarray:
+        """Index of the grid point nearest each voltage (ties go right)."""
         voltages = np.asarray(voltages, dtype=float)
         indices = np.clip(np.searchsorted(self.grid, voltages),
                           0, self.grid.size - 1)
@@ -74,8 +72,14 @@ class LevelDensityTable:
         left = np.clip(indices - 1, 0, self.grid.size - 1)
         use_left = (np.abs(self.grid[left] - voltages)
                     < np.abs(self.grid[indices] - voltages))
-        nearest = np.where(use_left, left, indices)
-        return np.maximum(self.densities[level][nearest], _DENSITY_FLOOR)
+        return np.where(use_left, left, indices)
+
+    def lookup(self, voltages: np.ndarray, level: int) -> np.ndarray:
+        """Density of ``level`` at each voltage (nearest-grid-point lookup)."""
+        if not 0 <= level < NUM_LEVELS:
+            raise ValueError("level must lie in [0, 8)")
+        return np.maximum(self.densities[level][self._nearest(voltages)],
+                          _DENSITY_FLOOR)
 
 
 def densities_from_samples(program_levels: np.ndarray, voltages: np.ndarray,
@@ -172,12 +176,15 @@ def page_llrs(voltages: np.ndarray, page: int, table: LevelDensityTable,
         raise ValueError("priors must be 8 non-negative weights")
 
     zero_levels, one_levels = _page_bit_partition(page)
+    # Every level's density is read at the same grid points.
+    densities = np.maximum(table.densities[:, table._nearest(volts)],
+                           _DENSITY_FLOOR)
     numerator = np.zeros(volts.shape)
     denominator = np.zeros(volts.shape)
     for level in zero_levels:
-        numerator += priors[level] * table.lookup(volts, int(level))
+        numerator += priors[level] * densities[level]
     for level in one_levels:
-        denominator += priors[level] * table.lookup(volts, int(level))
+        denominator += priors[level] * densities[level]
     llrs = np.log(np.maximum(numerator, _DENSITY_FLOOR)) \
         - np.log(np.maximum(denominator, _DENSITY_FLOOR))
     return np.clip(llrs, -clip, clip)

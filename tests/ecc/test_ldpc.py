@@ -2,12 +2,18 @@
 
 from __future__ import annotations
 
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.ecc import LDPCCode, gallager_parity_check_matrix
+from repro.channel import build_channel
+from repro.ecc import (LDPCCode, LDPCDecodingResult,
+                       evaluate_ldpc_over_channel,
+                       gallager_parity_check_matrix)
+from repro.flash import BlockGeometry
 
 
 @pytest.fixture(scope="module")
@@ -162,16 +168,21 @@ class TestMinSumDecoder:
 def _reference_min_sum(code: LDPCCode, llrs: np.ndarray,
                        max_iterations: int = 30, scale: float = 0.8
                        ) -> tuple[np.ndarray, int, bool]:
-    """The pre-vectorization per-check Python loop, kept as the oracle."""
+    """The pre-vectorization per-check Python loop over a dense message
+    array, kept as the oracle.  It reads the Tanner graph from the rows of
+    ``code.parity_check`` only, never from the decoder's edge indexes."""
     llrs = np.asarray(llrs, dtype=float)
-    num_checks = code.parity_check.shape[0]
-    check_to_variable = np.zeros((num_checks, code.n))
+    parity_check = code.parity_check
+    check_neighbours = [np.nonzero(row)[0] for row in parity_check]
+    check_to_variable = np.zeros(parity_check.shape)
     hard = (llrs < 0).astype(np.int64)
-    if code.is_codeword(hard):
+    if not (parity_check @ hard % 2).any():
         return hard, 0, True
     for iteration in range(1, max_iterations + 1):
         totals = llrs + check_to_variable.sum(axis=0)
-        for check, neighbours in enumerate(code._check_neighbours):
+        for check, neighbours in enumerate(check_neighbours):
+            if neighbours.size == 0:
+                continue  # an all-zero row sends no messages
             incoming = totals[neighbours] - check_to_variable[check,
                                                               neighbours]
             signs = np.sign(incoming)
@@ -187,9 +198,41 @@ def _reference_min_sum(code: LDPCCode, llrs: np.ndarray,
                 scale * product_sign * signs * outgoing
         totals = llrs + check_to_variable.sum(axis=0)
         hard = (totals < 0).astype(np.int64)
-        if code.is_codeword(hard):
+        if not (parity_check @ hard % 2).any():
             return hard, iteration, True
     return hard, max_iterations, False
+
+
+def _assert_matches_reference(code: LDPCCode, llrs: np.ndarray,
+                              max_iterations: int) -> None:
+    """The batch decoder agrees with the oracle on every row of ``llrs``."""
+    results = code.decode_min_sum_batch(llrs, max_iterations=max_iterations)
+    for row, result in zip(llrs, results):
+        expected_codeword, expected_iterations, expected_success = \
+            _reference_min_sum(code, row, max_iterations=max_iterations)
+        np.testing.assert_array_equal(result.codeword, expected_codeword)
+        assert result.iterations == expected_iterations
+        assert result.success == expected_success
+
+
+def _irregular_parity_check() -> np.ndarray:
+    """A Gallager matrix with a degree-1 check row, an all-zero row, a
+    duplicated row and a shortened row among its degree-6 rows."""
+    parity = gallager_parity_check_matrix(48, 3, 6,
+                                          rng=np.random.default_rng(3))
+    parity[0] = 0
+    parity[0, 5] = 1
+    parity[1] = 0
+    parity[2] = parity[3]
+    parity[4, :2] = 0
+    return parity
+
+
+@pytest.fixture(scope="module")
+def code_252() -> LDPCCode:
+    """The n = 252 code the ECC campaigns and benchmarks use."""
+    return LDPCCode.regular(n=252, column_weight=3, row_weight=6,
+                            rng=np.random.default_rng(1))
 
 
 class TestVectorizedMinSumRegression:
@@ -226,6 +269,137 @@ class TestVectorizedMinSumRegression:
             np.testing.assert_array_equal(result.codeword, expected_codeword)
             assert result.iterations == expected_iterations
             assert result.success == expected_success
+
+    @pytest.mark.parametrize("noise_sigma", [0.6, 0.9, 1.5])
+    def test_batch_matches_reference_on_the_campaign_code(self, code_252,
+                                                          noise_sigma):
+        """At sigma 1.5 every frame runs all 30 iterations, so a message
+        added in the wrong order or on the wrong edge has time to show."""
+        rng = np.random.default_rng(int(noise_sigma * 10))
+        codewords = code_252.encode_batch(
+            rng.integers(0, 2, size=(8, code_252.k)))
+        llrs = _bpsk_llrs(codewords, noise_sigma, rng)
+        _assert_matches_reference(code_252, llrs, max_iterations=30)
+
+    @pytest.mark.parametrize("noise_sigma", [0.6, 0.9, 1.5])
+    def test_batch_matches_reference_on_degenerate_rows(self, noise_sigma):
+        irregular = LDPCCode(_irregular_parity_check())
+        rng = np.random.default_rng(int(noise_sigma * 10))
+        codewords = irregular.encode_batch(
+            rng.integers(0, 2, size=(16, irregular.k)))
+        llrs = _bpsk_llrs(codewords, noise_sigma, rng)
+        _assert_matches_reference(irregular, llrs, max_iterations=30)
+
+
+class TestEdgeList:
+    """The code is its Tanner graph's edge list; ``H`` is a view of it."""
+
+    def test_parity_check_round_trips_and_is_read_only(self):
+        parity = _irregular_parity_check()
+        code = LDPCCode(parity)
+        np.testing.assert_array_equal(code.parity_check, parity)
+        assert code.num_checks == parity.shape[0]
+        with pytest.raises(ValueError):
+            code.parity_check[0, 0] = 1
+
+    @pytest.mark.parametrize("degenerate", [False, True])
+    def test_totals_add_messages_in_dense_column_order(self, code_252,
+                                                       degenerate):
+        """Bit-identity with the dense decoder rests on adding each
+        variable's messages in ascending check order; magnitudes spread
+        over many decades make any other order round differently."""
+        code = LDPCCode(_irregular_parity_check()) if degenerate \
+            else code_252
+        rng = np.random.default_rng(33)
+        num_edges = code.parity_check.sum()
+        messages = np.zeros((4, num_edges + 1))
+        messages[:, :-1] = rng.choice([-1.0, 1.0], size=(4, num_edges)) \
+            * 10.0 ** rng.uniform(-8, 8, size=(4, num_edges))
+        llrs = rng.normal(size=(4, code.n))
+        dense = np.zeros((4, code.num_checks, code.n))
+        checks, variables = np.nonzero(code.parity_check)
+        dense[:, checks, variables] = messages[:, :-1]
+        np.testing.assert_array_equal(code._variable_totals(llrs, messages),
+                                      llrs + dense.sum(axis=1))
+
+    def test_syndromes_and_bit_flipping_match_dense_parity_check(self):
+        code = LDPCCode(_irregular_parity_check())
+        parity = code.parity_check
+        rng = np.random.default_rng(30)
+        words = rng.integers(0, 2, size=(12, code.n))
+        np.testing.assert_array_equal(code.syndrome_batch(words),
+                                      words @ parity.T % 2)
+        codeword = code.encode(rng.integers(0, 2, size=code.k))
+        corrupted = codeword.copy()
+        corrupted[7] ^= 1
+        result = code.decode_bit_flipping(corrupted, max_iterations=1)
+        unsatisfied = parity.T @ (parity @ corrupted % 2)
+        flipped = corrupted.copy()
+        flipped[unsatisfied == unsatisfied.max()] ^= 1
+        np.testing.assert_array_equal(result.codeword, flipped)
+
+
+class TestPickledCode:
+    """A pickled code is its edge list plus a bit-packed encoder."""
+
+    def test_loaded_code_encodes_checks_and_decodes_identically(self,
+                                                                code_252):
+        loaded = pickle.loads(pickle.dumps(code_252))
+        rng = np.random.default_rng(31)
+        messages = rng.integers(0, 2, size=(8, code_252.k))
+        codewords = code_252.encode_batch(messages)
+        np.testing.assert_array_equal(loaded.encode_batch(messages),
+                                      codewords)
+        words = rng.integers(0, 2, size=(8, code_252.n))
+        np.testing.assert_array_equal(loaded.syndrome_batch(words),
+                                      code_252.syndrome_batch(words))
+        llrs = _bpsk_llrs(codewords, 0.9, rng)
+        for original, restored in zip(code_252.decode_min_sum_batch(llrs),
+                                      loaded.decode_min_sum_batch(llrs)):
+            np.testing.assert_array_equal(restored.codeword,
+                                          original.codeword)
+            assert restored.iterations == original.iterations
+            assert restored.success == original.success
+        np.testing.assert_array_equal(loaded.parity_check,
+                                      code_252.parity_check)
+        assert (loaded.n, loaded.k, loaded.rank) == \
+            (code_252.n, code_252.k, code_252.rank)
+
+    def test_degenerate_code_survives_pickling(self):
+        code = LDPCCode(_irregular_parity_check())
+        loaded = pickle.loads(pickle.dumps(code))
+        np.testing.assert_array_equal(loaded.parity_check, code.parity_check)
+        message = np.random.default_rng(32).integers(0, 2, size=code.k)
+        np.testing.assert_array_equal(loaded.encode(message),
+                                      code.encode(message))
+
+    def test_wire_form_stays_small_after_every_public_method(self, code_252):
+        code = pickle.loads(pickle.dumps(code_252))
+        codeword = code.encode(np.ones(code.k, dtype=int))
+        code.encode_batch(codeword[None, :code.k])
+        code.message_from_codeword(codeword)
+        code.syndrome(codeword)
+        code.syndrome_batch(codeword[None])
+        code.is_codeword(codeword)
+        assert code.parity_check.shape == (126, 252)
+        assert 0 < code.rate < 1
+        code.decode_min_sum(2.0 - 4.0 * codeword)
+        code.decode_min_sum_batch((2.0 - 4.0 * codeword)[None])
+        code.decode_bit_flipping(codeword)
+        assert len(pickle.dumps(code)) <= 16_000
+
+    def test_unpickling_does_not_redo_the_elimination(self, code_252,
+                                                      monkeypatch):
+        from repro.ecc import ldpc
+
+        payload = pickle.dumps(code_252)
+
+        def refuse(parity):
+            raise AssertionError("Gaussian elimination ran on unpickling")
+
+        monkeypatch.setattr(ldpc, "_systematic_form", refuse)
+        loaded = pickle.loads(payload)
+        assert loaded.k == code_252.k
 
 
 class TestBitFlippingDecoder:
@@ -320,3 +494,37 @@ class TestBatchOperations:
             code.decode_min_sum_batch(np.zeros(code.n))
         with pytest.raises(ValueError):
             code.decode_min_sum_batch(np.zeros((2, code.n)), scale=0.0)
+
+
+class _OracleLDPCCode(LDPCCode):
+    """Decodes row by row through the per-check oracle."""
+
+    def decode_min_sum_batch(self, llrs_batch, max_iterations=30,
+                             scale=0.8):
+        results = []
+        for llrs in llrs_batch:
+            codeword, iterations, success = _reference_min_sum(
+                self, llrs, max_iterations=max_iterations, scale=scale)
+            results.append(LDPCDecodingResult(
+                codeword=codeword,
+                message=self.message_from_codeword(codeword),
+                iterations=iterations, success=success))
+        return results
+
+
+def test_campaign_frame_records_match_the_oracle():
+    """A seeded LDPC campaign at 100k P/E over the 16x16 simulator (FER
+    about 0.4; each failing frame runs all 30 iterations).  The n = 96
+    code keeps the per-check oracle within the tier-1 budget."""
+    parity = gallager_parity_check_matrix(96, 3, 6,
+                                          rng=np.random.default_rng(1))
+    records = []
+    for code in (LDPCCode(parity), _OracleLDPCCode(parity)):
+        channel = build_channel("simulator", geometry=BlockGeometry(16, 16),
+                                rng=np.random.default_rng(0))
+        result = evaluate_ldpc_over_channel(code, channel, 100_000,
+                                            num_codewords=128, seed=9)
+        records.append(result.frame_records)
+    assert 0 < records[0][:, 1].mean() < 1
+    np.testing.assert_array_equal(records[0], records[1])
+

@@ -62,6 +62,16 @@ class TestLevelDensityTable:
         values = density_table.lookup(np.array([0.0]), 7)
         assert values[0] > 0.0
 
+    def test_lookup_reads_the_nearest_grid_point(self):
+        """Ties between two grid points go to the right one; voltages off
+        the grid read its end points."""
+        densities = np.tile(np.arange(1.0, 5.0), (NUM_LEVELS, 1))
+        table = LevelDensityTable(grid=np.array([0.0, 10.0, 20.0, 30.0]),
+                                  densities=densities)
+        voltages = np.array([-5.0, 4.9, 5.0, 5.1, 14.0, 16.0, 29.0, 35.0])
+        np.testing.assert_array_equal(table.lookup(voltages, 3),
+                                      [1.0, 1.0, 2.0, 2.0, 2.0, 3.0, 4.0, 4.0])
+
     def test_lookup_rejects_bad_level(self, density_table):
         with pytest.raises(ValueError):
             density_table.lookup(np.array([100.0]), 9)
@@ -124,6 +134,36 @@ class TestPageLLRs:
         with pytest.raises(ValueError):
             page_llrs(voltages, 0, density_table,
                       priors=np.array([0.5, 0.5]))
+
+    @pytest.mark.parametrize("page", [0, 1, 2])
+    def test_equals_sum_of_per_level_lookups(self, density_table, page):
+        """One nearest-bin search serves all eight levels, bit-identically
+        to looking each level up, at bin midpoints and off the grid too."""
+        grid = density_table.grid
+        voltages = np.concatenate([
+            (grid[:-1] + grid[1:]) / 2,
+            grid,
+            [grid[0] - 50.0, grid[0] - 1e-9, grid[-1] + 1e-9, grid[-1] + 50.0],
+            np.random.default_rng(12).uniform(-100.0, 750.0, size=200),
+        ]).reshape(5, -1)
+        priors = np.random.default_rng(13).dirichlet(np.ones(NUM_LEVELS))
+        for level_priors in (None, priors):
+            weights = (np.full(NUM_LEVELS, 1.0 / NUM_LEVELS)
+                       if level_priors is None else level_priors)
+            numerator = np.zeros(voltages.shape)
+            denominator = np.zeros(voltages.shape)
+            for level in range(NUM_LEVELS):
+                term = weights[level] * density_table.lookup(voltages, level)
+                if GRAY_MAP[level][page] == 0:
+                    numerator += term
+                else:
+                    denominator += term
+            expected = np.clip(np.log(np.maximum(numerator, 1e-12))
+                               - np.log(np.maximum(denominator, 1e-12)),
+                               -30.0, 30.0)
+            np.testing.assert_array_equal(
+                page_llrs(voltages, page, density_table,
+                          priors=level_priors), expected)
 
     def test_hard_decisions_from_llrs_track_wear(self, channel, params,
                                                  density_table):

@@ -372,7 +372,9 @@ class TestTrainStepReleasesGraph:
         config = replace(ModelConfig.tiny(), dtype="float32")
         model = build_model(arch, config, rng=np.random.default_rng(21))
         trainer = Trainer(model, tiny_dataset, rng=np.random.default_rng(22))
-        module = getattr(model, network)
+        module = model
+        for name in network.split("."):
+            module = getattr(module, name)
         outputs = []
         forward = module.forward
 
@@ -406,3 +408,13 @@ class TestTrainStepReleasesGraph:
                                                   tiny_dataset)
         assert outputs
         assert not alive
+
+    def test_bicycle_gan_latent_regression_builds_no_logvar_graph(
+            self, tiny_dataset):
+        """The cLR cycle re-encodes the generated voltages for their mean
+        only; a log-variance head run there would leave its graph behind."""
+        outputs, alive = self._outputs_after_step(
+            "bicycle_gan", "encoder.fc_logvar", tiny_dataset)
+        assert outputs
+        assert not alive
+
