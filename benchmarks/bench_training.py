@@ -17,7 +17,7 @@ Two families of measurements live here:
 Results are merged into ``benchmarks/results/pipeline.json`` (the CI-tracked
 throughput file): the ``train`` key holds the latest run and
 ``train_series`` accumulates one entry per run for cross-PR tracking
-(likewise ``cjit``/``cjit_series`` and ``obs``/``obs_series``).
+(likewise ``obs``/``obs_series``).
 
 ``--smoke`` additionally runs the float32 end-to-end acceptance path: train
 a small cVAE-GAN in float32, serve it through the batched
@@ -70,16 +70,9 @@ SAMPLE_ROUNDS = 3
 #: Minimum float32 speedup over the float64 baseline, per stage.
 SPEEDUP_THRESHOLDS = {"train_step": 1.8, "sampling": 1.5}
 
-#: Compiled-kernel (cjit) ladder: conv training-step workload and the
-#: minimum warmed-cjit speedup over the numpy backend.  The stage is the
-#: conv-dominated optimisation step (im2col -> BLAS matmul -> col2im ->
-#: Adam) because those are exactly the kernels the backend compiles; the
-#: full cVAE-GAN step is mostly shared BLAS + autograd bookkeeping and
-#: would measure the unroutable parts.
-CJIT_SPEEDUP_THRESHOLD = 1.3
+#: Conv training-step workload of the ``--obs`` gate.
 CONV_STEP_CHANNELS = 16
 CONV_STEPS_PER_ROUND = 5
-CONV_ROUNDS = 6
 
 #: Observability disabled-cost gate (``--obs``): the shipped conv training
 #: step (kernel-profiling hooks present, tracing off) vs the same backend
@@ -168,12 +161,12 @@ def _sampling_pass(dtype: str):
 
 
 def _conv_train_steps(backend):
-    """A zero-argument 'conv training step' stage for the cjit ladder.
+    """A zero-argument 'conv training step' stage for the ``--obs`` gate.
 
     One pix2pix-style 4x4/stride-2 convolution: forward lowering
     (im2col + BLAS matmul), squared-activation loss, backward (col2im +
-    weight-gradient im2col) and an Adam update — the exact kernel mix the
-    compiled backend routes through C.
+    weight-gradient im2col) and an Adam update — every hooked kernel of a
+    conv layer.
     """
     from repro.nn import Tensor
     from repro.nn import functional as F
@@ -200,68 +193,6 @@ def _conv_train_steps(backend):
                 loss.backward()
                 optimizer.step()
     return stage
-
-
-def run_cjit_benchmark() -> dict | None:
-    """Warmed compiled-kernel vs numpy backend on the conv training step.
-
-    Returns ``None`` (after printing why) when no C compiler is present —
-    the cjit backend would silently fall back to the very kernels it is
-    being compared against.  The backend instance is built once and kept
-    across rounds: per-round reconstruction would re-verify and re-dlopen
-    every cached kernel and measure cache plumbing instead of kernels.
-    """
-    from repro.nn.backend import build_backend
-    from repro.nn.cjit import cjit_available
-
-    if not cjit_available():
-        print("skipping cjit benchmark: no C compiler (cc/clang/gcc) "
-              "on PATH")
-        return None
-    cjit = build_backend("cjit")
-    warmed = cjit.warm(dtypes=("float32",))
-    timings = _interleaved_best(_conv_train_steps(cjit),
-                                _conv_train_steps(build_backend("numpy")),
-                                CONV_ROUNDS, labels=("cjit", "numpy"))
-    stats = cjit.stats()
-    return {
-        "conv_step": {
-            "array_size": TRAIN_ARRAY_SIZE,
-            "batch_size": TRAIN_BATCH,
-            "channels": CONV_STEP_CHANNELS,
-            "cjit_seconds": timings["cjit"] / CONV_STEPS_PER_ROUND,
-            "numpy_seconds": timings["numpy"] / CONV_STEPS_PER_ROUND,
-            "speedup": timings["numpy"] / timings["cjit"],
-        },
-        "compiler": stats["compiler"],
-        "warmed_kernels": warmed,
-        "compiled": stats["compiled"],
-        "cache_hits": stats["cache"]["hits"],
-        "fallbacks": stats["fallbacks"],
-        "cpu_count": os.cpu_count() or 1,
-    }
-
-
-def check_cjit_threshold(results: dict) -> list[str]:
-    """Core-gated compiled-vs-numpy speedup failure (empty list = pass)."""
-    if results["cpu_count"] < GATE_MIN_CORES:
-        return []
-    speedup = results["conv_step"]["speedup"]
-    if speedup < CJIT_SPEEDUP_THRESHOLD:
-        return [f"conv_step: warmed cjit is {speedup:.2f}x over numpy, "
-                f"below the {CJIT_SPEEDUP_THRESHOLD:.1f}x threshold"]
-    return []
-
-
-def merge_cjit_results(results: dict):
-    """Fold a cjit run into the tracked file (``cjit`` + ``cjit_series``)."""
-    series = load_results().get("cjit_series", [])
-    series.append(series_entry(results["cpu_count"], {
-        "cjit_conv_step_speedup": results["conv_step"]["speedup"],
-        "cjit_steps_per_second":
-            1.0 / results["conv_step"]["cjit_seconds"],
-    }))
-    return _merge_tracked_results({"cjit": results, "cjit_series": series})
 
 
 def _traced_step_block(stage) -> dict:
@@ -456,11 +387,6 @@ def main() -> None:
                              "train->sample->FER acceptance path")
     parser.add_argument("--skip-ladder", action="store_true",
                         help="run only the smoke path (no timing ladder)")
-    parser.add_argument("--backend", choices=("numpy", "cjit"),
-                        default="numpy",
-                        help="'numpy' runs the float32-vs-float64 precision "
-                             "ladder; 'cjit' runs the warmed compiled-kernel "
-                             "vs numpy conv-training-step comparison")
     parser.add_argument("--obs", action="store_true",
                         help="run the observability disabled-cost gate: the "
                              "shipped conv training step (kernel hooks in "
@@ -490,25 +416,6 @@ def main() -> None:
         smoke = run_float32_smoke()
         print("float32 smoke:", json.dumps(smoke, indent=2))
     if args.skip_ladder:
-        return
-
-    if args.backend == "cjit":
-        results = run_cjit_benchmark()
-        if results is None:
-            return  # no compiler: nothing honest to measure or record
-        path = merge_cjit_results(results)
-        print(json.dumps(results, indent=2))
-        print(f"merged into {path}")
-        failures = check_cjit_threshold(results)
-        if failures:
-            raise SystemExit("cjit regression: " + "; ".join(failures))
-        alerts = check_series_regression(load_results().get("cjit_series",
-                                                            []))
-        if results["cpu_count"] < GATE_MIN_CORES:
-            for alert in alerts:
-                print(f"WARNING cjit series regression: {alert}")
-        elif alerts:
-            raise SystemExit("cjit series regression: " + "; ".join(alerts))
         return
 
     results = run_training_benchmark()

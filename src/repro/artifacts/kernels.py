@@ -9,29 +9,29 @@ of (platform, compiler, source) — verifies the object's content hash, and
 skips the compiler entirely; a corrupted or stale entry is evicted and
 recompiled, never loaded.
 
-The cache directory defaults to ``$REPRO_KERNEL_CACHE`` or
-``.repro-kernel-cache/`` under the working directory (gitignored).
+The cache is per user, never per working directory, because compiled
+kernels are the default array backend wherever a C compiler works: it is
+``$REPRO_KERNEL_CACHE`` when set, else ``~/.cache/repro/kernels``, else a
+private per-user directory under :func:`tempfile.gettempdir`.  One cold
+process compiles a kernel; every later process on the host loads it.
 """
 
 from __future__ import annotations
 
 import json
 import os
+import stat
 import tempfile
 from pathlib import Path
 from typing import Any, Mapping
 
 from repro.artifacts.store import file_sha256
 
-__all__ = ["KERNEL_CACHE_ENV", "KERNEL_CACHE_DIRNAME",
-           "KERNEL_MANIFEST_FILENAME", "KERNEL_CACHE_VERSION",
-           "default_kernel_cache_dir", "KernelCache"]
+__all__ = ["KERNEL_CACHE_ENV", "KERNEL_MANIFEST_FILENAME",
+           "KERNEL_CACHE_VERSION", "default_kernel_cache_dir", "KernelCache"]
 
 #: Environment override for the cache location.
 KERNEL_CACHE_ENV = "REPRO_KERNEL_CACHE"
-
-#: Default cache directory name (created under the working directory).
-KERNEL_CACHE_DIRNAME = ".repro-kernel-cache"
 
 #: Manifest file name inside the cache directory.
 KERNEL_MANIFEST_FILENAME = "kernels.json"
@@ -42,11 +42,47 @@ KERNEL_CACHE_VERSION = 1
 
 
 def default_kernel_cache_dir() -> Path:
-    """``$REPRO_KERNEL_CACHE`` or ``.repro-kernel-cache/`` under the cwd."""
+    """The per-user kernel cache directory.
+
+    ``$REPRO_KERNEL_CACHE`` when set, used as given; else
+    ``~/.cache/repro/kernels`` when it exists or can be created and is
+    writable; else :func:`_user_temp_dir`.  A directory that turns out
+    unusable is reported by the first compile into it, not here.
+    """
     override = os.environ.get(KERNEL_CACHE_ENV)
     if override:
         return Path(override).expanduser()
-    return Path.cwd() / KERNEL_CACHE_DIRNAME
+    try:
+        home = Path.home() / ".cache" / "repro" / "kernels"
+        home.mkdir(parents=True, exist_ok=True)
+        if os.access(home, os.W_OK):
+            return home
+    except (OSError, RuntimeError):  # no home directory, or not writable
+        pass
+    return _user_temp_dir()
+
+
+def _user_temp_dir() -> Path:
+    """``repro-kernels-<uid>`` under the temp directory, if private.
+
+    The temp directory is shared, and a cache entry is code this process
+    will load, so a directory there is used only when this user owns it
+    and no one else can write to it.  Anything else (planted by another
+    user, a symlink, group- or world-writable) is passed over for a fresh
+    private :func:`tempfile.mkdtemp` directory.
+    """
+    uid = os.getuid() if hasattr(os, "getuid") else None
+    suffix = f"-{uid}" if uid is not None else ""
+    path = Path(tempfile.gettempdir()) / f"repro-kernels{suffix}"
+    try:
+        path.mkdir(mode=0o700, exist_ok=True)
+        info = path.lstat()
+    except OSError:
+        return path
+    if uid is None or (stat.S_ISDIR(info.st_mode) and info.st_uid == uid
+                       and not info.st_mode & 0o022):
+        return path
+    return Path(tempfile.mkdtemp(prefix="repro-kernels-"))
 
 
 class KernelCache:

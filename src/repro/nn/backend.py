@@ -13,8 +13,16 @@ two purposes:
   a subclass under a name and the whole train → sample → sweep pipeline uses
   it, mirroring ``build_channel`` / ``build_executor``.
 
-The default :class:`NumpyBackend` additionally owns a :class:`BufferArena`
-of pre-allocated, thread-local scratch buffers: graph-free forward passes
+The process default is resolved on the first :func:`get_backend` call:
+the compiled-kernel :class:`repro.nn.cjit.CJitBackend` when a C compiler is
+found, :class:`NumpyBackend` otherwise.  The two train and sample
+bit-identically; cjit is the faster one, and a default cjit that cannot
+build a kernel (no writable cache, a broken toolchain) warns once and runs
+the NumPy kernels.  :class:`NumpyBackend` stays the fallback and the
+conformance reference; ``use_backend("numpy")`` opts out.
+
+:class:`NumpyBackend` additionally owns a :class:`BufferArena` of
+pre-allocated, thread-local scratch buffers: graph-free forward passes
 (``no_grad`` inference, the generative channel's batched sampling) reuse the
 same im2col column buffers call after call instead of re-allocating the
 largest arrays of the pipeline on every layer.
@@ -22,8 +30,8 @@ largest arrays of the pipeline on every layer.
 Usage mirrors the channel registry::
 
     from repro.nn import backend
-    backend.get_backend()              # current backend (default "numpy")
-    backend.set_backend("numpy")       # switch globally (this thread)
+    backend.get_backend()              # current backend ("cjit" or "numpy")
+    backend.set_backend("numpy")       # switch this thread
     with backend.use_backend("reference"):
         ...                            # scoped switch
 
@@ -207,17 +215,6 @@ class ArrayBackend:
 
     def __init__(self):
         self.arena = BufferArena()
-
-    def stats(self) -> dict[str, dict]:
-        """Deprecated ad-hoc stats surface, kept as a thin registry view.
-
-        Returns the full :func:`repro.obs.metrics.backend_registry` snapshot
-        (``nn.arena.*`` and, on compiled backends, ``nn.cjit.*``).  New
-        code should use the registry directly.
-        """
-        from repro.obs.metrics import backend_registry
-
-        return backend_registry(self).snapshot()
 
     def scratch_out(self, shape: tuple[int, ...], dtype) -> np.ndarray:
         """An output buffer for a kernel intermediate that dies with the
@@ -421,7 +418,8 @@ class ArrayBackend:
 
 
 class NumpyBackend(ArrayBackend):
-    """The default backend: BLAS matmuls + arena-backed conv buffers.
+    """BLAS matmuls + arena-backed conv buffers: the default on hosts
+    without a C compiler.
 
     The kernels are numerically identical to :class:`ArrayBackend` (the
     reference implementations already call into NumPy); what this class
@@ -479,13 +477,27 @@ class _BackendState(threading.local):
 
 
 _STATE = _BackendState()
-_DEFAULT = NumpyBackend()
+#: The process default, built by the first :func:`get_backend` call that
+#: needs it (never at import: finding a compiler runs a subprocess).
+_DEFAULT: ArrayBackend | None = None
+_DEFAULT_LOCK = threading.Lock()
 
 
 def get_backend() -> ArrayBackend:
     """The backend the engine currently routes kernels through."""
     backend = _STATE.current
-    return backend if backend is not None else _DEFAULT
+    if backend is not None:
+        return backend
+    return _DEFAULT if _DEFAULT is not None else _resolve_default()
+
+
+def _resolve_default() -> ArrayBackend:
+    """Build the process default once: cjit with a C compiler, else numpy."""
+    global _DEFAULT
+    with _DEFAULT_LOCK:
+        if _DEFAULT is None:
+            _DEFAULT = _cjit.default_backend()
+    return _DEFAULT
 
 
 def set_backend(backend: str | ArrayBackend) -> ArrayBackend:
@@ -517,18 +529,21 @@ from repro.nn import cjit as _cjit  # noqa: E402,F401  (registers "cjit")
 def main(argv: list[str] | None = None) -> int:
     """``python -m repro.nn.backend``: registry + compiler report, ``--warm``.
 
-    Lists every registered array backend, reports whether the ``cjit``
-    backend has a working C compiler (and which), and with ``--warm``
-    pre-compiles the standard kernel set into the on-disk kernel cache so
-    later runs skip compilation entirely.
+    Lists every registered array backend, names the process default,
+    reports whether the ``cjit`` backend has a working C compiler (and
+    which) and where its kernel cache lives, and with ``--warm``
+    pre-compiles the standard kernel set into that cache so later runs
+    skip compilation entirely.
     """
     import argparse
 
     # Under ``python -m`` this file runs as ``__main__`` — a separate module
     # object from the canonical ``repro.nn.backend`` that accelerated
     # backends register into, so the report must read the canonical state.
+    from repro.artifacts.kernels import default_kernel_cache_dir
     from repro.nn import backend as canonical
     from repro.nn.cjit import find_compiler
+    from repro.obs.metrics import backend_registry
 
     parser = argparse.ArgumentParser(
         prog="python -m repro.nn.backend",
@@ -539,36 +554,40 @@ def main(argv: list[str] | None = None) -> int:
                              "the kernel cache")
     parser.add_argument("--cache-dir", default=None,
                         help="kernel cache directory (default: "
-                             "$REPRO_KERNEL_CACHE or ./.repro-kernel-cache)")
+                             "$REPRO_KERNEL_CACHE, else "
+                             "~/.cache/repro/kernels, else a per-user "
+                             "temporary directory)")
     args = parser.parse_args(argv)
 
     registry = canonical.BACKEND_REGISTRY
-    current = canonical.get_backend().name
+    default = canonical.get_backend().name
     print("registered array backends:")
     for name in sorted(registry):
-        marker = " (current)" if name == current else ""
+        marker = " (default)" if name == default else ""
         print(f"  {name}: {registry[name].__name__}{marker}")
+    print(f"default array backend: {default}")
 
+    cache_dir = args.cache_dir or default_kernel_cache_dir()
+    print(f"kernel cache: {cache_dir}")
     compiler = find_compiler()
     if compiler is None:
-        print("cjit compiler: none found (cc/clang/gcc) — the cjit backend "
-              "falls back to NumPy kernels")
+        print("cjit compiler: none found (cc/clang/gcc) — the default is "
+              "the NumPy kernels")
         if args.warm:
             print("cannot --warm without a C compiler")
             return 1
         return 0
     print(f"cjit compiler: {compiler.path} ({compiler.version})")
 
-    backend = canonical.build_backend("cjit", cache_dir=args.cache_dir)
-    print(f"kernel cache: {backend.cache.directory}")
+    backend = canonical.build_backend("cjit", cache_dir=cache_dir)
+    count = backend.warm() if args.warm else 0
+    gauges = {name: int(metric["value"]) for name, metric
+              in backend_registry(backend).snapshot().items()}
     if args.warm:
-        count = backend.warm()
-        stats = backend.stats()
-        print(f"warmed {count} kernels "
-              f"({stats['compiled']} compiled, "
-              f"{stats['cache']['hits']} already cached)")
+        print(f"warmed {count} kernels ({gauges['nn.cjit.compiled']} "
+              f"compiled, {gauges['nn.cjit.cache.hits']} already cached)")
     else:
-        print(f"cached kernels: {backend.cache.stats()['entries']} "
+        print(f"cached kernels: {gauges['nn.cjit.cache.entries']} "
               "(use --warm to pre-compile the standard set)")
     return 0
 

@@ -8,22 +8,29 @@ The package splits the tinygrad runtime pattern into three layers:
   with ``-O3 -fPIC -shared -ffp-contract=off``, ``dlopen`` via ctypes;
 * :mod:`repro.nn.cjit.backend` — :class:`CJitBackend`, registered as
   ``"cjit"`` in the :mod:`repro.nn.backend` registry, with per-op NumPy
-  fallback and an on-disk kernel cache
+  fallback and a per-user on-disk kernel cache
   (:class:`repro.artifacts.kernels.KernelCache`) so warm runs never invoke
   the compiler.
 
-Usage mirrors every other backend::
+It is the process default wherever :func:`find_compiler` finds a compiler
+(:func:`default_backend`); ``use_backend("numpy")`` opts out, and
+``use_backend("cjit")`` builds one that raises on a failing compile::
 
     from repro.nn import backend
-    with backend.use_backend("cjit"):
-        ...        # conv/loss/optimizer kernels now run compiled C
+    backend.get_backend().name     # "cjit" with a C compiler, else "numpy"
+    with backend.use_backend("numpy"):
+        ...        # conv/loss/optimizer kernels run the NumPy versions
 
-``python -m repro.nn.backend`` reports compiler availability and
-``--warm`` pre-compiles the standard kernel set.
+``python -m repro.nn.backend`` reports the default, the compiler and the
+cache, and ``--warm`` pre-compiles the standard kernel set.
 """
 
 from repro.nn.backend import register_backend
-from repro.nn.cjit.backend import CJitBackend, kernel_cache_key
+from repro.nn.cjit.backend import (
+    CJitBackend,
+    default_backend,
+    kernel_cache_key,
+)
 from repro.nn.cjit.compiler import (
     CompilerInfo,
     KernelCompileError,
@@ -42,6 +49,7 @@ __all__ = [
     "KernelCompileError",
     "KernelSpec",
     "cjit_available",
+    "default_backend",
     "find_compiler",
     "kernel_cache_key",
     "platform_tag",

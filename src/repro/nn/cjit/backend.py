@@ -6,16 +6,25 @@ reductions, the in-place optimizer updates and the single-pass
 ``leaky_relu`` — through C functions rendered by
 :mod:`repro.nn.cjit.render`, compiled once per (kernel, window shape,
 dtype) by :mod:`repro.nn.cjit.compiler`, and persisted across processes in
-the artifact-store kernel cache (:class:`repro.artifacts.kernels
-.KernelCache`).
+the per-user kernel cache (:class:`repro.artifacts.kernels.KernelCache`).
+It is the process default wherever a C compiler is found
+(:func:`default_backend`).
+
+A warm call costs one dict lookup under a plain ``(op, dtype, *window)``
+tuple and a ctypes call with integer array addresses: most calls of a
+training step are on small arrays, where this marshaling, not the C loop,
+is the price.
 
 Fallback is per-operation and silent only when legitimate: with no C
 compiler on the host every kernel is the inherited NumPy one (the whole
 pipeline keeps working, just slower); unsupported dtypes and
-non-contiguous in-place targets fall back per call.  A *failing* compile,
-by contrast, raises :class:`repro.nn.cjit.compiler.KernelCompileError`
-with the compiler stderr attached — a poisoned kernel is a bug, not a
-slow path.
+non-contiguous in-place targets fall back per call.  A kernel that cannot
+be built — a failing compile, an unloadable object, a cache directory that
+cannot be written — raises :class:`repro.nn.cjit.compiler
+.KernelCompileError` from an explicitly built backend, with the compiler
+stderr attached: a poisoned kernel is a bug, not a slow path.  The process
+default must not fail for an environmental reason, so it warns once and
+runs the NumPy kernels from then on.
 
 ``matmul`` stays on NumPy's BLAS: it is both the parity reference and
 faster than any portable C loop.
@@ -26,11 +35,12 @@ from __future__ import annotations
 import ctypes
 import hashlib
 import os
+import warnings
 
 import numpy as np
 
 from repro.nn import backend as _base
-from repro.nn.backend import NumpyBackend, profiled_kernel
+from repro.nn.backend import ArrayBackend, NumpyBackend, profiled_kernel
 from repro.nn.cjit.compiler import (
     KernelCompileError,
     compile_source,
@@ -50,10 +60,20 @@ from repro.nn.cjit.render import (
     update_spec,
 )
 
-__all__ = ["CJitBackend", "kernel_cache_key"]
+__all__ = ["CJitBackend", "default_backend", "kernel_cache_key"]
 
 _DTYPE_NAMES = {np.dtype(np.float32): "float32",
                 np.dtype(np.float64): "float64"}
+
+#: Spec constructor per op, called as ``_SPECS[op](op, dtype, *window)``.
+_SPECS = {
+    **dict.fromkeys(("im2col", "col2im"), conv_spec),
+    **dict.fromkeys(("sum_squares", "abs_sum", "bce_logits", "gaussian_kl"),
+                    reduce_spec),
+    **dict.fromkeys(("sgd_update", "adam_update"), update_spec),
+    "leaky_relu": elementwise_spec,
+    "bn_bwd_dx": lambda op, dtype: bn_bwd_dx_spec(dtype),
+}
 
 
 def kernel_cache_key(source: str, compiler_tag: str, platform: str) -> str:
@@ -66,9 +86,17 @@ def kernel_cache_key(source: str, compiler_tag: str, platform: str) -> str:
     return digest.hexdigest()[:32]
 
 
-def _ptr(array: np.ndarray):
-    ctype = ctypes.c_float if array.dtype == np.float32 else ctypes.c_double
-    return array.ctypes.data_as(ctypes.POINTER(ctype))
+def _addr(array: np.ndarray) -> int:
+    """Base address of a C-contiguous array, for a ``c_void_p`` argument.
+
+    Reading it through the buffer protocol costs about half of
+    ``array.ctypes.data``; read-only and empty arrays export no writable
+    buffer and take that slower route.
+    """
+    try:
+        return ctypes.addressof(ctypes.c_char.from_buffer(array))
+    except (TypeError, ValueError):
+        return array.ctypes.data
 
 
 class CJitBackend(NumpyBackend):
@@ -87,8 +115,9 @@ class CJitBackend(NumpyBackend):
                 "cjit backend requires a C compiler (cc/clang/gcc) on PATH "
                 "and none was found")
         self.cache = KernelCache(cache_dir)
-        self._functions: dict[str, object] = {}
-        self._libraries: dict[str, ctypes.CDLL] = {}
+        #: Loaded kernels by ``(op, dtype, *window)``; a ctypes function
+        #: keeps its library mapped.
+        self._functions: dict[tuple, object] = {}
         self.compiled = 0
         self.fallbacks = 0
 
@@ -99,19 +128,36 @@ class CJitBackend(NumpyBackend):
         """Whether compiled kernels are actually in play on this host."""
         return self.compiler is not None
 
-    def _kernel(self, spec: KernelSpec):
-        """The ctypes function for ``spec``, or ``None`` without a compiler.
+    def _build(self, key: tuple):
+        """Load the kernel of a memo miss; ``None`` when none can run here.
 
-        Warm path: in-process memo, then the on-disk cache (hash-verified,
-        no compiler invocation).  Cold path: compile into the cache.  A
-        cached object that passes hash verification but fails to ``dlopen``
-        is treated as corrupted — evicted and recompiled once.
+        ``key`` is ``(op, dtype, *window)``.  ``None`` means an unsupported
+        dtype or no compiler: the caller runs the NumPy kernel.  Failing to
+        build a kernel raises :class:`KernelCompileError`, cache I/O errors
+        included.
         """
-        fn = self._functions.get(spec.symbol)
-        if fn is not None:
-            return fn
-        if self.compiler is None:
+        op, dtype, *window = key
+        dtype_name = _DTYPE_NAMES.get(dtype)
+        if dtype_name is None or self.compiler is None:
             return None
+        spec = _SPECS[op](op, dtype_name, *window)
+        try:
+            library = self._library(spec)
+        except OSError as error:
+            raise KernelCompileError(
+                f"cannot build kernel {spec.symbol} in the kernel cache "
+                f"{self.cache.directory}: {error}") from error
+        fn = self._functions[key] = spec.configure(library)
+        return fn
+
+    def _library(self, spec: KernelSpec) -> ctypes.CDLL:
+        """The loaded library of ``spec``, compiling it on a cache miss.
+
+        Warm path: the on-disk cache (hash-verified, no compiler
+        invocation).  Cold path: compile into the cache.  A cached object
+        that passes hash verification but fails to ``dlopen`` is treated as
+        corrupted — evicted and recompiled once.
+        """
         source = render_kernel(spec)
         source_sha = hashlib.sha256(source.encode()).hexdigest()
         key = kernel_cache_key(source, self.compiler.tag, platform_tag())
@@ -119,17 +165,13 @@ class CJitBackend(NumpyBackend):
         if path is None:
             path = self._compile_entry(spec, source, source_sha, key)
         try:
-            library = load_library(path)
+            return load_library(path)
         except KernelCompileError:
             # Hash-valid but unloadable (e.g. cached on an incompatible
             # toolchain): evict and rebuild once; a second failure is real.
             self.cache.evict(key)
-            library = load_library(
+            return load_library(
                 self._compile_entry(spec, source, source_sha, key))
-        self._libraries[spec.symbol] = library
-        fn = spec.configure(library)
-        self._functions[spec.symbol] = fn
-        return fn
 
     def _compile_entry(self, spec: KernelSpec, source: str, source_sha: str,
                        key: str):
@@ -161,15 +203,11 @@ class CJitBackend(NumpyBackend):
                                "(cc/clang/gcc) on PATH")
         specs = standard_kernel_specs(dtypes)
         for spec in specs:
-            self._kernel(spec)
+            key = (spec.op, np.dtype(spec.dtype),
+                   *(value for _, value in spec.params))
+            if key not in self._functions:
+                self._build(key)
         return len(specs)
-
-    def _dtype_name(self, *arrays: np.ndarray) -> str | None:
-        name = _DTYPE_NAMES.get(arrays[0].dtype)
-        if name is None or any(a.dtype != arrays[0].dtype
-                               for a in arrays[1:]):
-            return None
-        return name
 
     # ------------------------------------------------------------------ #
     # Convolution lowering
@@ -177,9 +215,8 @@ class CJitBackend(NumpyBackend):
     @profiled_kernel("im2col")
     def im2col(self, x: np.ndarray, kernel: int, stride: int, padding: int,
                scratch: bool = False) -> np.ndarray:
-        dtype = self._dtype_name(x)
-        fn = self._kernel(conv_spec("im2col", dtype, kernel, stride,
-                                    padding)) if dtype else None
+        key = ("im2col", x.dtype, kernel, stride, padding)
+        fn = self._functions.get(key) or self._build(key)
         if fn is None:
             self.fallbacks += 1
             return super().im2col(x, kernel, stride, padding, scratch=scratch)
@@ -187,28 +224,33 @@ class CJitBackend(NumpyBackend):
         out_h = (height + 2 * padding - kernel) // stride + 1
         out_w = (width + 2 * padding - kernel) // stride + 1
         x = np.ascontiguousarray(x)
-        shape = (batch, channels, kernel, kernel, out_h, out_w)
+        # The kernel writes (N, C, K, K, H_out, W_out) order, which is this
+        # shape's memory layout.
+        shape = (batch, channels * kernel * kernel, out_h * out_w)
         cols = self.scratch_out(shape, x.dtype) if scratch \
             else np.empty(shape, dtype=x.dtype)
-        fn(_ptr(x), _ptr(cols), batch, channels, height, width, out_h, out_w)
-        return cols.reshape(batch, channels * kernel * kernel, out_h * out_w)
+        fn(_addr(x), _addr(cols), batch, channels, height, width, out_h,
+           out_w)
+        return cols
 
     @profiled_kernel("col2im")
     def col2im(self, cols: np.ndarray,
                input_shape: tuple[int, int, int, int],
                kernel: int, stride: int, padding: int) -> np.ndarray:
-        dtype = self._dtype_name(cols)
-        fn = self._kernel(conv_spec("col2im", dtype, kernel, stride,
-                                    padding)) if dtype else None
+        key = ("col2im", cols.dtype, kernel, stride, padding)
+        fn = self._functions.get(key) or self._build(key)
         if fn is None:
             self.fallbacks += 1
             return super().col2im(cols, input_shape, kernel, stride, padding)
         batch, channels, height, width = input_shape
         out_h = (height + 2 * padding - kernel) // stride + 1
         out_w = (width + 2 * padding - kernel) // stride + 1
+        if cols.size != batch * channels * kernel * kernel * out_h * out_w:
+            raise ValueError(f"col2im: {cols.shape} columns do not match "
+                             f"input shape {input_shape}")
         cols = np.ascontiguousarray(cols)
         result = np.zeros(input_shape, dtype=cols.dtype)
-        fn(_ptr(cols), _ptr(result), batch, channels, height, width,
+        fn(_addr(cols), _addr(result), batch, channels, height, width,
            out_h, out_w)
         return result
 
@@ -217,15 +259,14 @@ class CJitBackend(NumpyBackend):
     # ------------------------------------------------------------------ #
     @profiled_kernel("leaky_relu")
     def leaky_relu(self, x: np.ndarray, negative_slope: float) -> np.ndarray:
-        dtype = self._dtype_name(x)
-        fn = self._kernel(elementwise_spec("leaky_relu", dtype)) \
-            if dtype else None
+        key = ("leaky_relu", x.dtype)
+        fn = self._functions.get(key) or self._build(key)
         if fn is None:
             self.fallbacks += 1
             return super().leaky_relu(x, negative_slope)
         x = np.ascontiguousarray(x)
         out = np.empty_like(x)
-        fn(_ptr(x), _ptr(out), x.size, float(negative_slope))
+        fn(_addr(x), _addr(out), x.size, float(negative_slope))
         return out
 
     # ------------------------------------------------------------------ #
@@ -235,9 +276,11 @@ class CJitBackend(NumpyBackend):
     def bn_bwd_dx(self, grad: np.ndarray, x: np.ndarray, s1: np.ndarray,
                   s2: np.ndarray, s3: np.ndarray) -> np.ndarray:
         """Compiled train-mode BatchNorm input gradient (one pass)."""
-        dtype = self._dtype_name(grad, x, s1, s2, s3)
-        fn = self._kernel(bn_bwd_dx_spec(dtype)) \
-            if dtype is not None and grad.ndim == 4 else None
+        key = ("bn_bwd_dx", grad.dtype)
+        fn = None
+        if grad.ndim == 4 and all(a.dtype == grad.dtype
+                                  for a in (x, s1, s2, s3)):
+            fn = self._functions.get(key) or self._build(key)
         if fn is None:
             self.fallbacks += 1
             return super().bn_bwd_dx(grad, x, s1, s2, s3)
@@ -247,21 +290,21 @@ class CJitBackend(NumpyBackend):
         s2c = np.ascontiguousarray(s2)
         s3c = np.ascontiguousarray(s3)
         out = np.empty_like(g)
-        fn(_ptr(g), _ptr(xc), _ptr(out), g.size, g.shape[1],
-           g.shape[2] * g.shape[3], _ptr(s1c), _ptr(s2c), _ptr(s3c))
+        fn(_addr(g), _addr(xc), _addr(out), g.size, g.shape[1],
+           g.shape[2] * g.shape[3], _addr(s1c), _addr(s2c), _addr(s3c))
         return out
 
     # ------------------------------------------------------------------ #
     # Fused elementwise + reduction kernels (float64 accumulation)
     # ------------------------------------------------------------------ #
     def _reduce(self, op: str, array: np.ndarray, *extra):
-        dtype = self._dtype_name(array)
-        fn = self._kernel(reduce_spec(op, dtype)) if dtype else None
+        key = (op, array.dtype)
+        fn = self._functions.get(key) or self._build(key)
         if fn is None:
             self.fallbacks += 1
             return None
         flat = np.ascontiguousarray(array)
-        return float(fn(_ptr(flat), flat.size, *extra))
+        return float(fn(_addr(flat), flat.size, *extra))
 
     def sum_squares(self, array: np.ndarray) -> float:
         total = self._reduce("sum_squares", array)
@@ -282,14 +325,16 @@ class CJitBackend(NumpyBackend):
         return total / logits.size
 
     def gaussian_kl(self, mu: np.ndarray, logvar: np.ndarray) -> float:
-        dtype = self._dtype_name(mu, logvar)
-        fn = self._kernel(reduce_spec("gaussian_kl", dtype)) if dtype else None
+        key = ("gaussian_kl", mu.dtype)
+        fn = None
+        if logvar.dtype == mu.dtype:
+            fn = self._functions.get(key) or self._build(key)
         if fn is None:
             self.fallbacks += 1
             return super().gaussian_kl(mu, logvar)
         mu_c = np.ascontiguousarray(mu)
         lv_c = np.ascontiguousarray(logvar)
-        total = float(fn(_ptr(mu_c), _ptr(lv_c), mu_c.size))
+        total = float(fn(_addr(mu_c), _addr(lv_c), mu_c.size))
         return -0.5 * total / mu.shape[0]
 
     # ------------------------------------------------------------------ #
@@ -299,18 +344,19 @@ class CJitBackend(NumpyBackend):
     def sgd_update(self, param: np.ndarray, grad: np.ndarray,
                    velocity: np.ndarray | None, lr: float, momentum: float,
                    weight_decay: float) -> None:
-        dtype = self._dtype_name(param, grad,
-                                 *([velocity] if velocity is not None else []))
-        fn = self._kernel(update_spec("sgd_update", dtype)) if dtype else None
-        if fn is None or not param.flags["C_CONTIGUOUS"] or (
-                velocity is not None
-                and not velocity.flags["C_CONTIGUOUS"]):
+        key = ("sgd_update", param.dtype)
+        fn = None
+        if grad.dtype == param.dtype and param.flags["C_CONTIGUOUS"] and (
+                velocity is None or (velocity.dtype == param.dtype
+                                     and velocity.flags["C_CONTIGUOUS"])):
+            fn = self._functions.get(key) or self._build(key)
+        if fn is None:
             self.fallbacks += 1
             return super().sgd_update(param, grad, velocity, lr, momentum,
                                       weight_decay)
         grad = np.ascontiguousarray(grad)
-        fn(_ptr(param), _ptr(grad),
-           _ptr(velocity) if velocity is not None else None,
+        fn(_addr(param), _addr(grad),
+           _addr(velocity) if velocity is not None else None,
            param.size, float(lr), float(momentum), float(weight_decay),
            1 if velocity is not None else 0)
 
@@ -320,39 +366,47 @@ class CJitBackend(NumpyBackend):
                     beta1: float, beta2: float, eps: float,
                     bias_correction1: float, bias_correction2: float,
                     weight_decay: float) -> None:
-        dtype = self._dtype_name(param, grad, m, v)
-        fn = self._kernel(update_spec("adam_update", dtype)) if dtype else None
-        if fn is None or not all(buffer.flags["C_CONTIGUOUS"]
-                                 for buffer in (param, m, v)):
+        key = ("adam_update", param.dtype)
+        fn = None
+        if all(a.dtype == param.dtype for a in (grad, m, v)) and all(
+                buffer.flags["C_CONTIGUOUS"] for buffer in (param, m, v)):
+            fn = self._functions.get(key) or self._build(key)
+        if fn is None:
             self.fallbacks += 1
             return super().adam_update(param, grad, m, v, lr, beta1, beta2,
                                        eps, bias_correction1,
                                        bias_correction2, weight_decay)
         grad = np.ascontiguousarray(grad)
-        fn(_ptr(param), _ptr(grad), _ptr(m), _ptr(v), param.size,
+        fn(_addr(param), _addr(grad), _addr(m), _addr(v), param.size,
            float(lr), float(beta1), float(beta2), float(eps),
            float(bias_correction1), float(bias_correction2),
            float(weight_decay))
 
-    # ------------------------------------------------------------------ #
-    # Introspection
-    # ------------------------------------------------------------------ #
-    def stats(self) -> dict[str, object]:
-        """Compile/cache counters plus the cache's own entry stats.
 
-        The numeric counters are read back through the unified obs metrics
-        registry (``nn.cjit.*`` gauges, see
-        :func:`repro.obs.metrics.backend_registry`); the dict shape is the
-        legacy surface kept for the CLI and benchmarks.
-        """
-        from repro.obs.metrics import backend_registry
+class _DefaultCJitBackend(CJitBackend):
+    """The process-default cjit: a kernel that cannot be built switches
+    this instance to the NumPy kernels, after one warning.
 
-        snapshot = backend_registry(self).snapshot()
-        return {
-            "compiler": self.compiler.version if self.compiler else None,
-            "kernels_loaded": len(self._functions),
-            "compiled": int(snapshot["nn.cjit.compiled"]["value"]),
-            "fallbacks": int(snapshot["nn.cjit.fallbacks"]["value"]),
-            "cache": {key: int(snapshot[f"nn.cjit.cache.{key}"]["value"])
-                      for key in self.cache.stats()},
-        }
+    A default must not fail for an environmental reason (an unwritable
+    cache, a broken toolchain), and every compiled kernel is a drop-in for
+    its NumPy one.  Build the backend explicitly (``use_backend("cjit")``)
+    to have such failures raise instead.
+    """
+
+    def _build(self, key: tuple):
+        try:
+            return super()._build(key)
+        except KernelCompileError as error:
+            self.compiler = None
+            self._functions.clear()
+            warnings.warn(f"compiled kernels are unavailable, running the "
+                          f"NumPy kernels instead: {error}", RuntimeWarning)
+            return None
+
+
+def default_backend() -> ArrayBackend:
+    """A new process-default backend: cjit when :func:`find_compiler`
+    finds a C compiler, :class:`NumpyBackend` otherwise."""
+    if find_compiler() is None:
+        return NumpyBackend()
+    return _DefaultCJitBackend()

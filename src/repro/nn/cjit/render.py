@@ -58,11 +58,9 @@ typedef int64_t i64;
 
 _I64 = ctypes.c_int64
 _F64 = ctypes.c_double
-
-
-def _ptr(dtype: str):
-    return ctypes.POINTER(ctypes.c_float if dtype == "float32"
-                          else ctypes.c_double)
+#: Array arguments are passed as integer addresses: ``c_void_p`` converts
+#: a Python int with no per-call ``POINTER`` object.
+_PTR = ctypes.c_void_p
 
 
 @dataclass(frozen=True)
@@ -103,33 +101,30 @@ class KernelSpec:
 def conv_spec(op: str, dtype: str, kernel: int, stride: int,
               padding: int) -> KernelSpec:
     """``im2col`` / ``col2im`` spec with the window geometry baked in."""
-    ptr = _ptr(dtype)
     return KernelSpec(
         op=op, dtype=dtype,
         params=(("kernel", kernel), ("stride", stride), ("padding", padding)),
-        argtypes=(ptr, ptr, _I64, _I64, _I64, _I64, _I64, _I64),
+        argtypes=(_PTR, _PTR, _I64, _I64, _I64, _I64, _I64, _I64),
     )
 
 
 def reduce_spec(op: str, dtype: str) -> KernelSpec:
     """Fused elementwise+reduction spec (float64 scalar accumulation)."""
-    ptr = _ptr(dtype)
     if op == "gaussian_kl":
-        argtypes = (ptr, ptr, _I64)
+        argtypes = (_PTR, _PTR, _I64)
     elif op == "bce_logits":
-        argtypes = (ptr, _I64, _F64)
+        argtypes = (_PTR, _I64, _F64)
     else:  # sum_squares, abs_sum
-        argtypes = (ptr, _I64)
+        argtypes = (_PTR, _I64)
     return KernelSpec(op=op, dtype=dtype, argtypes=argtypes, restype=_F64)
 
 
 def update_spec(op: str, dtype: str) -> KernelSpec:
     """In-place optimizer update spec (hyper-parameters stay runtime)."""
-    ptr = _ptr(dtype)
     if op == "sgd_update":
-        argtypes = (ptr, ptr, ptr, _I64, _F64, _F64, _F64, _I64)
+        argtypes = (_PTR, _PTR, _PTR, _I64, _F64, _F64, _F64, _I64)
     elif op == "adam_update":
-        argtypes = (ptr, ptr, ptr, ptr, _I64,
+        argtypes = (_PTR, _PTR, _PTR, _PTR, _I64,
                     _F64, _F64, _F64, _F64, _F64, _F64, _F64)
     else:
         raise ValueError(f"unknown update kernel {op!r}")
@@ -138,16 +133,14 @@ def update_spec(op: str, dtype: str) -> KernelSpec:
 
 def elementwise_spec(op: str, dtype: str) -> KernelSpec:
     """Single-pass elementwise spec (currently ``leaky_relu``)."""
-    ptr = _ptr(dtype)
-    return KernelSpec(op=op, dtype=dtype, argtypes=(ptr, ptr, _I64, _F64))
+    return KernelSpec(op=op, dtype=dtype, argtypes=(_PTR, _PTR, _I64, _F64))
 
 
 def bn_bwd_dx_spec(dtype: str) -> KernelSpec:
     """Train-mode BatchNorm input-gradient spec (``g*s1 + x*s2 + s3``)."""
-    ptr = _ptr(dtype)
     return KernelSpec(op="bn_bwd_dx", dtype=dtype,
-                      argtypes=(ptr, ptr, ptr, _I64, _I64, _I64,
-                                ptr, ptr, ptr))
+                      argtypes=(_PTR, _PTR, _PTR, _I64, _I64, _I64,
+                                _PTR, _PTR, _PTR))
 
 
 # --------------------------------------------------------------------- #

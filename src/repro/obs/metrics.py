@@ -222,10 +222,10 @@ def backend_registry(backend: Any,
                      ) -> MetricsRegistry:
     """Publish an ``ArrayBackend``'s ad-hoc counters as registry metrics.
 
-    This is the unification seam for the legacy stats surfaces: arena
+    This is the unification seam for the per-object counters: arena
     traffic lands under ``nn.arena.*`` and compiled-backend state under
-    ``nn.cjit.*``.  ``ArrayBackend.stats()`` and the benchmarks read
-    through this instead of bespoke per-backend dicts.
+    ``nn.cjit.*``.  ``python -m repro.nn.backend`` and trace flushes read
+    backends through this instead of bespoke per-backend dicts.
     """
     registry = registry if registry is not None else MetricsRegistry()
     arena = getattr(backend, "arena", None)

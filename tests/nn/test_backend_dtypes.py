@@ -7,6 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import repro.nn.backend as backend_mod
 from repro.core import ModelConfig, Trainer, build_model
 from repro.data import generate_paired_dataset
 from repro.flash import BlockGeometry, FlashChannel
@@ -34,7 +35,8 @@ from repro.nn.backend import (
     build_backend,
     register_backend,
 )
-from repro.nn.cjit import cjit_available
+from repro.nn.cjit import cjit_available, find_compiler
+from repro.nn.cjit import backend as cjit_backend_mod
 
 needs_compiler = pytest.mark.skipif(
     not cjit_available(), reason="no C compiler (cc/clang/gcc) on PATH")
@@ -116,8 +118,15 @@ class TestDtypePolicy:
 
 
 class TestBackendRegistry:
-    def test_default_backend_is_numpy(self):
-        assert get_backend().name == "numpy"
+    def test_default_backend_is_cjit_exactly_when_a_compiler_is_found(self):
+        expected = "cjit" if find_compiler() is not None else "numpy"
+        assert get_backend().name == expected
+        assert get_backend() is get_backend()
+
+    def test_default_without_a_compiler_is_numpy(self, monkeypatch):
+        monkeypatch.setattr(backend_mod, "_DEFAULT", None)
+        monkeypatch.setattr(cjit_backend_mod, "find_compiler", lambda: None)
+        assert type(get_backend()) is NumpyBackend
 
     def test_registry_contents(self):
         assert "numpy" in BACKEND_REGISTRY and "reference" in BACKEND_REGISTRY
@@ -127,19 +136,18 @@ class TestBackendRegistry:
             build_backend("cuda")
 
     def test_use_backend_scopes_and_restores(self):
+        default = get_backend()
         with use_backend("reference") as backend:
             assert isinstance(backend, ReferenceBackend)
             assert get_backend() is backend
-        assert get_backend().name == "numpy"
+        assert get_backend() is default
 
-    def test_set_backend_accepts_instance(self):
-        previous = get_backend()
-        try:
-            instance = NumpyBackend()
-            assert set_backend(instance) is instance
-            assert get_backend() is instance
-        finally:
-            set_backend(previous)
+    def test_set_backend_accepts_instance(self, monkeypatch):
+        # Restores the thread's unset state, so later tests see the default.
+        monkeypatch.setattr(backend_mod._STATE, "current", None)
+        instance = NumpyBackend()
+        assert set_backend(instance) is instance
+        assert get_backend() is instance
 
     def test_set_backend_rejects_junk(self):
         with pytest.raises(TypeError):

@@ -10,6 +10,9 @@ compiles surface a typed error), the no-compiler fallback, and the
 
 from __future__ import annotations
 
+import os
+import tempfile
+
 import numpy as np
 import pytest
 
@@ -154,11 +157,44 @@ class TestKernelCacheStore:
             '{"format_version": 999, "entries": {"k1": {}}}')
         assert cache.entries() == {}
 
-    def test_default_directory_env_override(self, monkeypatch, tmp_path):
+    def test_default_directory_is_per_user(self, monkeypatch, tmp_path):
         monkeypatch.setenv(KERNEL_CACHE_ENV, str(tmp_path / "kc"))
         assert default_kernel_cache_dir() == tmp_path / "kc"
         monkeypatch.delenv(KERNEL_CACHE_ENV)
-        assert default_kernel_cache_dir().name == ".repro-kernel-cache"
+        monkeypatch.setenv("HOME", str(tmp_path / "home"))
+        assert default_kernel_cache_dir() \
+            == tmp_path / "home" / ".cache" / "repro" / "kernels"
+        assert (tmp_path / "home" / ".cache" / "repro" / "kernels").is_dir()
+
+    def test_unusable_home_falls_back_to_private_temp_dir(self, monkeypatch,
+                                                         tmp_path):
+        monkeypatch.delenv(KERNEL_CACHE_ENV)
+        (tmp_path / "home").write_text("a file, so ~/.cache cannot exist")
+        monkeypatch.setenv("HOME", str(tmp_path / "home"))
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path / "tmp"))
+        (tmp_path / "tmp").mkdir()
+        directory = default_kernel_cache_dir()
+        assert directory.parent == tmp_path / "tmp"
+        assert directory.name.startswith("repro-kernels")
+        assert default_kernel_cache_dir() == directory  # stable per user
+        if hasattr(os, "getuid"):
+            assert directory.stat().st_mode & 0o077 == 0
+
+    @pytest.mark.skipif(not hasattr(os, "getuid"), reason="POSIX owners")
+    def test_shared_temp_dir_others_can_write_is_not_trusted(self,
+                                                            monkeypatch,
+                                                            tmp_path):
+        monkeypatch.delenv(KERNEL_CACHE_ENV)
+        (tmp_path / "home").write_text("")
+        monkeypatch.setenv("HOME", str(tmp_path / "home"))
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+        planted = tmp_path / f"repro-kernels-{os.getuid()}"
+        planted.mkdir()
+        planted.chmod(0o777)
+        directory = default_kernel_cache_dir()
+        assert directory != planted
+        assert directory.parent == tmp_path
+        assert directory.stat().st_mode & 0o077 == 0
 
 
 @needs_compiler
@@ -218,6 +254,11 @@ class TestCompileAndCache:
             backend.leaky_relu(np.ones(4, dtype=np.float32), 0.2)
         assert excinfo.value.stderr
         assert "error" in str(excinfo.value).lower()
+
+    def test_col2im_rejects_columns_of_another_shape(self, cjit_backend):
+        cols = np.zeros((1, 16, 3), dtype=np.float32)  # a 4x4 grid needs 4
+        with pytest.raises(ValueError, match="do not match"):
+            cjit_backend.col2im(cols, (1, 1, 4, 4), 4, 2, 1)
 
     def test_compile_source_attaches_stderr(self, tmp_path):
         with pytest.raises(KernelCompileError) as excinfo:
@@ -280,10 +321,13 @@ class TestRegistryAndCLI:
         assert backend_mod.main([]) == 0
         out = capsys.readouterr().out
         assert "numpy" in out and "reference" in out and "cjit" in out
+        assert f"kernel cache: {tmp_path}" in out
         if cjit_available():
             assert "cjit compiler:" in out
+            assert "default array backend: cjit" in out
         else:
             assert "none found" in out
+            assert "default array backend: numpy" in out
 
     @needs_compiler
     def test_cli_warm_precompiles_then_hits(self, capsys, tmp_path):
