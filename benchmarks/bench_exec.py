@@ -17,25 +17,19 @@ charging worker startup to the first campaign.
 
 Because plan randomness is anchored per codeword group, every backend must
 produce **bit-identical** frame records; the benchmark asserts that before
-trusting any timing.  Results are merged into
-``benchmarks/results/pipeline.json`` (the CI-tracked throughput file):
-the ``exec`` key holds the latest run and ``exec_series`` accumulates one
-entry per run, so successive PRs form a tracked series.
+trusting any timing.
 
 Regression thresholds are per backend and **core-gated**: a pool backend is
 only held to its speedup threshold when the machine actually has that many
 cores, so the benchmark is honest on constrained runners while CI (4 vCPUs)
-enforces the full ladder.
+enforces the full ladder.  Why not e2ebench: no e2e workload runs the
+process pool, and none measures a fleet's speedup over serial.
 
 Run standalone (``PYTHONPATH=src python benchmarks/bench_exec.py``); pass
-``--smoke`` for the quick 2-worker process-pool determinism shard only,
-``--remote-smoke`` for the 2-worker localhost-fleet determinism sweep (the
-CI ``exec-remote`` job), ``--obs-smoke`` for the traced fleet campaign
-with trace-schema, Chrome-export, and worker-log checks (the CI
-``obs-smoke`` job; ``--trace-out`` picks the trace file location), or
-``--guided`` for the guided-chunks-vs-static gate on a tail-heavy plan
-(the CI ``exec-elastic`` job; tracked as ``guided``/``guided_series`` in
-``pipeline.json``).
+``--guided`` for the guided-chunks-vs-static gate on a tail-heavy plan, or
+``--obs-smoke`` for the traced fleet campaign with trace-schema,
+Chrome-export, and worker-log checks (``--trace-out`` picks the trace file
+location).
 """
 
 from __future__ import annotations
@@ -44,13 +38,10 @@ import argparse
 import json
 import os
 import time
-from datetime import datetime, timezone
 
 import numpy as np
 
-from results_io import merge_results as _merge_tracked_results
-
-#: The CI smoke campaign: large enough that pool startup is amortized
+#: The timed campaign: large enough that pool startup is amortized
 #: (~1.3 s serial on one 2020s core), small enough to finish in seconds.
 CODEWORDS = 1536
 GROUP_SIZE = 8
@@ -88,7 +79,7 @@ def _build_campaign(seed: int):
     return channel, code
 
 
-def run_exec_benchmark(num_codewords: int = CODEWORDS) -> dict:
+def run_exec_benchmark() -> dict:
     """Frames/s of the LDPC campaign per execution backend."""
     from repro.ecc import evaluate_ldpc_over_channel
 
@@ -109,7 +100,7 @@ def run_exec_benchmark(num_codewords: int = CODEWORDS) -> dict:
                 workers=workers)
             start = time.perf_counter()
             outcome = evaluate_ldpc_over_channel(
-                code, channel, PE_CYCLES, num_codewords=num_codewords,
+                code, channel, PE_CYCLES, num_codewords=CODEWORDS,
                 group_size=GROUP_SIZE, seed=9, executor=backend,
                 workers=workers)
             seconds = time.perf_counter() - start
@@ -122,9 +113,9 @@ def run_exec_benchmark(num_codewords: int = CODEWORDS) -> dict:
                              "serial — sharding broke determinism")
         results[label] = {
             "workers": workers if workers is not None else 1,
-            "codewords": num_codewords,
+            "codewords": CODEWORDS,
             "seconds": seconds,
-            "frames_per_second": num_codewords / seconds,
+            "frames_per_second": CODEWORDS / seconds,
         }
     serial = results["serial"]["frames_per_second"]
     for label, entry in results.items():
@@ -150,57 +141,18 @@ def check_thresholds(results: dict) -> list[str]:
     return failures
 
 
-def run_smoke_shard() -> None:
-    """2-worker smoke shard: sharded output must equal serial exactly."""
-    from repro.ecc import evaluate_ldpc_over_channel
-
-    channel, code = _build_campaign(seed=123)
-    kwargs = dict(num_codewords=16, group_size=4, seed=123)
-    serial = evaluate_ldpc_over_channel(code, channel, PE_CYCLES,
-                                        executor="serial", **kwargs)
-    sharded = evaluate_ldpc_over_channel(code, channel, PE_CYCLES,
-                                         executor="process", workers=2,
-                                         **kwargs)
-    if not np.array_equal(serial.frame_records, sharded.frame_records):
-        raise SystemExit("2-worker smoke shard diverged from serial")
-    print("smoke shard OK: 2-worker records identical to serial")
-
-
-def run_remote_smoke() -> None:
-    """2-worker localhost fleet: the remote sweep must equal serial exactly.
-
-    This is the CI ``exec-remote`` gate: shards travel over the socket
-    transport to spawned ``python -m repro.exec.worker`` processes, and the
-    frame records must come back bit-identical to the serial path.
-    """
-    from repro.ecc import evaluate_ldpc_over_channel
-    from repro.exec import RemoteExecutor
-
-    channel, code = _build_campaign(seed=123)
-    kwargs = dict(num_codewords=16, group_size=4, seed=123)
-    serial = evaluate_ldpc_over_channel(code, channel, PE_CYCLES,
-                                        executor="serial", **kwargs)
-    fleet = RemoteExecutor(workers=2)
-    try:
-        remote = evaluate_ldpc_over_channel(code, channel, PE_CYCLES,
-                                            executor=fleet, **kwargs)
-    finally:
-        fleet.close()
-    if not np.array_equal(serial.frame_records, remote.frame_records):
-        raise SystemExit("2-worker remote fleet diverged from serial")
-    print("remote smoke OK: 2-worker localhost fleet records identical to "
-          f"serial; fleet stats: {fleet.last_run_stats}")
-
-
-def run_obs_smoke(trace_out: str | None = None, quiet: bool = False) -> dict:
+def run_obs_smoke(trace_out: str | None = None) -> None:
     """Traced 2-worker remote campaign: the CI ``obs-smoke`` gate.
 
     Runs the determinism sweep through a spawned fleet with tracing on and
     per-worker structured logs, then checks the whole observability story
     end to end: results bit-identical to serial, every trace record passes
     the schema, one merged timeline with a shard span per shard, the Chrome
-    export loads, and both worker log files recorded their lifecycle.
-    Returns the compact trace-summary block for ``pipeline.json``.
+    export loads, and both worker log files recorded their lifecycle.  It
+    writes the trace file that the ``python -m repro.obs`` CI steps read.
+
+    Why not e2ebench: its CI smoke runs untraced, and no e2e check reads a
+    trace's schema, its Chrome export or the worker logs.
     """
     import tempfile
     from pathlib import Path
@@ -208,8 +160,7 @@ def run_obs_smoke(trace_out: str | None = None, quiet: bool = False) -> dict:
     from repro.ecc import evaluate_ldpc_over_channel
     from repro.exec import RemoteExecutor
     from repro.obs import tracing
-    from repro.obs.report import (chrome_trace, format_summary, summarize,
-                                  trace_summary_block)
+    from repro.obs.report import chrome_trace, format_summary, summarize
     from repro.obs.sink import read_trace, validate_trace
 
     trace_path = Path(trace_out) if trace_out else \
@@ -253,12 +204,10 @@ def run_obs_smoke(trace_out: str | None = None, quiet: bool = False) -> dict:
         if events[0] != "start" or "session_start" not in events:
             raise SystemExit(f"worker log {path} missing lifecycle events: "
                              f"{events}")
-    if not quiet:
-        print(format_summary(summary))
-        print(f"\nobs smoke OK: {count} record(s) validated, "
-              f"{len(exported['traceEvents'])} Chrome event(s), "
-              f"trace at {trace_path}, worker logs in {log_dir}")
-    return trace_summary_block(records)
+    print(format_summary(summary))
+    print(f"\nobs smoke OK: {count} record(s) validated, "
+          f"{len(exported['traceEvents'])} Chrome event(s), "
+          f"trace at {trace_path}, worker logs in {log_dir}")
 
 
 #: The guided-chunk gate: a deliberately tail-heavy plan.  Cut statically
@@ -326,27 +275,13 @@ def run_guided_benchmark() -> dict:
     }
 
 
-def merge_guided_results(results: dict):
-    """Fold the guided-chunk gate into pipeline.json (guided + series)."""
-    from results_io import load_results
-
-    series = load_results().get("guided_series", [])
-    series.append({
-        "date": datetime.now(timezone.utc).strftime("%Y-%m-%d"),
-        "cpu_count": results["cpu_count"],
-        "speedup_guided_vs_static": round(
-            results["speedup_guided_vs_static"], 2),
-    })
-    return _merge_tracked_results({"guided": results,
-                                   "guided_series": series})
-
-
 def run_guided_gate() -> None:
-    """The CI ``exec-elastic`` gate: guided chunks must pay."""
+    """The CI ``exec-elastic`` gate: guided chunks must pay.
+
+    Why not e2ebench: no e2e workload has lopsided units.
+    """
     results = run_guided_benchmark()
-    path = merge_guided_results(results)
     print(json.dumps(results, indent=2))
-    print(f"merged into {path}")
     speedup = results["speedup_guided_vs_static"]
     if results["cpu_count"] >= 2 and speedup < GUIDED_SPEEDUP_THRESHOLD:
         raise SystemExit(f"guided chunks {speedup:.2f}x over static "
@@ -356,30 +291,8 @@ def run_guided_gate() -> None:
           f"{results['guided_dispatches']} chunk(s)")
 
 
-def merge_results(results: dict):
-    """Fold this run into the tracked throughput file (exec + series)."""
-    from results_io import load_results
-
-    labels = [name if workers is None else f"{name}_{workers}"
-              for name, workers in BACKENDS]
-    series = load_results().get("exec_series", [])
-    series.append({
-        "date": datetime.now(timezone.utc).strftime("%Y-%m-%d"),
-        "cpu_count": results["cpu_count"],
-        "frames_per_second": {
-            label: round(results[label]["frames_per_second"], 1)
-            for label in labels},
-    })
-    return _merge_tracked_results({"exec": results, "exec_series": series})
-
-
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--smoke", action="store_true",
-                        help="run only the 2-worker determinism smoke shard")
-    parser.add_argument("--remote-smoke", action="store_true",
-                        help="run only the 2-worker localhost-fleet "
-                             "determinism sweep")
     parser.add_argument("--obs-smoke", action="store_true",
                         help="run only the traced 2-worker fleet campaign "
                              "with schema/export/worker-log checks (the CI "
@@ -390,28 +303,16 @@ def main() -> None:
     parser.add_argument("--trace-out", default=None, metavar="PATH",
                         help="with --obs-smoke: write the trace JSONL here "
                              "(default: a fresh temp dir)")
-    parser.add_argument("--codewords", type=int, default=CODEWORDS)
     args = parser.parse_args()
 
-    if args.smoke:
-        run_smoke_shard()
-        return
-    if args.remote_smoke:
-        run_remote_smoke()
-        return
     if args.obs_smoke:
         run_obs_smoke(args.trace_out)
         return
     if args.guided:
         run_guided_gate()
         return
-    results = run_exec_benchmark(args.codewords)
-    # Self-profile of the traced smoke campaign rides along in pipeline.json,
-    # so each PR's entry records where the engine spent its time.
-    results["trace_summary"] = run_obs_smoke(args.trace_out, quiet=True)
-    path = merge_results(results)
+    results = run_exec_benchmark()
     print(json.dumps(results, indent=2))
-    print(f"merged into {path}")
     failures = check_thresholds(results)
     if failures:
         raise SystemExit("throughput regression: " + "; ".join(failures))

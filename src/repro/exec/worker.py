@@ -181,11 +181,9 @@ def _error_diagnostics() -> dict[str, Any]:
     return {"pid": os.getpid(), "last_span": _last_span_name()}
 
 
-#: Runs every shard this process executes, one at a time.  Off the main
-#: thread: glibc hands the main thread's heap back to the OS after large
-#: frees, so NumPy temporaries there page-fault in again on every reuse
-#: (the LDPC campaign of ``benchmarks/bench_exec.py`` took 20–40% less time
-#: off the main thread of a 2-vCPU Linux host).  And always the same
+#: Runs every shard this process executes, one at a time.  Off the session
+#: thread: that thread is the connection's only writer, so it must stay
+#: free to send heartbeats while a shard runs.  And always the same
 #: thread, so a :class:`repro.exec.ChannelRef` — resolved once per thread —
 #: is cold-started once per worker.
 _shard_thread: concurrent.futures.ThreadPoolExecutor | None = None

@@ -83,23 +83,6 @@ def summarize(records: Iterable[Dict[str, Any]],
     }
 
 
-def trace_summary_block(records: Iterable[Dict[str, Any]],
-                        top_kernels: int = 5) -> Dict[str, Any]:
-    """Compact self-profile block benchmarks attach to pipeline.json entries:
-    phase breakdown + top kernels, no per-shard detail."""
-    summary = summarize(records, top_kernels=top_kernels)
-    return {
-        "trace": summary["trace"],
-        "phases": {name: {"count": agg["count"],
-                          "total_s": round(agg["total"], 6)}
-                   for name, agg in summary["spans"].items()},
-        "events": summary["events"],
-        "top_kernels": [{"kernel": k["kernel"], "calls": k["calls"],
-                         "total_s": round(k["total_s"], 6)}
-                        for k in summary["kernels"]],
-    }
-
-
 def format_summary(summary: Dict[str, Any]) -> str:
     lines = [f"trace {summary.get('trace')}: "
              f"{len(summary['shards'])} shard span(s) across "

@@ -336,12 +336,30 @@ class TestTrainerPrecision:
         return generate_paired_dataset(channel, pe_cycles=(4000,),
                                        arrays_per_pe=12, array_size=8)
 
-    def _one_step(self, dtype, dataset):
-        config = replace(ModelConfig.tiny(), dtype=dtype)
+    @pytest.fixture(scope="class")
+    def small_dataset(self):
+        """16x16 arrays at two P/E time stamps, for the small architecture."""
+        from repro.data import generate_paired_dataset
+        from repro.flash import BlockGeometry, FlashChannel
+        channel = FlashChannel(geometry=BlockGeometry(16, 16),
+                               rng=np.random.default_rng(7))
+        return generate_paired_dataset(channel, pe_cycles=(4000, 10000),
+                                       arrays_per_pe=16, array_size=16)
+
+    def _one_step(self, dtype, dataset, config=None, batch=4, seed=11):
+        config = replace(config or ModelConfig.tiny(), dtype=dtype)
         model = build_model("cvae_gan", config,
-                            rng=np.random.default_rng(11))
-        trainer = Trainer(model, dataset, rng=np.random.default_rng(12))
-        return model, trainer.train_step(*dataset[0:4])
+                            rng=np.random.default_rng(seed))
+        trainer = Trainer(model, dataset, rng=np.random.default_rng(seed + 1))
+        return model, trainer.train_step(*dataset[0:batch])
+
+    def _assert_step_within_tolerance(self, dataset, **setup):
+        _, stats32 = self._one_step("float32", dataset, **setup)
+        _, stats64 = self._one_step("float64", dataset, **setup)
+        assert set(stats32) == set(stats64)
+        for key in stats64:
+            assert stats32[key] == pytest.approx(stats64[key],
+                                                 rel=self.STEP_RTOL), key
 
     def test_float32_smoke_step_finite_and_in_dtype(self, dataset):
         model, stats = self._one_step("float32", dataset)
@@ -351,12 +369,13 @@ class TestTrainerPrecision:
                 if p.grad is not None} == {np.dtype(np.float32)}
 
     def test_float32_step_within_tolerance_of_float64(self, dataset):
-        _, stats32 = self._one_step("float32", dataset)
-        _, stats64 = self._one_step("float64", dataset)
-        assert set(stats32) == set(stats64)
-        for key in stats64:
-            assert stats32[key] == pytest.approx(stats64[key],
-                                                 rel=self.STEP_RTOL), key
+        self._assert_step_within_tolerance(dataset)
+
+    def test_float32_small_step_within_tolerance_of_float64(
+            self, small_dataset):
+        self._assert_step_within_tolerance(
+            small_dataset, batch=8, seed=8,
+            config=ModelConfig.small(16, epochs=1, batch_size=8))
 
     def test_sampling_is_deterministic_within_dtype(self, dataset):
         """Bit-identical within a dtype: same seed, same float32 samples."""

@@ -83,12 +83,6 @@ class TestSummarize:
         assert "exec.retry=1" in text
         assert "matmul" in text
 
-    def test_trace_summary_block_is_compact_and_json_safe(self, trace_file):
-        block = report.trace_summary_block(sink.read_trace(trace_file))
-        assert json.loads(json.dumps(block)) == block
-        assert block["phases"]["exec.shard"]["count"] == 3
-        assert "event_detail" not in block
-
 
 class TestChromeExport:
     def test_export_loads_and_spans_are_complete_events(self, trace_file):
