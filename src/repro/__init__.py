@@ -5,7 +5,7 @@ The package is organised as a stack of subsystems:
 
 ``repro.nn``
     A from-scratch NumPy deep-learning framework (autograd, conv layers,
-    optimizers) used to build the generative models.
+    Adam) used to build the generative models.
 ``repro.flash``
     A TLC NAND flash channel simulator providing the "measured" data the paper
     collected from a commercial chip (see DESIGN.md for the substitution).

@@ -183,8 +183,8 @@ def load_channel(directory: str | os.PathLike, *,
         Additionally replay the stored sampling probe and require the
         restored backend to be bit-identical to the saved one.
     kwargs:
-        Adapter construction options (``rng``, ``chunk_size``, ``strict_pe``,
-        ``cache_size``, or a ``geometry`` override); the manifest's
+        Adapter construction options (``rng``, ``chunk_size``,
+        ``strict_pe``, or a ``geometry`` override); the manifest's
         recorded adapter flags (``apply_ici``, ``strict_pe``) apply as
         defaults so the restored backend behaves like the saved one.
         ``params`` can only be overridden for simulator checkpoints —

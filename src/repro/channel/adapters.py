@@ -47,45 +47,33 @@ class SimulatorChannel(ChannelModel):
                  geometry: BlockGeometry | None = None,
                  rng: np.random.Generator | None = None,
                  simulator: FlashChannel | None = None,
-                 apply_ici: bool = True, cache_size: int = 32):
+                 apply_ici: bool = True):
         if simulator is not None:
             params = simulator.params
             geometry = simulator.geometry
             rng = simulator.rng
-        super().__init__(params, geometry, rng, cache_size=cache_size)
+        super().__init__(params, geometry, rng)
         if simulator is None:
             simulator = FlashChannel(self.params, geometry=self.geometry,
                                      rng=self.rng)
         self.simulator = simulator
         self.apply_ici = apply_ici
-        self._inject_program_errors = False
 
     def supports(self) -> ChannelCapabilities:
         return ChannelCapabilities(name="simulator", ici=self.apply_ici,
                                    program_errors=True, wear_monotone=True,
                                    batched=True)
 
-    def _sample_voltages(self, program_levels, pe_cycles, rng):
-        """Run the simulator with this call's generator threaded through."""
-        sampler = self.simulator.sampler
-        previous = (self.simulator.rng, sampler.rng)
-        self.simulator.rng = sampler.rng = rng
-        try:
-            return self.simulator.read(
-                program_levels, pe_cycles, apply_ici=self.apply_ici,
-                apply_program_errors=self._inject_program_errors)
-        finally:
-            self.simulator.rng, sampler.rng = previous
+    def _sample_voltages(self, program_levels, pe_cycles, rng,
+                         program_errors):
+        return self.simulator.read(
+            program_levels, pe_cycles, apply_ici=self.apply_ici,
+            apply_program_errors=program_errors, rng=rng)
 
     def _read_with_program_errors(self, program, pe_cycles,
                                   apply_program_errors, **kwargs):
-        # Route through the one validated read path; the flag only tells
-        # _sample_voltages to let the simulator mis-program cells first.
-        self._inject_program_errors = bool(apply_program_errors)
-        try:
-            return self.read_voltages(program, pe_cycles, **kwargs)
-        finally:
-            self._inject_program_errors = False
+        return self._read(program, pe_cycles, bool(apply_program_errors),
+                          **kwargs)
 
 
 def _tile_arrays(levels: np.ndarray, size: int
@@ -136,12 +124,12 @@ class GenerativeChannel(ChannelModel):
     def __init__(self, model, params: FlashParameters | None = None,
                  geometry: BlockGeometry | None = None,
                  rng: np.random.Generator | None = None,
-                 chunk_size: int = 64, cache_size: int = 32):
+                 chunk_size: int = 64):
         if not isinstance(model, ConditionalGenerativeModel):
             raise TypeError("model must be a ConditionalGenerativeModel")
         if chunk_size < 1:
             raise ValueError("chunk_size must be positive")
-        super().__init__(params, geometry, rng, cache_size=cache_size)
+        super().__init__(params, geometry, rng)
         self.model = model
         self.chunk_size = chunk_size
         self.level_normalizer = LevelNormalizer()
@@ -196,7 +184,8 @@ class GenerativeChannel(ChannelModel):
         pad = [(0, 0)] * (levels.ndim - 2) + [(0, pad_h), (0, pad_w)]
         return np.pad(levels, pad), (height, width)
 
-    def _sample_voltages(self, program_levels, pe_cycles, rng):
+    def _sample_voltages(self, program_levels, pe_cycles, rng,
+                         program_errors):
         padded, (height, width) = self._pad_to_tile(program_levels)
         tiles, layout = _tile_arrays(padded, self.array_size)
         voltages = self._sample_tiles(tiles, pe_cycles, rng)
@@ -251,15 +240,14 @@ class BaselineChannel(ChannelModel):
                  params: FlashParameters | None = None,
                  geometry: BlockGeometry | None = None,
                  rng: np.random.Generator | None = None,
-                 strict_pe: bool = False, fit_iterations: int = 400,
-                 cache_size: int = 32):
+                 strict_pe: bool = False, fit_iterations: int = 400):
         if isinstance(model, type) and issubclass(model,
                                                   StatisticalChannelModel):
             model = model(params)
         if not isinstance(model, StatisticalChannelModel):
             raise TypeError("model must be a StatisticalChannelModel")
         params = params if params is not None else model.params
-        super().__init__(params, geometry, rng, cache_size=cache_size)
+        super().__init__(params, geometry, rng)
         if dataset is not None and not model.fitted:
             model.fit(dataset, max_iterations=fit_iterations)
         if not model.fitted:
@@ -281,6 +269,7 @@ class BaselineChannel(ChannelModel):
                              f"available: {fitted}")
         return min(fitted, key=lambda pe: abs(pe - float(pe_cycles)))
 
-    def _sample_voltages(self, program_levels, pe_cycles, rng):
+    def _sample_voltages(self, program_levels, pe_cycles, rng,
+                         program_errors):
         return self.model.sample(program_levels, self._resolve_pe(pe_cycles),
                                  rng=rng)

@@ -95,21 +95,23 @@ class ChannelModel:
     rng:
         The single random generator threaded through every stochastic
         operation of this backend.  Pass a seeded generator for reproducible
-        experiments; per-call ``rng`` arguments override it.
-    cache_size:
-        Capacity of the per-condition LRU cache (0 disables caching).
+        experiments; per-call ``rng`` arguments override it.  A read's
+        choices (generator, program errors) travel as arguments, never as
+        backend state, so threads may share one backend as long as each
+        passes its own ``rng``.  A generative backend also needs its model
+        in eval mode: sampling a train-mode model flips the shared model's
+        mode for the duration of the call.
     """
 
     def __init__(self, params: FlashParameters | None = None,
                  geometry: BlockGeometry | None = None,
-                 rng: np.random.Generator | None = None,
-                 cache_size: int = 32):
+                 rng: np.random.Generator | None = None):
         self.params = params if params is not None else FlashParameters()
         self.geometry = geometry if geometry is not None else BlockGeometry()
         self.rng = rng if rng is not None else np.random.default_rng()
         self.retention_model = RetentionModel(self.params)
         self.read_disturb_model = ReadDisturbModel(self.params)
-        self.cache = ConditionCache(maxsize=cache_size)
+        self.cache = ConditionCache()
 
     # ------------------------------------------------------------------ #
     # Protocol surface
@@ -119,8 +121,14 @@ class ChannelModel:
         raise NotImplementedError
 
     def _sample_voltages(self, program_levels: np.ndarray, pe_cycles: float,
-                         rng: np.random.Generator) -> np.ndarray:
-        """Backend-specific conditional voltage sampler (no temporal ops)."""
+                         rng: np.random.Generator,
+                         program_errors: bool) -> np.ndarray:
+        """Backend-specific conditional voltage sampler (no temporal ops).
+
+        ``program_errors`` asks for rare mis-programming before the read;
+        backends whose capabilities include program errors honour it, the
+        others ignore it.
+        """
         raise NotImplementedError
 
     def read_voltages(self, program_levels: np.ndarray, pe_cycles: float, *,
@@ -144,6 +152,15 @@ class ChannelModel:
         rng:
             Optional generator overriding the backend's own for this call.
         """
+        return self._read(program_levels, pe_cycles, False,
+                          retention_hours=retention_hours,
+                          read_disturbs=read_disturbs, rng=rng)
+
+    def _read(self, program_levels: np.ndarray, pe_cycles: float,
+              program_errors: bool, *, retention_hours: float,
+              read_disturbs: float,
+              rng: np.random.Generator | None) -> np.ndarray:
+        """The one validated read path, with every choice an argument."""
         levels = self._check_levels(program_levels)
         if pe_cycles < 0:
             raise ValueError("pe_cycles must be non-negative")
@@ -152,7 +169,8 @@ class ChannelModel:
         if read_disturbs < 0:
             raise ValueError("read_disturbs must be non-negative")
         generator = rng if rng is not None else self.rng
-        voltages = self._sample_voltages(levels, float(pe_cycles), generator)
+        voltages = self._sample_voltages(levels, float(pe_cycles), generator,
+                                         program_errors)
         if retention_hours > 0:
             voltages = self.retention_model.apply(
                 voltages, levels, pe_cycles, retention_hours, rng=generator)
@@ -197,7 +215,11 @@ class ChannelModel:
     def _read_with_program_errors(self, program: np.ndarray, pe_cycles: float,
                                   apply_program_errors: bool,
                                   **kwargs) -> np.ndarray:
-        """Hook for backends that can inject program errors before the read."""
+        """Hook for backends that can inject program errors before the read.
+
+        Backends without program errors read through the public
+        :meth:`read_voltages`.
+        """
         return self.read_voltages(program, pe_cycles, **kwargs)
 
     # ------------------------------------------------------------------ #

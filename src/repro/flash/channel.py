@@ -73,7 +73,8 @@ class FlashChannel:
     # ------------------------------------------------------------------ #
     def read(self, program_levels: np.ndarray, pe_cycles: float,
              apply_ici: bool = True,
-             apply_program_errors: bool = False) -> np.ndarray:
+             apply_program_errors: bool = False,
+             rng: np.random.Generator | None = None) -> np.ndarray:
         """Soft read voltages for an array of program levels.
 
         Parameters
@@ -88,6 +89,10 @@ class FlashChannel:
             statistical baselines, which model cells in isolation).
         apply_program_errors:
             Apply rare adjacent-level mis-programming before the read.
+        rng:
+            Optional generator overriding the channel's own for this call;
+            the read keeps no state, so threads may share one channel as
+            long as each passes its own generator.
         """
         levels = np.asarray(program_levels)
         if levels.ndim < 2:
@@ -97,9 +102,10 @@ class FlashChannel:
         if pe_cycles < 0:
             raise ValueError("pe_cycles must be non-negative")
         if apply_program_errors:
-            levels = self.apply_program_errors(levels)
+            levels = self.apply_program_errors(levels, rng=rng)
         shifts = self.ici.shifts(levels) if apply_ici else None
-        return self.sampler.sample(levels, pe_cycles, ici_shifts=shifts)
+        return self.sampler.sample(levels, pe_cycles, ici_shifts=shifts,
+                                   rng=rng)
 
     def read_hard(self, program_levels: np.ndarray, pe_cycles: float,
                   thresholds: np.ndarray | None = None,

@@ -2,13 +2,13 @@
 
 Every hot array operation of :mod:`repro.nn` — the conv im2col/col2im
 lowering and its BLAS matmuls, the elementwise activations, the fused
-loss/norm reductions and the in-place optimizer updates — is routed through
-one backend object instead of scattered ``np.*`` calls.  The indirection has
+loss reductions and the in-place Adam update — is routed through one
+backend object instead of scattered ``np.*`` calls.  The indirection has
 two purposes:
 
 * **precision**: every kernel preserves the dtype of the arrays it is handed
   (float32 stays float32 end to end), while the scalar reductions where
-  round-off compounds (loss values, gradient norms) accumulate in float64;
+  round-off compounds (loss values) accumulate in float64;
 * **pluggability**: an accelerated port (MKL, CuPy, a C extension) registers
   a subclass under a name and the whole train → sample → sweep pipeline uses
   it, mirroring ``build_channel`` / ``build_executor``.
@@ -31,9 +31,8 @@ Usage mirrors the channel registry::
 
     from repro.nn import backend
     backend.get_backend()              # current backend ("cjit" or "numpy")
-    backend.set_backend("numpy")       # switch this thread
-    with backend.use_backend("reference"):
-        ...                            # scoped switch
+    with backend.use_backend("numpy"):
+        ...                            # this thread, this block only
 
     @backend.register_backend("mykernels")
     class MyBackend(backend.NumpyBackend):
@@ -57,7 +56,6 @@ __all__ = [
     "register_backend",
     "build_backend",
     "get_backend",
-    "set_backend",
     "use_backend",
     "KERNEL_PROFILER",
     "set_kernel_profiler",
@@ -376,29 +374,8 @@ class ArrayBackend:
         return -0.5 * float(term.sum(dtype=np.float64)) / mu.shape[0]
 
     # ------------------------------------------------------------------ #
-    # In-place parameter updates
+    # In-place parameter update
     # ------------------------------------------------------------------ #
-    def scale_inplace(self, array: np.ndarray, scale: float) -> None:
-        array *= array.dtype.type(scale)
-
-    def clip_inplace(self, array: np.ndarray, low: float, high: float) -> None:
-        np.clip(array, low, high, out=array)
-
-    @profiled_kernel("sgd_update")
-    def sgd_update(self, param: np.ndarray, grad: np.ndarray,
-                   velocity: np.ndarray | None, lr: float, momentum: float,
-                   weight_decay: float) -> None:
-        """One in-place SGD step; ``velocity`` is updated in place too."""
-        if weight_decay:
-            grad = grad + weight_decay * param
-        if momentum:
-            velocity *= momentum
-            velocity += grad
-            update = velocity
-        else:
-            update = grad
-        param -= param.dtype.type(lr) * update
-
     @profiled_kernel("adam_update")
     def adam_update(self, param: np.ndarray, grad: np.ndarray,
                     m: np.ndarray, v: np.ndarray, lr: float,
@@ -500,22 +477,19 @@ def _resolve_default() -> ArrayBackend:
     return _DEFAULT
 
 
-def set_backend(backend: str | ArrayBackend) -> ArrayBackend:
-    """Switch the current thread's backend; accepts a name or an instance."""
+@contextlib.contextmanager
+def use_backend(backend: str | ArrayBackend):
+    """Route this thread's kernels through ``backend`` for one ``with``
+    block; accepts a registry name or an instance and restores the previous
+    backend on exit."""
     if isinstance(backend, str):
         backend = build_backend(backend)
     if not isinstance(backend, ArrayBackend):
         raise TypeError("backend must be a registry name or an ArrayBackend")
-    _STATE.current = backend
-    return backend
-
-
-@contextlib.contextmanager
-def use_backend(backend: str | ArrayBackend):
-    """Scoped backend switch (restores the previous backend on exit)."""
     previous = _STATE.current
+    _STATE.current = backend
     try:
-        yield set_backend(backend)
+        yield backend
     finally:
         _STATE.current = previous
 

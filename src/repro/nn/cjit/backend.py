@@ -2,7 +2,7 @@
 
 ``CJitBackend`` routes the hot kernels of :class:`repro.nn.backend
 .NumpyBackend` — the conv im2col/col2im lowering, the fused loss
-reductions, the in-place optimizer updates and the single-pass
+reductions, the in-place Adam update and the single-pass
 ``leaky_relu`` — through C functions rendered by
 :mod:`repro.nn.cjit.render`, compiled once per (kernel, window shape,
 dtype) by :mod:`repro.nn.cjit.compiler`, and persisted across processes in
@@ -70,7 +70,7 @@ _SPECS = {
     **dict.fromkeys(("im2col", "col2im"), conv_spec),
     **dict.fromkeys(("sum_squares", "abs_sum", "bce_logits", "gaussian_kl"),
                     reduce_spec),
-    **dict.fromkeys(("sgd_update", "adam_update"), update_spec),
+    "adam_update": update_spec,
     "leaky_relu": elementwise_spec,
     "bn_bwd_dx": lambda op, dtype: bn_bwd_dx_spec(dtype),
 }
@@ -338,28 +338,8 @@ class CJitBackend(NumpyBackend):
         return -0.5 * total / mu.shape[0]
 
     # ------------------------------------------------------------------ #
-    # In-place parameter updates (bit-identical to the NumPy sequence)
+    # In-place parameter update (bit-identical to the NumPy sequence)
     # ------------------------------------------------------------------ #
-    @profiled_kernel("sgd_update")
-    def sgd_update(self, param: np.ndarray, grad: np.ndarray,
-                   velocity: np.ndarray | None, lr: float, momentum: float,
-                   weight_decay: float) -> None:
-        key = ("sgd_update", param.dtype)
-        fn = None
-        if grad.dtype == param.dtype and param.flags["C_CONTIGUOUS"] and (
-                velocity is None or (velocity.dtype == param.dtype
-                                     and velocity.flags["C_CONTIGUOUS"])):
-            fn = self._functions.get(key) or self._build(key)
-        if fn is None:
-            self.fallbacks += 1
-            return super().sgd_update(param, grad, velocity, lr, momentum,
-                                      weight_decay)
-        grad = np.ascontiguousarray(grad)
-        fn(_addr(param), _addr(grad),
-           _addr(velocity) if velocity is not None else None,
-           param.size, float(lr), float(momentum), float(weight_decay),
-           1 if velocity is not None else 0)
-
     @profiled_kernel("adam_update")
     def adam_update(self, param: np.ndarray, grad: np.ndarray,
                     m: np.ndarray, v: np.ndarray, lr: float,

@@ -29,7 +29,7 @@ __all__ = ["CompilerInfo", "KernelCompileError", "find_compiler",
 COMPILER_CANDIDATES = ("cc", "clang", "gcc")
 
 #: Compile flags.  ``-ffp-contract=off`` is load-bearing: FMA contraction
-#: would change one rounding in the optimizer updates and break their
+#: would change one rounding in the Adam update and break its
 #: bit-identity with the NumPy backend.
 CFLAGS = ("-O3", "-fPIC", "-shared", "-ffp-contract=off")
 

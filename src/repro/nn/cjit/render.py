@@ -16,9 +16,9 @@ Exactness contract (mirrored by the conformance tests):
   accumulates contributions in the same ascending ``(i, j)`` window order
   as the NumPy loop, and compilation pins ``-ffp-contract=off`` so no FMA
   contraction changes a rounding.
-* ``sgd_update`` / ``adam_update`` replay the exact NumPy operation
-  sequence (scalars pre-cast to the parameter dtype, one rounding per
-  multiply/add/sqrt/divide) and are **bit-identical** too.
+* ``adam_update`` replays the exact NumPy operation sequence (scalars
+  pre-cast to the parameter dtype, one rounding per
+  multiply/add/sqrt/divide) and is **bit-identical** too.
 * The fused loss reductions accumulate in float64 like their NumPy
   counterparts but sum sequentially rather than pairwise, so loss scalars
   agree to documented tolerances (~1e-12 relative in float64) instead of
@@ -120,15 +120,12 @@ def reduce_spec(op: str, dtype: str) -> KernelSpec:
 
 
 def update_spec(op: str, dtype: str) -> KernelSpec:
-    """In-place optimizer update spec (hyper-parameters stay runtime)."""
-    if op == "sgd_update":
-        argtypes = (_PTR, _PTR, _PTR, _I64, _F64, _F64, _F64, _I64)
-    elif op == "adam_update":
-        argtypes = (_PTR, _PTR, _PTR, _PTR, _I64,
-                    _F64, _F64, _F64, _F64, _F64, _F64, _F64)
-    else:
+    """In-place Adam update spec (hyper-parameters stay runtime)."""
+    if op != "adam_update":
         raise ValueError(f"unknown update kernel {op!r}")
-    return KernelSpec(op=op, dtype=dtype, argtypes=argtypes)
+    return KernelSpec(op=op, dtype=dtype,
+                      argtypes=(_PTR, _PTR, _PTR, _PTR, _I64,
+                                _F64, _F64, _F64, _F64, _F64, _F64, _F64))
 
 
 def elementwise_spec(op: str, dtype: str) -> KernelSpec:
@@ -325,32 +322,6 @@ double {spec.symbol}(const {T}* mu, const {T}* logvar, i64 n) {{
 """
 
 
-def _render_sgd_update(spec: KernelSpec) -> str:
-    T = _CTYPE[spec.dtype]
-    return f"""\
-/* One in-place SGD step: replays the NumPy operation sequence exactly
-   (scalars pre-cast to {T}, one rounding per op, no FMA contraction). */
-void {spec.symbol}({T}* p, const {T}* g, {T}* vel, i64 n,
-                   double lr, double momentum, double weight_decay,
-                   i64 has_velocity) {{
-    const {T} lr_t = ({T})lr;
-    const {T} mom_t = ({T})momentum;
-    const {T} wd_t = ({T})weight_decay;
-    const int use_wd = weight_decay != 0.0;
-    for (i64 i = 0; i < n; ++i) {{
-        {T} gi = g[i];
-        if (use_wd) gi = gi + wd_t * p[i];
-        if (has_velocity) {{
-            const {T} v = vel[i] * mom_t + gi;
-            vel[i] = v;
-            gi = v;
-        }}
-        p[i] -= lr_t * gi;
-    }}
-}}
-"""
-
-
 def _render_adam_update(spec: KernelSpec) -> str:
     T = _CTYPE[spec.dtype]
     m = _MATH[spec.dtype]
@@ -411,7 +382,6 @@ _RENDERERS = {
     "abs_sum": _render_abs_sum,
     "bce_logits": _render_bce_logits,
     "gaussian_kl": _render_gaussian_kl,
-    "sgd_update": _render_sgd_update,
     "adam_update": _render_adam_update,
     "leaky_relu": _render_leaky_relu,
     "bn_bwd_dx": _render_bn_bwd_dx,
@@ -446,7 +416,6 @@ def standard_kernel_specs(dtypes=SUPPORTED_DTYPES) -> list[KernelSpec]:
             specs.append(conv_spec("col2im", dtype, kernel, stride, padding))
         for op in ("sum_squares", "abs_sum", "bce_logits", "gaussian_kl"):
             specs.append(reduce_spec(op, dtype))
-        specs.append(update_spec("sgd_update", dtype))
         specs.append(update_spec("adam_update", dtype))
         specs.append(elementwise_spec("leaky_relu", dtype))
         specs.append(bn_bwd_dx_spec(dtype))

@@ -15,11 +15,14 @@ The policy is deliberately simple:
 
 * array data and gradients keep the dtype of the tensors they flow through
   (ops never silently upcast to float64);
-* scalar *reductions* where round-off compounds — loss values, global
-  gradient norms — accumulate in float64 regardless of the array dtype.
+* scalar *reductions* where round-off compounds — loss values — accumulate
+  in float64 regardless of the array dtype.
 
-State is thread-local so concurrent sweeps (``repro.exec`` thread executors)
-can use different precisions without racing.
+The default is scoped, never set globally: :func:`default_dtype` changes it
+for one ``with`` block on the calling thread and restores it on exit.  The
+state is per thread, like :func:`repro.nn.use_backend` and
+:func:`repro.nn.no_grad`, so threads that read one channel concurrently
+(each building its own tensors) never see another thread's precision.
 """
 
 from __future__ import annotations
@@ -32,19 +35,14 @@ import numpy as np
 __all__ = [
     "resolve_dtype",
     "get_default_dtype",
-    "set_default_dtype",
     "default_dtype",
 ]
 
-#: Accepted dtype spellings.  Only the two working precisions are valid:
+#: Accepted dtype names.  Only the two working precisions are valid:
 #: integer or half/extended floats have no kernels in this engine.
 _SUPPORTED: dict[str, np.dtype] = {
     "float32": np.dtype(np.float32),
-    "f32": np.dtype(np.float32),
-    "single": np.dtype(np.float32),
     "float64": np.dtype(np.float64),
-    "f64": np.dtype(np.float64),
-    "double": np.dtype(np.float64),
 }
 
 
@@ -57,7 +55,7 @@ def resolve_dtype(spec) -> np.dtype:
         key = spec.lower()
         if key not in _SUPPORTED:
             raise ValueError(f"unsupported dtype {spec!r}; expected one of "
-                             f"{sorted(set(_SUPPORTED))}")
+                             f"{sorted(_SUPPORTED)}")
         return _SUPPORTED[key]
     dtype = np.dtype(spec)
     if dtype not in (np.dtype(np.float32), np.dtype(np.float64)):
@@ -76,12 +74,6 @@ _STATE = _DtypeState()
 
 def get_default_dtype() -> np.dtype:
     """The dtype new tensors, parameters and buffers are created with."""
-    return _STATE.default
-
-
-def set_default_dtype(spec) -> np.dtype:
-    """Set the default creation dtype; returns the resolved ``np.dtype``."""
-    _STATE.default = resolve_dtype(spec)
     return _STATE.default
 
 

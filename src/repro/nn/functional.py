@@ -1,7 +1,9 @@
 """Convolutional primitives for the NumPy autograd engine.
 
-Convolutions are implemented with the classic im2col / col2im lowering, which
-turns the spatial convolution into a single matrix multiplication per batch.
+Convolutions are implemented with the classic im2col / col2im lowering
+(the backend kernels :meth:`repro.nn.backend.ArrayBackend.im2col` and
+:meth:`~repro.nn.backend.ArrayBackend.col2im`), which turns the spatial
+convolution into a single matrix multiplication per batch.
 Both :func:`conv2d` and :func:`conv_transpose2d` follow the PyTorch weight
 layout conventions so the model code in :mod:`repro.core` can be read against
 the reference pix2pix / BicycleGAN implementations.
@@ -17,19 +19,14 @@ capture the columns they are always freshly allocated.
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.nn.backend import get_backend
 from repro.nn.tensor import Tensor, is_grad_enabled
 
 __all__ = [
-    "im2col",
-    "col2im",
     "conv2d",
     "conv_transpose2d",
     "conv_output_size",
     "conv_transpose_output_size",
-    "avg_pool2d",
 ]
 
 
@@ -42,20 +39,6 @@ def conv_transpose_output_size(size: int, kernel: int, stride: int,
                                padding: int) -> int:
     """Spatial output size of a transposed convolution along one dimension."""
     return (size - 1) * stride - 2 * padding + kernel
-
-
-def im2col(x: np.ndarray, kernel: int, stride: int, padding: int) -> np.ndarray:
-    """Lower an NCHW array into convolution columns.
-
-    Returns an array of shape ``(N, C * kernel * kernel, H_out * W_out)``.
-    """
-    return get_backend().im2col(x, kernel, stride, padding)
-
-
-def col2im(cols: np.ndarray, input_shape: tuple[int, int, int, int],
-           kernel: int, stride: int, padding: int) -> np.ndarray:
-    """Adjoint of :func:`im2col`: scatter-add columns back onto an NCHW grid."""
-    return get_backend().col2im(cols, input_shape, kernel, stride, padding)
 
 
 def _needs_graph(*tensors: Tensor | None) -> bool:
@@ -189,31 +172,5 @@ def conv_transpose2d(x: Tensor, weight: Tensor, bias: Tensor | None = None,
                 weight._accumulate(grad_weight.reshape(weight.shape))
             if bias is not None and bias.requires_grad:
                 bias._accumulate(out.grad.sum(axis=(0, 2, 3)))
-        out._backward = _backward
-    return out
-
-
-def avg_pool2d(x: Tensor, kernel: int, stride: int | None = None) -> Tensor:
-    """Average pooling over non-overlapping (or strided) square windows."""
-    stride = stride if stride is not None else kernel
-    batch, channels, height, width = x.shape
-    out_h = conv_output_size(height, kernel, stride, 0)
-    out_w = conv_output_size(width, kernel, stride, 0)
-
-    backend = get_backend()
-    cols = backend.im2col(x.data.reshape(batch * channels, 1, height, width),
-                          kernel, stride, 0, scratch=not _needs_graph(x))
-    out_data = cols.mean(axis=1).reshape(batch, channels, out_h, out_w)
-
-    out = x._make_child(out_data, (x,), "avg_pool2d")
-    if out.requires_grad:
-        def _backward():
-            grad = out.grad.reshape(batch * channels, 1, -1)
-            scale = x.data.dtype.type(1.0 / (kernel * kernel))
-            grad_cols = np.repeat(grad, kernel * kernel, axis=1) * scale
-            grad_x = backend.col2im(grad_cols,
-                                    (batch * channels, 1, height, width),
-                                    kernel, stride, 0)
-            x._accumulate(grad_x.reshape(x.shape))
         out._backward = _backward
     return out

@@ -16,7 +16,6 @@ from repro.nn.dtypes import get_default_dtype
 __all__ = [
     "normal_",
     "kaiming_uniform",
-    "xavier_uniform",
     "dcgan_conv_init",
 ]
 
@@ -34,15 +33,6 @@ def kaiming_uniform(shape: tuple[int, ...], fan_in: int,
     """Kaiming-uniform initialisation used for linear layers."""
     generator = rng if rng is not None else np.random.default_rng()
     bound = math.sqrt(1.0 / max(fan_in, 1))
-    sample = generator.uniform(-bound, bound, size=shape)
-    return sample.astype(get_default_dtype(), copy=False)
-
-
-def xavier_uniform(shape: tuple[int, ...], fan_in: int, fan_out: int,
-                   rng: np.random.Generator | None = None) -> np.ndarray:
-    """Glorot/Xavier-uniform initialisation."""
-    generator = rng if rng is not None else np.random.default_rng()
-    bound = math.sqrt(6.0 / max(fan_in + fan_out, 1))
     sample = generator.uniform(-bound, bound, size=shape)
     return sample.astype(get_default_dtype(), copy=False)
 

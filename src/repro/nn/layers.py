@@ -3,8 +3,7 @@
 The class hierarchy mirrors a small subset of ``torch.nn``: every layer derives
 from :class:`Module`, exposes :meth:`Module.parameters` for the optimizers and
 ``state_dict`` / ``load_state_dict`` for serialization, and distinguishes
-training from evaluation mode (relevant for :class:`BatchNorm2d` and
-:class:`Dropout`).
+training from evaluation mode (relevant for :class:`BatchNorm2d`).
 """
 
 from __future__ import annotations
@@ -22,7 +21,6 @@ from repro.nn.tensor import Tensor, is_grad_enabled
 
 __all__ = [
     "Module",
-    "Sequential",
     "ModuleList",
     "Linear",
     "Conv2d",
@@ -32,9 +30,6 @@ __all__ = [
     "ReLU",
     "LeakyReLU",
     "Tanh",
-    "Sigmoid",
-    "Dropout",
-    "Flatten",
     "GlobalAvgPool2d",
 ]
 
@@ -208,33 +203,6 @@ class Module:
 
     def __call__(self, *args, **kwargs):
         return self.forward(*args, **kwargs)
-
-
-class Sequential(Module):
-    """Chain of modules applied in order."""
-
-    def __init__(self, *modules: Module):
-        super().__init__()
-        for index, module in enumerate(modules):
-            self.add_module(str(index), module)
-
-    def __iter__(self) -> Iterator[Module]:
-        return iter(self._modules.values())
-
-    def __len__(self) -> int:
-        return len(self._modules)
-
-    def __getitem__(self, index: int) -> Module:
-        return list(self._modules.values())[index]
-
-    def append(self, module: Module) -> "Sequential":
-        self.add_module(str(len(self._modules)), module)
-        return self
-
-    def forward(self, x: Tensor) -> Tensor:
-        for module in self._modules.values():
-            x = module(x)
-        return x
 
 
 class ModuleList(Module):
@@ -464,37 +432,6 @@ class LeakyReLU(Module):
 class Tanh(Module):
     def forward(self, x: Tensor) -> Tensor:
         return x.tanh()
-
-
-class Sigmoid(Module):
-    def forward(self, x: Tensor) -> Tensor:
-        return x.sigmoid()
-
-
-class Dropout(Module):
-    """Inverted dropout: active only in training mode."""
-
-    def __init__(self, p: float = 0.5, rng: np.random.Generator | None = None):
-        super().__init__()
-        if not 0.0 <= p < 1.0:
-            raise ValueError("dropout probability must be in [0, 1)")
-        self.p = p
-        self._rng = rng if rng is not None else np.random.default_rng()
-
-    def forward(self, x: Tensor) -> Tensor:
-        if not self.training or self.p == 0.0:
-            return x
-        keep = 1.0 - self.p
-        mask = (self._rng.random(x.shape) < keep).astype(x.data.dtype) \
-            * x.data.dtype.type(1.0 / keep)
-        return x * Tensor(mask)
-
-
-class Flatten(Module):
-    """Flatten all dimensions after the batch dimension."""
-
-    def forward(self, x: Tensor) -> Tensor:
-        return x.reshape(x.shape[0], -1)
 
 
 class GlobalAvgPool2d(Module):

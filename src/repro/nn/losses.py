@@ -26,10 +26,8 @@ from repro.nn.tensor import Tensor, _unbroadcast
 __all__ = [
     "mse_loss",
     "l1_loss",
-    "bce_loss",
     "bce_with_logits_loss",
     "gaussian_kl_loss",
-    "hinge_loss",
 ]
 
 
@@ -71,19 +69,6 @@ def l1_loss(prediction: Tensor, target: Tensor) -> Tensor:
                                                       prediction.data.shape))
         out._backward = _backward
     return out
-
-
-def bce_loss(probabilities: Tensor, target_value: float) -> Tensor:
-    """Binary cross-entropy against a constant real/fake label."""
-    eps = 1e-7
-    clipped = probabilities.clip(eps, 1.0 - eps)
-    if target_value == 1.0:
-        return -(clipped.log()).mean()
-    if target_value == 0.0:
-        return -((1.0 - clipped).log()).mean()
-    term_real = clipped.log() * target_value
-    term_fake = (1.0 - clipped).log() * (1.0 - target_value)
-    return -(term_real + term_fake).mean()
 
 
 def bce_with_logits_loss(logits: Tensor, target_value: float) -> Tensor:
@@ -133,12 +118,3 @@ def gaussian_kl_loss(mu: Tensor, logvar: Tensor) -> Tensor:
                 logvar._accumulate(dlogvar)
         out._backward = _backward
     return out
-
-
-def hinge_loss(logits: Tensor, real: bool, for_generator: bool = False) -> Tensor:
-    """Hinge GAN loss, provided for ablation benchmarks."""
-    if for_generator:
-        return (-logits).mean()
-    if real:
-        return (1.0 - logits).relu().mean()
-    return (1.0 + logits).relu().mean()

@@ -1,7 +1,7 @@
-"""Gradient-descent optimizers.
+"""The Adam optimizer.
 
 The paper trains all networks with Adam at learning rate 2e-4 (Remark 2);
-plain SGD with momentum is provided for tests and ablations.
+the quick scale uses 1e-3.  Both are fixed rates: nothing schedules them.
 
 Parameter updates are *in place* and routed through the array backend
 (:mod:`repro.nn.backend`): the parameter array and the moment buffers are
@@ -18,55 +18,18 @@ import numpy as np
 from repro.nn.backend import get_backend
 from repro.nn.tensor import Tensor
 
-__all__ = ["Optimizer", "SGD", "Adam"]
+__all__ = ["Adam"]
 
 
-class Optimizer:
-    """Base class holding a parameter list and the zero-grad helper."""
-
-    def __init__(self, parameters: Iterable[Tensor]):
-        self.parameters: Sequence[Tensor] = list(parameters)
-        if not self.parameters:
-            raise ValueError("optimizer received an empty parameter list")
-
-    def zero_grad(self) -> None:
-        for parameter in self.parameters:
-            parameter.zero_grad()
-
-    def step(self) -> None:
-        raise NotImplementedError
-
-
-class SGD(Optimizer):
-    """Stochastic gradient descent with optional classical momentum."""
-
-    def __init__(self, parameters: Iterable[Tensor], lr: float = 1e-2,
-                 momentum: float = 0.0, weight_decay: float = 0.0):
-        super().__init__(parameters)
-        if lr <= 0:
-            raise ValueError("learning rate must be positive")
-        self.lr = lr
-        self.momentum = momentum
-        self.weight_decay = weight_decay
-        self._velocity = [np.zeros_like(p.data) for p in self.parameters]
-
-    def step(self) -> None:
-        backend = get_backend()
-        for parameter, velocity in zip(self.parameters, self._velocity):
-            if parameter.grad is None:
-                continue
-            backend.sgd_update(parameter.data, parameter.grad,
-                               velocity if self.momentum else None,
-                               self.lr, self.momentum, self.weight_decay)
-
-
-class Adam(Optimizer):
+class Adam:
     """Adam optimizer (Kingma & Ba, 2015)."""
 
     def __init__(self, parameters: Iterable[Tensor], lr: float = 2e-4,
                  betas: tuple[float, float] = (0.5, 0.999), eps: float = 1e-8,
                  weight_decay: float = 0.0):
-        super().__init__(parameters)
+        self.parameters: Sequence[Tensor] = list(parameters)
+        if not self.parameters:
+            raise ValueError("optimizer received an empty parameter list")
         if lr <= 0:
             raise ValueError("learning rate must be positive")
         if not (0 <= betas[0] < 1 and 0 <= betas[1] < 1):
@@ -78,6 +41,10 @@ class Adam(Optimizer):
         self._step = 0
         self._m = [np.zeros_like(p.data) for p in self.parameters]
         self._v = [np.zeros_like(p.data) for p in self.parameters]
+
+    def zero_grad(self) -> None:
+        for parameter in self.parameters:
+            parameter.zero_grad()
 
     def step(self) -> None:
         backend = get_backend()

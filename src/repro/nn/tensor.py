@@ -21,6 +21,7 @@ the swappable backend of :mod:`repro.nn.backend`.
 from __future__ import annotations
 
 import contextlib
+import threading
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -30,24 +31,32 @@ from repro.nn.dtypes import get_default_dtype
 
 __all__ = ["Tensor", "no_grad", "is_grad_enabled"]
 
-_GRAD_ENABLED = True
+
+class _GradMode(threading.local):
+    def __init__(self):
+        self.enabled = True
+
+
+#: Whether operations record gradients, per thread like the backend and
+#: dtype modes: a thread leaving :func:`no_grad` must not turn graph
+#: building back on in another thread that is still inside it.
+_GRAD = _GradMode()
 
 
 @contextlib.contextmanager
 def no_grad():
-    """Context manager that disables graph construction (inference mode)."""
-    global _GRAD_ENABLED
-    previous = _GRAD_ENABLED
-    _GRAD_ENABLED = False
+    """Disable graph construction (inference mode) on this thread."""
+    previous = _GRAD.enabled
+    _GRAD.enabled = False
     try:
         yield
     finally:
-        _GRAD_ENABLED = previous
+        _GRAD.enabled = previous
 
 
 def is_grad_enabled() -> bool:
-    """Return whether operations currently record gradients."""
-    return _GRAD_ENABLED
+    """Return whether operations on this thread record gradients."""
+    return _GRAD.enabled
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -108,7 +117,7 @@ class Tensor:
 
     def __init__(self, data, requires_grad: bool = False, dtype=None):
         self.data = _as_array(data, dtype=dtype)
-        self.requires_grad: bool = bool(requires_grad) and _GRAD_ENABLED
+        self.requires_grad: bool = bool(requires_grad) and _GRAD.enabled
         self.grad: np.ndarray | None = None
         self._backward: Callable[[], None] | None = None
         self._parents: tuple[Tensor, ...] = ()
@@ -126,17 +135,6 @@ class Tensor:
     def ones(shape, requires_grad: bool = False, dtype=None) -> "Tensor":
         dtype = dtype if dtype is not None else get_default_dtype()
         return Tensor(np.ones(shape, dtype=dtype), requires_grad=requires_grad)
-
-    @staticmethod
-    def randn(*shape, rng: np.random.Generator | None = None,
-              requires_grad: bool = False, dtype=None) -> "Tensor":
-        generator = rng if rng is not None else np.random.default_rng()
-        dtype = dtype if dtype is not None else get_default_dtype()
-        # Draw in float64 then cast, so a float32 tensor holds the rounded
-        # values of the same stream a float64 tensor would (documented
-        # precision policy: same draws, different rounding).
-        sample = generator.standard_normal(shape).astype(dtype, copy=False)
-        return Tensor(sample, requires_grad=requires_grad)
 
     @staticmethod
     def ensure(value) -> "Tensor":
@@ -187,10 +185,6 @@ class Tensor:
     def item(self) -> float:
         return float(self.data)
 
-    def detach(self) -> "Tensor":
-        """Return a new tensor sharing data but cut from the graph."""
-        return Tensor(self.data, requires_grad=False)
-
     def astype(self, dtype) -> "Tensor":
         """Differentiable dtype cast (gradients are cast back on backward).
 
@@ -221,7 +215,7 @@ class Tensor:
     # ------------------------------------------------------------------ #
     def _make_child(self, data: np.ndarray, parents: Sequence["Tensor"],
                     op: str) -> "Tensor":
-        requires = _GRAD_ENABLED and any(p.requires_grad for p in parents)
+        requires = _GRAD.enabled and any(p.requires_grad for p in parents)
         child = Tensor.__new__(Tensor)
         child.data = data
         child.requires_grad = requires
@@ -434,15 +428,6 @@ class Tensor:
             out._backward = _backward
         return out
 
-    def sigmoid(self) -> "Tensor":
-        value = get_backend().sigmoid(self.data)
-        out = self._make_child(value, (self,), "sigmoid")
-        if out.requires_grad:
-            def _backward():
-                self._accumulate(out.grad * value * (1.0 - value))
-            out._backward = _backward
-        return out
-
     def _needs_graph(self) -> bool:
         """Whether an op on this tensor must record backward state.
 
@@ -451,7 +436,7 @@ class Tensor:
         backward closure and the auxiliary arrays (masks, signs) it would
         capture, leaving a single forward NumPy call per op.
         """
-        return _GRAD_ENABLED and self.requires_grad
+        return _GRAD.enabled and self.requires_grad
 
     def relu(self) -> "Tensor":
         if not self._needs_graph():
@@ -487,17 +472,6 @@ class Tensor:
 
             def _backward():
                 self._accumulate(out.grad * sign)
-            out._backward = _backward
-        return out
-
-    def clip(self, minimum: float, maximum: float) -> "Tensor":
-        clipped = np.clip(self.data, minimum, maximum)
-        out = self._make_child(clipped, (self,), "clip")
-        if out.requires_grad:
-            mask = (self.data >= minimum) & (self.data <= maximum)
-
-            def _backward():
-                self._accumulate(out.grad * mask)
             out._backward = _backward
         return out
 
@@ -603,19 +577,6 @@ class Tensor:
             out._backward = _backward
         return out
 
-    def pad2d(self, padding: int) -> "Tensor":
-        """Zero-pad the two trailing spatial dimensions of an NCHW tensor."""
-        if padding == 0:
-            return self
-        pad_width = ((0, 0), (0, 0), (padding, padding), (padding, padding))
-        out = self._make_child(np.pad(self.data, pad_width), (self,), "pad2d")
-        if out.requires_grad:
-            def _backward():
-                grad = out.grad[:, :, padding:-padding, padding:-padding]
-                self._accumulate(grad)
-            out._backward = _backward
-        return out
-
     # ------------------------------------------------------------------ #
     # Linear algebra
     # ------------------------------------------------------------------ #
@@ -652,19 +613,5 @@ def concatenate(tensors: Iterable[Tensor], axis: int = 0) -> Tensor:
                     index = [slice(None)] * out.ndim
                     index[axis] = slice(start, stop)
                     tensor._accumulate(out.grad[tuple(index)])
-        out._backward = _backward
-    return out
-
-
-def stack(tensors: Iterable[Tensor], axis: int = 0) -> Tensor:
-    """Stack tensors along a new axis with gradient support."""
-    tensors = [Tensor.ensure(t) for t in tensors]
-    data = np.stack([t.data for t in tensors], axis=axis)
-    out = tensors[0]._make_child(data, tensors, "stack")
-    if out.requires_grad:
-        def _backward():
-            for position, tensor in enumerate(tensors):
-                if tensor.requires_grad:
-                    tensor._accumulate(np.take(out.grad, position, axis=axis))
         out._backward = _backward
     return out

@@ -12,12 +12,12 @@ Design constraints, in priority order:
    ``trace`` id, a ``span`` id and a ``parent`` id.  A worker process records
    into a local :class:`Tracer` whose records ride back in the shard result
    envelope and are adopted into the parent tracer.
-3. **Kernel profiling is opt-in and sampled.**  The NN backends carry a
+3. **Kernel profiling rides with tracing.**  The NN backends carry a
    module-global profiler slot (``repro.nn.backend.KERNEL_PROFILER``); when
    tracing is enabled a :class:`KernelProfiler` is installed there and
-   per-kernel wall times land in ``nn.kernel.*`` histograms of the active
-   metrics registry.  When disabled the hook is a single ``None`` check on
-   the kernel hot path.
+   every kernel call's wall time lands in an ``nn.kernel.*`` histogram of
+   the active metrics registry.  When disabled the hook is a single
+   ``None`` check on the kernel hot path.
 """
 
 from __future__ import annotations
@@ -216,23 +216,16 @@ class KernelProfiler:
     enabled; the backend hot-path hook is ``profiler is None`` when off.
     Re-entrant kernel calls (a cjit fallback invoking the numpy base
     implementation) are counted once: only the outermost timed region
-    records, tracked with a per-thread depth flag.  ``sample_every=N``
-    records every Nth outermost call to bound enabled-mode overhead.
+    records, tracked with a per-thread depth flag.
     """
 
-    def __init__(self, sample_every: int = 1) -> None:
-        self.sample_every = max(1, int(sample_every))
+    def __init__(self) -> None:
         self._local = threading.local()
 
     def enter(self) -> Optional[float]:
         local = self._local
         if getattr(local, "depth", 0):
             return None
-        if self.sample_every > 1:
-            tick = getattr(local, "tick", 0) + 1
-            local.tick = tick
-            if tick % self.sample_every:
-                return None
         local.depth = 1
         return time.perf_counter()
 
@@ -284,9 +277,8 @@ def _flush_backend_metrics(registry: _metrics.MetricsRegistry) -> None:
         pass
 
 
-def enable_tracing(sink: Any = None, trace_id: Optional[str] = None,
-                   sample_every: int = 1,
-                   profile_kernels: bool = True) -> Tracer:
+def enable_tracing(sink: Any = None,
+                   trace_id: Optional[str] = None) -> Tracer:
     """Turn on process-wide tracing.  Returns the active :class:`Tracer`."""
     global _TRACER
     if _TRACER is not None:
@@ -300,8 +292,7 @@ def enable_tracing(sink: Any = None, trace_id: Optional[str] = None,
         "argv": list(__import__("sys").argv),
     })
     _TRACER = tracer
-    if profile_kernels:
-        _set_backend_profiler(KernelProfiler(sample_every=sample_every))
+    _set_backend_profiler(KernelProfiler())
     return tracer
 
 
@@ -326,9 +317,8 @@ def disable_tracing() -> Optional[Tracer]:
 
 
 @contextmanager
-def tracing(path_or_sink: Any = None, *, trace_id: Optional[str] = None,
-            sample_every: int = 1,
-            profile_kernels: bool = True) -> Iterator[Tracer]:
+def tracing(path_or_sink: Any = None, *,
+            trace_id: Optional[str] = None) -> Iterator[Tracer]:
     """``with tracing("run.jsonl") as tracer:`` — enable, run, flush.
 
     Accepts a filesystem path (a :class:`repro.obs.sink.JsonlSink` is opened
@@ -344,9 +334,7 @@ def tracing(path_or_sink: Any = None, *, trace_id: Optional[str] = None,
             from repro.obs.sink import JsonlSink
             sink = JsonlSink(path_or_sink)
             owns_sink = True
-    tracer = enable_tracing(sink=sink, trace_id=trace_id,
-                            sample_every=sample_every,
-                            profile_kernels=profile_kernels)
+    tracer = enable_tracing(sink=sink, trace_id=trace_id)
     try:
         yield tracer
     finally:

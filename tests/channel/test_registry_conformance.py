@@ -110,6 +110,44 @@ class TestProtocolContract:
         assert program.shape == (2, 16, 16)
         assert voltages.shape == (2, 16, 16)
 
+    def test_per_call_rng_leaves_backend_stream_untouched(self, backends,
+                                                         name, levels):
+        """A read handed its own generator draws nothing from the
+        backend's, so threads sharing a backend never share a stream."""
+        channel = backends[name]
+        before = channel.rng.bit_generator.state
+        channel.read_voltages(levels, FITTED_PE[0],
+                              rng=np.random.default_rng(8))
+        channel.paired_blocks(2, FITTED_PE[1], rng=np.random.default_rng(9))
+        assert channel.rng.bit_generator.state == before
+
+    def test_same_generator_same_read(self, backends, name, levels):
+        """A read is a function of its arguments: reads in between, with
+        or without program errors, leave nothing behind that changes it."""
+        channel = backends[name]
+        first = channel.read_voltages(levels, FITTED_PE[0],
+                                      rng=np.random.default_rng(10))
+        channel.paired_blocks(2, FITTED_PE[1], apply_program_errors=True)
+        channel.read_voltages(levels, FITTED_PE[1])
+        second = channel.read_voltages(levels, FITTED_PE[0],
+                                       rng=np.random.default_rng(10))
+        np.testing.assert_array_equal(second, first)
+
+    def test_paired_blocks_read_through_read_voltages(self, backends, name):
+        """Without program errors a paired draw is the program followed by
+        a plain read, both from the one generator passed in."""
+        channel = backends[name]
+        program, voltages = channel.paired_blocks(
+            2, FITTED_PE[0], apply_program_errors=False,
+            rng=np.random.default_rng(11))
+        generator = np.random.default_rng(11)
+        expected = np.stack([channel.program_random_block(rng=generator)
+                             for _ in range(2)])
+        np.testing.assert_array_equal(program, expected)
+        np.testing.assert_array_equal(
+            voltages, channel.read_voltages(expected, FITTED_PE[0],
+                                            rng=generator))
+
     def test_retention_shifts_programmed_levels_down(self, backends, name):
         channel = backends[name]
         levels = np.full((64, 64), NUM_LEVELS - 1)

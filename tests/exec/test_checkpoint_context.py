@@ -55,7 +55,7 @@ class TestPayloadRegression:
 
     def test_ref_pickle_roundtrips(self, generative_checkpoint):
         _, path = generative_checkpoint
-        ref = ChannelRef("cvae_gan", path, cache_size=8)
+        ref = ChannelRef("cvae_gan", path, chunk_size=8)
         clone = pickle.loads(pickle.dumps(ref))
         assert clone.key() == ref.key()
 

@@ -180,6 +180,26 @@ class TestFlashChannel:
         np.testing.assert_array_equal(channel.apply_program_errors(levels),
                                       levels)
 
+    @pytest.mark.parametrize("apply_ici", [True, False])
+    @pytest.mark.parametrize("apply_program_errors", [False, True])
+    def test_read_rng_argument_matches_own_generator(self, apply_ici,
+                                                     apply_program_errors):
+        """A per-call generator reads exactly what a channel seeded with it
+        reads, and draws nothing from the channel's own generator."""
+        params = FlashParameters(program_error_rate=0.05)
+        levels = np.random.default_rng(4).integers(0, NUM_LEVELS,
+                                                   size=(2, 16, 16))
+        options = {"apply_ici": apply_ici,
+                   "apply_program_errors": apply_program_errors}
+        want = FlashChannel(params, rng=np.random.default_rng(21)).read(
+            levels, 7000, **options)
+        other = FlashChannel(params, rng=np.random.default_rng(99))
+        before = other.rng.bit_generator.state
+        got = other.read(levels, 7000, rng=np.random.default_rng(21),
+                         **options)
+        np.testing.assert_array_equal(got, want)
+        assert other.rng.bit_generator.state == before
+
     def test_read_hard_mostly_correct(self, channel):
         levels = channel.program_random_block()
         hard = channel.read_hard(levels, 4000)

@@ -181,6 +181,22 @@ class TestVoltageSampler:
         second = VoltageSampler(params, np.random.default_rng(11)).sample(levels, 7000)
         np.testing.assert_allclose(first, second)
 
+    @pytest.mark.parametrize("with_ici", [False, True])
+    def test_rng_argument_overrides_own_generator(self, params, with_ici):
+        """``rng=`` draws exactly what a sampler seeded with it draws and
+        leaves the sampler's own generator where it was."""
+        levels = np.random.default_rng(5).integers(0, NUM_LEVELS,
+                                                   size=(16, 16))
+        shifts = np.full(levels.shape, 4.0) if with_ici else None
+        want = VoltageSampler(params, np.random.default_rng(13)).sample(
+            levels, 7000, ici_shifts=shifts)
+        sampler = VoltageSampler(params, np.random.default_rng(77))
+        before = sampler.rng.bit_generator.state
+        got = sampler.sample(levels, 7000, ici_shifts=shifts,
+                             rng=np.random.default_rng(13))
+        np.testing.assert_array_equal(got, want)
+        assert sampler.rng.bit_generator.state == before
+
     def test_programmed_levels_have_heavier_tails_when_worn(self, params):
         """Excess kurtosis of programmed levels grows with P/E cycles."""
         rng = np.random.default_rng(3)

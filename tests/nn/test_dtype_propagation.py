@@ -24,30 +24,22 @@ from repro.nn import (
     BatchNorm2d,
     Conv2d,
     ConvTranspose2d,
-    Dropout,
-    Flatten,
     GlobalAvgPool2d,
     LeakyReLU,
     Linear,
     ReLU,
-    SGD,
-    Sigmoid,
     Tanh,
     Tensor,
     bce_with_logits_loss,
-    clip_grad_norm,
-    clip_grad_value,
     default_dtype,
     gaussian_kl_loss,
-    global_grad_norm,
     l1_loss,
     load_state_dict,
     mse_loss,
     no_grad,
     save_state_dict,
 )
-from repro.nn import functional as F
-from repro.nn.tensor import concatenate, stack
+from repro.nn.tensor import concatenate
 
 DTYPES = (np.float32, np.float64)
 
@@ -67,8 +59,8 @@ class TestTensorOps:
         assert x.grad.dtype == dtype
 
     @pytest.mark.parametrize("dtype", DTYPES)
-    @pytest.mark.parametrize("method", ["exp", "tanh", "sigmoid", "relu",
-                                        "leaky_relu", "abs", "sqrt"])
+    @pytest.mark.parametrize("method", ["exp", "tanh", "relu", "leaky_relu",
+                                        "abs", "sqrt"])
     def test_unary_ops_keep_dtype(self, dtype, method, rng):
         x = Tensor(rng.random(6).astype(dtype) + 0.5, requires_grad=True)
         out = getattr(x, method)()
@@ -96,10 +88,8 @@ class TestTensorOps:
         x = _nchw(dtype, rng)
         assert x.reshape(2, -1).dtype == dtype
         assert x.transpose(0, 2, 3, 1).dtype == dtype
-        assert x.pad2d(1).dtype == dtype
         assert x[0:1].dtype == dtype
         assert concatenate([x, x], axis=1).dtype == dtype
-        assert stack([x, x]).dtype == dtype
 
     def test_accumulation_from_float64_seed_keeps_float32(self, rng):
         """A float64 loss scalar seeds float32 gradients downstream."""
@@ -192,18 +182,15 @@ class TestLayerPropagation:
         out.sum().backward()
         assert x.grad.dtype == dtype
         layer.eval()
-        assert layer(x.detach()).dtype == dtype        # graph eval path
+        assert layer(Tensor(x.data)).dtype == dtype        # graph eval path
         with no_grad():
-            assert layer(x.detach()).dtype == dtype    # fused eval path
+            assert layer(Tensor(x.data)).dtype == dtype    # fused eval path
 
     @pytest.mark.parametrize("dtype", DTYPES)
-    def test_activations_dropout_pools(self, dtype, rng):
+    def test_activations_and_pool(self, dtype, rng):
         x = _nchw(dtype, rng)
-        for module in (ReLU(), LeakyReLU(0.2), Tanh(), Sigmoid(),
-                       Flatten(), GlobalAvgPool2d(),
-                       Dropout(0.5, rng=np.random.default_rng(0))):
+        for module in (ReLU(), LeakyReLU(0.2), Tanh(), GlobalAvgPool2d()):
             assert module(x).dtype == dtype
-        assert F.avg_pool2d(x, 2).dtype == dtype
 
     @pytest.mark.parametrize("dtype", DTYPES)
     def test_losses_feed_gradients_in_dtype(self, dtype, rng):
@@ -228,18 +215,6 @@ class TestLayerPropagation:
 
 class TestOptimizerPropagation:
     @pytest.mark.parametrize("dtype", DTYPES)
-    def test_sgd_momentum_stays_in_dtype(self, dtype, rng):
-        param = Tensor(rng.standard_normal(4).astype(dtype),
-                       requires_grad=True)
-        optimizer = SGD([param], lr=0.1, momentum=0.9, weight_decay=0.01)
-        for _ in range(2):
-            optimizer.zero_grad()
-            (param * param).sum().backward()
-            optimizer.step()
-        assert param.data.dtype == dtype
-        assert optimizer._velocity[0].dtype == dtype
-
-    @pytest.mark.parametrize("dtype", DTYPES)
     def test_adam_moments_stay_in_dtype(self, dtype, rng):
         param = Tensor(rng.standard_normal(4).astype(dtype),
                        requires_grad=True)
@@ -258,26 +233,6 @@ class TestOptimizerPropagation:
         (param * param).sum().backward()
         optimizer.step()
         assert param.data is buffer
-
-    @pytest.mark.parametrize("dtype", DTYPES)
-    def test_clipping_preserves_dtype(self, dtype, rng):
-        param = Tensor(rng.standard_normal(64).astype(dtype),
-                       requires_grad=True)
-        (param * param).sum().backward()
-        norm = clip_grad_norm([param], 1e-3)
-        assert param.grad.dtype == dtype
-        assert norm > 0
-        clip_grad_value([param], 1e-4)
-        assert param.grad.dtype == dtype
-        assert np.all(np.abs(param.grad) <= 1e-4 + 1e-12)
-
-    def test_global_norm_matches_float64_computation(self, rng):
-        values = rng.standard_normal(1000)
-        param = Tensor(values.astype(np.float32), requires_grad=True)
-        param.grad = param.data.copy()
-        expected = float(np.linalg.norm(values.astype(np.float32)
-                                        .astype(np.float64)))
-        assert global_grad_norm([param]) == pytest.approx(expected, rel=1e-6)
 
 
 class TestSerializationDtype:

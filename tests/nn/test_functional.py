@@ -1,4 +1,4 @@
-"""Tests for conv2d / conv_transpose2d / pooling against references."""
+"""Tests for conv2d / conv_transpose2d and their column lowering."""
 
 from __future__ import annotations
 
@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy import signal
 
-from repro.nn import Tensor
+from repro.nn import Tensor, build_backend, get_backend
 from repro.nn import functional as F
 
 from tests.nn.conftest import numerical_gradient
@@ -61,23 +61,44 @@ class TestOutputSizes:
 
 
 class TestIm2Col:
-    def test_im2col_col2im_adjoint(self, rng):
+    """The backend's column lowering, on the default backend and numpy."""
+
+    #: (kernel, stride, padding): the U-Net / PatchGAN down-sampling conv,
+    #: the PatchGAN head, the ResNet 3x3 conv, and the 1x1 case whose
+    #: columns are the input itself.
+    GEOMETRIES = [(4, 2, 1), (4, 1, 1), (3, 1, 1), (1, 1, 0)]
+
+    @pytest.mark.parametrize("geometry", GEOMETRIES)
+    @pytest.mark.parametrize("backend", ["default", "numpy"])
+    def test_im2col_col2im_adjoint(self, rng, backend, geometry):
         """<im2col(x), y> == <x, col2im(y)> (the two maps are adjoint)."""
-        x = rng.standard_normal((2, 3, 6, 6))
-        cols = F.im2col(x, kernel=4, stride=2, padding=1)
+        kernel, stride, padding = geometry
+        kernels = get_backend() if backend == "default" \
+            else build_backend(backend)
+        x = rng.standard_normal((2, 3, 6, 7))
+        cols = kernels.im2col(x, kernel=kernel, stride=stride,
+                              padding=padding)
         y = rng.standard_normal(cols.shape)
         lhs = float((cols * y).sum())
-        rhs = float((x * F.col2im(y, x.shape, kernel=4, stride=2, padding=1)).sum())
+        rhs = float((x * kernels.col2im(y, x.shape, kernel=kernel,
+                                        stride=stride,
+                                        padding=padding)).sum())
         assert lhs == pytest.approx(rhs, rel=1e-10)
 
-    def test_im2col_shape(self, rng):
-        x = rng.standard_normal((2, 3, 8, 8))
-        cols = F.im2col(x, kernel=4, stride=2, padding=1)
-        assert cols.shape == (2, 3 * 16, 16)
+    @pytest.mark.parametrize("geometry", GEOMETRIES)
+    def test_im2col_shape(self, rng, geometry):
+        """``(N, C*K*K, H_out*W_out)``, with the conv's output size."""
+        kernel, stride, padding = geometry
+        x = rng.standard_normal((2, 3, 8, 10))
+        cols = get_backend().im2col(x, kernel=kernel, stride=stride,
+                                    padding=padding)
+        height = F.conv_output_size(8, kernel, stride, padding)
+        width = F.conv_output_size(10, kernel, stride, padding)
+        assert cols.shape == (2, 3 * kernel * kernel, height * width)
 
     def test_im2col_identity_kernel_one(self, rng):
         x = rng.standard_normal((1, 2, 4, 4))
-        cols = F.im2col(x, kernel=1, stride=1, padding=0)
+        cols = get_backend().im2col(x, kernel=1, stride=1, padding=0)
         np.testing.assert_allclose(cols.reshape(1, 2, 4, 4), x)
 
 
@@ -185,21 +206,3 @@ class TestConvTranspose2d:
         out = F.conv_transpose2d(Tensor(x), Tensor(w), stride=1, padding=0).data
         assert out.shape == (1, 1, 5, 5)
         np.testing.assert_allclose(out[0, 0, 1:4, 1:4], w[0, 0], atol=1e-12)
-
-
-class TestAvgPool:
-    def test_average_pooling_values(self):
-        x = np.arange(16, dtype=float).reshape(1, 1, 4, 4)
-        out = F.avg_pool2d(Tensor(x), kernel=2)
-        expected = np.array([[2.5, 4.5], [10.5, 12.5]])
-        np.testing.assert_allclose(out.data[0, 0], expected)
-
-    def test_gradient_is_uniform(self):
-        x = Tensor(np.arange(16, dtype=float).reshape(1, 1, 4, 4),
-                   requires_grad=True)
-        F.avg_pool2d(x, kernel=2).sum().backward()
-        np.testing.assert_allclose(x.grad, np.full((1, 1, 4, 4), 0.25))
-
-    def test_multichannel_shape(self, rng):
-        x = Tensor(rng.standard_normal((2, 3, 8, 8)))
-        assert F.avg_pool2d(x, kernel=4).shape == (2, 3, 2, 2)

@@ -9,8 +9,6 @@ from repro.nn import (
     BatchNorm2d,
     Conv2d,
     ConvTranspose2d,
-    Dropout,
-    Flatten,
     GlobalAvgPool2d,
     Identity,
     LeakyReLU,
@@ -18,8 +16,6 @@ from repro.nn import (
     Module,
     ModuleList,
     ReLU,
-    Sequential,
-    Sigmoid,
     Tanh,
     Tensor,
 )
@@ -51,7 +47,10 @@ class TestModule:
         assert model.num_parameters() == 4 * 8 + 8 + 8 * 2 + 2
 
     def test_train_eval_propagates(self, rng):
-        model = Sequential(Linear(2, 2, rng=rng), Dropout(0.5))
+        """Mode switches reach every depth: attribute children and the
+        entries of a ModuleList, nested inside one another."""
+        model = ModuleList([TinyModel(rng), BatchNorm2d(2)])
+        assert len(list(model.modules())) == 5
         model.eval()
         assert all(not module.training for module in model.modules())
         model.train()
@@ -98,17 +97,6 @@ class TestModule:
 
 
 class TestContainers:
-    def test_sequential_applies_in_order(self, rng):
-        model = Sequential(Linear(3, 3, rng=rng), ReLU())
-        x = Tensor(rng.standard_normal((2, 3)))
-        expected = model[1](model[0](x))
-        np.testing.assert_allclose(model(x).data, expected.data)
-
-    def test_sequential_len_and_append(self, rng):
-        model = Sequential(Identity())
-        model.append(ReLU())
-        assert len(model) == 2
-
     def test_module_list_registers_parameters(self, rng):
         blocks = ModuleList([Linear(2, 2, rng=rng), Linear(2, 2, rng=rng)])
         assert len(list(blocks.named_parameters())) == 4
@@ -242,31 +230,9 @@ class TestActivationsAndUtility:
         out = LeakyReLU(0.1)(Tensor([-1.0, 2.0]))
         np.testing.assert_allclose(out.data, [-0.1, 2.0])
 
-    def test_tanh_and_sigmoid_ranges(self, rng):
+    def test_tanh_range(self, rng):
         x = Tensor(rng.standard_normal((10,)) * 10)
         assert np.all(np.abs(Tanh()(x).data) <= 1.0)
-        sig = Sigmoid()(x).data
-        assert np.all((sig >= 0.0) & (sig <= 1.0))
-
-    def test_dropout_eval_is_identity(self, rng):
-        layer = Dropout(0.5, rng=rng)
-        layer.eval()
-        x = Tensor(rng.standard_normal((4, 4)))
-        np.testing.assert_allclose(layer(x).data, x.data)
-
-    def test_dropout_training_preserves_expectation(self):
-        layer = Dropout(0.5, rng=np.random.default_rng(0))
-        x = Tensor(np.ones((200, 200)))
-        out = layer(x)
-        assert out.data.mean() == pytest.approx(1.0, abs=0.05)
-
-    def test_dropout_rejects_invalid_probability(self):
-        with pytest.raises(ValueError):
-            Dropout(1.0)
-
-    def test_flatten(self, rng):
-        x = Tensor(rng.standard_normal((2, 3, 4, 5)))
-        assert Flatten()(x).shape == (2, 60)
 
     def test_global_avg_pool(self, rng):
         x = Tensor(rng.standard_normal((2, 3, 4, 4)))

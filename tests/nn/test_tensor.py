@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import gc
+import threading
 import weakref
 
 import numpy as np
@@ -11,8 +12,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from repro.nn import Tensor, no_grad
-from repro.nn.tensor import concatenate, stack, is_grad_enabled
+from repro.nn import Tensor, get_backend, no_grad
+from repro.nn.tensor import concatenate, is_grad_enabled
 
 from tests.nn.conftest import numerical_gradient
 
@@ -35,22 +36,14 @@ class TestTensorBasics:
     def test_item_on_scalar(self):
         assert Tensor(3.5).item() == pytest.approx(3.5)
 
-    def test_detach_cuts_graph(self):
-        tensor = Tensor([1.0, 2.0], requires_grad=True)
-        detached = tensor.detach()
-        assert not detached.requires_grad
-
     def test_ensure_wraps_raw_values(self):
         assert isinstance(Tensor.ensure(2.0), Tensor)
         tensor = Tensor([1.0])
         assert Tensor.ensure(tensor) is tensor
 
-    def test_zeros_ones_randn_factories(self):
+    def test_zeros_ones_factories(self):
         assert np.all(Tensor.zeros((2, 2)).data == 0)
         assert np.all(Tensor.ones((2, 2)).data == 1)
-        generator = np.random.default_rng(0)
-        sample = Tensor.randn(3, 4, rng=generator)
-        assert sample.shape == (3, 4)
 
     def test_backward_requires_grad(self):
         tensor = Tensor([1.0])
@@ -69,6 +62,30 @@ class TestTensorBasics:
             out = tensor * 3.0
         assert not out.requires_grad
         assert is_grad_enabled()
+
+    def test_no_grad_is_per_thread(self):
+        """A worker inside no_grad leaves graph building on elsewhere."""
+        inside, release = threading.Event(), threading.Event()
+        seen = {}
+
+        def worker():
+            with no_grad():
+                seen["worker"] = is_grad_enabled()
+                inside.set()
+                release.wait(timeout=30)
+
+        thread = threading.Thread(target=worker)
+        thread.start()
+        try:
+            assert inside.wait(timeout=30)
+            assert is_grad_enabled()
+            assert Tensor([1.0], requires_grad=True).requires_grad
+            assert (Tensor([1.0], requires_grad=True) * 2.0).requires_grad
+        finally:
+            release.set()
+            thread.join(timeout=30)
+        assert not thread.is_alive()
+        assert seen["worker"] is False
 
     def test_gradient_accumulates_across_backward_calls(self):
         tensor = Tensor([2.0], requires_grad=True)
@@ -191,7 +208,6 @@ class TestGradients:
     @pytest.mark.parametrize("method,kwargs", [
         ("exp", {}),
         ("tanh", {}),
-        ("sigmoid", {}),
         ("relu", {}),
         ("leaky_relu", {"negative_slope": 0.2}),
         ("abs", {}),
@@ -226,11 +242,6 @@ class TestGradients:
         tensor.sqrt().sum().backward()
         np.testing.assert_allclose(tensor.grad, 0.5 / np.sqrt(tensor.data),
                                    atol=1e-8)
-
-    def test_clip_gradient_masks_out_of_range(self):
-        tensor = Tensor([-2.0, 0.0, 2.0], requires_grad=True)
-        tensor.clip(-1.0, 1.0).sum().backward()
-        np.testing.assert_allclose(tensor.grad, [0.0, 1.0, 0.0])
 
     @pytest.mark.parametrize("axis,keepdims", [
         (None, False), (0, False), (1, True), ((0, 2), False),
@@ -303,17 +314,6 @@ class TestShapeOps:
         expected[1:3] = 1.0
         np.testing.assert_allclose(tensor.grad, expected)
 
-    def test_pad2d_gradient(self, rng):
-        tensor = _tensor(rng, (1, 1, 3, 3))
-        padded = tensor.pad2d(2)
-        assert padded.shape == (1, 1, 7, 7)
-        padded.sum().backward()
-        np.testing.assert_allclose(tensor.grad, np.ones((1, 1, 3, 3)))
-
-    def test_pad2d_zero_is_identity(self, rng):
-        tensor = Tensor(rng.standard_normal((1, 1, 3, 3)))
-        assert tensor.pad2d(0) is tensor
-
     def test_concatenate_forward_and_gradient(self, rng):
         a = _tensor(rng, (2, 3))
         b = _tensor(rng, (2, 5))
@@ -322,15 +322,6 @@ class TestShapeOps:
         (out * 2.0).sum().backward()
         np.testing.assert_allclose(a.grad, np.full((2, 3), 2.0))
         np.testing.assert_allclose(b.grad, np.full((2, 5), 2.0))
-
-    def test_stack_forward_and_gradient(self, rng):
-        a = _tensor(rng, (2, 3))
-        b = _tensor(rng, (2, 3))
-        out = stack([a, b], axis=0)
-        assert out.shape == (2, 2, 3)
-        out.sum().backward()
-        np.testing.assert_allclose(a.grad, np.ones((2, 3)))
-        np.testing.assert_allclose(b.grad, np.ones((2, 3)))
 
 
 class TestPropertyBased:
@@ -360,8 +351,9 @@ class TestPropertyBased:
     @given(hnp.arrays(np.float64, st.tuples(st.integers(1, 5),),
                       elements=st.floats(-50, 50)))
     @settings(max_examples=50, deadline=None)
-    def test_sigmoid_in_unit_interval(self, array):
-        out = Tensor(array).sigmoid().data
+    def test_backend_sigmoid_in_unit_interval(self, array):
+        """The kernel behind the bce-with-logits gradient."""
+        out = get_backend().sigmoid(array)
         assert np.all(out >= 0.0) and np.all(out <= 1.0)
 
     @given(st.integers(1, 6), st.integers(1, 6))

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import threading
 import time
 
 import pytest
@@ -90,18 +91,31 @@ class TestKernelProfiler:
             profiler.exit("matmul", outer)
         assert registry.histogram("nn.kernel.matmul").count == 1
 
-    def test_sampling_records_every_nth(self):
+    def test_every_outermost_call_records(self):
         registry = metrics.MetricsRegistry()
-        profiler = trace.KernelProfiler(sample_every=4)
+        profiler = trace.KernelProfiler()
         with metrics.use_registry(registry):
-            recorded = 0
             for _ in range(16):
                 token = profiler.enter()
-                if token is not None:
-                    profiler.exit("k", token)
-                    recorded += 1
-        assert recorded == 4
-        assert registry.histogram("nn.kernel.k").count == 4
+                assert token is not None
+                profiler.exit("k", token)
+        assert registry.histogram("nn.kernel.k").count == 16
+
+    def test_nesting_depth_is_per_thread(self):
+        """A kernel running on one thread does not mask another thread's."""
+        registry = metrics.MetricsRegistry()
+        profiler = trace.KernelProfiler()
+        tokens = []
+        with metrics.use_registry(registry):
+            outer = profiler.enter()
+            worker = threading.Thread(
+                target=lambda: tokens.append(profiler.enter()))
+            worker.start()
+            worker.join(timeout=30)
+            profiler.exit("k", outer)
+        assert not worker.is_alive()
+        assert tokens and tokens[0] is not None
+        assert registry.histogram("nn.kernel.k").count == 1
 
     def test_phase_channel_does_not_suppress_kernels(self):
         registry = metrics.MetricsRegistry()
