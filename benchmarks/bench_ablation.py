@@ -12,14 +12,14 @@ import pytest
 
 from repro.eval import distribution_distance
 
-from benchmarks.conftest import profile_value, write_result
+from benchmarks.conftest import write_result
 
 
 @pytest.mark.benchmark(group="ablation")
 def test_pe_conditioning_ablation(benchmark, results_dir, setup,
                                   trained_cvae_gan, evaluation_arrays):
     """Compare dTV across P/E counts with and without P/E conditioning."""
-    epochs = profile_value(2, 8)
+    epochs = 2
     unconditioned = setup.train_generative_model("cvae_gan", epochs=epochs,
                                                  condition_on_pe=False)
 

@@ -19,14 +19,14 @@ from repro.coding import (
 from repro.eval import format_table
 from repro.flash import calibrate_thresholds
 
-from benchmarks.conftest import profile_value, write_result
+from benchmarks.conftest import write_result
 
 
 @pytest.mark.benchmark(group="coding")
 def test_time_aware_constraint_schedule(benchmark, results_dir, setup):
     """Constraint capacity, erased-victim coding gain and the schedule."""
     channel = setup.channel
-    blocks = profile_value(6, 16)
+    blocks = 6
 
     def evaluate():
         rows = []
@@ -83,7 +83,7 @@ def test_time_aware_constraint_schedule(benchmark, results_dir, setup):
 def test_read_threshold_calibration_gain(benchmark, results_dir, setup):
     """Error-rate reduction of sample-based read-retry calibration vs. P/E."""
     channel = setup.channel
-    blocks = profile_value(6, 16)
+    blocks = 6
 
     def evaluate():
         rows = []

@@ -22,7 +22,7 @@ from repro.ecc import (
 from repro.eval import format_table
 from repro.flash import page_bit_error_rates
 
-from benchmarks.conftest import profile_value, write_result
+from benchmarks.conftest import write_result
 
 
 @pytest.mark.benchmark(group="ecc")
@@ -30,7 +30,7 @@ def test_bch_dimensioning_across_pe_cycles(benchmark, results_dir, setup):
     """Required BCH strength and measured BCH(63) frame error rate vs. P/E."""
     channel = setup.channel
     code = BCHCode(m=6, t=4)
-    codewords = profile_value(12, 40)
+    codewords = 12
 
     def evaluate():
         rows = []
@@ -67,7 +67,7 @@ def test_ldpc_soft_decoding_gain(benchmark, results_dir, setup):
                             rng=np.random.default_rng(0))
     table = densities_from_channel(channel, 10000, num_blocks=3,
                                    params=setup.params)
-    codewords = profile_value(10, 30)
+    codewords = 10
 
     def evaluate():
         result = evaluate_ldpc_over_channel(

@@ -7,14 +7,14 @@ import pytest
 
 from repro.experiments import run_fig5
 
-from benchmarks.conftest import profile_value, write_result
+from benchmarks.conftest import write_result
 
 
 @pytest.mark.benchmark(group="fig5")
 def test_fig5_error_counts(benchmark, results_dir, setup, trained_cvae_gan,
                            evaluation_arrays):
     """Fig. 5: normalised error counts of M / cV-G / G / NL / S't."""
-    iterations = profile_value(200, 400)
+    iterations = 200
 
     def regenerate():
         return run_fig5(setup.dataset(), evaluation_arrays,

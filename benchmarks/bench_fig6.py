@@ -7,7 +7,7 @@ import pytest
 from repro.experiments import run_fig6
 from repro.flash.patterns import BITLINE, WORDLINE
 
-from benchmarks.conftest import profile_value, write_result
+from benchmarks.conftest import write_result
 
 
 @pytest.mark.benchmark(group="fig6")
@@ -20,7 +20,7 @@ def test_fig6_ici_error_profiles(benchmark, results_dir, setup,
     # (the paper's pie aggregates ~10^5 errors); a larger measured-only sample
     # straight from the simulated channel is cheap to draw.
     measured_program, measured_voltages = setup.channel.paired_blocks(
-        profile_value(120, 400), 7000)
+        120, 7000)
 
     def regenerate():
         return run_fig6(program, voltages, trained_cvae_gan, pe_cycles=7000,

@@ -6,14 +6,14 @@ import pytest
 
 from repro.experiments import run_remark3
 
-from benchmarks.conftest import profile_value, write_result
+from benchmarks.conftest import write_result
 
 
 @pytest.mark.benchmark(group="remark3")
 def test_remark3_architecture_comparison(benchmark, results_dir, setup,
                                          evaluation_arrays):
     """Remark 3: dTV of cGAN / cVAE / BicycleGAN / cVAE-GAN to measured data."""
-    epochs = profile_value(2, 8)
+    epochs = 2
     config = setup.model_config()
     # Restrict to one evaluation read point to keep the comparison affordable.
     evaluation = {7000: evaluation_arrays[7000]}

@@ -8,24 +8,13 @@ stages that regenerate each figure and write the reproduced rows/series to
 
 from __future__ import annotations
 
-import os
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 from repro.experiments import ExperimentSetup
 
 RESULTS_DIR = Path(__file__).parent / "results"
-
-#: Benchmark profile: "quick" (default) or "full" (longer training, larger
-#: evaluation sets).  Select with REPRO_BENCH_PROFILE=full.
-PROFILE = os.environ.get("REPRO_BENCH_PROFILE", "quick")
-
-
-def profile_value(quick, full):
-    """Pick a knob value according to the benchmark profile."""
-    return full if PROFILE == "full" else quick
 
 
 @pytest.fixture(scope="session")
@@ -46,8 +35,8 @@ def setup() -> ExperimentSetup:
     """Channel + dataset shared by all figure benchmarks."""
     return ExperimentSetup(
         scale="quick",
-        arrays_per_pe=profile_value(150, 400),
-        training_epochs=profile_value(10, 24),
+        arrays_per_pe=150,
+        training_epochs=10,
         seed=0)
 
 
@@ -60,7 +49,5 @@ def trained_cvae_gan(setup):
 @pytest.fixture(scope="session")
 def evaluation_arrays(setup):
     """Measured evaluation arrays at every read point (cropped)."""
-    rng = np.random.default_rng(1234)
-    blocks = profile_value(8, 20)
-    return {pe: setup.evaluation_arrays(pe, num_blocks=blocks)
+    return {pe: setup.evaluation_arrays(pe, num_blocks=8)
             for pe in setup.pe_cycles}

@@ -7,8 +7,8 @@ The package is organised as a stack of subsystems:
     A from-scratch NumPy deep-learning framework (autograd, conv layers,
     Adam) used to build the generative models.
 ``repro.flash``
-    A TLC NAND flash channel simulator providing the "measured" data the paper
-    collected from a commercial chip (see DESIGN.md for the substitution).
+    A TLC NAND flash channel simulator providing the "measured" data: it
+    stands in for the paper's measured 1X-nm TLC chip.
 ``repro.data``
     Dataset generation: paired (program level, voltage level, P/E cycle)
     arrays, cropping, normalisation and batching.

@@ -26,7 +26,6 @@ from repro.eval.error_counts import (
 )
 from repro.eval.ici_analysis import (
     ici_error_profile,
-    ici_error_profile_from_channel,
     top_pattern_frequencies,
     pattern_rank_order,
     rank_agreement,
@@ -38,7 +37,6 @@ from repro.eval.report import (
 )
 from repro.eval.information import (
     channel_capacity_estimate,
-    channel_information_summary,
     hard_decision_mutual_information,
     joint_level_voltage_histogram,
     multi_read_thresholds,
@@ -59,7 +57,6 @@ __all__ = [
     "normalized_error_counts",
     "stacked_error_table",
     "ici_error_profile",
-    "ici_error_profile_from_channel",
     "top_pattern_frequencies",
     "pattern_rank_order",
     "rank_agreement",
@@ -67,7 +64,6 @@ __all__ = [
     "format_bar_chart",
     "format_pie_summary",
     "channel_capacity_estimate",
-    "channel_information_summary",
     "hard_decision_mutual_information",
     "joint_level_voltage_histogram",
     "multi_read_thresholds",

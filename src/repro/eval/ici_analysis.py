@@ -20,7 +20,6 @@ from repro.flash.patterns import (
 
 __all__ = [
     "ici_error_profile",
-    "ici_error_profile_from_channel",
     "top_pattern_frequencies",
     "pattern_rank_order",
     "rank_agreement",
@@ -48,29 +47,6 @@ def ici_error_profile(program_levels: np.ndarray, voltages: np.ndarray,
         frequencies["__total_errors__"] = float(sum(counts.values()))
         profile[direction] = frequencies
     return profile
-
-
-def ici_error_profile_from_channel(channel, pe_cycles: float,
-                                   num_blocks: int = 8,
-                                   victim_level: int = 0,
-                                   thresholds: np.ndarray | None = None,
-                                   params: FlashParameters | None = None
-                                   ) -> dict[str, dict[str, float]]:
-    """ICI error profile sampled directly from any channel backend.
-
-    ``channel`` goes through the unified protocol
-    (:func:`repro.channel.resolve_channel`); the profile is computed from
-    ``num_blocks`` freshly sampled paired blocks, so the same call compares
-    the simulator's spatial statistics against a generative model's.
-    """
-    from repro.channel import resolve_channel
-
-    backend = resolve_channel(channel)
-    program, voltages = backend.paired_blocks(num_blocks, pe_cycles)
-    return ici_error_profile(program, voltages, victim_level=victim_level,
-                             thresholds=thresholds,
-                             params=params if params is not None
-                             else backend.params)
 
 
 def top_pattern_frequencies(frequencies: dict[str, float], top_k: int = 23

@@ -27,7 +27,6 @@ __all__ = [
     "soft_read_mutual_information",
     "channel_capacity_estimate",
     "multi_read_thresholds",
-    "channel_information_summary",
 ]
 
 _EPS = 1e-15
@@ -172,39 +171,3 @@ def channel_capacity_estimate(program_levels: np.ndarray,
     joint = joint_level_voltage_histogram(program_levels, voltages,
                                           num_bins=num_bins, params=params)
     return mutual_information(joint)
-
-
-def channel_information_summary(channel, pe_cycles: float,
-                                num_blocks: int = 4, num_bins: int = 128,
-                                num_reads_per_boundary: int = 3,
-                                params: FlashParameters | None = None
-                                ) -> dict[str, float]:
-    """Information metrics of any channel backend at one P/E cycle count.
-
-    ``channel`` goes through the unified protocol
-    (:func:`repro.channel.resolve_channel`), so the summary applies
-    identically to the simulator, a trained generative model, or a fitted
-    baseline — the compact scalar comparison the paper's evaluation
-    motivates.  Returns hard-decision, soft-read and full-resolution mutual
-    information in bits/cell, plus the soft-sensing gain over hard reads.
-    """
-    from repro.channel import resolve_channel
-
-    backend = resolve_channel(channel)
-    parameters = params if params is not None else backend.params
-    program, voltages = backend.paired_blocks(num_blocks, pe_cycles)
-    hard = hard_decision_mutual_information(program, voltages,
-                                            params=parameters)
-    soft = soft_read_mutual_information(
-        program, voltages, num_reads_per_boundary=num_reads_per_boundary,
-        params=parameters)
-    capacity = channel_capacity_estimate(program, voltages,
-                                         num_bins=num_bins,
-                                         params=parameters)
-    return {
-        "pe_cycles": float(pe_cycles),
-        "hard_mutual_information": hard,
-        "soft_mutual_information": soft,
-        "capacity_estimate": capacity,
-        "soft_gain": soft - hard,
-    }

@@ -8,6 +8,13 @@ and develop heavier tails as the device wears, and inter-cell interference
 (ICI) from word-line and bit-line neighbours with the bit-line direction
 dominating.
 
+It models that one chip: eight levels under the Gray map of Fig. 1
+(:data:`GRAY_MAP`, converted by :func:`levels_to_pages` and
+:func:`pages_to_levels`), one soft read (:meth:`FlashChannel.read`) and one
+hard read (:func:`hard_read` against :func:`default_read_thresholds`).
+Retention, read disturb, threshold calibration, page error rates and the
+endurance sweep build on those.
+
 The "measured data" referenced throughout :mod:`repro.experiments` is data
 drawn from :class:`repro.flash.FlashChannel`.
 """
@@ -20,8 +27,6 @@ from repro.flash.cell import (
     MIDDLE_PAGE,
     UPPER_PAGE,
     GRAY_MAP,
-    level_to_bits,
-    bits_to_level,
     levels_to_pages,
     pages_to_levels,
 )
@@ -30,11 +35,7 @@ from repro.flash.params import FlashParameters
 from repro.flash.wear import WearModel
 from repro.flash.ici import ICIModel
 from repro.flash.voltage import VoltageSampler
-from repro.flash.thresholds import (
-    default_read_thresholds,
-    hard_read,
-    read_threshold_between,
-)
+from repro.flash.thresholds import default_read_thresholds, hard_read
 from repro.flash.channel import FlashChannel
 from repro.flash.patterns import (
     extract_wordline_patterns,
@@ -55,15 +56,6 @@ from repro.flash.errors import (
 from repro.flash.cycling import PECyclingExperiment, CyclingRecord
 from repro.flash.retention import RetentionModel, RetentionParameters
 from repro.flash.read_disturb import ReadDisturbModel, ReadDisturbParameters
-from repro.flash.technology import (
-    CellTechnology,
-    MultiLevelCellChannel,
-    SLC,
-    MLC,
-    TLC,
-    QLC,
-    reflected_gray_code,
-)
 from repro.flash.calibration import (
     CalibrationResult,
     calibrate_thresholds,
@@ -77,15 +69,12 @@ from repro.flash.pages import (
     page_bit_error_rates,
     page_bit_errors,
     program_pages,
-    read_pages,
 )
-from repro.flash.scrambler import LFSR, Scrambler
 from repro.flash.endurance import (
     EndurancePoint,
     EnduranceSweep,
     estimate_endurance_limit,
 )
-from repro.flash.wear_leveling import ChipWearState, simulate_wear_leveling
 
 __all__ = [
     "NUM_LEVELS",
@@ -95,8 +84,6 @@ __all__ = [
     "MIDDLE_PAGE",
     "UPPER_PAGE",
     "GRAY_MAP",
-    "level_to_bits",
-    "bits_to_level",
     "levels_to_pages",
     "pages_to_levels",
     "BlockGeometry",
@@ -106,7 +93,6 @@ __all__ = [
     "VoltageSampler",
     "default_read_thresholds",
     "hard_read",
-    "read_threshold_between",
     "FlashChannel",
     "extract_wordline_patterns",
     "extract_bitline_patterns",
@@ -126,13 +112,6 @@ __all__ = [
     "RetentionParameters",
     "ReadDisturbModel",
     "ReadDisturbParameters",
-    "CellTechnology",
-    "MultiLevelCellChannel",
-    "SLC",
-    "MLC",
-    "TLC",
-    "QLC",
-    "reflected_gray_code",
     "CalibrationResult",
     "calibrate_thresholds",
     "optimal_threshold_between",
@@ -143,12 +122,7 @@ __all__ = [
     "page_bit_error_rates",
     "page_bit_errors",
     "program_pages",
-    "read_pages",
-    "LFSR",
-    "Scrambler",
     "EndurancePoint",
     "EnduranceSweep",
     "estimate_endurance_limit",
-    "ChipWearState",
-    "simulate_wear_leveling",
 ]

@@ -19,9 +19,6 @@ __all__ = [
     "MIDDLE_PAGE",
     "UPPER_PAGE",
     "GRAY_MAP",
-    "INVERSE_GRAY_MAP",
-    "level_to_bits",
-    "bits_to_level",
     "levels_to_pages",
     "pages_to_levels",
 ]
@@ -53,33 +50,12 @@ GRAY_MAP: dict[int, tuple[int, int, int]] = {
     0: (1, 1, 1),
 }
 
-#: Inverse mapping: (lower, middle, upper) bits -> program level.
-INVERSE_GRAY_MAP: dict[tuple[int, int, int], int] = {
-    bits: level for level, bits in GRAY_MAP.items()
-}
-
-# Lookup tables used by the vectorised conversions.
+# Lookup tables used by the conversions.
 _LEVEL_TO_BITS = np.array([GRAY_MAP[level] for level in range(NUM_LEVELS)],
                           dtype=np.int64)
 _BITS_TO_LEVEL = np.full((2, 2, 2), -1, dtype=np.int64)
 for _level, _bits in GRAY_MAP.items():
     _BITS_TO_LEVEL[_bits] = _level
-
-
-def level_to_bits(level: int) -> tuple[int, int, int]:
-    """Return the (lower, middle, upper) page bits stored by ``level``."""
-    if not 0 <= level < NUM_LEVELS:
-        raise ValueError(f"program level must be in [0, {NUM_LEVELS}), "
-                         f"got {level}")
-    return GRAY_MAP[level]
-
-
-def bits_to_level(lower: int, middle: int, upper: int) -> int:
-    """Return the program level encoding the given page bits."""
-    key = (int(lower), int(middle), int(upper))
-    if key not in INVERSE_GRAY_MAP:
-        raise ValueError(f"bits must each be 0 or 1, got {key}")
-    return INVERSE_GRAY_MAP[key]
 
 
 def levels_to_pages(levels: np.ndarray) -> np.ndarray:

@@ -15,7 +15,6 @@ from repro.flash.cell import ERASED_LEVEL, NUM_LEVELS
 from repro.flash.geometry import BlockGeometry
 from repro.flash.ici import ICIModel
 from repro.flash.params import FlashParameters
-from repro.flash.thresholds import default_read_thresholds, hard_read
 from repro.flash.voltage import VoltageSampler
 from repro.flash.wear import WearModel
 
@@ -107,15 +106,6 @@ class FlashChannel:
         return self.sampler.sample(levels, pe_cycles, ici_shifts=shifts,
                                    rng=rng)
 
-    def read_hard(self, program_levels: np.ndarray, pe_cycles: float,
-                  thresholds: np.ndarray | None = None,
-                  apply_ici: bool = True) -> np.ndarray:
-        """Hard-read levels (soft read followed by threshold comparison)."""
-        voltages = self.read(program_levels, pe_cycles, apply_ici=apply_ici)
-        if thresholds is None:
-            thresholds = default_read_thresholds(self.params)
-        return hard_read(voltages, thresholds)
-
     # ------------------------------------------------------------------ #
     # Dataset-style helpers
     # ------------------------------------------------------------------ #
@@ -139,10 +129,11 @@ class FlashChannel:
 
     def conditional_pdf_reference(self, level: int, pe_cycles: float,
                                   grid: np.ndarray) -> np.ndarray:
-        """Analytic isolated-cell PDF of one level (no ICI), for diagnostics.
+        """Analytic isolated-cell PDF of one level (no ICI).
 
-        This is the mixture density used by the sampler before interference;
-        it is exposed so tests and notebooks can sanity-check histograms.
+        This is the mixture density the sampler draws from before
+        interference and clipping to the voltage window; the tests hold
+        isolated-cell reads to it.
         """
         means = self.wear.level_means(pe_cycles)
         sigmas = self.wear.level_sigmas(pe_cycles)

@@ -97,7 +97,3 @@ class PECyclingExperiment:
                                          program_levels=program,
                                          voltages=voltages))
         return records
-
-    def run_as_dict(self) -> dict[int, CyclingRecord]:
-        """Same as :meth:`run` but keyed by P/E cycle count."""
-        return {record.pe_cycles: record for record in self.run()}

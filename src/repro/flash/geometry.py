@@ -4,8 +4,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 __all__ = ["BlockGeometry"]
 
 
@@ -34,27 +32,3 @@ class BlockGeometry:
     @property
     def num_cells(self) -> int:
         return self.num_wordlines * self.num_bitlines
-
-    def interior_mask(self) -> np.ndarray:
-        """Boolean mask of cells having all four direct neighbours."""
-        mask = np.zeros(self.shape, dtype=bool)
-        if self.num_wordlines > 2 and self.num_bitlines > 2:
-            mask[1:-1, 1:-1] = True
-        return mask
-
-    def contains(self, wordline: int, bitline: int) -> bool:
-        """Whether ``(wordline, bitline)`` is a valid cell coordinate."""
-        return (0 <= wordline < self.num_wordlines
-                and 0 <= bitline < self.num_bitlines)
-
-    def wordline_neighbours(self, wordline: int,
-                            bitline: int) -> list[tuple[int, int]]:
-        """Direct neighbours along the same wordline (left/right)."""
-        candidates = [(wordline, bitline - 1), (wordline, bitline + 1)]
-        return [cell for cell in candidates if self.contains(*cell)]
-
-    def bitline_neighbours(self, wordline: int,
-                           bitline: int) -> list[tuple[int, int]]:
-        """Direct neighbours along the same bitline (up/down)."""
-        candidates = [(wordline - 1, bitline), (wordline + 1, bitline)]
-        return [cell for cell in candidates if self.contains(*cell)]

@@ -74,9 +74,3 @@ class ICIModel:
         attenuation = np.where(levels == ERASED_LEVEL, 1.0,
                                params.ici_program_attenuation)
         return shifts * attenuation
-
-    def worst_case_shift(self) -> float:
-        """Shift received by an erased cell fully surrounded by level 7."""
-        params = self.params
-        max_swing = params.means_array[-1] - params.means_array[ERASED_LEVEL]
-        return 2 * max_swing * (params.wl_coupling + params.bl_coupling)

@@ -17,21 +17,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.flash.cell import (
-    BITS_PER_CELL,
-    LOWER_PAGE,
-    MIDDLE_PAGE,
-    UPPER_PAGE,
-    levels_to_pages,
-    pages_to_levels,
-)
+from repro.flash.cell import BITS_PER_CELL, levels_to_pages, pages_to_levels
 from repro.flash.params import FlashParameters
 from repro.flash.thresholds import default_read_thresholds, hard_read
 
 __all__ = [
     "PAGE_NAMES",
     "program_pages",
-    "read_pages",
     "page_bit_errors",
     "page_bit_error_rates",
     "PageErrorReport",
@@ -55,18 +47,6 @@ def program_pages(lower: np.ndarray, middle: np.ndarray,
         raise ValueError("page arrays must share a shape")
     pages = np.stack([lower, middle, upper], axis=-1)
     return pages_to_levels(pages)
-
-
-def read_pages(voltages: np.ndarray,
-               thresholds: np.ndarray | None = None,
-               params: FlashParameters | None = None
-               ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Hard-read page bits (lower, middle, upper) from soft voltages."""
-    if thresholds is None:
-        thresholds = default_read_thresholds(params)
-    hard_levels = hard_read(voltages, thresholds)
-    pages = levels_to_pages(hard_levels)
-    return pages[..., LOWER_PAGE], pages[..., MIDDLE_PAGE], pages[..., UPPER_PAGE]
 
 
 @dataclass

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.flash.cell import ERASED_LEVEL, NUM_LEVELS
+from repro.flash.cell import NUM_LEVELS
 from repro.flash.params import FlashParameters
 
 __all__ = ["ReadDisturbParameters", "ReadDisturbModel"]
@@ -115,19 +115,3 @@ class ReadDisturbModel:
         disturbed = volts + shift + np.abs(jitter) * np.sign(shift)
         return np.clip(disturbed, self.params.voltage_min,
                        self.params.voltage_max)
-
-    def erased_error_probability(self, pe_cycles: float, read_count: float,
-                                 threshold: float,
-                                 sigma: float | None = None) -> float:
-        """Analytic probability that an erased cell crosses ``threshold``.
-
-        A quick closed-form diagnostic (Gaussian approximation, no ICI) used
-        to reason about scrub intervals without Monte-Carlo sampling.
-        """
-        from scipy.stats import norm
-
-        mean = self.params.means_array[ERASED_LEVEL] \
-            + self.mean_shift(np.array(ERASED_LEVEL), pe_cycles, read_count)
-        if sigma is None:
-            sigma = float(self.params.sigmas_array[ERASED_LEVEL])
-        return float(norm.sf(threshold, loc=float(mean), scale=sigma))

@@ -14,7 +14,7 @@ import numpy as np
 from repro.flash.cell import NUM_LEVELS
 from repro.flash.params import FlashParameters
 
-__all__ = ["default_read_thresholds", "hard_read", "read_threshold_between"]
+__all__ = ["default_read_thresholds", "hard_read"]
 
 
 def default_read_thresholds(params: FlashParameters | None = None) -> np.ndarray:
@@ -22,20 +22,6 @@ def default_read_thresholds(params: FlashParameters | None = None) -> np.ndarray
     params = params if params is not None else FlashParameters()
     means = params.means_array
     return (means[:-1] + means[1:]) / 2.0
-
-
-def read_threshold_between(lower_level: int, upper_level: int,
-                           params: FlashParameters | None = None) -> float:
-    """Threshold Vth(l, l+1) separating two adjacent levels.
-
-    ``read_threshold_between(0, 1)`` is the paper's Vth(01), used to decide
-    whether an erased cell has been pushed into level 1 by ICI.
-    """
-    if upper_level != lower_level + 1:
-        raise ValueError("thresholds exist only between adjacent levels")
-    if not 0 <= lower_level < NUM_LEVELS - 1:
-        raise ValueError("lower_level must be in [0, 7)")
-    return float(default_read_thresholds(params)[lower_level])
 
 
 def hard_read(voltages: np.ndarray,

@@ -290,9 +290,6 @@ class ArrayBackend:
     def exp(self, x: np.ndarray) -> np.ndarray:
         return np.exp(x)
 
-    def log(self, x: np.ndarray) -> np.ndarray:
-        return np.log(x)
-
     def tanh(self, x: np.ndarray) -> np.ndarray:
         return np.tanh(x)
 
@@ -380,11 +377,8 @@ class ArrayBackend:
     def adam_update(self, param: np.ndarray, grad: np.ndarray,
                     m: np.ndarray, v: np.ndarray, lr: float,
                     beta1: float, beta2: float, eps: float,
-                    bias_correction1: float, bias_correction2: float,
-                    weight_decay: float) -> None:
+                    bias_correction1: float, bias_correction2: float) -> None:
         """One in-place Adam step; the moment buffers are updated in place."""
-        if weight_decay:
-            grad = grad + weight_decay * param
         m *= beta1
         m += (1 - beta1) * grad
         v *= beta2

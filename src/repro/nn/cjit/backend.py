@@ -344,8 +344,7 @@ class CJitBackend(NumpyBackend):
     def adam_update(self, param: np.ndarray, grad: np.ndarray,
                     m: np.ndarray, v: np.ndarray, lr: float,
                     beta1: float, beta2: float, eps: float,
-                    bias_correction1: float, bias_correction2: float,
-                    weight_decay: float) -> None:
+                    bias_correction1: float, bias_correction2: float) -> None:
         key = ("adam_update", param.dtype)
         fn = None
         if all(a.dtype == param.dtype for a in (grad, m, v)) and all(
@@ -355,12 +354,11 @@ class CJitBackend(NumpyBackend):
             self.fallbacks += 1
             return super().adam_update(param, grad, m, v, lr, beta1, beta2,
                                        eps, bias_correction1,
-                                       bias_correction2, weight_decay)
+                                       bias_correction2)
         grad = np.ascontiguousarray(grad)
         fn(_addr(param), _addr(grad), _addr(m), _addr(v), param.size,
            float(lr), float(beta1), float(beta2), float(eps),
-           float(bias_correction1), float(bias_correction2),
-           float(weight_decay))
+           float(bias_correction1), float(bias_correction2))
 
 
 class _DefaultCJitBackend(CJitBackend):

@@ -125,7 +125,7 @@ def update_spec(op: str, dtype: str) -> KernelSpec:
         raise ValueError(f"unknown update kernel {op!r}")
     return KernelSpec(op=op, dtype=dtype,
                       argtypes=(_PTR, _PTR, _PTR, _PTR, _I64,
-                                _F64, _F64, _F64, _F64, _F64, _F64, _F64))
+                                _F64, _F64, _F64, _F64, _F64, _F64))
 
 
 def elementwise_spec(op: str, dtype: str) -> KernelSpec:
@@ -332,8 +332,7 @@ def _render_adam_update(spec: KernelSpec) -> str:
    to {T} and no FMA contraction, so the update is bit-identical. */
 void {spec.symbol}({T}* p, const {T}* g, {T}* m, {T}* v, i64 n,
                    double lr, double beta1, double beta2, double eps,
-                   double bias_correction1, double bias_correction2,
-                   double weight_decay) {{
+                   double bias_correction1, double bias_correction2) {{
     const {T} lr_t = ({T})lr;
     const {T} b1_t = ({T})beta1;
     const {T} b2_t = ({T})beta2;
@@ -342,11 +341,8 @@ void {spec.symbol}({T}* p, const {T}* g, {T}* m, {T}* v, i64 n,
     const {T} eps_t = ({T})eps;
     const {T} bc1_t = ({T})bias_correction1;
     const {T} bc2_t = ({T})bias_correction2;
-    const {T} wd_t = ({T})weight_decay;
-    const int use_wd = weight_decay != 0.0;
     for (i64 i = 0; i < n; ++i) {{
-        {T} gi = g[i];
-        if (use_wd) gi = gi + wd_t * p[i];
+        const {T} gi = g[i];
         const {T} mi = m[i] * b1_t + c1_t * gi;
         {T} vt = c2_t * gi;
         vt = vt * gi;

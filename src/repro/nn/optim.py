@@ -20,13 +20,15 @@ from repro.nn.tensor import Tensor
 
 __all__ = ["Adam"]
 
+#: The denominator offset, Kingma & Ba's (2015) default.
+_EPS = 1e-8
+
 
 class Adam:
     """Adam optimizer (Kingma & Ba, 2015)."""
 
     def __init__(self, parameters: Iterable[Tensor], lr: float = 2e-4,
-                 betas: tuple[float, float] = (0.5, 0.999), eps: float = 1e-8,
-                 weight_decay: float = 0.0):
+                 betas: tuple[float, float] = (0.5, 0.999)):
         self.parameters: Sequence[Tensor] = list(parameters)
         if not self.parameters:
             raise ValueError("optimizer received an empty parameter list")
@@ -36,8 +38,6 @@ class Adam:
             raise ValueError("betas must lie in [0, 1)")
         self.lr = lr
         self.betas = betas
-        self.eps = eps
-        self.weight_decay = weight_decay
         self._step = 0
         self._m = [np.zeros_like(p.data) for p in self.parameters]
         self._v = [np.zeros_like(p.data) for p in self.parameters]
@@ -56,6 +56,5 @@ class Adam:
             if parameter.grad is None:
                 continue
             backend.adam_update(parameter.data, parameter.grad, m, v,
-                                self.lr, beta1, beta2, self.eps,
-                                bias_correction1, bias_correction2,
-                                self.weight_decay)
+                                self.lr, beta1, beta2, _EPS,
+                                bias_correction1, bias_correction2)

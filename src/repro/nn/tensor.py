@@ -408,17 +408,6 @@ class Tensor:
             out._backward = _backward
         return out
 
-    def log(self) -> "Tensor":
-        out = self._make_child(get_backend().log(self.data), (self,), "log")
-        if out.requires_grad:
-            def _backward():
-                self._accumulate(out.grad / self.data)
-            out._backward = _backward
-        return out
-
-    def sqrt(self) -> "Tensor":
-        return self ** 0.5
-
     def tanh(self) -> "Tensor":
         value = get_backend().tanh(self.data)
         out = self._make_child(value, (self,), "tanh")
@@ -465,16 +454,6 @@ class Tensor:
             out._backward = _backward
         return out
 
-    def abs(self) -> "Tensor":
-        out = self._make_child(np.abs(self.data), (self,), "abs")
-        if out.requires_grad:
-            sign = np.sign(self.data)
-
-            def _backward():
-                self._accumulate(out.grad * sign)
-            out._backward = _backward
-        return out
-
     # ------------------------------------------------------------------ #
     # Reductions
     # ------------------------------------------------------------------ #
@@ -505,13 +484,6 @@ class Tensor:
             axes = axis if isinstance(axis, tuple) else (axis,)
             count = int(np.prod([self.shape[a] for a in axes]))
         return self.sum(axis=axis, keepdims=keepdims) * (1.0 / count)
-
-    def var(self, axis=None, keepdims: bool = False) -> "Tensor":
-        """Biased (population) variance, matching batch-norm semantics."""
-        mean = self.mean(axis=axis, keepdims=True)
-        centered = self - mean
-        result = (centered * centered).mean(axis=axis, keepdims=keepdims)
-        return result
 
     def max(self, axis=None, keepdims: bool = False) -> "Tensor":
         value = self.data.max(axis=axis, keepdims=keepdims)

@@ -27,7 +27,7 @@ from repro.obs.metrics import (MetricsRegistry, backend_registry,
 from repro.obs.trace import (KernelProfiler, Tracer, disable_tracing,
                              enable_tracing, event, is_enabled, span,
                              tracing)
-from repro.obs.context import TraceContext, current_context
+from repro.obs.context import TraceContext
 from repro.obs.sink import JsonlSink, read_trace, validate_trace
 from repro.obs.report import chrome_trace, format_summary, summarize
 
@@ -36,7 +36,7 @@ __all__ = [
     "process_registry", "use_registry",
     "KernelProfiler", "Tracer", "disable_tracing", "enable_tracing",
     "event", "is_enabled", "span", "tracing",
-    "TraceContext", "current_context",
+    "TraceContext",
     "JsonlSink", "read_trace", "validate_trace",
     "chrome_trace", "format_summary", "summarize",
 ]

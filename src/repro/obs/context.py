@@ -43,15 +43,6 @@ class TraceContext:
     pid: int = 0
 
 
-def current_context() -> Optional[TraceContext]:
-    """The context shards should inherit, or ``None`` when tracing is off."""
-    tracer = _trace.active_tracer()
-    if tracer is None:
-        return None
-    return TraceContext(tracer.trace_id, _trace.current_span_id(),
-                        os.getpid())
-
-
 @contextmanager
 def plan_scope(plan: Any, executor_name: str,
                workers: Optional[int]) -> Iterator[Optional[TraceContext]]:

@@ -10,10 +10,6 @@ the path.
 
 from __future__ import annotations
 
-import sys
-import threading
-from concurrent.futures import ThreadPoolExecutor
-
 import numpy as np
 import pytest
 
@@ -112,47 +108,6 @@ class TestChannelDeterminism:
         second = channel.read_voltages(levels, 7000,
                                        rng=np.random.default_rng(11))
         np.testing.assert_array_equal(first, second)
-
-
-class TestConcurrentReads:
-    """Threads sharing one simulator backend, each with its own seeded
-    generator, read exactly what serial reads with those seeds return: a
-    read's generator and program-error choice travel as arguments, never as
-    backend state another thread could swap out mid-read."""
-
-    THREADS = 8
-
-    @staticmethod
-    def _reads(channel, seed, program, barrier=None):
-        rng = np.random.default_rng(seed)
-        if barrier is not None:
-            barrier.wait()
-        out = [channel.read_voltages(program, 7000, rng=rng)]
-        for program_errors in (True, False, True):
-            out.extend(channel.paired_blocks(
-                2, 10000, apply_program_errors=program_errors, rng=rng))
-        out.append(channel.read_voltages(program, 4000, rng=rng))
-        return out
-
-    def test_threads_match_serial_reads(self):
-        channel = build_channel("simulator")
-        program = np.random.default_rng(0).integers(0, 8, size=(16, 64, 64))
-        seeds = [100 + index for index in range(self.THREADS)]
-        serial = [self._reads(channel, seed, program) for seed in seeds]
-        barrier = threading.Barrier(self.THREADS, timeout=60)
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-5)
-        try:
-            with ThreadPoolExecutor(max_workers=self.THREADS) as pool:
-                futures = [pool.submit(self._reads, channel, seed, program,
-                                       barrier) for seed in seeds]
-                threaded = [future.result(timeout=120) for future in futures]
-        finally:
-            sys.setswitchinterval(interval)
-        for want, got in zip(serial, threaded):
-            assert len(want) == len(got)
-            for want_array, got_array in zip(want, got):
-                np.testing.assert_array_equal(got_array, want_array)
 
 
 class TestExperimentSetupStreams:

@@ -9,6 +9,10 @@ a monotone error rate versus P/E cycling.
 
 from __future__ import annotations
 
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 
@@ -16,6 +20,7 @@ from repro.channel import (
     CHANNEL_REGISTRY,
     ChannelCapabilities,
     ChannelModel,
+    GenerativeChannel,
     build_channel,
 )
 from repro.core import ModelConfig
@@ -183,6 +188,60 @@ class TestProtocolContract:
         young = channel.level_error_rate_estimate(FITTED_PE[0], num_blocks=12)
         old = channel.level_error_rate_estimate(FITTED_PE[1], num_blocks=12)
         assert old > young
+
+
+@pytest.mark.parametrize("name", BACKEND_NAMES)
+class TestConcurrentReads:
+    """``ChannelModel``'s thread contract: threads sharing one backend, each
+    with its own seeded generator, read exactly what serial reads with those
+    seeds return (a generative model in eval mode)."""
+
+    THREADS = 8
+
+    @pytest.fixture
+    def shared(self, backends, name):
+        channel = backends[name]
+        if not isinstance(channel, GenerativeChannel):
+            yield channel
+            return
+        was_training = channel.model.training
+        channel.model.eval()
+        try:
+            yield channel
+        finally:
+            channel.model.train(was_training)
+
+    @staticmethod
+    def _reads(channel, seed, program, barrier=None):
+        rng = np.random.default_rng(seed)
+        if barrier is not None:
+            barrier.wait()
+        out = [channel.read_voltages(program, 7000, rng=rng)]
+        for program_errors in (True, False, True):
+            out.extend(channel.paired_blocks(
+                2, 10000, apply_program_errors=program_errors, rng=rng))
+        out.append(channel.read_voltages(program, 4000, rng=rng))
+        return out
+
+    def test_threads_match_serial_reads(self, shared):
+        program = np.random.default_rng(0).integers(0, NUM_LEVELS,
+                                                    size=(8, 32, 32))
+        seeds = [100 + index for index in range(self.THREADS)]
+        serial = [self._reads(shared, seed, program) for seed in seeds]
+        barrier = threading.Barrier(self.THREADS, timeout=60)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with ThreadPoolExecutor(max_workers=self.THREADS) as pool:
+                futures = [pool.submit(self._reads, shared, seed, program,
+                                       barrier) for seed in seeds]
+                threaded = [future.result(timeout=120) for future in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        for want, got in zip(serial, threaded):
+            assert len(want) == len(got)
+            for want_array, got_array in zip(want, got):
+                np.testing.assert_array_equal(got_array, want_array)
 
 
 class TestRegistry:

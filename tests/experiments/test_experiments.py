@@ -24,7 +24,7 @@ from repro.experiments import (
     run_remark3,
 )
 from repro.flash import BlockGeometry, FlashChannel
-from repro.flash.patterns import BITLINE, WORDLINE
+from repro.flash.patterns import BITLINE, TOP_ERROR_PATTERNS, WORDLINE
 
 
 @pytest.fixture(scope="module")
@@ -101,6 +101,45 @@ class TestFig2:
     def test_rejects_zero_blocks(self, channel):
         with pytest.raises(ValueError):
             run_fig2(channel, blocks_per_pe=0)
+
+    #: Level error rate band per read point at 300 blocks: 20 seeds read
+    #: 0.00482-0.00506, 0.00830-0.00860 and 0.01269-0.01317; each band is
+    #: their mean +- 5 standard deviations, rounded outward.
+    RATE_BANDS = {4000: (0.0046, 0.0053), 7000: (0.0079, 0.0089),
+                  10000: (0.0123, 0.0136)}
+
+    @pytest.fixture(scope="class")
+    def paper_sample(self):
+        """Fig. 2 at 300 blocks per read point, enough to name the leader."""
+        return run_fig2(FlashChannel(rng=np.random.default_rng(7)),
+                        blocks_per_pe=300)
+
+    @pytest.mark.parametrize("pe", PAPER_PE_CYCLES)
+    def test_bitline_707_leads(self, paper_sample, pe):
+        counts = {key: by_pe[pe]
+                  for key, by_pe in paper_sample.raw_pattern_counts.items()}
+        assert max(counts, key=counts.get) == ("707", BITLINE)
+
+    @pytest.mark.parametrize("pe", PAPER_PE_CYCLES)
+    def test_level_error_rate_in_band(self, paper_sample, pe):
+        low, high = self.RATE_BANDS[pe]
+        assert low < paper_sample.level_error_rates[pe] < high
+
+    @pytest.mark.parametrize("pe", PAPER_PE_CYCLES)
+    @pytest.mark.parametrize("pattern", ["707", "706", "607"])
+    def test_bitline_outnumbers_wordline(self, paper_sample, pattern, pe):
+        """The bit-line coupling dominates: over 20 seeds the bit-line
+        count was at least 1.29x its word-line twin's."""
+        counts = paper_sample.raw_pattern_counts
+        assert counts[(pattern, BITLINE)][pe] > counts[(pattern, WORDLINE)][pe]
+
+    @pytest.mark.parametrize("key", TOP_ERROR_PATTERNS,
+                             ids=["-".join(key) for key in TOP_ERROR_PATTERNS])
+    def test_every_pattern_count_grows_with_wear(self, paper_sample, key):
+        """Fig. 2's trend: over 20 seeds every count grew at least 1.55x
+        from the first read point to the last."""
+        counts = paper_sample.raw_pattern_counts[key]
+        assert counts[PAPER_PE_CYCLES[0]] < counts[PAPER_PE_CYCLES[-1]]
 
 
 class TestFig4:

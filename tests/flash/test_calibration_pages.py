@@ -20,7 +20,6 @@ from repro.flash import (
     page_bit_error_rates,
     page_bit_errors,
     program_pages,
-    read_pages,
     threshold_sweep,
 )
 from repro.flash.cell import GRAY_MAP, NUM_LEVELS, levels_to_pages
@@ -180,15 +179,6 @@ class TestPages:
     def test_program_pages_shape_mismatch(self):
         with pytest.raises(ValueError):
             program_pages(np.zeros((2, 2)), np.zeros((2, 2)), np.zeros((3, 3)))
-
-    def test_read_pages_recovers_clean_data(self, params):
-        levels = np.tile(np.arange(NUM_LEVELS), (8, 1))
-        voltages = params.means_array[levels]
-        lower, middle, upper = read_pages(voltages, params=params)
-        expected = levels_to_pages(levels)
-        np.testing.assert_array_equal(lower, expected[..., 0])
-        np.testing.assert_array_equal(middle, expected[..., 1])
-        np.testing.assert_array_equal(upper, expected[..., 2])
 
     def test_page_bit_errors_zero_for_clean_read(self, params):
         levels = np.tile(np.arange(NUM_LEVELS), (8, 1))

@@ -12,8 +12,6 @@ from repro.flash import (
     ERASED_LEVEL,
     GRAY_MAP,
     NUM_LEVELS,
-    bits_to_level,
-    level_to_bits,
     levels_to_pages,
     pages_to_levels,
 )
@@ -45,22 +43,6 @@ class TestConstants:
         assert GRAY_MAP[7] == (0, 1, 1)
         assert GRAY_MAP[0] == (1, 1, 1)
         assert GRAY_MAP[5] == (0, 0, 0)
-
-
-class TestScalarConversion:
-    @pytest.mark.parametrize("level", range(NUM_LEVELS))
-    def test_roundtrip(self, level):
-        assert bits_to_level(*level_to_bits(level)) == level
-
-    def test_level_to_bits_rejects_out_of_range(self):
-        with pytest.raises(ValueError):
-            level_to_bits(8)
-        with pytest.raises(ValueError):
-            level_to_bits(-1)
-
-    def test_bits_to_level_rejects_non_binary(self):
-        with pytest.raises(ValueError):
-            bits_to_level(2, 0, 0)
 
 
 class TestArrayConversion:

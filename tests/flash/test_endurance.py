@@ -1,116 +1,17 @@
-"""Tests for the data scrambler and the endurance sweep."""
+"""Tests for the endurance sweep."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro.flash import (
     EnduranceSweep,
     FlashChannel,
-    LFSR,
-    Scrambler,
     estimate_endurance_limit,
 )
-from repro.flash.cell import NUM_LEVELS
 from repro.flash.endurance import EndurancePoint
 from repro.flash.geometry import BlockGeometry
-
-
-class TestLFSR:
-    def test_output_bits_are_binary(self):
-        lfsr = LFSR(seed=1)
-        bits = lfsr.bits(256)
-        assert set(np.unique(bits)) <= {0, 1}
-
-    def test_deterministic_for_a_seed(self):
-        first = LFSR(seed=0xBEEF).bits(128)
-        second = LFSR(seed=0xBEEF).bits(128)
-        np.testing.assert_array_equal(first, second)
-
-    def test_different_seeds_differ(self):
-        first = LFSR(seed=0x1).bits(128)
-        second = LFSR(seed=0x2).bits(128)
-        assert not np.array_equal(first, second)
-
-    def test_reset_restores_the_sequence(self):
-        lfsr = LFSR(seed=0xACE1)
-        first = lfsr.bits(64)
-        lfsr.reset()
-        second = lfsr.bits(64)
-        np.testing.assert_array_equal(first, second)
-
-    def test_default_polynomial_is_maximum_length(self):
-        lfsr = LFSR(seed=1)
-        assert lfsr.period() == 2 ** 16 - 1
-
-    def test_keystream_is_roughly_balanced(self):
-        bits = LFSR(seed=0x1234).bits(4096)
-        assert 0.45 < bits.mean() < 0.55
-
-    def test_invalid_construction_rejected(self):
-        with pytest.raises(ValueError):
-            LFSR(seed=0)
-        with pytest.raises(ValueError):
-            LFSR(seed=1, width=1)
-        with pytest.raises(ValueError):
-            LFSR(seed=1, taps=())
-        with pytest.raises(ValueError):
-            LFSR(seed=1, taps=(99,))
-        with pytest.raises(ValueError):
-            LFSR(seed=2 ** 16, width=16)
-
-    def test_bits_rejects_negative_count(self):
-        with pytest.raises(ValueError):
-            LFSR(seed=1).bits(-1)
-
-
-class TestScrambler:
-    def test_scramble_descramble_bits_roundtrip(self):
-        rng = np.random.default_rng(0)
-        data = rng.integers(0, 2, size=512)
-        scrambler = Scrambler(seed=0x5A5A)
-        np.testing.assert_array_equal(
-            scrambler.descramble_bits(scrambler.scramble_bits(data)), data)
-
-    def test_scramble_changes_the_data(self):
-        data = np.zeros(512, dtype=np.uint8)
-        scrambled = Scrambler().scramble_bits(data)
-        assert scrambled.sum() > 0
-
-    def test_scramble_rejects_non_binary(self):
-        with pytest.raises(ValueError):
-            Scrambler().scramble_bits(np.array([0, 1, 2]))
-
-    def test_scramble_levels_roundtrip(self):
-        rng = np.random.default_rng(1)
-        levels = rng.integers(0, NUM_LEVELS, size=(16, 16))
-        scrambler = Scrambler(seed=0x1357)
-        recovered = scrambler.descramble_levels(
-            scrambler.scramble_levels(levels))
-        np.testing.assert_array_equal(recovered, levels)
-
-    def test_constant_payload_becomes_balanced(self):
-        """The whole point of a randomiser: all-zero data uses all levels."""
-        levels = np.zeros((64, 64), dtype=int)
-        balance = Scrambler(seed=0x2468).level_balance(levels)
-        assert np.count_nonzero(balance) == NUM_LEVELS
-        assert balance.max() < 0.3
-
-    def test_level_balance_sums_to_one(self):
-        levels = np.zeros((32, 32), dtype=int)
-        balance = Scrambler().level_balance(levels)
-        assert balance.sum() == pytest.approx(1.0)
-
-    @settings(max_examples=20, deadline=None)
-    @given(seed=st.integers(min_value=1, max_value=2 ** 16 - 1))
-    def test_roundtrip_for_any_seed(self, seed):
-        data = np.arange(96) % 2
-        scrambler = Scrambler(seed=seed)
-        np.testing.assert_array_equal(
-            scrambler.descramble_bits(scrambler.scramble_bits(data)), data)
 
 
 def _small_sweep(seed: int = 0) -> EnduranceSweep:

@@ -21,37 +21,6 @@ class TestBlockGeometry:
         with pytest.raises(ValueError):
             BlockGeometry(8, -1)
 
-    def test_interior_mask_excludes_boundary(self):
-        geometry = BlockGeometry(4, 5)
-        mask = geometry.interior_mask()
-        assert mask.shape == (4, 5)
-        assert not mask[0].any() and not mask[-1].any()
-        assert not mask[:, 0].any() and not mask[:, -1].any()
-        assert mask[1:-1, 1:-1].all()
-
-    def test_interior_mask_small_block_empty(self):
-        assert not BlockGeometry(2, 2).interior_mask().any()
-
-    def test_contains(self):
-        geometry = BlockGeometry(3, 3)
-        assert geometry.contains(0, 0)
-        assert geometry.contains(2, 2)
-        assert not geometry.contains(3, 0)
-        assert not geometry.contains(0, -1)
-
-    def test_wordline_neighbours_interior(self):
-        geometry = BlockGeometry(5, 5)
-        assert geometry.wordline_neighbours(2, 2) == [(2, 1), (2, 3)]
-
-    def test_bitline_neighbours_interior(self):
-        geometry = BlockGeometry(5, 5)
-        assert geometry.bitline_neighbours(2, 2) == [(1, 2), (3, 2)]
-
-    def test_neighbours_at_boundary_are_clipped(self):
-        geometry = BlockGeometry(5, 5)
-        assert geometry.wordline_neighbours(0, 0) == [(0, 1)]
-        assert geometry.bitline_neighbours(4, 4) == [(3, 4)]
-
     def test_geometry_is_hashable_and_frozen(self):
         geometry = BlockGeometry(8, 8)
         assert hash(geometry) == hash(BlockGeometry(8, 8))

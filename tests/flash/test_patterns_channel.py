@@ -200,11 +200,6 @@ class TestFlashChannel:
         np.testing.assert_array_equal(got, want)
         assert other.rng.bit_generator.state == before
 
-    def test_read_hard_mostly_correct(self, channel):
-        levels = channel.program_random_block()
-        hard = channel.read_hard(levels, 4000)
-        assert np.mean(hard == levels) > 0.95
-
     def test_paired_blocks_shapes(self, small_channel):
         program, voltages = small_channel.paired_blocks(3, 7000)
         assert program.shape == (3, 16, 16)
@@ -263,12 +258,6 @@ class TestCyclingExperiment:
         record = experiment.run()[0]
         assert record.num_cells == 3 * 64
         assert 0.0 <= record.level_error_rate() <= 1.0
-
-    def test_run_as_dict_keys(self, rng):
-        channel = FlashChannel(geometry=BlockGeometry(8, 8), rng=rng)
-        experiment = PECyclingExperiment(channel=channel,
-                                         blocks_per_read_point=1)
-        assert set(experiment.run_as_dict()) == {4000, 7000, 10000}
 
     def test_rejects_empty_read_points(self):
         with pytest.raises(ValueError):

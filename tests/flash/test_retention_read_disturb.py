@@ -217,13 +217,6 @@ class TestReadDisturbModel:
         heavy_rate = level_error_rate(program, heavy, params=params)
         assert heavy_rate > base_rate
 
-    def test_erased_error_probability_increases_with_reads(self, disturb,
-                                                           params):
-        threshold = (params.level_means[0] + params.level_means[1]) / 2
-        quiet = disturb.erased_error_probability(5000, 0, threshold)
-        noisy = disturb.erased_error_probability(5000, 1000000, threshold)
-        assert noisy > quiet
-
     @settings(max_examples=25, deadline=None)
     @given(reads=st.floats(min_value=0.0, max_value=1e8,
                            allow_nan=False, allow_infinity=False))

@@ -14,7 +14,6 @@ from repro.flash import (
     level_error_rate,
     per_level_error_counts,
     per_level_error_rates,
-    read_threshold_between,
 )
 from repro.flash.cell import NUM_LEVELS
 
@@ -31,17 +30,6 @@ class TestThresholds:
 
     def test_thresholds_increasing(self, params):
         assert np.all(np.diff(default_read_thresholds(params)) > 0)
-
-    def test_read_threshold_between_adjacent(self, params):
-        thresholds = default_read_thresholds(params)
-        assert read_threshold_between(0, 1, params) == pytest.approx(thresholds[0])
-        assert read_threshold_between(6, 7, params) == pytest.approx(thresholds[6])
-
-    def test_read_threshold_between_rejects_non_adjacent(self, params):
-        with pytest.raises(ValueError):
-            read_threshold_between(0, 2, params)
-        with pytest.raises(ValueError):
-            read_threshold_between(7, 8, params)
 
     def test_hard_read_at_level_means_is_exact(self, params):
         voltages = params.means_array

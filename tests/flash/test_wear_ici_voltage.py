@@ -125,12 +125,6 @@ class TestICIModel:
         with pytest.raises(ValueError):
             ICIModel(params).shifts(np.zeros(8, dtype=int))
 
-    def test_worst_case_shift_formula(self, params):
-        ici = ICIModel(params)
-        swing = params.means_array[7] - params.means_array[0]
-        expected = 2 * swing * (params.wl_coupling + params.bl_coupling)
-        assert ici.worst_case_shift() == pytest.approx(expected)
-
     def test_neighbour_swing_zero_for_erased(self, params):
         ici = ICIModel(params)
         swings = ici.neighbour_swing(np.arange(NUM_LEVELS))

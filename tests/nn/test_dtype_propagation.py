@@ -59,8 +59,7 @@ class TestTensorOps:
         assert x.grad.dtype == dtype
 
     @pytest.mark.parametrize("dtype", DTYPES)
-    @pytest.mark.parametrize("method", ["exp", "tanh", "relu", "leaky_relu",
-                                        "abs", "sqrt"])
+    @pytest.mark.parametrize("method", ["exp", "tanh", "relu", "leaky_relu"])
     def test_unary_ops_keep_dtype(self, dtype, method, rng):
         x = Tensor(rng.random(6).astype(dtype) + 0.5, requires_grad=True)
         out = getattr(x, method)()
@@ -72,7 +71,7 @@ class TestTensorOps:
     def test_reductions_keep_dtype(self, dtype, rng):
         x = Tensor(rng.standard_normal((3, 4)).astype(dtype),
                    requires_grad=True)
-        for out in (x.sum(), x.mean(axis=1), x.var(axis=0), x.max(axis=1)):
+        for out in (x.sum(), x.mean(axis=1), x.max(axis=1)):
             assert out.dtype == dtype
         x.mean().backward()
         assert x.grad.dtype == dtype

@@ -8,7 +8,7 @@ on from that path:
   bit-identical on every backend (the arena-free reference kernels and the
   compiled cjit kernels against the default numpy backend);
 * each elementwise backward rule, including the subgradient chosen at the
-  kinks of ``relu``/``leaky_relu``/``abs``/``clip``;
+  kinks of ``relu``/``leaky_relu``;
 * the GAN's frozen phases: ``no_grad`` passes build no graph, and frozen
   weights recycle arena scratch without corrupting later gradients;
 * gradient buffers handed over by backward kernels are adopted, never
@@ -183,7 +183,6 @@ UNARY_RULES = {
     "radd_scalar": (lambda t: 1.5 + t, lambda x, y: np.ones_like(x)),
     "sub_scalar": (lambda t: t - 1.5, lambda x, y: np.ones_like(x)),
     "rsub_scalar": (lambda t: 1.0 - t, lambda x, y: np.full_like(x, -1.0)),
-    "abs": (lambda t: t.abs(), lambda x, y: np.sign(x)),
 }
 
 

@@ -68,7 +68,7 @@ class TestAdam:
 
     def test_two_steps_match_the_bias_corrected_formula(self):
         parameter = Tensor(np.array([1.0, -2.0]), requires_grad=True)
-        optimizer = Adam([parameter], lr=0.1, betas=(0.5, 0.999), eps=1e-8)
+        optimizer = Adam([parameter], lr=0.1, betas=(0.5, 0.999))
         expected = parameter.data.copy()
         m = np.zeros(2)
         v = np.zeros(2)
@@ -82,14 +82,6 @@ class TestAdam:
             v_hat = v / (1 - 0.999 ** step)
             expected = expected - 0.1 * m_hat / (np.sqrt(v_hat) + 1e-8)
         np.testing.assert_allclose(parameter.data, expected, rtol=1e-12)
-
-    def test_weight_decay_pulls_parameters_toward_zero(self):
-        parameter = Tensor(np.array([2.0, -2.0]), requires_grad=True)
-        optimizer = Adam([parameter], lr=0.01, weight_decay=0.1)
-        (parameter * 0.0).sum().backward()
-        optimizer.step()
-        # The decay term is the whole gradient: a first step of ~lr each.
-        np.testing.assert_allclose(parameter.data, [1.99, -1.99], atol=1e-6)
 
     def test_zero_grad_clears_every_parameter(self):
         parameters = [Tensor(np.ones(2), requires_grad=True),

@@ -210,11 +210,10 @@ class TestGradients:
         ("tanh", {}),
         ("relu", {}),
         ("leaky_relu", {"negative_slope": 0.2}),
-        ("abs", {}),
     ])
     def test_unary_gradients(self, rng, method, kwargs):
         tensor = _tensor(rng, (3, 5))
-        # Shift away from the non-differentiable point of relu/abs.
+        # Shift away from the non-differentiable point of relu.
         tensor.data += np.sign(tensor.data) * 0.05
         out = getattr(tensor, method)(**kwargs)
         (out * out).sum().backward()
@@ -227,21 +226,10 @@ class TestGradients:
                                    numerical_gradient(forward, tensor.data),
                                    atol=1e-4)
 
-    def test_log_gradient(self, rng):
-        tensor = Tensor(rng.random((3, 4)) + 0.5, requires_grad=True)
-        tensor.log().sum().backward()
-        np.testing.assert_allclose(tensor.grad, 1.0 / tensor.data, atol=1e-8)
-
     def test_pow_gradient(self, rng):
         tensor = Tensor(rng.random((4,)) + 1.0, requires_grad=True)
         (tensor ** 3).sum().backward()
         np.testing.assert_allclose(tensor.grad, 3 * tensor.data ** 2, atol=1e-8)
-
-    def test_sqrt_gradient(self, rng):
-        tensor = Tensor(rng.random((4,)) + 1.0, requires_grad=True)
-        tensor.sqrt().sum().backward()
-        np.testing.assert_allclose(tensor.grad, 0.5 / np.sqrt(tensor.data),
-                                   atol=1e-8)
 
     @pytest.mark.parametrize("axis,keepdims", [
         (None, False), (0, False), (1, True), ((0, 2), False),
@@ -257,11 +245,6 @@ class TestGradients:
         tensor.mean().backward()
         np.testing.assert_allclose(tensor.grad,
                                    np.full(tensor.shape, 1.0 / tensor.size))
-
-    def test_var_matches_numpy(self, rng):
-        tensor = Tensor(rng.standard_normal((4, 6)))
-        np.testing.assert_allclose(tensor.var(axis=0).data,
-                                   tensor.data.var(axis=0), atol=1e-10)
 
     def test_max_gradient_splits_ties(self):
         tensor = Tensor([[1.0, 3.0, 3.0]], requires_grad=True)
