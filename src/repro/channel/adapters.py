@@ -23,7 +23,7 @@ import numpy as np
 from repro.baselines.models import StatisticalChannelModel
 from repro.channel.protocol import ChannelCapabilities, ChannelModel
 from repro.core.base import ConditionalGenerativeModel
-from repro.data.normalize import LevelNormalizer, PENormalizer, VoltageNormalizer
+from repro.data.normalize import VoltageNormalizer
 from repro.flash.channel import FlashChannel
 from repro.flash.geometry import BlockGeometry
 from repro.flash.params import FlashParameters
@@ -114,7 +114,9 @@ class GenerativeChannel(ChannelModel):
     Parameters
     ----------
     model:
-        A trained :class:`ConditionalGenerativeModel`.
+        A trained :class:`ConditionalGenerativeModel`.  The adapter puts it
+        in eval mode once, here, so threads reading one channel never switch
+        the shared model's mode.
     chunk_size:
         Number of model-size tiles per vectorized forward pass; larger
         chunks amortize the Python/layer overhead further at the cost of
@@ -130,11 +132,10 @@ class GenerativeChannel(ChannelModel):
         if chunk_size < 1:
             raise ValueError("chunk_size must be positive")
         super().__init__(params, geometry, rng)
+        model.eval()
         self.model = model
         self.chunk_size = chunk_size
-        self.level_normalizer = LevelNormalizer()
         self.voltage_normalizer = VoltageNormalizer(self.params)
-        self.pe_normalizer = PENormalizer(self.params.reference_pe_cycles)
 
     @property
     def array_size(self) -> int:
@@ -148,20 +149,16 @@ class GenerativeChannel(ChannelModel):
                       rng: np.random.Generator) -> np.ndarray:
         """One chunked, vectorized sampling pass over model-size tiles.
 
-        The normalised tile stack is cast to the model's working dtype once
-        here (float32 by default), so every chunked forward pass runs at
-        that precision without per-chunk conversions; the physical-unit
-        output below is float64 like every other channel backend.
+        The model encodes each chunk of integer tiles at its working dtype
+        (float32 by default); the physical-unit output below is float64 like
+        every other channel backend.
         """
-        normalized = self.level_normalizer.normalize(tiles)[:, None]
-        normalized = normalized.astype(self.model.dtype, copy=False)
-        pe_value = float(self.pe_normalizer.normalize(pe_cycles))
+        pe_value = float(self.params.normalized_wear(pe_cycles))
         outputs = []
-        for start in range(0, len(normalized), self.chunk_size):
-            chunk = normalized[start:start + self.chunk_size]
-            pe_chunk = np.full(len(chunk), pe_value)
-            generated = self.model.sample(chunk, pe_chunk, rng)
-            outputs.append(generated[:, 0])
+        for start in range(0, len(tiles), self.chunk_size):
+            chunk = tiles[start:start + self.chunk_size]
+            outputs.append(self.model.sample(
+                chunk, np.full(len(chunk), pe_value), rng))
         stacked = outputs[0] if len(outputs) == 1 else np.concatenate(outputs)
         voltages = self.voltage_normalizer.denormalize(stacked)
         return np.clip(voltages, self.params.voltage_min,

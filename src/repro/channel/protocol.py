@@ -98,9 +98,8 @@ class ChannelModel:
         experiments; per-call ``rng`` arguments override it.  A read's
         choices (generator, program errors) travel as arguments, never as
         backend state, so threads may share one backend as long as each
-        passes its own ``rng``.  A generative backend also needs its model
-        in eval mode: sampling a train-mode model flips the shared model's
-        mode for the duration of the call.
+        passes its own ``rng``.  A generative backend puts its model in
+        eval mode once, at construction, and reads never switch it.
     """
 
     def __init__(self, params: FlashParameters | None = None,

@@ -10,6 +10,8 @@ the spatio-temporal feature combination of Section III-B.
 
 from repro.core.config import ModelConfig
 from repro.core.pe_encoding import (
+    LEVEL_CHANNELS,
+    encode_levels,
     pe_feature_vector,
     spatial_replicate,
     concat_condition,
@@ -26,6 +28,8 @@ from repro.core.zoo import build_model, load_model, MODEL_REGISTRY
 
 __all__ = [
     "ModelConfig",
+    "LEVEL_CHANNELS",
+    "encode_levels",
     "pe_feature_vector",
     "spatial_replicate",
     "concat_condition",

@@ -5,6 +5,11 @@ exposes generator-side and discriminator-side parameter groups and loss
 functions, plus a ``sample`` method that maps (PL, P/E) to normalised
 voltages using latent vectors drawn from the standard Gaussian prior (the
 paper's evaluation protocol).
+
+Models take plain arrays: integer program levels and normalised voltages of
+shape ``(N, H, W)``, and normalised P/E cycle counts of shape ``(N,)``.  They
+build their network tensors at the model dtype themselves, the levels
+through :func:`repro.core.pe_encoding.encode_levels`.
 """
 
 from __future__ import annotations
@@ -12,6 +17,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.config import ModelConfig
+from repro.core.pe_encoding import encode_levels
 from repro.nn import Module, Tensor, no_grad
 
 __all__ = ["ConditionalGenerativeModel"]
@@ -47,18 +53,26 @@ class ConditionalGenerativeModel(Module):
     # ------------------------------------------------------------------ #
     # Losses
     # ------------------------------------------------------------------ #
-    def generator_loss(self, program_levels: Tensor, voltages: Tensor,
-                       pe_normalized: np.ndarray,
+    def generator_loss(self, program_levels: np.ndarray,
+                       voltages: np.ndarray, pe_normalized: np.ndarray,
                        rng: np.random.Generator) -> tuple[Tensor, dict[str, float]]:
         """Loss minimised by the generator (and encoder, where present)."""
         raise NotImplementedError
 
-    def discriminator_loss(self, program_levels: Tensor, voltages: Tensor,
-                           pe_normalized: np.ndarray,
+    def discriminator_loss(self, program_levels: np.ndarray,
+                           voltages: np.ndarray, pe_normalized: np.ndarray,
                            rng: np.random.Generator
                            ) -> tuple[Tensor, dict[str, float]] | None:
         """Loss minimised by the discriminator, or ``None`` if there is none."""
         return None
+
+    def _network_inputs(self, program_levels: np.ndarray,
+                        voltages: np.ndarray) -> tuple[Tensor, Tensor]:
+        """A loss batch as network tensors at the model dtype: the encoded
+        levels and the voltages as one ``(N, 1, H, W)`` channel."""
+        dtype = self.dtype
+        volts = np.asarray(voltages)[:, None].astype(dtype, copy=False)
+        return Tensor(encode_levels(program_levels, dtype)), Tensor(volts)
 
     # ------------------------------------------------------------------ #
     # Sampling
@@ -76,12 +90,17 @@ class ConditionalGenerativeModel(Module):
     def sample(self, program_levels: np.ndarray, pe_normalized: np.ndarray,
                rng: np.random.Generator,
                latent: np.ndarray | None = None) -> np.ndarray:
-        """Generate normalised voltages for normalised program-level arrays.
+        """Generate normalised voltages ``(N, H, W)`` for program levels.
+
+        The forward pass runs in the model's current mode: a
+        :class:`~repro.channel.GenerativeChannel` puts its model in eval
+        mode once, and :meth:`Trainer.train_step
+        <repro.core.trainer.Trainer.train_step>` puts it back in train mode.
 
         Parameters
         ----------
         program_levels:
-            Normalised program levels of shape ``(N, 1, H, W)``.
+            Integer program levels of shape ``(N, H, W)``.
         pe_normalized:
             Normalised P/E cycle counts of shape ``(N,)``.
         rng:
@@ -89,27 +108,14 @@ class ConditionalGenerativeModel(Module):
         latent:
             Optional fixed latent vectors of shape ``(N, latent_dim)``.
         """
-        was_training = self.training
-        dtype = self.dtype
-        self.eval()
-        try:
-            with no_grad():
-                if latent is None:
-                    latent_tensor = self.prior_latent(program_levels.shape[0],
-                                                      rng)
-                else:
-                    latent_tensor = Tensor(np.asarray(latent, dtype=dtype))
-                levels = np.asarray(program_levels, dtype=dtype)
-                output = self._generate(Tensor(levels), pe_normalized,
-                                        latent_tensor)
-        finally:
-            self.train(was_training)
-        return output.numpy()
-
-    def _generate(self, program_levels: Tensor, pe_normalized: np.ndarray,
-                  latent: Tensor) -> Tensor:
-        """Architecture-specific generator forward pass."""
-        raise NotImplementedError
+        levels = Tensor(encode_levels(program_levels, self.dtype))
+        if latent is None:
+            latent_tensor = self.prior_latent(levels.shape[0], rng)
+        else:
+            latent_tensor = Tensor(np.asarray(latent, dtype=self.dtype))
+        with no_grad():
+            output = self.generator(levels, pe_normalized, latent_tensor)
+        return output.numpy()[:, 0]
 
     # ------------------------------------------------------------------ #
     # Checkpointing (the on-disk model zoo, :mod:`repro.artifacts`)

@@ -55,6 +55,8 @@ class BicycleGAN(ConditionalGenerativeModel):
         return self.discriminator.parameters()
 
     def generator_loss(self, program_levels, voltages, pe_normalized, rng):
+        program_levels, voltages = self._network_inputs(program_levels,
+                                                        voltages)
         # --- cVAE-GAN cycle: encode the real voltages, reconstruct them. ---
         mu, logvar = self.encoder(voltages, pe_normalized)
         encoded_latent = self.encoder.sample_latent(mu, logvar, rng)
@@ -87,6 +89,8 @@ class BicycleGAN(ConditionalGenerativeModel):
         return total, stats
 
     def discriminator_loss(self, program_levels, voltages, pe_normalized, rng):
+        program_levels, voltages = self._network_inputs(program_levels,
+                                                        voltages)
         with no_grad():
             mu, logvar = self.encoder(voltages, pe_normalized)
             encoded_latent = self.encoder.sample_latent(mu, logvar, rng)
@@ -104,6 +108,3 @@ class BicycleGAN(ConditionalGenerativeModel):
             + bce_with_logits_loss(fake_vae_logits, 0.0) \
             + bce_with_logits_loss(fake_lr_logits, 0.0)
         return loss, {"d_total": loss.item()}
-
-    def _generate(self, program_levels, pe_normalized, latent):
-        return self.generator(program_levels, pe_normalized, latent)

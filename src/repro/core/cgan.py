@@ -47,6 +47,8 @@ class ConditionalGAN(ConditionalGenerativeModel):
         return self.discriminator.parameters()
 
     def generator_loss(self, program_levels, voltages, pe_normalized, rng):
+        program_levels, voltages = self._network_inputs(program_levels,
+                                                        voltages)
         latent = self.prior_latent(program_levels.shape[0], rng)
         fake = self.generator(program_levels, pe_normalized, latent)
         logits = self.discriminator(program_levels, fake)
@@ -61,6 +63,8 @@ class ConditionalGAN(ConditionalGenerativeModel):
         return total, stats
 
     def discriminator_loss(self, program_levels, voltages, pe_normalized, rng):
+        program_levels, voltages = self._network_inputs(program_levels,
+                                                        voltages)
         with no_grad():
             latent = self.prior_latent(program_levels.shape[0], rng)
             fake = self.generator(program_levels, pe_normalized, latent)
@@ -69,6 +73,3 @@ class ConditionalGAN(ConditionalGenerativeModel):
         loss = bce_with_logits_loss(real_logits, 1.0) \
             + bce_with_logits_loss(fake_logits, 0.0)
         return loss, {"d_total": loss.item()}
-
-    def _generate(self, program_levels, pe_normalized, latent):
-        return self.generator(program_levels, pe_normalized, latent)

@@ -14,7 +14,7 @@ from repro.core.base import ConditionalGenerativeModel
 from repro.core.config import ModelConfig
 from repro.core.encoder import ResNetEncoder
 from repro.core.generator import UNetGenerator
-from repro.nn import default_dtype, gaussian_kl_loss, mse_loss, no_grad
+from repro.nn import default_dtype, gaussian_kl_loss, mse_loss
 
 __all__ = ["ConditionalVAE"]
 
@@ -39,6 +39,8 @@ class ConditionalVAE(ConditionalGenerativeModel):
         return self.generator.parameters() + self.encoder.parameters()
 
     def generator_loss(self, program_levels, voltages, pe_normalized, rng):
+        program_levels, voltages = self._network_inputs(program_levels,
+                                                        voltages)
         mu, logvar = self.encoder(voltages, pe_normalized)
         latent = self.encoder.sample_latent(mu, logvar, rng)
         fake = self.generator(program_levels, pe_normalized, latent)
@@ -51,6 +53,3 @@ class ConditionalVAE(ConditionalGenerativeModel):
             "g_total": total.item(),
         }
         return total, stats
-
-    def _generate(self, program_levels, pe_normalized, latent):
-        return self.generator(program_levels, pe_normalized, latent)

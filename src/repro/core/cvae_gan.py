@@ -67,6 +67,8 @@ class ConditionalVAEGAN(ConditionalGenerativeModel):
         return latent, mu, logvar
 
     def generator_loss(self, program_levels, voltages, pe_normalized, rng):
+        program_levels, voltages = self._network_inputs(program_levels,
+                                                        voltages)
         latent, mu, logvar = self._posterior_sample(voltages, pe_normalized, rng)
         fake = self.generator(program_levels, pe_normalized, latent)
         logits = self.discriminator(program_levels, fake)
@@ -85,6 +87,8 @@ class ConditionalVAEGAN(ConditionalGenerativeModel):
         return total, stats
 
     def discriminator_loss(self, program_levels, voltages, pe_normalized, rng):
+        program_levels, voltages = self._network_inputs(program_levels,
+                                                        voltages)
         with no_grad():
             latent, _, _ = self._posterior_sample(voltages, pe_normalized, rng)
             fake = self.generator(program_levels, pe_normalized, latent)
@@ -99,22 +103,3 @@ class ConditionalVAEGAN(ConditionalGenerativeModel):
             "d_total": loss.item(),
         }
         return loss, stats
-
-    # ------------------------------------------------------------------ #
-    # Sampling
-    # ------------------------------------------------------------------ #
-    def _generate(self, program_levels, pe_normalized, latent):
-        return self.generator(program_levels, pe_normalized, latent)
-
-    def encode(self, voltages: np.ndarray, pe_normalized: np.ndarray
-               ) -> tuple[np.ndarray, np.ndarray]:
-        """Posterior mean and log-variance for normalised voltage arrays."""
-        was_training = self.training
-        self.eval()
-        try:
-            with no_grad():
-                volts = np.asarray(voltages, dtype=self.dtype)
-                mu, logvar = self.encoder(Tensor(volts), pe_normalized)
-        finally:
-            self.train(was_training)
-        return mu.numpy(), logvar.numpy()

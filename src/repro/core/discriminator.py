@@ -13,6 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.config import ModelConfig
+from repro.core.pe_encoding import LEVEL_CHANNELS
 from repro.nn import (
     BatchNorm2d,
     Conv2d,
@@ -35,7 +36,7 @@ class PatchGANDiscriminator(Module):
         super().__init__()
         self.config = config
         layers = []
-        in_channels = 2  # program levels + voltage levels
+        in_channels = LEVEL_CHANNELS + 1  # program levels + voltage levels
         for index, out_channels in enumerate(config.discriminator_channels):
             layers.append(Conv2d(in_channels, out_channels, 4, stride=2,
                                  padding=1, rng=rng))
@@ -49,11 +50,15 @@ class PatchGANDiscriminator(Module):
     def forward(self, program_levels: Tensor, voltages: Tensor) -> Tensor:
         """Return a map of real/fake logits for a (PL, VL) pair.
 
-        Both inputs have shape ``(N, 1, H, W)`` in normalised units.
+        ``program_levels`` holds encoded levels of shape
+        ``(N, LEVEL_CHANNELS, H, W)`` and ``voltages`` normalised voltages of
+        shape ``(N, 1, H, W)``.
         """
-        if program_levels.shape != voltages.shape:
-            raise ValueError("program level and voltage arrays must have the "
-                             "same shape")
+        if (program_levels.shape[0] != voltages.shape[0]
+                or program_levels.shape[2:] != voltages.shape[2:]):
+            raise ValueError(
+                f"program levels {program_levels.shape} and voltages "
+                f"{voltages.shape} differ in batch or spatial size")
         out = concatenate([program_levels, voltages], axis=1)
         for layer in self.features:
             out = layer(out)

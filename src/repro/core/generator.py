@@ -20,6 +20,7 @@ import numpy as np
 
 from repro.core.config import ModelConfig
 from repro.core.pe_encoding import (
+    LEVEL_CHANNELS,
     concat_condition,
     pe_feature_vector,
     replicate_latent,
@@ -89,7 +90,7 @@ class UNetGenerator(Module):
         depth = len(down_channels)
 
         downs = []
-        in_channels = 1
+        in_channels = LEVEL_CHANNELS
         for index, out_channels in enumerate(down_channels):
             downs.append(_DownBlock(in_channels + latent_dim + pe_dim,
                                     out_channels,
@@ -120,7 +121,8 @@ class UNetGenerator(Module):
         Parameters
         ----------
         program_levels:
-            Normalised program levels of shape ``(N, 1, H, W)``.
+            Encoded program levels of shape ``(N, LEVEL_CHANNELS, H, W)``
+            (:func:`~repro.core.pe_encoding.encode_levels`).
         pe_normalized:
             Normalised P/E cycle counts of shape ``(N,)``.
         latent:

@@ -1,9 +1,10 @@
 """Architecture-agnostic training loop (Remark 2 hyper-parameters).
 
-The trainer normalises the paired dataset, iterates mini-batches, and for
-each batch performs one discriminator step (when the architecture has a
-discriminator) followed by one generator/encoder step, both with Adam at the
-configured learning rate.
+The trainer iterates mini-batches of the paired dataset, normalises their
+voltages and P/E cycle counts (the model encodes the integer program levels
+itself), and for each batch performs one discriminator step (when the
+architecture has a discriminator) followed by one generator/encoder step,
+both with Adam at the configured learning rate.
 """
 
 from __future__ import annotations
@@ -15,9 +16,9 @@ import numpy as np
 from repro.core.base import ConditionalGenerativeModel
 from repro.data.dataset import FlashChannelDataset
 from repro.data.loaders import BatchIterator
-from repro.data.normalize import LevelNormalizer, PENormalizer, VoltageNormalizer
+from repro.data.normalize import VoltageNormalizer
 from repro.flash.params import FlashParameters
-from repro.nn import Adam, Tensor
+from repro.nn import Adam
 
 __all__ = ["TrainingHistory", "Trainer"]
 
@@ -65,9 +66,7 @@ class Trainer:
         self.max_steps_per_epoch = max_steps_per_epoch
 
         config = model.config
-        self.level_normalizer = LevelNormalizer()
         self.voltage_normalizer = VoltageNormalizer(self.params)
-        self.pe_normalizer = PENormalizer(self.params.reference_pe_cycles)
 
         self.generator_optimizer = Adam(model.generator_parameters(),
                                         lr=config.learning_rate,
@@ -80,33 +79,19 @@ class Trainer:
         self.history = TrainingHistory()
 
     # ------------------------------------------------------------------ #
-    # Batch preparation
-    # ------------------------------------------------------------------ #
-    def _prepare_batch(self, program_levels: np.ndarray, voltages: np.ndarray,
-                       pe_cycles: np.ndarray
-                       ) -> tuple[Tensor, Tensor, np.ndarray]:
-        """Normalise a raw batch and cast it to the model's working dtype."""
-        dtype = self.model.dtype
-        levels = self.level_normalizer.normalize(program_levels)[:, None, :, :]
-        volts = self.voltage_normalizer.normalize(voltages)[:, None, :, :]
-        pe_normalized = self.pe_normalizer.normalize(pe_cycles)
-        return (Tensor(levels.astype(dtype, copy=False)),
-                Tensor(volts.astype(dtype, copy=False)),
-                pe_normalized)
-
-    # ------------------------------------------------------------------ #
     # Training
     # ------------------------------------------------------------------ #
     def train_step(self, program_levels: np.ndarray, voltages: np.ndarray,
                    pe_cycles: np.ndarray) -> dict[str, float]:
-        """One optimisation step on a single mini-batch."""
-        level_tensor, voltage_tensor, pe_normalized = self._prepare_batch(
-            program_levels, voltages, pe_cycles)
+        """One optimisation step on a single mini-batch, in train mode."""
+        self.model.train()
+        volts = self.voltage_normalizer.normalize(voltages)
+        pe_normalized = self.params.normalized_wear(pe_cycles)
         stats: dict[str, float] = {}
 
         if self.discriminator_optimizer is not None:
             loss, d_stats = self.model.discriminator_loss(
-                level_tensor, voltage_tensor, pe_normalized, self.rng)
+                program_levels, volts, pe_normalized, self.rng)
             self.discriminator_optimizer.zero_grad()
             self.model.zero_grad()
             loss.backward()
@@ -115,7 +100,7 @@ class Trainer:
             stats.update(d_stats)
 
         loss, g_stats = self.model.generator_loss(
-            level_tensor, voltage_tensor, pe_normalized, self.rng)
+            program_levels, volts, pe_normalized, self.rng)
         self.generator_optimizer.zero_grad()
         self.model.zero_grad()
         loss.backward()

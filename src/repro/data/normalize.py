@@ -1,19 +1,19 @@
-"""Normalisation of program levels, read voltages and P/E cycle counts.
+"""Normalisation of read voltages.
 
-The generator's final Tanh keeps network outputs in ``[-1, 1]``; voltages and
-program levels are therefore mapped into that range, and P/E cycle counts are
-normalised by the maximum cycle count of the experiment before being expanded
-into the expressive P/E feature vector (:mod:`repro.core.pe_encoding`).
+The generator's final Tanh keeps network outputs in ``[-1, 1]``, so voltages
+are mapped into that range.  The models encode integer program levels
+themselves (:func:`repro.core.pe_encoding.encode_levels`), and P/E cycle
+counts are normalised by :meth:`FlashParameters.normalized_wear
+<repro.flash.params.FlashParameters.normalized_wear>`.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.flash.cell import NUM_LEVELS
 from repro.flash.params import FlashParameters
 
-__all__ = ["VoltageNormalizer", "LevelNormalizer", "PENormalizer"]
+__all__ = ["VoltageNormalizer"]
 
 
 class VoltageNormalizer:
@@ -33,30 +33,3 @@ class VoltageNormalizer:
     def denormalize(self, normalized: np.ndarray) -> np.ndarray:
         """[-1, 1] -> physical voltages."""
         return np.asarray(normalized, dtype=float) * self._half_range + self._center
-
-
-class LevelNormalizer:
-    """Map program levels {0..7} into [-1, 1] and back."""
-
-    def normalize(self, levels: np.ndarray) -> np.ndarray:
-        levels = np.asarray(levels, dtype=float)
-        return levels / (NUM_LEVELS - 1) * 2.0 - 1.0
-
-    def denormalize(self, normalized: np.ndarray) -> np.ndarray:
-        values = (np.asarray(normalized, dtype=float) + 1.0) / 2.0 * (NUM_LEVELS - 1)
-        return np.clip(np.rint(values), 0, NUM_LEVELS - 1).astype(np.int64)
-
-
-class PENormalizer:
-    """Normalise P/E cycle counts by the experiment's maximum cycle count."""
-
-    def __init__(self, reference_pe_cycles: float = 10000.0):
-        if reference_pe_cycles <= 0:
-            raise ValueError("reference_pe_cycles must be positive")
-        self.reference_pe_cycles = float(reference_pe_cycles)
-
-    def normalize(self, pe_cycles: np.ndarray) -> np.ndarray:
-        return np.asarray(pe_cycles, dtype=float) / self.reference_pe_cycles
-
-    def denormalize(self, normalized: np.ndarray) -> np.ndarray:
-        return np.asarray(normalized, dtype=float) * self.reference_pe_cycles

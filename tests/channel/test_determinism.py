@@ -45,7 +45,7 @@ class TestBuildModelDeterminism:
         for _ in range(2):
             model = build_model("cvae_gan", config,
                                 rng=np.random.default_rng(7))
-            program = np.zeros((2, 1, 8, 8))
+            program = _levels(shape=(2, 8, 8))
             outputs.append(model.sample(program, np.array([0.4, 0.7]),
                                         np.random.default_rng(8)))
         np.testing.assert_array_equal(outputs[0], outputs[1])

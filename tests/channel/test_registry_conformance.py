@@ -20,7 +20,6 @@ from repro.channel import (
     CHANNEL_REGISTRY,
     ChannelCapabilities,
     ChannelModel,
-    GenerativeChannel,
     build_channel,
 )
 from repro.core import ModelConfig
@@ -194,22 +193,10 @@ class TestProtocolContract:
 class TestConcurrentReads:
     """``ChannelModel``'s thread contract: threads sharing one backend, each
     with its own seeded generator, read exactly what serial reads with those
-    seeds return (a generative model in eval mode)."""
+    seeds return (a generative backend built over a fresh, train-mode
+    model included)."""
 
     THREADS = 8
-
-    @pytest.fixture
-    def shared(self, backends, name):
-        channel = backends[name]
-        if not isinstance(channel, GenerativeChannel):
-            yield channel
-            return
-        was_training = channel.model.training
-        channel.model.eval()
-        try:
-            yield channel
-        finally:
-            channel.model.train(was_training)
 
     @staticmethod
     def _reads(channel, seed, program, barrier=None):
@@ -223,17 +210,18 @@ class TestConcurrentReads:
         out.append(channel.read_voltages(program, 4000, rng=rng))
         return out
 
-    def test_threads_match_serial_reads(self, shared):
+    def test_threads_match_serial_reads(self, backends, name):
+        channel = backends[name]
         program = np.random.default_rng(0).integers(0, NUM_LEVELS,
                                                     size=(8, 32, 32))
         seeds = [100 + index for index in range(self.THREADS)]
-        serial = [self._reads(shared, seed, program) for seed in seeds]
+        serial = [self._reads(channel, seed, program) for seed in seeds]
         barrier = threading.Barrier(self.THREADS, timeout=60)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)
         try:
             with ThreadPoolExecutor(max_workers=self.THREADS) as pool:
-                futures = [pool.submit(self._reads, shared, seed, program,
+                futures = [pool.submit(self._reads, channel, seed, program,
                                        barrier) for seed in seeds]
                 threaded = [future.result(timeout=120) for future in futures]
         finally:

@@ -16,16 +16,18 @@ from repro.core import (
     Trainer,
     build_model,
 )
-from repro.nn import Tensor
+from repro.flash.cell import NUM_LEVELS
 
 ALL_ARCHITECTURES = ("cvae_gan", "cgan", "cvae", "bicycle_gan")
 
 
 def _batch(config, batch=4, rng=None):
+    """A loss batch as the trainer passes it: integer program levels and
+    normalised voltages, both ``(N, H, W)``, and normalised P/E counts."""
     rng = rng if rng is not None else np.random.default_rng(0)
     size = config.array_size
-    program = Tensor(rng.uniform(-1, 1, size=(batch, 1, size, size)))
-    voltages = Tensor(rng.uniform(-1, 1, size=(batch, 1, size, size)))
+    program = rng.integers(0, NUM_LEVELS, size=(batch, size, size))
+    voltages = rng.uniform(-1, 1, size=(batch, size, size))
     pe = rng.uniform(0.3, 1.0, size=batch)
     return program, voltages, pe
 
@@ -96,15 +98,23 @@ class TestArchitectureLosses:
     def test_sample_shape_and_range(self, name, tiny_config, rng):
         model = build_model(name, tiny_config, rng=rng)
         size = tiny_config.array_size
-        program = np.random.default_rng(0).uniform(-1, 1, size=(3, 1, size, size))
+        program = np.random.default_rng(0).integers(0, NUM_LEVELS,
+                                                    size=(3, size, size))
         sample = model.sample(program, np.full(3, 0.7), rng)
-        assert sample.shape == (3, 1, size, size)
+        assert sample.shape == (3, size, size)
         assert np.all(np.abs(sample) <= 1.0)
+
+    def test_sample_rejects_normalised_levels(self, tiny_config, rng):
+        """The pre-encoded ``(N, 1, H, W)`` float input fails loudly."""
+        model = build_model("cvae_gan", tiny_config, rng=rng)
+        size = tiny_config.array_size
+        with pytest.raises(TypeError, match="integers"):
+            model.sample(np.zeros((2, 1, size, size)), np.full(2, 0.5), rng)
 
     def test_sample_respects_fixed_latent(self, tiny_config, rng):
         model = build_model("cvae_gan", tiny_config, rng=rng)
         size = tiny_config.array_size
-        program = np.zeros((2, 1, size, size))
+        program = np.zeros((2, size, size), dtype=int)
         latent = np.ones((2, tiny_config.latent_dim))
         first = model.sample(program, np.full(2, 0.5),
                              np.random.default_rng(1), latent=latent)
@@ -116,15 +126,9 @@ class TestArchitectureLosses:
         model = build_model("cvae_gan", tiny_config, rng=rng)
         model.train()
         size = tiny_config.array_size
-        model.sample(np.zeros((1, 1, size, size)), np.array([0.5]), rng)
+        model.sample(np.zeros((1, size, size), dtype=int), np.array([0.5]),
+                     rng)
         assert model.training
-
-    def test_encode_returns_posterior(self, tiny_config, rng):
-        model = build_model("cvae_gan", tiny_config, rng=rng)
-        size = tiny_config.array_size
-        mu, logvar = model.encode(np.zeros((2, 1, size, size)), np.full(2, 0.4))
-        assert mu.shape == (2, tiny_config.latent_dim)
-        assert logvar.shape == (2, tiny_config.latent_dim)
 
 
 class TestTrainer:
@@ -137,6 +141,15 @@ class TestTrainer:
         trainer.train_step(*tiny_dataset[0:4])
         after = model.generator_parameters()
         assert any(not np.allclose(b, a.data) for b, a in zip(before, after))
+
+    def test_train_step_puts_model_in_train_mode(self, tiny_config,
+                                                 tiny_dataset, rng):
+        model = build_model("cvae_gan", tiny_config, rng=rng)
+        GenerativeChannel(model)
+        assert not model.training
+        Trainer(model, tiny_dataset,
+                rng=np.random.default_rng(3)).train_step(*tiny_dataset[0:4])
+        assert model.training
 
     def test_history_records_steps(self, tiny_config, tiny_dataset):
         model = build_model("cvae", tiny_config, rng=np.random.default_rng(1))

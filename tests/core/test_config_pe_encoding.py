@@ -7,8 +7,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import ModelConfig, concat_condition, pe_feature_vector, spatial_replicate
+from repro.core import (
+    LEVEL_CHANNELS,
+    ModelConfig,
+    PatchGANDiscriminator,
+    UNetGenerator,
+    concat_condition,
+    encode_levels,
+    pe_feature_vector,
+    spatial_replicate,
+)
 from repro.core.pe_encoding import replicate_latent
+from repro.flash.cell import NUM_LEVELS
 from repro.nn import Tensor
 
 
@@ -150,3 +160,40 @@ class TestSpatialReplication:
             replicate_latent(Tensor(np.zeros(3)), 2, 2)
         with pytest.raises(ValueError):
             replicate_latent(Tensor(np.zeros((1, 3))), 0, 2)
+
+
+class TestLevelEncoding:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_scalar_ladder_bit_for_bit(self, dtype):
+        """Levels 0..7 spread evenly over [-1, 1] in float64, then cast."""
+        levels = np.arange(NUM_LEVELS).reshape(1, 2, 4)
+        encoded = encode_levels(levels, dtype)
+        want = (levels / 7 * 2 - 1).astype(dtype)[:, None]
+        assert encoded.dtype == dtype
+        assert encoded.shape == (1, LEVEL_CHANNELS, 2, 4)
+        np.testing.assert_array_equal(encoded, want)
+
+    def test_accepts_any_integer_dtype(self):
+        levels = np.arange(NUM_LEVELS).reshape(2, 2, 2)
+        np.testing.assert_array_equal(
+            encode_levels(levels.astype(np.uint8), np.float64),
+            encode_levels(levels, np.float64))
+
+    def test_rejects_float_arrays(self):
+        """Values already on the network scale are never read as levels."""
+        with pytest.raises(TypeError, match="integers"):
+            encode_levels(np.zeros((2, 1, 4, 4)), np.float32)
+        with pytest.raises(TypeError):
+            encode_levels(np.zeros((2, 4, 4)), np.float32)
+
+    def test_rejects_wrong_rank(self):
+        with pytest.raises(ValueError, match="N, H, W"):
+            encode_levels(np.zeros((4, 4), dtype=int), np.float32)
+
+    def test_first_layers_take_the_encoding_width(self, rng):
+        config = ModelConfig.tiny()
+        generator = UNetGenerator(config, rng=rng)
+        discriminator = PatchGANDiscriminator(config, rng=rng)
+        assert generator.downs[0].conv.weight.shape[1] == \
+            LEVEL_CHANNELS + config.latent_dim + config.pe_dim
+        assert discriminator.features[0].weight.shape[1] == LEVEL_CHANNELS + 1

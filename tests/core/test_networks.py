@@ -10,8 +10,10 @@ from repro.core import (
     PatchGANDiscriminator,
     ResNetEncoder,
     UNetGenerator,
+    encode_levels,
 )
 from repro.core.encoder import ResidualBlock
+from repro.flash.cell import NUM_LEVELS
 from repro.nn import Tensor
 
 
@@ -20,10 +22,16 @@ def config():
     return ModelConfig.tiny()
 
 
+def _levels(rng, batch, size):
+    """Encoded program levels, the networks' level input."""
+    levels = rng.integers(0, NUM_LEVELS, size=(batch, size, size))
+    return Tensor(encode_levels(levels, np.float64))
+
+
 def _inputs(config, batch=2, rng=None):
     rng = rng if rng is not None else np.random.default_rng(0)
     size = config.array_size
-    program = Tensor(rng.uniform(-1, 1, size=(batch, 1, size, size)))
+    program = _levels(rng, batch, size)
     voltages = Tensor(rng.uniform(-1, 1, size=(batch, 1, size, size)))
     pe = rng.uniform(0.3, 1.0, size=batch)
     latent = Tensor(rng.standard_normal((batch, config.latent_dim)))
@@ -80,9 +88,9 @@ class TestEncoder:
 class TestGenerator:
     def test_output_shape_matches_input(self, config, rng):
         generator = UNetGenerator(config, rng=rng)
-        program, _, pe, latent = _inputs(config)
+        program, voltages, pe, latent = _inputs(config)
         out = generator(program, pe, latent)
-        assert out.shape == program.shape
+        assert out.shape == voltages.shape
 
     def test_output_bounded_by_tanh(self, config, rng):
         generator = UNetGenerator(config, rng=rng)
@@ -93,7 +101,7 @@ class TestGenerator:
     def test_paper_scale_shapes(self, rng):
         """The Remark 1 architecture maps 64x64 arrays to 64x64 arrays."""
         generator = UNetGenerator(ModelConfig.paper(), rng=rng)
-        program = Tensor(rng.uniform(-1, 1, size=(1, 1, 64, 64)))
+        program = _levels(rng, 1, 64)
         latent = Tensor(rng.standard_normal((1, 6)))
         generator.eval()
         out = generator(program, np.array([0.7]), latent)
@@ -101,7 +109,7 @@ class TestGenerator:
 
     def test_rejects_wrong_array_size(self, config, rng):
         generator = UNetGenerator(config, rng=rng)
-        program = Tensor(np.zeros((1, 1, 16, 16)))
+        program = _levels(rng, 1, 16)
         latent = Tensor(np.zeros((1, config.latent_dim)))
         with pytest.raises(ValueError):
             generator(program, np.array([0.5]), latent)
@@ -162,10 +170,11 @@ class TestDiscriminator:
 
     def test_rejects_shape_mismatch(self, config, rng):
         discriminator = PatchGANDiscriminator(config, rng=rng)
-        program = Tensor(np.zeros((2, 1, 8, 8)))
-        voltages = Tensor(np.zeros((2, 1, 4, 4)))
-        with pytest.raises(ValueError):
-            discriminator(program, voltages)
+        program = _levels(rng, 2, 8)
+        with pytest.raises(ValueError, match="spatial"):
+            discriminator(program, Tensor(np.zeros((2, 1, 4, 4))))
+        with pytest.raises(ValueError, match="batch"):
+            discriminator(program, Tensor(np.zeros((3, 1, 8, 8))))
 
     def test_depends_on_both_inputs(self, config, rng):
         discriminator = PatchGANDiscriminator(config, rng=rng)

@@ -10,14 +10,11 @@ from hypothesis import strategies as st
 from repro.data import (
     BatchIterator,
     FlashChannelDataset,
-    LevelNormalizer,
-    PENormalizer,
     VoltageNormalizer,
     crop_blocks,
     generate_paired_dataset,
 )
 from repro.flash import BlockGeometry, FlashChannel, FlashParameters
-from repro.flash.cell import NUM_LEVELS
 
 
 @pytest.fixture
@@ -186,32 +183,6 @@ class TestNormalizers:
         normalizer = VoltageNormalizer(params)
         assert normalizer.normalize(params.voltage_min) == pytest.approx(-1.0)
         assert normalizer.normalize(params.voltage_max) == pytest.approx(1.0)
-
-    def test_level_normalize_range(self):
-        normalizer = LevelNormalizer()
-        normalized = normalizer.normalize(np.arange(NUM_LEVELS))
-        assert normalized.min() == pytest.approx(-1.0)
-        assert normalized.max() == pytest.approx(1.0)
-
-    def test_level_roundtrip(self, rng):
-        normalizer = LevelNormalizer()
-        levels = rng.integers(0, NUM_LEVELS, size=(5, 5))
-        np.testing.assert_array_equal(
-            normalizer.denormalize(normalizer.normalize(levels)), levels)
-
-    def test_level_denormalize_clips(self):
-        normalizer = LevelNormalizer()
-        assert normalizer.denormalize(np.array([1.5]))[0] == 7
-        assert normalizer.denormalize(np.array([-1.5]))[0] == 0
-
-    def test_pe_normalizer(self):
-        normalizer = PENormalizer(10000)
-        assert normalizer.normalize(4000) == pytest.approx(0.4)
-        assert normalizer.denormalize(0.7) == pytest.approx(7000)
-
-    def test_pe_normalizer_rejects_bad_reference(self):
-        with pytest.raises(ValueError):
-            PENormalizer(0)
 
     @given(st.floats(0.0, 650.0))
     @settings(max_examples=50, deadline=None)

@@ -8,11 +8,13 @@ full-quality numbers.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
 from repro.channel import GenerativeChannel
-from repro.core import ModelConfig, build_model
+from repro.core import LEVEL_CHANNELS, ModelConfig, build_model
 from repro.data import generate_paired_dataset
 from repro.experiments import (
     ExperimentSetup,
@@ -55,6 +57,24 @@ class TestExperimentSetup:
         setup = ExperimentSetup(scale="quick", arrays_per_pe=4)
         assert setup.array_size == 16
         assert setup.model_config().array_size == 16
+
+    def test_quick_recipe_as_the_readme_records_it(self):
+        """The README's table of quick-scale departures, value by value."""
+        setup = ExperimentSetup()
+        config = setup.model_config()
+        assert setup.array_size == 16
+        assert config.down_channels == (8, 16, 32, 32)
+        assert config.encoder_channels == 16
+        assert config.discriminator_channels == (16, 32)
+        assert config.batch_size == 16
+        arrays = setup.arrays_per_pe * len(setup.pe_cycles)
+        assert (setup.training_epochs, arrays) == (6, 450)
+        assert setup.training_epochs \
+            * math.ceil(arrays / config.batch_size) == 174
+        assert config.learning_rate == 1e-3
+        assert ModelConfig().learning_rate == 2e-4
+        assert config.samples_per_array == 4
+        assert LEVEL_CHANNELS == 1
 
     def test_paper_scale_config(self):
         setup = ExperimentSetup(scale="paper", arrays_per_pe=4)

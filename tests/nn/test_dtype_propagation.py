@@ -338,7 +338,7 @@ class TestTrainerPrecision:
         for _ in range(2):
             model = build_model("cvae_gan", config,
                                 rng=np.random.default_rng(21))
-            program = np.zeros((2, 1, 8, 8))
+            program = np.zeros((2, 8, 8), dtype=int)
             outputs.append(model.sample(program, np.full(2, 0.5),
                                         np.random.default_rng(22)))
         np.testing.assert_array_equal(outputs[0], outputs[1])
