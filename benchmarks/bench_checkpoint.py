@@ -37,14 +37,14 @@ MIN_COLD_START_SPEEDUP = 5.0
 
 def run_checkpoint_benchmark() -> dict:
     from repro.artifacts import load_channel, save_channel
-    from repro.channel import GenerativeChannel
+    from repro.channel import GenerativeChannel, SimulatorChannel
     from repro.core import ModelConfig, Trainer, build_model
     from repro.data import generate_paired_dataset
-    from repro.flash import BlockGeometry, FlashChannel, FlashParameters
+    from repro.flash import BlockGeometry, FlashParameters
 
     params = FlashParameters()
-    simulator = FlashChannel(params, geometry=BlockGeometry(16, 16),
-                             rng=np.random.default_rng(0))
+    simulator = SimulatorChannel(params, geometry=BlockGeometry(16, 16),
+                                 rng=np.random.default_rng(0))
     dataset = generate_paired_dataset(simulator, pe_cycles=(4000.0, 10000.0),
                                       arrays_per_pe=16, array_size=8)
     config = dataclasses.replace(ModelConfig.tiny(), epochs=2)

@@ -65,8 +65,7 @@ def test_ldpc_soft_decoding_gain(benchmark, results_dir, setup):
     channel = setup.channel
     code = LDPCCode.regular(n=96, column_weight=3, row_weight=6,
                             rng=np.random.default_rng(0))
-    table = densities_from_channel(channel, 10000, num_blocks=3,
-                                   params=setup.params)
+    table = densities_from_channel(channel, 10000, num_blocks=3)
     codewords = 10
 
     def evaluate():

@@ -5,8 +5,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.channel import SimulatorChannel
 from repro.experiments import run_fig2
-from repro.flash import FlashChannel
 
 from benchmarks.conftest import write_result
 
@@ -21,7 +21,7 @@ def test_fig2_pattern_counts_and_error_rate(benchmark, results_dir):
     blocks = 300
 
     def regenerate():
-        channel = FlashChannel(rng=np.random.default_rng(7))
+        channel = SimulatorChannel(rng=np.random.default_rng(7))
         return run_fig2(channel, blocks_per_pe=blocks)
 
     result = benchmark.pedantic(regenerate, rounds=1, iterations=1)

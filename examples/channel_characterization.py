@@ -11,13 +11,14 @@ Run with ``python examples/channel_characterization.py``.
 
 import numpy as np
 
+from repro.channel import SimulatorChannel
 from repro.eval import format_bar_chart, format_pie_summary, ici_error_profile
 from repro.experiments import run_fig2
-from repro.flash import FlashChannel, PECyclingExperiment
+from repro.flash import PECyclingExperiment
 
 
 def main() -> None:
-    channel = FlashChannel(rng=np.random.default_rng(7))
+    channel = SimulatorChannel(rng=np.random.default_rng(7))
 
     # Fig. 2: top error-prone patterns and level error rate vs P/E cycles.
     print(run_fig2(channel, blocks_per_pe=40).format())

@@ -26,11 +26,16 @@ from pathlib import Path
 import numpy as np
 
 from repro.artifacts import inspect_checkpoint
-from repro.channel import GenerativeChannel, build_channel, save_channel
+from repro.channel import (
+    GenerativeChannel,
+    SimulatorChannel,
+    build_channel,
+    save_channel,
+)
 from repro.core import ModelConfig, Trainer, build_model
 from repro.data import generate_paired_dataset
 from repro.ecc import BCHCode, evaluate_bch_over_channel
-from repro.flash import BlockGeometry, FlashChannel, FlashParameters
+from repro.flash import BlockGeometry, FlashParameters
 
 
 def main(fast: bool = False) -> None:
@@ -38,7 +43,8 @@ def main(fast: bool = False) -> None:
     rng = np.random.default_rng(0)
 
     # 1. Train a small generative channel model on simulated paired data.
-    simulator = FlashChannel(params, geometry=BlockGeometry(16, 16), rng=rng)
+    simulator = SimulatorChannel(params, geometry=BlockGeometry(16, 16),
+                                 rng=rng)
     if fast:
         config = replace(ModelConfig.tiny(), epochs=2)
         arrays_per_pe, max_steps = 12, 2

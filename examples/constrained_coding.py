@@ -11,13 +11,13 @@ Run with ``python examples/constrained_coding.py``.
 
 import numpy as np
 
+from repro.channel import SimulatorChannel
 from repro.coding import ICIConstrainedCode, constrained_coding_gain
 from repro.eval import format_table
-from repro.flash import FlashChannel
 
 
 def main() -> None:
-    channel = FlashChannel(rng=np.random.default_rng(21))
+    channel = SimulatorChannel(rng=np.random.default_rng(21))
     code = ICIConstrainedCode(high_level=6, lift_to=1)
 
     rows = []

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.channel import SimulatorChannel
 from repro.ecc import (
     BCHCode,
     LDPCCode,
@@ -30,14 +31,14 @@ from repro.ecc import (
     evaluate_ldpc_over_channel,
     required_bch_capability,
 )
-from repro.flash import BlockGeometry, FlashChannel, page_bit_error_rates
+from repro.flash import BlockGeometry, page_bit_error_rates
 
 PE_READ_POINTS = (4000, 7000, 10000)
 
 
 def main() -> None:
-    channel = FlashChannel(geometry=BlockGeometry(64, 64),
-                           rng=np.random.default_rng(0))
+    channel = SimulatorChannel(geometry=BlockGeometry(64, 64),
+                               rng=np.random.default_rng(0))
 
     # 1. Raw bit error rates per page at each read point.
     print("== raw bit error rates (per page) ==")
@@ -74,8 +75,7 @@ def main() -> None:
     ldpc = LDPCCode.regular(n=96, column_weight=3, row_weight=6,
                             rng=np.random.default_rng(1))
     for pe_cycles in PE_READ_POINTS:
-        table = densities_from_channel(channel, pe_cycles, num_blocks=3,
-                                       params=channel.params)
+        table = densities_from_channel(channel, pe_cycles, num_blocks=3)
         result = evaluate_ldpc_over_channel(
             ldpc, channel, pe_cycles, table, num_codewords=20,
             rng=np.random.default_rng(pe_cycles))

@@ -15,18 +15,18 @@ from dataclasses import replace
 
 import numpy as np
 
-from repro.channel import GenerativeChannel
+from repro.channel import GenerativeChannel, SimulatorChannel
 from repro.core import ModelConfig, Trainer, build_model
 from repro.data import crop_blocks, generate_paired_dataset
 from repro.eval import distribution_distance, conditional_histogram
-from repro.flash import BlockGeometry, FlashChannel, level_error_rate
+from repro.flash import BlockGeometry, level_error_rate
 
 
 def main() -> None:
     rng = np.random.default_rng(0)
 
     # 1. The simulated chip: program pseudo-random data, read it back.
-    channel = FlashChannel(geometry=BlockGeometry(64, 64), rng=rng)
+    channel = SimulatorChannel(geometry=BlockGeometry(64, 64), rng=rng)
     print("== flash channel ==")
     for pe in (4000, 7000, 10000):
         program, voltages = channel.paired_blocks(5, pe)

@@ -21,10 +21,10 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.channel import SimulatorChannel
 from repro.flash import (
     BlockGeometry,
     EnduranceSweep,
-    FlashChannel,
     ReadDisturbModel,
     RetentionModel,
     estimate_endurance_limit,
@@ -33,8 +33,8 @@ from repro.flash import (
 
 
 def main() -> None:
-    channel = FlashChannel(geometry=BlockGeometry(64, 64),
-                           rng=np.random.default_rng(0))
+    channel = SimulatorChannel(geometry=BlockGeometry(64, 64),
+                               rng=np.random.default_rng(0))
     params = channel.params
     retention = RetentionModel(params)
     disturb = ReadDisturbModel(params)
@@ -69,7 +69,7 @@ def main() -> None:
     sweep = EnduranceSweep(channel=channel,
                            pe_points=(1000, 2500, 4000, 5500, 7000, 8500,
                                       10000, 12000, 15000),
-                           blocks_per_point=4, params=params)
+                           blocks_per_point=4)
     points = sweep.run()
     print("  P/E      level error rate   worst-page RBER")
     for point in points:

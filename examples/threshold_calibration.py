@@ -21,10 +21,10 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.channel import SimulatorChannel
 from repro.eval import conditional_pdfs, histogram_bin_centers
 from repro.flash import (
     BlockGeometry,
-    FlashChannel,
     calibrate_thresholds,
     default_read_thresholds,
     level_error_rate,
@@ -36,8 +36,8 @@ PE_READ_POINTS = (4000, 7000, 10000)
 
 
 def main() -> None:
-    channel = FlashChannel(geometry=BlockGeometry(64, 64),
-                           rng=np.random.default_rng(0))
+    channel = SimulatorChannel(geometry=BlockGeometry(64, 64),
+                               rng=np.random.default_rng(0))
     params = channel.params
 
     # 1. Bathtub curve of the first threshold (level 0 / level 1 boundary).

@@ -21,20 +21,21 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.channel import SimulatorChannel
 from repro.coding import (
     TimeAwareCodeSelector,
     constraint_tradeoff_curve,
     ici_constraint_capacity,
     rate_penalty,
 )
-from repro.flash import BlockGeometry, FlashChannel
+from repro.flash import BlockGeometry
 
 PE_READ_POINTS = (4000, 7000, 10000)
 
 
 def main() -> None:
-    channel = FlashChannel(geometry=BlockGeometry(64, 64),
-                           rng=np.random.default_rng(0))
+    channel = SimulatorChannel(geometry=BlockGeometry(64, 64),
+                               rng=np.random.default_rng(0))
 
     # 1. What does each constraint cost in storage rate?
     print("== capacity of the ICI-avoiding constraints (bits per cell) ==")

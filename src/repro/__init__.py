@@ -7,8 +7,9 @@ The package is organised as a stack of subsystems:
     A from-scratch NumPy deep-learning framework (autograd, conv layers,
     Adam) used to build the generative models.
 ``repro.flash``
-    A TLC NAND flash channel simulator providing the "measured" data: it
-    stands in for the paper's measured 1X-nm TLC chip.
+    The physics of a TLC NAND flash chip (wear, ICI, noise, program errors,
+    retention, read disturb): it stands in for the paper's measured 1X-nm
+    TLC chip.
 ``repro.data``
     Dataset generation: paired (program level, voltage level, P/E cycle)
     arrays, cropping, normalisation and batching.
@@ -22,7 +23,9 @@ The package is organised as a stack of subsystems:
 ``repro.channel``
     The unified channel-model protocol: simulator, generative and baseline
     backends behind one ``read_voltages`` API, selected by name from a
-    registry, with batched sampling and per-condition caching.
+    registry, with batched sampling and per-condition caching.  Its
+    ``SimulatorChannel`` is the simulator that provides the "measured"
+    data.
 ``repro.exec``
     The sharded Monte-Carlo execution engine: every sweep is a
     ``MonteCarloPlan`` run over pluggable serial/process/remote executors

@@ -114,13 +114,13 @@ def _reference_config(preset: str, epochs: int, dtype: str | None):
 
 def _training_dataset(params, array_size: int, pe_cycles, arrays_per_pe: int,
                       seed: int):
+    from repro.channel.adapters import SimulatorChannel
     from repro.data.generation import generate_paired_dataset
-    from repro.flash.channel import FlashChannel
     from repro.flash.geometry import BlockGeometry
 
     block = max(16, array_size)
-    simulator = FlashChannel(params, geometry=BlockGeometry(block, block),
-                             rng=np.random.default_rng(seed))
+    simulator = SimulatorChannel(params, geometry=BlockGeometry(block, block),
+                                 rng=np.random.default_rng(seed))
     return generate_paired_dataset(simulator, pe_cycles=tuple(pe_cycles),
                                    arrays_per_pe=arrays_per_pe,
                                    array_size=array_size)

@@ -2,8 +2,9 @@
 
 Three families of backends exist in this repository:
 
-* :class:`SimulatorChannel` — the physical TLC simulator
-  (:class:`repro.flash.FlashChannel`), the stand-in for measured data;
+* :class:`SimulatorChannel` — the physical TLC simulator, the stand-in for
+  measured data: it owns the block geometry and the generator and reads
+  through the stateless :class:`repro.flash.FlashChannel`;
 * :class:`GenerativeChannel` — a trained conditional generative architecture
   (the paper's contribution), with chunked batched latent sampling so a stack
   of arrays costs one vectorized forward pass per chunk instead of a Python
@@ -34,11 +35,12 @@ __all__ = ["SimulatorChannel", "GenerativeChannel", "BaselineChannel"]
 class SimulatorChannel(ChannelModel):
     """The physical flash simulator behind the protocol.
 
+    The only simulator consumers construct: it owns the block geometry and
+    the generator, and every read hands that generator (or the per-call
+    ``rng``) to the stateless physics read, :meth:`FlashChannel.read`.
+
     Parameters
     ----------
-    simulator:
-        An existing :class:`FlashChannel` to wrap; built from ``params`` /
-        ``geometry`` / ``rng`` when omitted.
     apply_ici:
         Disable to obtain isolated-cell behaviour (baseline fitting).
     """
@@ -46,29 +48,20 @@ class SimulatorChannel(ChannelModel):
     def __init__(self, params: FlashParameters | None = None,
                  geometry: BlockGeometry | None = None,
                  rng: np.random.Generator | None = None,
-                 simulator: FlashChannel | None = None,
                  apply_ici: bool = True):
-        if simulator is not None:
-            params = simulator.params
-            geometry = simulator.geometry
-            rng = simulator.rng
         super().__init__(params, geometry, rng)
-        if simulator is None:
-            simulator = FlashChannel(self.params, geometry=self.geometry,
-                                     rng=self.rng)
-        self.simulator = simulator
+        self.simulator = FlashChannel(self.params)
         self.apply_ici = apply_ici
 
     def supports(self) -> ChannelCapabilities:
         return ChannelCapabilities(name="simulator", ici=self.apply_ici,
-                                   program_errors=True, wear_monotone=True,
-                                   batched=True)
+                                   wear_monotone=True)
 
     def _sample_voltages(self, program_levels, pe_cycles, rng,
                          program_errors):
         return self.simulator.read(
-            program_levels, pe_cycles, apply_ici=self.apply_ici,
-            apply_program_errors=program_errors, rng=rng)
+            program_levels, pe_cycles, rng=rng, apply_ici=self.apply_ici,
+            apply_program_errors=program_errors)
 
     def _read_with_program_errors(self, program, pe_cycles,
                                   apply_program_errors, **kwargs):
@@ -142,8 +135,7 @@ class GenerativeChannel(ChannelModel):
         return self.model.config.array_size
 
     def supports(self) -> ChannelCapabilities:
-        return ChannelCapabilities(name="generative", ici=True,
-                                   batched=True)
+        return ChannelCapabilities(name="generative", ici=True)
 
     def _sample_tiles(self, tiles: np.ndarray, pe_cycles: float,
                       rng: np.random.Generator) -> np.ndarray:
@@ -205,6 +197,7 @@ class GenerativeChannel(ChannelModel):
         if num_samples < 1:
             raise ValueError("num_samples must be positive")
         levels = self._check_levels(program_levels)
+        self._check_condition("pe_cycles", pe_cycles)
         generator = rng if rng is not None else self.rng
         padded, (height, width) = self._pad_to_tile(levels)
         tiles, layout = _tile_arrays(padded, self.array_size)
@@ -255,7 +248,7 @@ class BaselineChannel(ChannelModel):
 
     def supports(self) -> ChannelCapabilities:
         return ChannelCapabilities(name=self.model.family,
-                                   wear_monotone=True, batched=True)
+                                   wear_monotone=True)
 
     def _resolve_pe(self, pe_cycles: float) -> float:
         fitted = sorted(self.model.fitted)

@@ -16,10 +16,10 @@ rng=None)``
     Retention and read-disturb distortions are applied as post-channel
     temporal operators, so every backend supports the full operating space.
 ``supports()``
-    A :class:`ChannelCapabilities` record of what the backend physically
-    models (spatial ICI, program errors, guaranteed wear monotonicity, ...),
-    letting consumers and the conformance suite reason about backends
-    generically.
+    A :class:`ChannelCapabilities` record: the backend's registry name,
+    whether it models spatial ICI and whether it guarantees wear
+    monotonicity, letting consumers and the conformance suite reason about
+    backends generically.
 
 The base class also provides the derived conveniences consumers need —
 random block generation, paired-block datasets, density tables and
@@ -53,29 +53,16 @@ class ChannelCapabilities:
         Registry name of the backend (``"simulator"``, ``"generative"``, ...).
     ici:
         Models spatial inter-cell interference (neighbour coupling).
-    program_errors:
-        Can inject rare adjacent-level mis-programming events.
-    retention:
-        Supports the ``retention_hours`` operating-condition axis.
-    read_disturb:
-        Supports the ``read_disturbs`` operating-condition axis.
     wear_monotone:
         The error rate is guaranteed to grow with the P/E cycle count.  True
         for the simulator and the fitted baselines; a generative backend only
         inherits this property from sufficient training, so it does not
         promise it.
-    batched:
-        ``read_voltages`` processes a stack of arrays in vectorized chunks
-        rather than per-array Python loops.
     """
 
     name: str
     ici: bool = False
-    program_errors: bool = False
-    retention: bool = True
-    read_disturb: bool = True
     wear_monotone: bool = False
-    batched: bool = False
 
 
 class ChannelModel:
@@ -125,8 +112,7 @@ class ChannelModel:
         """Backend-specific conditional voltage sampler (no temporal ops).
 
         ``program_errors`` asks for rare mis-programming before the read;
-        backends whose capabilities include program errors honour it, the
-        others ignore it.
+        the simulator honours it, the learned and fitted backends ignore it.
         """
         raise NotImplementedError
 
@@ -150,6 +136,9 @@ class ChannelModel:
             disturb pushes low levels upward.
         rng:
             Optional generator overriding the backend's own for this call.
+
+        The three operating conditions must be finite and non-negative, else
+        :class:`ValueError`.
         """
         return self._read(program_levels, pe_cycles, False,
                           retention_hours=retention_hours,
@@ -161,12 +150,9 @@ class ChannelModel:
               rng: np.random.Generator | None) -> np.ndarray:
         """The one validated read path, with every choice an argument."""
         levels = self._check_levels(program_levels)
-        if pe_cycles < 0:
-            raise ValueError("pe_cycles must be non-negative")
-        if retention_hours < 0:
-            raise ValueError("retention_hours must be non-negative")
-        if read_disturbs < 0:
-            raise ValueError("read_disturbs must be non-negative")
+        self._check_condition("pe_cycles", pe_cycles)
+        self._check_condition("retention_hours", retention_hours)
+        self._check_condition("read_disturbs", read_disturbs)
         generator = rng if rng is not None else self.rng
         voltages = self._sample_voltages(levels, float(pe_cycles), generator,
                                          program_errors)
@@ -194,9 +180,9 @@ class ChannelModel:
                       ) -> tuple[np.ndarray, np.ndarray]:
         """``num_blocks`` paired (PL, VL) blocks at one operating condition.
 
-        ``apply_program_errors`` is honoured by backends whose capabilities
-        include program errors and ignored otherwise (a learned or fitted
-        model absorbs mis-programming into the composite distribution).
+        ``apply_program_errors`` is honoured by the simulator and ignored
+        otherwise (a learned or fitted model absorbs mis-programming into
+        the composite distribution).
         ``rng`` overrides the backend's generator for this call — the hook
         the sharded execution engine uses to anchor randomness per unit.
         """
@@ -277,6 +263,12 @@ class ChannelModel:
         if levels.size and (levels.min() < 0 or levels.max() >= NUM_LEVELS):
             raise ValueError(f"program levels must lie in [0, {NUM_LEVELS})")
         return levels
+
+    @staticmethod
+    def _check_condition(name: str, value: float) -> None:
+        """Reject an operating condition that is negative, NaN or infinite."""
+        if not np.isfinite(value) or value < 0:
+            raise ValueError(f"{name} must be finite and non-negative")
 
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
         return f"{type(self).__name__}(name={self.supports().name!r})"

@@ -14,10 +14,12 @@ refitting — with sampling bit-identical to the model that was saved;
 ``save_channel`` writes such checkpoints.
 
 ``resolve_channel`` additionally accepts already-built backends and the
-concrete classes behind them (:class:`repro.flash.FlashChannel`, a
+models behind the learned and fitted adapters (a
 :class:`repro.core.base.ConditionalGenerativeModel`, fitted statistical
 models), wrapping them into protocol adapters, so every public API that takes
-a ``channel`` argument accepts any spelling.
+a ``channel`` argument accepts any spelling.  The simulator is passed by
+name or as a built :class:`repro.channel.SimulatorChannel`; the physics read
+under it, :class:`repro.flash.FlashChannel`, is not a backend.
 """
 
 from __future__ import annotations
@@ -39,7 +41,6 @@ from repro.channel.adapters import (
 )
 from repro.channel.protocol import ChannelModel
 from repro.core.base import ConditionalGenerativeModel
-from repro.flash.channel import FlashChannel
 
 __all__ = ["CHANNEL_REGISTRY", "register_channel", "build_channel",
            "save_channel", "resolve_channel"]
@@ -166,8 +167,8 @@ def resolve_channel(channel, **kwargs) -> ChannelModel:
 
     Accepts a registry name, an already-built :class:`ChannelModel`, a
     :class:`repro.exec.ChannelRef` (resolved from its on-disk checkpoint,
-    memoized per thread), or one of the concrete classes behind the
-    adapters (which are wrapped in their adapter).  ``kwargs`` are only applied when a new
+    memoized per thread), or a generative or fitted statistical model
+    (wrapped in its adapter).  ``kwargs`` are only applied when a new
     backend is constructed.
     """
     if isinstance(channel, ChannelModel):
@@ -185,12 +186,10 @@ def resolve_channel(channel, **kwargs) -> ChannelModel:
             channel = ChannelRef(channel.name, channel.checkpoint,
                                  **{**channel.kwargs, **kwargs})
         return channel.resolve()
-    if isinstance(channel, FlashChannel):
-        return SimulatorChannel(simulator=channel, **kwargs)
     if isinstance(channel, ConditionalGenerativeModel):
         return GenerativeChannel(channel, **kwargs)
     if isinstance(channel, StatisticalChannelModel):
         return BaselineChannel(channel, **kwargs)
     raise TypeError(f"cannot interpret {type(channel).__name__} as a channel "
-                    "backend; pass a registry name, a ChannelModel, or one "
-                    "of the supported concrete channel classes")
+                    "backend; pass a registry name, a ChannelModel, or a "
+                    "generative or fitted statistical model")

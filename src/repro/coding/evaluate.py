@@ -6,8 +6,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.channel import ChannelModel
 from repro.coding.constrained import ICIConstrainedCode
-from repro.flash.channel import FlashChannel
 from repro.flash.errors import level_error_rate
 
 __all__ = ["constrained_coding_gain"]
@@ -30,7 +30,7 @@ class CodingGainResult:
         return 1.0 - self.coded_error_rate / self.uncoded_error_rate
 
 
-def constrained_coding_gain(channel: FlashChannel, pe_cycles: float,
+def constrained_coding_gain(channel: ChannelModel, pe_cycles: float,
                             num_blocks: int = 10,
                             code: ICIConstrainedCode | None = None
                             ) -> CodingGainResult:
@@ -38,7 +38,7 @@ def constrained_coding_gain(channel: FlashChannel, pe_cycles: float,
 
     The uncoded pass programs pseudo-random data directly; the coded pass
     first removes the high-low-high patterns.  Both are read through the same
-    channel at the same P/E cycle count.
+    channel backend at the same P/E cycle count.
     """
     if num_blocks < 1:
         raise ValueError("num_blocks must be positive")
@@ -49,12 +49,12 @@ def constrained_coding_gain(channel: FlashChannel, pe_cycles: float,
     overheads = []
     for _ in range(num_blocks):
         levels = channel.program_random_block()
-        voltages = channel.read(levels, pe_cycles)
+        voltages = channel.read_voltages(levels, pe_cycles)
         uncoded_rates.append(level_error_rate(levels, voltages,
                                               params=channel.params))
 
         constrained, lifted = code.encode(levels)
-        coded_voltages = channel.read(constrained, pe_cycles)
+        coded_voltages = channel.read_voltages(constrained, pe_cycles)
         coded_rates.append(level_error_rate(constrained, coded_voltages,
                                             params=channel.params))
         overheads.append(code.overhead(lifted))

@@ -24,7 +24,7 @@ from repro.core.cgan import ConditionalGAN
 from repro.core.cvae import ConditionalVAE
 from repro.core.bicycle_gan import BicycleGAN
 from repro.core.trainer import Trainer, TrainingHistory
-from repro.core.zoo import build_model, load_model, MODEL_REGISTRY
+from repro.core.zoo import build_model, MODEL_REGISTRY
 
 __all__ = [
     "ModelConfig",
@@ -44,6 +44,5 @@ __all__ = [
     "Trainer",
     "TrainingHistory",
     "build_model",
-    "load_model",
     "MODEL_REGISTRY",
 ]

@@ -116,32 +116,3 @@ class ConditionalGenerativeModel(Module):
         with no_grad():
             output = self.generator(levels, pe_normalized, latent_tensor)
         return output.numpy()[:, 0]
-
-    # ------------------------------------------------------------------ #
-    # Checkpointing (the on-disk model zoo, :mod:`repro.artifacts`)
-    # ------------------------------------------------------------------ #
-    def save(self, directory, *, params=None, training=None):
-        """Checkpoint this model to ``directory``.
-
-        Writes the weight archive via :mod:`repro.nn.serialization` next to
-        a versioned manifest (architecture name, full config including
-        dtype, optional normalization ``params``, ``training`` provenance,
-        content hashes).  Returns the manifest.
-        """
-        from repro.artifacts.checkpoint import save_model
-
-        return save_model(self, directory, params=params, training=training)
-
-    @classmethod
-    def load(cls, directory) -> "ConditionalGenerativeModel":
-        """Rebuild a model from a checkpoint directory (no retraining).
-
-        Called on a concrete architecture (e.g. ``ConditionalVAEGAN.load``)
-        the stored architecture must match; called on this base class any
-        generative checkpoint loads.  The restored model samples
-        bit-identically to the one that was saved.
-        """
-        from repro.artifacts.checkpoint import load_model
-
-        expected = cls.name if cls.name else None
-        return load_model(directory, expected_architecture=expected)

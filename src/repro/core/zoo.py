@@ -11,7 +11,7 @@ from repro.core.config import ModelConfig
 from repro.core.cvae import ConditionalVAE
 from repro.core.cvae_gan import ConditionalVAEGAN
 
-__all__ = ["MODEL_REGISTRY", "build_model", "load_model"]
+__all__ = ["MODEL_REGISTRY", "build_model"]
 
 #: Architectures compared in Remark 3, keyed by their registry names.
 MODEL_REGISTRY: dict[str, type[ConditionalGenerativeModel]] = {
@@ -49,18 +49,3 @@ def build_model(name: str, config: ModelConfig | None = None,
     config = config if config is not None else ModelConfig.paper()
     return MODEL_REGISTRY[name](config, rng=rng, **kwargs)
 
-
-def load_model(checkpoint, *,
-               architecture: str | None = None) -> ConditionalGenerativeModel:
-    """Restore a trained architecture from an on-disk checkpoint.
-
-    The model-zoo counterpart of :func:`build_model`: instead of a fresh
-    random initialisation, the architecture named in the checkpoint's
-    manifest is rebuilt with its stored config (same shapes, same dtype)
-    and trained weights — sampling from the result is bit-identical to the
-    saved model.  ``architecture`` optionally pins the expected registry
-    name (:class:`repro.artifacts.RegistryMismatchError` on mismatch).
-    """
-    from repro.artifacts.checkpoint import load_model as _load
-
-    return _load(checkpoint, expected_architecture=architecture)

@@ -11,7 +11,6 @@ from __future__ import annotations
 import numpy as np
 
 from repro.data.dataset import FlashChannelDataset
-from repro.flash.channel import FlashChannel
 
 __all__ = ["crop_blocks", "generate_paired_dataset"]
 
@@ -48,7 +47,7 @@ def crop_blocks(blocks: np.ndarray, crop_size: int) -> np.ndarray:
     return tiles.reshape(num_blocks * rows * cols, crop_size, crop_size)
 
 
-def generate_paired_dataset(channel: FlashChannel,
+def generate_paired_dataset(channel,
                             pe_cycles: tuple[int, ...] = (4000, 7000, 10000),
                             arrays_per_pe: int = 64,
                             array_size: int = 64,
@@ -59,7 +58,8 @@ def generate_paired_dataset(channel: FlashChannel,
     Parameters
     ----------
     channel:
-        The flash channel to sample from.
+        The :class:`repro.channel.ChannelModel` to sample from — the
+        simulator, for the paper's measured data.
     pe_cycles:
         P/E cycle counts at which paired data is collected.
     arrays_per_pe:

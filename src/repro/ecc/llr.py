@@ -118,18 +118,16 @@ def densities_from_samples(program_levels: np.ndarray, voltages: np.ndarray,
 
 
 def densities_from_channel(channel, pe_cycles: float, num_bins: int = 128,
-                           num_blocks: int = 4,
-                           params: FlashParameters | None = None
-                           ) -> LevelDensityTable:
-    """Estimate the density table by sampling a channel-like object.
+                           num_blocks: int = 4) -> LevelDensityTable:
+    """Estimate the density table by sampling a channel backend.
 
-    ``channel`` must expose ``paired_blocks(num_blocks, pe_cycles)`` —
-    :class:`repro.flash.FlashChannel` and every
-    :class:`repro.channel.ChannelModel` do.
+    ``channel`` is a :class:`repro.channel.ChannelModel`: its
+    ``paired_blocks`` draws the blocks and its ``params`` set the voltage
+    window of the table.
     """
     program, voltages = channel.paired_blocks(num_blocks, pe_cycles)
     return densities_from_samples(program, voltages, num_bins=num_bins,
-                                  params=params)
+                                  params=channel.params)
 
 
 def _page_bit_partition(page: int) -> tuple[np.ndarray, np.ndarray]:

@@ -10,13 +10,17 @@ dominating.
 
 It models that one chip: eight levels under the Gray map of Fig. 1
 (:data:`GRAY_MAP`, converted by :func:`levels_to_pages` and
-:func:`pages_to_levels`), one soft read (:meth:`FlashChannel.read`) and one
+:func:`pages_to_levels`), one soft read (:meth:`FlashChannel.read`, a
+stateless physics read that takes its generator as an argument) and one
 hard read (:func:`hard_read` against :func:`default_read_thresholds`).
 Retention, read disturb, threshold calibration, page error rates and the
 endurance sweep build on those.
 
 The "measured data" referenced throughout :mod:`repro.experiments` is data
-drawn from :class:`repro.flash.FlashChannel`.
+drawn from :class:`repro.channel.SimulatorChannel`, which owns the block
+geometry and the generator and reads through :class:`FlashChannel`.  This
+package imports no other ``repro`` package: the cycling experiment and the
+endurance sweep take that channel as an argument.
 """
 
 from repro.flash.cell import (

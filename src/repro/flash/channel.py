@@ -2,9 +2,13 @@
 
 :class:`FlashChannel` composes the wear model (temporal), the ICI model
 (spatial) and the noise sampler into the conditional distribution
-``P(VL | PL, P/E)`` the paper's generative model is trained to learn.  It also
-provides the program operation (including rare program errors) so the P/E
-cycling experiment of Section II-A can be replayed end to end.
+``P(VL | PL, P/E)`` the paper's generative model is trained to learn, with
+rare program errors applied before the read on request.
+
+It is the stateless physics read only: every draw comes from the generator
+the caller passes, and it knows no block geometry.
+:class:`repro.channel.SimulatorChannel` owns both and is the simulator every
+consumer constructs.
 """
 
 from __future__ import annotations
@@ -12,7 +16,6 @@ from __future__ import annotations
 import numpy as np
 
 from repro.flash.cell import ERASED_LEVEL, NUM_LEVELS
-from repro.flash.geometry import BlockGeometry
 from repro.flash.ici import ICIModel
 from repro.flash.params import FlashParameters
 from repro.flash.voltage import VoltageSampler
@@ -29,51 +32,28 @@ class FlashChannel:
     params:
         Physical parameters; defaults reproduce the qualitative behaviour the
         paper reports for its 1X-nm TLC chip.
-    geometry:
-        Block geometry used by :meth:`program_random_block`.
-    rng:
-        Random generator (seeded for reproducible experiments).
     """
 
-    def __init__(self, params: FlashParameters | None = None,
-                 geometry: BlockGeometry | None = None,
-                 rng: np.random.Generator | None = None):
+    def __init__(self, params: FlashParameters | None = None):
         self.params = params if params is not None else FlashParameters()
-        self.geometry = geometry if geometry is not None else BlockGeometry()
-        self.rng = rng if rng is not None else np.random.default_rng()
         self.wear = WearModel(self.params)
         self.ici = ICIModel(self.params)
-        self.sampler = VoltageSampler(self.params, self.rng)
-
-    # ------------------------------------------------------------------ #
-    # Program operation
-    # ------------------------------------------------------------------ #
-    def program_random_block(self, rng: np.random.Generator | None = None
-                             ) -> np.ndarray:
-        """Pseudo-random program levels for one block (uniform over levels)."""
-        generator = rng if rng is not None else self.rng
-        return generator.integers(0, NUM_LEVELS, size=self.geometry.shape)
+        self.sampler = VoltageSampler(self.params)
 
     def apply_program_errors(self, program_levels: np.ndarray,
-                             rng: np.random.Generator | None = None
-                             ) -> np.ndarray:
+                             rng: np.random.Generator) -> np.ndarray:
         """Introduce rare mis-programming to an adjacent level."""
-        generator = rng if rng is not None else self.rng
         levels = np.asarray(program_levels).copy()
         if self.params.program_error_rate <= 0:
             return levels
-        error_mask = generator.random(levels.shape) < self.params.program_error_rate
-        direction = generator.choice((-1, 1), size=levels.shape)
+        error_mask = rng.random(levels.shape) < self.params.program_error_rate
+        direction = rng.choice((-1, 1), size=levels.shape)
         shifted = np.clip(levels + direction, 0, NUM_LEVELS - 1)
         return np.where(error_mask, shifted, levels)
 
-    # ------------------------------------------------------------------ #
-    # Read operation
-    # ------------------------------------------------------------------ #
-    def read(self, program_levels: np.ndarray, pe_cycles: float,
-             apply_ici: bool = True,
-             apply_program_errors: bool = False,
-             rng: np.random.Generator | None = None) -> np.ndarray:
+    def read(self, program_levels: np.ndarray, pe_cycles: float, *,
+             rng: np.random.Generator, apply_ici: bool = True,
+             apply_program_errors: bool = False) -> np.ndarray:
         """Soft read voltages for an array of program levels.
 
         Parameters
@@ -82,50 +62,28 @@ class FlashChannel:
             Integer array with at least two dimensions ``(..., H, W)``; the
             last two dimensions are the wordline/bitline grid used for ICI.
         pe_cycles:
-            P/E cycle count at which the block is read.
+            P/E cycle count at which the block is read (finite, >= 0).
+        rng:
+            The generator every draw of this read comes from; the read keeps
+            no state, so threads may share one channel as long as each
+            passes its own generator.
         apply_ici:
             Disable to obtain isolated-cell behaviour (useful for fitting the
             statistical baselines, which model cells in isolation).
         apply_program_errors:
             Apply rare adjacent-level mis-programming before the read.
-        rng:
-            Optional generator overriding the channel's own for this call;
-            the read keeps no state, so threads may share one channel as
-            long as each passes its own generator.
         """
         levels = np.asarray(program_levels)
         if levels.ndim < 2:
             raise ValueError("program_levels must have at least 2 dimensions")
         if levels.size and (levels.min() < 0 or levels.max() >= NUM_LEVELS):
             raise ValueError("program levels must lie in [0, 8)")
-        if pe_cycles < 0:
-            raise ValueError("pe_cycles must be non-negative")
+        if not np.isfinite(pe_cycles) or pe_cycles < 0:
+            raise ValueError("pe_cycles must be finite and non-negative")
         if apply_program_errors:
-            levels = self.apply_program_errors(levels, rng=rng)
+            levels = self.apply_program_errors(levels, rng)
         shifts = self.ici.shifts(levels) if apply_ici else None
-        return self.sampler.sample(levels, pe_cycles, ici_shifts=shifts,
-                                   rng=rng)
-
-    # ------------------------------------------------------------------ #
-    # Dataset-style helpers
-    # ------------------------------------------------------------------ #
-    def paired_blocks(self, num_blocks: int, pe_cycles: float,
-                      apply_program_errors: bool = True
-                      ) -> tuple[np.ndarray, np.ndarray]:
-        """Generate ``num_blocks`` paired (PL, VL) blocks at one P/E count.
-
-        Returns arrays of shape ``(num_blocks, H, W)``.  The returned program
-        levels are the *intended* levels (what the host wrote); program errors
-        and ICI act inside the channel, exactly as in the measurement
-        campaign the paper describes.
-        """
-        if num_blocks < 1:
-            raise ValueError("num_blocks must be positive")
-        program = np.stack([self.program_random_block()
-                            for _ in range(num_blocks)])
-        voltages = self.read(program, pe_cycles,
-                             apply_program_errors=apply_program_errors)
-        return program, voltages
+        return self.sampler.sample(levels, pe_cycles, rng, ici_shifts=shifts)
 
     def conditional_pdf_reference(self, level: int, pe_cycles: float,
                                   grid: np.ndarray) -> np.ndarray:

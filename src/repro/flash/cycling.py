@@ -3,17 +3,18 @@
 The paper's measurement campaign erases several blocks, programs them with
 pseudo-random data, and reads them back at 4000, 7000 and 10000 P/E cycles,
 recording the program level and measured voltage of every cell.
-:class:`PECyclingExperiment` replays this procedure against the simulated
-channel and returns the same kind of paired records.
+:class:`PECyclingExperiment` replays this procedure against a channel
+backend (the simulator, for the paper's measured data) and returns the same
+kind of paired records.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import Any
 
 import numpy as np
 
-from repro.flash.channel import FlashChannel
 from repro.flash.errors import level_error_rate
 from repro.flash.geometry import BlockGeometry
 from repro.flash.params import FlashParameters
@@ -58,12 +59,13 @@ class CyclingRecord:
 
 @dataclass
 class PECyclingExperiment:
-    """Erase / program / read cycling against the simulated channel.
+    """Erase / program / read cycling against a channel backend.
 
     Parameters
     ----------
     channel:
-        The flash channel under test; a default channel is created if omitted.
+        The :class:`repro.channel.ChannelModel` under test; its
+        ``paired_blocks`` draws the records.
     read_points:
         P/E cycle counts at which paired data is recorded (defaults to the
         paper's 4000 / 7000 / 10000).
@@ -71,7 +73,7 @@ class PECyclingExperiment:
         Number of blocks sampled at each read point.
     """
 
-    channel: FlashChannel = field(default_factory=FlashChannel)
+    channel: Any
     read_points: tuple[int, ...] = DEFAULT_READ_POINTS
     blocks_per_read_point: int = 4
 

@@ -3,20 +3,20 @@
 The paper's Fig. 2 shows the level error rate at three read points; a
 controller designer needs the full curve and, more importantly, the P/E count
 at which the raw bit error rate crosses the correction capability of the ECC
-— the *endurance limit* of the device.  This module sweeps the simulated (or
-generatively modelled) channel over P/E cycles and estimates that limit.
+— the *endurance limit* of the device.  This module sweeps any channel
+backend (the simulator, a generative or a fitted model) over P/E cycles and
+estimates that limit.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import Any
 
 import numpy as np
 
-from repro.flash.channel import FlashChannel
 from repro.flash.errors import level_error_rate
 from repro.flash.pages import page_bit_error_rates
-from repro.flash.params import FlashParameters
 
 __all__ = ["EndurancePoint", "EnduranceSweep", "estimate_endurance_limit"]
 
@@ -44,10 +44,9 @@ class EnduranceSweep:
     Parameters
     ----------
     channel:
-        Channel under test.  Anything exposing
-        ``paired_blocks(num_blocks, pe_cycles)`` works, so any
-        :class:`repro.channel.ChannelModel` backend can be swept exactly the
-        same way.
+        The :class:`repro.channel.ChannelModel` under test; its
+        ``paired_blocks`` draws the blocks and its ``params`` set the read
+        thresholds, so every backend is swept the same way.
     pe_points:
         P/E cycle counts at which to evaluate the channel.
     blocks_per_point:
@@ -55,10 +54,9 @@ class EnduranceSweep:
         curves at the cost of runtime.
     """
 
-    channel: FlashChannel = field(default_factory=FlashChannel)
+    channel: Any
     pe_points: tuple[float, ...] = (1000, 2500, 4000, 5500, 7000, 8500, 10000)
     blocks_per_point: int = 4
-    params: FlashParameters | None = None
 
     def __post_init__(self):
         if not self.pe_points:
@@ -72,6 +70,7 @@ class EnduranceSweep:
 
     def run(self) -> list[EndurancePoint]:
         """Evaluate error statistics at every requested P/E count."""
+        params = self.channel.params
         points = []
         for pe_cycles in self.pe_points:
             program, voltages = self.channel.paired_blocks(
@@ -79,9 +78,9 @@ class EnduranceSweep:
             points.append(EndurancePoint(
                 pe_cycles=float(pe_cycles),
                 level_error_rate=level_error_rate(program, voltages,
-                                                  params=self.params),
+                                                  params=params),
                 page_rber=page_bit_error_rates(program, voltages,
-                                               params=self.params)))
+                                               params=params)))
         return points
 
 

@@ -23,34 +23,28 @@ __all__ = ["VoltageSampler"]
 class VoltageSampler:
     """Sample per-cell noise and compose read voltages."""
 
-    def __init__(self, params: FlashParameters | None = None,
-                 rng: np.random.Generator | None = None):
+    def __init__(self, params: FlashParameters | None = None):
         self.params = params if params is not None else FlashParameters()
         self.wear = WearModel(self.params)
-        self.rng = rng if rng is not None else np.random.default_rng()
 
     def noise(self, program_levels: np.ndarray, pe_cycles: float,
-              rng: np.random.Generator | None = None) -> np.ndarray:
-        """Draw the noise term for every cell of ``program_levels``.
-
-        ``rng`` overrides the sampler's own generator for this call.
-        """
-        generator = rng if rng is not None else self.rng
+              rng: np.random.Generator) -> np.ndarray:
+        """Draw the noise term for every cell of ``program_levels``."""
         levels = np.asarray(program_levels)
         sigmas = self.wear.level_sigmas(pe_cycles)[levels]
         tail_scales = self.wear.tail_scales(pe_cycles)[levels]
         tail_probability = self.wear.tail_probability(pe_cycles)
 
-        gaussian = generator.normal(0.0, 1.0, size=levels.shape) * sigmas
-        laplace = generator.laplace(0.0, 1.0, size=levels.shape) * tail_scales
-        use_tail = generator.random(levels.shape) < tail_probability
+        gaussian = rng.normal(0.0, 1.0, size=levels.shape) * sigmas
+        laplace = rng.laplace(0.0, 1.0, size=levels.shape) * tail_scales
+        use_tail = rng.random(levels.shape) < tail_probability
         # Erased cells stay Gaussian: see the module docstring.
         use_tail &= levels != ERASED_LEVEL
         return np.where(use_tail, laplace, gaussian)
 
     def sample(self, program_levels: np.ndarray, pe_cycles: float,
-               ici_shifts: np.ndarray | None = None,
-               rng: np.random.Generator | None = None) -> np.ndarray:
+               rng: np.random.Generator,
+               ici_shifts: np.ndarray | None = None) -> np.ndarray:
         """Read voltages for an array of program levels at one P/E count.
 
         Parameters
@@ -59,15 +53,15 @@ class VoltageSampler:
             Integer array of program levels (any shape).
         pe_cycles:
             P/E cycle count of the read.
+        rng:
+            The generator the noise is drawn from.
         ici_shifts:
             Optional pre-computed interference shifts (same shape); when
             omitted no ICI is applied (isolated-cell behaviour).
-        rng:
-            Optional generator overriding the sampler's own for this call.
         """
         levels = np.asarray(program_levels)
         means = self.wear.level_means(pe_cycles)[levels]
-        voltages = means + self.noise(levels, pe_cycles, rng=rng)
+        voltages = means + self.noise(levels, pe_cycles, rng)
         if ici_shifts is not None:
             voltages = voltages + np.asarray(ici_shifts)
         return np.clip(voltages, self.params.voltage_min, self.params.voltage_max)

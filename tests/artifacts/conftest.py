@@ -13,11 +13,16 @@ import dataclasses
 import numpy as np
 import pytest
 
-from repro.channel import BaselineChannel, GenerativeChannel, save_channel
+from repro.channel import (
+    BaselineChannel,
+    GenerativeChannel,
+    SimulatorChannel,
+    save_channel,
+)
 from repro.baselines.models import GaussianChannelModel
 from repro.core import ModelConfig, Trainer, build_model
 from repro.data import generate_paired_dataset
-from repro.flash import BlockGeometry, FlashChannel, FlashParameters
+from repro.flash import BlockGeometry, FlashParameters
 
 
 @pytest.fixture(scope="session")
@@ -28,8 +33,8 @@ def params():
 @pytest.fixture(scope="session")
 def dataset(params):
     """Paired 8x8 training data at the two reference P/E read points."""
-    simulator = FlashChannel(params, geometry=BlockGeometry(16, 16),
-                             rng=np.random.default_rng(5))
+    simulator = SimulatorChannel(params, geometry=BlockGeometry(16, 16),
+                                 rng=np.random.default_rng(5))
     return generate_paired_dataset(simulator, pe_cycles=(4000.0, 10000.0),
                                    arrays_per_pe=12, array_size=8)
 

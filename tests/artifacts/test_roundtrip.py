@@ -13,14 +13,15 @@ import pytest
 
 from repro.artifacts import (
     MANIFEST_VERSION,
+    RegistryMismatchError,
     load_channel,
+    load_model,
     read_manifest,
     save_channel,
+    save_model,
     verify_checkpoint,
 )
 from repro.channel import SimulatorChannel, build_channel
-from repro.core import ConditionalGAN, ConditionalVAEGAN, load_model
-from repro.core.base import ConditionalGenerativeModel
 from repro.flash.cell import NUM_LEVELS
 
 PROBE_LEVELS = np.random.default_rng(3).integers(0, NUM_LEVELS,
@@ -86,40 +87,32 @@ class TestGenerativeRoundtrip:
 
 
 class TestModelLevelRoundtrip:
-    def test_save_load_on_concrete_class(self, tmp_path, trained_channels):
+    def test_save_model_load_model_restore_weights(self, tmp_path,
+                                                   trained_channels):
         model = trained_channels["float32"].model
         path = tmp_path / "model"
-        model.save(path, params=trained_channels["float32"].params)
-        restored = ConditionalVAEGAN.load(path)
+        save_model(model, path, params=trained_channels["float32"].params)
+        restored = load_model(path, expected_architecture="cvae_gan")
         original_state = model.state_dict()
         restored_state = restored.state_dict()
         assert set(original_state) == set(restored_state)
         for key, value in original_state.items():
             assert restored_state[key].dtype == value.dtype
             np.testing.assert_array_equal(restored_state[key], value)
-
-    def test_load_on_base_class_accepts_any_architecture(self, tmp_path,
-                                                         trained_channels):
-        model = trained_channels["float32"].model
-        path = tmp_path / "model"
-        model.save(path)
-        restored = ConditionalGenerativeModel.load(path)
-        assert restored.name == "cvae_gan"
-
-    def test_load_on_wrong_class_raises(self, tmp_path, trained_channels):
-        from repro.artifacts import RegistryMismatchError
-
-        path = tmp_path / "model"
-        trained_channels["float32"].model.save(path)
-        with pytest.raises(RegistryMismatchError):
-            ConditionalGAN.load(path)
-
-    def test_zoo_load_model(self, tmp_path, trained_channels):
-        path = tmp_path / "model"
-        trained_channels["float32"].model.save(path)
-        restored = load_model(path, architecture="cvae_gan")
-        assert restored.name == "cvae_gan"
         assert not restored.training  # checkpoints load in eval mode
+
+    def test_load_model_without_expectation_accepts_any_architecture(
+            self, tmp_path, trained_channels):
+        path = tmp_path / "model"
+        save_model(trained_channels["float32"].model, path)
+        assert load_model(path).name == "cvae_gan"
+
+    def test_load_model_of_another_architecture_raises(self, tmp_path,
+                                                       trained_channels):
+        path = tmp_path / "model"
+        save_model(trained_channels["float32"].model, path)
+        with pytest.raises(RegistryMismatchError):
+            load_model(path, expected_architecture="cgan")
 
 
 class TestBaselineRoundtrip:

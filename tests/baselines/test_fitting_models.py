@@ -14,15 +14,16 @@ from repro.baselines import (
     gaussian_pdf,
     kl_divergence_to_histogram,
 )
+from repro.channel import SimulatorChannel
 from repro.data import generate_paired_dataset
-from repro.flash import BlockGeometry, FlashChannel
+from repro.flash import BlockGeometry
 from repro.flash.cell import ERASED_LEVEL
 
 
 @pytest.fixture(scope="module")
 def dataset():
-    channel = FlashChannel(geometry=BlockGeometry(32, 32),
-                           rng=np.random.default_rng(11))
+    channel = SimulatorChannel(geometry=BlockGeometry(32, 32),
+                               rng=np.random.default_rng(11))
     return generate_paired_dataset(channel, pe_cycles=(4000, 10000),
                                    arrays_per_pe=40, array_size=32)
 

@@ -18,7 +18,7 @@ from repro.channel import (
 from repro.channel.adapters import _tile_arrays, _untile_arrays
 from repro.core import ModelConfig, build_model
 from repro.data import generate_paired_dataset
-from repro.flash import BlockGeometry, FlashChannel
+from repro.flash import BlockGeometry
 
 
 class TestConditionCache:
@@ -216,13 +216,6 @@ class TestResolveChannel:
     def test_passthrough(self, tiny_generative):
         assert resolve_channel(tiny_generative) is tiny_generative
 
-    def test_wraps_flash_channel(self):
-        simulator = FlashChannel(rng=np.random.default_rng(0))
-        wrapped = resolve_channel(simulator)
-        assert isinstance(wrapped, SimulatorChannel)
-        assert wrapped.simulator is simulator
-        assert wrapped.rng is simulator.rng
-
     def test_wraps_generative_model(self):
         model = build_model("cvae_gan", ModelConfig.tiny(),
                             rng=np.random.default_rng(1))
@@ -231,8 +224,8 @@ class TestResolveChannel:
         assert wrapped.model is model
 
     def test_wraps_fitted_baseline(self):
-        simulator = FlashChannel(geometry=BlockGeometry(32, 32),
-                                 rng=np.random.default_rng(3))
+        simulator = SimulatorChannel(geometry=BlockGeometry(32, 32),
+                                     rng=np.random.default_rng(3))
         dataset = generate_paired_dataset(simulator, pe_cycles=(7000,),
                                           arrays_per_pe=8, array_size=16)
         fitted = GaussianChannelModel().fit(dataset, max_iterations=40)
@@ -250,8 +243,8 @@ class TestResolveChannel:
 class TestBaselineChannel:
     @pytest.fixture(scope="class")
     def baseline(self):
-        simulator = FlashChannel(geometry=BlockGeometry(32, 32),
-                                 rng=np.random.default_rng(4))
+        simulator = SimulatorChannel(geometry=BlockGeometry(32, 32),
+                                     rng=np.random.default_rng(4))
         dataset = generate_paired_dataset(simulator,
                                           pe_cycles=(4000, 10000),
                                           arrays_per_pe=8, array_size=16)

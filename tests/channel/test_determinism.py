@@ -13,11 +13,11 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.channel import GenerativeChannel, build_channel
+from repro.channel import GenerativeChannel, SimulatorChannel, build_channel
 from repro.core import ModelConfig, build_model
 from repro.data import generate_paired_dataset
 from repro.experiments import ExperimentSetup
-from repro.flash import BlockGeometry, FlashChannel
+from repro.flash import BlockGeometry
 
 
 def _levels(seed: int = 3, shape=(2, 16, 16)) -> np.ndarray:
@@ -87,8 +87,8 @@ class TestChannelDeterminism:
         np.testing.assert_allclose(reads[0], reads[2], rtol=0, atol=1e-9)
 
     def test_baseline_backend(self):
-        simulator = FlashChannel(geometry=BlockGeometry(32, 32),
-                                 rng=np.random.default_rng(6))
+        simulator = SimulatorChannel(geometry=BlockGeometry(32, 32),
+                                     rng=np.random.default_rng(6))
         dataset = generate_paired_dataset(simulator, pe_cycles=(7000,),
                                           arrays_per_pe=16, array_size=16)
         levels = _levels()

@@ -4,7 +4,8 @@ Each entry of :data:`repro.channel.CHANNEL_REGISTRY` is built with a small
 test configuration and run through the same contract: output shapes and
 dtype, the physical voltage window, the temporal operating-condition axes,
 capability flags, the condition cache, and — for backends that promise it —
-a monotone error rate versus P/E cycling.
+a monotone error rate versus P/E cycling.  The block consumers outside
+:mod:`repro.channel` run over the simulator and a fitted baseline alike.
 """
 
 from __future__ import annotations
@@ -20,11 +21,18 @@ from repro.channel import (
     CHANNEL_REGISTRY,
     ChannelCapabilities,
     ChannelModel,
+    SimulatorChannel,
     build_channel,
 )
+from repro.coding import constrained_coding_gain
 from repro.core import ModelConfig
 from repro.data import generate_paired_dataset
-from repro.flash import BlockGeometry, FlashChannel, FlashParameters
+from repro.flash import (
+    BlockGeometry,
+    EnduranceSweep,
+    FlashParameters,
+    PECyclingExperiment,
+)
 from repro.flash.cell import ERASED_LEVEL, NUM_LEVELS
 
 BACKEND_NAMES = sorted(CHANNEL_REGISTRY)
@@ -40,8 +48,8 @@ def params():
 
 @pytest.fixture(scope="module")
 def tiny_dataset(params):
-    channel = FlashChannel(params, geometry=BlockGeometry(32, 32),
-                           rng=np.random.default_rng(100))
+    channel = SimulatorChannel(params, geometry=BlockGeometry(32, 32),
+                               rng=np.random.default_rng(100))
     return generate_paired_dataset(channel, pe_cycles=FITTED_PE,
                                    arrays_per_pe=24, array_size=16)
 
@@ -76,7 +84,6 @@ class TestProtocolContract:
         capabilities = backends[name].supports()
         assert isinstance(capabilities, ChannelCapabilities)
         assert capabilities.name
-        assert capabilities.retention and capabilities.read_disturb
 
     def test_read_voltages_shape_and_dtype(self, backends, name, levels):
         voltages = backends[name].read_voltages(levels, FITTED_PE[0])
@@ -103,6 +110,19 @@ class TestProtocolContract:
             channel.read_voltages(levels, FITTED_PE[0], retention_hours=-1.0)
         with pytest.raises(ValueError):
             channel.read_voltages(np.full((4, 4), NUM_LEVELS), FITTED_PE[0])
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    @pytest.mark.parametrize("condition",
+                             ["pe_cycles", "retention_hours", "read_disturbs"])
+    def test_rejects_non_finite_conditions(self, backends, name, levels,
+                                           condition, value):
+        """A NaN or infinite operating condition is an error, never a NaN
+        read or a silently skipped distortion."""
+        conditions = {"pe_cycles": FITTED_PE[0], "retention_hours": 0.0,
+                      "read_disturbs": 0}
+        conditions[condition] = value
+        with pytest.raises(ValueError, match="finite"):
+            backends[name].read_voltages(levels, **conditions)
 
     def test_program_random_block(self, backends, name):
         block = backends[name].program_random_block()
@@ -230,6 +250,45 @@ class TestConcurrentReads:
             assert len(want) == len(got)
             for want_array, got_array in zip(want, got):
                 np.testing.assert_array_equal(got_array, want_array)
+
+
+@pytest.mark.parametrize("pe_cycles", [np.nan, np.inf, -1.0])
+def test_read_repeated_rejects_bad_pe(backends, levels, pe_cycles):
+    with pytest.raises(ValueError, match="finite"):
+        backends["cvae_gan"].read_repeated(levels[0], pe_cycles,
+                                           num_samples=2)
+
+
+@pytest.mark.parametrize("name", ["simulator", "gaussian"])
+class TestBlockConsumers:
+    """Every block consumer takes a protocol backend: the simulator for the
+    paper's measured data, a fitted model in its place."""
+
+    def test_generate_paired_dataset(self, backends, name):
+        dataset = generate_paired_dataset(backends[name], pe_cycles=FITTED_PE,
+                                          arrays_per_pe=3, array_size=8)
+        assert len(dataset) == 6
+        assert dataset.array_shape == (8, 8)
+
+    def test_pe_cycling_experiment(self, backends, name):
+        records = PECyclingExperiment(backends[name], read_points=FITTED_PE,
+                                      blocks_per_read_point=2).run()
+        assert [record.pe_cycles for record in records] == list(FITTED_PE)
+        assert all(record.program_levels.shape == (2, 16, 16)
+                   for record in records)
+
+    def test_endurance_sweep(self, backends, name):
+        points = EnduranceSweep(backends[name], pe_points=FITTED_PE,
+                                blocks_per_point=2).run()
+        assert [point.pe_cycles for point in points] == list(FITTED_PE)
+        assert all(0.0 <= point.level_error_rate <= 1.0 for point in points)
+
+    def test_constrained_coding_gain(self, backends, name):
+        result = constrained_coding_gain(backends[name], FITTED_PE[1],
+                                         num_blocks=2)
+        assert result.pe_cycles == FITTED_PE[1]
+        assert 0.0 <= result.coded_error_rate <= 1.0
+        assert 0.0 <= result.uncoded_error_rate <= 1.0
 
 
 class TestRegistry:

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.channel import SimulatorChannel
 from repro.coding import (
     ConstraintOperatingPoint,
     TimeAwareCodeSelector,
@@ -17,13 +18,13 @@ from repro.coding import (
     ici_forbidden_patterns,
     rate_penalty,
 )
-from repro.flash import BlockGeometry, FlashChannel
+from repro.flash import BlockGeometry
 
 
 @pytest.fixture
-def channel() -> FlashChannel:
-    return FlashChannel(geometry=BlockGeometry(32, 32),
-                        rng=np.random.default_rng(0))
+def channel() -> SimulatorChannel:
+    return SimulatorChannel(geometry=BlockGeometry(32, 32),
+                            rng=np.random.default_rng(0))
 
 
 class TestForbiddenPatterns:

@@ -7,13 +7,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.channel import SimulatorChannel
 from repro.coding import (
     ICIConstrainedCode,
     constrained_coding_gain,
     forbidden_pattern_positions,
     has_forbidden_pattern,
 )
-from repro.flash import BlockGeometry, FlashChannel
+from repro.flash import BlockGeometry
 
 
 @pytest.fixture
@@ -110,14 +111,14 @@ class TestICIConstrainedCode:
 
 class TestCodingGain:
     def test_constrained_code_reduces_errors_on_worn_device(self):
-        channel = FlashChannel(geometry=BlockGeometry(64, 64),
-                               rng=np.random.default_rng(6))
+        channel = SimulatorChannel(geometry=BlockGeometry(64, 64),
+                                   rng=np.random.default_rng(6))
         result = constrained_coding_gain(channel, 10000, num_blocks=12)
         assert result.coded_error_rate < result.uncoded_error_rate
         assert 0.0 < result.gain < 1.0
         assert result.overhead < 0.05
 
     def test_rejects_zero_blocks(self):
-        channel = FlashChannel(rng=np.random.default_rng(7))
+        channel = SimulatorChannel(rng=np.random.default_rng(7))
         with pytest.raises(ValueError):
             constrained_coding_gain(channel, 4000, num_blocks=0)

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.channel import SimulatorChannel
 from repro.data import (
     BatchIterator,
     FlashChannelDataset,
@@ -14,7 +15,7 @@ from repro.data import (
     crop_blocks,
     generate_paired_dataset,
 )
-from repro.flash import BlockGeometry, FlashChannel, FlashParameters
+from repro.flash import BlockGeometry, FlashParameters
 
 
 @pytest.fixture
@@ -24,7 +25,7 @@ def rng():
 
 @pytest.fixture
 def channel(rng):
-    return FlashChannel(geometry=BlockGeometry(32, 32), rng=rng)
+    return SimulatorChannel(geometry=BlockGeometry(32, 32), rng=rng)
 
 
 @pytest.fixture
@@ -97,7 +98,7 @@ class TestGeneratePairedDataset:
 
     def test_paper_scale_configuration(self, rng):
         """64x64 arrays cropped from 64x64 blocks (one crop per block)."""
-        channel = FlashChannel(rng=rng)
+        channel = SimulatorChannel(rng=rng)
         dataset = generate_paired_dataset(channel, pe_cycles=(7000,),
                                           arrays_per_pe=2, array_size=64)
         assert len(dataset) == 2

@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.channel import SimulatorChannel
 from repro.ecc import (
     BCHCode,
     LDPCCode,
@@ -17,7 +18,7 @@ from repro.ecc import (
     page_llrs,
     required_bch_capability,
 )
-from repro.flash import BlockGeometry, FlashChannel, FlashParameters
+from repro.flash import BlockGeometry, FlashParameters
 from repro.flash.cell import GRAY_MAP, LOWER_PAGE, NUM_LEVELS, levels_to_pages
 
 
@@ -27,15 +28,14 @@ def params() -> FlashParameters:
 
 
 @pytest.fixture
-def channel(params) -> FlashChannel:
-    return FlashChannel(params, geometry=BlockGeometry(32, 32),
-                        rng=np.random.default_rng(0))
+def channel(params) -> SimulatorChannel:
+    return SimulatorChannel(params, geometry=BlockGeometry(32, 32),
+                            rng=np.random.default_rng(0))
 
 
 @pytest.fixture
-def density_table(channel, params) -> LevelDensityTable:
-    return densities_from_channel(channel, 7000, num_bins=96, num_blocks=3,
-                                  params=params)
+def density_table(channel) -> LevelDensityTable:
+    return densities_from_channel(channel, 7000, num_bins=96, num_blocks=3)
 
 
 class TestLevelDensityTable:

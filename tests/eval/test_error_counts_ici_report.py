@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro.baselines import gaussian_pdf
+from repro.channel import SimulatorChannel
 from repro.eval import (
     error_counts_from_samples,
     error_probability_from_pdf,
@@ -21,7 +22,6 @@ from repro.eval import (
 )
 from repro.flash import (
     BlockGeometry,
-    FlashChannel,
     FlashParameters,
     default_read_thresholds,
 )
@@ -29,8 +29,8 @@ from repro.flash import (
 
 @pytest.fixture
 def paired_data():
-    channel = FlashChannel(geometry=BlockGeometry(32, 32),
-                           rng=np.random.default_rng(23))
+    channel = SimulatorChannel(geometry=BlockGeometry(32, 32),
+                               rng=np.random.default_rng(23))
     return channel.paired_blocks(40, 7000)
 
 
@@ -41,8 +41,8 @@ class TestErrorCounts:
         assert counts.shape == (7,)
 
     def test_counts_grow_with_wear(self):
-        channel = FlashChannel(geometry=BlockGeometry(32, 32),
-                               rng=np.random.default_rng(5))
+        channel = SimulatorChannel(geometry=BlockGeometry(32, 32),
+                                   rng=np.random.default_rng(5))
         totals = {}
         for pe in (4000, 10000):
             program, voltages = channel.paired_blocks(40, pe)

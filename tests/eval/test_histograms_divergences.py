@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.channel import SimulatorChannel
 from repro.eval import (
     conditional_histogram,
     conditional_pdfs,
@@ -16,13 +17,13 @@ from repro.eval import (
     total_variation_distance,
     voltage_histogram,
 )
-from repro.flash import BlockGeometry, FlashChannel, FlashParameters
+from repro.flash import BlockGeometry, FlashParameters
 
 
 @pytest.fixture
 def paired_data():
-    channel = FlashChannel(geometry=BlockGeometry(32, 32),
-                           rng=np.random.default_rng(17))
+    channel = SimulatorChannel(geometry=BlockGeometry(32, 32),
+                               rng=np.random.default_rng(17))
     return channel.paired_blocks(30, 7000)
 
 
@@ -80,8 +81,8 @@ class TestHistograms:
 
     def test_peak_drops_with_wear(self):
         """Fig. 4: the peak of each level's PDF drops as P/E grows."""
-        channel = FlashChannel(geometry=BlockGeometry(32, 32),
-                               rng=np.random.default_rng(3))
+        channel = SimulatorChannel(geometry=BlockGeometry(32, 32),
+                                   rng=np.random.default_rng(3))
         peaks = {}
         for pe in (4000, 10000):
             program, voltages = channel.paired_blocks(40, pe)

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.channel import SimulatorChannel
 from repro.eval import (
     channel_capacity_estimate,
     hard_decision_mutual_information,
@@ -15,7 +16,7 @@ from repro.eval import (
     mutual_information,
     soft_read_mutual_information,
 )
-from repro.flash import BlockGeometry, FlashChannel, FlashParameters
+from repro.flash import BlockGeometry, FlashParameters
 from repro.flash.cell import NUM_LEVELS
 from repro.flash.thresholds import default_read_thresholds
 
@@ -26,9 +27,9 @@ def params() -> FlashParameters:
 
 
 @pytest.fixture
-def channel(params) -> FlashChannel:
-    return FlashChannel(params, geometry=BlockGeometry(32, 32),
-                        rng=np.random.default_rng(0))
+def channel(params) -> SimulatorChannel:
+    return SimulatorChannel(params, geometry=BlockGeometry(32, 32),
+                            rng=np.random.default_rng(0))
 
 
 @pytest.fixture

@@ -13,7 +13,7 @@ import math
 import numpy as np
 import pytest
 
-from repro.channel import GenerativeChannel
+from repro.channel import GenerativeChannel, SimulatorChannel
 from repro.core import LEVEL_CHANNELS, ModelConfig, build_model
 from repro.data import generate_paired_dataset
 from repro.experiments import (
@@ -25,13 +25,13 @@ from repro.experiments import (
     run_fig6,
     run_remark3,
 )
-from repro.flash import BlockGeometry, FlashChannel
+from repro.flash import BlockGeometry
 from repro.flash.patterns import BITLINE, TOP_ERROR_PATTERNS, WORDLINE
 
 
 @pytest.fixture(scope="module")
 def channel():
-    return FlashChannel(rng=np.random.default_rng(41))
+    return SimulatorChannel(rng=np.random.default_rng(41))
 
 
 @pytest.fixture(scope="module")
@@ -131,8 +131,8 @@ class TestFig2:
     @pytest.fixture(scope="class")
     def paper_sample(self):
         """Fig. 2 at 300 blocks per read point, enough to name the leader."""
-        return run_fig2(FlashChannel(rng=np.random.default_rng(7)),
-                        blocks_per_pe=300)
+        return run_fig2(SimulatorChannel(rng=np.random.default_rng(7)),
+                            blocks_per_pe=300)
 
     @pytest.mark.parametrize("pe", PAPER_PE_CYCLES)
     def test_bitline_707_leads(self, paper_sample, pe):
@@ -230,7 +230,7 @@ class TestFig6:
     def result(self, untrained_model):
         # A dedicated channel: the measured pie must not depend on how much
         # of the module fixture's stream earlier test classes consumed.
-        channel = FlashChannel(rng=np.random.default_rng(41))
+        channel = SimulatorChannel(rng=np.random.default_rng(41))
         program, voltages = channel.paired_blocks(30, 7000)
         from repro.data import crop_blocks
         return run_fig6(crop_blocks(program, 8), crop_blocks(voltages, 8),

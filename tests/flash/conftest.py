@@ -5,7 +5,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.flash import BlockGeometry, FlashChannel, FlashParameters
+from repro.channel import SimulatorChannel
+from repro.flash import BlockGeometry, FlashParameters
 
 
 @pytest.fixture
@@ -19,11 +20,11 @@ def params() -> FlashParameters:
 
 
 @pytest.fixture
-def channel(rng) -> FlashChannel:
-    return FlashChannel(rng=rng)
+def channel(rng) -> SimulatorChannel:
+    return SimulatorChannel(rng=rng)
 
 
 @pytest.fixture
-def small_channel(rng) -> FlashChannel:
-    """A channel with small 16x16 blocks for fast tests."""
-    return FlashChannel(geometry=BlockGeometry(16, 16), rng=rng)
+def small_channel(rng) -> SimulatorChannel:
+    """A simulator with small 16x16 blocks for fast tests."""
+    return SimulatorChannel(geometry=BlockGeometry(16, 16), rng=rng)

@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.channel import SimulatorChannel
 from repro.flash import (
-    FlashChannel,
     FlashParameters,
     PAGE_NAMES,
     calibrate_thresholds,
@@ -69,26 +69,26 @@ class TestOptimalThresholdBetween:
 
 class TestCalibrateThresholds:
     def test_calibration_never_hurts_on_training_data(self, params, rng):
-        channel = FlashChannel(params, rng=rng)
+        channel = SimulatorChannel(params, rng=rng)
         program, voltages = channel.paired_blocks(6, 10000)
         result = calibrate_thresholds(program, voltages, params=params)
         assert result.error_rate <= result.default_error_rate
 
     def test_calibration_helps_on_worn_device(self, params, rng):
         """At 10000 P/E the default thresholds are stale; calibration wins."""
-        channel = FlashChannel(params, rng=rng)
+        channel = SimulatorChannel(params, rng=rng)
         program, voltages = channel.paired_blocks(8, 10000)
         result = calibrate_thresholds(program, voltages, params=params)
         assert result.improvement > 0.0
 
     def test_thresholds_strictly_increasing(self, params, rng):
-        channel = FlashChannel(params, rng=rng)
+        channel = SimulatorChannel(params, rng=rng)
         program, voltages = channel.paired_blocks(4, 7000)
         result = calibrate_thresholds(program, voltages, params=params)
         assert np.all(np.diff(result.thresholds) > 0)
 
     def test_default_thresholds_are_reported(self, params, rng):
-        channel = FlashChannel(params, rng=rng)
+        channel = SimulatorChannel(params, rng=rng)
         program, voltages = channel.paired_blocks(2, 4000)
         result = calibrate_thresholds(program, voltages, params=params)
         np.testing.assert_allclose(result.default_thresholds,
@@ -141,7 +141,7 @@ class TestOptimalThresholdsFromPdfs:
 
 class TestThresholdSweep:
     def test_sweep_has_minimum_near_zero_offset_when_fresh(self, params, rng):
-        channel = FlashChannel(params, rng=rng)
+        channel = SimulatorChannel(params, rng=rng)
         program, voltages = channel.paired_blocks(4, 1000)
         offsets = np.linspace(-30, 30, 13)
         rates = threshold_sweep(program, voltages, boundary=3, offsets=offsets,
@@ -150,14 +150,14 @@ class TestThresholdSweep:
         assert abs(best) <= 15.0
 
     def test_invalid_boundary_rejected(self, params, rng):
-        channel = FlashChannel(params, rng=rng)
+        channel = SimulatorChannel(params, rng=rng)
         program, voltages = channel.paired_blocks(1, 1000)
         with pytest.raises(ValueError):
             threshold_sweep(program, voltages, boundary=7,
                             offsets=np.array([0.0]), params=params)
 
     def test_crossing_offsets_yield_nan(self, params, rng):
-        channel = FlashChannel(params, rng=rng)
+        channel = SimulatorChannel(params, rng=rng)
         program, voltages = channel.paired_blocks(1, 1000)
         rates = threshold_sweep(program, voltages, boundary=3,
                                 offsets=np.array([-1000.0]), params=params)
@@ -198,14 +198,14 @@ class TestPages:
             assert report.total_bit_errors == 1
 
     def test_page_rber_keys(self, params, rng):
-        channel = FlashChannel(params, rng=rng)
+        channel = SimulatorChannel(params, rng=rng)
         program, voltages = channel.paired_blocks(2, 7000)
         rates = page_bit_error_rates(program, voltages, params=params)
         assert set(rates) == set(PAGE_NAMES)
         assert all(0.0 <= rate <= 1.0 for rate in rates.values())
 
     def test_page_rber_grows_with_wear(self, params, rng):
-        channel = FlashChannel(params, rng=rng)
+        channel = SimulatorChannel(params, rng=rng)
         young_program, young_voltages = channel.paired_blocks(4, 1000)
         old_program, old_voltages = channel.paired_blocks(4, 10000)
         young = page_bit_error_rates(young_program, young_voltages,
@@ -214,7 +214,7 @@ class TestPages:
         assert sum(old.values()) > sum(young.values())
 
     def test_report_unknown_page_rejected(self, params, rng):
-        channel = FlashChannel(params, rng=rng)
+        channel = SimulatorChannel(params, rng=rng)
         program, voltages = channel.paired_blocks(1, 4000)
         report = page_bit_errors(program, voltages, params=params)
         with pytest.raises(KeyError):
@@ -225,7 +225,7 @@ class TestPages:
             page_bit_errors(np.zeros((2, 2), dtype=int), np.zeros((3, 3)))
 
     def test_total_bits_counts_three_pages(self, params, rng):
-        channel = FlashChannel(params, rng=rng)
+        channel = SimulatorChannel(params, rng=rng)
         program, voltages = channel.paired_blocks(1, 4000)
         report = page_bit_errors(program, voltages, params=params)
         assert report.total_bits == 3 * program.size

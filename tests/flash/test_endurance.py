@@ -5,18 +5,15 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.flash import (
-    EnduranceSweep,
-    FlashChannel,
-    estimate_endurance_limit,
-)
+from repro.channel import SimulatorChannel
+from repro.flash import EnduranceSweep, estimate_endurance_limit
 from repro.flash.endurance import EndurancePoint
 from repro.flash.geometry import BlockGeometry
 
 
 def _small_sweep(seed: int = 0) -> EnduranceSweep:
-    channel = FlashChannel(geometry=BlockGeometry(32, 32),
-                           rng=np.random.default_rng(seed))
+    channel = SimulatorChannel(geometry=BlockGeometry(32, 32),
+                               rng=np.random.default_rng(seed))
     return EnduranceSweep(channel=channel,
                           pe_points=(1000, 4000, 7000, 10000),
                           blocks_per_point=2)
@@ -38,14 +35,15 @@ class TestEnduranceSweep:
                 assert point.worst_page_rber >= np.mean(list(point.page_rber.values()))
 
     def test_validation(self):
+        channel = SimulatorChannel()
         with pytest.raises(ValueError):
-            EnduranceSweep(pe_points=())
+            EnduranceSweep(channel, pe_points=())
         with pytest.raises(ValueError):
-            EnduranceSweep(pe_points=(-1, 10))
+            EnduranceSweep(channel, pe_points=(-1, 10))
         with pytest.raises(ValueError):
-            EnduranceSweep(pe_points=(10, 5))
+            EnduranceSweep(channel, pe_points=(10, 5))
         with pytest.raises(ValueError):
-            EnduranceSweep(blocks_per_point=0)
+            EnduranceSweep(channel, blocks_per_point=0)
 
 
 class TestEstimateEnduranceLimit:

@@ -1,7 +1,8 @@
 """The simulator's statistics, pinned: it is the reproduction's ground truth.
 
-Every fidelity metric compares a channel model against
-:class:`repro.flash.FlashChannel`, the stand-in for the paper's measured
+Every fidelity metric compares a channel model against the simulator
+(:class:`repro.channel.SimulatorChannel` over the physics read of
+:class:`repro.flash.FlashChannel`), the stand-in for the paper's measured
 chip.  These tests hold its isolated-cell draws to the density it writes
 down (:meth:`FlashChannel.conditional_pdf_reference`) at each paper read
 point, bin by bin and tail by tail, and its wear trend level by level.
@@ -12,6 +13,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.channel import SimulatorChannel
 from repro.flash import (
     FlashChannel,
     default_read_thresholds,
@@ -66,9 +68,9 @@ def _reference_bin_probabilities(channel: FlashChannel, level: int,
 def _isolated_reads(level: int, pe_cycles: float):
     """A seeded channel and its isolated-cell reads (no ICI, no program
     errors) of ``READ_SHAPE`` cells programmed to ``level``."""
-    channel = FlashChannel(rng=np.random.default_rng(0))
+    channel = FlashChannel()
     voltages = channel.read(np.full(READ_SHAPE, level), pe_cycles,
-                            apply_ici=False)
+                            rng=np.random.default_rng(0), apply_ici=False)
     return channel, voltages
 
 
@@ -111,7 +113,7 @@ def test_isolated_read_errors_match_reference_tail(level, tail, pe_cycles):
 def per_level_rates() -> np.ndarray:
     """``(read point, level)`` error rates of paired blocks (ICI and
     program errors on), one row per paper read point."""
-    channel = FlashChannel(rng=np.random.default_rng(0))
+    channel = SimulatorChannel(rng=np.random.default_rng(0))
     rows = []
     for pe_cycles in DEFAULT_READ_POINTS:
         program, voltages = channel.paired_blocks(WEAR_BLOCKS, pe_cycles)

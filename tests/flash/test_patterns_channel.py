@@ -2,9 +2,16 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import repro
+from repro.channel import SimulatorChannel
 from repro.flash import (
     BITLINE,
     WORDLINE,
@@ -133,21 +140,23 @@ class TestErrorPatternCounting:
 
 
 class TestFlashChannel:
-    def test_read_shape_matches_input(self, small_channel):
+    def test_read_shape_matches_input(self, small_channel, rng):
         levels = small_channel.program_random_block()
-        assert small_channel.read(levels, 4000).shape == levels.shape
+        assert FlashChannel().read(levels, 4000, rng=rng).shape == levels.shape
 
-    def test_read_rejects_invalid_levels(self, small_channel):
+    def test_read_rejects_invalid_levels(self, rng):
         with pytest.raises(ValueError):
-            small_channel.read(np.full((4, 4), 9), 4000)
+            FlashChannel().read(np.full((4, 4), 9), 4000, rng=rng)
 
-    def test_read_rejects_negative_pe(self, small_channel):
-        with pytest.raises(ValueError):
-            small_channel.read(np.zeros((4, 4), dtype=int), -1)
+    @pytest.mark.parametrize("pe_cycles", [-1, np.nan, np.inf])
+    def test_read_rejects_negative_or_non_finite_pe(self, rng, pe_cycles):
+        with pytest.raises(ValueError, match="finite and non-negative"):
+            FlashChannel().read(np.zeros((4, 4), dtype=int), pe_cycles,
+                                rng=rng)
 
-    def test_read_rejects_one_dimensional(self, small_channel):
+    def test_read_rejects_one_dimensional(self, rng):
         with pytest.raises(ValueError):
-            small_channel.read(np.zeros(4, dtype=int), 4000)
+            FlashChannel().read(np.zeros(4, dtype=int), 4000, rng=rng)
 
     def test_program_random_block_levels_valid(self, channel):
         block = channel.program_random_block()
@@ -160,44 +169,52 @@ class TestFlashChannel:
 
     def test_apply_program_errors_rate(self):
         params = FlashParameters(program_error_rate=0.05)
-        channel = FlashChannel(params, rng=np.random.default_rng(1))
         levels = np.full((200, 200), 4)
-        programmed = channel.apply_program_errors(levels)
+        programmed = FlashChannel(params).apply_program_errors(
+            levels, np.random.default_rng(1))
         rate = np.mean(programmed != levels)
         assert 0.03 < rate < 0.07
 
     def test_apply_program_errors_adjacent_only(self):
         params = FlashParameters(program_error_rate=0.5)
-        channel = FlashChannel(params, rng=np.random.default_rng(2))
         levels = np.full((50, 50), 4)
-        programmed = channel.apply_program_errors(levels)
+        programmed = FlashChannel(params).apply_program_errors(
+            levels, np.random.default_rng(2))
         assert set(np.unique(programmed)).issubset({3, 4, 5})
 
     def test_apply_program_errors_zero_rate_is_identity(self):
         params = FlashParameters(program_error_rate=0.0)
-        channel = FlashChannel(params, rng=np.random.default_rng(3))
         levels = np.full((10, 10), 2)
-        np.testing.assert_array_equal(channel.apply_program_errors(levels),
-                                      levels)
+        np.testing.assert_array_equal(
+            FlashChannel(params).apply_program_errors(
+                levels, np.random.default_rng(3)),
+            levels)
 
     @pytest.mark.parametrize("apply_ici", [True, False])
     @pytest.mark.parametrize("apply_program_errors", [False, True])
     def test_read_rng_argument_matches_own_generator(self, apply_ici,
                                                      apply_program_errors):
-        """A per-call generator reads exactly what a channel seeded with it
-        reads, and draws nothing from the channel's own generator."""
+        """A simulator's paired draw is its program followed by the physics
+        read, both from one generator: its own, or a per-call one of the
+        same seed, which leaves its own generator where it was."""
         params = FlashParameters(program_error_rate=0.05)
-        levels = np.random.default_rng(4).integers(0, NUM_LEVELS,
-                                                   size=(2, 16, 16))
-        options = {"apply_ici": apply_ici,
-                   "apply_program_errors": apply_program_errors}
-        want = FlashChannel(params, rng=np.random.default_rng(21)).read(
-            levels, 7000, **options)
-        other = FlashChannel(params, rng=np.random.default_rng(99))
+        geometry = BlockGeometry(16, 16)
+        generator = np.random.default_rng(21)
+        program = generator.integers(0, NUM_LEVELS, size=(2, 16, 16))
+        want = FlashChannel(params).read(
+            program, 7000, rng=generator, apply_ici=apply_ici,
+            apply_program_errors=apply_program_errors)
+        own = SimulatorChannel(params, geometry, np.random.default_rng(21),
+                               apply_ici=apply_ici)
+        other = SimulatorChannel(params, geometry, np.random.default_rng(99),
+                                 apply_ici=apply_ici)
         before = other.rng.bit_generator.state
-        got = other.read(levels, 7000, rng=np.random.default_rng(21),
-                         **options)
-        np.testing.assert_array_equal(got, want)
+        for channel, rng in ((own, None),
+                             (other, np.random.default_rng(21))):
+            got_program, got = channel.paired_blocks(
+                2, 7000, apply_program_errors=apply_program_errors, rng=rng)
+            np.testing.assert_array_equal(got_program, program)
+            np.testing.assert_array_equal(got, want)
         assert other.rng.bit_generator.state == before
 
     def test_paired_blocks_shapes(self, small_channel):
@@ -210,23 +227,25 @@ class TestFlashChannel:
             small_channel.paired_blocks(0, 4000)
 
     def test_ici_increases_erased_cell_voltage(self, params):
-        channel = FlashChannel(params, rng=np.random.default_rng(5))
+        channel = FlashChannel(params)
         levels = np.zeros((32, 32), dtype=int)
         levels[::2, :] = 7   # alternate rows of level 7: strong BL aggressors
-        with_ici = channel.read(levels, 4000, apply_ici=True)
-        channel_no = FlashChannel(params, rng=np.random.default_rng(5))
-        without_ici = channel_no.read(levels, 4000, apply_ici=False)
+        with_ici = channel.read(levels, 4000, rng=np.random.default_rng(5),
+                                apply_ici=True)
+        without_ici = channel.read(levels, 4000,
+                                   rng=np.random.default_rng(5),
+                                   apply_ici=False)
         erased_mask = levels == 0
         assert with_ici[erased_mask].mean() > without_ici[erased_mask].mean() + 10
 
-    def test_conditional_pdf_reference_integrates_to_one(self, channel):
+    def test_conditional_pdf_reference_integrates_to_one(self):
         grid = np.linspace(0, 650, 2001)
-        pdf = channel.conditional_pdf_reference(3, 7000, grid)
+        pdf = FlashChannel().conditional_pdf_reference(3, 7000, grid)
         assert np.trapezoid(pdf, grid) == pytest.approx(1.0, abs=1e-3)
 
     def test_bitline_patterns_more_error_prone_than_wordline(self):
         """Paper: pattern 707 in the BL direction is the most severe."""
-        channel = FlashChannel(rng=np.random.default_rng(123))
+        channel = SimulatorChannel(rng=np.random.default_rng(123))
         program, voltages = channel.paired_blocks(60, 7000)
         wl_counts = count_error_patterns(program, voltages, WORDLINE)
         bl_counts = count_error_patterns(program, voltages, BITLINE)
@@ -236,14 +255,29 @@ class TestFlashChannel:
         # 707 must be the dominant BL pattern.
         assert max(bl_frequencies, key=bl_frequencies.get) == "707"
 
+    def test_flash_imports_no_other_repro_package(self):
+        """``repro.flash`` stands alone: the cycling experiment and the
+        endurance sweep take protocol channels by duck typing, never by
+        import."""
+        src = str(Path(repro.__file__).resolve().parents[1])
+        path = os.environ.get("PYTHONPATH")
+        env = {**os.environ,
+               "PYTHONPATH": src + (os.pathsep + path if path else "")}
+        script = ("import sys, repro.flash; print(sorted({name.split('.')[1]"
+                  " for name in sys.modules if name.startswith('repro.')}))")
+        result = subprocess.run([sys.executable, "-c", script], env=env,
+                                capture_output=True, text=True, check=True)
+        assert result.stdout.strip() == "['flash']"
+
 
 class TestCyclingExperiment:
-    def test_default_read_points(self):
-        experiment = PECyclingExperiment(blocks_per_read_point=1)
+    def test_default_read_points(self, small_channel):
+        experiment = PECyclingExperiment(small_channel,
+                                         blocks_per_read_point=1)
         assert experiment.read_points == (4000, 7000, 10000)
 
     def test_run_returns_one_record_per_read_point(self, rng):
-        channel = FlashChannel(geometry=BlockGeometry(16, 16), rng=rng)
+        channel = SimulatorChannel(geometry=BlockGeometry(16, 16), rng=rng)
         experiment = PECyclingExperiment(channel=channel,
                                          read_points=(1000, 2000),
                                          blocks_per_read_point=2)
@@ -252,21 +286,21 @@ class TestCyclingExperiment:
         assert all(record.num_blocks == 2 for record in records)
 
     def test_record_properties(self, rng):
-        channel = FlashChannel(geometry=BlockGeometry(8, 8), rng=rng)
+        channel = SimulatorChannel(geometry=BlockGeometry(8, 8), rng=rng)
         experiment = PECyclingExperiment(channel=channel, read_points=(4000,),
                                          blocks_per_read_point=3)
         record = experiment.run()[0]
         assert record.num_cells == 3 * 64
         assert 0.0 <= record.level_error_rate() <= 1.0
 
-    def test_rejects_empty_read_points(self):
+    def test_rejects_empty_read_points(self, small_channel):
         with pytest.raises(ValueError):
-            PECyclingExperiment(read_points=())
+            PECyclingExperiment(small_channel, read_points=())
 
-    def test_rejects_non_positive_read_points(self):
+    def test_rejects_non_positive_read_points(self, small_channel):
         with pytest.raises(ValueError):
-            PECyclingExperiment(read_points=(0,))
+            PECyclingExperiment(small_channel, read_points=(0,))
 
-    def test_rejects_zero_blocks(self):
+    def test_rejects_zero_blocks(self, small_channel):
         with pytest.raises(ValueError):
-            PECyclingExperiment(blocks_per_read_point=0)
+            PECyclingExperiment(small_channel, blocks_per_read_point=0)

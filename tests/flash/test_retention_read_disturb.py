@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.channel import SimulatorChannel
 from repro.flash import (
-    FlashChannel,
     FlashParameters,
     ReadDisturbModel,
     ReadDisturbParameters,
@@ -120,7 +120,7 @@ class TestRetentionModel:
         assert shifted.min() >= params.voltage_min
 
     def test_longer_retention_increases_error_rate(self, params, rng):
-        channel = FlashChannel(params, rng=rng)
+        channel = SimulatorChannel(params, rng=rng)
         retention = RetentionModel(params)
         program, voltages = channel.paired_blocks(4, 7000)
         fresh_rate = level_error_rate(program, voltages, params=params)
@@ -208,7 +208,7 @@ class TestReadDisturbModel:
                           1000, 10, rng=rng)
 
     def test_many_reads_increase_error_rate(self, params, rng):
-        channel = FlashChannel(params, rng=rng)
+        channel = SimulatorChannel(params, rng=rng)
         disturb = ReadDisturbModel(params)
         program, voltages = channel.paired_blocks(4, 7000)
         base_rate = level_error_rate(program, voltages, params=params)
@@ -228,7 +228,7 @@ class TestReadDisturbModel:
 class TestCombinedDegradation:
     def test_retention_and_disturb_compose(self, params, rng):
         """Both mechanisms can be applied to the same read without conflict."""
-        channel = FlashChannel(params, rng=rng)
+        channel = SimulatorChannel(params, rng=rng)
         program, voltages = channel.paired_blocks(2, 7000)
         retention = RetentionModel(params)
         disturb = ReadDisturbModel(params)

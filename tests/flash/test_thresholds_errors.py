@@ -115,8 +115,8 @@ class TestPaperFacts:
 
     @pytest.fixture(scope="class")
     def cycling_counts(self):
-        from repro.flash import FlashChannel
-        channel = FlashChannel(rng=np.random.default_rng(99))
+        from repro.channel import SimulatorChannel
+        channel = SimulatorChannel(rng=np.random.default_rng(99))
         counts = {}
         rates = {}
         for pe_cycles in (4000, 7000, 10000):

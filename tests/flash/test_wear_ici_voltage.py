@@ -134,70 +134,55 @@ class TestICIModel:
 
 class TestVoltageSampler:
     def test_sample_shape_matches_input(self, params, rng):
-        sampler = VoltageSampler(params, rng)
+        sampler = VoltageSampler(params)
         levels = rng.integers(0, NUM_LEVELS, size=(5, 6))
-        assert sampler.sample(levels, 4000).shape == (5, 6)
+        assert sampler.sample(levels, 4000, rng).shape == (5, 6)
 
     def test_sample_within_voltage_range(self, params, rng):
-        sampler = VoltageSampler(params, rng)
+        sampler = VoltageSampler(params)
         levels = rng.integers(0, NUM_LEVELS, size=(64, 64))
-        voltages = sampler.sample(levels, 10000)
+        voltages = sampler.sample(levels, 10000, rng)
         assert voltages.min() >= params.voltage_min
         assert voltages.max() <= params.voltage_max
 
     def test_levels_are_separated_on_average(self, params, rng):
-        sampler = VoltageSampler(params, rng)
+        sampler = VoltageSampler(params)
         levels = np.repeat(np.arange(NUM_LEVELS), 2000).reshape(NUM_LEVELS, -1)
-        voltages = sampler.sample(levels, 4000)
+        voltages = sampler.sample(levels, 4000, rng)
         means = voltages.mean(axis=1)
         assert np.all(np.diff(means) > 30)
 
     def test_higher_pe_gives_wider_distributions(self, params):
         rng = np.random.default_rng(0)
-        sampler = VoltageSampler(params, rng)
+        sampler = VoltageSampler(params)
         levels = np.full((200, 200), 4)
-        fresh = sampler.sample(levels, 0)
-        worn = sampler.sample(levels, 10000)
+        fresh = sampler.sample(levels, 0, rng)
+        worn = sampler.sample(levels, 10000, rng)
         assert worn.std() > fresh.std()
 
     def test_ici_shift_added(self, params):
         rng_a = np.random.default_rng(7)
         rng_b = np.random.default_rng(7)
         levels = np.full((4, 4), ERASED_LEVEL)
-        plain = VoltageSampler(params, rng_a).sample(levels, 4000)
-        shifted = VoltageSampler(params, rng_b).sample(
-            levels, 4000, ici_shifts=np.full((4, 4), 10.0))
+        plain = VoltageSampler(params).sample(levels, 4000, rng_a)
+        shifted = VoltageSampler(params).sample(
+            levels, 4000, rng_b, ici_shifts=np.full((4, 4), 10.0))
         np.testing.assert_allclose(shifted - plain, 10.0, atol=1e-9)
 
     def test_deterministic_with_seeded_rng(self, params):
         levels = np.full((8, 8), 3)
-        first = VoltageSampler(params, np.random.default_rng(11)).sample(levels, 7000)
-        second = VoltageSampler(params, np.random.default_rng(11)).sample(levels, 7000)
+        sampler = VoltageSampler(params)
+        first = sampler.sample(levels, 7000, np.random.default_rng(11))
+        second = sampler.sample(levels, 7000, np.random.default_rng(11))
         np.testing.assert_allclose(first, second)
-
-    @pytest.mark.parametrize("with_ici", [False, True])
-    def test_rng_argument_overrides_own_generator(self, params, with_ici):
-        """``rng=`` draws exactly what a sampler seeded with it draws and
-        leaves the sampler's own generator where it was."""
-        levels = np.random.default_rng(5).integers(0, NUM_LEVELS,
-                                                   size=(16, 16))
-        shifts = np.full(levels.shape, 4.0) if with_ici else None
-        want = VoltageSampler(params, np.random.default_rng(13)).sample(
-            levels, 7000, ici_shifts=shifts)
-        sampler = VoltageSampler(params, np.random.default_rng(77))
-        before = sampler.rng.bit_generator.state
-        got = sampler.sample(levels, 7000, ici_shifts=shifts,
-                             rng=np.random.default_rng(13))
-        np.testing.assert_array_equal(got, want)
-        assert sampler.rng.bit_generator.state == before
 
     def test_programmed_levels_have_heavier_tails_when_worn(self, params):
         """Excess kurtosis of programmed levels grows with P/E cycles."""
         rng = np.random.default_rng(3)
-        sampler = VoltageSampler(params, rng)
+        sampler = VoltageSampler(params)
         levels = np.full((300, 300), 4)
-        fresh = sampler.sample(levels, 0)
-        worn = sampler.sample(levels, 10000)
+        fresh = sampler.sample(levels, 0, rng)
+        worn = sampler.sample(levels, 10000, rng)
 
         def excess_kurtosis(values):
             centred = values - values.mean()
@@ -209,8 +194,8 @@ class TestVoltageSampler:
     @settings(max_examples=20, deadline=None)
     def test_sample_mean_close_to_wear_mean(self, level, pe_cycles):
         params = FlashParameters()
-        sampler = VoltageSampler(params, np.random.default_rng(level * 13 + 1))
+        rng = np.random.default_rng(level * 13 + 1)
         levels = np.full((100, 100), level)
-        voltages = sampler.sample(levels, pe_cycles)
+        voltages = VoltageSampler(params).sample(levels, pe_cycles, rng)
         expected = WearModel(params).level_means(pe_cycles)[level]
         assert abs(voltages.mean() - expected) < 2.0

@@ -10,9 +10,10 @@ import numpy as np
 import pytest
 
 import repro.nn.backend as backend_mod
+from repro.channel import SimulatorChannel
 from repro.core import ModelConfig, Trainer, build_model
 from repro.data import generate_paired_dataset
-from repro.flash import BlockGeometry, FlashChannel
+from repro.flash import BlockGeometry
 from repro.nn import (
     Tensor,
     bce_with_logits_loss,
@@ -502,8 +503,8 @@ class TestAstypeIdentity:
 
 @pytest.fixture(scope="module")
 def tiny_dataset():
-    simulator = FlashChannel(geometry=BlockGeometry(16, 16),
-                             rng=np.random.default_rng(5))
+    simulator = SimulatorChannel(geometry=BlockGeometry(16, 16),
+                                 rng=np.random.default_rng(5))
     return generate_paired_dataset(simulator, pe_cycles=(4000.0, 10000.0),
                                    arrays_per_pe=8, array_size=8)
 

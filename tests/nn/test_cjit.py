@@ -358,10 +358,11 @@ class TestTrainStepParity:
         """
         from repro.core import ModelConfig, Trainer, build_model
         from repro.data import generate_paired_dataset
-        from repro.flash import BlockGeometry, FlashChannel
+        from repro.channel import SimulatorChannel
+        from repro.flash import BlockGeometry
 
-        simulator = FlashChannel(geometry=BlockGeometry(16, 16),
-                                 rng=np.random.default_rng(5))
+        simulator = SimulatorChannel(geometry=BlockGeometry(16, 16),
+                                     rng=np.random.default_rng(5))
         dataset = generate_paired_dataset(simulator,
                                           pe_cycles=(4000.0, 10000.0),
                                           arrays_per_pe=8, array_size=8)

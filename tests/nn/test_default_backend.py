@@ -22,12 +22,12 @@ import numpy as np
 import pytest
 
 import repro.nn.backend as backend_mod
-from repro.channel import GenerativeChannel
+from repro.channel import GenerativeChannel, SimulatorChannel
 from repro.core import ModelConfig, Trainer, build_model
 from repro.data import generate_paired_dataset
 from repro.ecc import (BCHCode, LDPCCode, evaluate_bch_over_channel,
                        evaluate_ldpc_over_channel)
-from repro.flash import BlockGeometry, FlashChannel
+from repro.flash import BlockGeometry
 from repro.nn import get_backend, use_backend
 from repro.nn.backend import build_backend
 from repro.nn.cjit import CompilerInfo, KernelCompileError, cjit_available
@@ -66,8 +66,8 @@ def unusable_dir(tmp_path):
 
 @pytest.fixture(scope="module")
 def tiny_dataset():
-    simulator = FlashChannel(geometry=BlockGeometry(16, 16),
-                             rng=np.random.default_rng(5))
+    simulator = SimulatorChannel(geometry=BlockGeometry(16, 16),
+                                 rng=np.random.default_rng(5))
     return generate_paired_dataset(simulator, pe_cycles=(4000.0, 10000.0),
                                    arrays_per_pe=8, array_size=8)
 

@@ -284,9 +284,10 @@ class TestTrainerPrecision:
     @pytest.fixture(scope="class")
     def dataset(self):
         from repro.data import generate_paired_dataset
-        from repro.flash import BlockGeometry, FlashChannel
-        channel = FlashChannel(geometry=BlockGeometry(16, 16),
-                               rng=np.random.default_rng(5))
+        from repro.channel import SimulatorChannel
+        from repro.flash import BlockGeometry
+        channel = SimulatorChannel(geometry=BlockGeometry(16, 16),
+                                   rng=np.random.default_rng(5))
         return generate_paired_dataset(channel, pe_cycles=(4000,),
                                        arrays_per_pe=12, array_size=8)
 
@@ -294,9 +295,10 @@ class TestTrainerPrecision:
     def small_dataset(self):
         """16x16 arrays at two P/E time stamps, for the small architecture."""
         from repro.data import generate_paired_dataset
-        from repro.flash import BlockGeometry, FlashChannel
-        channel = FlashChannel(geometry=BlockGeometry(16, 16),
-                               rng=np.random.default_rng(7))
+        from repro.channel import SimulatorChannel
+        from repro.flash import BlockGeometry
+        channel = SimulatorChannel(geometry=BlockGeometry(16, 16),
+                                   rng=np.random.default_rng(7))
         return generate_paired_dataset(channel, pe_cycles=(4000, 10000),
                                        arrays_per_pe=16, array_size=16)
 

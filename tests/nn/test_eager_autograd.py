@@ -26,10 +26,10 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from repro.channel import GenerativeChannel
+from repro.channel import GenerativeChannel, SimulatorChannel
 from repro.core import ModelConfig, Trainer, build_model
 from repro.data import generate_paired_dataset
-from repro.flash import BlockGeometry, FlashChannel
+from repro.flash import BlockGeometry
 from repro.nn import Tensor, no_grad, use_backend
 from repro.nn import functional as F
 from repro.nn.backend import NumpyBackend
@@ -359,8 +359,8 @@ class TestGradientOwnership:
 
 @pytest.fixture(scope="module")
 def tiny_dataset():
-    simulator = FlashChannel(geometry=BlockGeometry(16, 16),
-                             rng=np.random.default_rng(5))
+    simulator = SimulatorChannel(geometry=BlockGeometry(16, 16),
+                                 rng=np.random.default_rng(5))
     return generate_paired_dataset(simulator, pe_cycles=(4000.0, 10000.0),
                                    arrays_per_pe=8, array_size=8)
 
