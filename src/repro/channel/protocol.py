@@ -138,7 +138,8 @@ class ChannelModel:
             Optional generator overriding the backend's own for this call.
 
         The three operating conditions must be finite and non-negative, else
-        :class:`ValueError`.
+        :class:`ValueError`.  Program levels of a non-integer dtype, bool
+        included, raise :class:`TypeError` on every backend.
         """
         return self._read(program_levels, pe_cycles, False,
                           retention_hours=retention_hours,
@@ -258,6 +259,9 @@ class ChannelModel:
     # ------------------------------------------------------------------ #
     def _check_levels(self, program_levels: np.ndarray) -> np.ndarray:
         levels = np.asarray(program_levels)
+        if levels.dtype.kind not in "iu":
+            raise TypeError(
+                f"program levels must be integers, got {levels.dtype}")
         if levels.ndim < 2:
             raise ValueError("program_levels must have at least 2 dimensions")
         if levels.size and (levels.min() < 0 or levels.max() >= NUM_LEVELS):

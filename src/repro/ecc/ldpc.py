@@ -1,19 +1,22 @@
-"""Regular LDPC codes with min-sum (soft) and bit-flipping (hard) decoding.
+"""Regular LDPC codes with normalised min-sum (soft-decision) decoding.
 
 Modern (3-D TLC/QLC) flash controllers pair the soft read voltages the paper's
 generative model produces with soft-decision LDPC decoding.  This module
 provides the minimal but complete machinery for that study: a Gallager-style
 regular parity-check construction, systematic encoding via Gaussian
-elimination over GF(2), a normalised min-sum belief-propagation decoder
+elimination over GF(2), and a normalised min-sum belief-propagation decoder
 (Chen & Fossorier, *IEEE Trans. Commun.* 2002) that consumes
-log-likelihood ratios (see :mod:`repro.ecc.llr`), and a hard-decision
-bit-flipping decoder as the cheap baseline.
+log-likelihood ratios (see :mod:`repro.ecc.llr`).
 
 A code is stored as the edge list of its Tanner graph: one ``(check,
-variable)`` pair per one in ``H``.  The decoders keep one message per edge
-and reach them through two padded indexes, check-major and variable-major,
-so their cost scales with the number of edges rather than with the size of
-``H`` (756 edges against 31,752 entries for the n = 252 code).
+variable)`` pair per one in ``H``.  The decoder keeps one message per edge
+and reaches them through padded indexes, check-major and variable-major,
+so its cost scales with the number of edges rather than with the size of
+``H`` (756 edges against 31,752 entries for the n = 252 code).  The
+message passing itself is an array-backend kernel,
+:meth:`repro.nn.backend.ArrayBackend.ldpc_min_sum`: one compiled C call
+per batch under the default ``cjit`` backend, the NumPy loop under
+``use_backend("numpy")``, with bit-identical results.
 """
 
 from __future__ import annotations
@@ -21,6 +24,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+
+from repro.nn.backend import get_backend
 
 __all__ = ["LDPCCode", "LDPCDecodingResult", "gallager_parity_check_matrix"]
 
@@ -151,8 +156,8 @@ class LDPCCode:
         """Derive the encoder and the decoder indexes from the stored state.
 
         ``edges`` is ``(2, E)``: the check and the variable of every edge,
-        check-major.  Both padded indexes point their empty slots at edge
-        ``E``, a message slot the decoders keep at zero.
+        check-major.  Both padded edge indexes point their empty slots at
+        edge ``E``, a message slot the decoder keeps at zero.
         """
         self._edges = edges.astype(np.intp)
         self._parity_positions = parity_positions.astype(np.intp)
@@ -240,14 +245,6 @@ class LDPCCode:
             raise ValueError(f"codeword must have shape ({self.n},)")
         return codeword[self._message_positions].astype(np.int64)
 
-    def _syndromes(self, words: np.ndarray) -> np.ndarray:
-        """XOR of each check's variables over a ``(B, n)`` 0/1 batch;
-        padded index slots read the zero column ``n``."""
-        padded = np.zeros((len(words), self.n + 1), dtype=np.int64)
-        padded[:, :self.n] = words
-        return np.bitwise_xor.reduce(
-            padded.take(self._check_variables, axis=1), axis=2)
-
     def syndrome(self, word: np.ndarray) -> np.ndarray:
         """Parity-check syndrome ``H w`` over GF(2)."""
         word = np.asarray(word)
@@ -264,10 +261,14 @@ class LDPCCode:
         if words.ndim != 2 or words.shape[1] != self.n:
             raise ValueError(f"words must have shape (B, {self.n}), "
                              f"got {words.shape}")
-        return self._syndromes(words)
+        # Padded index slots read the zero column n.
+        padded = np.zeros((len(words), self.n + 1), dtype=np.int64)
+        padded[:, :self.n] = words
+        return np.bitwise_xor.reduce(
+            padded.take(self._check_variables, axis=1), axis=2)
 
     # ------------------------------------------------------------------ #
-    # Decoders
+    # Decoding
     # ------------------------------------------------------------------ #
     def decode_min_sum(self, llrs: np.ndarray, max_iterations: int = 30,
                        scale: float = 0.8) -> LDPCDecodingResult:
@@ -281,19 +282,6 @@ class LDPCCode:
         return self.decode_min_sum_batch(llrs[None], max_iterations,
                                          scale)[0]
 
-    def _variable_totals(self, llrs: np.ndarray,
-                         messages: np.ndarray) -> np.ndarray:
-        """Channel LLR plus every incoming check message, per variable.
-
-        The messages are added in ascending check order, the order in which
-        a column sum over a dense ``H``-shaped message array adds them.
-        """
-        edges = self._variable_edges
-        incoming = messages.take(edges[:, 0], axis=1)
-        for column in range(1, edges.shape[1]):
-            incoming += messages.take(edges[:, column], axis=1)
-        return llrs + incoming
-
     def decode_min_sum_batch(self, llrs_batch: np.ndarray,
                              max_iterations: int = 30,
                              scale: float = 0.8) -> list[LDPCDecodingResult]:
@@ -302,16 +290,18 @@ class LDPCCode:
         Parameters
         ----------
         llrs_batch:
-            Channel log-likelihood ratios, positive meaning "bit is 0".
+            Channel log-likelihood ratios, positive meaning "bit is 0"; a
+            NaN or infinite LLR raises :class:`ValueError`.
         max_iterations:
             Iteration cap.
         scale:
             Min-sum normalisation factor (0.8 is a common choice).
 
-        Check-to-variable messages live on the Tanner graph's edges, one
-        ``(B, E + 1)`` array whose last slot is the zero the padded index
-        entries read.  Codewords that converge drop out of the working set,
-        so each codeword's result does not depend on the rest of the batch.
+        The message passing is the array backend's ``ldpc_min_sum`` kernel
+        (:meth:`repro.nn.backend.ArrayBackend.ldpc_min_sum`): one call per
+        batch, compiled under the ``cjit`` backend and bit-identical to
+        the NumPy loop under ``numpy``.  Each codeword's result depends on
+        its own LLRs only.
         """
         llrs_batch = np.asarray(llrs_batch, dtype=float)
         if llrs_batch.ndim != 2 or llrs_batch.shape[1] != self.n:
@@ -319,80 +309,13 @@ class LDPCCode:
                              f"got {llrs_batch.shape}")
         if not 0 < scale <= 1:
             raise ValueError("scale must lie in (0, 1]")
-        batch = llrs_batch.shape[0]
-        num_edges = self._edges.shape[1]
-        index = self._check_edges
-        variables = np.minimum(self._check_variables, self.n - 1)
-        mask = index < num_edges
-        degrees = mask.sum(axis=1)
-        positions = np.arange(index.shape[1])
-
-        codewords = (llrs_batch < 0).astype(np.int64)
-        iterations = np.zeros(batch, dtype=np.int64)
-        success = ~self._syndromes(codewords).any(axis=1)
-        active = np.nonzero(~success)[0]
-        llrs = llrs_batch[active]
-        messages = np.zeros((active.size, num_edges + 1))
-
-        for iteration in range(1, max_iterations + 1):
-            if active.size == 0:
-                break
-            totals = self._variable_totals(llrs, messages)
-            # Check-node update: extrinsic inputs per edge, the product of
-            # their signs and the two smallest magnitudes per check, then
-            # the normalised min-sum outgoing messages.
-            incoming = totals.take(variables, axis=1) \
-                - messages.take(index, axis=1)
-            signs = np.where(incoming < 0, -1.0, 1.0)
-            magnitudes = np.where(mask, np.abs(incoming), np.inf)
-            smallest_two = np.partition(magnitudes, 1, axis=-1) \
-                if magnitudes.shape[-1] > 1 else magnitudes
-            smallest = smallest_two[..., 0]
-            second = np.where(degrees > 1,
-                              smallest_two[..., min(1, magnitudes.shape[-1] - 1)],
-                              smallest)
-            minimum_position = np.argmin(magnitudes, axis=-1)
-            product_sign = np.prod(np.where(mask, signs, 1.0), axis=-1)
-            outgoing = np.where(positions == minimum_position[..., None],
-                                second[..., None], smallest[..., None])
-            update = scale * product_sign[..., None] * signs * outgoing
-            messages[:, index] = np.where(mask, update, 0.0)
-            hard = (self._variable_totals(llrs, messages) < 0).astype(np.int64)
-            converged = ~self._syndromes(hard).any(axis=1)
-            codewords[active] = hard
-            iterations[active] = iteration
-            success[active] = converged
-            running = ~converged
-            active, llrs, messages = \
-                active[running], llrs[running], messages[running]
-
-        return [LDPCDecodingResult(
-                    codeword=codewords[i],
-                    message=self.message_from_codeword(codewords[i]),
-                    iterations=int(iterations[i]), success=bool(success[i]))
-                for i in range(batch)]
-
-    def decode_bit_flipping(self, received: np.ndarray,
-                            max_iterations: int = 50) -> LDPCDecodingResult:
-        """Gallager hard-decision bit-flipping decoding."""
-        word = np.asarray(received).astype(np.int64) & 1
-        if word.shape != (self.n,):
-            raise ValueError(f"received word must have shape ({self.n},)")
-        word = word.copy()
-        for iteration in range(1, max_iterations + 1):
-            syndrome = self.syndrome(word)
-            if not syndrome.any():
-                return LDPCDecodingResult(
-                    codeword=word, message=self.message_from_codeword(word),
-                    iterations=iteration - 1, success=True)
-            # Number of unsatisfied checks touching each variable.
-            on_edges = np.append(syndrome[self._edges[0]], 0)
-            unsatisfied = on_edges[self._variable_edges].sum(axis=1)
-            worst = unsatisfied.max()
-            if worst == 0:
-                break
-            word[unsatisfied == worst] ^= 1
-        success = self.is_codeword(word)
-        return LDPCDecodingResult(codeword=word,
-                                  message=self.message_from_codeword(word),
-                                  iterations=max_iterations, success=success)
+        if not np.isfinite(llrs_batch).all():
+            raise ValueError("llrs must be finite")
+        codewords, iterations, success = get_backend().ldpc_min_sum(
+            llrs_batch, self._check_edges, self._check_variables,
+            self._variable_edges, max_iterations, scale)
+        messages = codewords[:, self._message_positions]
+        return [LDPCDecodingResult(codeword=codewords[i], message=messages[i],
+                                   iterations=int(iterations[i]),
+                                   success=bool(success[i]))
+                for i in range(len(codewords))]

@@ -3,7 +3,10 @@
 Every hot array operation of :mod:`repro.nn` — the conv im2col/col2im
 lowering and its BLAS matmuls, the elementwise activations, the fused
 loss reductions and the in-place Adam update — is routed through one
-backend object instead of scattered ``np.*`` calls.  The indirection has
+backend object instead of scattered ``np.*`` calls, and so is the hot
+loop of the ECC campaigns, the LDPC normalised min-sum decoder
+(:meth:`ArrayBackend.ldpc_min_sum`, called by
+:meth:`repro.ecc.LDPCCode.decode_min_sum_batch`).  The indirection has
 two purposes:
 
 * **precision**: every kernel preserves the dtype of the arrays it is handed
@@ -15,7 +18,7 @@ two purposes:
 
 The process default is resolved on the first :func:`get_backend` call:
 the compiled-kernel :class:`repro.nn.cjit.CJitBackend` when a C compiler is
-found, :class:`NumpyBackend` otherwise.  The two train and sample
+found, :class:`NumpyBackend` otherwise.  The two train, sample and decode
 bit-identically; cjit is the faster one, and a default cjit that cannot
 build a kernel (no writable cache, a broken toolchain) warns once and runs
 the NumPy kernels.  :class:`NumpyBackend` stays the fallback and the
@@ -386,6 +389,122 @@ class ArrayBackend:
         m_hat = m / bias_correction1
         v_hat = v / bias_correction2
         param -= lr * m_hat / (np.sqrt(v_hat) + eps)
+
+    # ------------------------------------------------------------------ #
+    # LDPC decoding (normalised min-sum on the Tanner graph's edges)
+    # ------------------------------------------------------------------ #
+    @profiled_kernel("ldpc_min_sum")
+    def ldpc_min_sum(self, llrs: np.ndarray, check_edges: np.ndarray,
+                     check_variables: np.ndarray, variable_edges: np.ndarray,
+                     max_iterations: int, scale: float
+                     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Normalised min-sum decoding of a ``(B, n)`` batch of finite LLRs.
+
+        The Tanner graph's ``E`` edges arrive as three padded indexes:
+        ``check_edges`` lists each check's edge ids (padded with ``E``),
+        ``check_variables`` the variable of each of those edges (padded
+        with ``n``), and ``variable_edges`` each variable's edge ids in
+        ascending check order (padded with ``E``).  Check-to-variable
+        messages live in one ``(B, E + 1)`` array whose last slot is the
+        zero every padded slot reads.  Codewords that converge drop out of
+        the working set, so each row's result depends on that row alone.
+
+        Returns the hard decisions ``(B, n)`` int64, the iterations run
+        ``(B,)`` int64 and the converged flags ``(B,)`` bool.  An index of
+        the wrong shape or with an entry out of range raises
+        :class:`ValueError`.
+        """
+        batch, n = llrs.shape
+        num_edges = _tanner_edge_count(n, check_edges, check_variables,
+                                       variable_edges)
+        mask = check_variables < n
+        variables = np.minimum(check_variables, n - 1)
+        degrees = mask.sum(axis=1)
+        positions = np.arange(check_edges.shape[1])
+
+        codewords = (llrs < 0).astype(np.int64)
+        iterations = np.zeros(batch, dtype=np.int64)
+        success = ~_tanner_syndromes(codewords, check_variables).any(axis=1)
+        active = np.nonzero(~success)[0]
+        llrs = llrs[active]
+        messages = np.zeros((active.size, num_edges + 1))
+
+        for iteration in range(1, max_iterations + 1):
+            if active.size == 0:
+                break
+            totals = _variable_totals(llrs, messages, variable_edges)
+            # Check-node update: extrinsic inputs per edge, the product of
+            # their signs and the two smallest magnitudes per check, then
+            # the normalised min-sum outgoing messages.
+            incoming = totals.take(variables, axis=1) \
+                - messages.take(check_edges, axis=1)
+            signs = np.where(incoming < 0, -1.0, 1.0)
+            magnitudes = np.where(mask, np.abs(incoming), np.inf)
+            smallest_two = np.partition(magnitudes, 1, axis=-1) \
+                if magnitudes.shape[-1] > 1 else magnitudes
+            smallest = smallest_two[..., 0]
+            second = np.where(degrees > 1,
+                              smallest_two[..., min(1, magnitudes.shape[-1] - 1)],
+                              smallest)
+            minimum_position = np.argmin(magnitudes, axis=-1)
+            product_sign = np.prod(np.where(mask, signs, 1.0), axis=-1)
+            outgoing = np.where(positions == minimum_position[..., None],
+                                second[..., None], smallest[..., None])
+            update = scale * product_sign[..., None] * signs * outgoing
+            messages[:, check_edges] = np.where(mask, update, 0.0)
+            hard = (_variable_totals(llrs, messages, variable_edges)
+                    < 0).astype(np.int64)
+            converged = ~_tanner_syndromes(hard, check_variables).any(axis=1)
+            codewords[active] = hard
+            iterations[active] = iteration
+            success[active] = converged
+            running = ~converged
+            active, llrs, messages = \
+                active[running], llrs[running], messages[running]
+        return codewords, iterations, success
+
+
+def _tanner_edge_count(n: int, check_edges: np.ndarray,
+                       check_variables: np.ndarray,
+                       variable_edges: np.ndarray) -> int:
+    """The edge count ``E`` of ``ldpc_min_sum``'s padded indexes, after
+    checking their shapes and that variables lie in ``[0, n]`` and edge ids
+    in ``[0, E]``: a compiled kernel addresses memory with them."""
+    if (check_edges.ndim != 2 or check_variables.shape != check_edges.shape
+            or variable_edges.ndim != 2 or len(variable_edges) != n):
+        raise ValueError("ldpc_min_sum: check_edges and check_variables "
+                         "must share one (checks, width) shape and "
+                         "variable_edges have one row per variable")
+    num_edges = int(np.count_nonzero(check_variables < n))
+    for index, top in ((check_variables, n), (check_edges, num_edges),
+                       (variable_edges, num_edges)):
+        if index.size and (index.min() < 0 or index.max() > top):
+            raise ValueError(f"ldpc_min_sum: index entries must lie in "
+                             f"[0, {top}]")
+    return num_edges
+
+
+def _variable_totals(llrs: np.ndarray, messages: np.ndarray,
+                     variable_edges: np.ndarray) -> np.ndarray:
+    """Channel LLR plus every incoming check message, per variable.
+
+    The messages are added in ascending check order, the order in which a
+    column sum over a dense ``H``-shaped message array adds them.
+    """
+    incoming = messages.take(variable_edges[:, 0], axis=1)
+    for column in range(1, variable_edges.shape[1]):
+        incoming += messages.take(variable_edges[:, column], axis=1)
+    return llrs + incoming
+
+
+def _tanner_syndromes(words: np.ndarray,
+                      check_variables: np.ndarray) -> np.ndarray:
+    """XOR of each check's variables over a ``(B, n)`` 0/1 batch; padded
+    index slots read the zero column ``n``."""
+    padded = np.zeros((len(words), words.shape[1] + 1), dtype=np.int64)
+    padded[:, :-1] = words
+    return np.bitwise_xor.reduce(padded.take(check_variables, axis=1),
+                                 axis=2)
 
 
 class NumpyBackend(ArrayBackend):

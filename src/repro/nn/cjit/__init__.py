@@ -19,7 +19,7 @@ It is the process default wherever :func:`find_compiler` finds a compiler
     from repro.nn import backend
     backend.get_backend().name     # "cjit" with a C compiler, else "numpy"
     with backend.use_backend("numpy"):
-        ...        # conv/loss/optimizer kernels run the NumPy versions
+        ...        # conv/loss/optimizer/LDPC kernels run the NumPy versions
 
 ``python -m repro.nn.backend`` reports the default, the compiler and the
 cache, and ``--warm`` pre-compiles the standard kernel set.

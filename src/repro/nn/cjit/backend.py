@@ -2,8 +2,9 @@
 
 ``CJitBackend`` routes the hot kernels of :class:`repro.nn.backend
 .NumpyBackend` — the conv im2col/col2im lowering, the fused loss
-reductions, the in-place Adam update and the single-pass
-``leaky_relu`` — through C functions rendered by
+reductions, the in-place Adam update, the single-pass ``leaky_relu``, the
+BatchNorm input gradient and the LDPC min-sum decoder — through C
+functions rendered by
 :mod:`repro.nn.cjit.render`, compiled once per (kernel, window shape,
 dtype) by :mod:`repro.nn.cjit.compiler`, and persisted across processes in
 the per-user kernel cache (:class:`repro.artifacts.kernels.KernelCache`).
@@ -54,6 +55,7 @@ from repro.nn.cjit.render import (
     bn_bwd_dx_spec,
     conv_spec,
     elementwise_spec,
+    ldpc_min_sum_spec,
     reduce_spec,
     render_kernel,
     standard_kernel_specs,
@@ -73,6 +75,7 @@ _SPECS = {
     "adam_update": update_spec,
     "leaky_relu": elementwise_spec,
     "bn_bwd_dx": lambda op, dtype: bn_bwd_dx_spec(dtype),
+    "ldpc_min_sum": lambda op, dtype: ldpc_min_sum_spec(dtype),
 }
 
 
@@ -359,6 +362,44 @@ class CJitBackend(NumpyBackend):
         fn(_addr(param), _addr(grad), _addr(m), _addr(v), param.size,
            float(lr), float(beta1), float(beta2), float(eps),
            float(bias_correction1), float(bias_correction2))
+
+    # ------------------------------------------------------------------ #
+    # LDPC decoding (bit-identical to the NumPy loop)
+    # ------------------------------------------------------------------ #
+    @profiled_kernel("ldpc_min_sum")
+    def ldpc_min_sum(self, llrs: np.ndarray, check_edges: np.ndarray,
+                     check_variables: np.ndarray, variable_edges: np.ndarray,
+                     max_iterations: int, scale: float
+                     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Compiled min-sum decoding: one C call for the whole batch, each
+        codeword decoded on its own with per-call scratch."""
+        key = ("ldpc_min_sum", llrs.dtype)
+        fn = None
+        if llrs.dtype == np.float64:
+            fn = self._functions.get(key) or self._build(key)
+        if fn is None:
+            self.fallbacks += 1
+            return super().ldpc_min_sum(llrs, check_edges, check_variables,
+                                        variable_edges, max_iterations,
+                                        scale)
+        batch, n = llrs.shape
+        _base._tanner_edge_count(n, check_edges, check_variables,
+                                 variable_edges)
+        checks, width = check_edges.shape
+        llrs = np.ascontiguousarray(llrs)
+        check_edges, check_variables, variable_edges = (
+            np.ascontiguousarray(index, dtype=np.int64)
+            for index in (check_edges, check_variables, variable_edges))
+        codewords = np.empty((batch, n), dtype=np.int64)
+        iterations = np.empty(batch, dtype=np.int64)
+        success = np.empty(batch, dtype=bool)
+        scratch = np.empty(checks * width + 1 + n + width)
+        fn(_addr(llrs), batch, n, checks, width, _addr(check_edges),
+           _addr(check_variables), variable_edges.shape[1],
+           _addr(variable_edges), max_iterations, float(scale),
+           _addr(codewords), _addr(iterations), _addr(success),
+           _addr(scratch))
+        return codewords, iterations, success
 
 
 class _DefaultCJitBackend(CJitBackend):

@@ -25,6 +25,11 @@ Exactness contract (mirrored by the conformance tests):
   bit-for-bit.
 * ``bn_bwd_dx`` performs the NumPy reference's two multiplies then two
   adds per element and is **bit-identical**.
+* ``ldpc_min_sum`` (float64 only) decodes each codeword on its own with
+  the NumPy loop's operations in its order — variable totals
+  ``llr + ((m0 + m1) + m2 ...)`` in ascending check order, messages
+  ``((scale * sign product) * sign_k) * magnitude``, the second minimum
+  counting duplicates — and is **bit-identical** on finite LLRs.
 """
 
 from __future__ import annotations
@@ -34,7 +39,7 @@ from dataclasses import dataclass, field
 
 __all__ = ["KernelSpec", "render_kernel", "conv_spec", "reduce_spec",
            "update_spec", "elementwise_spec", "bn_bwd_dx_spec",
-           "standard_kernel_specs", "SUPPORTED_DTYPES"]
+           "ldpc_min_sum_spec", "standard_kernel_specs", "SUPPORTED_DTYPES"]
 
 #: Dtypes the renderer can specialize for (everything else falls back).
 SUPPORTED_DTYPES = ("float32", "float64")
@@ -138,6 +143,16 @@ def bn_bwd_dx_spec(dtype: str) -> KernelSpec:
     return KernelSpec(op="bn_bwd_dx", dtype=dtype,
                       argtypes=(_PTR, _PTR, _PTR, _I64, _I64, _I64,
                                 _PTR, _PTR, _PTR))
+
+
+def ldpc_min_sum_spec(dtype: str) -> KernelSpec:
+    """Normalised min-sum LDPC decoding spec; float64 LLRs only."""
+    if dtype != "float64":
+        raise ValueError(f"ldpc_min_sum takes float64 LLRs, not {dtype!r}")
+    return KernelSpec(op="ldpc_min_sum", dtype=dtype,
+                      argtypes=(_PTR, _I64, _I64, _I64, _I64, _PTR, _PTR,
+                                _I64, _PTR, _I64, _F64, _PTR, _PTR, _PTR,
+                                _PTR))
 
 
 # --------------------------------------------------------------------- #
@@ -371,6 +386,106 @@ void {spec.symbol}(const {T}* x, {T}* out, i64 n, double slope) {{
 """
 
 
+def _render_ldpc_min_sum(spec: KernelSpec) -> str:
+    return f"""\
+/* Normalised min-sum LDPC decoding (Chen & Fossorier 2002), one codeword
+   at a time, replaying the float64 operations of the NumPy reference
+   (ArrayBackend.ldpc_min_sum) in the same order:
+   - a variable's total is llr + ((m0 + m1) + m2 ...) over its edges in
+     ascending check order; padded slots read the zero message slot;
+   - a check sends ((scale * sign product) * sign_k) * magnitude, the
+     magnitude being the smallest of the other inputs: the second minimum
+     counts duplicates and the first occurrence of the minimum receives
+     it; a check of degree <= 1 sends its smallest magnitude.
+   Inputs must be finite.  Scratch is the caller's, per call: messages
+   (checks * width + 1, zeroed per codeword), totals (n), inputs (width).
+   Padded check slots hold variable n; padded variable slots hold an edge
+   id no check slot writes. */
+static int parity_ok(const i64* word, i64 n, i64 checks, i64 width,
+                     const i64* check_variables) {{
+    for (i64 c = 0; c < checks; ++c) {{
+        const i64* cv = check_variables + c * width;
+        i64 parity = 0;
+        for (i64 j = 0; j < width; ++j)
+            if (cv[j] < n) parity ^= word[cv[j]];
+        if (parity) return 0;
+    }}
+    return 1;
+}}
+
+static void variable_totals(const double* llr, const double* msg, i64 n,
+                            i64 vwidth, const i64* variable_edges,
+                            double* total) {{
+    for (i64 v = 0; v < n; ++v) {{
+        const i64* ve = variable_edges + v * vwidth;
+        double acc = msg[ve[0]];
+        for (i64 j = 1; j < vwidth; ++j) acc += msg[ve[j]];
+        total[v] = llr[v] + acc;
+    }}
+}}
+
+void {spec.symbol}(const double* restrict llrs, i64 batch, i64 n,
+                   i64 checks, i64 width,
+                   const i64* restrict check_edges,
+                   const i64* restrict check_variables,
+                   i64 vwidth, const i64* restrict variable_edges,
+                   i64 max_iterations, double scale,
+                   i64* restrict codewords, i64* restrict iterations,
+                   uint8_t* restrict success, double* restrict scratch) {{
+    double* msg = scratch;
+    double* total = msg + checks * width + 1;
+    double* in = total + n;
+    for (i64 b = 0; b < batch; ++b) {{
+        const double* llr = llrs + b * n;
+        i64* word = codewords + b * n;
+        for (i64 v = 0; v < n; ++v) word[v] = llr[v] < 0.0;
+        int ok = parity_ok(word, n, checks, width, check_variables);
+        i64 done = 0;
+        if (!ok) {{
+            for (i64 e = 0; e <= checks * width; ++e) msg[e] = 0.0;
+            variable_totals(llr, msg, n, vwidth, variable_edges, total);
+        }}
+        while (!ok && done < max_iterations) {{
+            ++done;
+            for (i64 c = 0; c < checks; ++c) {{
+                const i64* ce = check_edges + c * width;
+                const i64* cv = check_variables + c * width;
+                double min1 = INFINITY, min2 = INFINITY;
+                i64 first = 0, degree = 0, negative = 0;
+                for (i64 j = 0; j < width; ++j) {{
+                    if (cv[j] >= n) continue;
+                    const double x = total[cv[j]] - msg[ce[j]];
+                    const double magnitude = fabs(x);
+                    in[j] = x;
+                    negative ^= x < 0.0;
+                    /* Branch-free form of: if (magnitude < min1) shift
+                       min1 into min2; else if (magnitude < min2) replace
+                       min2.  Magnitudes are never NaN or -0.0. */
+                    const double larger = magnitude < min1 ? min1 : magnitude;
+                    min2 = larger < min2 ? larger : min2;
+                    first = magnitude < min1 ? j : first;
+                    min1 = magnitude < min1 ? magnitude : min1;
+                    ++degree;
+                }}
+                if (degree <= 1) min2 = min1;
+                const double signed_scale = scale * (negative ? -1.0 : 1.0);
+                for (i64 j = 0; j < width; ++j) {{
+                    if (cv[j] >= n) continue;
+                    const double s = in[j] < 0.0 ? -1.0 : 1.0;
+                    msg[ce[j]] = (signed_scale * s) * (j == first ? min2 : min1);
+                }}
+            }}
+            variable_totals(llr, msg, n, vwidth, variable_edges, total);
+            for (i64 v = 0; v < n; ++v) word[v] = total[v] < 0.0;
+            ok = parity_ok(word, n, checks, width, check_variables);
+        }}
+        iterations[b] = done;
+        success[b] = (uint8_t)ok;
+    }}
+}}
+"""
+
+
 _RENDERERS = {
     "im2col": _render_im2col,
     "col2im": _render_col2im,
@@ -381,6 +496,7 @@ _RENDERERS = {
     "adam_update": _render_adam_update,
     "leaky_relu": _render_leaky_relu,
     "bn_bwd_dx": _render_bn_bwd_dx,
+    "ldpc_min_sum": _render_ldpc_min_sum,
 }
 
 
@@ -415,4 +531,6 @@ def standard_kernel_specs(dtypes=SUPPORTED_DTYPES) -> list[KernelSpec]:
         specs.append(update_spec("adam_update", dtype))
         specs.append(elementwise_spec("leaky_relu", dtype))
         specs.append(bn_bwd_dx_spec(dtype))
+        if dtype == "float64":
+            specs.append(ldpc_min_sum_spec(dtype))
     return specs

@@ -111,6 +111,15 @@ class TestProtocolContract:
         with pytest.raises(ValueError):
             channel.read_voltages(np.full((4, 4), NUM_LEVELS), FITTED_PE[0])
 
+    @pytest.mark.parametrize("program", [
+        np.zeros((4, 4)), np.full((4, 4), 2.5), np.ones((4, 4), dtype=bool)],
+        ids=["float_zeros", "float_2.5", "bool"])
+    def test_rejects_non_integer_levels(self, backends, name, program):
+        """Float or bool levels are one TypeError on every backend, never
+        an IndexError, a silent read or a level-not-fitted error."""
+        with pytest.raises(TypeError, match="program levels must be integers"):
+            backends[name].read_voltages(program, FITTED_PE[0])
+
     @pytest.mark.parametrize("value", [np.nan, np.inf])
     @pytest.mark.parametrize("condition",
                              ["pe_cycles", "retention_hours", "read_disturbs"])

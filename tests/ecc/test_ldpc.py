@@ -1,8 +1,10 @@
-"""Tests for the LDPC code, its decoders and the Gallager construction."""
+"""Tests for the LDPC code, its min-sum decoder and the Gallager
+construction."""
 
 from __future__ import annotations
 
 import pickle
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -14,6 +16,8 @@ from repro.ecc import (LDPCCode, LDPCDecodingResult,
                        evaluate_ldpc_over_channel,
                        gallager_parity_check_matrix)
 from repro.flash import BlockGeometry
+from repro.nn import backend as backend_mod
+from repro.nn.backend import use_backend
 
 
 @pytest.fixture(scope="module")
@@ -153,6 +157,19 @@ class TestMinSumDecoder:
         with pytest.raises(ValueError):
             code.decode_min_sum(np.zeros(code.n), scale=0.0)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_llrs_rejected(self, code, bad):
+        """A NaN reads as bit 0, so an all-NaN word used to decode as the
+        all-zero codeword in 0 iterations, reported as a success."""
+        with pytest.raises(ValueError, match="finite"):
+            code.decode_min_sum_batch(np.full((2, code.n), bad))
+        llrs = np.full(code.n, 5.0)
+        llrs[17] = bad
+        with pytest.raises(ValueError, match="finite"):
+            code.decode_min_sum(llrs)
+        with pytest.raises(ValueError, match="finite"):
+            code.decode_min_sum_batch(np.stack([np.full(code.n, 5.0), llrs]))
+
     @settings(max_examples=10, deadline=None)
     @given(seed=st.integers(min_value=0, max_value=1000))
     def test_decoded_word_is_always_valid_or_flagged(self, code, seed):
@@ -204,15 +221,20 @@ def _reference_min_sum(code: LDPCCode, llrs: np.ndarray,
 
 
 def _assert_matches_reference(code: LDPCCode, llrs: np.ndarray,
-                              max_iterations: int) -> None:
-    """The batch decoder agrees with the oracle on every row of ``llrs``."""
-    results = code.decode_min_sum_batch(llrs, max_iterations=max_iterations)
-    for row, result in zip(llrs, results):
-        expected_codeword, expected_iterations, expected_success = \
-            _reference_min_sum(code, row, max_iterations=max_iterations)
-        np.testing.assert_array_equal(result.codeword, expected_codeword)
-        assert result.iterations == expected_iterations
-        assert result.success == expected_success
+                              max_iterations: int, backends) -> None:
+    """The batch decoder agrees with the oracle on every row of ``llrs``,
+    under each array backend of ``backends``."""
+    expected = [_reference_min_sum(code, row, max_iterations=max_iterations)
+                for row in llrs]
+    for backend in backends:
+        with use_backend(backend):
+            results = code.decode_min_sum_batch(
+                llrs, max_iterations=max_iterations)
+        for result, (codeword, iterations, success) in zip(results,
+                                                           expected):
+            np.testing.assert_array_equal(result.codeword, codeword)
+            assert result.iterations == iterations
+            assert result.success == success
 
 
 def _irregular_parity_check() -> np.ndarray:
@@ -236,59 +258,94 @@ def code_252() -> LDPCCode:
 
 
 class TestVectorizedMinSumRegression:
-    """The vectorized check-node update must match the scalar loop exactly."""
+    """The edge-list decoder must match the dense per-check loop exactly,
+    under the NumPy loop and the compiled kernel alike."""
+
+    @pytest.fixture
+    def backends(self, cjit_backend):
+        """Both decoders; on a host without a C compiler the explicitly
+        built cjit backend runs the NumPy loop too."""
+        return ("numpy", cjit_backend)
 
     @pytest.mark.parametrize("noise_sigma", [0.5, 0.7, 0.9])
-    def test_identical_decode_results(self, code, noise_sigma):
+    def test_identical_decode_results(self, code, noise_sigma, backends):
         rng = np.random.default_rng(int(noise_sigma * 100))
-        for _ in range(8):
-            message = rng.integers(0, 2, size=code.k)
-            codeword = code.encode(message)
-            llrs = _bpsk_llrs(codeword, noise_sigma=noise_sigma, rng=rng)
+        llrs = [_bpsk_llrs(code.encode(rng.integers(0, 2, size=code.k)),
+                           noise_sigma=noise_sigma, rng=rng)
+                for _ in range(8)]
+        for row in llrs:
             expected_codeword, expected_iterations, expected_success = \
-                _reference_min_sum(code, llrs, max_iterations=30)
-            result = code.decode_min_sum(llrs, max_iterations=30)
-            np.testing.assert_array_equal(result.codeword, expected_codeword)
-            assert result.iterations == expected_iterations
-            assert result.success == expected_success
+                _reference_min_sum(code, row, max_iterations=30)
+            for backend in backends:
+                with use_backend(backend):
+                    result = code.decode_min_sum(row, max_iterations=30)
+                np.testing.assert_array_equal(result.codeword,
+                                              expected_codeword)
+                assert result.iterations == expected_iterations
+                assert result.success == expected_success
 
-    def test_identical_on_irregular_parity_check(self):
+    def test_identical_on_irregular_parity_check(self, backends):
         """Padded adjacency handles rows of different degree."""
         rng = np.random.default_rng(0)
         parity = gallager_parity_check_matrix(24, 3, 6, rng=rng)
         parity[0, :3] = 0  # degree-3 row among degree-6 rows
         irregular = LDPCCode(parity)
+        llrs = []
         for seed in range(6):
             noise = np.random.default_rng(seed)
             codeword = irregular.encode(
                 noise.integers(0, 2, size=irregular.k))
-            llrs = _bpsk_llrs(codeword, noise_sigma=0.8, rng=noise)
-            expected_codeword, expected_iterations, expected_success = \
-                _reference_min_sum(irregular, llrs, max_iterations=20)
-            result = irregular.decode_min_sum(llrs, max_iterations=20)
-            np.testing.assert_array_equal(result.codeword, expected_codeword)
-            assert result.iterations == expected_iterations
-            assert result.success == expected_success
+            llrs.append(_bpsk_llrs(codeword, noise_sigma=0.8, rng=noise))
+        _assert_matches_reference(irregular, np.stack(llrs),
+                                  max_iterations=20, backends=backends)
 
     @pytest.mark.parametrize("noise_sigma", [0.6, 0.9, 1.5])
     def test_batch_matches_reference_on_the_campaign_code(self, code_252,
-                                                          noise_sigma):
+                                                          noise_sigma,
+                                                          backends):
         """At sigma 1.5 every frame runs all 30 iterations, so a message
         added in the wrong order or on the wrong edge has time to show."""
         rng = np.random.default_rng(int(noise_sigma * 10))
         codewords = code_252.encode_batch(
             rng.integers(0, 2, size=(8, code_252.k)))
         llrs = _bpsk_llrs(codewords, noise_sigma, rng)
-        _assert_matches_reference(code_252, llrs, max_iterations=30)
+        _assert_matches_reference(code_252, llrs, max_iterations=30,
+                                  backends=backends)
 
     @pytest.mark.parametrize("noise_sigma", [0.6, 0.9, 1.5])
-    def test_batch_matches_reference_on_degenerate_rows(self, noise_sigma):
+    def test_batch_matches_reference_on_degenerate_rows(self, noise_sigma,
+                                                        backends):
         irregular = LDPCCode(_irregular_parity_check())
         rng = np.random.default_rng(int(noise_sigma * 10))
         codewords = irregular.encode_batch(
             rng.integers(0, 2, size=(16, irregular.k)))
         llrs = _bpsk_llrs(codewords, noise_sigma, rng)
-        _assert_matches_reference(irregular, llrs, max_iterations=30)
+        _assert_matches_reference(irregular, llrs, max_iterations=30,
+                                  backends=backends)
+
+    def test_threads_match_serial_decode(self, code_252, backends):
+        """Eight threads decoding through one code get the serial results:
+        the compiled kernel keeps its scratch per call and runs outside
+        the GIL, so the threads really overlap."""
+        rng = np.random.default_rng(40)
+        batches = [_bpsk_llrs(code_252.encode_batch(
+                       rng.integers(0, 2, size=(8, code_252.k))), 1.0, rng)
+                   for _ in range(16)]
+        for backend in backends:
+            def decode(llrs, backend=backend):
+                with use_backend(backend):
+                    return [(result.codeword, result.iterations,
+                             result.success)
+                            for result in code_252.decode_min_sum_batch(llrs)]
+
+            serial = [decode(llrs) for llrs in batches]
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                threaded = list(pool.map(decode, batches))
+            for serial_batch, threaded_batch in zip(serial, threaded):
+                for (codeword, iterations, success), got in zip(
+                        serial_batch, threaded_batch):
+                    np.testing.assert_array_equal(got[0], codeword)
+                    assert got[1:] == (iterations, success)
 
 
 class TestEdgeList:
@@ -319,24 +376,18 @@ class TestEdgeList:
         dense = np.zeros((4, code.num_checks, code.n))
         checks, variables = np.nonzero(code.parity_check)
         dense[:, checks, variables] = messages[:, :-1]
-        np.testing.assert_array_equal(code._variable_totals(llrs, messages),
-                                      llrs + dense.sum(axis=1))
+        np.testing.assert_array_equal(
+            backend_mod._variable_totals(llrs, messages,
+                                         code._variable_edges),
+            llrs + dense.sum(axis=1))
 
-    def test_syndromes_and_bit_flipping_match_dense_parity_check(self):
+    def test_syndromes_match_dense_parity_check(self):
         code = LDPCCode(_irregular_parity_check())
         parity = code.parity_check
         rng = np.random.default_rng(30)
         words = rng.integers(0, 2, size=(12, code.n))
         np.testing.assert_array_equal(code.syndrome_batch(words),
                                       words @ parity.T % 2)
-        codeword = code.encode(rng.integers(0, 2, size=code.k))
-        corrupted = codeword.copy()
-        corrupted[7] ^= 1
-        result = code.decode_bit_flipping(corrupted, max_iterations=1)
-        unsatisfied = parity.T @ (parity @ corrupted % 2)
-        flipped = corrupted.copy()
-        flipped[unsatisfied == unsatisfied.max()] ^= 1
-        np.testing.assert_array_equal(result.codeword, flipped)
 
 
 class TestPickledCode:
@@ -385,7 +436,6 @@ class TestPickledCode:
         assert 0 < code.rate < 1
         code.decode_min_sum(2.0 - 4.0 * codeword)
         code.decode_min_sum_batch((2.0 - 4.0 * codeword)[None])
-        code.decode_bit_flipping(codeword)
         assert len(pickle.dumps(code)) <= 16_000
 
     def test_unpickling_does_not_redo_the_elimination(self, code_252,
@@ -400,50 +450,6 @@ class TestPickledCode:
         monkeypatch.setattr(ldpc, "_systematic_form", refuse)
         loaded = pickle.loads(payload)
         assert loaded.k == code_252.k
-
-
-class TestBitFlippingDecoder:
-    def test_clean_word_passes_through(self, code):
-        codeword = code.encode(np.ones(code.k, dtype=int))
-        result = code.decode_bit_flipping(codeword)
-        assert result.success
-        np.testing.assert_array_equal(result.codeword, codeword)
-
-    def test_corrects_a_few_flips(self, code):
-        rng = np.random.default_rng(9)
-        corrected = 0
-        for _ in range(10):
-            message = rng.integers(0, 2, size=code.k)
-            codeword = code.encode(message)
-            corrupted = codeword.copy()
-            corrupted[rng.choice(code.n, size=2, replace=False)] ^= 1
-            result = code.decode_bit_flipping(corrupted)
-            if result.success and np.array_equal(result.codeword, codeword):
-                corrected += 1
-        assert corrected >= 6
-
-    def test_weaker_than_min_sum(self, code):
-        """At the same noise level the soft decoder corrects more frames."""
-        rng = np.random.default_rng(10)
-        soft_wins, hard_wins = 0, 0
-        for _ in range(10):
-            message = rng.integers(0, 2, size=code.k)
-            codeword = code.encode(message)
-            llrs = _bpsk_llrs(codeword, noise_sigma=0.75, rng=rng)
-            hard = (llrs < 0).astype(int)
-            soft_result = code.decode_min_sum(llrs, max_iterations=50)
-            hard_result = code.decode_bit_flipping(hard)
-            if soft_result.success and np.array_equal(soft_result.codeword,
-                                                      codeword):
-                soft_wins += 1
-            if hard_result.success and np.array_equal(hard_result.codeword,
-                                                      codeword):
-                hard_wins += 1
-        assert soft_wins >= hard_wins
-
-    def test_shape_validation(self, code):
-        with pytest.raises(ValueError):
-            code.decode_bit_flipping(np.zeros(3, dtype=int))
 
 
 class TestBatchOperations:

@@ -13,6 +13,7 @@ import repro.nn.backend as backend_mod
 from repro.channel import SimulatorChannel
 from repro.core import ModelConfig, Trainer, build_model
 from repro.data import generate_paired_dataset
+from repro.ecc import LDPCCode
 from repro.flash import BlockGeometry
 from repro.nn import (
     Tensor,
@@ -38,6 +39,7 @@ from repro.nn.backend import (
 )
 from repro.nn.cjit import cjit_available, find_compiler
 from repro.nn.cjit import backend as cjit_backend_mod
+from tests.ecc.test_ldpc import _bpsk_llrs, _irregular_parity_check
 
 needs_compiler = pytest.mark.skipif(
     not cjit_available(), reason="no C compiler (cc/clang/gcc) on PATH")
@@ -314,15 +316,39 @@ class TestBackendConformance:
                                       results["reference"])
         assert results[under_test].dtype == dtype
 
+    @pytest.mark.parametrize("backend_name", CONFORMANCE_BACKENDS)
+    def test_ldpc_min_sum_rejects_malformed_indexes(self, backend_name,
+                                                    cjit_backend):
+        """The compiled decoder addresses memory with the padded indexes,
+        so an entry out of range or a shape mismatch is a ValueError on
+        every backend, never a wild read or numpy's negative wrap-around."""
+        backend = cjit_backend if backend_name == "cjit" \
+            else build_backend(backend_name)
+        code = LDPCCode(_irregular_parity_check())
+        llrs = np.full((2, code.n), -1.0)
+        indexes = (code._check_edges, code._check_variables,
+                   code._variable_edges)
+        num_edges = int(code.parity_check.sum())
+        for position, entry in ((0, num_edges + 1), (1, code.n + 1),
+                                (2, num_edges + 1), (2, -1)):
+            broken = [index.copy() for index in indexes]
+            broken[position][-1, 0] = entry
+            with pytest.raises(ValueError, match="must lie in"):
+                backend.ldpc_min_sum(llrs, *broken, 30, 0.8)
+        with pytest.raises(ValueError, match="shape"):
+            backend.ldpc_min_sum(llrs, indexes[0], indexes[1][:, :-1],
+                                 indexes[2], 30, 0.8)
+
 
 @needs_compiler
 class TestCJitKernelConformance:
     """Compiled kernels vs the NumPy kernels, per the documented contract.
 
-    Indexing kernels (im2col/col2im), the Adam update, ``leaky_relu``
-    and ``bn_bwd_dx`` must be **bit-identical**; the fused loss reductions
-    accumulate in float64 sequentially instead of NumPy's pairwise order,
-    so their scalars are held to documented tolerances instead.
+    Indexing kernels (im2col/col2im), the Adam update, ``leaky_relu``,
+    ``bn_bwd_dx`` and the LDPC min-sum decoder must be **bit-identical**;
+    the fused loss reductions accumulate in float64 sequentially instead
+    of NumPy's pairwise order, so their scalars are held to documented
+    tolerances instead.
     """
 
     GEOMETRIES = [(4, 2, 1), (4, 1, 1), (3, 1, 1), (2, 2, 0)]
@@ -386,6 +412,57 @@ class TestCJitKernelConformance:
         got = cjit_backend.bn_bwd_dx(grad, x, s1, s2, s3)
         assert got.dtype == want.dtype
         np.testing.assert_array_equal(got, want)
+
+    @staticmethod
+    def _ldpc_code(name: str) -> LDPCCode:
+        """The n = 252 campaign code; the degenerate code of the LDPC tests
+        (degree-1, empty, duplicate and shortened checks); or a width-1
+        code, every check of degree 1 and one variable checked twice."""
+        if name == "campaign":
+            return LDPCCode.regular(n=252, column_weight=3, row_weight=6,
+                                    rng=np.random.default_rng(1))
+        if name == "degenerate":
+            return LDPCCode(_irregular_parity_check())
+        parity = np.zeros((6, 12), dtype=np.int64)
+        parity[np.arange(6), [0, 1, 1, 3, 5, 8]] = 1
+        return LDPCCode(parity)
+
+    @pytest.mark.parametrize("scale", [0.5, 0.8, 1.0])
+    @pytest.mark.parametrize("max_iterations", [1, 30])
+    @pytest.mark.parametrize("code_name", ["campaign", "degenerate",
+                                           "width_1"])
+    def test_ldpc_min_sum_bit_identical(self, code_name, max_iterations,
+                                        scale, cjit_backend):
+        """Codewords, iterations and success flags, on noisy LLRs, tied
+        magnitudes (rounded LLRs), signed zeros, an already-converged
+        batch and batches of one and none."""
+        code = self._ldpc_code(code_name)
+        rng = np.random.default_rng(15)
+        codewords = code.encode_batch(rng.integers(0, 2, size=(24, code.k)))
+        awgn = _bpsk_llrs(codewords, 0.9, rng)
+        zeros = rng.choice([0.0, -0.0], size=awgn.shape)
+        inputs = {
+            "awgn": awgn,
+            "ties": np.round(awgn),
+            "signed_zeros": np.where(rng.random(awgn.shape) < 0.25, zeros,
+                                     np.round(awgn, 1)),
+            "converged": 4.0 * (1.0 - 2.0 * codewords),
+            "batch_of_none": awgn[:0],
+            "batch_of_one": awgn[:1],
+        }
+        reference = NumpyBackend()
+        fallbacks = cjit_backend.fallbacks
+        for label, llrs in inputs.items():
+            args = (llrs, code._check_edges, code._check_variables,
+                    code._variable_edges, max_iterations, scale)
+            want = reference.ldpc_min_sum(*args)
+            got = cjit_backend.ldpc_min_sum(*args)
+            for name, got_array, want_array in zip(
+                    ("codewords", "iterations", "success"), got, want):
+                assert got_array.dtype == want_array.dtype, (label, name)
+                np.testing.assert_array_equal(got_array, want_array,
+                                              err_msg=f"{label}: {name}")
+        assert cjit_backend.fallbacks == fallbacks
 
     #: Relative tolerance of the fused loss scalars vs the NumPy pairwise
     #: accumulation (see README "Compiled kernels (cjit)").
