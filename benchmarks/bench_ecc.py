@@ -42,7 +42,7 @@ def test_bch_dimensioning_across_pe_cycles(benchmark, results_dir, setup):
                                                  target_frame_error_rate=1e-3)
             result = evaluate_bch_over_channel(
                 code, channel, pe_cycles, num_codewords=codewords,
-                rng=np.random.default_rng(pe_cycles), params=setup.params)
+                rng=np.random.default_rng(pe_cycles))
             rows.append({"pe_cycles": pe_cycles,
                          "lower_page_rber": rber,
                          "required_t_for_8k": required_t,
@@ -61,7 +61,7 @@ def test_bch_dimensioning_across_pe_cycles(benchmark, results_dir, setup):
 
 @pytest.mark.benchmark(group="ecc")
 def test_ldpc_soft_decoding_gain(benchmark, results_dir, setup):
-    """Soft (min-sum) versus hard (bit-flipping) LDPC decoding at end of life."""
+    """Soft-decision (min-sum) LDPC decoding at end of life."""
     channel = setup.channel
     code = LDPCCode.regular(n=96, column_weight=3, row_weight=6,
                             rng=np.random.default_rng(0))
@@ -71,7 +71,7 @@ def test_ldpc_soft_decoding_gain(benchmark, results_dir, setup):
     def evaluate():
         result = evaluate_ldpc_over_channel(
             code, channel, 10000, table, num_codewords=codewords,
-            rng=np.random.default_rng(1), params=setup.params)
+            rng=np.random.default_rng(1))
         return {"pe_cycles": 10000,
                 "raw_bit_error_rate": result.raw_bit_error_rate,
                 "frame_error_rate": result.frame_error_rate,

@@ -1,11 +1,11 @@
 """A small LRU cache for per-condition channel artifacts.
 
-Monte-Carlo consumers of a channel model — the time-aware code selector, the
-ECC evaluation loop, the LLR density estimation — repeatedly query the same
-``(model, P/E cycle)`` operating condition.  The artifacts they derive
-(density tables, error-rate estimates, wear parameters) are expensive to
-recompute and small to store, so every :class:`repro.channel.ChannelModel`
-carries a :class:`ConditionCache` keyed by the condition tuple.
+Monte-Carlo consumers of a channel model repeatedly query the same
+``(model, P/E cycle)`` operating condition, and what they derive from it is
+expensive to recompute and small to store, so every
+:class:`repro.channel.ChannelModel` carries a :class:`ConditionCache` keyed
+by the condition tuple.  The library stores one artifact there: the LDPC
+campaign's seeded density table (:func:`repro.ecc.evaluate_ldpc_over_channel`).
 
 The cache is a plain ordered-dict LRU: no external dependency, deterministic
 eviction, and hit/miss counters so benchmarks can report cache
@@ -115,19 +115,3 @@ class ConditionCache:
     def stats(self) -> dict[str, int]:
         """Hit/miss/size counters (useful in benchmark reports)."""
         return {"hits": self.hits, "misses": self.misses, "size": len(self)}
-
-    def publish_metrics(self, prefix: str = "channel.cache",
-                        registry: Any = None) -> Any:
-        """Publish :meth:`stats` as gauges in an observability registry.
-
-        Lands the counters under ``<prefix>.*`` in ``registry`` (the active
-        :mod:`repro.obs` registry when omitted), so traced campaigns report
-        cache effectiveness alongside kernel and fleet metrics instead of
-        through ad-hoc ``stats()`` plumbing.
-        """
-        from repro.obs import metrics as _metrics
-
-        if registry is None:
-            registry = _metrics.get_registry()
-        return _metrics.cache_registry(self, prefix=prefix,
-                                       registry=registry)

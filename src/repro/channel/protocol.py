@@ -21,10 +21,11 @@ rng=None)``
     monotonicity, letting consumers and the conformance suite reason about
     backends generically.
 
-The base class also provides the derived conveniences consumers need —
-random block generation, paired-block datasets, density tables and
-Monte-Carlo error-rate estimates — with repeated ``(model, P/E)`` queries
-served from an LRU :class:`repro.channel.cache.ConditionCache`.
+The base class also provides the block helpers consumers need (random
+blocks and paired-block datasets) and an LRU
+:class:`repro.channel.cache.ConditionCache` for the per-condition artifacts
+they compute, such as the LDPC campaign's seeded density table.  Density
+tables and error rates live with their consumers, not on the channel.
 """
 
 from __future__ import annotations
@@ -70,8 +71,8 @@ class ChannelModel:
 
     Sub-classes implement :meth:`_sample_voltages` (the backend-specific
     conditional sampler) and :meth:`supports`; everything else — temporal
-    post-processing, block helpers, cached density tables and error-rate
-    estimates — is shared.
+    post-processing and the block helpers — is shared.  ``cache`` holds
+    only what consumers store in it; the channel computes no artifacts.
 
     Parameters
     ----------
@@ -207,52 +208,6 @@ class ChannelModel:
         :meth:`read_voltages`.
         """
         return self.read_voltages(program, pe_cycles, **kwargs)
-
-    # ------------------------------------------------------------------ #
-    # Cached per-condition artifacts
-    # ------------------------------------------------------------------ #
-    def density_table(self, pe_cycles: float, num_bins: int = 128,
-                      num_blocks: int = 4, *, retention_hours: float = 0.0,
-                      read_disturbs: float = 0):
-        """Per-level conditional density table at one operating condition.
-
-        The table is estimated once per ``(P/E, bins, blocks, condition)``
-        tuple and then served from the LRU condition cache — the repeated
-        query pattern of LLR generation and ECC evaluation.
-        """
-        from repro.ecc.llr import densities_from_samples
-
-        key = ("density", float(pe_cycles), int(num_bins), int(num_blocks),
-               float(retention_hours), float(read_disturbs))
-
-        def compute():
-            program, voltages = self.paired_blocks(
-                num_blocks, pe_cycles, retention_hours=retention_hours,
-                read_disturbs=read_disturbs)
-            return densities_from_samples(program, voltages,
-                                          num_bins=num_bins,
-                                          params=self.params)
-
-        return self.cache.get_or_compute(key, compute)
-
-    def level_error_rate_estimate(self, pe_cycles: float,
-                                  num_blocks: int = 4, *,
-                                  retention_hours: float = 0.0,
-                                  read_disturbs: float = 0) -> float:
-        """Cached Monte-Carlo estimate of the overall level error rate."""
-        from repro.flash.errors import level_error_rate
-
-        key = ("level_error_rate", float(pe_cycles), int(num_blocks),
-               float(retention_hours), float(read_disturbs))
-
-        def compute():
-            program, voltages = self.paired_blocks(
-                num_blocks, pe_cycles, retention_hours=retention_hours,
-                read_disturbs=read_disturbs)
-            return float(level_error_rate(program, voltages,
-                                          params=self.params))
-
-        return self.cache.get_or_compute(key, compute)
 
     # ------------------------------------------------------------------ #
     # Validation

@@ -24,7 +24,6 @@ from repro.ecc.llr import (
     LevelDensityTable,
     densities_from_channel,
     densities_from_samples,
-    llr_quality_summary,
     page_llrs,
 )
 from repro.ecc.evaluate import (
@@ -46,7 +45,6 @@ __all__ = [
     "LevelDensityTable",
     "densities_from_channel",
     "densities_from_samples",
-    "llr_quality_summary",
     "page_llrs",
     "CodewordChannelResult",
     "evaluate_bch_over_channel",

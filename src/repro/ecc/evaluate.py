@@ -8,7 +8,10 @@ does soft-decision LDPC decoding gain from the model's soft voltages?
 
 Every helper takes the channel through the unified protocol
 (:mod:`repro.channel`): pass a registered backend name or a
-:class:`~repro.channel.ChannelModel`.
+:class:`~repro.channel.ChannelModel`.  The physics comes from the channel
+too: raw errors are counted by a hard read at the channel's own read
+thresholds (the midpoints of ``channel.params``' level means), and the
+LDPC campaign's density table spans ``channel.params``' voltage window.
 
 The campaigns run on the sharded Monte-Carlo engine (:mod:`repro.exec`):
 codewords are evaluated in groups — each group programmed as one stacked
@@ -29,11 +32,10 @@ import numpy as np
 from repro.channel import ChannelModel, resolve_channel
 from repro.ecc.bch import BCHCode
 from repro.ecc.ldpc import LDPCCode
-from repro.ecc.llr import LevelDensityTable, page_llrs
+from repro.ecc.llr import LevelDensityTable, densities_from_channel, page_llrs
 from repro.exec import MonteCarloPlan, RecordReducer, run_plan, stable_seed
 from repro.flash.cell import LOWER_PAGE, levels_to_pages
 from repro.flash.pages import program_pages
-from repro.flash.params import FlashParameters
 from repro.flash.thresholds import default_read_thresholds, hard_read
 
 __all__ = [
@@ -63,35 +65,32 @@ class CodewordChannelResult:
         return int(round(self.frame_error_rate * self.codewords))
 
 
-def _transmit_lower_page(channel: ChannelModel, messages: np.ndarray, code,
-                         pe_cycles: float, rng: np.random.Generator,
-                         params: FlashParameters | None
-                         ) -> tuple[np.ndarray, np.ndarray]:
-    """Program codewords into lower-page bits and read soft voltages back.
+def _transmit_lower_page(unit, rng: np.random.Generator, code,
+                         channel: ChannelModel, pe_cycles: float
+                         ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Program one group of random codewords into lower-page bits, read
+    soft voltages back and hard-read them at the channel's own thresholds.
 
     Each codeword occupies one row of a stacked array whose middle/upper
     pages carry random (scrambled) data, so the codeword bits see realistic
-    neighbour levels and ICI.  Returns ``(codewords, voltages)`` where both
-    have shape ``(num_codewords, n)``.
+    neighbour levels and ICI.  Returns ``(codewords, voltages, received)``,
+    each of shape ``(unit, n)``.
     """
+    messages = rng.integers(0, 2, size=(int(unit), code.k))
     codewords = code.encode_batch(messages)
     middle = rng.integers(0, 2, size=codewords.shape)
     upper = rng.integers(0, 2, size=codewords.shape)
     levels = program_pages(codewords, middle, upper)
     voltages = channel.read_voltages(levels, pe_cycles, rng=rng)
-    return codewords, voltages
+    hard_levels = hard_read(voltages, default_read_thresholds(channel.params))
+    return codewords, voltages, levels_to_pages(hard_levels)[..., LOWER_PAGE]
 
 
-def _received_lower_page(voltages: np.ndarray,
-                         params: FlashParameters | None) -> np.ndarray:
-    thresholds = default_read_thresholds(params)
-    hard_levels = hard_read(voltages, thresholds)
-    return levels_to_pages(hard_levels)[..., LOWER_PAGE]
-
-
-def _group_records(codewords: np.ndarray, decoded: list) -> np.ndarray:
+def _group_records(codewords: np.ndarray, received: np.ndarray,
+                   decoded: list) -> np.ndarray:
     """Per-codeword ``(raw_errors, frame_failed, residual_errors)`` rows."""
     records = np.zeros((len(codewords), 3), dtype=np.int64)
+    records[:, 0] = np.count_nonzero(received != codewords, axis=1)
     for index, result in enumerate(decoded):
         failed = (not result.success) or \
             not np.array_equal(result.codeword, codewords[index])
@@ -102,31 +101,21 @@ def _group_records(codewords: np.ndarray, decoded: list) -> np.ndarray:
     return records
 
 
-def _bch_group_task(unit, rng, *, code, channel, pe_cycles, params):
+def _bch_group_task(unit, rng, *, code, channel, pe_cycles):
     """One codeword group of a hard-decision BCH campaign."""
-    count = int(unit)
-    messages = rng.integers(0, 2, size=(count, code.k))
-    codewords, voltages = _transmit_lower_page(channel, messages, code,
-                                               pe_cycles, rng, params)
-    received = _received_lower_page(voltages, params)
-    records = _group_records(codewords, code.decode_batch(received))
-    records[:, 0] = np.count_nonzero(received != codewords, axis=1)
-    return records
+    codewords, _, received = _transmit_lower_page(unit, rng, code, channel,
+                                                  pe_cycles)
+    return _group_records(codewords, received, code.decode_batch(received))
 
 
-def _ldpc_group_task(unit, rng, *, code, channel, pe_cycles, params,
+def _ldpc_group_task(unit, rng, *, code, channel, pe_cycles,
                      density_table, max_iterations):
     """One codeword group of a soft-decision LDPC campaign."""
-    count = int(unit)
-    messages = rng.integers(0, 2, size=(count, code.k))
-    codewords, voltages = _transmit_lower_page(channel, messages, code,
-                                               pe_cycles, rng, params)
-    received = _received_lower_page(voltages, params)
+    codewords, voltages, received = _transmit_lower_page(
+        unit, rng, code, channel, pe_cycles)
     llrs = page_llrs(voltages, LOWER_PAGE, density_table)
     decoded = code.decode_min_sum_batch(llrs, max_iterations=max_iterations)
-    records = _group_records(codewords, decoded)
-    records[:, 0] = np.count_nonzero(received != codewords, axis=1)
-    return records
+    return _group_records(codewords, received, decoded)
 
 
 def _codeword_groups(num_codewords: int, group_size: int) -> tuple[int, ...]:
@@ -135,74 +124,44 @@ def _codeword_groups(num_codewords: int, group_size: int) -> tuple[int, ...]:
     The grouping depends only on the campaign parameters — never on the
     executor or worker count — so it is part of the deterministic plan.
     """
+    if num_codewords < 1:
+        raise ValueError("num_codewords must be positive")
     if group_size < 1:
         raise ValueError("group_size must be positive")
     full, rest = divmod(num_codewords, group_size)
     return (group_size,) * full + ((rest,) if rest else ())
 
 
-def _campaign_seed(channel: ChannelModel, rng, seed) -> int:
-    """The campaign's root seed (drawn from a generator when not given)."""
-    if seed is not None:
-        return int(seed)
-    generator = rng if rng is not None else channel.rng
-    return int(generator.integers(0, 2 ** 31))
+def _resolve_campaign(channel, rng, seed) -> tuple[ChannelModel, object, int]:
+    """The live backend, the plan context's channel and the root seed (when
+    not given, drawn from ``rng`` or the backend's generator).
 
-
-def _seeded_density_table(channel: ChannelModel, pe_cycles: float, seed: int,
-                          params: FlashParameters | None) -> LevelDensityTable:
-    """Density table whose estimation blocks derive from the campaign seed.
-
-    :meth:`ChannelModel.density_table` draws its estimation blocks from the
-    backend's own generator, which is OS-entropy for channels built by
-    registry name — that would make two same-seed campaigns disagree.
-    Anchoring the table to the seed keeps the whole campaign reproducible;
-    the table is still served from the channel's condition cache (keyed by
-    condition *and* seed) on repeated queries.
+    A :class:`~repro.exec.ChannelRef` stays a ref in the plan context, so
+    pool and fleet workers cold-start the backend from its checkpoint; any
+    other spelling is resolved once, so the seed draw, the density table
+    and serial tasks share it.
     """
-    from repro.ecc.llr import densities_from_samples
-
-    table_params = params if params is not None else channel.params
-
-    def compute():
-        generator = np.random.default_rng(np.random.SeedSequence(
-            stable_seed(seed, float(pe_cycles), "density")))
-        program, voltages = channel.paired_blocks(4, pe_cycles, rng=generator)
-        return densities_from_samples(program, voltages, num_bins=128,
-                                      params=table_params)
-
-    if params is not None and params != channel.params:
-        # Caller-specified parameters disagree with the backend's: build the
-        # table under the caller's voltage window (uncached, as before).
-        return compute()
-    return channel.cache.get_or_compute(
-        ("density-seeded", float(pe_cycles), int(seed)), compute)
-
-
-def _run_campaign(task, code, channel, pe_cycles: float, num_codewords: int,
-                  rng, params, executor, workers, group_size, seed,
-                  extra_context: dict) -> CodewordChannelResult:
-    if num_codewords < 1:
-        raise ValueError("num_codewords must be positive")
-    # A ChannelRef stays a ref inside the plan context — shards pickled to
-    # process pools or remote fleets then carry a checkpoint path, and each
-    # worker cold-starts the backend from the on-disk zoo — while the
-    # parent-side bookkeeping (seed draw) uses the resolved live backend
-    # (memoized per thread, so this never double-builds).
     from repro.exec import ChannelRef
 
     live = resolve_channel(channel)
-    context_channel = channel if isinstance(channel, ChannelRef) else live
-    seed = _campaign_seed(live, rng, seed)
+    if seed is None:
+        seed = (rng if rng is not None else live.rng).integers(0, 2 ** 31)
+    return live, channel if isinstance(channel, ChannelRef) else live, \
+        int(seed)
+
+
+def _run_campaign(task, code, channel, pe_cycles: float,
+                  units: tuple[int, ...], seed: int, executor, workers,
+                  **task_options) -> CodewordChannelResult:
     plan = MonteCarloPlan(
         task=task,
-        units=_codeword_groups(num_codewords, group_size),
+        units=units,
         seed=stable_seed(seed, float(pe_cycles)),
-        context=dict(code=code, channel=context_channel,
-                     pe_cycles=float(pe_cycles),
-                     params=params, **extra_context))
+        context=dict(code=code, channel=channel,
+                     pe_cycles=float(pe_cycles), **task_options))
     records = run_plan(plan, reducer=RecordReducer(stack=True),
                        executor=executor, workers=workers)
+    num_codewords = sum(units)
     total_bits = num_codewords * code.n
     return CodewordChannelResult(
         pe_cycles=float(pe_cycles), codewords=num_codewords,
@@ -215,7 +174,6 @@ def _run_campaign(task, code, channel, pe_cycles: float, num_codewords: int,
 def evaluate_bch_over_channel(code: BCHCode, channel, pe_cycles: float,
                               num_codewords: int = 20,
                               rng: np.random.Generator | None = None,
-                              params: FlashParameters | None = None,
                               executor=None, workers: int | None = None,
                               group_size: int = 8,
                               seed: int | None = None
@@ -232,11 +190,13 @@ def evaluate_bch_over_channel(code: BCHCode, channel, pe_cycles: float,
     (:func:`repro.exec.build_executor`); ``seed`` anchors the campaign
     randomness explicitly (when omitted it is drawn from ``rng`` or the
     channel's generator).  Results are bit-identical for any executor at a
-    fixed seed.
+    fixed seed.  Received words are hard reads at the channel's own read
+    thresholds.
     """
-    return _run_campaign(_bch_group_task, code, channel, pe_cycles,
-                         num_codewords, rng, params, executor, workers,
-                         group_size, seed, extra_context={})
+    units = _codeword_groups(num_codewords, group_size)
+    _, channel, seed = _resolve_campaign(channel, rng, seed)
+    return _run_campaign(_bch_group_task, code, channel, pe_cycles, units,
+                         seed, executor, workers)
 
 
 def evaluate_ldpc_over_channel(code: LDPCCode, channel, pe_cycles: float,
@@ -244,7 +204,6 @@ def evaluate_ldpc_over_channel(code: LDPCCode, channel, pe_cycles: float,
                                num_codewords: int = 20,
                                max_iterations: int = 30,
                                rng: np.random.Generator | None = None,
-                               params: FlashParameters | None = None,
                                executor=None, workers: int | None = None,
                                group_size: int = 8,
                                seed: int | None = None
@@ -254,31 +213,28 @@ def evaluate_ldpc_over_channel(code: LDPCCode, channel, pe_cycles: float,
     The LLRs are computed from ``density_table`` — typically estimated from
     data regenerated by the generative channel model — which is exactly the
     soft-information workflow the paper's modelling approach enables.  When
-    omitted, the table is estimated from blocks derived from the campaign
-    seed (served from the backend's per-condition LRU cache on repeated
-    queries), so a by-name channel run is reproducible end to end.
+    omitted, :func:`repro.ecc.densities_from_channel` estimates it from
+    blocks derived from the campaign seed, and the backend's condition
+    cache serves it to later campaigns with the same P/E count and seed, so
+    a by-name channel run is reproducible end to end.  The table is built
+    here, in the parent, and every shard gets it through the plan context.
     ``executor`` / ``workers`` / ``seed`` behave as in
     :func:`evaluate_bch_over_channel`.
     """
-    from repro.exec import ChannelRef
-
-    live = resolve_channel(channel)
-    seed = _campaign_seed(live, rng, seed)
+    units = _codeword_groups(num_codewords, group_size)
+    live, channel, seed = _resolve_campaign(channel, rng, seed)
     if density_table is None:
-        density_table = _seeded_density_table(live, pe_cycles, seed,
-                                              params)
-    # The density table is computed here, in the parent, and every shard
-    # gets it through the plan context.  Only a ChannelRef keeps its
-    # original spelling (so the plan context ships a checkpoint path and
-    # workers cold-start from the zoo); every other spelling passes the
-    # backend resolved above, so the seed draw, the density table and the
-    # serial task calls all hit one instance.
-    campaign_channel = channel if isinstance(channel, ChannelRef) else live
-    return _run_campaign(_ldpc_group_task, code, campaign_channel, pe_cycles,
-                         num_codewords, rng, params, executor, workers,
-                         group_size, seed,
-                         extra_context=dict(density_table=density_table,
-                                            max_iterations=max_iterations))
+        # A channel built by name draws OS entropy, so blocks from its own
+        # generator would make two same-seed campaigns disagree.
+        generator = np.random.default_rng(np.random.SeedSequence(
+            stable_seed(seed, float(pe_cycles), "density")))
+        density_table = live.cache.get_or_compute(
+            ("density-seeded", float(pe_cycles), seed),
+            lambda: densities_from_channel(live, pe_cycles, rng=generator))
+    return _run_campaign(_ldpc_group_task, code, channel, pe_cycles, units,
+                         seed, executor, workers,
+                         density_table=density_table,
+                         max_iterations=max_iterations)
 
 
 def required_bch_capability(raw_bit_error_rate: float, codeword_length: int,

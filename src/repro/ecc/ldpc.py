@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.nn.backend import get_backend
+from repro.nn.backend import LDPC_LLR_LIMIT, get_backend
 
 __all__ = ["LDPCCode", "LDPCDecodingResult", "gallager_parity_check_matrix"]
 
@@ -216,7 +216,7 @@ class LDPCCode:
         return self.k / self.n
 
     # ------------------------------------------------------------------ #
-    # Encoding and syndromes
+    # Encoding
     # ------------------------------------------------------------------ #
     def encode(self, message: np.ndarray) -> np.ndarray:
         """Encode ``k`` message bits into an ``n``-bit codeword."""
@@ -245,28 +245,6 @@ class LDPCCode:
             raise ValueError(f"codeword must have shape ({self.n},)")
         return codeword[self._message_positions].astype(np.int64)
 
-    def syndrome(self, word: np.ndarray) -> np.ndarray:
-        """Parity-check syndrome ``H w`` over GF(2)."""
-        word = np.asarray(word)
-        if word.shape != (self.n,):
-            raise ValueError(f"word must have shape ({self.n},)")
-        return self.syndrome_batch(word[None])[0]
-
-    def is_codeword(self, word: np.ndarray) -> bool:
-        return not self.syndrome(word).any()
-
-    def syndrome_batch(self, words: np.ndarray) -> np.ndarray:
-        """Parity-check syndromes of a ``(B, n)`` batch, shape ``(B, m)``."""
-        words = np.asarray(words).astype(np.int64) & 1
-        if words.ndim != 2 or words.shape[1] != self.n:
-            raise ValueError(f"words must have shape (B, {self.n}), "
-                             f"got {words.shape}")
-        # Padded index slots read the zero column n.
-        padded = np.zeros((len(words), self.n + 1), dtype=np.int64)
-        padded[:, :self.n] = words
-        return np.bitwise_xor.reduce(
-            padded.take(self._check_variables, axis=1), axis=2)
-
     # ------------------------------------------------------------------ #
     # Decoding
     # ------------------------------------------------------------------ #
@@ -290,8 +268,10 @@ class LDPCCode:
         Parameters
         ----------
         llrs_batch:
-            Channel log-likelihood ratios, positive meaning "bit is 0"; a
-            NaN or infinite LLR raises :class:`ValueError`.
+            Channel log-likelihood ratios, positive meaning "bit is 0"; an
+            LLR that is NaN or larger in magnitude than
+            :data:`repro.nn.backend.LDPC_LLR_LIMIT` (1e200) raises
+            :class:`ValueError`.
         max_iterations:
             Iteration cap.
         scale:
@@ -309,8 +289,9 @@ class LDPCCode:
                              f"got {llrs_batch.shape}")
         if not 0 < scale <= 1:
             raise ValueError("scale must lie in (0, 1]")
-        if not np.isfinite(llrs_batch).all():
-            raise ValueError("llrs must be finite")
+        if not (np.abs(llrs_batch) <= LDPC_LLR_LIMIT).all():
+            raise ValueError(f"llrs must be finite, with magnitude at most "
+                             f"{LDPC_LLR_LIMIT:g}")
         codewords, iterations, success = get_backend().ldpc_min_sum(
             llrs_batch, self._check_edges, self._check_variables,
             self._variable_edges, max_iterations, scale)

@@ -28,11 +28,13 @@ __all__ = [
     "densities_from_samples",
     "densities_from_channel",
     "page_llrs",
-    "llr_quality_summary",
 ]
 
 #: Densities are floored at this value to keep the LLRs finite.
 _DENSITY_FLOOR = 1e-12
+
+#: Histogram bins of every density table.
+_NUM_BINS = 128
 
 
 @dataclass
@@ -83,11 +85,12 @@ class LevelDensityTable:
 
 
 def densities_from_samples(program_levels: np.ndarray, voltages: np.ndarray,
-                           num_bins: int = 128,
                            voltage_range: tuple[float, float] | None = None,
                            params: FlashParameters | None = None
                            ) -> LevelDensityTable:
-    """Histogram-estimated per-level densities from (PL, VL) samples.
+    """Histogram-estimated per-level densities from (PL, VL) samples, on 128
+    bins over ``voltage_range`` (by default the voltage window of
+    ``params``).
 
     The samples may be measured data or data produced by a generative channel
     model; the resulting table feeds :func:`page_llrs`.
@@ -96,8 +99,6 @@ def densities_from_samples(program_levels: np.ndarray, voltages: np.ndarray,
     volts = np.asarray(voltages, dtype=float).ravel()
     if levels.shape != volts.shape:
         raise ValueError("program_levels and voltages must share a shape")
-    if num_bins < 8:
-        raise ValueError("num_bins must be at least 8")
     if voltage_range is None:
         parameters = params if params is not None else FlashParameters()
         voltage_range = (parameters.voltage_min, parameters.voltage_max)
@@ -105,9 +106,9 @@ def densities_from_samples(program_levels: np.ndarray, voltages: np.ndarray,
     if high <= low:
         raise ValueError("voltage_range must be increasing")
 
-    edges = np.linspace(low, high, num_bins + 1)
+    edges = np.linspace(low, high, _NUM_BINS + 1)
     centres = (edges[:-1] + edges[1:]) / 2
-    densities = np.zeros((NUM_LEVELS, num_bins))
+    densities = np.zeros((NUM_LEVELS, _NUM_BINS))
     for level in range(NUM_LEVELS):
         selected = volts[levels == level]
         if selected.size == 0:
@@ -117,17 +118,18 @@ def densities_from_samples(program_levels: np.ndarray, voltages: np.ndarray,
     return LevelDensityTable(grid=centres, densities=densities)
 
 
-def densities_from_channel(channel, pe_cycles: float, num_bins: int = 128,
-                           num_blocks: int = 4) -> LevelDensityTable:
+def densities_from_channel(channel, pe_cycles: float, num_blocks: int = 4,
+                           *, rng: np.random.Generator | None = None
+                           ) -> LevelDensityTable:
     """Estimate the density table by sampling a channel backend.
 
     ``channel`` is a :class:`repro.channel.ChannelModel`: its
-    ``paired_blocks`` draws the blocks and its ``params`` set the voltage
-    window of the table.
+    ``paired_blocks`` draws ``num_blocks`` blocks (from ``rng`` when given,
+    else from the backend's own generator) and its ``params`` set the
+    voltage window of the 128-bin table.
     """
-    program, voltages = channel.paired_blocks(num_blocks, pe_cycles)
-    return densities_from_samples(program, voltages, num_bins=num_bins,
-                                  params=channel.params)
+    program, voltages = channel.paired_blocks(num_blocks, pe_cycles, rng=rng)
+    return densities_from_samples(program, voltages, params=channel.params)
 
 
 def _page_bit_partition(page: int) -> tuple[np.ndarray, np.ndarray]:
@@ -186,30 +188,3 @@ def page_llrs(voltages: np.ndarray, page: int, table: LevelDensityTable,
     llrs = np.log(np.maximum(numerator, _DENSITY_FLOOR)) \
         - np.log(np.maximum(denominator, _DENSITY_FLOOR))
     return np.clip(llrs, -clip, clip)
-
-
-def llr_quality_summary(llrs: np.ndarray, true_bits: np.ndarray
-                        ) -> dict[str, float]:
-    """Summary statistics of LLR quality against the known written bits.
-
-    Returns the hard-decision bit error rate implied by the LLR signs, the
-    mean LLR magnitude, and the fraction of bits whose LLR points the wrong
-    way with high confidence (|LLR| above half the maximum) — the
-    "overconfident errors" that hurt soft decoders most.
-    """
-    llrs = np.asarray(llrs, dtype=float).ravel()
-    bits = np.asarray(true_bits).ravel()
-    if llrs.shape != bits.shape:
-        raise ValueError("llrs and true_bits must share a shape")
-    if llrs.size == 0:
-        raise ValueError("empty input")
-    hard = (llrs < 0).astype(np.int64)
-    errors = hard != bits
-    magnitude = np.abs(llrs)
-    confident = magnitude > magnitude.max() / 2 if magnitude.max() > 0 \
-        else np.zeros_like(magnitude, dtype=bool)
-    return {
-        "hard_bit_error_rate": float(np.mean(errors)),
-        "mean_llr_magnitude": float(magnitude.mean()),
-        "overconfident_error_fraction": float(np.mean(errors & confident)),
-    }

@@ -5,6 +5,10 @@ The paper evaluates its generative model with two families of metrics
 level error counts against fixed read thresholds, total variation distance)
 and the spatial ICI statistics (relative frequencies of the neighbour
 patterns of erroneous level-0 cells, in the WL and BL directions).
+
+Level errors have one counting route, :mod:`repro.flash.errors`; Fig. 5
+stacks its ``per_level_error_counts(...)[1:]`` for the measured data and for
+every model, the fitted baselines included.
 """
 
 from repro.eval.histograms import (
@@ -17,12 +21,6 @@ from repro.eval.divergences import (
     total_variation_distance,
     kl_divergence,
     distribution_distance,
-)
-from repro.eval.error_counts import (
-    error_counts_from_samples,
-    error_probability_from_pdf,
-    normalized_error_counts,
-    stacked_error_table,
 )
 from repro.eval.ici_analysis import (
     ici_error_profile,
@@ -52,10 +50,6 @@ __all__ = [
     "total_variation_distance",
     "kl_divergence",
     "distribution_distance",
-    "error_counts_from_samples",
-    "error_probability_from_pdf",
-    "normalized_error_counts",
-    "stacked_error_table",
     "ici_error_profile",
     "top_pattern_frequencies",
     "pattern_rank_order",

@@ -16,10 +16,10 @@ import numpy as np
 from repro.baselines.models import BASELINE_MODELS
 from repro.channel import ChannelModel, build_channel, resolve_channel
 from repro.data.dataset import FlashChannelDataset
-from repro.eval.error_counts import error_counts_from_samples
 from repro.eval.report import format_table
 from repro.exec import HistogramReducer, stable_seed
 from repro.experiments.common import sweep
+from repro.flash.errors import per_level_error_counts
 from repro.flash.params import FlashParameters
 
 __all__ = ["Fig5Result", "run_fig5"]
@@ -71,9 +71,9 @@ def _fig5_count_task(unit, rng, *, channels, params):
         sampled = voltages
     else:
         sampled = channels[label].read_voltages(program, pe, rng=rng)
-    counts = error_counts_from_samples(program, sampled,
-                                       params=params).astype(float)
-    return {int(pe): {label: counts}}
+    # Level 0 is left out: the paper stacks "program level 1 to 7".
+    counts = per_level_error_counts(program, sampled, params=params)[1:]
+    return {int(pe): {label: counts.astype(float)}}
 
 
 def run_fig5(training_dataset: FlashChannelDataset,

@@ -61,6 +61,8 @@ __all__ = [
     "get_backend",
     "use_backend",
     "KERNEL_PROFILER",
+    "LDPC_LLR_LIMIT",
+    "LDPC_MESSAGE_CAP",
     "set_kernel_profiler",
     "profiled_kernel",
     "strip_kernel_hooks",
@@ -74,6 +76,16 @@ __all__ = [
 #: (not per-backend state) so every backend subclass shares one switch
 #: without importing :mod:`repro.obs`.
 KERNEL_PROFILER = None
+
+#: Largest LLR magnitude LDPC decoding accepts
+#: (:meth:`repro.ecc.LDPCCode.decode_min_sum_batch` refuses larger ones).
+LDPC_LLR_LIMIT = 1e200
+
+#: Cap on every message magnitude :meth:`ArrayBackend.ldpc_min_sum` sends,
+#: so totals never overflow.  A message from LLRs within the limit stays below
+#: ``LDPC_LLR_LIMIT * (d_v - 1) ** t`` at iteration ``t``, so the cap changes
+#: no result before iteration 332 at column weight 3.
+LDPC_MESSAGE_CAP = 1e300
 
 
 def set_kernel_profiler(profiler):
@@ -398,7 +410,8 @@ class ArrayBackend:
                      check_variables: np.ndarray, variable_edges: np.ndarray,
                      max_iterations: int, scale: float
                      ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Normalised min-sum decoding of a ``(B, n)`` batch of finite LLRs.
+        """Normalised min-sum decoding of a ``(B, n)`` batch of finite LLRs,
+        message magnitudes capped at :data:`LDPC_MESSAGE_CAP`.
 
         The Tanner graph's ``E`` edges arrive as three padded indexes:
         ``check_edges`` lists each check's edge ids (padded with ``E``),
@@ -446,6 +459,8 @@ class ArrayBackend:
             second = np.where(degrees > 1,
                               smallest_two[..., min(1, magnitudes.shape[-1] - 1)],
                               smallest)
+            smallest = np.minimum(smallest, LDPC_MESSAGE_CAP)
+            second = np.minimum(second, LDPC_MESSAGE_CAP)
             minimum_position = np.argmin(magnitudes, axis=-1)
             product_sign = np.prod(np.where(mask, signs, 1.0), axis=-1)
             outgoing = np.where(positions == minimum_position[..., None],
@@ -611,73 +626,3 @@ def use_backend(backend: str | ArrayBackend):
 # this module and the stdlib at import time (compiler detection and cache
 # I/O happen lazily), so registration is cheap and cycle-free.
 from repro.nn import cjit as _cjit  # noqa: E402,F401  (registers "cjit")
-
-
-def main(argv: list[str] | None = None) -> int:
-    """``python -m repro.nn.backend``: registry + compiler report, ``--warm``.
-
-    Lists every registered array backend, names the process default,
-    reports whether the ``cjit`` backend has a working C compiler (and
-    which) and where its kernel cache lives, and with ``--warm``
-    pre-compiles the standard kernel set into that cache so later runs
-    skip compilation entirely.
-    """
-    import argparse
-
-    # Under ``python -m`` this file runs as ``__main__`` — a separate module
-    # object from the canonical ``repro.nn.backend`` that accelerated
-    # backends register into, so the report must read the canonical state.
-    from repro.artifacts.kernels import default_kernel_cache_dir
-    from repro.nn import backend as canonical
-    from repro.nn.cjit import find_compiler
-    from repro.obs.metrics import backend_registry
-
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.nn.backend",
-        description="Inspect the array-kernel backend registry and manage "
-                    "the compiled-kernel (cjit) cache.")
-    parser.add_argument("--warm", action="store_true",
-                        help="pre-compile the standard cjit kernel set into "
-                             "the kernel cache")
-    parser.add_argument("--cache-dir", default=None,
-                        help="kernel cache directory (default: "
-                             "$REPRO_KERNEL_CACHE, else "
-                             "~/.cache/repro/kernels, else a per-user "
-                             "temporary directory)")
-    args = parser.parse_args(argv)
-
-    registry = canonical.BACKEND_REGISTRY
-    default = canonical.get_backend().name
-    print("registered array backends:")
-    for name in sorted(registry):
-        marker = " (default)" if name == default else ""
-        print(f"  {name}: {registry[name].__name__}{marker}")
-    print(f"default array backend: {default}")
-
-    cache_dir = args.cache_dir or default_kernel_cache_dir()
-    print(f"kernel cache: {cache_dir}")
-    compiler = find_compiler()
-    if compiler is None:
-        print("cjit compiler: none found (cc/clang/gcc) — the default is "
-              "the NumPy kernels")
-        if args.warm:
-            print("cannot --warm without a C compiler")
-            return 1
-        return 0
-    print(f"cjit compiler: {compiler.path} ({compiler.version})")
-
-    backend = canonical.build_backend("cjit", cache_dir=cache_dir)
-    count = backend.warm() if args.warm else 0
-    gauges = {name: int(metric["value"]) for name, metric
-              in backend_registry(backend).snapshot().items()}
-    if args.warm:
-        print(f"warmed {count} kernels ({gauges['nn.cjit.compiled']} "
-              f"compiled, {gauges['nn.cjit.cache.hits']} already cached)")
-    else:
-        print(f"cached kernels: {gauges['nn.cjit.cache.entries']} "
-              "(use --warm to pre-compile the standard set)")
-    return 0
-
-
-if __name__ == "__main__":  # pragma: no cover - exercised via subprocess
-    raise SystemExit(main())

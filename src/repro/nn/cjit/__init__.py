@@ -21,8 +21,8 @@ It is the process default wherever :func:`find_compiler` finds a compiler
     with backend.use_backend("numpy"):
         ...        # conv/loss/optimizer/LDPC kernels run the NumPy versions
 
-``python -m repro.nn.backend`` reports the default, the compiler and the
-cache, and ``--warm`` pre-compiles the standard kernel set.
+``python -m repro.nn`` reports the default, the compiler and the cache,
+and ``--warm`` pre-compiles the standard kernel set.
 """
 
 from repro.nn.backend import register_backend

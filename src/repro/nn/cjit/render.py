@@ -29,7 +29,8 @@ Exactness contract (mirrored by the conformance tests):
   the NumPy loop's operations in its order — variable totals
   ``llr + ((m0 + m1) + m2 ...)`` in ascending check order, messages
   ``((scale * sign product) * sign_k) * magnitude``, the second minimum
-  counting duplicates — and is **bit-identical** on finite LLRs.
+  counting duplicates, magnitudes capped at ``LDPC_MESSAGE_CAP`` — and is
+  **bit-identical** on LLRs within that cap.
 """
 
 from __future__ import annotations
@@ -37,12 +38,17 @@ from __future__ import annotations
 import ctypes
 from dataclasses import dataclass, field
 
+from repro.nn.backend import LDPC_MESSAGE_CAP
+
 __all__ = ["KernelSpec", "render_kernel", "conv_spec", "reduce_spec",
            "update_spec", "elementwise_spec", "bn_bwd_dx_spec",
            "ldpc_min_sum_spec", "standard_kernel_specs", "SUPPORTED_DTYPES"]
 
 #: Dtypes the renderer can specialize for (everything else falls back).
 SUPPORTED_DTYPES = ("float32", "float64")
+
+#: ``LDPC_MESSAGE_CAP`` as a C double literal (``repr`` round-trips exactly).
+_LDPC_CAP = repr(LDPC_MESSAGE_CAP)
 
 _CTYPE = {"float32": "float", "float64": "double"}
 _SUFFIX = {"float32": "f32", "float64": "f64"}
@@ -396,9 +402,11 @@ def _render_ldpc_min_sum(spec: KernelSpec) -> str:
    - a check sends ((scale * sign product) * sign_k) * magnitude, the
      magnitude being the smallest of the other inputs: the second minimum
      counts duplicates and the first occurrence of the minimum receives
-     it; a check of degree <= 1 sends its smallest magnitude.
-   Inputs must be finite.  Scratch is the caller's, per call: messages
-   (checks * width + 1, zeroed per codeword), totals (n), inputs (width).
+     it; a check of degree <= 1 sends its smallest magnitude;
+   - both magnitudes are capped at {_LDPC_CAP}, so a total never
+     overflows.
+   Scratch is the caller's, per call: messages (checks * width + 1,
+   zeroed per codeword), totals (n), inputs (width).
    Padded check slots hold variable n; padded variable slots hold an edge
    id no check slot writes. */
 static int parity_ok(const i64* word, i64 n, i64 checks, i64 width,
@@ -468,6 +476,8 @@ void {spec.symbol}(const double* restrict llrs, i64 batch, i64 n,
                     ++degree;
                 }}
                 if (degree <= 1) min2 = min1;
+                min1 = min1 < {_LDPC_CAP} ? min1 : {_LDPC_CAP};
+                min2 = min2 < {_LDPC_CAP} ? min2 : {_LDPC_CAP};
                 const double signed_scale = scale * (negative ? -1.0 : 1.0);
                 for (i64 j = 0; j < width; ++j) {{
                     if (cv[j] >= n) continue;

@@ -22,8 +22,7 @@ shard-local tracer/registry whose snapshots ride back in the
 """
 
 from repro.obs.metrics import (MetricsRegistry, backend_registry,
-                               cache_registry, get_registry,
-                               process_registry, use_registry)
+                               get_registry, process_registry, use_registry)
 from repro.obs.trace import (KernelProfiler, Tracer, disable_tracing,
                              enable_tracing, event, is_enabled, span,
                              tracing)
@@ -32,7 +31,7 @@ from repro.obs.sink import JsonlSink, read_trace, validate_trace
 from repro.obs.report import chrome_trace, format_summary, summarize
 
 __all__ = [
-    "MetricsRegistry", "backend_registry", "cache_registry", "get_registry",
+    "MetricsRegistry", "backend_registry", "get_registry",
     "process_registry", "use_registry",
     "KernelProfiler", "Tracer", "disable_tracing", "enable_tracing",
     "event", "is_enabled", "span", "tracing",

@@ -2,13 +2,13 @@
 
 This is the unified stats surface for the whole stack.  Before this module
 existed every subsystem grew its own ad-hoc dict — ``BufferArena.stats()``,
-``ConditionCache.stats()``, ``KernelCache.stats()``,
-``RemoteExecutor.last_run_stats`` — with no way to
+``KernelCache.stats()``, ``RemoteExecutor.last_run_stats`` — with no way to
 merge them across shards or ship them across the remote transport.  The
 registry keeps the hot paths untouched (backends still bump plain dict
-counters) and unifies at the read side: :func:`backend_registry` publishes a
-backend's counters under canonical ``nn.*`` metric names, and anything that
-used to read a bespoke dict now reads the registry snapshot.
+counters) and unifies at the read side: :func:`backend_registry` publishes
+an array backend's arena and kernel-cache counters under canonical ``nn.*``
+metric names, and a traced fleet run records its transport counters here.
+``ConditionCache.stats()`` stays a plain dict that nothing publishes.
 
 Merge semantics (used when worker-side snapshots ride back in the shard
 result envelope):
@@ -224,7 +224,7 @@ def backend_registry(backend: Any,
 
     This is the unification seam for the per-object counters: arena
     traffic lands under ``nn.arena.*`` and compiled-backend state under
-    ``nn.cjit.*``.  ``python -m repro.nn.backend`` and trace flushes read
+    ``nn.cjit.*``.  ``python -m repro.nn`` and trace flushes read
     backends through this instead of bespoke per-backend dicts.
     """
     registry = registry if registry is not None else MetricsRegistry()
@@ -241,15 +241,4 @@ def backend_registry(backend: Any,
         for key, value in cache.stats().items():
             if isinstance(value, (int, float)):
                 registry.gauge(f"nn.cjit.cache.{key}").set(value)
-    return registry
-
-
-def cache_registry(cache: Any, prefix: str = "channel.cache",
-                   registry: Optional[MetricsRegistry] = None,
-                   ) -> MetricsRegistry:
-    """Publish a ``ConditionCache``-style ``stats()`` dict as gauges."""
-    registry = registry if registry is not None else MetricsRegistry()
-    for key, value in cache.stats().items():
-        if isinstance(value, (int, float)):
-            registry.gauge(f"{prefix}.{key}").set(value)
     return registry

@@ -18,6 +18,7 @@ from repro.channel import (
 from repro.channel.adapters import _tile_arrays, _untile_arrays
 from repro.core import ModelConfig, build_model
 from repro.data import generate_paired_dataset
+from repro.ecc import LDPCCode, evaluate_ldpc_over_channel
 from repro.flash import BlockGeometry
 
 
@@ -201,15 +202,20 @@ class TestGenerativeChannel:
         """Plain reads must not fill (and evict from) the condition cache.
 
         The cache is reserved for expensive per-condition artifacts such as
-        density tables; a P/E sweep of reads previously evicted them.
+        the LDPC campaign's density table; a P/E sweep of reads previously
+        evicted them.
         """
+        code = LDPCCode.regular(n=24, rng=np.random.default_rng(2))
         tiny_generative.cache.clear()
-        table = tiny_generative.density_table(7000, num_bins=16, num_blocks=1)
+        evaluate_ldpc_over_channel(code, tiny_generative, 7000,
+                                   num_codewords=2, seed=4)
         levels = np.zeros((8, 8), dtype=int)
         for pe in range(1000, 50000, 1000):
             tiny_generative.read_voltages(levels, pe)
-        assert tiny_generative.density_table(7000, num_bins=16,
-                                             num_blocks=1) is table
+        evaluate_ldpc_over_channel(code, tiny_generative, 7000,
+                                   num_codewords=2, seed=4)
+        assert tiny_generative.cache.stats() == {"hits": 1, "misses": 1,
+                                                 "size": 1}
 
 
 class TestResolveChannel:

@@ -3,8 +3,9 @@
 Each entry of :data:`repro.channel.CHANNEL_REGISTRY` is built with a small
 test configuration and run through the same contract: output shapes and
 dtype, the physical voltage window, the temporal operating-condition axes,
-capability flags, the condition cache, and — for backends that promise it —
-a monotone error rate versus P/E cycling.  The block consumers outside
+capability flags, the condition cache (through the LDPC campaign's seeded
+density table), and — for backends that promise it — a monotone error rate
+versus P/E cycling.  The block consumers outside
 :mod:`repro.channel` run over the simulator and a fitted baseline alike.
 """
 
@@ -27,11 +28,13 @@ from repro.channel import (
 from repro.coding import constrained_coding_gain
 from repro.core import ModelConfig
 from repro.data import generate_paired_dataset
+from repro.ecc import LDPCCode, evaluate_ldpc_over_channel
 from repro.flash import (
     BlockGeometry,
     EnduranceSweep,
     FlashParameters,
     PECyclingExperiment,
+    level_error_rate,
 )
 from repro.flash.cell import ERASED_LEVEL, NUM_LEVELS
 
@@ -68,6 +71,11 @@ def backends(params, tiny_dataset):
             kwargs.update(config=ModelConfig.tiny())
         built[name] = build_channel(name, **kwargs)
     return built
+
+
+@pytest.fixture(scope="module")
+def small_ldpc():
+    return LDPCCode.regular(n=24, rng=np.random.default_rng(9))
 
 
 @pytest.fixture(scope="module")
@@ -201,20 +209,38 @@ class TestProtocolContract:
                                           rng=np.random.default_rng(6))
         assert disturbed.mean() > fresh.mean()
 
-    def test_density_table_cached(self, backends, name):
+    def test_density_table_cached(self, backends, name, small_ldpc):
+        """Two same-seed LDPC campaigns share one cached density table (one
+        miss, then one hit); a campaign with another seed or at another
+        P/E count misses."""
         channel = backends[name]
-        first = channel.density_table(FITTED_PE[0], num_bins=32, num_blocks=1)
-        second = channel.density_table(FITTED_PE[0], num_bins=32, num_blocks=1)
-        assert first is second
-        assert channel.cache.hits >= 1
+        channel.cache.clear()
+
+        def campaign(seed, pe_cycles=FITTED_PE[0]):
+            return evaluate_ldpc_over_channel(small_ldpc, channel, pe_cycles,
+                                              num_codewords=2, seed=seed)
+
+        first = campaign(5)
+        assert channel.cache.stats() == {"hits": 0, "misses": 1, "size": 1}
+        second = campaign(5)
+        assert channel.cache.stats() == {"hits": 1, "misses": 1, "size": 1}
+        np.testing.assert_array_equal(first.frame_records,
+                                      second.frame_records)
+        campaign(6)
+        assert channel.cache.stats() == {"hits": 1, "misses": 2, "size": 2}
+        campaign(5, FITTED_PE[1])
+        assert channel.cache.stats() == {"hits": 1, "misses": 3, "size": 3}
 
     def test_wear_monotone_error_rate(self, backends, name):
         """Backends that promise wear monotonicity must deliver it."""
         channel = backends[name]
         if not channel.supports().wear_monotone:
             pytest.skip(f"{name} does not promise wear monotonicity")
-        young = channel.level_error_rate_estimate(FITTED_PE[0], num_blocks=12)
-        old = channel.level_error_rate_estimate(FITTED_PE[1], num_blocks=12)
+        young, old = (
+            level_error_rate(*channel.paired_blocks(
+                12, pe, rng=np.random.default_rng(8)),
+                params=channel.params)
+            for pe in FITTED_PE)
         assert old > young
 
 

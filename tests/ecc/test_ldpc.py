@@ -17,13 +17,18 @@ from repro.ecc import (LDPCCode, LDPCDecodingResult,
                        gallager_parity_check_matrix)
 from repro.flash import BlockGeometry
 from repro.nn import backend as backend_mod
-from repro.nn.backend import use_backend
+from repro.nn.backend import LDPC_LLR_LIMIT, LDPC_MESSAGE_CAP, use_backend
 
 
 @pytest.fixture(scope="module")
 def code() -> LDPCCode:
     return LDPCCode.regular(n=96, column_weight=3, row_weight=6,
                             rng=np.random.default_rng(0))
+
+
+def _satisfies_parity(code: LDPCCode, word: np.ndarray) -> bool:
+    """Every check of the dense ``H`` is even on ``word``."""
+    return not (code.parity_check @ word % 2).any()
 
 
 def _bpsk_llrs(codeword: np.ndarray, noise_sigma: float,
@@ -66,7 +71,7 @@ class TestLDPCCodeStructure:
         rng = np.random.default_rng(2)
         for _ in range(10):
             message = rng.integers(0, 2, size=code.k)
-            assert code.is_codeword(code.encode(message))
+            assert _satisfies_parity(code, code.encode(message))
 
     def test_encoding_is_systematic(self, code):
         rng = np.random.default_rng(3)
@@ -89,15 +94,13 @@ class TestLDPCCodeStructure:
         with pytest.raises(ValueError):
             code.encode(np.zeros(code.k + 1, dtype=int))
         with pytest.raises(ValueError):
-            code.syndrome(np.zeros(code.n - 1, dtype=int))
-        with pytest.raises(ValueError):
             code.message_from_codeword(np.zeros(5, dtype=int))
 
     def test_syndrome_of_corrupted_word_nonzero(self, code):
         codeword = code.encode(np.ones(code.k, dtype=int))
         corrupted = codeword.copy()
         corrupted[0] ^= 1
-        assert code.syndrome(corrupted).any()
+        assert not _satisfies_parity(code, corrupted)
 
 
 class TestMinSumDecoder:
@@ -170,6 +173,36 @@ class TestMinSumDecoder:
         with pytest.raises(ValueError, match="finite"):
             code.decode_min_sum_batch(np.stack([np.full(code.n, 5.0), llrs]))
 
+    @pytest.mark.parametrize("backend_name", ["numpy", "cjit"])
+    def test_llrs_beyond_the_limit_rejected(self, code_252, backend_name,
+                                            cjit_backend):
+        """Near the float64 limit a variable total overflows to inf and
+        inf - inf is NaN, where the two backends' minimum searches
+        disagree; such LLRs are refused on every backend.  LLRs at the
+        limit stay far below the message cap and decode as unit LLRs do:
+        every word with 6% of its signs flipped is corrected, in the same
+        number of iterations."""
+        rng = np.random.default_rng(16)
+        codewords = code_252.encode_batch(
+            rng.integers(0, 2, size=(16, code_252.k)))
+        signs = (1.0 - 2.0 * codewords) \
+            * np.where(rng.random(codewords.shape) < 0.06, -1.0, 1.0)
+        backend = cjit_backend if backend_name == "cjit" else backend_name
+        with use_backend(backend):
+            with pytest.raises(ValueError, match="magnitude at most 1e"):
+                code_252.decode_min_sum_batch(1.7e308 * signs)
+            with pytest.raises(ValueError, match="magnitude at most 1e"):
+                code_252.decode_min_sum(np.nextafter(LDPC_LLR_LIMIT, np.inf)
+                                        * signs[0])
+            unit = code_252.decode_min_sum_batch(signs)
+            with np.errstate(all="raise"):
+                at_limit = code_252.decode_min_sum_batch(LDPC_LLR_LIMIT
+                                                         * signs)
+        for result, small, codeword in zip(at_limit, unit, codewords):
+            assert result.success
+            np.testing.assert_array_equal(result.codeword, codeword)
+            assert result.iterations == small.iterations
+
     @settings(max_examples=10, deadline=None)
     @given(seed=st.integers(min_value=0, max_value=1000))
     def test_decoded_word_is_always_valid_or_flagged(self, code, seed):
@@ -179,7 +212,7 @@ class TestMinSumDecoder:
         llrs = _bpsk_llrs(codeword, noise_sigma=0.9, rng=rng)
         result = code.decode_min_sum(llrs, max_iterations=20)
         if result.success:
-            assert code.is_codeword(result.codeword)
+            assert _satisfies_parity(code, result.codeword)
 
 
 def _reference_min_sum(code: LDPCCode, llrs: np.ndarray,
@@ -209,8 +242,9 @@ def _reference_min_sum(code: LDPCCode, llrs: np.ndarray,
             smallest = magnitudes[order[0]]
             second = magnitudes[order[1]] if neighbours.size > 1 else smallest
             product_sign = np.prod(signs)
-            outgoing = np.where(np.arange(neighbours.size) == order[0],
-                                second, smallest)
+            outgoing = np.minimum(
+                np.where(np.arange(neighbours.size) == order[0], second,
+                         smallest), LDPC_MESSAGE_CAP)
             check_to_variable[check, neighbours] = \
                 scale * product_sign * signs * outgoing
         totals = llrs + check_to_variable.sum(axis=0)
@@ -323,6 +357,30 @@ class TestVectorizedMinSumRegression:
         _assert_matches_reference(irregular, llrs, max_iterations=30,
                                   backends=backends)
 
+    @pytest.mark.parametrize("code_name", ["campaign", "degenerate"])
+    def test_messages_capped(self, code_name, code_252, backends):
+        """LLRs near the message cap, which decoding refuses but the
+        kernels take, drive messages past it within a few iterations; both
+        kernels cap them as the oracle does, with no floating-point
+        overflow on the way."""
+        code = code_252 if code_name == "campaign" \
+            else LDPCCode(_irregular_parity_check())
+        rng = np.random.default_rng(17)
+        codewords = code.encode_batch(rng.integers(0, 2, size=(12, code.k)))
+        llrs = LDPC_MESSAGE_CAP * rng.uniform(0.5, 1.0,
+                                              size=codewords.shape) \
+            * (1.0 - 2.0 * codewords) \
+            * np.where(rng.random(codewords.shape) < 0.1, -1.0, 1.0)
+        expected = [_reference_min_sum(code, row) for row in llrs]
+        for backend in backends:
+            with use_backend(backend), np.errstate(all="raise"):
+                got = backend_mod.get_backend().ldpc_min_sum(
+                    llrs, code._check_edges, code._check_variables,
+                    code._variable_edges, 30, 0.8)
+            for index, (codeword, iterations, success) in enumerate(expected):
+                np.testing.assert_array_equal(got[0][index], codeword)
+                assert (got[1][index], got[2][index]) == (iterations, success)
+
     def test_threads_match_serial_decode(self, code_252, backends):
         """Eight threads decoding through one code get the serial results:
         the compiled kernel keeps its scratch per call and runs outside
@@ -386,8 +444,27 @@ class TestEdgeList:
         parity = code.parity_check
         rng = np.random.default_rng(30)
         words = rng.integers(0, 2, size=(12, code.n))
-        np.testing.assert_array_equal(code.syndrome_batch(words),
-                                      words @ parity.T % 2)
+        np.testing.assert_array_equal(
+            backend_mod._tanner_syndromes(words, code._check_variables),
+            words @ parity.T % 2)
+
+    @pytest.mark.parametrize("degenerate", [False, True])
+    def test_single_flip_syndrome_is_its_parity_column(self, code_252,
+                                                       degenerate):
+        """Min-sum's stopping rule sees every codeword as valid, and a
+        codeword with bit ``j`` flipped fails exactly the checks on ``j``."""
+        code = LDPCCode(_irregular_parity_check()) if degenerate \
+            else code_252
+        rng = np.random.default_rng(31)
+        codewords = code.encode_batch(rng.integers(0, 2, size=(4, code.k)))
+        assert not backend_mod._tanner_syndromes(
+            codewords, code._check_variables).any()
+        flipped = rng.integers(0, code.n, size=len(codewords))
+        words = codewords.copy()
+        words[np.arange(len(words)), flipped] ^= 1
+        np.testing.assert_array_equal(
+            backend_mod._tanner_syndromes(words, code._check_variables),
+            code.parity_check[:, flipped].T)
 
 
 class TestPickledCode:
@@ -402,8 +479,9 @@ class TestPickledCode:
         np.testing.assert_array_equal(loaded.encode_batch(messages),
                                       codewords)
         words = rng.integers(0, 2, size=(8, code_252.n))
-        np.testing.assert_array_equal(loaded.syndrome_batch(words),
-                                      code_252.syndrome_batch(words))
+        np.testing.assert_array_equal(
+            backend_mod._tanner_syndromes(words, loaded._check_variables),
+            words @ code_252.parity_check.T % 2)
         llrs = _bpsk_llrs(codewords, 0.9, rng)
         for original, restored in zip(code_252.decode_min_sum_batch(llrs),
                                       loaded.decode_min_sum_batch(llrs)):
@@ -429,9 +507,6 @@ class TestPickledCode:
         codeword = code.encode(np.ones(code.k, dtype=int))
         code.encode_batch(codeword[None, :code.k])
         code.message_from_codeword(codeword)
-        code.syndrome(codeword)
-        code.syndrome_batch(codeword[None])
-        code.is_codeword(codeword)
         assert code.parity_check.shape == (126, 252)
         assert 0 < code.rate < 1
         code.decode_min_sum(2.0 - 4.0 * codeword)
@@ -453,7 +528,7 @@ class TestPickledCode:
 
 
 class TestBatchOperations:
-    """The batch encode/syndrome/decode paths must match the scalar ones."""
+    """The batch encode/decode paths must match the scalar ones."""
 
     def test_encode_batch_matches_scalar(self, code):
         rng = np.random.default_rng(20)
@@ -467,15 +542,6 @@ class TestBatchOperations:
             code.encode_batch(np.zeros((2, code.k + 1), dtype=int))
         with pytest.raises(ValueError):
             code.encode_batch(np.zeros(code.k, dtype=int))
-
-    def test_syndrome_batch_matches_scalar(self, code):
-        rng = np.random.default_rng(21)
-        words = rng.integers(0, 2, size=(5, code.n))
-        batch = code.syndrome_batch(words)
-        reference = np.stack([code.syndrome(word) for word in words])
-        np.testing.assert_array_equal(batch, reference)
-        with pytest.raises(ValueError):
-            code.syndrome_batch(np.zeros(code.n, dtype=int))
 
     def test_decode_batch_bit_identical_to_scalar(self, code):
         """Across noise levels spanning clean to failing decodes."""

@@ -14,11 +14,16 @@ from repro.ecc import (
     densities_from_samples,
     evaluate_bch_over_channel,
     evaluate_ldpc_over_channel,
-    llr_quality_summary,
     page_llrs,
     required_bch_capability,
 )
-from repro.flash import BlockGeometry, FlashParameters
+from repro.exec import stable_seed
+from repro.flash import (
+    BlockGeometry,
+    FlashParameters,
+    default_read_thresholds,
+    hard_read,
+)
 from repro.flash.cell import GRAY_MAP, LOWER_PAGE, NUM_LEVELS, levels_to_pages
 
 
@@ -35,21 +40,19 @@ def channel(params) -> SimulatorChannel:
 
 @pytest.fixture
 def density_table(channel) -> LevelDensityTable:
-    return densities_from_channel(channel, 7000, num_bins=96, num_blocks=3)
+    return densities_from_channel(channel, 7000, num_blocks=3)
 
 
 class TestLevelDensityTable:
     def test_from_samples_shapes(self, channel, params):
         program, voltages = channel.paired_blocks(2, 4000)
-        table = densities_from_samples(program, voltages, num_bins=64,
-                                       params=params)
-        assert table.grid.shape == (64,)
-        assert table.densities.shape == (NUM_LEVELS, 64)
+        table = densities_from_samples(program, voltages, params=params)
+        assert table.grid.shape == (128,)
+        assert table.densities.shape == (NUM_LEVELS, 128)
 
     def test_density_peaks_near_level_means(self, channel, params):
         program, voltages = channel.paired_blocks(4, 4000)
-        table = densities_from_samples(program, voltages, num_bins=128,
-                                       params=params)
+        table = densities_from_samples(program, voltages, params=params)
         # Erased cells receive the full ICI shift, so their peak sits well
         # above the nominal erased mean; check the programmed levels only.
         for level in range(1, NUM_LEVELS):
@@ -90,10 +93,56 @@ class TestLevelDensityTable:
         with pytest.raises(ValueError):
             densities_from_samples(program[:, :8], voltages)
         with pytest.raises(ValueError):
-            densities_from_samples(program, voltages, num_bins=4)
-        with pytest.raises(ValueError):
             densities_from_samples(program, voltages,
                                    voltage_range=(100.0, 50.0))
+
+
+class TestDensitiesFromChannel:
+    """The one density-table builder: the histogram of the channel's own
+    paired blocks, over the voltage window of ``channel.params``."""
+
+    @pytest.fixture
+    def small_channel(self) -> SimulatorChannel:
+        return SimulatorChannel(geometry=BlockGeometry(16, 16),
+                                rng=np.random.default_rng(0))
+
+    def test_is_the_histogram_of_the_channel_blocks(self, small_channel):
+        table = densities_from_channel(small_channel, 7000, num_blocks=2,
+                                       rng=np.random.default_rng(9))
+        reference = densities_from_samples(
+            *small_channel.paired_blocks(2, 7000,
+                                         rng=np.random.default_rng(9)),
+            params=small_channel.params)
+        np.testing.assert_array_equal(table.grid, reference.grid)
+        np.testing.assert_array_equal(table.densities, reference.densities)
+
+    def test_given_rng_leaves_the_channel_generator_alone(self,
+                                                          small_channel):
+        state = small_channel.rng.bit_generator.state
+        densities_from_channel(small_channel, 7000, num_blocks=2,
+                               rng=np.random.default_rng(9))
+        assert small_channel.rng.bit_generator.state == state
+
+    def test_without_rng_draws_from_the_channel_generator(self,
+                                                          small_channel):
+        twin = SimulatorChannel(geometry=BlockGeometry(16, 16),
+                                rng=np.random.default_rng(0))
+        first = densities_from_channel(small_channel, 7000, num_blocks=1)
+        np.testing.assert_array_equal(
+            first.densities,
+            densities_from_channel(twin, 7000, num_blocks=1).densities)
+        second = densities_from_channel(small_channel, 7000, num_blocks=1)
+        assert not np.array_equal(first.densities, second.densities)
+
+    def test_level_densities_integrate_to_one(self, small_channel):
+        table = densities_from_channel(small_channel, 10000, num_blocks=2,
+                                       rng=np.random.default_rng(3))
+        width = table.grid[1] - table.grid[0]
+        np.testing.assert_allclose(table.densities.sum(axis=1) * width, 1.0)
+
+    def test_rejects_no_blocks(self, small_channel):
+        with pytest.raises(ValueError):
+            densities_from_channel(small_channel, 7000, num_blocks=0)
 
 
 class TestPageLLRs:
@@ -145,7 +194,7 @@ class TestPageLLRs:
             grid,
             [grid[0] - 50.0, grid[0] - 1e-9, grid[-1] + 1e-9, grid[-1] + 50.0],
             np.random.default_rng(12).uniform(-100.0, 750.0, size=200),
-        ]).reshape(5, -1)
+        ]).reshape(3, -1)
         priors = np.random.default_rng(13).dirichlet(np.ones(NUM_LEVELS))
         for level_priors in (None, priors):
             weights = (np.full(NUM_LEVELS, 1.0 / NUM_LEVELS)
@@ -173,81 +222,62 @@ class TestPageLLRs:
             program, voltages = channel.paired_blocks(3, pe_cycles)
             llrs = page_llrs(voltages, LOWER_PAGE, density_table)
             bits = levels_to_pages(program)[..., LOWER_PAGE]
-            summary = llr_quality_summary(llrs, bits)
-            rates[pe_cycles] = summary["hard_bit_error_rate"]
+            rates[pe_cycles] = np.mean((llrs < 0) != bits)
         assert rates[10000] > rates[4000]
 
 
-class TestLLRQualitySummary:
-    def test_perfect_llrs(self):
-        bits = np.array([0, 1, 0, 1])
-        llrs = np.array([5.0, -5.0, 3.0, -2.0])
-        summary = llr_quality_summary(llrs, bits)
-        assert summary["hard_bit_error_rate"] == 0.0
-        assert summary["overconfident_error_fraction"] == 0.0
-        assert summary["mean_llr_magnitude"] == pytest.approx(3.75)
-
-    def test_all_wrong_llrs(self):
-        bits = np.array([0, 1])
-        llrs = np.array([-4.0, 4.0])
-        summary = llr_quality_summary(llrs, bits)
-        assert summary["hard_bit_error_rate"] == 1.0
-        assert summary["overconfident_error_fraction"] == 1.0
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            llr_quality_summary(np.array([1.0]), np.array([0, 1]))
-        with pytest.raises(ValueError):
-            llr_quality_summary(np.array([]), np.array([]))
-
-    def test_zero_llrs_not_overconfident(self):
-        summary = llr_quality_summary(np.zeros(4), np.array([0, 1, 0, 1]))
-        assert summary["overconfident_error_fraction"] == 0.0
-
-
 class TestEndToEndEvaluation:
-    def test_bch_corrects_the_simulated_channel(self, channel, params):
+    def test_bch_corrects_the_simulated_channel(self, channel):
         code = BCHCode(m=6, t=4)
         result = evaluate_bch_over_channel(code, channel, 7000,
                                            num_codewords=8,
-                                           rng=np.random.default_rng(1),
-                                           params=params)
+                                           rng=np.random.default_rng(1))
         assert result.codewords == 8
         assert 0.0 <= result.raw_bit_error_rate <= 1.0
         assert result.post_correction_bit_error_rate <= result.raw_bit_error_rate
         assert result.frame_error_rate <= 0.5
 
-    def test_bch_frame_errors_grow_with_wear(self, channel, params):
+    def test_bch_frame_errors_grow_with_wear(self, channel):
         code = BCHCode(m=6, t=1)
         young = evaluate_bch_over_channel(code, channel, 1000,
                                           num_codewords=12,
-                                          rng=np.random.default_rng(2),
-                                          params=params)
+                                          rng=np.random.default_rng(2))
         old = evaluate_bch_over_channel(code, channel, 10000,
                                         num_codewords=12,
-                                        rng=np.random.default_rng(2),
-                                        params=params)
+                                        rng=np.random.default_rng(2))
         assert old.raw_bit_error_rate >= young.raw_bit_error_rate
 
-    def test_ldpc_soft_decoding_over_the_channel(self, channel, params,
+    def test_ldpc_soft_decoding_over_the_channel(self, channel,
                                                  density_table):
         code = LDPCCode.regular(n=96, column_weight=3, row_weight=6,
                                 rng=np.random.default_rng(3))
         result = evaluate_ldpc_over_channel(code, channel, 7000,
                                             density_table, num_codewords=6,
-                                            rng=np.random.default_rng(4),
-                                            params=params)
+                                            rng=np.random.default_rng(4))
         assert result.codewords == 6
         assert result.post_correction_bit_error_rate <= result.raw_bit_error_rate
 
-    def test_num_codewords_validation(self, channel, params, density_table):
+    def test_num_codewords_validation(self, channel, density_table):
+        """Bad sizes raise before the campaign draws its seed from the
+        caller's or the channel's generator."""
+        rng = np.random.default_rng(1)
+        states = (rng.bit_generator.state, channel.rng.bit_generator.state)
         code = BCHCode(m=4, t=1)
-        with pytest.raises(ValueError):
-            evaluate_bch_over_channel(code, channel, 4000, num_codewords=0)
         ldpc = LDPCCode.regular(n=24, rng=np.random.default_rng(0))
-        with pytest.raises(ValueError):
-            evaluate_ldpc_over_channel(ldpc, channel, 4000, density_table,
-                                       num_codewords=0)
+        for generator in (rng, None):
+            with pytest.raises(ValueError):
+                evaluate_bch_over_channel(code, channel, 4000,
+                                          num_codewords=0, rng=generator)
+            with pytest.raises(ValueError):
+                evaluate_ldpc_over_channel(ldpc, channel, 4000,
+                                           density_table, num_codewords=0,
+                                           rng=generator)
+            with pytest.raises(ValueError):
+                evaluate_ldpc_over_channel(ldpc, channel, 4000,
+                                           num_codewords=8, group_size=0,
+                                           rng=generator)
+        assert (rng.bit_generator.state,
+                channel.rng.bit_generator.state) == states
 
     def test_frames_failed_property(self):
         from repro.ecc.evaluate import CodewordChannelResult
@@ -256,6 +286,114 @@ class TestEndToEndEvaluation:
                                        frame_error_rate=0.2,
                                        post_correction_bit_error_rate=0.0)
         assert result.frames_failed == 2
+
+
+class TestSeededDensityTable:
+    """The LDPC campaign's default table: built by
+    :func:`densities_from_channel` from the campaign seed and kept in the
+    channel's condition cache under ``("density-seeded", pe, seed)``."""
+
+    @pytest.fixture
+    def code(self) -> LDPCCode:
+        return LDPCCode.regular(n=24, rng=np.random.default_rng(0))
+
+    @staticmethod
+    def _channel(seed: int) -> SimulatorChannel:
+        return SimulatorChannel(geometry=BlockGeometry(16, 16),
+                                rng=np.random.default_rng(seed))
+
+    def test_is_the_builder_table_at_the_campaign_seed(self, code):
+        channel = self._channel(0)
+        evaluate_ldpc_over_channel(code, channel, 7000, num_codewords=2,
+                                   seed=5)
+        cached = channel.cache.get_or_compute(
+            ("density-seeded", 7000.0, 5),
+            lambda: pytest.fail("the campaign left no table in the cache"))
+        generator = np.random.default_rng(np.random.SeedSequence(
+            stable_seed(5, 7000.0, "density")))
+        np.testing.assert_array_equal(
+            cached.densities,
+            densities_from_channel(channel, 7000, rng=generator).densities)
+
+    def test_same_seed_agrees_across_channel_generators(self, code):
+        """Nothing in a seeded campaign draws from the channel's own
+        generator, so channels built with different generators agree."""
+        records = [evaluate_ldpc_over_channel(
+            code, self._channel(seed), 7000, num_codewords=8,
+            seed=5).frame_records for seed in (0, 1)]
+        np.testing.assert_array_equal(*records)
+
+    def test_explicit_table_bypasses_the_cache(self, code):
+        channel = self._channel(0)
+        table = densities_from_channel(channel, 7000,
+                                       rng=np.random.default_rng(1))
+        evaluate_ldpc_over_channel(code, channel, 7000, table,
+                                   num_codewords=2, seed=5)
+        assert channel.cache.stats() == {"hits": 0, "misses": 0, "size": 0}
+
+
+class _RecordingSimulator(SimulatorChannel):
+    """A simulator that keeps the levels and voltages of every
+    ``read_voltages`` call (the campaigns' codeword reads)."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.reads = []
+
+    def read_voltages(self, program_levels, pe_cycles, **kwargs):
+        voltages = super().read_voltages(program_levels, pe_cycles, **kwargs)
+        self.reads.append((np.asarray(program_levels), voltages))
+        return voltages
+
+
+class TestThresholdsFromTheChannel:
+    """A channel with its own level means is hard-read at its own
+    thresholds, not at the default ones."""
+
+    @pytest.fixture
+    def shifted(self) -> _RecordingSimulator:
+        """Levels 1-7 sit 25 V above the default means."""
+        means = np.array(FlashParameters().level_means)
+        means[1:] += 25.0
+        return _RecordingSimulator(FlashParameters(level_means=tuple(means)),
+                                   rng=np.random.default_rng(0))
+
+    @staticmethod
+    def _lower_page_errors(reads, thresholds) -> int:
+        return sum(int(np.count_nonzero(
+            levels_to_pages(hard_read(voltages, thresholds))[..., LOWER_PAGE]
+            != levels_to_pages(levels)[..., LOWER_PAGE]))
+            for levels, voltages in reads)
+
+    @pytest.mark.parametrize("campaign", ["bch", "ldpc"])
+    def test_raw_errors_are_hard_reads_at_the_channel_thresholds(
+            self, shifted, campaign):
+        if campaign == "bch":
+            result = evaluate_bch_over_channel(
+                BCHCode(m=6, t=4), shifted, 4000, num_codewords=64, seed=3)
+        else:
+            result = evaluate_ldpc_over_channel(
+                LDPCCode.regular(n=96, rng=np.random.default_rng(3)),
+                shifted, 4000, num_codewords=64, seed=3)
+        own = self._lower_page_errors(
+            shifted.reads, default_read_thresholds(shifted.params))
+        assert int(result.frame_records[:, 0].sum()) == own
+        # The default thresholds sit 12.5-25 V below the channel's and
+        # would count many times more raw errors.
+        assert 10 * own < self._lower_page_errors(shifted.reads,
+                                                  default_read_thresholds())
+
+    def test_density_table_spans_the_channel_window(self):
+        params = FlashParameters(voltage_min=-50.0, voltage_max=700.0)
+        channel = SimulatorChannel(params, geometry=BlockGeometry(16, 16))
+        tables = [densities_from_channel(channel, 7000, num_blocks=1,
+                                         rng=np.random.default_rng(5))
+                  for _ in range(2)]
+        assert tables[0].grid.shape == (128,)
+        assert tables[0].grid[0] == pytest.approx(-50.0 + 750.0 / 256)
+        assert tables[0].grid[-1] == pytest.approx(700.0 - 750.0 / 256)
+        np.testing.assert_array_equal(tables[0].densities,
+                                      tables[1].densities)
 
 
 class TestRequiredBCHCapability:

@@ -1,30 +1,26 @@
-"""Tests for error counting, ICI profiling and text reporting."""
+"""Tests for ICI profiling and text reporting.
+
+Level error counts have one route, :mod:`repro.flash.errors`; its tests
+live in ``tests/flash/test_thresholds_errors.py``, and Fig. 5's use of it
+in ``tests/experiments/test_experiments.py``.
+"""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
-from repro.baselines import gaussian_pdf
 from repro.channel import SimulatorChannel
 from repro.eval import (
-    error_counts_from_samples,
-    error_probability_from_pdf,
     format_bar_chart,
     format_pie_summary,
     format_table,
     ici_error_profile,
-    normalized_error_counts,
     pattern_rank_order,
     rank_agreement,
-    stacked_error_table,
     top_pattern_frequencies,
 )
-from repro.flash import (
-    BlockGeometry,
-    FlashParameters,
-    default_read_thresholds,
-)
+from repro.flash import BlockGeometry
 
 
 @pytest.fixture
@@ -32,90 +28,6 @@ def paired_data():
     channel = SimulatorChannel(geometry=BlockGeometry(32, 32),
                                rng=np.random.default_rng(23))
     return channel.paired_blocks(40, 7000)
-
-
-class TestErrorCounts:
-    def test_counts_exclude_level_zero(self, paired_data):
-        program, voltages = paired_data
-        counts = error_counts_from_samples(program, voltages)
-        assert counts.shape == (7,)
-
-    def test_counts_grow_with_wear(self):
-        channel = SimulatorChannel(geometry=BlockGeometry(32, 32),
-                                   rng=np.random.default_rng(5))
-        totals = {}
-        for pe in (4000, 10000):
-            program, voltages = channel.paired_blocks(40, pe)
-            totals[pe] = error_counts_from_samples(program, voltages).sum()
-        assert totals[10000] > totals[4000]
-
-    def test_error_probability_from_gaussian_pdf(self):
-        """Closed-form check: mass outside +-1 threshold window."""
-        params = FlashParameters()
-        thresholds = default_read_thresholds(params)
-        level = 4
-        mu = params.means_array[level]
-        sigma = 10.0
-        grid = np.linspace(0, 650, 6501)
-        pdf = gaussian_pdf(grid, mu, sigma)
-        probability = error_probability_from_pdf(grid, pdf, level,
-                                                 thresholds, params)
-        from scipy import stats
-        expected = (stats.norm.cdf(thresholds[level - 1], mu, sigma)
-                    + stats.norm.sf(thresholds[level], mu, sigma))
-        assert probability == pytest.approx(expected, abs=1e-3)
-
-    def test_error_probability_level7_one_sided(self):
-        params = FlashParameters()
-        grid = np.linspace(0, 650, 6501)
-        pdf = gaussian_pdf(grid, params.means_array[7], 9.0)
-        probability = error_probability_from_pdf(grid, pdf, 7, params=params)
-        from scipy import stats
-        expected = stats.norm.cdf(default_read_thresholds(params)[6],
-                                  params.means_array[7], 9.0)
-        assert probability == pytest.approx(expected, abs=1e-3)
-
-    def test_error_probability_rejects_bad_level(self):
-        grid = np.linspace(0, 650, 100)
-        with pytest.raises(ValueError):
-            error_probability_from_pdf(grid, np.ones_like(grid), 9)
-
-    def test_error_probability_rejects_shape_mismatch(self):
-        with pytest.raises(ValueError):
-            error_probability_from_pdf(np.zeros(5), np.zeros(4), 1)
-
-    def test_error_probability_rejects_zero_mass(self):
-        grid = np.linspace(0, 650, 100)
-        with pytest.raises(ValueError):
-            error_probability_from_pdf(grid, np.zeros_like(grid), 1)
-
-    def test_normalized_error_counts_reference_is_one(self):
-        counts = {"measured_4000": np.array([1.0, 2.0, 3.0]),
-                  "model_4000": np.array([2.0, 2.0, 4.0])}
-        normalized = normalized_error_counts(counts, "measured_4000")
-        assert normalized["measured_4000"].sum() == pytest.approx(1.0)
-        assert normalized["model_4000"].sum() == pytest.approx(8.0 / 6.0)
-
-    def test_normalized_error_counts_explicit_reference_total(self):
-        counts = {"a": np.array([1.0, 1.0])}
-        normalized = normalized_error_counts(counts, "a", reference_total=4.0)
-        assert normalized["a"].sum() == pytest.approx(0.5)
-
-    def test_normalized_error_counts_missing_reference(self):
-        with pytest.raises(KeyError):
-            normalized_error_counts({"a": np.array([1.0])}, "b")
-
-    def test_normalized_error_counts_zero_reference(self):
-        with pytest.raises(ValueError):
-            normalized_error_counts({"a": np.array([0.0])}, "a")
-
-    def test_stacked_error_table_rows(self):
-        normalized = {"M": np.array([0.1] * 7), "G": np.array([0.2] * 7)}
-        rows = stacked_error_table(normalized)
-        assert len(rows) == 2
-        assert rows[0]["model"] == "M"
-        assert rows[0]["total"] == pytest.approx(0.7)
-        assert set(rows[0]) >= {f"level_{i}" for i in range(1, 8)}
 
 
 class TestICIAnalysis:

@@ -48,9 +48,9 @@ def _record_unit(unit, rng):
 def _cached_draw(unit, rng, *, channel):
     """A task exercising the channel's per-condition LRU cache.
 
-    The computed artifact is anchored to the unit rng (unlike e.g.
-    ``level_error_rate_estimate``, which draws from the channel's own
-    generator), so the values must be identical for every backend.
+    The computed artifact is anchored to the unit rng (not to the
+    channel's own generator), so the values must be identical for every
+    backend.
     """
     return channel.cache.get_or_compute(
         ("conformance", int(unit)), lambda: float(rng.random()))

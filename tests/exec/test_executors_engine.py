@@ -18,7 +18,7 @@ from repro.exec import (
     build_executor,
     run_plan,
 )
-from repro.flash import BlockGeometry
+from repro.flash import BlockGeometry, level_error_rate
 from repro.obs import metrics, trace
 
 
@@ -27,9 +27,15 @@ def _draw(unit, rng):
 
 
 def _cached_estimate(unit, rng, *, channel):
-    """Plan task exercising the channel's per-condition LRU cache."""
-    return channel.level_error_rate_estimate(4000 + 1000 * int(unit),
-                                             num_blocks=1)
+    """Plan task exercising the channel's per-condition LRU cache: a level
+    error rate per P/E count, over a block drawn with the unit's rng."""
+    pe = 4000 + 1000 * int(unit)
+
+    def estimate():
+        program, voltages = channel.paired_blocks(1, pe, rng=rng)
+        return level_error_rate(program, voltages, params=channel.params)
+
+    return channel.cache.get_or_compute(("level_error_rate", pe), estimate)
 
 
 def _first_unit_wins(unit, rng, *, channel):

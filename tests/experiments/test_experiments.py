@@ -25,7 +25,7 @@ from repro.experiments import (
     run_fig6,
     run_remark3,
 )
-from repro.flash import BlockGeometry
+from repro.flash import BlockGeometry, per_level_error_counts
 from repro.flash.patterns import BITLINE, TOP_ERROR_PATTERNS, WORDLINE
 
 
@@ -220,6 +220,50 @@ class TestFig5:
     def test_rows_have_per_level_stacks(self, result):
         rows = result.rows()
         assert all(f"level_{index}" in rows[0] for index in range(1, 8))
+
+    def test_measured_stacks_are_the_level_error_counts(self, result,
+                                                        evaluation_arrays):
+        """The measured bars are ``per_level_error_counts`` of levels 1..7
+        (level 0 left out, as in the paper), over the measured total at
+        the first P/E count."""
+        for pe in (4000, 7000):
+            counts = per_level_error_counts(*evaluation_arrays[pe])[1:]
+            np.testing.assert_array_equal(
+                result.counts[pe]["M"], counts / result.normalization_total)
+        assert result.normalization_total == \
+            per_level_error_counts(*evaluation_arrays[4000])[1:].sum()
+
+    def test_every_model_shares_the_measured_reference(self, result):
+        """Each bar is an integer error count over the one measured total."""
+        for by_model in result.counts.values():
+            for stacks in by_model.values():
+                counts = stacks * result.normalization_total
+                np.testing.assert_allclose(counts, np.round(counts),
+                                           rtol=0, atol=1e-9)
+
+    def test_rows_total_is_the_sum_of_the_level_stacks(self, result):
+        rows = result.rows()
+        assert [(row["pe_cycles"], row["model"]) for row in rows] == \
+            [(pe, label) for pe in (4000, 7000)
+             for label in ("M", "cV-G", "G", "NL", "S't")]
+        for row in rows:
+            levels = [row[f"level_{index}"] for index in range(1, 8)]
+            assert row["total"] == pytest.approx(sum(levels))
+            np.testing.assert_array_equal(
+                levels, result.counts[row["pe_cycles"]][row["model"]])
+
+    def test_no_measured_errors_rejected(self):
+        """Without a measured error at the first P/E count there is no
+        reference to normalise by."""
+        small = SimulatorChannel(geometry=BlockGeometry(8, 8),
+                                 rng=np.random.default_rng(41))
+        dataset = generate_paired_dataset(small, pe_cycles=(4000,),
+                                          arrays_per_pe=4, array_size=8)
+        program = np.tile(np.arange(8), (2, 8, 1))
+        noiseless = {4000: (program, small.params.means_array[program])}
+        with pytest.raises(RuntimeError, match="no measured errors"):
+            run_fig5(dataset, noiseless, baseline_iterations=5,
+                     rng=np.random.default_rng(7))
 
     def test_format_contains_reference_note(self, result):
         assert "4000" in result.format()

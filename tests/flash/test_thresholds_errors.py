@@ -90,6 +90,32 @@ class TestErrorStatistics:
         program, voltages = channel.paired_blocks(1, 4000)
         assert per_level_error_counts(program, voltages).shape == (NUM_LEVELS,)
 
+    def test_per_level_counts_attribute_errors_to_the_programmed_level(
+            self, params):
+        """An error counts under the level the host programmed, not the
+        level the cell reads as."""
+        levels = np.array([0, 3, 3, 5, 7])
+        voltages = params.means_array[[1, 4, 3, 5, 6]]
+        np.testing.assert_array_equal(
+            per_level_error_counts(levels, voltages, params=params),
+            [1, 0, 0, 1, 0, 0, 0, 1])
+
+    def test_per_level_counts_read_at_the_given_params(self):
+        """Cells at a channel's own level means read cleanly at its own
+        thresholds; at the default thresholds a 40 V shift (over half the
+        70 V level spacing) reads levels 1-6 one level high, and level 7
+        stays the top level."""
+        means = np.array(FlashParameters().level_means)
+        means[1:] += 40.0
+        shifted = FlashParameters(level_means=tuple(means))
+        levels = np.tile(np.arange(NUM_LEVELS), (4, 1))
+        voltages = shifted.means_array[levels]
+        np.testing.assert_array_equal(
+            per_level_error_counts(levels, voltages, params=shifted), 0)
+        np.testing.assert_array_equal(
+            per_level_error_counts(levels, voltages),
+            [0, 4, 4, 4, 4, 4, 4, 0])
+
     def test_per_level_rates_bounded(self, channel):
         program, voltages = channel.paired_blocks(1, 10000)
         rates = per_level_error_rates(program, voltages)

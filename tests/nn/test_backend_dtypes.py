@@ -434,8 +434,9 @@ class TestCJitKernelConformance:
     def test_ldpc_min_sum_bit_identical(self, code_name, max_iterations,
                                         scale, cjit_backend):
         """Codewords, iterations and success flags, on noisy LLRs, tied
-        magnitudes (rounded LLRs), signed zeros, an already-converged
-        batch and batches of one and none."""
+        magnitudes (rounded LLRs), signed zeros, LLRs up to the message
+        cap (messages then reach it), an already-converged batch and
+        batches of one and none."""
         code = self._ldpc_code(code_name)
         rng = np.random.default_rng(15)
         codewords = code.encode_batch(rng.integers(0, 2, size=(24, code.k)))
@@ -446,6 +447,9 @@ class TestCJitKernelConformance:
             "ties": np.round(awgn),
             "signed_zeros": np.where(rng.random(awgn.shape) < 0.25, zeros,
                                      np.round(awgn, 1)),
+            "at_the_cap": np.clip(awgn * (backend_mod.LDPC_MESSAGE_CAP / 4),
+                                  -backend_mod.LDPC_MESSAGE_CAP,
+                                  backend_mod.LDPC_MESSAGE_CAP),
             "converged": 4.0 * (1.0 - 2.0 * codewords),
             "batch_of_none": awgn[:0],
             "batch_of_one": awgn[:1],

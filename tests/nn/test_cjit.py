@@ -5,24 +5,27 @@ The conformance battery (compiled kernels vs the NumPy kernels) lives in
 machinery itself — the renderer, compiler detection, the on-disk kernel
 cache (hits skip the compiler, corrupted/stale objects recompile, poisoned
 compiles surface a typed error), the no-compiler fallback, and the
-``python -m repro.nn.backend`` CLI.
+``python -m repro.nn`` CLI.
 """
 
 from __future__ import annotations
 
 import os
+import subprocess
+import sys
 import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-import repro.nn.backend as backend_mod
 from repro.artifacts.kernels import (
     KERNEL_CACHE_ENV,
     KERNEL_MANIFEST_FILENAME,
     KernelCache,
     default_kernel_cache_dir,
 )
+from repro.nn.__main__ import main
 from repro.nn.backend import BACKEND_REGISTRY, NumpyBackend, use_backend
 from repro.nn.cjit import (
     CJitBackend,
@@ -318,7 +321,7 @@ class TestRegistryAndCLI:
     def test_cli_lists_backends_and_compiler(self, capsys, tmp_path,
                                              monkeypatch):
         monkeypatch.setenv(KERNEL_CACHE_ENV, str(tmp_path))
-        assert backend_mod.main([]) == 0
+        assert main([]) == 0
         out = capsys.readouterr().out
         assert "numpy" in out and "reference" in out and "cjit" in out
         assert f"kernel cache: {tmp_path}" in out
@@ -332,18 +335,33 @@ class TestRegistryAndCLI:
     @needs_compiler
     def test_cli_warm_precompiles_then_hits(self, capsys, tmp_path):
         cache_dir = str(tmp_path / "cache")
-        assert backend_mod.main(["--warm", "--cache-dir", cache_dir]) == 0
+        assert main(["--warm", "--cache-dir", cache_dir]) == 0
         first = capsys.readouterr().out
         assert "warmed" in first
-        assert backend_mod.main(["--warm", "--cache-dir", cache_dir]) == 0
+        assert main(["--warm", "--cache-dir", cache_dir]) == 0
         second = capsys.readouterr().out
         assert "0 compiled" in second
 
     def test_cli_warm_without_compiler_fails(self, capsys, monkeypatch):
         import repro.nn.cjit as cjit_pkg
         monkeypatch.setattr(cjit_pkg, "find_compiler", lambda: None)
-        assert backend_mod.main(["--warm"]) == 1
+        assert main(["--warm"]) == 1
         assert "cannot --warm" in capsys.readouterr().out
+
+    def test_module_runs_with_a_clean_stderr(self, tmp_path):
+        """``python -m repro.nn`` exits 0 and lists the backends without a
+        word on stderr: no runpy warning about a module imported twice."""
+        src = Path(__file__).resolve().parents[2] / "src"
+        env = dict(os.environ, PYTHONPATH=str(src),
+                   **{KERNEL_CACHE_ENV: str(tmp_path)})
+        done = subprocess.run(
+            [sys.executable, "-W", "error::RuntimeWarning", "-m", "repro.nn"],
+            capture_output=True, text=True, env=env, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert done.stderr == ""
+        assert "registered array backends:" in done.stdout
+        for name in ("numpy", "reference", "cjit"):
+            assert f"  {name}: " in done.stdout
 
 
 @needs_compiler

@@ -89,28 +89,6 @@ class TestScoping:
 
 
 class TestLegacySurfaceBridges:
-    def test_cache_registry_publishes_condition_cache_stats(self):
-        from repro.channel.cache import ConditionCache
-
-        cache = ConditionCache(maxsize=4)
-        cache.get_or_compute(("k",), lambda: 1)
-        cache.get_or_compute(("k",), lambda: 1)
-        registry = metrics.cache_registry(cache)
-        totals = registry.totals()
-        assert totals["channel.cache.hits"] == 1
-        assert totals["channel.cache.misses"] == 1
-        assert totals["channel.cache.size"] == 1
-
-    def test_publish_metrics_lands_in_active_registry(self):
-        from repro.channel.cache import ConditionCache
-
-        cache = ConditionCache(maxsize=4)
-        cache.get_or_compute(("k",), lambda: 1)
-        shard = metrics.MetricsRegistry()
-        with metrics.use_registry(shard):
-            cache.publish_metrics()
-        assert shard.totals()["channel.cache.misses"] == 1
-
     def test_backend_registry_mirrors_arena_stats(self):
         pytest.importorskip("numpy")
         import numpy as np
