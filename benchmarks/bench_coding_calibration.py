@@ -34,7 +34,6 @@ def test_time_aware_constraint_schedule(benchmark, results_dir, setup):
             points = constraint_tradeoff_curve(channel, pe_cycles,
                                                high_levels=(6,),
                                                num_blocks=blocks,
-                                               params=setup.params,
                                                metric="erased")
             unconstrained, constrained = points
             rows.append({
@@ -46,7 +45,6 @@ def test_time_aware_constraint_schedule(benchmark, results_dir, setup):
         selector = TimeAwareCodeSelector(channel, error_rate_target=1.3e-2,
                                          high_levels=(7, 6, 5),
                                          num_blocks=blocks,
-                                         params=setup.params,
                                          metric="erased")
         schedule = selector.schedule(setup.pe_cycles)
         return rows, schedule

@@ -54,7 +54,6 @@ def main() -> None:
         points = constraint_tradeoff_curve(channel, pe_cycles,
                                            high_levels=(7, 6, 5),
                                            num_blocks=12,
-                                           params=channel.params,
                                            metric="erased")
         parts = []
         for point in points:
@@ -68,7 +67,6 @@ def main() -> None:
     for target in (1.3e-2, 9.0e-3):
         selector = TimeAwareCodeSelector(channel, error_rate_target=target,
                                          high_levels=(7, 6, 5), num_blocks=12,
-                                         params=channel.params,
                                          metric="erased")
         schedule = selector.schedule(PE_READ_POINTS)
         print(f"  error-rate budget {target:.1e}:")

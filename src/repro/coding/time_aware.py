@@ -28,7 +28,6 @@ from repro.coding.constrained import ICIConstrainedCode
 from repro.exec import MeanReducer, MonteCarloPlan, run_plan, stable_seed
 from repro.flash.cell import ERASED_LEVEL
 from repro.flash.errors import level_error_rate, per_level_error_rates
-from repro.flash.params import FlashParameters
 
 __all__ = [
     "ERROR_METRICS",
@@ -61,22 +60,21 @@ class ConstraintOperatingPoint:
         return self.high_level is None
 
 
-def _block_error_metric(unit, rng, *, channel, code, pe_cycles, params,
-                        metric):
-    """Error rate of one (optionally constrained) random block — plan task."""
+def _block_error_metric(unit, rng, *, channel, code, pe_cycles, metric):
+    """Error rate of one (optionally constrained) random block, hard-read at
+    the channel's own thresholds — plan task."""
     levels = channel.program_random_block(rng=rng)
     if code is not None:
         levels, _ = code.encode(levels)
     voltages = channel.read_voltages(levels, pe_cycles, rng=rng)
     if metric == "level":
-        return level_error_rate(levels, voltages, params=params)
+        return level_error_rate(levels, voltages, params=channel.params)
     return per_level_error_rates(levels, voltages,
-                                 params=params)[ERASED_LEVEL]
+                                 params=channel.params)[ERASED_LEVEL]
 
 
 def _measure_error_rate(channel: ChannelModel, pe_cycles: float,
                         code: ICIConstrainedCode | None, num_blocks: int,
-                        params: FlashParameters | None,
                         metric: str = "level", seed: int = 0,
                         executor=None, workers: int | None = None) -> float:
     """Average error rate of (optionally constrained) random blocks.
@@ -95,7 +93,7 @@ def _measure_error_rate(channel: ChannelModel, pe_cycles: float,
         units=tuple(range(num_blocks)),
         seed=stable_seed(seed, float(pe_cycles)),
         context=dict(channel=channel, code=code, pe_cycles=float(pe_cycles),
-                     params=params, metric=metric))
+                     metric=metric))
     return float(run_plan(plan, reducer=MeanReducer(), executor=executor,
                           workers=workers))
 
@@ -103,7 +101,6 @@ def _measure_error_rate(channel: ChannelModel, pe_cycles: float,
 def constraint_tradeoff_curve(channel, pe_cycles: float,
                               high_levels: tuple[int, ...] = (5, 6, 7),
                               num_blocks: int = 6,
-                              params: FlashParameters | None = None,
                               metric: str = "level",
                               seed: int | None = None,
                               executor=None, workers: int | None = None
@@ -114,11 +111,13 @@ def constraint_tradeoff_curve(channel, pe_cycles: float,
     :func:`repro.channel.resolve_channel`) — the simulator, a trained
     generative network and the fitted baselines all qualify.  The first
     entry of the returned list is always the unconstrained baseline (no
-    forbidden patterns, zero rate penalty).  ``metric`` selects what "error
-    rate" means (see :data:`ERROR_METRICS`); use ``"erased"`` to study the
-    victim population the constraint actually protects.  ``seed`` anchors
-    the Monte-Carlo randomness (drawn from the channel's generator when
-    omitted); ``executor``/``workers`` shard the per-constraint block sweeps
+    forbidden patterns, zero rate penalty).  Reads are hard-decided at the
+    channel's own thresholds (the midpoints of ``channel.params``' level
+    means).  ``metric`` selects what "error rate" means (see
+    :data:`ERROR_METRICS`); use ``"erased"`` to study the victim population
+    the constraint actually protects.  ``seed`` anchors the Monte-Carlo
+    randomness (drawn from the channel's generator when omitted);
+    ``executor``/``workers`` shard the per-constraint block sweeps
     (:func:`repro.exec.build_executor`) with bit-identical results.
     """
     if num_blocks < 1:
@@ -139,7 +138,7 @@ def constraint_tradeoff_curve(channel, pe_cycles: float,
         points = [ConstraintOperatingPoint(
             pe_cycles=float(pe_cycles), high_level=None,
             error_rate=_measure_error_rate(channel, pe_cycles, None,
-                                           num_blocks, params, metric,
+                                           num_blocks, metric,
                                            seed=seed, executor=backend,
                                            workers=workers),
             rate_penalty=0.0)]
@@ -148,7 +147,7 @@ def constraint_tradeoff_curve(channel, pe_cycles: float,
             points.append(ConstraintOperatingPoint(
                 pe_cycles=float(pe_cycles), high_level=int(high_level),
                 error_rate=_measure_error_rate(channel, pe_cycles, code,
-                                               num_blocks, params, metric,
+                                               num_blocks, metric,
                                                seed=seed, executor=backend,
                                                workers=workers),
                 rate_penalty=rate_penalty(high_level)))
@@ -169,7 +168,8 @@ class TimeAwareCodeSelector:
         ``"cvae_gan"``, ...), a :class:`repro.channel.ChannelModel`, or a
         legacy concrete channel object (wrapped automatically).
     error_rate_target:
-        Maximum acceptable level error rate.
+        Maximum acceptable error rate, hard-read at the channel's own
+        thresholds.
     high_levels:
         Candidate constraint strengths, ordered from weakest (cheapest) to
         strongest; a smaller ``high_level`` forbids more patterns.
@@ -196,7 +196,6 @@ class TimeAwareCodeSelector:
     error_rate_target: float
     high_levels: tuple[int, ...] = (7, 6, 5)
     num_blocks: int = 6
-    params: FlashParameters | None = None
     metric: str = "level"
     seed: int = 0
     executor: object = None
@@ -233,8 +232,8 @@ class TimeAwareCodeSelector:
         return self._cache.get_or_compute(
             (float(pe_cycles), high_level),
             lambda: _measure_error_rate(self.channel, pe_cycles, code,
-                                        self.num_blocks, self.params,
-                                        self.metric, seed=self.seed,
+                                        self.num_blocks, self.metric,
+                                        seed=self.seed,
                                         executor=self.executor,
                                         workers=self.workers))
 

@@ -3,7 +3,8 @@
 The package splits the tinygrad runtime pattern into three layers:
 
 * :mod:`repro.nn.cjit.render` — emit one small C translation unit per
-  (kernel, window shape, dtype);
+  (kernel, shape constants, dtype): the conv lowering is compiled per
+  window and plane shape, and the plane count is the only runtime extent;
 * :mod:`repro.nn.cjit.compiler` — detect ``cc``/``clang``/``gcc``, compile
   with ``-O3 -fPIC -shared -ffp-contract=off``, ``dlopen`` via ctypes;
 * :mod:`repro.nn.cjit.backend` — :class:`CJitBackend`, registered as
@@ -22,7 +23,8 @@ It is the process default wherever :func:`find_compiler` finds a compiler
         ...        # conv/loss/optimizer/LDPC kernels run the NumPy versions
 
 ``python -m repro.nn`` reports the default, the compiler and the cache,
-and ``--warm`` pre-compiles the standard kernel set.
+and ``--warm`` pre-compiles the standard kernel set: every kernel the
+tiny, small and paper model presets train and sample with.
 """
 
 from repro.nn.backend import register_backend

@@ -5,16 +5,20 @@
 reductions, the in-place Adam update, the single-pass ``leaky_relu``, the
 BatchNorm input gradient and the LDPC min-sum decoder — through C
 functions rendered by
-:mod:`repro.nn.cjit.render`, compiled once per (kernel, window shape,
+:mod:`repro.nn.cjit.render`, compiled once per (kernel, shape constants,
 dtype) by :mod:`repro.nn.cjit.compiler`, and persisted across processes in
 the per-user kernel cache (:class:`repro.artifacts.kernels.KernelCache`).
 It is the process default wherever a C compiler is found
 (:func:`default_backend`).
 
-A warm call costs one dict lookup under a plain ``(op, dtype, *window)``
-tuple and a ctypes call with integer array addresses: most calls of a
-training step are on small arrays, where this marshaling, not the C loop,
-is the price.
+The conv lowering compiles one kernel per window and plane shape: the
+plane count is the only runtime extent, so one object serves a layer at
+every batch size, and a shape the warm set
+(:func:`repro.nn.cjit.render.standard_kernel_specs`) lacks compiles on
+first use.  A warm call costs one dict lookup under a plain
+``(op, dtype, *shape)`` tuple and a ctypes call with integer array
+addresses: most calls of a training step are on small arrays, where this
+marshaling, not the C loop, is the price.
 
 Fallback is per-operation and silent only when legitimate: with no C
 compiler on the host every kernel is the inherited NumPy one (the whole
@@ -67,7 +71,7 @@ __all__ = ["CJitBackend", "default_backend", "kernel_cache_key"]
 _DTYPE_NAMES = {np.dtype(np.float32): "float32",
                 np.dtype(np.float64): "float64"}
 
-#: Spec constructor per op, called as ``_SPECS[op](op, dtype, *window)``.
+#: Spec constructor per op, called as ``_SPECS[op](op, dtype, *shape)``.
 _SPECS = {
     **dict.fromkeys(("im2col", "col2im"), conv_spec),
     **dict.fromkeys(("sum_squares", "abs_sum", "bce_logits", "gaussian_kl"),
@@ -118,7 +122,7 @@ class CJitBackend(NumpyBackend):
                 "cjit backend requires a C compiler (cc/clang/gcc) on PATH "
                 "and none was found")
         self.cache = KernelCache(cache_dir)
-        #: Loaded kernels by ``(op, dtype, *window)``; a ctypes function
+        #: Loaded kernels by ``(op, dtype, *shape)``; a ctypes function
         #: keeps its library mapped.
         self._functions: dict[tuple, object] = {}
         self.compiled = 0
@@ -134,16 +138,16 @@ class CJitBackend(NumpyBackend):
     def _build(self, key: tuple):
         """Load the kernel of a memo miss; ``None`` when none can run here.
 
-        ``key`` is ``(op, dtype, *window)``.  ``None`` means an unsupported
+        ``key`` is ``(op, dtype, *shape)``.  ``None`` means an unsupported
         dtype or no compiler: the caller runs the NumPy kernel.  Failing to
         build a kernel raises :class:`KernelCompileError`, cache I/O errors
         included.
         """
-        op, dtype, *window = key
+        op, dtype, *shape = key
         dtype_name = _DTYPE_NAMES.get(dtype)
         if dtype_name is None or self.compiler is None:
             return None
-        spec = _SPECS[op](op, dtype_name, *window)
+        spec = _SPECS[op](op, dtype_name, *shape)
         try:
             library = self._library(spec)
         except OSError as error:
@@ -218,43 +222,50 @@ class CJitBackend(NumpyBackend):
     @profiled_kernel("im2col")
     def im2col(self, x: np.ndarray, kernel: int, stride: int, padding: int,
                scratch: bool = False) -> np.ndarray:
-        key = ("im2col", x.dtype, kernel, stride, padding)
-        fn = self._functions.get(key) or self._build(key)
+        batch, channels, height, width = x.shape
+        out_h = _base._conv_out(height, kernel, stride, padding)
+        out_w = _base._conv_out(width, kernel, stride, padding)
+        fn = None
+        # An empty output (a plane smaller than the window) has no kernel.
+        if out_h > 0 and out_w > 0:
+            key = ("im2col", x.dtype, kernel, stride, padding, height, width)
+            fn = self._functions.get(key) or self._build(key)
         if fn is None:
             self.fallbacks += 1
             return super().im2col(x, kernel, stride, padding, scratch=scratch)
-        batch, channels, height, width = x.shape
-        out_h = (height + 2 * padding - kernel) // stride + 1
-        out_w = (width + 2 * padding - kernel) // stride + 1
         x = np.ascontiguousarray(x)
         # The kernel writes (N, C, K, K, H_out, W_out) order, which is this
         # shape's memory layout.
         shape = (batch, channels * kernel * kernel, out_h * out_w)
         cols = self.scratch_out(shape, x.dtype) if scratch \
             else np.empty(shape, dtype=x.dtype)
-        fn(_addr(x), _addr(cols), batch, channels, height, width, out_h,
-           out_w)
+        if fn(_addr(x), _addr(cols), batch * channels):
+            raise MemoryError("im2col: cannot allocate the scratch plane")
         return cols
 
     @profiled_kernel("col2im")
     def col2im(self, cols: np.ndarray,
                input_shape: tuple[int, int, int, int],
                kernel: int, stride: int, padding: int) -> np.ndarray:
-        key = ("col2im", cols.dtype, kernel, stride, padding)
-        fn = self._functions.get(key) or self._build(key)
+        batch, channels, height, width = input_shape
+        out_h = _base._conv_out(height, kernel, stride, padding)
+        out_w = _base._conv_out(width, kernel, stride, padding)
+        fn = None
+        if out_h > 0 and out_w > 0:
+            key = ("col2im", cols.dtype, kernel, stride, padding, height,
+                   width)
+            fn = self._functions.get(key) or self._build(key)
         if fn is None:
             self.fallbacks += 1
             return super().col2im(cols, input_shape, kernel, stride, padding)
-        batch, channels, height, width = input_shape
-        out_h = (height + 2 * padding - kernel) // stride + 1
-        out_w = (width + 2 * padding - kernel) // stride + 1
         if cols.size != batch * channels * kernel * kernel * out_h * out_w:
             raise ValueError(f"col2im: {cols.shape} columns do not match "
                              f"input shape {input_shape}")
         cols = np.ascontiguousarray(cols)
-        result = np.zeros(input_shape, dtype=cols.dtype)
-        fn(_addr(cols), _addr(result), batch, channels, height, width,
-           out_h, out_w)
+        # The kernel writes every element, the ones no window reaches too.
+        result = np.empty(input_shape, dtype=cols.dtype)
+        if fn(_addr(cols), _addr(result), batch * channels):
+            raise MemoryError("col2im: cannot allocate the scratch plane")
         return result
 
     # ------------------------------------------------------------------ #

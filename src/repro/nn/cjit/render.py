@@ -2,9 +2,10 @@
 
 Each hot kernel of :mod:`repro.nn.backend` is *rendered* to a small,
 self-contained C translation unit, specialized at render time for the
-operator's compile-time shape (the convolution window ``kernel / stride /
-padding``) and the element dtype; array extents stay runtime arguments so
-one compiled object serves every batch size.  The pattern follows
+operator's compile-time shape (for the convolution lowering, the window
+``kernel / stride / padding`` and the plane ``height x width``) and the
+element dtype; the plane count is the only runtime extent of a conv
+kernel, so one compiled object serves every batch size.  The pattern follows
 tinygrad's ``renderer/cstyle.py`` → ``runtime/ops_clang.py`` split: render
 to C-style source here, compile and ``dlopen`` in
 :mod:`repro.nn.cjit.compiler`.
@@ -12,10 +13,10 @@ to C-style source here, compile and ``dlopen`` in
 Exactness contract (mirrored by the conformance tests):
 
 * ``im2col`` / ``col2im`` are pure indexing (gather / ordered scatter-add)
-  and reproduce the NumPy kernels **bit-identically** — ``col2im``
-  accumulates contributions in the same ascending ``(i, j)`` window order
-  as the NumPy loop, and compilation pins ``-ffp-contract=off`` so no FMA
-  contraction changes a rounding.
+  through a zero-padded scratch plane and reproduce the NumPy kernels
+  **bit-identically** — ``col2im`` accumulates contributions in the same
+  ascending ``(i, j)`` window order as the NumPy loop, and compilation pins
+  ``-ffp-contract=off`` so no FMA contraction changes a rounding.
 * ``adam_update`` replays the exact NumPy operation sequence (scalars
   pre-cast to the parameter dtype, one rounding per
   multiply/add/sqrt/divide) and is **bit-identical** too.
@@ -37,8 +38,9 @@ from __future__ import annotations
 
 import ctypes
 from dataclasses import dataclass, field
+from types import SimpleNamespace
 
-from repro.nn.backend import LDPC_MESSAGE_CAP
+from repro.nn.backend import LDPC_MESSAGE_CAP, _conv_out
 
 __all__ = ["KernelSpec", "render_kernel", "conv_spec", "reduce_spec",
            "update_spec", "elementwise_spec", "bn_bwd_dx_spec",
@@ -79,9 +81,9 @@ class KernelSpec:
     """One renderable kernel: operator + dtype + baked shape constants.
 
     ``params`` are the compile-time specialization constants (for the conv
-    kernels the window geometry); they are baked into the source as
-    ``#define``-free literal constants so the compiler can unroll and
-    strength-reduce the window loops.
+    kernels the window geometry and the plane shape); they are baked into
+    the source as ``#define``-free literal constants so the compiler can
+    unroll and strength-reduce every loop but the one over planes.
     """
 
     op: str
@@ -109,13 +111,27 @@ class KernelSpec:
 # --------------------------------------------------------------------- #
 # Spec constructors (one per operator family)
 # --------------------------------------------------------------------- #
-def conv_spec(op: str, dtype: str, kernel: int, stride: int,
-              padding: int) -> KernelSpec:
-    """``im2col`` / ``col2im`` spec with the window geometry baked in."""
+def conv_spec(op: str, dtype: str, kernel: int, stride: int, padding: int,
+              height: int, width: int) -> KernelSpec:
+    """``im2col`` / ``col2im`` spec with the window and the plane shape
+    baked in; the C function takes ``(src, dst, planes)`` and returns
+    nonzero when it cannot allocate its scratch plane.
+
+    A plane smaller than the window (an empty output) has no kernel: the
+    backend answers it in Python.
+    """
+    if kernel < 1 or stride < 1 or padding < 0:
+        raise ValueError(f"invalid conv window: kernel {kernel}, stride "
+                         f"{stride}, padding {padding}")
+    if min(_conv_out(height, kernel, stride, padding),
+           _conv_out(width, kernel, stride, padding)) < 1:
+        raise ValueError(f"a {height}x{width} plane has no {kernel}x{kernel}"
+                         f"/s{stride}/p{padding} window: empty output")
     return KernelSpec(
         op=op, dtype=dtype,
-        params=(("kernel", kernel), ("stride", stride), ("padding", padding)),
-        argtypes=(_PTR, _PTR, _I64, _I64, _I64, _I64, _I64, _I64),
+        params=(("kernel", kernel), ("stride", stride), ("padding", padding),
+                ("height", height), ("width", width)),
+        argtypes=(_PTR, _PTR, _I64), restype=ctypes.c_int,
     )
 
 
@@ -164,46 +180,62 @@ def ldpc_min_sum_spec(dtype: str) -> KernelSpec:
 # --------------------------------------------------------------------- #
 # Source rendering
 # --------------------------------------------------------------------- #
+def _plane_geometry(spec: KernelSpec) -> SimpleNamespace:
+    """Render-time constants of a conv spec.
+
+    Windows read a ``ph x pw`` padded plane, ``ph = stride*(oh-1)+kernel``:
+    the zero-padded input cut to the rows and columns some window reaches.
+    The input's first ``rows x cols`` corner lands at offset ``padding`` in
+    it; input rows and columns past that corner reach no window.
+    """
+    g = SimpleNamespace(**dict(spec.params))
+    g.oh = _conv_out(g.height, g.kernel, g.stride, g.padding)
+    g.ow = _conv_out(g.width, g.kernel, g.stride, g.padding)
+    g.ph = g.stride * (g.oh - 1) + g.kernel
+    g.pw = g.stride * (g.ow - 1) + g.kernel
+    g.rows = max(0, min(g.height, g.ph - g.padding))
+    g.cols = max(0, min(g.width, g.pw - g.padding))
+    return g
+
+
+_CONV_PRELUDE = """\
+#include <stdlib.h>
+#include <string.h>
+"""
+
+
 def _render_im2col(spec: KernelSpec) -> str:
     T = _CTYPE[spec.dtype]
-    params = dict(spec.params)
-    K, S, P = params["kernel"], params["stride"], params["padding"]
-    return f"""\
-/* Gather an NCHW plane into (n, c, {K}, {K}, oh, ow) convolution columns.
-   Pure indexing: bit-identical to the NumPy pad + strided-slice kernel.
-   The in-bounds ox range [lo, hi) is hoisted out of the inner loop so the
-   copy itself is branch-free and vectorizable. */
-void {spec.symbol}(const {T}* restrict x, {T}* restrict cols,
-                   i64 n, i64 c, i64 h, i64 w, i64 oh, i64 ow) {{
-    {T}* out = cols;
-    for (i64 b = 0; b < n; ++b)
-    for (i64 ch = 0; ch < c; ++ch) {{
-        const {T}* plane = x + (b * c + ch) * h * w;
+    g = _plane_geometry(spec)
+    K, S, P, W = g.kernel, g.stride, g.padding, g.width
+    fill = "" if not (g.rows and g.cols) else f"""
+        for (i64 y = 0; y < {g.rows}; ++y)
+            memcpy(pad + (y + {P}) * {g.pw} + {P}, plane + y * {W},
+                   {g.cols} * sizeof({T}));"""
+    return _CONV_PRELUDE + f"""
+/* Gather {g.height}x{W} NCHW planes into ({K}, {K}, {g.oh}, {g.ow}) columns.
+   Each plane is copied into a zeroed {g.ph}x{g.pw} scratch plane, whose
+   padding border stays zero, so every window row is a constant-bound
+   strided copy with no bounds checks.  Pure indexing: bit-identical to
+   the NumPy pad + strided-slice kernel.  Returns nonzero when the scratch
+   plane cannot be allocated. */
+int {spec.symbol}(const {T}* restrict x, {T}* restrict cols, i64 planes) {{
+    {T}* pad = calloc({g.ph * g.pw}, sizeof({T}));
+    if (!pad) return 1;
+    for (i64 n = 0; n < planes; ++n) {{
+        const {T}* plane = x + n * {g.height * W};
+        {T}* out = cols + n * {K * K * g.oh * g.ow};{fill}
         for (i64 i = 0; i < {K}; ++i)
-        for (i64 j = 0; j < {K}; ++j) {{
-            /* 0 <= j + S*ox - P < w  <=>  lo <= ox < hi */
-            i64 lo = {P} - j + {S} - 1;
-            lo = lo > 0 ? lo / {S} : 0;
-            if (lo > ow) lo = ow;
-            i64 hi = (w + {P} - j + {S} - 1) / {S};
-            if (hi > ow) hi = ow;
-            if (hi < lo) hi = lo;
-            for (i64 oy = 0; oy < oh; ++oy) {{
-                const i64 iy = i + {S} * oy - {P};
-                if (iy < 0 || iy >= h) {{
-                    for (i64 ox = 0; ox < ow; ++ox) out[ox] = ({T})0;
-                    out += ow;
-                    continue;
-                }}
-                const {T}* row = plane + iy * w;
-                for (i64 ox = 0; ox < lo; ++ox) out[ox] = ({T})0;
-                for (i64 ox = lo; ox < hi; ++ox)
-                    out[ox] = row[{S} * ox + j - {P}];
-                for (i64 ox = hi; ox < ow; ++ox) out[ox] = ({T})0;
-                out += ow;
-            }}
+        for (i64 j = 0; j < {K}; ++j)
+        for (i64 oy = 0; oy < {g.oh}; ++oy) {{
+            const {T}* row = pad + (i + {S} * oy) * {g.pw} + j;
+            for (i64 ox = 0; ox < {g.ow}; ++ox)
+                out[ox] = row[{S} * ox];
+            out += {g.ow};
         }}
     }}
+    free(pad);
+    return 0;
 }}
 """
 
@@ -239,39 +271,45 @@ void {spec.symbol}(const {T}* restrict g, const {T}* restrict x,
 
 def _render_col2im(spec: KernelSpec) -> str:
     T = _CTYPE[spec.dtype]
-    params = dict(spec.params)
-    K, S, P = params["kernel"], params["stride"], params["padding"]
-    return f"""\
-/* Scatter-add (n, c, {K}, {K}, oh, ow) columns onto a zeroed NCHW grid.
-   Contributions accumulate in ascending (i, j) window order — the same
-   order as the NumPy loop — so the result is bit-identical. */
-void {spec.symbol}(const {T}* restrict cols, {T}* restrict out,
-                   i64 n, i64 c, i64 h, i64 w, i64 oh, i64 ow) {{
-    for (i64 b = 0; b < n; ++b)
-    for (i64 ch = 0; ch < c; ++ch) {{
-        {T}* plane = out + (b * c + ch) * h * w;
-        const {T}* col = cols + (b * c + ch) * {K * K} * oh * ow;
+    g = _plane_geometry(spec)
+    K, S, P, H, W = g.kernel, g.stride, g.padding, g.height, g.width
+    copy = "" if not (g.rows and g.cols) else f"""
+        for (i64 y = 0; y < {g.rows}; ++y)
+            memcpy(plane + y * {W}, pad + (y + {P}) * {g.pw} + {P},
+                   {g.cols} * sizeof({T}));"""
+    if g.rows and g.cols < W:
+        copy += f"""
+        for (i64 y = 0; y < {g.rows}; ++y)
+            memset(plane + y * {W} + {g.cols}, 0,
+                   {W - g.cols} * sizeof({T}));"""
+    if g.rows < H:
+        copy += f"""
+        memset(plane + {g.rows * W}, 0, {(H - g.rows) * W} * sizeof({T}));"""
+    return _CONV_PRELUDE + f"""
+/* Scatter-add ({K}, {K}, {g.oh}, {g.ow}) columns onto {H}x{W} NCHW planes.
+   Each plane accumulates in a zeroed {g.ph}x{g.pw} scratch plane in
+   ascending (i, j) window order — the NumPy loop's order, so the sums are
+   bit-identical — and its interior is then copied out; input rows and
+   columns no window reaches are zero.  Returns nonzero when the scratch
+   plane cannot be allocated. */
+int {spec.symbol}(const {T}* restrict cols, {T}* restrict out, i64 planes) {{
+    {T}* pad = malloc({g.ph * g.pw} * sizeof({T}));
+    if (!pad) return 1;
+    for (i64 n = 0; n < planes; ++n) {{
+        const {T}* col = cols + n * {K * K * g.oh * g.ow};
+        {T}* plane = out + n * {H * W};
+        memset(pad, 0, {g.ph * g.pw} * sizeof({T}));
         for (i64 i = 0; i < {K}; ++i)
-        for (i64 j = 0; j < {K}; ++j) {{
-            /* 0 <= j + S*ox - P < w  <=>  lo <= ox < hi; within one
-               (i, j) window every target element is distinct, so the
-               hoisted range does not reorder any accumulation. */
-            i64 lo = {P} - j + {S} - 1;
-            lo = lo > 0 ? lo / {S} : 0;
-            if (lo > ow) lo = ow;
-            i64 hi = (w + {P} - j + {S} - 1) / {S};
-            if (hi > ow) hi = ow;
-            if (hi < lo) hi = lo;
-            for (i64 oy = 0; oy < oh; ++oy) {{
-                const i64 iy = i + {S} * oy - {P};
-                if (iy < 0 || iy >= h) continue;
-                const {T}* src = col + ((i * {K} + j) * oh + oy) * ow;
-                {T}* row = plane + iy * w;
-                for (i64 ox = lo; ox < hi; ++ox)
-                    row[{S} * ox + j - {P}] += src[ox];
-            }}
-        }}
+        for (i64 j = 0; j < {K}; ++j)
+        for (i64 oy = 0; oy < {g.oh}; ++oy) {{
+            {T}* row = pad + (i + {S} * oy) * {g.pw} + j;
+            for (i64 ox = 0; ox < {g.ow}; ++ox)
+                row[{S} * ox] += col[ox];
+            col += {g.ow};
+        }}{copy}
     }}
+    free(pad);
+    return 0;
 }}
 """
 
@@ -523,19 +561,37 @@ def render_kernel(spec: KernelSpec) -> str:
     return _PRELUDE + "\n" + body(spec)
 
 
-#: Convolution window geometries used by the paper's architectures
-#: (pix2pix 4x4/s2/p1 blocks, the PatchGAN 4x4/s1/p1 head, the ResNet
-#: encoder's 3x3/s1/p1 stem) — the standard warm set.
-STANDARD_CONV_GEOMETRIES = ((4, 2, 1), (4, 1, 1), (3, 1, 1))
+def _preset_conv_planes() -> list[tuple[int, int, int, int]]:
+    """``(kernel, stride, padding, side)`` of every conv plane the models
+    of the tiny, small and paper :class:`~repro.core.ModelConfig` presets
+    lower, forward and backward alike."""
+    from repro.core.config import ModelConfig  # repro.core imports repro.nn
+
+    planes = set()
+    for config in (ModelConfig.tiny(), ModelConfig.small(),
+                   ModelConfig.paper()):
+        size = config.array_size
+        # The U-Net's Down/Up blocks and the PatchGAN's strided layers:
+        # 4x4/s2/p1 at every side from the array size down to 2.
+        planes.update((4, 2, 1, size >> depth)
+                      for depth in range(config.num_down_layers))
+        # The PatchGAN's 4x4/s1/p1 head, after its strided layers.
+        planes.add((4, 1, 1, size >> len(config.discriminator_channels)))
+        # The ResNet encoder's 3x3/s1/p1 convolutions at the array size.
+        planes.add((3, 1, 1, size))
+    return sorted(planes)
 
 
 def standard_kernel_specs(dtypes=SUPPORTED_DTYPES) -> list[KernelSpec]:
-    """The kernel set ``--warm`` pre-compiles into the cache."""
+    """The kernel set ``--warm`` pre-compiles into the cache: every kernel
+    the preset models train and sample with."""
+    planes = _preset_conv_planes()
     specs: list[KernelSpec] = []
     for dtype in dtypes:
-        for kernel, stride, padding in STANDARD_CONV_GEOMETRIES:
-            specs.append(conv_spec("im2col", dtype, kernel, stride, padding))
-            specs.append(conv_spec("col2im", dtype, kernel, stride, padding))
+        for kernel, stride, padding, side in planes:
+            for op in ("im2col", "col2im"):
+                specs.append(conv_spec(op, dtype, kernel, stride, padding,
+                                       side, side))
         for op in ("sum_squares", "abs_sum", "bce_logits", "gaussian_kl"):
             specs.append(reduce_spec(op, dtype))
         specs.append(update_spec("adam_update", dtype))

@@ -314,6 +314,24 @@ class ConvTranspose2d(Module):
                                   padding=self.padding)
 
 
+def _batch_statistics(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per-channel mean and biased variance of an NCHW batch.
+
+    Bit-identical to ``x.mean(axis=(0, 2, 3))`` and ``x.var(axis=(0, 2,
+    3))`` — the same sums and divisions as NumPy's ``_mean``/``_var`` — but
+    the mean's sum is taken once, where ``x.mean`` and ``x.var`` each take
+    it.
+    """
+    count = np.intp(x.shape[0] * x.shape[2] * x.shape[3])
+    mean = x.sum(axis=(0, 2, 3), keepdims=True)
+    np.true_divide(mean, count, out=mean, casting="unsafe")
+    centred = x - mean
+    np.multiply(centred, centred, out=centred)
+    var = centred.sum(axis=(0, 2, 3))
+    np.true_divide(var, count, out=var, casting="unsafe")
+    return mean.reshape(-1), var
+
+
 class BatchNorm2d(Module):
     """Batch normalisation over the channel dimension of NCHW tensors."""
 
@@ -357,8 +375,7 @@ class BatchNorm2d(Module):
         their gradients).
         """
         x_data = x.data
-        mean = x_data.mean(axis=(0, 2, 3))
-        var = x_data.var(axis=(0, 2, 3))
+        mean, var = _batch_statistics(x_data)
         momentum = self.momentum
         self._buffers["running_mean"] = (
             (1 - momentum) * self._buffers["running_mean"] + momentum * mean)

@@ -18,7 +18,8 @@ from repro.coding import (
     ici_forbidden_patterns,
     rate_penalty,
 )
-from repro.flash import BlockGeometry
+from repro.flash import BlockGeometry, FlashParameters, level_error_rate
+from tests.ecc.test_llr_evaluate import _RecordingSimulator
 
 
 @pytest.fixture
@@ -131,6 +132,38 @@ class TestTradeoffCurve:
         with pytest.raises(ValueError):
             constraint_tradeoff_curve(channel, 7000, metric="bogus",
                                       num_blocks=1)
+
+
+class TestThresholdsFromTheChannel:
+    """A channel with its own level means is hard-read at its own
+    thresholds, not at the default ones."""
+
+    @pytest.fixture
+    def shifted(self) -> _RecordingSimulator:
+        """Levels 1-7 sit 25 V above the default means."""
+        means = np.array(FlashParameters().level_means)
+        means[1:] += 25.0
+        return _RecordingSimulator(FlashParameters(level_means=tuple(means)),
+                                   rng=np.random.default_rng(0))
+
+    def test_tradeoff_curve_reads_at_the_channel_thresholds(self, shifted):
+        points = constraint_tradeoff_curve(shifted, 4000, num_blocks=4,
+                                           seed=3)
+        # The unconstrained point reads the first four blocks.
+        own = [level_error_rate(levels, voltages, params=shifted.params)
+               for levels, voltages in shifted.reads[:4]]
+        assert points[0].error_rate == pytest.approx(np.mean(own),
+                                                     rel=1e-12)
+        # The default thresholds sit 12.5-25 V below the channel's and
+        # read about 0.18 at every constraint strength.
+        assert all(point.error_rate < 0.01 for point in points)
+
+    def test_selector_reads_at_the_channel_thresholds(self, shifted):
+        selector = TimeAwareCodeSelector(shifted, error_rate_target=0.01,
+                                         num_blocks=4, seed=3)
+        point = selector.select(4000)
+        assert point.is_unconstrained
+        assert point.error_rate < 0.01
 
 
 class TestTimeAwareCodeSelector:

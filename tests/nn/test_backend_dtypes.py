@@ -37,12 +37,20 @@ from repro.nn.backend import (
     build_backend,
     register_backend,
 )
-from repro.nn.cjit import cjit_available, find_compiler
+from repro.nn.cjit import (cjit_available, find_compiler,
+                           standard_kernel_specs)
 from repro.nn.cjit import backend as cjit_backend_mod
 from tests.ecc.test_ldpc import _bpsk_llrs, _irregular_parity_check
 
 needs_compiler = pytest.mark.skipif(
     not cjit_available(), reason="no C compiler (cc/clang/gcc) on PATH")
+
+#: ``(kernel, stride, padding, height, width)`` of every conv kernel the
+#: warm set compiles, and the windows among them.
+WARM_PLANES = sorted({tuple(dict(spec.params).values())
+                      for spec in standard_kernel_specs()
+                      if spec.op == "im2col"})
+WARM_GEOMETRIES = sorted({plane[:3] for plane in WARM_PLANES})
 
 #: Backends held to the reference kernels: numpy always, cjit when a
 #: compiler exists (without one it degenerates to the numpy kernels).
@@ -351,24 +359,49 @@ class TestCJitKernelConformance:
     tolerances instead.
     """
 
-    GEOMETRIES = [(4, 2, 1), (4, 1, 1), (3, 1, 1), (2, 2, 0)]
+    #: Every warm window and one without padding, on planes of every shape
+    #: class: smaller than the window, odd, non-square, a warm size.
+    GEOMETRIES = sorted({*WARM_GEOMETRIES, (2, 2, 0)})
+    PLANES = [(1, 1), (3, 3), (5, 7), (7, 5), (9, 9), (16, 16)]
+
+    @staticmethod
+    def _assert_conv_lowering_bit_identical(backend, x, kernel, stride,
+                                            padding):
+        """im2col of ``x`` and col2im of random columns, byte for byte."""
+        reference = NumpyBackend()
+        want = reference.im2col(x, kernel, stride, padding)
+        got = backend.im2col(x, kernel, stride, padding)
+        assert got.shape == want.shape and got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()
+        cols = np.random.default_rng(5).standard_normal(want.shape) \
+            .astype(x.dtype)
+        want = reference.col2im(cols, x.shape, kernel, stride, padding)
+        got = backend.col2im(cols, x.shape, kernel, stride, padding)
+        assert got.shape == want.shape and got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
-    @pytest.mark.parametrize("geometry", GEOMETRIES)
-    def test_im2col_col2im_bit_identical(self, dtype, geometry, cjit_backend):
-        kernel, stride, padding = geometry
+    @pytest.mark.parametrize("plane", PLANES,
+                             ids=lambda plane: "x".join(map(str, plane)))
+    @pytest.mark.parametrize("geometry", GEOMETRIES,
+                             ids=lambda g: "k{}s{}p{}".format(*g))
+    def test_im2col_col2im_bit_identical(self, dtype, plane, geometry,
+                                         cjit_backend):
         rng = np.random.default_rng(11)
-        x = rng.standard_normal((2, 3, 9, 11)).astype(dtype)
-        reference = NumpyBackend()
-        cols_ref = reference.im2col(x, kernel, stride, padding)
-        cols_jit = cjit_backend.im2col(x, kernel, stride, padding)
-        np.testing.assert_array_equal(cols_jit, cols_ref)
-        assert cols_jit.dtype == dtype
-        grad_ref = reference.col2im(cols_ref, x.shape, kernel, stride,
-                                    padding)
-        grad_jit = cjit_backend.col2im(cols_ref, x.shape, kernel, stride,
-                                       padding)
-        np.testing.assert_array_equal(grad_jit, grad_ref)
+        for batch in (1, 3):
+            x = rng.standard_normal((batch, 2, *plane)).astype(dtype)
+            x[x > 1.5] = -0.0  # a signed zero must survive the copies
+            self._assert_conv_lowering_bit_identical(cjit_backend, x,
+                                                     *geometry)
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_im2col_col2im_bit_identical_on_every_warm_plane(self, dtype,
+                                                             cjit_backend):
+        rng = np.random.default_rng(17)
+        for kernel, stride, padding, height, width in WARM_PLANES:
+            x = rng.standard_normal((2, 3, height, width)).astype(dtype)
+            self._assert_conv_lowering_bit_identical(cjit_backend, x, kernel,
+                                                     stride, padding)
 
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
     @pytest.mark.parametrize("beta1", [0.5, 0.9], ids=["paper", "plain"])

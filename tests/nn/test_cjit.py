@@ -10,7 +10,9 @@ compiles surface a typed error), the no-compiler fallback, and the
 
 from __future__ import annotations
 
+import ctypes
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -53,10 +55,10 @@ needs_compiler = pytest.mark.skipif(
 
 class TestRenderer:
     def test_symbol_encodes_specialization(self):
-        spec = conv_spec("im2col", "float32", 4, 2, 1)
-        assert spec.symbol == "im2col_f32_k4_s2_p1"
-        assert conv_spec("col2im", "float64", 3, 1, 1).symbol \
-            == "col2im_f64_k3_s1_p1"
+        spec = conv_spec("im2col", "float32", 4, 2, 1, 16, 16)
+        assert spec.symbol == "im2col_f32_k4_s2_p1_h16_w16"
+        assert conv_spec("col2im", "float64", 3, 1, 1, 5, 7).symbol \
+            == "col2im_f64_k3_s1_p1_h5_w7"
 
     def test_source_is_deterministic_and_contains_symbol(self):
         spec = reduce_spec("bce_logits", "float64")
@@ -65,10 +67,25 @@ class TestRenderer:
         assert spec.symbol in first
 
     def test_window_constants_are_baked_in(self):
-        source = render_kernel(conv_spec("im2col", "float32", 5, 3, 2))
-        assert "k5" in conv_spec("im2col", "float32", 5, 3, 2).symbol
-        # The geometry appears as literals, not runtime parameters.
-        assert "* 3" in source or "3 *" in source
+        """Window and plane shape are literals; the plane count is the
+        only runtime extent."""
+        for op in ("im2col", "col2im"):
+            spec = conv_spec(op, "float64", 5, 3, 2, 9, 7)
+            source = render_kernel(spec)
+            signature = re.search(rf"int {spec.symbol}\(([^)]*)\)", source)
+            arguments = [part.strip()
+                         for part in signature.group(1).split(",")]
+            assert [part for part in arguments if "*" not in part] \
+                == ["i64 planes"]
+            assert spec.argtypes[2:] == (ctypes.c_int64,)
+            # 3x3 windows a plane, a (3*2 + 5)^2 = 121-element padded
+            # plane, 9*7 = 63 elements and 5*5*3*3 = 225 columns a plane.
+            for constant in ("121", "* 63", "* 225", "< 3;", "< 5;"):
+                assert constant in source, (op, constant)
+
+    def test_plane_smaller_than_the_window_has_no_spec(self):
+        with pytest.raises(ValueError, match="empty output"):
+            conv_spec("im2col", "float32", 4, 2, 1, 1, 1)
 
     def test_unknown_op_rejected(self):
         from repro.nn.cjit.render import KernelSpec

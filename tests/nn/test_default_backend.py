@@ -17,6 +17,7 @@ import shutil
 import sys
 import threading
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -174,6 +175,29 @@ class TestDefaultFallsBackToNumpy:
             backend.leaky_relu(x, 0.2),
             backend_mod.NumpyBackend().leaky_relu(x, 0.2))
         assert backend.fallbacks == fallbacks + 1
+
+
+@needs_compiler
+def test_a_plane_smaller_than_the_window_keeps_the_compiled_kernels(
+        fresh_default, monkeypatch, tmp_path):
+    """A 1x1 plane has no 4x4/s2/p1 window: both conv kernels answer with
+    NumPy's empty result and no compile, and the default stays compiled."""
+    monkeypatch.setenv("REPRO_KERNEL_CACHE", str(tmp_path / "kernels"))
+    backend = get_backend()
+    reference = backend_mod.NumpyBackend()
+    x = np.ones((2, 3, 1, 1), np.float32)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        cols = backend.im2col(x, 4, 2, 1)
+        np.testing.assert_array_equal(cols, reference.im2col(x, 4, 2, 1))
+        assert cols.shape == (2, 48, 0)
+        grad = backend.col2im(cols, x.shape, 4, 2, 1)
+        np.testing.assert_array_equal(
+            grad, reference.col2im(cols, x.shape, 4, 2, 1))
+        assert backend.compiled == 0
+        assert backend.available()
+        backend.leaky_relu(x, 0.2)
+    assert backend.compiled == 1
 
 
 class TestExplicitCJitRaises:

@@ -18,6 +18,7 @@ from repro.nn import (
     ReLU,
     Tanh,
     Tensor,
+    default_dtype,
 )
 
 from tests.nn.conftest import numerical_gradient
@@ -178,6 +179,24 @@ class TestBatchNorm:
         x = Tensor(rng.standard_normal((4, 2, 3, 3)) + 10.0)
         layer(x)
         assert np.all(layer._buffers["running_mean"] > 1.0)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("shape", [(1, 4, 1, 1), (2, 3, 1, 5),
+                                       (3, 5, 7, 9), (16, 16, 16, 16),
+                                       (4, 32, 2, 2), (8, 1, 64, 64)])
+    def test_train_statistics_are_numpys_mean_and_var(self, dtype, shape,
+                                                      rng):
+        """The batch is summed once for both statistics, and they stay
+        bit-identical to ``x.mean`` and ``x.var``."""
+        with default_dtype(dtype):
+            layer = BatchNorm2d(shape[1], momentum=1.0)
+        x = (rng.standard_normal(shape) * 7 + 3).astype(dtype)
+        layer(Tensor(x))
+        for name, want in (("running_mean", x.mean(axis=(0, 2, 3))),
+                           ("running_var", x.var(axis=(0, 2, 3)))):
+            got = layer._buffers[name]
+            assert got.dtype == dtype
+            np.testing.assert_array_equal(got, want, err_msg=name)
 
     def test_eval_uses_running_stats(self, rng):
         layer = BatchNorm2d(2, momentum=1.0)
