@@ -5,9 +5,11 @@ files exactly like the model zoo treats checkpoints: each entry lives
 under a cache directory next to a ``kernels.json`` manifest recording the
 source SHA-256, the compiler version tag, the platform tag and the content
 hash of the shared object.  A warm run looks an entry up by key — SHA-256
-of (platform, compiler, source) — verifies the object's content hash, and
-skips the compiler entirely; a corrupted or stale entry is evicted and
-recompiled, never loaded.
+of (platform, compiler, build target, source) — verifies the object's
+content hash, and skips the compiler entirely; a corrupted or stale entry
+is evicted and recompiled, never loaded.  The cache holds at most
+:data:`KERNEL_CACHE_MAX_BYTES` of objects: a hit refreshes an object's
+mtime, and storing past the cap evicts the least recently used ones.
 
 The cache is per user, never per working directory, because compiled
 kernels are the default array backend wherever a C compiler works: it is
@@ -28,7 +30,8 @@ from typing import Any, Mapping
 from repro.artifacts.store import file_sha256
 
 __all__ = ["KERNEL_CACHE_ENV", "KERNEL_MANIFEST_FILENAME",
-           "KERNEL_CACHE_VERSION", "default_kernel_cache_dir", "KernelCache"]
+           "KERNEL_CACHE_VERSION", "KERNEL_CACHE_MAX_BYTES",
+           "default_kernel_cache_dir", "KernelCache"]
 
 #: Environment override for the cache location.
 KERNEL_CACHE_ENV = "REPRO_KERNEL_CACHE"
@@ -39,6 +42,11 @@ KERNEL_MANIFEST_FILENAME = "kernels.json"
 #: Manifest format version; newer formats reset the cache (it is only a
 #: cache — resetting costs one recompile, never correctness).
 KERNEL_CACHE_VERSION = 1
+
+#: Object bytes the cache keeps before evicting the least recently used:
+#: about 2,000 kernels of 16 KB.  Conv kernels are compiled per plane shape,
+#: so without a bound the cache grows with every array size trained at.
+KERNEL_CACHE_MAX_BYTES = 32 * 2 ** 20
 
 
 def default_kernel_cache_dir() -> Path:
@@ -159,6 +167,10 @@ class KernelCache:
             self.evict(key)
             self.misses += 1
             return None
+        try:
+            os.utime(path)  # the mtime orders eviction: least recent first
+        except OSError:
+            pass
         self.hits += 1
         return path
 
@@ -169,7 +181,9 @@ class KernelCache:
 
         ``so_path`` is expected to already live at :meth:`object_path`
         (the compiler writes it there atomically); this records its
-        content hash and provenance in the manifest.
+        content hash and provenance in the manifest.  When the recorded
+        objects then pass :data:`KERNEL_CACHE_MAX_BYTES`, the least
+        recently used other entries are evicted until they fit.
         """
         path = Path(so_path)
         entries = self.entries()
@@ -181,8 +195,33 @@ class KernelCache:
             "compiler": compiler,
             "platform": platform,
         }
+        self._trim(entries, keep=key)
         self._write_entries(entries)
         return path
+
+    def _trim(self, entries: dict[str, dict[str, Any]], keep: str) -> None:
+        """Drop the least recently used entries but ``keep`` (oldest object
+        mtime first, a missing object first of all) and their objects,
+        until the recorded sizes fit :data:`KERNEL_CACHE_MAX_BYTES`."""
+        total = sum(entry.get("size", 0) for entry in entries.values())
+        if total <= KERNEL_CACHE_MAX_BYTES:
+            return
+
+        def last_used(key: str) -> float:
+            try:
+                return self.object_path(key).stat().st_mtime
+            except OSError:
+                return float("-inf")
+
+        for old in sorted((key for key in entries if key != keep),
+                          key=last_used):
+            if total <= KERNEL_CACHE_MAX_BYTES:
+                break
+            total -= entries.pop(old).get("size", 0)
+            try:
+                os.unlink(self.object_path(old))
+            except OSError:
+                pass
 
     def evict(self, key: str) -> None:
         """Drop an entry and its object file (missing pieces are fine)."""

@@ -128,8 +128,11 @@ class BCHCode:
         if messages.ndim != 2 or messages.shape[1] != self.k:
             raise ValueError(f"messages must have shape (B, {self.k}), "
                              f"got {messages.shape}")
-        parity = messages @ self._parity_matrix % 2
-        return np.concatenate([parity, messages], axis=1)
+        # Float64 puts the product on BLAS, and it stays exact: every sum
+        # is at most k.
+        parity = (messages.astype(np.float64)
+                  @ self._parity_matrix.astype(np.float64)) % 2
+        return np.concatenate([parity.astype(np.int64), messages], axis=1)
 
     def message_from_codeword(self, codeword: np.ndarray) -> np.ndarray:
         """Extract the systematic message bits from a codeword."""

@@ -15,7 +15,8 @@ so its cost scales with the number of edges rather than with the size of
 ``H`` (756 edges against 31,752 entries for the n = 252 code).  The
 message passing itself is an array-backend kernel,
 :meth:`repro.nn.backend.ArrayBackend.ldpc_min_sum`: one compiled C call
-per batch under the default ``cjit`` backend, the NumPy loop under
+per batch under the default ``cjit`` backend, which decodes the batch's
+codewords in lockstep, one per SIMD lane, and the NumPy loop under
 ``use_backend("numpy")``, with bit-identical results.
 """
 
@@ -161,7 +162,10 @@ class LDPCCode:
         """
         self._edges = edges.astype(np.intp)
         self._parity_positions = parity_positions.astype(np.intp)
-        self._parity_dependencies = dependencies.astype(np.int64)
+        # Row i holds the parity bits message bit i adds.  Float64 puts
+        # the encoder's product on BLAS, and it stays exact: every sum is
+        # at most k.
+        self._parity_generator = dependencies.T.astype(np.float64)
         self.rank = self._parity_positions.size
         self.k = self.n - self.rank
         message = np.ones(self.n, dtype=bool)
@@ -185,7 +189,7 @@ class LDPCCode:
                 "edges": self._edges.astype(index_type),
                 "parity_positions": self._parity_positions.astype(index_type),
                 "dependencies": np.packbits(
-                    self._parity_dependencies.astype(np.uint8), axis=1)}
+                    self._parity_generator.T.astype(np.uint8), axis=1)}
 
     def __setstate__(self, state: dict) -> None:
         self.n, self.num_checks = state["n"], state["num_checks"]
@@ -210,24 +214,13 @@ class LDPCCode:
         matrix.flags.writeable = False
         return matrix
 
-    @property
-    def rate(self) -> float:
-        """Design rate k / n (using the rank of H)."""
-        return self.k / self.n
-
     # ------------------------------------------------------------------ #
     # Encoding
     # ------------------------------------------------------------------ #
-    def encode(self, message: np.ndarray) -> np.ndarray:
-        """Encode ``k`` message bits into an ``n``-bit codeword."""
-        message = np.asarray(message)
-        if message.shape != (self.k,):
-            raise ValueError(f"message must have shape ({self.k},), "
-                             f"got {message.shape}")
-        return self.encode_batch(message[None])[0]
-
     def encode_batch(self, messages: np.ndarray) -> np.ndarray:
-        """Encode a ``(B, k)`` batch of messages in one matrix product."""
+        """Encode a ``(B, k)`` batch of messages in one matrix product.
+
+        A codeword carries its message at the non-parity positions."""
         messages = np.asarray(messages).astype(np.int64) & 1
         if messages.ndim != 2 or messages.shape[1] != self.k:
             raise ValueError(f"messages must have shape (B, {self.k}), "
@@ -235,31 +228,12 @@ class LDPCCode:
         codewords = np.zeros((len(messages), self.n), dtype=np.int64)
         codewords[:, self._message_positions] = messages
         codewords[:, self._parity_positions] = \
-            (messages @ self._parity_dependencies.T) % 2
+            (messages.astype(np.float64) @ self._parity_generator) % 2
         return codewords
-
-    def message_from_codeword(self, codeword: np.ndarray) -> np.ndarray:
-        """Extract the message bits from a codeword."""
-        codeword = np.asarray(codeword)
-        if codeword.shape != (self.n,):
-            raise ValueError(f"codeword must have shape ({self.n},)")
-        return codeword[self._message_positions].astype(np.int64)
 
     # ------------------------------------------------------------------ #
     # Decoding
     # ------------------------------------------------------------------ #
-    def decode_min_sum(self, llrs: np.ndarray, max_iterations: int = 30,
-                       scale: float = 0.8) -> LDPCDecodingResult:
-        """Normalised min-sum decoding of one codeword's channel LLRs.
-
-        The one-row case of :meth:`decode_min_sum_batch`.
-        """
-        llrs = np.asarray(llrs, dtype=float)
-        if llrs.shape != (self.n,):
-            raise ValueError(f"llrs must have shape ({self.n},)")
-        return self.decode_min_sum_batch(llrs[None], max_iterations,
-                                         scale)[0]
-
     def decode_min_sum_batch(self, llrs_batch: np.ndarray,
                              max_iterations: int = 30,
                              scale: float = 0.8) -> list[LDPCDecodingResult]:

@@ -16,7 +16,7 @@ information an LDPC decoder consumes without re-measuring silicon.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -52,6 +52,9 @@ class LevelDensityTable:
 
     grid: np.ndarray
     densities: np.ndarray
+    #: :meth:`bin_llrs` results by ``(page, priors, clip)``.
+    _bin_llrs: dict = field(default_factory=dict, init=False, repr=False,
+                            compare=False)
 
     def __post_init__(self):
         self.grid = np.asarray(self.grid, dtype=float)
@@ -76,21 +79,39 @@ class LevelDensityTable:
                     < np.abs(self.grid[indices] - voltages))
         return np.where(use_left, left, indices)
 
-    def lookup(self, voltages: np.ndarray, level: int) -> np.ndarray:
-        """Density of ``level`` at each voltage (nearest-grid-point lookup)."""
-        if not 0 <= level < NUM_LEVELS:
-            raise ValueError("level must lie in [0, 8)")
-        return np.maximum(self.densities[level][self._nearest(voltages)],
-                          _DENSITY_FLOOR)
+    def bin_llrs(self, page: int, priors: np.ndarray,
+                 clip: float) -> np.ndarray:
+        """The LLR of ``page`` at each grid point (see :func:`page_llrs`),
+        computed once per ``(page, priors, clip)``.
+
+        A cell's LLR depends on its voltage only through the nearest grid
+        point, so :func:`page_llrs` reads it from this vector.
+        """
+        key = (page, priors.tobytes(), float(clip))
+        llrs = self._bin_llrs.get(key)
+        if llrs is None:
+            zero_levels, one_levels = _page_bit_partition(page)
+            densities = np.maximum(self.densities, _DENSITY_FLOOR)
+            numerator = np.zeros(self.grid.size)
+            denominator = np.zeros(self.grid.size)
+            for level in zero_levels:
+                numerator += priors[level] * densities[level]
+            for level in one_levels:
+                denominator += priors[level] * densities[level]
+            llrs = np.clip(np.log(np.maximum(numerator, _DENSITY_FLOOR))
+                           - np.log(np.maximum(denominator, _DENSITY_FLOOR)),
+                           -clip, clip)
+            llrs.flags.writeable = False
+            self._bin_llrs[key] = llrs
+        return llrs
 
 
 def densities_from_samples(program_levels: np.ndarray, voltages: np.ndarray,
-                           voltage_range: tuple[float, float] | None = None,
                            params: FlashParameters | None = None
                            ) -> LevelDensityTable:
     """Histogram-estimated per-level densities from (PL, VL) samples, on 128
-    bins over ``voltage_range`` (by default the voltage window of
-    ``params``).
+    bins over the voltage window of ``params`` (default parameters when
+    omitted).
 
     The samples may be measured data or data produced by a generative channel
     model; the resulting table feeds :func:`page_llrs`.
@@ -99,14 +120,10 @@ def densities_from_samples(program_levels: np.ndarray, voltages: np.ndarray,
     volts = np.asarray(voltages, dtype=float).ravel()
     if levels.shape != volts.shape:
         raise ValueError("program_levels and voltages must share a shape")
-    if voltage_range is None:
-        parameters = params if params is not None else FlashParameters()
-        voltage_range = (parameters.voltage_min, parameters.voltage_max)
-    low, high = voltage_range
-    if high <= low:
-        raise ValueError("voltage_range must be increasing")
+    parameters = params if params is not None else FlashParameters()
 
-    edges = np.linspace(low, high, _NUM_BINS + 1)
+    edges = np.linspace(parameters.voltage_min, parameters.voltage_max,
+                        _NUM_BINS + 1)
     centres = (edges[:-1] + edges[1:]) / 2
     densities = np.zeros((NUM_LEVELS, _NUM_BINS))
     for level in range(NUM_LEVELS):
@@ -163,6 +180,12 @@ def page_llrs(voltages: np.ndarray, page: int, table: LevelDensityTable,
     -------
     numpy.ndarray
         Array with the shape of ``voltages``; positive values favour bit 0.
+
+    A cell's LLR is ``log(sum of prior * density over the levels storing 0)
+    - log(the same over the levels storing 1)``, each density read at the
+    grid point nearest the cell's voltage and floored at 1e-12, then
+    clipped; the table computes it once per grid point
+    (:meth:`LevelDensityTable.bin_llrs`).
     """
     if page not in (0, 1, 2):
         raise ValueError("page must be 0 (lower), 1 (middle) or 2 (upper)")
@@ -175,16 +198,4 @@ def page_llrs(voltages: np.ndarray, page: int, table: LevelDensityTable,
     if priors.shape != (NUM_LEVELS,) or np.any(priors < 0):
         raise ValueError("priors must be 8 non-negative weights")
 
-    zero_levels, one_levels = _page_bit_partition(page)
-    # Every level's density is read at the same grid points.
-    densities = np.maximum(table.densities[:, table._nearest(volts)],
-                           _DENSITY_FLOOR)
-    numerator = np.zeros(volts.shape)
-    denominator = np.zeros(volts.shape)
-    for level in zero_levels:
-        numerator += priors[level] * densities[level]
-    for level in one_levels:
-        denominator += priors[level] * densities[level]
-    llrs = np.log(np.maximum(numerator, _DENSITY_FLOOR)) \
-        - np.log(np.maximum(denominator, _DENSITY_FLOOR))
-    return np.clip(llrs, -clip, clip)
+    return table.bin_llrs(page, priors, clip)[table._nearest(volts)]

@@ -1,13 +1,15 @@
 """``python -m repro.nn [--warm] [--cache-dir DIR]``: list the registered
-array backends, the process default, the C compiler ``cjit`` found and its
-kernel cache; ``--warm`` pre-compiles the standard kernel set into it.
+array backends, the process default, the C compiler ``cjit`` found, the
+target it builds kernels for and the kernel cache (entries and bytes);
+``--warm`` pre-compiles the standard kernel set into it.
 """
 
 from __future__ import annotations
 
 import argparse
 
-from repro.artifacts.kernels import default_kernel_cache_dir
+from repro.artifacts.kernels import (KERNEL_CACHE_MAX_BYTES,
+                                    default_kernel_cache_dir)
 from repro.nn import backend, cjit
 from repro.obs.metrics import backend_registry
 
@@ -47,6 +49,7 @@ def main(argv: list[str] | None = None) -> int:
             return 1
         return 0
     print(f"cjit compiler: {compiler.path} ({compiler.version})")
+    print(f"cjit target: {cjit.build_target(compiler).describe()}")
 
     kernels = backend.build_backend("cjit", cache_dir=cache_dir)
     count = kernels.warm() if args.warm else 0
@@ -55,9 +58,11 @@ def main(argv: list[str] | None = None) -> int:
     if args.warm:
         print(f"warmed {count} kernels ({gauges['nn.cjit.compiled']} "
               f"compiled, {gauges['nn.cjit.cache.hits']} already cached)")
-    else:
-        print(f"cached kernels: {gauges['nn.cjit.cache.entries']} "
-              "(use --warm to pre-compile the standard set)")
+    print(f"cached kernels: {gauges['nn.cjit.cache.entries']}, "
+          f"{gauges['nn.cjit.cache.bytes']:,} bytes (least recently used "
+          f"evicted past {KERNEL_CACHE_MAX_BYTES:,})")
+    if not args.warm:
+        print("use --warm to pre-compile the standard kernel set")
     return 0
 
 

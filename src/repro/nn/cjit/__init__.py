@@ -6,7 +6,8 @@ The package splits the tinygrad runtime pattern into three layers:
   (kernel, shape constants, dtype): the conv lowering is compiled per
   window and plane shape, and the plane count is the only runtime extent;
 * :mod:`repro.nn.cjit.compiler` — detect ``cc``/``clang``/``gcc``, compile
-  with ``-O3 -fPIC -shared -ffp-contract=off``, ``dlopen`` via ctypes;
+  with ``-O3 -fPIC -shared -ffp-contract=off``, plus ``-march=native`` when
+  the compiler accepts it (:func:`build_target`), ``dlopen`` via ctypes;
 * :mod:`repro.nn.cjit.backend` — :class:`CJitBackend`, registered as
   ``"cjit"`` in the :mod:`repro.nn.backend` registry, with per-op NumPy
   fallback and a per-user on-disk kernel cache
@@ -22,9 +23,9 @@ It is the process default wherever :func:`find_compiler` finds a compiler
     with backend.use_backend("numpy"):
         ...        # conv/loss/optimizer/LDPC kernels run the NumPy versions
 
-``python -m repro.nn`` reports the default, the compiler and the cache,
-and ``--warm`` pre-compiles the standard kernel set: every kernel the
-tiny, small and paper model presets train and sample with.
+``python -m repro.nn`` reports the default, the compiler, the build target
+and the cache, and ``--warm`` pre-compiles the standard kernel set: every
+kernel the tiny, small and paper model presets train and sample with.
 """
 
 from repro.nn.backend import register_backend
@@ -34,8 +35,10 @@ from repro.nn.cjit.backend import (
     kernel_cache_key,
 )
 from repro.nn.cjit.compiler import (
+    BuildTarget,
     CompilerInfo,
     KernelCompileError,
+    build_target,
     find_compiler,
     platform_tag,
 )
@@ -46,10 +49,12 @@ from repro.nn.cjit.render import (
 )
 
 __all__ = [
+    "BuildTarget",
     "CJitBackend",
     "CompilerInfo",
     "KernelCompileError",
     "KernelSpec",
+    "build_target",
     "cjit_available",
     "default_backend",
     "find_compiler",

@@ -48,6 +48,7 @@ from repro.nn import backend as _base
 from repro.nn.backend import ArrayBackend, NumpyBackend, profiled_kernel
 from repro.nn.cjit.compiler import (
     KernelCompileError,
+    build_target,
     compile_source,
     find_compiler,
     load_library,
@@ -83,11 +84,13 @@ _SPECS = {
 }
 
 
-def kernel_cache_key(source: str, compiler_tag: str, platform: str) -> str:
+def kernel_cache_key(source: str, compiler_tag: str, platform: str,
+                     target_tag: str) -> str:
     """Cache key of one rendered kernel: SHA-256 over platform, compiler
-    version and source — any of the three changing is a different object."""
+    version, build target (flags and the instruction set they resolve to)
+    and source — any of the four changing is a different object."""
     digest = hashlib.sha256()
-    for part in (platform, compiler_tag, source):
+    for part in (platform, compiler_tag, target_tag, source):
         digest.update(part.encode())
         digest.update(b"\x00")
     return digest.hexdigest()[:32]
@@ -167,7 +170,8 @@ class CJitBackend(NumpyBackend):
         """
         source = render_kernel(spec)
         source_sha = hashlib.sha256(source.encode()).hexdigest()
-        key = kernel_cache_key(source, self.compiler.tag, platform_tag())
+        key = kernel_cache_key(source, self.compiler.tag, platform_tag(),
+                               build_target(self.compiler).tag)
         path = self.cache.lookup(key, source_sha256=source_sha)
         if path is None:
             path = self._compile_entry(spec, source, source_sha, key)
@@ -382,8 +386,9 @@ class CJitBackend(NumpyBackend):
                      check_variables: np.ndarray, variable_edges: np.ndarray,
                      max_iterations: int, scale: float
                      ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Compiled min-sum decoding: one C call for the whole batch, each
-        codeword decoded on its own with per-call scratch."""
+        """Compiled min-sum decoding: one C call for the whole batch, its
+        codewords decoded in lockstep groups, one per SIMD lane
+        (:meth:`ldpc_lanes`)."""
         key = ("ldpc_min_sum", llrs.dtype)
         fn = None
         if llrs.dtype == np.float64:
@@ -404,13 +409,24 @@ class CJitBackend(NumpyBackend):
         codewords = np.empty((batch, n), dtype=np.int64)
         iterations = np.empty(batch, dtype=np.int64)
         success = np.empty(batch, dtype=bool)
-        scratch = np.empty(checks * width + 1 + n + width)
-        fn(_addr(llrs), batch, n, checks, width, _addr(check_edges),
-           _addr(check_variables), variable_edges.shape[1],
-           _addr(variable_edges), max_iterations, float(scale),
-           _addr(codewords), _addr(iterations), _addr(success),
-           _addr(scratch))
+        if not fn(_addr(llrs), batch, n, checks, width, _addr(check_edges),
+                  _addr(check_variables), variable_edges.shape[1],
+                  _addr(variable_edges), max_iterations, float(scale),
+                  _addr(codewords), _addr(iterations), _addr(success)):
+            raise MemoryError("ldpc_min_sum: cannot allocate the lane "
+                              "scratch")
         return codewords, iterations, success
+
+    def ldpc_lanes(self) -> int | None:
+        """Codewords the compiled LDPC kernel decodes at once: the build
+        target's double-vector width (8 under AVX-512, 4 under AVX, else
+        2), or ``None`` when no compiled kernel runs here."""
+        key = ("ldpc_min_sum", np.dtype(np.float64))
+        fn = self._functions.get(key) or self._build(key)
+        if fn is None:
+            return None
+        # An empty batch decodes nothing and returns the lane count.
+        return fn(0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0.0, 0, 0, 0)
 
 
 class _DefaultCJitBackend(CJitBackend):

@@ -3,8 +3,11 @@
 The runtime half of the tinygrad-style split (``runtime/ops_clang.py``):
 detect a system C compiler once per process, compile each rendered source
 to a position-independent shared object with ``-O3 -fPIC -shared
--ffp-contract=off``, and load it via :class:`ctypes.CDLL`.  Compilation
-failures surface as :class:`KernelCompileError` with the compiler's stderr
+-ffp-contract=off``, plus ``-march=native`` when the compiler accepts it,
+and load it via :class:`ctypes.CDLL`.  Which flags apply, and the
+instruction set they resolve to on this host, is the :class:`BuildTarget`
+that :func:`build_target` probes once per process.  Compilation failures
+surface as :class:`KernelCompileError` with the compiler's stderr
 attached — a poisoned kernel never degrades silently into the NumPy path.
 """
 
@@ -12,6 +15,7 @@ from __future__ import annotations
 
 import ctypes
 import functools
+import hashlib
 import os
 import platform
 import re
@@ -22,8 +26,9 @@ import tempfile
 from dataclasses import dataclass
 from pathlib import Path
 
-__all__ = ["CompilerInfo", "KernelCompileError", "find_compiler",
-           "platform_tag", "compile_source", "load_library", "CFLAGS"]
+__all__ = ["BuildTarget", "CompilerInfo", "KernelCompileError",
+           "build_target", "find_compiler", "platform_tag", "compile_source",
+           "load_library", "CFLAGS", "NATIVE_FLAG"]
 
 #: Compilers probed in order; the first one present wins.
 COMPILER_CANDIDATES = ("cc", "clang", "gcc")
@@ -32,6 +37,16 @@ COMPILER_CANDIDATES = ("cc", "clang", "gcc")
 #: would change one rounding in the Adam update and break its
 #: bit-identity with the NumPy backend.
 CFLAGS = ("-O3", "-fPIC", "-shared", "-ffp-contract=off")
+
+#: Added to :data:`CFLAGS` when the compiler accepts it, so every kernel is
+#: built for the host CPU; the LDPC kernel's lane count follows the vector
+#: width it enables.
+NATIVE_FLAG = "-march=native"
+
+#: Predefined macros naming a vector instruction set, widest first.
+_ISA_MACROS = (("__AVX512F__", "avx512f"), ("__AVX2__", "avx2"),
+               ("__AVX__", "avx"), ("__SSE2__", "sse2"),
+               ("__ARM_NEON", "neon"))
 
 #: Seconds before a wedged compiler invocation is killed.
 COMPILE_TIMEOUT = 60.0
@@ -89,6 +104,66 @@ def find_compiler() -> CompilerInfo | None:
     return None
 
 
+@dataclass(frozen=True)
+class BuildTarget:
+    """What the kernels are compiled for: the compile flags and the
+    instruction set they resolve to on this host."""
+
+    flags: tuple[str, ...]
+    #: The widest vector instruction set the compiler predefines under
+    #: ``flags`` (``"generic"`` when it names none).
+    isa: str
+    #: SHA-256 of the compiler's predefined macros under ``flags``: the
+    #: resolved target, every instruction-set extension included.
+    macros_sha256: str
+
+    @property
+    def tag(self) -> str:
+        """Cache-key component: the flags and the resolved target."""
+        return f"{' '.join(self.flags)} {self.isa} {self.macros_sha256}"
+
+    def describe(self) -> str:
+        """One line for reports: the instruction set and the flags."""
+        return f"{self.isa} ({' '.join(self.flags)})"
+
+
+def _predefined_macros(compiler: CompilerInfo,
+                       flags: tuple[str, ...]) -> str | None:
+    """The compiler's sorted predefined macros under ``flags``, or ``None``
+    when it rejects them."""
+    command = [compiler.path, *flags, "-dM", "-E", "-x", "c", os.devnull]
+    try:
+        result = subprocess.run(command, capture_output=True, text=True,
+                                timeout=COMPILE_TIMEOUT)
+    except (OSError, subprocess.TimeoutExpired):
+        return None
+    if result.returncode != 0:
+        return None
+    return "\n".join(sorted(result.stdout.splitlines()))
+
+
+@functools.lru_cache(maxsize=None)
+def build_target(compiler: CompilerInfo) -> BuildTarget:
+    """The target every kernel of ``compiler`` is built for.
+
+    Probed once per process (memoized): the compiler preprocesses an empty
+    file with :data:`CFLAGS` plus :data:`NATIVE_FLAG`, and with
+    :data:`CFLAGS` alone when it rejects that.  A compiler that rejects
+    both keeps :data:`CFLAGS`, and its first compile reports why.
+    """
+    for flags in ((*CFLAGS, NATIVE_FLAG), CFLAGS):
+        macros = _predefined_macros(compiler, flags)
+        if macros is not None:
+            break
+    macros = macros or ""
+    defined = set(re.findall(r"^#define (\w+)", macros, re.M))
+    isa = next((name for macro, name in _ISA_MACROS if macro in defined),
+               "generic")
+    return BuildTarget(flags=flags, isa=isa,
+                       macros_sha256=hashlib.sha256(macros.encode())
+                       .hexdigest())
+
+
 def platform_tag() -> str:
     """Cache-key component tying a shared object to OS + architecture."""
     return f"{sys.platform}-{platform.machine()}"
@@ -96,7 +171,8 @@ def platform_tag() -> str:
 
 def compile_source(source: str, output: str | os.PathLike,
                    compiler: CompilerInfo) -> Path:
-    """Compile one rendered C translation unit into ``output`` (a ``.so``).
+    """Compile one rendered C translation unit into ``output`` (a ``.so``)
+    with the flags of :func:`build_target`.
 
     The object is written atomically (temp file + rename) so a concurrent
     process never observes a half-written library.  Raises
@@ -110,7 +186,8 @@ def compile_source(source: str, output: str | os.PathLike,
     try:
         with os.fdopen(fd, "w") as handle:
             handle.write(source)
-        command = [compiler.path, *CFLAGS, "-o", tmp_so, tmp_c, "-lm"]
+        command = [compiler.path, *build_target(compiler).flags, "-o",
+                   tmp_so, tmp_c, "-lm"]
         try:
             result = subprocess.run(command, capture_output=True, text=True,
                                     timeout=COMPILE_TIMEOUT)

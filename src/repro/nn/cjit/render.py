@@ -26,8 +26,9 @@ Exactness contract (mirrored by the conformance tests):
   bit-for-bit.
 * ``bn_bwd_dx`` performs the NumPy reference's two multiplies then two
   adds per element and is **bit-identical**.
-* ``ldpc_min_sum`` (float64 only) decodes each codeword on its own with
-  the NumPy loop's operations in its order — variable totals
+* ``ldpc_min_sum`` (float64 only) decodes the codewords of a call in
+  lockstep, one per SIMD lane, each lane replaying the NumPy loop's
+  operations in its order — variable totals
   ``llr + ((m0 + m1) + m2 ...)`` in ascending check order, messages
   ``((scale * sign product) * sign_k) * magnitude``, the second minimum
   counting duplicates, magnitudes capped at ``LDPC_MESSAGE_CAP`` — and is
@@ -168,13 +169,15 @@ def bn_bwd_dx_spec(dtype: str) -> KernelSpec:
 
 
 def ldpc_min_sum_spec(dtype: str) -> KernelSpec:
-    """Normalised min-sum LDPC decoding spec; float64 LLRs only."""
+    """Normalised min-sum LDPC decoding spec; float64 LLRs only.  The C
+    function returns its lane count, or 0 when it cannot allocate its
+    scratch."""
     if dtype != "float64":
         raise ValueError(f"ldpc_min_sum takes float64 LLRs, not {dtype!r}")
     return KernelSpec(op="ldpc_min_sum", dtype=dtype,
                       argtypes=(_PTR, _I64, _I64, _I64, _I64, _PTR, _PTR,
-                                _I64, _PTR, _I64, _F64, _PTR, _PTR, _PTR,
-                                _PTR))
+                                _I64, _PTR, _I64, _F64, _PTR, _PTR, _PTR),
+                      restype=ctypes.c_int)
 
 
 # --------------------------------------------------------------------- #
@@ -432,8 +435,16 @@ void {spec.symbol}(const {T}* x, {T}* out, i64 n, double slope) {{
 
 def _render_ldpc_min_sum(spec: KernelSpec) -> str:
     return f"""\
-/* Normalised min-sum LDPC decoding (Chen & Fossorier 2002), one codeword
-   at a time, replaying the float64 operations of the NumPy reference
+#include <stdlib.h>
+
+/* Normalised min-sum LDPC decoding (Chen & Fossorier 2002) of a batch in
+   lockstep groups of LANES codewords, one codeword per SIMD lane.  LANES
+   is the build target's double-vector width; GCC/Clang vector extensions
+   at that width compile to one register per value (wider vectors split
+   into several and run slower than one lane at a time).  Messages,
+   totals and LLRs are stored edge- or variable-major with the lanes
+   contiguous, so every gather is one vector load.
+   Each lane replays the float64 operations of the NumPy reference
    (ArrayBackend.ldpc_min_sum) in the same order:
    - a variable's total is llr + ((m0 + m1) + m2 ...) over its edges in
      ascending check order; padded slots read the zero message slot;
@@ -443,93 +454,162 @@ def _render_ldpc_min_sum(spec: KernelSpec) -> str:
      it; a check of degree <= 1 sends its smallest magnitude;
    - both magnitudes are capped at {_LDPC_CAP}, so a total never
      overflows.
-   Scratch is the caller's, per call: messages (checks * width + 1,
-   zeroed per codeword), totals (n), inputs (width).
-   Padded check slots hold variable n; padded variable slots hold an edge
-   id no check slot writes. */
-static int parity_ok(const i64* word, i64 n, i64 checks, i64 width,
-                     const i64* check_variables) {{
-    for (i64 c = 0; c < checks; ++c) {{
-        const i64* cv = check_variables + c * width;
-        i64 parity = 0;
-        for (i64 j = 0; j < width; ++j)
-            if (cv[j] < n) parity ^= word[cv[j]];
-        if (parity) return 0;
-    }}
-    return 1;
+   A lane freezes its word, iteration count and success flag at the
+   iteration it converges, and keeps computing with the others; lanes past
+   the batch end start converged.  Padded check slots hold variable n;
+   padded variable slots hold an edge id no check slot writes.
+   Returns LANES, or 0 when the scratch cannot be allocated. */
+#if defined(__AVX512F__)
+#define LANES 8
+#elif defined(__AVX__)
+#define LANES 4
+#else
+#define LANES 2
+#endif
+
+typedef double vd __attribute__((vector_size(8 * LANES)));
+typedef long long vl __attribute__((vector_size(8 * LANES)));
+
+/* Per lane: mask ? a : b, bit for bit. */
+static inline vd blend(vl mask, vd a, vd b) {{
+    return (vd)(((vl)a & mask) | ((vl)b & ~mask));
 }}
 
-static void variable_totals(const double* llr, const double* msg, i64 n,
+static inline vl blend_bits(vl mask, vl a, vl b) {{
+    return (a & mask) | (b & ~mask);
+}}
+
+static inline int any_lane(vl mask) {{
+    for (int l = 0; l < LANES; ++l)
+        if (mask[l]) return 1;
+    return 0;
+}}
+
+/* Per lane, all ones where some check has odd parity; a variable's word
+   is all ones in the lanes where its bit is 1. */
+static vl odd_checks(const vl* word, i64 n, i64 checks, i64 width,
+                     const i64* check_variables) {{
+    vl odd = {{0}};
+    for (i64 c = 0; c < checks; ++c) {{
+        const i64* cv = check_variables + c * width;
+        vl parity = {{0}};
+        for (i64 j = 0; j < width; ++j)
+            if (cv[j] < n) parity ^= word[cv[j]];
+        odd |= parity;
+    }}
+    return odd;
+}}
+
+static void variable_totals(const vd* llr, const vd* msg, i64 n,
                             i64 vwidth, const i64* variable_edges,
-                            double* total) {{
+                            vd* total) {{
     for (i64 v = 0; v < n; ++v) {{
         const i64* ve = variable_edges + v * vwidth;
-        double acc = msg[ve[0]];
+        vd acc = msg[ve[0]];
         for (i64 j = 1; j < vwidth; ++j) acc += msg[ve[j]];
         total[v] = llr[v] + acc;
     }}
 }}
 
-void {spec.symbol}(const double* restrict llrs, i64 batch, i64 n,
-                   i64 checks, i64 width,
-                   const i64* restrict check_edges,
-                   const i64* restrict check_variables,
-                   i64 vwidth, const i64* restrict variable_edges,
-                   i64 max_iterations, double scale,
-                   i64* restrict codewords, i64* restrict iterations,
-                   uint8_t* restrict success, double* restrict scratch) {{
-    double* msg = scratch;
-    double* total = msg + checks * width + 1;
-    double* in = total + n;
-    for (i64 b = 0; b < batch; ++b) {{
-        const double* llr = llrs + b * n;
-        i64* word = codewords + b * n;
-        for (i64 v = 0; v < n; ++v) word[v] = llr[v] < 0.0;
-        int ok = parity_ok(word, n, checks, width, check_variables);
-        i64 done = 0;
-        if (!ok) {{
-            for (i64 e = 0; e <= checks * width; ++e) msg[e] = 0.0;
-            variable_totals(llr, msg, n, vwidth, variable_edges, total);
+static void check_updates(const vd* total, vd* msg, vd* in, i64 n,
+                          i64 checks, i64 width, const i64* check_edges,
+                          const i64* check_variables, double scale) {{
+    const vd zero = {{0}};
+    const vd one = zero + 1.0, minus_one = zero - 1.0;
+    const vd cap = zero + {_LDPC_CAP}, scales = zero + scale;
+    const vl none = {{0}}, magnitude_bits = none + 0x7fffffffffffffffLL;
+    for (i64 c = 0; c < checks; ++c) {{
+        const i64* ce = check_edges + c * width;
+        const i64* cv = check_variables + c * width;
+        vd min1 = zero + INFINITY, min2 = zero + INFINITY;
+        vl first = none, negative = none;
+        i64 degree = 0;
+        for (i64 j = 0; j < width; ++j) {{
+            if (cv[j] >= n) continue;
+            const vd x = total[cv[j]] - msg[ce[j]];
+            const vd magnitude = (vd)((vl)x & magnitude_bits);
+            in[j] = x;
+            negative ^= (vl)(x < zero);
+            /* Branch-free form of: if (magnitude < min1) shift min1 into
+               min2; else if (magnitude < min2) replace min2.  Magnitudes
+               are never NaN or -0.0. */
+            const vl below = (vl)(magnitude < min1);
+            const vd larger = blend(below, min1, magnitude);
+            min2 = blend((vl)(larger < min2), larger, min2);
+            first = blend_bits(below, none + j, first);
+            min1 = blend(below, magnitude, min1);
+            ++degree;
         }}
-        while (!ok && done < max_iterations) {{
-            ++done;
-            for (i64 c = 0; c < checks; ++c) {{
-                const i64* ce = check_edges + c * width;
-                const i64* cv = check_variables + c * width;
-                double min1 = INFINITY, min2 = INFINITY;
-                i64 first = 0, degree = 0, negative = 0;
-                for (i64 j = 0; j < width; ++j) {{
-                    if (cv[j] >= n) continue;
-                    const double x = total[cv[j]] - msg[ce[j]];
-                    const double magnitude = fabs(x);
-                    in[j] = x;
-                    negative ^= x < 0.0;
-                    /* Branch-free form of: if (magnitude < min1) shift
-                       min1 into min2; else if (magnitude < min2) replace
-                       min2.  Magnitudes are never NaN or -0.0. */
-                    const double larger = magnitude < min1 ? min1 : magnitude;
-                    min2 = larger < min2 ? larger : min2;
-                    first = magnitude < min1 ? j : first;
-                    min1 = magnitude < min1 ? magnitude : min1;
-                    ++degree;
-                }}
-                if (degree <= 1) min2 = min1;
-                min1 = min1 < {_LDPC_CAP} ? min1 : {_LDPC_CAP};
-                min2 = min2 < {_LDPC_CAP} ? min2 : {_LDPC_CAP};
-                const double signed_scale = scale * (negative ? -1.0 : 1.0);
-                for (i64 j = 0; j < width; ++j) {{
-                    if (cv[j] >= n) continue;
-                    const double s = in[j] < 0.0 ? -1.0 : 1.0;
-                    msg[ce[j]] = (signed_scale * s) * (j == first ? min2 : min1);
-                }}
-            }}
-            variable_totals(llr, msg, n, vwidth, variable_edges, total);
-            for (i64 v = 0; v < n; ++v) word[v] = total[v] < 0.0;
-            ok = parity_ok(word, n, checks, width, check_variables);
+        if (degree <= 1) min2 = min1;
+        min1 = blend((vl)(min1 < cap), min1, cap);
+        min2 = blend((vl)(min2 < cap), min2, cap);
+        const vd signed_scale = scales * blend(negative, minus_one, one);
+        for (i64 j = 0; j < width; ++j) {{
+            if (cv[j] >= n) continue;
+            const vd s = blend((vl)(in[j] < zero), minus_one, one);
+            msg[ce[j]] = (signed_scale * s)
+                * blend((vl)(first == none + j), min2, min1);
         }}
-        iterations[b] = done;
-        success[b] = (uint8_t)ok;
     }}
+}}
+
+int {spec.symbol}(const double* restrict llrs, i64 batch, i64 n,
+                  i64 checks, i64 width,
+                  const i64* restrict check_edges,
+                  const i64* restrict check_variables,
+                  i64 vwidth, const i64* restrict variable_edges,
+                  i64 max_iterations, double scale,
+                  i64* restrict codewords, i64* restrict iterations,
+                  uint8_t* restrict success) {{
+    if (batch <= 0) return LANES;
+    const i64 slots = checks * width + 1;
+    char* block = malloc((slots + 2 * n + width + 1) * sizeof(vd)
+                         + n * sizeof(vl));
+    if (!block) return 0;
+    vd* msg = (vd*)(block + (-(uintptr_t)block & (sizeof(vd) - 1)));
+    vd* llr = msg + slots;
+    vd* total = llr + n;
+    vd* in = total + n;
+    vl* word = (vl*)(in + width);
+    const vd zero = {{0}};
+    const vl none = {{0}};
+    for (i64 start = 0; start < batch; start += LANES) {{
+        const i64 lanes = batch - start < LANES ? batch - start : LANES;
+        vl live = none;
+        for (i64 l = 0; l < lanes; ++l) live[l] = -1;
+        for (i64 v = 0; v < n; ++v)
+            for (i64 l = 0; l < LANES; ++l)
+                llr[v][l] = l < lanes ? llrs[(start + l) * n + v] : 0.0;
+        for (i64 v = 0; v < n; ++v) word[v] = (vl)(llr[v] < zero);
+        vl ok = ~odd_checks(word, n, checks, width, check_variables);
+        vl done = none;
+        vl active = live & ~ok;
+        if (any_lane(active)) {{
+            for (i64 e = 0; e < slots; ++e) msg[e] = zero;
+            variable_totals(llr, msg, n, vwidth, variable_edges, total);
+        }}
+        for (i64 iteration = 1;
+             iteration <= max_iterations && any_lane(active); ++iteration) {{
+            check_updates(total, msg, in, n, checks, width, check_edges,
+                          check_variables, scale);
+            variable_totals(llr, msg, n, vwidth, variable_edges, total);
+            for (i64 v = 0; v < n; ++v)
+                word[v] = blend_bits(active, (vl)(total[v] < zero), word[v]);
+            const vl odd = odd_checks(word, n, checks, width,
+                                      check_variables);
+            ok = blend_bits(active, ~odd, ok);
+            done = blend_bits(active, none + iteration, done);
+            active &= odd;
+        }}
+        for (i64 l = 0; l < lanes; ++l) {{
+            i64* out = codewords + (start + l) * n;
+            for (i64 v = 0; v < n; ++v) out[v] = word[v][l] & 1;
+            iterations[start + l] = done[l];
+            success[start + l] = ok[l] != 0;
+        }}
+    }}
+    free(block);
+    return LANES;
 }}
 """
 

@@ -284,6 +284,23 @@ class TestBatchedCodec:
             batch, np.stack([_reference_encode(code, message)
                              for message in messages]))
 
+    @pytest.mark.parametrize("m, t", [(6, 4), (8, 8)])
+    def test_float_parity_product_equals_the_integer_one(self, m, t):
+        """The encoder multiplies 0/1 operands in float64; every sum is at
+        most k, so its parity bits are the integer product's, all-ones
+        messages (the largest sums) included."""
+        code = BCHCode(m=m, t=t)
+        messages = np.concatenate([
+            np.random.default_rng(m + t).integers(0, 2, size=(9, code.k)),
+            np.ones((1, code.k), dtype=np.int64)])
+        codewords = code.encode_batch(messages)
+        assert codewords.dtype == np.int64
+        np.testing.assert_array_equal(
+            codewords[:, :code.n_minus_k],
+            messages @ code._parity_matrix.astype(np.int64) % 2)
+        np.testing.assert_array_equal(codewords[:, code.n_minus_k:],
+                                      messages)
+
     def test_batch_validation(self, bch_15_7):
         with pytest.raises(ValueError):
             bch_15_7.encode_batch(np.zeros(bch_15_7.k, dtype=int))

@@ -59,9 +59,14 @@ class TestGallagerConstruction:
             gallager_parity_check_matrix(25, 3, 6, rng=rng)
 
 
+def _clean_llrs(codewords: np.ndarray) -> np.ndarray:
+    """Noiseless LLRs of a batch of codewords."""
+    return 10.0 * (1.0 - 2.0 * codewords)
+
+
 class TestLDPCCodeStructure:
     def test_rate_roughly_half(self, code):
-        assert 0.45 <= code.rate <= 0.60
+        assert 0.45 <= code.k / code.n <= 0.60
 
     def test_parity_check_must_be_2d(self):
         with pytest.raises(ValueError):
@@ -69,35 +74,31 @@ class TestLDPCCodeStructure:
 
     def test_all_encoded_words_satisfy_parity(self, code):
         rng = np.random.default_rng(2)
-        for _ in range(10):
-            message = rng.integers(0, 2, size=code.k)
-            assert _satisfies_parity(code, code.encode(message))
+        codewords = code.encode_batch(rng.integers(0, 2, size=(10, code.k)))
+        for codeword in codewords:
+            assert _satisfies_parity(code, codeword)
 
     def test_encoding_is_systematic(self, code):
+        """A decoded codeword's message is the encoded one."""
         rng = np.random.default_rng(3)
-        message = rng.integers(0, 2, size=code.k)
-        np.testing.assert_array_equal(
-            code.message_from_codeword(code.encode(message)), message)
+        messages = rng.integers(0, 2, size=(3, code.k))
+        decoded = code.decode_min_sum_batch(
+            _clean_llrs(code.encode_batch(messages)))
+        for result, message in zip(decoded, messages):
+            np.testing.assert_array_equal(result.message, message)
 
     def test_encoding_is_linear(self, code):
         rng = np.random.default_rng(4)
-        first = rng.integers(0, 2, size=code.k)
-        second = rng.integers(0, 2, size=code.k)
-        np.testing.assert_array_equal(
-            code.encode((first + second) % 2),
-            (code.encode(first) + code.encode(second)) % 2)
+        first, second = rng.integers(0, 2, size=(2, code.k))
+        words = code.encode_batch(np.stack([(first + second) % 2, first,
+                                            second]))
+        np.testing.assert_array_equal(words[0], (words[1] + words[2]) % 2)
 
     def test_zero_message_gives_zero_codeword(self, code):
-        assert not code.encode(np.zeros(code.k, dtype=int)).any()
-
-    def test_shape_validation(self, code):
-        with pytest.raises(ValueError):
-            code.encode(np.zeros(code.k + 1, dtype=int))
-        with pytest.raises(ValueError):
-            code.message_from_codeword(np.zeros(5, dtype=int))
+        assert not code.encode_batch(np.zeros((1, code.k), dtype=int)).any()
 
     def test_syndrome_of_corrupted_word_nonzero(self, code):
-        codeword = code.encode(np.ones(code.k, dtype=int))
+        codeword = code.encode_batch(np.ones((1, code.k), dtype=int))[0]
         corrupted = codeword.copy()
         corrupted[0] ^= 1
         assert not _satisfies_parity(code, corrupted)
@@ -106,59 +107,52 @@ class TestLDPCCodeStructure:
 class TestMinSumDecoder:
     def test_noiseless_llrs_decode_in_zero_iterations(self, code):
         rng = np.random.default_rng(5)
-        message = rng.integers(0, 2, size=code.k)
-        codeword = code.encode(message)
-        llrs = 10.0 * (1.0 - 2.0 * codeword)
-        result = code.decode_min_sum(llrs)
+        codeword = code.encode_batch(rng.integers(0, 2, size=(1, code.k)))
+        [result] = code.decode_min_sum_batch(_clean_llrs(codeword))
         assert result.success
         assert result.iterations == 0
-        np.testing.assert_array_equal(result.codeword, codeword)
+        np.testing.assert_array_equal(result.codeword, codeword[0])
 
     def test_corrects_moderate_awgn_noise(self, code):
         rng = np.random.default_rng(6)
-        successes = 0
-        for _ in range(10):
-            message = rng.integers(0, 2, size=code.k)
-            codeword = code.encode(message)
-            llrs = _bpsk_llrs(codeword, noise_sigma=0.6, rng=rng)
-            result = code.decode_min_sum(llrs, max_iterations=50)
-            if result.success and np.array_equal(result.codeword, codeword):
-                successes += 1
+        codewords = code.encode_batch(rng.integers(0, 2, size=(10, code.k)))
+        llrs = _bpsk_llrs(codewords, noise_sigma=0.6, rng=rng)
+        results = code.decode_min_sum_batch(llrs, max_iterations=50)
+        successes = sum(result.success
+                        and np.array_equal(result.codeword, codeword)
+                        for result, codeword in zip(results, codewords))
         assert successes >= 8
 
     def test_soft_beats_hard_decisions(self, code):
         """Min-sum on LLRs corrects frames the raw hard decision gets wrong."""
         rng = np.random.default_rng(7)
-        improved = 0
-        for _ in range(10):
-            message = rng.integers(0, 2, size=code.k)
-            codeword = code.encode(message)
-            llrs = _bpsk_llrs(codeword, noise_sigma=0.7, rng=rng)
-            hard = (llrs < 0).astype(int)
-            hard_errors = int(np.count_nonzero(hard != codeword))
-            result = code.decode_min_sum(llrs, max_iterations=50)
-            decoded_errors = int(np.count_nonzero(result.codeword != codeword))
-            if hard_errors > 0 and decoded_errors < hard_errors:
-                improved += 1
-        assert improved >= 5
+        codewords = code.encode_batch(rng.integers(0, 2, size=(10, code.k)))
+        llrs = _bpsk_llrs(codewords, noise_sigma=0.7, rng=rng)
+        hard_errors = np.count_nonzero((llrs < 0) != codewords, axis=1)
+        results = code.decode_min_sum_batch(llrs, max_iterations=50)
+        decoded_errors = np.array([np.count_nonzero(result.codeword
+                                                    != codeword)
+                                   for result, codeword
+                                   in zip(results, codewords)])
+        assert np.count_nonzero((hard_errors > 0)
+                                & (decoded_errors < hard_errors)) >= 5
 
     def test_hopeless_llrs_reported_as_failure(self, code):
         rng = np.random.default_rng(8)
-        message = rng.integers(0, 2, size=code.k)
-        codeword = code.encode(message)
+        codeword = code.encode_batch(rng.integers(0, 2, size=(1, code.k)))
         # Flip the sign of half the LLRs: far beyond any code's capability.
         llrs = 5.0 * (1.0 - 2.0 * codeword)
         flip = rng.choice(code.n, size=code.n // 2, replace=False)
-        llrs[flip] *= -1.0
-        result = code.decode_min_sum(llrs, max_iterations=5)
+        llrs[0, flip] *= -1.0
+        [result] = code.decode_min_sum_batch(llrs, max_iterations=5)
         assert not result.success or \
-            not np.array_equal(result.codeword, codeword)
+            not np.array_equal(result.codeword, codeword[0])
 
     def test_validation(self, code):
         with pytest.raises(ValueError):
-            code.decode_min_sum(np.zeros(code.n - 1))
+            code.decode_min_sum_batch(np.zeros((1, code.n - 1)))
         with pytest.raises(ValueError):
-            code.decode_min_sum(np.zeros(code.n), scale=0.0)
+            code.decode_min_sum_batch(np.zeros((1, code.n)), scale=0.0)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_llrs_rejected(self, code, bad):
@@ -169,7 +163,7 @@ class TestMinSumDecoder:
         llrs = np.full(code.n, 5.0)
         llrs[17] = bad
         with pytest.raises(ValueError, match="finite"):
-            code.decode_min_sum(llrs)
+            code.decode_min_sum_batch(llrs[None])
         with pytest.raises(ValueError, match="finite"):
             code.decode_min_sum_batch(np.stack([np.full(code.n, 5.0), llrs]))
 
@@ -192,8 +186,8 @@ class TestMinSumDecoder:
             with pytest.raises(ValueError, match="magnitude at most 1e"):
                 code_252.decode_min_sum_batch(1.7e308 * signs)
             with pytest.raises(ValueError, match="magnitude at most 1e"):
-                code_252.decode_min_sum(np.nextafter(LDPC_LLR_LIMIT, np.inf)
-                                        * signs[0])
+                code_252.decode_min_sum_batch(
+                    np.nextafter(LDPC_LLR_LIMIT, np.inf) * signs[:1])
             unit = code_252.decode_min_sum_batch(signs)
             with np.errstate(all="raise"):
                 at_limit = code_252.decode_min_sum_batch(LDPC_LLR_LIMIT
@@ -207,12 +201,11 @@ class TestMinSumDecoder:
     @given(seed=st.integers(min_value=0, max_value=1000))
     def test_decoded_word_is_always_valid_or_flagged(self, code, seed):
         rng = np.random.default_rng(seed)
-        message = rng.integers(0, 2, size=code.k)
-        codeword = code.encode(message)
-        llrs = _bpsk_llrs(codeword, noise_sigma=0.9, rng=rng)
-        result = code.decode_min_sum(llrs, max_iterations=20)
-        if result.success:
-            assert _satisfies_parity(code, result.codeword)
+        codewords = code.encode_batch(rng.integers(0, 2, size=(3, code.k)))
+        llrs = _bpsk_llrs(codewords, noise_sigma=0.9, rng=rng)
+        for result in code.decode_min_sum_batch(llrs, max_iterations=20):
+            if result.success:
+                assert _satisfies_parity(code, result.codeword)
 
 
 def _reference_min_sum(code: LDPCCode, llrs: np.ndarray,
@@ -304,19 +297,10 @@ class TestVectorizedMinSumRegression:
     @pytest.mark.parametrize("noise_sigma", [0.5, 0.7, 0.9])
     def test_identical_decode_results(self, code, noise_sigma, backends):
         rng = np.random.default_rng(int(noise_sigma * 100))
-        llrs = [_bpsk_llrs(code.encode(rng.integers(0, 2, size=code.k)),
-                           noise_sigma=noise_sigma, rng=rng)
-                for _ in range(8)]
-        for row in llrs:
-            expected_codeword, expected_iterations, expected_success = \
-                _reference_min_sum(code, row, max_iterations=30)
-            for backend in backends:
-                with use_backend(backend):
-                    result = code.decode_min_sum(row, max_iterations=30)
-                np.testing.assert_array_equal(result.codeword,
-                                              expected_codeword)
-                assert result.iterations == expected_iterations
-                assert result.success == expected_success
+        codewords = code.encode_batch(rng.integers(0, 2, size=(8, code.k)))
+        llrs = _bpsk_llrs(codewords, noise_sigma=noise_sigma, rng=rng)
+        _assert_matches_reference(code, llrs, max_iterations=30,
+                                  backends=backends)
 
     def test_identical_on_irregular_parity_check(self, backends):
         """Padded adjacency handles rows of different degree."""
@@ -327,8 +311,8 @@ class TestVectorizedMinSumRegression:
         llrs = []
         for seed in range(6):
             noise = np.random.default_rng(seed)
-            codeword = irregular.encode(
-                noise.integers(0, 2, size=irregular.k))
+            codeword = irregular.encode_batch(
+                noise.integers(0, 2, size=(1, irregular.k)))[0]
             llrs.append(_bpsk_llrs(codeword, noise_sigma=0.8, rng=noise))
         _assert_matches_reference(irregular, np.stack(llrs),
                                   max_iterations=20, backends=backends)
@@ -498,19 +482,15 @@ class TestPickledCode:
         code = LDPCCode(_irregular_parity_check())
         loaded = pickle.loads(pickle.dumps(code))
         np.testing.assert_array_equal(loaded.parity_check, code.parity_check)
-        message = np.random.default_rng(32).integers(0, 2, size=code.k)
-        np.testing.assert_array_equal(loaded.encode(message),
-                                      code.encode(message))
+        messages = np.random.default_rng(32).integers(0, 2, size=(2, code.k))
+        np.testing.assert_array_equal(loaded.encode_batch(messages),
+                                      code.encode_batch(messages))
 
     def test_wire_form_stays_small_after_every_public_method(self, code_252):
         code = pickle.loads(pickle.dumps(code_252))
-        codeword = code.encode(np.ones(code.k, dtype=int))
-        code.encode_batch(codeword[None, :code.k])
-        code.message_from_codeword(codeword)
+        codeword = code.encode_batch(np.ones((1, code.k), dtype=int))
         assert code.parity_check.shape == (126, 252)
-        assert 0 < code.rate < 1
-        code.decode_min_sum(2.0 - 4.0 * codeword)
-        code.decode_min_sum_batch((2.0 - 4.0 * codeword)[None])
+        code.decode_min_sum_batch(2.0 - 4.0 * codeword)
         assert len(pickle.dumps(code)) <= 16_000
 
     def test_unpickling_does_not_redo_the_elimination(self, code_252,
@@ -528,14 +508,27 @@ class TestPickledCode:
 
 
 class TestBatchOperations:
-    """The batch encode/decode paths must match the scalar ones."""
+    """The batch encode/decode paths: exact products, and each row's
+    result independent of the others."""
 
-    def test_encode_batch_matches_scalar(self, code):
+    @pytest.mark.parametrize("code_name", ["regular", "degenerate"])
+    def test_float_parity_product_equals_the_integer_one(self, code,
+                                                         code_name):
+        """The encoder multiplies 0/1 operands in float64; every sum is at
+        most k, so its parity bits are the integer product's, all-ones
+        messages (the largest sums) included."""
+        if code_name == "degenerate":
+            code = LDPCCode(_irregular_parity_check())
         rng = np.random.default_rng(20)
-        messages = rng.integers(0, 2, size=(9, code.k))
-        batch = code.encode_batch(messages)
-        reference = np.stack([code.encode(message) for message in messages])
-        np.testing.assert_array_equal(batch, reference)
+        messages = np.concatenate([rng.integers(0, 2, size=(9, code.k)),
+                                   np.ones((1, code.k), dtype=np.int64)])
+        generator = code._parity_generator.astype(np.int64)
+        codewords = code.encode_batch(messages)
+        assert codewords.dtype == np.int64
+        np.testing.assert_array_equal(codewords[:, code._parity_positions],
+                                      messages @ generator % 2)
+        np.testing.assert_array_equal(codewords[:, code._message_positions],
+                                      messages)
 
     def test_encode_batch_validation(self, code):
         with pytest.raises(ValueError):
@@ -543,23 +536,28 @@ class TestBatchOperations:
         with pytest.raises(ValueError):
             code.encode_batch(np.zeros(code.k, dtype=int))
 
-    def test_decode_batch_bit_identical_to_scalar(self, code):
-        """Across noise levels spanning clean to failing decodes."""
+    def test_decode_batch_matches_one_row_batches(self, code, cjit_backend):
+        """Across noise levels spanning clean to failing decodes, a row
+        decoded in a batch (sharing SIMD lanes under cjit) gets the
+        result it gets alone."""
         rng = np.random.default_rng(22)
         for noise_sigma in (0.3, 0.7, 1.1):
             messages = rng.integers(0, 2, size=(6, code.k))
             codewords = code.encode_batch(messages)
-            llrs = np.stack([_bpsk_llrs(codeword, noise_sigma, rng)
-                             for codeword in codewords])
-            batch = code.decode_min_sum_batch(llrs, max_iterations=15)
-            for index in range(len(codewords)):
-                scalar = code.decode_min_sum(llrs[index], max_iterations=15)
-                assert batch[index].success == scalar.success
-                assert batch[index].iterations == scalar.iterations
-                np.testing.assert_array_equal(batch[index].codeword,
-                                              scalar.codeword)
-                np.testing.assert_array_equal(batch[index].message,
-                                              scalar.message)
+            llrs = _bpsk_llrs(codewords, noise_sigma, rng)
+            for backend in ("numpy", cjit_backend):
+                with use_backend(backend):
+                    batch = code.decode_min_sum_batch(llrs,
+                                                      max_iterations=15)
+                    for index in range(len(codewords)):
+                        [alone] = code.decode_min_sum_batch(
+                            llrs[index:index + 1], max_iterations=15)
+                        assert batch[index].success == alone.success
+                        assert batch[index].iterations == alone.iterations
+                        np.testing.assert_array_equal(batch[index].codeword,
+                                                      alone.codeword)
+                        np.testing.assert_array_equal(batch[index].message,
+                                                      alone.message)
 
     def test_decode_batch_validation(self, code):
         with pytest.raises(ValueError):
@@ -579,7 +577,7 @@ class _OracleLDPCCode(LDPCCode):
                 self, llrs, max_iterations=max_iterations, scale=scale)
             results.append(LDPCDecodingResult(
                 codeword=codeword,
-                message=self.message_from_codeword(codeword),
+                message=codeword[self._message_positions],
                 iterations=iterations, success=success))
         return results
 

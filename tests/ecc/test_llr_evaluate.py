@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -59,25 +61,30 @@ class TestLevelDensityTable:
             peak = table.grid[np.argmax(table.densities[level])]
             assert abs(peak - params.level_means[level]) < 25.0
 
-    def test_lookup_is_floored(self, density_table):
-        # A voltage far outside any level's support still returns a positive
-        # density so the LLRs stay finite.
-        values = density_table.lookup(np.array([0.0]), 7)
-        assert values[0] > 0.0
+    def test_empty_densities_are_floored(self, density_table):
+        """Where no level has density — far outside every level's support,
+        or in an all-zero table — the floor keeps the LLRs finite."""
+        assert np.isfinite(page_llrs(np.array([0.0, 1e6]), LOWER_PAGE,
+                                     density_table)).all()
+        empty = LevelDensityTable(grid=np.linspace(0.0, 1.0, 4),
+                                  densities=np.zeros((NUM_LEVELS, 4)))
+        np.testing.assert_array_equal(
+            page_llrs(np.linspace(-1.0, 2.0, 7), LOWER_PAGE, empty), 0.0)
 
-    def test_lookup_reads_the_nearest_grid_point(self):
+    def test_llrs_read_the_nearest_grid_point(self):
         """Ties between two grid points go to the right one; voltages off
         the grid read its end points."""
-        densities = np.tile(np.arange(1.0, 5.0), (NUM_LEVELS, 1))
+        densities = np.ones((NUM_LEVELS, 4))
+        zero_levels = [level for level in range(NUM_LEVELS)
+                       if GRAY_MAP[level][LOWER_PAGE] == 0]
+        densities[zero_levels] = np.arange(1.0, 5.0)
         table = LevelDensityTable(grid=np.array([0.0, 10.0, 20.0, 30.0]),
                                   densities=densities)
+        per_bin = page_llrs(table.grid, LOWER_PAGE, table)
+        assert np.all(np.diff(per_bin) > 0)
         voltages = np.array([-5.0, 4.9, 5.0, 5.1, 14.0, 16.0, 29.0, 35.0])
-        np.testing.assert_array_equal(table.lookup(voltages, 3),
-                                      [1.0, 1.0, 2.0, 2.0, 2.0, 3.0, 4.0, 4.0])
-
-    def test_lookup_rejects_bad_level(self, density_table):
-        with pytest.raises(ValueError):
-            density_table.lookup(np.array([100.0]), 9)
+        np.testing.assert_array_equal(page_llrs(voltages, LOWER_PAGE, table),
+                                      per_bin[[0, 0, 1, 1, 1, 2, 3, 3]])
 
     def test_validation(self):
         grid = np.linspace(0, 1, 16)
@@ -92,9 +99,6 @@ class TestLevelDensityTable:
         program, voltages = channel.paired_blocks(1, 4000)
         with pytest.raises(ValueError):
             densities_from_samples(program[:, :8], voltages)
-        with pytest.raises(ValueError):
-            densities_from_samples(program, voltages,
-                                   voltage_range=(100.0, 50.0))
 
 
 class TestDensitiesFromChannel:
@@ -185,24 +189,34 @@ class TestPageLLRs:
                       priors=np.array([0.5, 0.5]))
 
     @pytest.mark.parametrize("page", [0, 1, 2])
-    def test_equals_sum_of_per_level_lookups(self, density_table, page):
-        """One nearest-bin search serves all eight levels, bit-identically
-        to looking each level up, at bin midpoints and off the grid too."""
+    def test_per_bin_llrs_equal_the_per_cell_formula(self, density_table,
+                                                     page):
+        """Reading each cell's LLR from the table's per-bin vector is
+        bit-identical to evaluating the formula per cell — each level's
+        density read at the nearest grid point and floored — at grid
+        points, at bin midpoints and off the grid too, and on a campaign
+        group's ``(8, 252)`` shape."""
         grid = density_table.grid
-        voltages = np.concatenate([
+        rng = np.random.default_rng(12)
+        edge_cases = np.concatenate([
             (grid[:-1] + grid[1:]) / 2,
             grid,
             [grid[0] - 50.0, grid[0] - 1e-9, grid[-1] + 1e-9, grid[-1] + 50.0],
-            np.random.default_rng(12).uniform(-100.0, 750.0, size=200),
+            rng.uniform(-100.0, 750.0, size=200),
         ]).reshape(3, -1)
         priors = np.random.default_rng(13).dirichlet(np.ones(NUM_LEVELS))
-        for level_priors in (None, priors):
+        for voltages, level_priors in itertools.product(
+                (edge_cases, rng.uniform(-100.0, 750.0, size=(8, 252))),
+                (None, priors)):
             weights = (np.full(NUM_LEVELS, 1.0 / NUM_LEVELS)
                        if level_priors is None else level_priors)
             numerator = np.zeros(voltages.shape)
             denominator = np.zeros(voltages.shape)
+            nearest = density_table._nearest(voltages)
             for level in range(NUM_LEVELS):
-                term = weights[level] * density_table.lookup(voltages, level)
+                density = np.maximum(density_table.densities[level][nearest],
+                                     1e-12)
+                term = weights[level] * density
                 if GRAY_MAP[level][page] == 0:
                     numerator += term
                 else:
@@ -213,6 +227,22 @@ class TestPageLLRs:
             np.testing.assert_array_equal(
                 page_llrs(voltages, page, density_table,
                           priors=level_priors), expected)
+
+    def test_bin_llrs_are_computed_once_per_page_priors_and_clip(
+            self, density_table):
+        priors = np.full(NUM_LEVELS, 1.0 / NUM_LEVELS)
+        first = density_table.bin_llrs(LOWER_PAGE, priors, 30.0)
+        assert first.shape == density_table.grid.shape
+        assert not first.flags.writeable
+        page_llrs(np.array([300.0]), LOWER_PAGE, density_table)
+        assert density_table.bin_llrs(LOWER_PAGE, priors.copy(), 30.0) \
+            is first
+        skewed = priors.copy()
+        skewed[0] *= 2.0
+        for other in (density_table.bin_llrs(LOWER_PAGE, priors, 12.0),
+                      density_table.bin_llrs(1, priors, 30.0),
+                      density_table.bin_llrs(LOWER_PAGE, skewed, 30.0)):
+            assert other is not first
 
     def test_hard_decisions_from_llrs_track_wear(self, channel, params,
                                                  density_table):

@@ -461,15 +461,16 @@ class TestCJitKernelConformance:
         return LDPCCode(parity)
 
     @pytest.mark.parametrize("scale", [0.5, 0.8, 1.0])
-    @pytest.mark.parametrize("max_iterations", [1, 30])
+    @pytest.mark.parametrize("max_iterations", [0, 1, 30])
     @pytest.mark.parametrize("code_name", ["campaign", "degenerate",
                                            "width_1"])
     def test_ldpc_min_sum_bit_identical(self, code_name, max_iterations,
                                         scale, cjit_backend):
         """Codewords, iterations and success flags, on noisy LLRs, tied
         magnitudes (rounded LLRs), signed zeros, LLRs up to the message
-        cap (messages then reach it), an already-converged batch and
-        batches of one and none."""
+        cap (messages then reach it), clean, noisy and hopeless codewords
+        in one batch, an already-converged batch and batches of one and
+        none."""
         code = self._ldpc_code(code_name)
         rng = np.random.default_rng(15)
         codewords = code.encode_batch(rng.integers(0, 2, size=(24, code.k)))
@@ -483,6 +484,8 @@ class TestCJitKernelConformance:
             "at_the_cap": np.clip(awgn * (backend_mod.LDPC_MESSAGE_CAP / 4),
                                   -backend_mod.LDPC_MESSAGE_CAP,
                                   backend_mod.LDPC_MESSAGE_CAP),
+            "mixed": _bpsk_llrs(codewords, rng.choice([0.3, 0.7, 2.0],
+                                                      size=(24, 1)), rng),
             "converged": 4.0 * (1.0 - 2.0 * codewords),
             "batch_of_none": awgn[:0],
             "batch_of_one": awgn[:1],
@@ -500,6 +503,31 @@ class TestCJitKernelConformance:
                 np.testing.assert_array_equal(got_array, want_array,
                                               err_msg=f"{label}: {name}")
         assert cjit_backend.fallbacks == fallbacks
+
+    def test_ldpc_lanes_converge_independently(self, cjit_backend):
+        """The compiled kernel decodes a call's codewords in lockstep, one
+        per SIMD lane, each lane freezing its result at the iteration it
+        converges.  Batch sizes 1 to 17 leave every count of idle lanes in
+        the last group (up to 8 lanes), and each batch mixes clean, noisy
+        and hopeless codewords, which converge at different iterations."""
+        code = self._ldpc_code("campaign")
+        rng = np.random.default_rng(16)
+        reference = NumpyBackend()
+        iterations = set()
+        for batch in range(1, 18):
+            codewords = code.encode_batch(rng.integers(0, 2,
+                                                       size=(batch, code.k)))
+            sigmas = rng.choice([0.3, 0.7, 0.85, 2.0], size=(batch, 1))
+            args = (_bpsk_llrs(codewords, sigmas, rng), code._check_edges,
+                    code._check_variables, code._variable_edges, 30, 0.8)
+            want = reference.ldpc_min_sum(*args)
+            got = cjit_backend.ldpc_min_sum(*args)
+            for got_array, want_array in zip(got, want):
+                assert got_array.dtype == want_array.dtype
+                np.testing.assert_array_equal(got_array, want_array,
+                                              err_msg=f"batch of {batch}")
+            iterations.update(want[1].tolist())
+        assert {0, 30} <= iterations and len(iterations) >= 6
 
     #: Relative tolerance of the fused loss scalars vs the NumPy pairwise
     #: accumulation (see README "Compiled kernels (cjit)").

@@ -16,11 +16,13 @@ import re
 import subprocess
 import sys
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from repro.artifacts import kernels as kernels_mod
 from repro.artifacts.kernels import (
     KERNEL_CACHE_ENV,
     KERNEL_MANIFEST_FILENAME,
@@ -29,9 +31,13 @@ from repro.artifacts.kernels import (
 )
 from repro.nn.__main__ import main
 from repro.nn.backend import BACKEND_REGISTRY, NumpyBackend, use_backend
+from repro.ecc import LDPCCode
 from repro.nn.cjit import (
+    BuildTarget,
     CJitBackend,
+    CompilerInfo,
     KernelCompileError,
+    build_target,
     cjit_available,
     find_compiler,
     kernel_cache_key,
@@ -40,7 +46,8 @@ from repro.nn.cjit import (
     standard_kernel_specs,
 )
 from repro.nn.cjit import backend as cjit_backend_mod
-from repro.nn.cjit.compiler import compile_source
+from repro.nn.cjit import compiler as compiler_mod
+from repro.nn.cjit.compiler import CFLAGS, NATIVE_FLAG, compile_source
 from repro.nn.cjit.render import (
     SUPPORTED_DTYPES,
     conv_spec,
@@ -51,6 +58,9 @@ from repro.nn.cjit.render import (
 
 needs_compiler = pytest.mark.skipif(
     not cjit_available(), reason="no C compiler (cc/clang/gcc) on PATH")
+
+#: LDPC lanes per instruction set: the double-vector width (2 otherwise).
+LANES = {"avx512f": 8, "avx2": 4, "avx": 4}
 
 
 class TestRenderer:
@@ -106,10 +116,24 @@ class TestRenderer:
             assert any(f"adam_update_{dtype_suffix}" in s for s in symbols)
 
     def test_cache_key_depends_on_every_component(self):
-        base = kernel_cache_key("src", "cc-1", "linux-x86_64")
-        assert kernel_cache_key("src2", "cc-1", "linux-x86_64") != base
-        assert kernel_cache_key("src", "cc-2", "linux-x86_64") != base
-        assert kernel_cache_key("src", "cc-1", "linux-arm64") != base
+        base = kernel_cache_key("src", "cc-1", "linux-x86_64", "t1")
+        assert kernel_cache_key("src2", "cc-1", "linux-x86_64", "t1") != base
+        assert kernel_cache_key("src", "cc-2", "linux-x86_64", "t1") != base
+        assert kernel_cache_key("src", "cc-1", "linux-arm64", "t1") != base
+        assert kernel_cache_key("src", "cc-1", "linux-x86_64", "t2") != base
+
+    def test_cache_key_changes_with_the_flags_and_the_target(self):
+        """``-march=native`` builds for whatever CPU the host has, so the
+        key covers the flags and what they resolve to: the instruction
+        set and every predefined macro."""
+        native = BuildTarget(flags=(*CFLAGS, NATIVE_FLAG), isa="avx512f",
+                             macros_sha256="a" * 64)
+        targets = (native, replace(native, flags=CFLAGS),
+                   replace(native, isa="avx2"),
+                   replace(native, macros_sha256="b" * 64))
+        keys = {kernel_cache_key("src", "cc-1", "linux-x86_64", target.tag)
+                for target in targets}
+        assert len(keys) == len(targets)
 
 
 class TestKernelCacheStore:
@@ -160,6 +184,45 @@ class TestKernelCacheStore:
                     compiler="cc", platform="p")
         path.unlink()
         assert cache.lookup("k1", source_sha256="s") is None
+
+    def _store(self, cache, key, size, last_used):
+        """Record a ``size``-byte fake object last used at ``last_used``."""
+        path = self._fake_object(cache, key, b"x" * size)
+        os.utime(path, (last_used, last_used))
+        cache.store(key, path, source_sha256="s", symbol=key, compiler="cc",
+                    platform="p")
+        return path
+
+    def test_store_past_the_cap_evicts_the_least_recently_used(
+            self, tmp_path, monkeypatch):
+        monkeypatch.setattr(kernels_mod, "KERNEL_CACHE_MAX_BYTES", 250)
+        cache = KernelCache(tmp_path)
+        for age, key in enumerate(("k1", "k2")):
+            self._store(cache, key, 100, 1000 + age)
+        assert set(cache.entries()) == {"k1", "k2"}
+        self._store(cache, "k3", 100, 1002)
+        assert set(cache.entries()) == {"k2", "k3"}
+        assert not cache.object_path("k1").exists()
+        assert cache.stats()["bytes"] == 200
+
+    def test_a_hit_refreshes_the_object(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(kernels_mod, "KERNEL_CACHE_MAX_BYTES", 250)
+        cache = KernelCache(tmp_path)
+        for age, key in enumerate(("k1", "k2")):
+            self._store(cache, key, 100, 1000 + age)
+        assert cache.lookup("k1", source_sha256="s") is not None
+        assert cache.object_path("k1").stat().st_mtime > 1001
+        self._store(cache, "k3", 100, 1002)
+        assert set(cache.entries()) == {"k1", "k3"}
+
+    def test_eviction_keeps_the_new_object(self, tmp_path, monkeypatch):
+        """An object larger than the cap stays: it is about to be loaded."""
+        monkeypatch.setattr(kernels_mod, "KERNEL_CACHE_MAX_BYTES", 50)
+        cache = KernelCache(tmp_path)
+        self._store(cache, "k1", 100, 1000)
+        self._store(cache, "k2", 100, 1001)
+        assert set(cache.entries()) == {"k2"}
+        assert cache.lookup("k2", source_sha256="s") is not None
 
     def test_damaged_manifest_is_an_empty_cache(self, tmp_path):
         cache = KernelCache(tmp_path)
@@ -297,6 +360,92 @@ class TestCompileAndCache:
         assert again.compiled == 0
 
 
+@pytest.fixture
+def no_native_compiler(tmp_path) -> CompilerInfo:
+    """The host compiler behind a wrapper that rejects ``-march=native``,
+    as a compiler without the flag does."""
+    real = find_compiler()
+    wrapper = tmp_path / "cc-without-native"
+    wrapper.write_text(f"""#!/bin/sh
+for arg in "$@"; do
+    if [ "$arg" = "{NATIVE_FLAG}" ]; then
+        echo "error: unsupported option '$arg'" >&2
+        exit 1
+    fi
+done
+exec "{real.path}" "$@"
+""")
+    wrapper.chmod(0o755)
+    return CompilerInfo(path=str(wrapper),
+                        version=f"{real.version} without {NATIVE_FLAG}")
+
+
+@needs_compiler
+class TestBuildTarget:
+    def test_probe_runs_once_per_process(self, monkeypatch):
+        probes = []
+        probe = compiler_mod._predefined_macros
+
+        def counting_probe(compiler, flags):
+            probes.append(flags)
+            return probe(compiler, flags)
+
+        monkeypatch.setattr(compiler_mod, "_predefined_macros",
+                            counting_probe)
+        host = find_compiler()
+        fresh = replace(host, version=host.version + " (probe test)")
+        target = build_target(fresh)
+        assert build_target(fresh) is target
+        assert probes[0] == (*CFLAGS, NATIVE_FLAG)
+        assert len(probes) == (1 if target.flags == probes[0] else 2)
+        assert target.flags[:len(CFLAGS)] == CFLAGS
+        assert len(target.macros_sha256) == 64
+
+    def test_ldpc_lanes_follow_the_vector_width(self, cjit_backend):
+        target = build_target(cjit_backend.compiler)
+        assert cjit_backend.ldpc_lanes() == LANES.get(target.isa, 2)
+
+    @pytest.mark.skipif(os.name != "posix", reason="a /bin/sh wrapper")
+    def test_a_compiler_rejecting_march_native_builds_the_baseline(
+            self, tmp_path, no_native_compiler):
+        """The probe falls back to the baseline flags, and the kernels
+        built with them still match the NumPy ones bit for bit."""
+        target = build_target(no_native_compiler)
+        assert target.flags == CFLAGS
+        backend = CJitBackend(cache_dir=tmp_path / "kernels")
+        backend.compiler = no_native_compiler
+        assert backend.ldpc_lanes() == LANES.get(target.isa, 2)
+        reference = NumpyBackend()
+        code = LDPCCode.regular(96, rng=np.random.default_rng(0))
+        indexes = (code._check_edges, code._check_variables,
+                   code._variable_edges)
+        rng = np.random.default_rng(1)
+        for batch in range(1, 2 * backend.ldpc_lanes() + 2):
+            codewords = code.encode_batch(rng.integers(0, 2,
+                                                       size=(batch, code.k)))
+            llrs = 2.0 * (1.0 - 2.0 * codewords
+                          + rng.normal(0.0, 0.9, codewords.shape)) / 0.81
+            for got, want in zip(backend.ldpc_min_sum(llrs, *indexes, 30, 0.8),
+                                 reference.ldpc_min_sum(llrs, *indexes, 30,
+                                                        0.8)):
+                np.testing.assert_array_equal(got, want)
+        x = rng.standard_normal((2, 3, 8, 8)).astype(np.float32)
+        np.testing.assert_array_equal(backend.im2col(x, 4, 2, 1),
+                                      reference.im2col(x, 4, 2, 1))
+        np.testing.assert_array_equal(backend.leaky_relu(x, 0.2),
+                                      reference.leaky_relu(x, 0.2))
+        start, grad = rng.standard_normal((2, 193))
+        updated = []
+        for kernels in (backend, reference):
+            param, m, v = start.copy(), np.zeros(193), np.zeros(193)
+            kernels.adam_update(param, grad, m, v, 1e-3, 0.5, 0.999, 1e-8,
+                                0.5, 0.001)
+            updated.append((param, m, v))
+        for got, want in zip(*updated):
+            np.testing.assert_array_equal(got, want)
+        assert backend.compiled == 4 and backend.fallbacks == 0
+
+
 class TestFallback:
     def test_no_compiler_falls_back_to_numpy(self, tmp_path):
         backend = CJitBackend(cache_dir=tmp_path)
@@ -345,6 +494,9 @@ class TestRegistryAndCLI:
         if cjit_available():
             assert "cjit compiler:" in out
             assert "default array backend: cjit" in out
+            target = build_target(find_compiler())
+            assert f"cjit target: {target.describe()}" in out
+            assert "cached kernels: 0, 0 bytes" in out
         else:
             assert "none found" in out
             assert "default array backend: numpy" in out
