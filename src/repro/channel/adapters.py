@@ -102,7 +102,12 @@ class GenerativeChannel(ChannelModel):
     Arrays larger than the model's training window are tiled into
     non-overlapping model-size crops (the paper's data preparation), sampled
     in vectorized chunks, and stitched back, so the adapter accepts the same
-    full-block workloads as the simulator.
+    full-block workloads as the simulator.  Each chunk is one forward of the
+    generator's graph-free route
+    (:meth:`~repro.core.generator.UNetGenerator.forward_data`); the chunks'
+    outputs are written once into one float64 array, denormalized and
+    clipped in place, and untiled with one reshape.  An empty level array
+    reads back an empty array of its shape.
 
     Parameters
     ----------
@@ -142,19 +147,20 @@ class GenerativeChannel(ChannelModel):
         """One chunked, vectorized sampling pass over model-size tiles.
 
         The model encodes each chunk of integer tiles at its working dtype
-        (float32 by default); the physical-unit output below is float64 like
-        every other channel backend.
+        (float32 by default) and samples it through the generator's
+        graph-free route.  Each chunk's output is written once into the
+        float64 result, which is then denormalized and clipped in place:
+        physical units in float64, like every other channel backend.
         """
         pe_value = float(self.params.normalized_wear(pe_cycles))
-        outputs = []
+        voltages = np.empty(tiles.shape, dtype=np.float64)
         for start in range(0, len(tiles), self.chunk_size):
             chunk = tiles[start:start + self.chunk_size]
-            outputs.append(self.model.sample(
-                chunk, np.full(len(chunk), pe_value), rng))
-        stacked = outputs[0] if len(outputs) == 1 else np.concatenate(outputs)
-        voltages = self.voltage_normalizer.denormalize(stacked)
+            voltages[start:start + len(chunk)] = self.model.sample(
+                chunk, np.full(len(chunk), pe_value), rng)
+        self.voltage_normalizer.denormalize(voltages, out=voltages)
         return np.clip(voltages, self.params.voltage_min,
-                       self.params.voltage_max)
+                       self.params.voltage_max, out=voltages)
 
     def _pad_to_tile(self, levels: np.ndarray
                      ) -> tuple[np.ndarray, tuple[int, int]]:
@@ -170,8 +176,10 @@ class GenerativeChannel(ChannelModel):
         pad_w = (-width) % size
         if pad_h == 0 and pad_w == 0:
             return levels, (height, width)
-        pad = [(0, 0)] * (levels.ndim - 2) + [(0, pad_h), (0, pad_w)]
-        return np.pad(levels, pad), (height, width)
+        padded = np.zeros((*levels.shape[:-2], height + pad_h, width + pad_w),
+                          dtype=levels.dtype)
+        padded[..., :height, :width] = levels
+        return padded, (height, width)
 
     def _sample_voltages(self, program_levels, pe_cycles, rng,
                          program_errors):
@@ -188,9 +196,9 @@ class GenerativeChannel(ChannelModel):
 
         The paper evaluates with 10 latent samples per program-level array.
         Instead of looping ``num_samples`` times over separate reads, the
-        tiles are replicated into a single chunked batch, so the whole
-        evaluation costs ``ceil(S * M / chunk_size)`` forward passes.
-        Returns shape ``(num_samples, ...)``.
+        arrays are replicated and tiled into a single chunked batch, so the
+        whole evaluation costs ``ceil(S * M / chunk_size)`` forward passes
+        and one untiling reshape.  Returns shape ``(num_samples, ...)``.
         """
         if num_samples is None:
             num_samples = self.model.config.samples_per_array
@@ -200,13 +208,13 @@ class GenerativeChannel(ChannelModel):
         self._check_condition("pe_cycles", pe_cycles)
         generator = rng if rng is not None else self.rng
         padded, (height, width) = self._pad_to_tile(levels)
-        tiles, layout = _tile_arrays(padded, self.array_size)
-        repeated = np.tile(tiles, (num_samples, 1, 1))
-        voltages = self._sample_tiles(repeated, pe_cycles, generator)
-        per_sample = voltages.reshape(num_samples, len(tiles),
-                                      self.array_size, self.array_size)
-        return np.stack([_untile_arrays(sample, layout, self.array_size)
-                         for sample in per_sample])[..., :height, :width]
+        stack = padded if padded.ndim == 3 else padded[None]
+        tiles, layout = _tile_arrays(np.tile(stack, (num_samples, 1, 1)),
+                                     self.array_size)
+        voltages = self._sample_tiles(tiles, pe_cycles, generator)
+        stitched = _untile_arrays(voltages, layout, self.array_size)
+        return stitched.reshape(num_samples, *padded.shape)[..., :height,
+                                                            :width]
 
 
 class BaselineChannel(ChannelModel):

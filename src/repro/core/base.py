@@ -18,7 +18,7 @@ import numpy as np
 
 from repro.core.config import ModelConfig
 from repro.core.pe_encoding import encode_levels
-from repro.nn import Module, Tensor, no_grad
+from repro.nn import Module, Tensor
 
 __all__ = ["ConditionalGenerativeModel"]
 
@@ -92,10 +92,14 @@ class ConditionalGenerativeModel(Module):
                latent: np.ndarray | None = None) -> np.ndarray:
         """Generate normalised voltages ``(N, H, W)`` for program levels.
 
-        The forward pass runs in the model's current mode: a
-        :class:`~repro.channel.GenerativeChannel` puts its model in eval
-        mode once, and :meth:`Trainer.train_step
-        <repro.core.trainer.Trainer.train_step>` puts it back in train mode.
+        The forward pass is the generator's graph-free route,
+        :meth:`UNetGenerator.forward_data
+        <repro.core.generator.UNetGenerator.forward_data>`, and runs in the
+        model's current mode: a :class:`~repro.channel.GenerativeChannel`
+        puts its model in eval mode once, and :meth:`Trainer.train_step
+        <repro.core.trainer.Trainer.train_step>` puts it back in train mode
+        (where BatchNorm takes the batch statistics and updates its running
+        averages).
 
         Parameters
         ----------
@@ -108,11 +112,10 @@ class ConditionalGenerativeModel(Module):
         latent:
             Optional fixed latent vectors of shape ``(N, latent_dim)``.
         """
-        levels = Tensor(encode_levels(program_levels, self.dtype))
+        dtype = self.dtype
+        levels = encode_levels(program_levels, dtype)
         if latent is None:
-            latent_tensor = self.prior_latent(levels.shape[0], rng)
+            latent = self.prior_latent(len(levels), rng).data
         else:
-            latent_tensor = Tensor(np.asarray(latent, dtype=self.dtype))
-        with no_grad():
-            output = self.generator(levels, pe_normalized, latent_tensor)
-        return output.numpy()[:, 0]
+            latent = np.asarray(latent, dtype=dtype)
+        return self.generator.forward_data(levels, pe_normalized, latent)[:, 0]

@@ -12,6 +12,11 @@ Following the paper:
   Down-part layer (U-Net);
 * all convolutions are 4x4 kernels with stride 2 and padding 1, so each Down
   layer halves and each Up layer doubles the spatial resolution.
+
+The network has two routes through the same weights.  The per-layer Tensor
+route builds the autograd graph training needs; the graph-free route runs
+every forward that builds no graph (sampling, the discriminator step's
+fakes) on plain arrays, bit-identical to the Tensor route.
 """
 
 from __future__ import annotations
@@ -37,9 +42,45 @@ from repro.nn import (
     Tanh,
     Tensor,
 )
-from repro.nn.tensor import concatenate
+from repro.nn import functional as F
+from repro.nn.backend import get_backend
+from repro.nn.tensor import concatenate, is_grad_enabled
 
 __all__ = ["UNetGenerator"]
+
+
+def _normalize_(norm: Module, out: np.ndarray) -> None:
+    """Apply a block's BatchNorm to its conv output in place (an
+    :class:`Identity` norm leaves it as it is)."""
+    if isinstance(norm, BatchNorm2d):
+        scale, shift = norm.affine(out)
+        out *= scale.reshape(1, -1, 1, 1)
+        out += shift.reshape(1, -1, 1, 1)
+
+
+def _layer_input(features: np.ndarray, extra: np.ndarray | None,
+                 pe_features: np.ndarray | None) -> np.ndarray:
+    """One layer's input, written once into one buffer.
+
+    The channels are ``features``, then ``extra`` (the latent vectors as
+    ``(N, d, 1, 1)`` on the Down part, a skip map on the Up part), then the
+    P/E vectors as ``(N, d, 1, 1)``; vectors are replicated over the plane.
+    Values and dtype are those of the Tensor route's concatenations:
+    ``extra`` promotes, the P/E vectors are cast to the result.
+    """
+    parts = [features] if extra is None else [features, extra]
+    dtype = np.result_type(*parts)
+    if pe_features is not None:
+        parts.append(pe_features.astype(dtype, copy=False))
+    batch, _, height, width = features.shape
+    channels = sum(part.shape[1] for part in parts)
+    out = np.empty((batch, channels, height, width), dtype=dtype)
+    start = 0
+    for part in parts:
+        stop = start + part.shape[1]
+        out[:, start:stop] = part
+        start = stop
+    return out
 
 
 class _DownBlock(Module):
@@ -57,6 +98,14 @@ class _DownBlock(Module):
     def forward(self, x: Tensor) -> Tensor:
         return self.activation(self.norm(self.conv(x)))
 
+    def forward_data(self, x: np.ndarray) -> np.ndarray:
+        """:meth:`forward` on arrays, with no graph."""
+        conv = self.conv
+        out, _ = F.conv2d_data(x, conv.weight.data, conv.bias.data,
+                               conv.stride, conv.padding)
+        _normalize_(self.norm, out)
+        return get_backend().leaky_relu(out, self.activation.negative_slope)
+
 
 class _UpBlock(Module):
     """Transposed-convolution-BatchNorm-ReLU block of the Up part (stride 2)."""
@@ -70,13 +119,32 @@ class _UpBlock(Module):
         self.norm = BatchNorm2d(out_channels) if use_batchnorm and not final \
             else Identity()
         self.activation = Tanh() if final else ReLU()
+        self.final = final
 
     def forward(self, x: Tensor) -> Tensor:
         return self.activation(self.norm(self.conv(x)))
 
+    def forward_data(self, x: np.ndarray) -> np.ndarray:
+        """:meth:`forward` on arrays, with no graph."""
+        conv = self.conv
+        out = F.conv_transpose2d_data(x, conv.weight.data, conv.bias.data,
+                                      conv.stride, conv.padding)
+        _normalize_(self.norm, out)
+        backend = get_backend()
+        return backend.tanh(out) if self.final else backend.relu(out)
+
 
 class UNetGenerator(Module):
-    """U-Net with latent and P/E injection at every layer."""
+    """U-Net with latent and P/E injection at every layer.
+
+    :meth:`forward` takes one of two routes.  With gradients enabled it is
+    :meth:`forward_tensors`, the per-layer Tensor route that builds the
+    training graph.  Under :func:`~repro.nn.no_grad` no graph is built, so
+    it runs :meth:`forward_data`, the graph-free route on plain arrays:
+    channel sampling, ``sample`` in either mode and the discriminator
+    step's fakes all go there.  The two routes give bit-identical outputs
+    and, in train mode, the same running BatchNorm averages.
+    """
 
     def __init__(self, config: ModelConfig,
                  rng: np.random.Generator | None = None,
@@ -127,16 +195,23 @@ class UNetGenerator(Module):
             Normalised P/E cycle counts of shape ``(N,)``.
         latent:
             Latent vectors of shape ``(N, latent_dim)``.
-        """
-        if program_levels.shape[2] != self.config.array_size:
-            raise ValueError(
-                f"expected {self.config.array_size}x{self.config.array_size} "
-                f"arrays, got {program_levels.shape[2:]} ")
-        pe_features = None
-        if self.condition_on_pe:
-            pe_features = pe_feature_vector(pe_normalized, self.config.pe_dim)
-        latent = Tensor.ensure(latent)
 
+        Under :func:`~repro.nn.no_grad` this runs :meth:`forward_data` and
+        wraps its output in one Tensor; otherwise :meth:`forward_tensors`.
+        """
+        if is_grad_enabled():
+            return self.forward_tensors(program_levels, pe_normalized, latent)
+        return Tensor(self.forward_data(Tensor.ensure(program_levels).data,
+                                        pe_normalized,
+                                        Tensor.ensure(latent).data))
+
+    def forward_tensors(self, program_levels: Tensor,
+                        pe_normalized: np.ndarray, latent: Tensor) -> Tensor:
+        """The per-layer Tensor route: the training forward, and the
+        reference :meth:`forward_data` is tested against."""
+        latent = Tensor.ensure(latent)
+        pe_features = self._check_inputs(program_levels.shape, pe_normalized,
+                                         latent.shape)
         skips: list[Tensor] = []
         out = program_levels
         for block in self.downs:
@@ -156,3 +231,54 @@ class UNetGenerator(Module):
                 out = concat_condition(out, pe_features)
             out = block(out)
         return out
+
+    def forward_data(self, program_levels: np.ndarray,
+                     pe_normalized: np.ndarray,
+                     latent: np.ndarray) -> np.ndarray:
+        """The graph-free route: :meth:`forward_tensors` on plain arrays.
+
+        Takes and returns arrays of the shapes :meth:`forward` takes and
+        returns.  Each layer's input (features, skip, latent and P/E
+        channels) is written once into one buffer, and the layers call the
+        backend kernels directly; no Tensor is created.  BatchNorm layers
+        in train mode normalise with the batch statistics and update their
+        running averages, as on the Tensor route.
+        """
+        latent = np.asarray(latent)
+        pe_features = self._check_inputs(program_levels.shape, pe_normalized,
+                                         latent.shape)
+        latent = latent[:, :, None, None]
+        if pe_features is not None:
+            pe_features = pe_features[:, :, None, None]
+        skips: list[np.ndarray] = []
+        out = program_levels
+        for block in self.downs:
+            out = block.forward_data(_layer_input(out, latent, pe_features))
+            skips.append(out)
+        for index, block in enumerate(self.ups):
+            skip = skips[len(skips) - 1 - index] if index > 0 else None
+            out = block.forward_data(_layer_input(out, skip, pe_features))
+        return out
+
+    def _check_inputs(self, levels_shape: tuple, pe_normalized: np.ndarray,
+                      latent_shape: tuple) -> np.ndarray | None:
+        """Check one forward's input shapes (:class:`ValueError`) and return
+        its P/E feature vectors, ``None`` without P/E conditioning."""
+        size = self.config.array_size
+        if len(levels_shape) != 4 or levels_shape[1] != LEVEL_CHANNELS \
+                or levels_shape[2:] != (size, size):
+            raise ValueError(
+                f"expected encoded levels of shape (N, {LEVEL_CHANNELS}, "
+                f"{size}, {size}), got {tuple(levels_shape)}")
+        batch = levels_shape[0]
+        if tuple(latent_shape) != (batch, self.config.latent_dim):
+            raise ValueError(
+                f"expected latent vectors of shape ({batch}, "
+                f"{self.config.latent_dim}), got {tuple(latent_shape)}")
+        if not self.condition_on_pe:
+            return None
+        pe_features = pe_feature_vector(pe_normalized, self.config.pe_dim)
+        if len(pe_features) != batch:
+            raise ValueError(f"expected {batch} P/E cycle counts, got "
+                             f"{len(pe_features)}")
+        return pe_features

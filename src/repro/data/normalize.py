@@ -30,6 +30,13 @@ class VoltageNormalizer:
         """Physical voltages -> [-1, 1]."""
         return (np.asarray(voltages, dtype=float) - self._center) / self._half_range
 
-    def denormalize(self, normalized: np.ndarray) -> np.ndarray:
-        """[-1, 1] -> physical voltages."""
-        return np.asarray(normalized, dtype=float) * self._half_range + self._center
+    def denormalize(self, normalized: np.ndarray,
+                    out: np.ndarray | None = None) -> np.ndarray:
+        """[-1, 1] -> physical voltages, in float64.
+
+        ``out``, a float64 array of the input's shape (``normalized``
+        itself included), receives the result in place.
+        """
+        result = np.multiply(np.asarray(normalized, dtype=float),
+                             self._half_range, out=out)
+        return np.add(result, self._center, out=result)

@@ -6,7 +6,9 @@ Convolutions are implemented with the classic im2col / col2im lowering
 convolution into a single matrix multiplication per batch.
 Both :func:`conv2d` and :func:`conv_transpose2d` follow the PyTorch weight
 layout conventions so the model code in :mod:`repro.core` can be read against
-the reference pix2pix / BicycleGAN implementations.
+the reference pix2pix / BicycleGAN implementations.  Their forwards on plain
+arrays, :func:`conv2d_data` and :func:`conv_transpose2d_data`, are shared
+with graph-free callers (the U-Net generator's sampling route).
 
 The array kernels (column lowering, BLAS matmuls) are routed through the
 swappable backend of :mod:`repro.nn.backend` and preserve the input dtype —
@@ -19,12 +21,16 @@ capture the columns they are always freshly allocated.
 
 from __future__ import annotations
 
+import numpy as np
+
 from repro.nn.backend import get_backend
 from repro.nn.tensor import Tensor, is_grad_enabled
 
 __all__ = [
     "conv2d",
+    "conv2d_data",
     "conv_transpose2d",
+    "conv_transpose2d_data",
     "conv_output_size",
     "conv_transpose_output_size",
 ]
@@ -59,16 +65,13 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None,
     bias:
         Optional bias of shape ``(C_out,)``.
     """
-    batch, in_channels, height, width = x.shape
+    batch, in_channels, _, _ = x.shape
     out_channels, weight_in, kernel, kernel_w = weight.shape
     if kernel != kernel_w:
         raise ValueError("only square kernels are supported")
     if weight_in != in_channels:
         raise ValueError(f"weight expects {weight_in} input channels, "
                          f"got {in_channels}")
-
-    out_h = conv_output_size(height, kernel, stride, padding)
-    out_w = conv_output_size(width, kernel, stride, padding)
 
     backend = get_backend()
     needs_graph = _needs_graph(x, weight, bias)
@@ -78,15 +81,10 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None,
     # frozen-weight convs (the GAN's alternating phases) recycle arena
     # scratch.  The freeze decision is snapshot at forward time.
     weight_needs = needs_graph and weight.requires_grad
-    cols = backend.im2col(x.data, kernel, stride, padding,
-                          scratch=not weight_needs)
+    out_data, cols = conv2d_data(x.data, weight.data,
+                                 None if bias is None else bias.data,
+                                 stride, padding, scratch=not weight_needs)
     weight_flat = weight.data.reshape(out_channels, -1)
-    # (N, C_out, H_out * W_out) via a BLAS-batched matmul (markedly faster
-    # than the equivalent einsum for these shapes).
-    out_data = backend.matmul(weight_flat, cols)
-    if bias is not None:
-        out_data += bias.data.reshape(1, -1, 1)
-    out_data = out_data.reshape(batch, out_channels, out_h, out_w)
 
     parents = [x, weight] if bias is None else [x, weight, bias]
     out = x._make_child(out_data, parents, "conv2d")
@@ -128,33 +126,21 @@ def conv_transpose2d(x: Tensor, weight: Tensor, bias: Tensor | None = None,
     bias:
         Optional bias of shape ``(C_out,)``.
     """
-    batch, in_channels, height, width = x.shape
-    weight_in, out_channels, kernel, kernel_w = weight.shape
+    batch, in_channels, _, _ = x.shape
+    weight_in, _, kernel, kernel_w = weight.shape
     if kernel != kernel_w:
         raise ValueError("only square kernels are supported")
     if weight_in != in_channels:
         raise ValueError(f"weight expects {weight_in} input channels, "
                          f"got {in_channels}")
 
-    out_h = conv_transpose_output_size(height, kernel, stride, padding)
-    out_w = conv_transpose_output_size(width, kernel, stride, padding)
-    output_shape = (batch, out_channels, out_h, out_w)
-
     backend = get_backend()
-    # The transposed convolution is the adjoint of a convolution that maps the
-    # output grid back to the input grid; the forward pass therefore uses
-    # col2im and the backward pass uses im2col.  Backward never reads the
-    # forward column matrix (its consumers are ``col2im`` and nothing
-    # else), so it always comes from the arena — the saved-for-backward
-    # plan keeps only ``x_flat`` (a view of the input) alive.
+    out_data = conv_transpose2d_data(x.data, weight.data,
+                                     None if bias is None else bias.data,
+                                     stride, padding)
+    # Backward keeps only ``x_flat`` (a view of the input) alive.
     x_flat = x.data.reshape(batch, in_channels, -1)
     weight_flat = weight.data.reshape(in_channels, -1)  # (C_in, C_out*K*K)
-    scratch = backend.scratch_out(
-        (batch, weight_flat.shape[1], x_flat.shape[2]), x.data.dtype)
-    cols = backend.matmul(weight_flat.T, x_flat, out=scratch)
-    out_data = backend.col2im(cols, output_shape, kernel, stride, padding)
-    if bias is not None:
-        out_data += bias.data.reshape(1, -1, 1, 1)
 
     parents = [x, weight] if bias is None else [x, weight, bias]
     out = x._make_child(out_data, parents, "conv_transpose2d")
@@ -173,4 +159,56 @@ def conv_transpose2d(x: Tensor, weight: Tensor, bias: Tensor | None = None,
             if bias is not None and bias.requires_grad:
                 bias._accumulate(out.grad.sum(axis=(0, 2, 3)))
         out._backward = _backward
+    return out
+
+
+def conv2d_data(x: np.ndarray, weight: np.ndarray, bias: np.ndarray | None,
+                stride: int, padding: int, scratch: bool = True
+                ) -> tuple[np.ndarray, np.ndarray]:
+    """The arrays of :func:`conv2d`'s forward, with no graph.
+
+    Returns the ``(N, C_out, H_out, W_out)`` output and the column matrix
+    it multiplied, which comes from the arena when ``scratch`` (valid only
+    until the next same-shaped request on this thread).  Shapes are not
+    checked here; :func:`conv2d` checks them.
+    """
+    batch, _, height, width = x.shape
+    out_channels, _, kernel, _ = weight.shape
+    out_h = conv_output_size(height, kernel, stride, padding)
+    out_w = conv_output_size(width, kernel, stride, padding)
+    backend = get_backend()
+    cols = backend.im2col(x, kernel, stride, padding, scratch=scratch)
+    # (N, C_out, H_out * W_out) via a BLAS-batched matmul (markedly faster
+    # than the equivalent einsum for these shapes).
+    out = backend.matmul(weight.reshape(out_channels, -1), cols)
+    if bias is not None:
+        out += bias.reshape(1, -1, 1)
+    return out.reshape(batch, out_channels, out_h, out_w), cols
+
+
+def conv_transpose2d_data(x: np.ndarray, weight: np.ndarray,
+                          bias: np.ndarray | None, stride: int,
+                          padding: int) -> np.ndarray:
+    """The ``(N, C_out, H_out, W_out)`` output of :func:`conv_transpose2d`'s
+    forward on arrays, with no graph; shapes are not checked here.
+
+    The transposed convolution is the adjoint of a convolution that maps
+    the output grid back to the input grid, so the forward pass uses col2im
+    (and the backward pass im2col).  Backward never reads the column
+    matrix, so it always comes from the arena.
+    """
+    batch, in_channels, height, width = x.shape
+    _, out_channels, kernel, _ = weight.shape
+    out_h = conv_transpose_output_size(height, kernel, stride, padding)
+    out_w = conv_transpose_output_size(width, kernel, stride, padding)
+    backend = get_backend()
+    x_flat = x.reshape(batch, in_channels, -1)
+    weight_flat = weight.reshape(in_channels, -1)  # (C_in, C_out*K*K)
+    scratch = backend.scratch_out(
+        (batch, weight_flat.shape[1], x_flat.shape[2]), x.dtype)
+    cols = backend.matmul(weight_flat.T, x_flat, out=scratch)
+    out = backend.col2im(cols, (batch, out_channels, out_h, out_w), kernel,
+                         stride, padding)
+    if bias is not None:
+        out += bias.reshape(1, -1, 1, 1)
     return out

@@ -365,6 +365,39 @@ class BatchNorm2d(Module):
         bias = self.bias.reshape(1, self.num_features, 1, 1)
         return normalized * weight + bias
 
+    def affine(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The per-channel ``(scale, shift)`` this layer maps the NCHW array
+        ``x`` with, ``y = x * scale + shift``, in its current mode.
+
+        Train mode takes the batch statistics of ``x`` and updates the
+        running averages, as a forward does; eval mode reads the running
+        statistics.  Graph-free callers apply the map to arrays themselves.
+        """
+        if self.training:
+            return self._batch_affine(x)[:2]
+        return self._running_affine()
+
+    def _batch_affine(self, x: np.ndarray) -> tuple[np.ndarray, ...]:
+        """Train mode's ``(scale, shift, mean, invstd)`` from the batch
+        statistics of ``x``, after updating the running averages."""
+        mean, var = _batch_statistics(x)
+        momentum = self.momentum
+        self._buffers["running_mean"] = (
+            (1 - momentum) * self._buffers["running_mean"] + momentum * mean)
+        self._buffers["running_var"] = (
+            (1 - momentum) * self._buffers["running_var"] + momentum * var)
+        invstd = 1.0 / np.sqrt(var + self.eps)
+        scale = self.weight.data * invstd
+        shift = self.bias.data - mean * scale
+        return scale, shift, mean, invstd
+
+    def _running_affine(self) -> tuple[np.ndarray, np.ndarray]:
+        """Eval mode's ``(scale, shift)`` from the running statistics."""
+        scale = self.weight.data / np.sqrt(self._buffers["running_var"]
+                                           + self.eps)
+        shift = self.bias.data - self._buffers["running_mean"] * scale
+        return scale, shift
+
     def _train_forward(self, x: Tensor) -> Tensor:
         """Closed-form train-mode path: one affine map, analytic backward.
 
@@ -375,15 +408,7 @@ class BatchNorm2d(Module):
         their gradients).
         """
         x_data = x.data
-        mean, var = _batch_statistics(x_data)
-        momentum = self.momentum
-        self._buffers["running_mean"] = (
-            (1 - momentum) * self._buffers["running_mean"] + momentum * mean)
-        self._buffers["running_var"] = (
-            (1 - momentum) * self._buffers["running_var"] + momentum * var)
-        invstd = 1.0 / np.sqrt(var + self.eps)
-        scale = self.weight.data * invstd
-        shift = self.bias.data - mean * scale
+        scale, shift, mean, invstd = self._batch_affine(x_data)
         channel_shape = (1, -1, 1, 1)
         data = x_data * scale.reshape(channel_shape) \
             + shift.reshape(channel_shape)
@@ -424,9 +449,7 @@ class BatchNorm2d(Module):
         expression avoids the five intermediate tensors (and their data
         copies) the graph-building path allocates.
         """
-        scale = self.weight.data / np.sqrt(self._buffers["running_var"]
-                                           + self.eps)
-        shift = self.bias.data - self._buffers["running_mean"] * scale
+        scale, shift = self._running_affine()
         data = x.data * scale.reshape(1, -1, 1, 1) \
             + shift.reshape(1, -1, 1, 1)
         return x._make_child(data, (x,), "batchnorm_eval")

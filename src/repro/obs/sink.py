@@ -1,9 +1,9 @@
 """JSON-lines trace sink and the trace-record schema.
 
-One trace file is a stream of independent JSON objects, one per line, in
-emission order.  Four record types exist; the schema below is what the
-``python -m repro.obs validate`` command (and the CI ``obs-smoke`` job)
-checks:
+One trace file is one tracing session: a stream of independent JSON
+objects, one per line, in emission order.  Four record types exist; the
+schema below is what the ``python -m repro.obs validate`` command (and the
+CI ``obs-smoke`` job) checks:
 
 ``meta``
     ``{"type": "meta", "trace", "t0", "pid", "argv"}`` — one per tracer.
@@ -44,12 +44,17 @@ _METRIC_TYPES = {"counter", "gauge", "histogram"}
 
 
 class JsonlSink:
-    """Thread-safe append-only JSONL writer, flushed per record so a dying
-    process still leaves complete lines behind."""
+    """Thread-safe JSONL writer for one tracing session, flushed per record
+    so a dying process still leaves complete lines behind.
+
+    Opening a path truncates it, so a trace file holds exactly one
+    session: a second session on the same path replaces the first, never
+    adds its records to it.
+    """
 
     def __init__(self, path: Any) -> None:
         self.path = path
-        self._file = open(path, "a", encoding="utf-8")
+        self._file = open(path, "w", encoding="utf-8")
         self._lock = threading.Lock()
 
     def write(self, record: Dict[str, Any]) -> None:

@@ -322,8 +322,8 @@ def tracing(path_or_sink: Any = None, *,
     """``with tracing("run.jsonl") as tracer:`` — enable, run, flush.
 
     Accepts a filesystem path (a :class:`repro.obs.sink.JsonlSink` is opened
-    and closed for you), an existing sink object, or ``None`` to trace into
-    memory only (``tracer.records``).
+    and closed for you, and an existing file is truncated), an existing sink
+    object, or ``None`` to trace into memory only (``tracer.records``).
     """
     sink = None
     owns_sink = False

@@ -22,6 +22,7 @@ from repro.channel import (
     CHANNEL_REGISTRY,
     ChannelCapabilities,
     ChannelModel,
+    GenerativeChannel,
     SimulatorChannel,
     build_channel,
 )
@@ -101,6 +102,21 @@ class TestProtocolContract:
     def test_single_array_shape(self, backends, name, levels):
         voltages = backends[name].read_voltages(levels[0], FITTED_PE[0])
         assert voltages.shape == levels[0].shape
+
+    @pytest.mark.parametrize("shape", [(0, 8), (0, 8, 8)])
+    def test_empty_read(self, backends, name, shape):
+        """An empty level array reads back an empty float64 array of its
+        shape; a generative backend's ``read_repeated`` gives ``(S, 0, ...)``."""
+        channel = backends[name]
+        program = np.zeros(shape, dtype=np.int64)
+        voltages = channel.read_voltages(program, FITTED_PE[0])
+        assert voltages.shape == shape
+        assert voltages.dtype == np.float64
+        if isinstance(channel, GenerativeChannel):
+            repeated = channel.read_repeated(program, FITTED_PE[0],
+                                             num_samples=3)
+            assert repeated.shape == (3, *shape)
+            assert repeated.dtype == np.float64
 
     def test_voltages_within_physical_window(self, backends, name, levels,
                                              params):

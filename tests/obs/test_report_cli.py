@@ -75,6 +75,29 @@ class TestSummarize:
         assert summary["kernels"][0]["kernel"] == "matmul"
         assert summary["kernels"][0]["calls"] == 2
 
+    def test_a_second_session_replaces_the_first(self, trace_file):
+        """A session truncates its path: the file summarizes to the second
+        session's trace id and counts only.  (The process metrics registry
+        is cumulative, so it is reset between the sessions, as
+        ``e2ebench/run.py`` does.)"""
+        from repro.obs import metrics
+
+        metrics.process_registry().reset()
+        with trace.tracing(str(trace_file), trace_id="t-second"):
+            with trace.span("exec.plan", units=1):
+                pass
+            metrics.get_registry().observe("nn.kernel.matmul", 0.5)
+        records = sink.read_trace(trace_file)
+        assert [r["trace"] for r in records if r["type"] == "meta"] \
+            == ["t-second"]
+        assert {r["trace"] for r in records} == {"t-second"}
+        summary = report.summarize(records)
+        assert summary["trace"] == "t-second"
+        assert list(summary["spans"]) == ["exec.plan"]
+        assert summary["spans"]["exec.plan"]["count"] == 1
+        assert summary["events"] == {}
+        assert summary["kernels"][0]["calls"] == 1
+
     def test_format_summary_mentions_the_load_bearing_facts(self, trace_file):
         text = report.format_summary(
             report.summarize(sink.read_trace(trace_file)))
