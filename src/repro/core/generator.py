@@ -130,8 +130,7 @@ class _UpBlock(Module):
         out = F.conv_transpose2d_data(x, conv.weight.data, conv.bias.data,
                                       conv.stride, conv.padding)
         _normalize_(self.norm, out)
-        backend = get_backend()
-        return backend.tanh(out) if self.final else backend.relu(out)
+        return np.tanh(out) if self.final else np.maximum(out, 0.0)
 
 
 class UNetGenerator(Module):

@@ -46,10 +46,6 @@ class TrainingHistory:
             values = values[-last_n:]
         return float(np.mean(values))
 
-    @property
-    def num_steps(self) -> int:
-        return len(self.generator)
-
 
 class Trainer:
     """Train a conditional generative model on a paired flash dataset."""

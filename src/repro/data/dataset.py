@@ -75,32 +75,6 @@ class FlashChannelDataset:
             raise ValueError(f"no arrays at P/E cycle count {pe_cycles}")
         return self.select(np.nonzero(mask)[0])
 
-    def train_eval_split(self, eval_fraction: float = 0.2,
-                         rng: np.random.Generator | None = None
-                         ) -> tuple["FlashChannelDataset", "FlashChannelDataset"]:
-        """Random split into training and evaluation subsets.
-
-        The split is stratified by P/E cycle count so both subsets cover every
-        time stamp, mirroring the paper's train/eval datasets which contain
-        the same number of arrays per P/E cycle.
-        """
-        if not 0.0 < eval_fraction < 1.0:
-            raise ValueError("eval_fraction must lie strictly between 0 and 1")
-        generator = rng if rng is not None else np.random.default_rng()
-        train_indices: list[np.ndarray] = []
-        eval_indices: list[np.ndarray] = []
-        for pe in self.unique_pe_cycles:
-            indices = np.nonzero(self.pe_cycles == pe)[0]
-            generator.shuffle(indices)
-            num_eval = max(1, int(round(len(indices) * eval_fraction)))
-            if num_eval >= len(indices):
-                raise ValueError("eval_fraction leaves no training data for "
-                                 f"P/E cycle count {pe}")
-            eval_indices.append(indices[:num_eval])
-            train_indices.append(indices[num_eval:])
-        return (self.select(np.concatenate(train_indices)),
-                self.select(np.concatenate(eval_indices)))
-
     # ------------------------------------------------------------------ #
     # Summaries
     # ------------------------------------------------------------------ #

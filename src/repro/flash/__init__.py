@@ -42,8 +42,6 @@ from repro.flash.voltage import VoltageSampler
 from repro.flash.thresholds import default_read_thresholds, hard_read
 from repro.flash.channel import FlashChannel
 from repro.flash.patterns import (
-    extract_wordline_patterns,
-    extract_bitline_patterns,
     pattern_label,
     count_error_patterns,
     pattern_relative_frequencies,
@@ -98,8 +96,6 @@ __all__ = [
     "default_read_thresholds",
     "hard_read",
     "FlashChannel",
-    "extract_wordline_patterns",
-    "extract_bitline_patterns",
     "pattern_label",
     "count_error_patterns",
     "pattern_relative_frequencies",

@@ -22,8 +22,6 @@ __all__ = [
     "BITLINE",
     "TOP_ERROR_PATTERNS",
     "pattern_label",
-    "extract_wordline_patterns",
-    "extract_bitline_patterns",
     "count_error_patterns",
     "pattern_relative_frequencies",
     "top_error_pattern_counts",
@@ -73,27 +71,6 @@ def _neighbour_triples(levels: np.ndarray, direction: str
     else:
         raise ValueError(f"direction must be '{WORDLINE}' or '{BITLINE}'")
     return previous, center, following
-
-
-def extract_wordline_patterns(levels: np.ndarray) -> np.ndarray:
-    """All WL-direction 3-cell patterns as an integer-coded array.
-
-    Each pattern ``(a, b, c)`` is encoded as ``a * 64 + b * 8 + c`` so the
-    result can be histogrammed cheaply; decode with :func:`decode_pattern`.
-    """
-    previous, center, following = _neighbour_triples(levels, WORDLINE)
-    return previous * 64 + center * 8 + following
-
-
-def extract_bitline_patterns(levels: np.ndarray) -> np.ndarray:
-    """All BL-direction 3-cell patterns as an integer-coded array."""
-    previous, center, following = _neighbour_triples(levels, BITLINE)
-    return previous * 64 + center * 8 + following
-
-
-def decode_pattern(code: int) -> str:
-    """Inverse of the integer coding used by the extract functions."""
-    return pattern_label(code // 64, (code // 8) % 8, code % 8)
 
 
 def count_error_patterns(program_levels: np.ndarray, voltages: np.ndarray,

@@ -15,10 +15,12 @@ Precision and kernels are policy-driven and scoped: :func:`default_dtype`
 scopes the default floating dtype (float64 for raw tensors, float32 for the
 training / inference pipeline via ``ModelConfig.dtype``), and
 :func:`use_backend` scopes the array backend of :mod:`repro.nn.backend`,
-which routes every hot array kernel (conv lowering, BLAS matmuls, fused loss
-reductions, in-place Adam updates) through a swappable registry mirroring
-``build_channel`` / ``build_executor``.  Both modes, like :func:`no_grad`,
-are per thread.
+which routes every hot array kernel (conv lowering, BLAS matmuls,
+leaky-ReLU, the BatchNorm backward, in-place Adam updates) through a
+swappable registry mirroring ``build_channel`` / ``build_executor``.  Loss
+values are plain NumPy reductions outside the backend, so they read the
+same bits on every backend.  Both modes, like :func:`no_grad`, are per
+thread.
 """
 
 from repro.nn import backend

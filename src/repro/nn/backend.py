@@ -1,28 +1,29 @@
 """Swappable, dtype-aware array-kernel backend for the autograd engine.
 
-Every hot array operation of :mod:`repro.nn` — the conv im2col/col2im
-lowering and its BLAS matmuls, the elementwise activations, the fused
-loss reductions and the in-place Adam update — is routed through one
-backend object instead of scattered ``np.*`` calls, and so is the hot
-loop of the ECC campaigns, the LDPC normalised min-sum decoder
-(:meth:`ArrayBackend.ldpc_min_sum`, called by
-:meth:`repro.ecc.LDPCCode.decode_min_sum_batch`).  The indirection has
-two purposes:
+The hot array operations of :mod:`repro.nn` — the conv im2col/col2im
+lowering and its BLAS matmuls, ``leaky_relu``, the train-mode BatchNorm
+backward and the in-place Adam update — are routed through one backend
+object, and so is the hot loop of the ECC campaigns, the LDPC normalised
+min-sum decoder (:meth:`ArrayBackend.ldpc_min_sum`, called by
+:meth:`repro.ecc.LDPCCode.decode_min_sum_batch`).  A method belongs here
+when a backend compiles it or the kernel profiler times it; everything
+else (the other activations, the loss values of :mod:`repro.nn.losses`)
+calls NumPy directly.  The indirection has two purposes:
 
 * **precision**: every kernel preserves the dtype of the arrays it is handed
-  (float32 stays float32 end to end), while the scalar reductions where
-  round-off compounds (loss values) accumulate in float64;
+  (float32 stays float32 end to end);
 * **pluggability**: an accelerated port (MKL, CuPy, a C extension) registers
   a subclass under a name and the whole train → sample → sweep pipeline uses
   it, mirroring ``build_channel`` / ``build_executor``.
 
 The process default is resolved on the first :func:`get_backend` call:
 the compiled-kernel :class:`repro.nn.cjit.CJitBackend` when a C compiler is
-found, :class:`NumpyBackend` otherwise.  The two train, sample and decode
-bit-identically; cjit is the faster one, and a default cjit that cannot
-build a kernel (no writable cache, a broken toolchain) warns once and runs
-the NumPy kernels.  :class:`NumpyBackend` stays the fallback and the
-conformance reference; ``use_backend("numpy")`` opts out.
+found, :class:`NumpyBackend` otherwise.  The two train (loss values
+included), sample and decode bit-identically; cjit is the faster one, and
+a default cjit that cannot build a kernel (no writable cache, a broken
+toolchain) warns once and runs the NumPy kernels.  :class:`NumpyBackend`
+stays the fallback and the conformance reference; ``use_backend("numpy")``
+opts out.
 
 :class:`NumpyBackend` additionally owns a :class:`BufferArena` of
 pre-allocated, thread-local scratch buffers: graph-free forward passes
@@ -300,31 +301,21 @@ class ArrayBackend:
         return result
 
     # ------------------------------------------------------------------ #
-    # Elementwise activations (dtype preserving)
+    # Elementwise activation (dtype preserving)
     # ------------------------------------------------------------------ #
-    def exp(self, x: np.ndarray) -> np.ndarray:
-        return np.exp(x)
-
-    def tanh(self, x: np.ndarray) -> np.ndarray:
-        return np.tanh(x)
-
-    def sigmoid(self, x: np.ndarray) -> np.ndarray:
-        return 1.0 / (1.0 + np.exp(-x))
-
-    def relu(self, x: np.ndarray) -> np.ndarray:
-        return np.maximum(x, 0.0)
-
     def leaky_relu(self, x: np.ndarray, negative_slope: float) -> np.ndarray:
         return np.where(x > 0, x, x * negative_slope)
 
     # ------------------------------------------------------------------ #
-    # Train-mode BatchNorm backward (closed form)
+    # BatchNorm backward (closed form)
     # ------------------------------------------------------------------ #
     @profiled_kernel("bn_bwd_reductions")
     def bn_bwd_reductions(self, grad: np.ndarray, x: np.ndarray,
                           mean: np.ndarray,
                           invstd: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Per-channel ``Σg`` and ``Σg·x̂`` of a train-mode BatchNorm.
+        """Per-channel ``Σg`` and ``Σg·x̂`` of a BatchNorm backward, with
+        ``x̂ = (x - mean) * invstd`` (the batch statistics in train mode,
+        the running ones in eval mode).
 
         The normalized input ``x̂`` is rebuilt into one arena scratch
         buffer (backward never saved it).  The
@@ -359,31 +350,6 @@ class ArrayBackend:
         np.add(out, term, out=out)
         np.add(out, s3.reshape(channel_shape), out=out)
         return out
-
-    # ------------------------------------------------------------------ #
-    # Fused elementwise + reduction kernels (float64 accumulation)
-    # ------------------------------------------------------------------ #
-    def sum_squares(self, array: np.ndarray) -> float:
-        """``sum(array**2)`` accumulated in float64, no float64 copy."""
-        flat = np.ascontiguousarray(array).ravel()
-        return float(np.einsum("i,i->", flat, flat, dtype=np.float64))
-
-    def mean_squared(self, array: np.ndarray) -> float:
-        return self.sum_squares(array) / array.size
-
-    def mean_abs(self, array: np.ndarray) -> float:
-        return float(np.abs(array).sum(dtype=np.float64)) / array.size
-
-    def bce_logits(self, logits: np.ndarray, target: float) -> float:
-        """Mean of ``max(x, 0) - x*y + log(1 + exp(-|x|))`` in one pass."""
-        x = logits
-        loss = np.maximum(x, 0.0) - x * target + np.log1p(np.exp(-np.abs(x)))
-        return float(loss.sum(dtype=np.float64)) / x.size
-
-    def gaussian_kl(self, mu: np.ndarray, logvar: np.ndarray) -> float:
-        """``-0.5 * sum(1 + logvar - mu^2 - exp(logvar)) / batch``."""
-        term = 1.0 + logvar - mu * mu - np.exp(logvar)
-        return -0.5 * float(term.sum(dtype=np.float64)) / mu.shape[0]
 
     # ------------------------------------------------------------------ #
     # In-place parameter update

@@ -21,7 +21,7 @@ It is the process default wherever :func:`find_compiler` finds a compiler
     from repro.nn import backend
     backend.get_backend().name     # "cjit" with a C compiler, else "numpy"
     with backend.use_backend("numpy"):
-        ...        # conv/loss/optimizer/LDPC kernels run the NumPy versions
+        ...        # conv/activation/Adam/LDPC kernels run the NumPy versions
 
 ``python -m repro.nn`` reports the default, the compiler, the build target
 and the cache, and ``--warm`` pre-compiles the standard kernel set: every

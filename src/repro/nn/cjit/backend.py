@@ -1,10 +1,9 @@
 """The compiled-kernel array backend (``register_backend("cjit")``).
 
 ``CJitBackend`` routes the hot kernels of :class:`repro.nn.backend
-.NumpyBackend` — the conv im2col/col2im lowering, the fused loss
-reductions, the in-place Adam update, the single-pass ``leaky_relu``, the
-BatchNorm input gradient and the LDPC min-sum decoder — through C
-functions rendered by
+.NumpyBackend` — the conv im2col/col2im lowering, the in-place Adam
+update, the single-pass ``leaky_relu``, the BatchNorm input gradient and
+the LDPC min-sum decoder — through C functions rendered by
 :mod:`repro.nn.cjit.render`, compiled once per (kernel, shape constants,
 dtype) by :mod:`repro.nn.cjit.compiler`, and persisted across processes in
 the per-user kernel cache (:class:`repro.artifacts.kernels.KernelCache`).
@@ -32,7 +31,10 @@ default must not fail for an environmental reason, so it warns once and
 runs the NumPy kernels from then on.
 
 ``matmul`` stays on NumPy's BLAS: it is both the parity reference and
-faster than any portable C loop.
+faster than any portable C loop.  Every compiled kernel is bit-identical
+to its NumPy one, and loss values are NumPy reductions on every backend
+(:mod:`repro.nn.losses`), so a training step reads the same weights and
+loss values on cjit as on numpy.
 """
 
 from __future__ import annotations
@@ -61,7 +63,6 @@ from repro.nn.cjit.render import (
     conv_spec,
     elementwise_spec,
     ldpc_min_sum_spec,
-    reduce_spec,
     render_kernel,
     standard_kernel_specs,
     update_spec,
@@ -75,8 +76,6 @@ _DTYPE_NAMES = {np.dtype(np.float32): "float32",
 #: Spec constructor per op, called as ``_SPECS[op](op, dtype, *shape)``.
 _SPECS = {
     **dict.fromkeys(("im2col", "col2im"), conv_spec),
-    **dict.fromkeys(("sum_squares", "abs_sum", "bce_logits", "gaussian_kl"),
-                    reduce_spec),
     "adam_update": update_spec,
     "leaky_relu": elementwise_spec,
     "bn_bwd_dx": lambda op, dtype: bn_bwd_dx_spec(dtype),
@@ -114,16 +113,11 @@ class CJitBackend(NumpyBackend):
 
     name = "cjit"
 
-    def __init__(self, cache_dir: str | os.PathLike | None = None,
-                 require_compiler: bool = False):
+    def __init__(self, cache_dir: str | os.PathLike | None = None):
         super().__init__()
         from repro.artifacts.kernels import KernelCache
 
         self.compiler = find_compiler()
-        if require_compiler and self.compiler is None:
-            raise RuntimeError(
-                "cjit backend requires a C compiler (cc/clang/gcc) on PATH "
-                "and none was found")
         self.cache = KernelCache(cache_dir)
         #: Loaded kernels by ``(op, dtype, *shape)``; a ctypes function
         #: keeps its library mapped.
@@ -311,49 +305,6 @@ class CJitBackend(NumpyBackend):
         fn(_addr(g), _addr(xc), _addr(out), g.size, g.shape[1],
            g.shape[2] * g.shape[3], _addr(s1c), _addr(s2c), _addr(s3c))
         return out
-
-    # ------------------------------------------------------------------ #
-    # Fused elementwise + reduction kernels (float64 accumulation)
-    # ------------------------------------------------------------------ #
-    def _reduce(self, op: str, array: np.ndarray, *extra):
-        key = (op, array.dtype)
-        fn = self._functions.get(key) or self._build(key)
-        if fn is None:
-            self.fallbacks += 1
-            return None
-        flat = np.ascontiguousarray(array)
-        return float(fn(_addr(flat), flat.size, *extra))
-
-    def sum_squares(self, array: np.ndarray) -> float:
-        total = self._reduce("sum_squares", array)
-        if total is None:
-            return super().sum_squares(array)
-        return total
-
-    def mean_abs(self, array: np.ndarray) -> float:
-        total = self._reduce("abs_sum", array)
-        if total is None:
-            return super().mean_abs(array)
-        return total / array.size
-
-    def bce_logits(self, logits: np.ndarray, target: float) -> float:
-        total = self._reduce("bce_logits", logits, float(target))
-        if total is None:
-            return super().bce_logits(logits, target)
-        return total / logits.size
-
-    def gaussian_kl(self, mu: np.ndarray, logvar: np.ndarray) -> float:
-        key = ("gaussian_kl", mu.dtype)
-        fn = None
-        if logvar.dtype == mu.dtype:
-            fn = self._functions.get(key) or self._build(key)
-        if fn is None:
-            self.fallbacks += 1
-            return super().gaussian_kl(mu, logvar)
-        mu_c = np.ascontiguousarray(mu)
-        lv_c = np.ascontiguousarray(logvar)
-        total = float(fn(_addr(mu_c), _addr(lv_c), mu_c.size))
-        return -0.5 * total / mu.shape[0]
 
     # ------------------------------------------------------------------ #
     # In-place parameter update (bit-identical to the NumPy sequence)

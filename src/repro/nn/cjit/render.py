@@ -10,7 +10,8 @@ tinygrad's ``renderer/cstyle.py`` → ``runtime/ops_clang.py`` split: render
 to C-style source here, compile and ``dlopen`` in
 :mod:`repro.nn.cjit.compiler`.
 
-Exactness contract (mirrored by the conformance tests):
+Exactness contract (mirrored by the conformance tests): every kernel
+reproduces its NumPy counterpart **bit for bit**.
 
 * ``im2col`` / ``col2im`` are pure indexing (gather / ordered scatter-add)
   through a zero-padded scratch plane and reproduce the NumPy kernels
@@ -20,10 +21,8 @@ Exactness contract (mirrored by the conformance tests):
 * ``adam_update`` replays the exact NumPy operation sequence (scalars
   pre-cast to the parameter dtype, one rounding per
   multiply/add/sqrt/divide) and is **bit-identical** too.
-* The fused loss reductions accumulate in float64 like their NumPy
-  counterparts but sum sequentially rather than pairwise, so loss scalars
-  agree to documented tolerances (~1e-12 relative in float64) instead of
-  bit-for-bit.
+* ``leaky_relu`` is one compare and one multiply per element, NaN
+  propagating like ``np.where``.
 * ``bn_bwd_dx`` performs the NumPy reference's two multiplies then two
   adds per element and is **bit-identical**.
 * ``ldpc_min_sum`` (float64 only) decodes the codewords of a call in
@@ -43,9 +42,9 @@ from types import SimpleNamespace
 
 from repro.nn.backend import LDPC_MESSAGE_CAP, _conv_out
 
-__all__ = ["KernelSpec", "render_kernel", "conv_spec", "reduce_spec",
-           "update_spec", "elementwise_spec", "bn_bwd_dx_spec",
-           "ldpc_min_sum_spec", "standard_kernel_specs", "SUPPORTED_DTYPES"]
+__all__ = ["KernelSpec", "render_kernel", "conv_spec", "update_spec",
+           "elementwise_spec", "bn_bwd_dx_spec", "ldpc_min_sum_spec",
+           "standard_kernel_specs", "SUPPORTED_DTYPES"]
 
 #: Dtypes the renderer can specialize for (everything else falls back).
 SUPPORTED_DTYPES = ("float32", "float64")
@@ -55,13 +54,8 @@ _LDPC_CAP = repr(LDPC_MESSAGE_CAP)
 
 _CTYPE = {"float32": "float", "float64": "double"}
 _SUFFIX = {"float32": "f32", "float64": "f64"}
-#: dtype-suffixed libm calls used inside rendered bodies.
-_MATH = {
-    "float32": {"exp": "expf", "log1p": "log1pf", "fabs": "fabsf",
-                "sqrt": "sqrtf"},
-    "float64": {"exp": "exp", "log1p": "log1p", "fabs": "fabs",
-                "sqrt": "sqrt"},
-}
+#: The dtype's libm square root, for the Adam update.
+_SQRT = {"float32": "sqrtf", "float64": "sqrt"}
 
 _PRELUDE = """\
 /* Rendered by repro.nn.cjit.render — do not edit. */
@@ -134,17 +128,6 @@ def conv_spec(op: str, dtype: str, kernel: int, stride: int, padding: int,
                 ("height", height), ("width", width)),
         argtypes=(_PTR, _PTR, _I64), restype=ctypes.c_int,
     )
-
-
-def reduce_spec(op: str, dtype: str) -> KernelSpec:
-    """Fused elementwise+reduction spec (float64 scalar accumulation)."""
-    if op == "gaussian_kl":
-        argtypes = (_PTR, _PTR, _I64)
-    elif op == "bce_logits":
-        argtypes = (_PTR, _I64, _F64)
-    else:  # sum_squares, abs_sum
-        argtypes = (_PTR, _I64)
-    return KernelSpec(op=op, dtype=dtype, argtypes=argtypes, restype=_F64)
 
 
 def update_spec(op: str, dtype: str) -> KernelSpec:
@@ -317,76 +300,8 @@ int {spec.symbol}(const {T}* restrict cols, {T}* restrict out, i64 planes) {{
 """
 
 
-def _render_sum_squares(spec: KernelSpec) -> str:
-    T = _CTYPE[spec.dtype]
-    return f"""\
-/* sum(x*x) with float64 accumulation (sequential order). */
-double {spec.symbol}(const {T}* x, i64 n) {{
-    double acc = 0.0;
-    for (i64 i = 0; i < n; ++i) {{
-        const double v = (double)x[i];
-        acc += v * v;
-    }}
-    return acc;
-}}
-"""
-
-
-def _render_abs_sum(spec: KernelSpec) -> str:
-    T = _CTYPE[spec.dtype]
-    return f"""\
-/* sum(|x|) with float64 accumulation (sequential order). */
-double {spec.symbol}(const {T}* x, i64 n) {{
-    double acc = 0.0;
-    for (i64 i = 0; i < n; ++i)
-        acc += fabs((double)x[i]);
-    return acc;
-}}
-"""
-
-
-def _render_bce_logits(spec: KernelSpec) -> str:
-    T = _CTYPE[spec.dtype]
-    m = _MATH[spec.dtype]
-    return f"""\
-/* sum(max(x, 0) - x*y + log1p(exp(-|x|))), elementwise in {T},
-   accumulated in float64.  One pass instead of NumPy's six. */
-double {spec.symbol}(const {T}* x, i64 n, double target) {{
-    const {T} y = ({T})target;
-    double acc = 0.0;
-    for (i64 i = 0; i < n; ++i) {{
-        const {T} xi = x[i];
-        const {T} relu = xi > ({T})0 ? xi : ({T})0;
-        const {T} loss = relu - xi * y + {m['log1p']}({m['exp']}(-{m['fabs']}(xi)));
-        acc += (double)loss;
-    }}
-    return acc;
-}}
-"""
-
-
-def _render_gaussian_kl(spec: KernelSpec) -> str:
-    T = _CTYPE[spec.dtype]
-    m = _MATH[spec.dtype]
-    return f"""\
-/* sum(1 + logvar - mu^2 - exp(logvar)), elementwise in {T}, float64
-   accumulation; the caller applies the -0.5 / batch scaling. */
-double {spec.symbol}(const {T}* mu, const {T}* logvar, i64 n) {{
-    double acc = 0.0;
-    for (i64 i = 0; i < n; ++i) {{
-        const {T} mi = mu[i];
-        const {T} lv = logvar[i];
-        const {T} term = ({T})1 + lv - mi * mi - {m['exp']}(lv);
-        acc += (double)term;
-    }}
-    return acc;
-}}
-"""
-
-
 def _render_adam_update(spec: KernelSpec) -> str:
     T = _CTYPE[spec.dtype]
-    m = _MATH[spec.dtype]
     return f"""\
 /* One in-place Adam step (moment buffers updated in place): the exact
    NumPy sequence — m = m*b1 + (1-b1)*g; v = v*b2 + ((1-b2)*g)*g;
@@ -413,7 +328,7 @@ void {spec.symbol}({T}* p, const {T}* g, {T}* m, {T}* v, i64 n,
         v[i] = vi;
         const {T} m_hat = mi / bc1_t;
         const {T} v_hat = vi / bc2_t;
-        p[i] -= (lr_t * m_hat) / ({m['sqrt']}(v_hat) + eps_t);
+        p[i] -= (lr_t * m_hat) / ({_SQRT[spec.dtype]}(v_hat) + eps_t);
     }}
 }}
 """
@@ -617,10 +532,6 @@ int {spec.symbol}(const double* restrict llrs, i64 batch, i64 n,
 _RENDERERS = {
     "im2col": _render_im2col,
     "col2im": _render_col2im,
-    "sum_squares": _render_sum_squares,
-    "abs_sum": _render_abs_sum,
-    "bce_logits": _render_bce_logits,
-    "gaussian_kl": _render_gaussian_kl,
     "adam_update": _render_adam_update,
     "leaky_relu": _render_leaky_relu,
     "bn_bwd_dx": _render_bn_bwd_dx,
@@ -672,8 +583,6 @@ def standard_kernel_specs(dtypes=SUPPORTED_DTYPES) -> list[KernelSpec]:
             for op in ("im2col", "col2im"):
                 specs.append(conv_spec(op, dtype, kernel, stride, padding,
                                        side, side))
-        for op in ("sum_squares", "abs_sum", "bce_logits", "gaussian_kl"):
-            specs.append(reduce_spec(op, dtype))
         specs.append(update_spec("adam_update", dtype))
         specs.append(elementwise_spec("leaky_relu", dtype))
         specs.append(bn_bwd_dx_spec(dtype))

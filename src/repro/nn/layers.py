@@ -17,7 +17,7 @@ from repro.nn import functional as F
 from repro.nn import init
 from repro.nn.backend import get_backend
 from repro.nn.dtypes import get_default_dtype, resolve_dtype
-from repro.nn.tensor import Tensor, is_grad_enabled
+from repro.nn.tensor import Tensor
 
 __all__ = [
     "Module",
@@ -356,14 +356,7 @@ class BatchNorm2d(Module):
             raise ValueError("BatchNorm2d expects an NCHW tensor")
         if self.training:
             return self._train_forward(x)
-        if not is_grad_enabled():
-            return self._eval_fast_forward(x)
-        mean = Tensor(self._buffers["running_mean"].reshape(1, -1, 1, 1))
-        var = Tensor(self._buffers["running_var"].reshape(1, -1, 1, 1))
-        normalized = (x - mean) / ((var + self.eps) ** 0.5)
-        weight = self.weight.reshape(1, self.num_features, 1, 1)
-        bias = self.bias.reshape(1, self.num_features, 1, 1)
-        return normalized * weight + bias
+        return self._eval_forward(x)
 
     def affine(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """The per-channel ``(scale, shift)`` this layer maps the NCHW array
@@ -441,18 +434,40 @@ class BatchNorm2d(Module):
         out._backward = _backward
         return out
 
-    def _eval_fast_forward(self, x: Tensor) -> Tensor:
-        """Graph-free inference path: one fused affine map per call.
+    def _eval_forward(self, x: Tensor) -> Tensor:
+        """Eval mode: the running statistics' affine ``y = x * scale +
+        shift`` as one node, the same output with gradients on or off.
 
-        In evaluation mode with gradients disabled the normalisation is a
-        fixed per-channel affine transform; folding it into a single NumPy
-        expression avoids the five intermediate tensors (and their data
-        copies) the graph-building path allocates.
+        The backward is closed form, with ``x̂ = (x - running_mean) /
+        sqrt(running_var + eps)``: ``dx = g * scale``, ``dweight = Σ g·x̂``
+        and ``dbias = Σ g`` over the batch and the plane, the two sums
+        being the train-mode backward's ``bn_bwd_reductions``.
         """
+        x_data = x.data
         scale, shift = self._running_affine()
-        data = x.data * scale.reshape(1, -1, 1, 1) \
-            + shift.reshape(1, -1, 1, 1)
-        return x._make_child(data, (x,), "batchnorm_eval")
+        channel_shape = (1, -1, 1, 1)
+        scale = scale.reshape(channel_shape)
+        data = x_data * scale + shift.reshape(channel_shape)
+        weight, bias = self.weight, self.bias
+        out = x._make_child(data, (x, weight, bias), "batchnorm_eval")
+        if not out.requires_grad:
+            return out
+        backend = get_backend()
+        mean = self._buffers["running_mean"]
+        invstd = 1.0 / np.sqrt(self._buffers["running_var"] + self.eps)
+
+        def _backward():
+            grad = out.grad
+            sum_g, sum_gx = backend.bn_bwd_reductions(grad, x_data, mean,
+                                                      invstd)
+            if bias.requires_grad:
+                bias._accumulate(sum_g)
+            if weight.requires_grad:
+                weight._accumulate(sum_gx)
+            if x.requires_grad:
+                x._accumulate_owned(grad * scale)
+        out._backward = _backward
+        return out
 
 
 class ReLU(Module):

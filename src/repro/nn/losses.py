@@ -6,10 +6,14 @@ Gaussian KL term with weights alpha = 10 and beta = 0.01.
 
 The main losses are *fused*: instead of building a chain of intermediate
 autograd nodes (each allocating full-size arrays), the forward value is one
-backend reduction kernel and the backward pass one closed-form expression.
-Loss values accumulate in float64 regardless of the activation dtype — the
+NumPy reduction and the backward pass one closed-form expression.  Loss
+values accumulate in float64 regardless of the activation dtype — the
 scalar is where float32 round-off would actually compound — while the
 gradients flowing back into the network keep the network's dtype.
+
+Loss values never go through the array backend: every backend computes
+them with the same NumPy expressions, so a loss reads the same bits on
+numpy and cjit, as the weights do.
 
 The closed-form gradient buffers are handed over via ``_accumulate_owned``:
 they are freshly built, so the first accumulation adopts them without a
@@ -20,7 +24,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.nn.backend import get_backend
 from repro.nn.tensor import Tensor, _unbroadcast
 
 __all__ = [
@@ -40,12 +43,16 @@ def _scalar_node(value: float, parents, op: str) -> Tensor:
 def mse_loss(prediction: Tensor, target: Tensor) -> Tensor:
     """Mean squared error (the paper's l2 reconstruction loss).
 
-    Fused: forward is one ``mean(diff**2)`` reduction with float64
-    accumulation, backward is ``2 * diff / N`` in the prediction's dtype.
+    Fused: forward is one ``sum(diff**2)`` contraction accumulated in
+    float64 (no float64 copy), backward is ``2 * diff / N`` in the
+    prediction's dtype.
     """
     target = Tensor.ensure(target)
     diff = prediction.data - target.data
-    out = _scalar_node(get_backend().mean_squared(diff), (prediction,), "mse")
+    flat = np.ascontiguousarray(diff).ravel()
+    value = float(np.einsum("i,i->", flat, flat, dtype=np.float64)) \
+        / diff.size
+    out = _scalar_node(value, (prediction,), "mse")
     if out.requires_grad:
         def _backward():
             scale = diff.dtype.type(2.0 / diff.size) \
@@ -60,7 +67,8 @@ def l1_loss(prediction: Tensor, target: Tensor) -> Tensor:
     """Mean absolute error, used by the pix2pix comparator (fused)."""
     target = Tensor.ensure(target)
     diff = prediction.data - target.data
-    out = _scalar_node(get_backend().mean_abs(diff), (prediction,), "l1")
+    value = float(np.abs(diff).sum(dtype=np.float64)) / diff.size
+    out = _scalar_node(value, (prediction,), "l1")
     if out.requires_grad:
         def _backward():
             scale = diff.dtype.type(1.0 / diff.size) \
@@ -79,13 +87,14 @@ def bce_with_logits_loss(logits: Tensor, target_value: float) -> Tensor:
     reduction; the backward pass is the closed form
     ``(sigmoid(x) - y) / N``.
     """
-    backend = get_backend()
     x = logits.data
-    out = _scalar_node(backend.bce_logits(x, float(target_value)),
-                       (logits,), "bce_logits")
+    target = float(target_value)
+    loss = np.maximum(x, 0.0) - x * target + np.log1p(np.exp(-np.abs(x)))
+    value = float(loss.sum(dtype=np.float64)) / x.size
+    out = _scalar_node(value, (logits,), "bce_logits")
     if out.requires_grad:
         def _backward():
-            grad = backend.sigmoid(x)
+            grad = 1.0 / (1.0 + np.exp(-x))
             grad -= x.dtype.type(target_value)
             grad *= x.dtype.type(1.0 / x.size) * x.dtype.type(out.grad)
             logits._accumulate_owned(grad)
@@ -100,9 +109,9 @@ def gaussian_kl_loss(mu: Tensor, logvar: Tensor) -> Tensor:
     batch and summed over latent dimensions.  Fused forward reduction;
     closed-form backward ``dmu = mu / B``, ``dlogvar = -(1 - e^logvar)/2B``.
     """
-    backend = get_backend()
-    out = _scalar_node(backend.gaussian_kl(mu.data, logvar.data),
-                       (mu, logvar), "gaussian_kl")
+    term = 1.0 + logvar.data - mu.data * mu.data - np.exp(logvar.data)
+    value = -0.5 * float(term.sum(dtype=np.float64)) / mu.shape[0]
+    out = _scalar_node(value, (mu, logvar), "gaussian_kl")
     if out.requires_grad:
         batch = mu.shape[0]
 
@@ -112,7 +121,7 @@ def gaussian_kl_loss(mu: Tensor, logvar: Tensor) -> Tensor:
             if mu.requires_grad:
                 mu._accumulate(mu.data * (dtype.type(1.0 / batch) * seed))
             if logvar.requires_grad:
-                dlogvar = backend.exp(logvar.data)
+                dlogvar = np.exp(logvar.data)
                 dlogvar -= dtype.type(1.0)
                 dlogvar *= dtype.type(0.5 / batch) * seed
                 logvar._accumulate(dlogvar)

@@ -14,8 +14,9 @@ applied to — float32 activations produce float32 outputs and float32
 gradients (scalar operands are coerced to the tensor's dtype so NumPy's
 promotion rules cannot silently upcast a float32 graph to float64).  New
 tensors created from non-array data default to
-:func:`repro.nn.dtypes.get_default_dtype`.  Array kernels are routed through
-the swappable backend of :mod:`repro.nn.backend`.
+:func:`repro.nn.dtypes.get_default_dtype`.  Matmul and leaky-ReLU are routed
+through the swappable backend of :mod:`repro.nn.backend`; the other
+elementwise ops call NumPy directly.
 """
 
 from __future__ import annotations
@@ -401,7 +402,7 @@ class Tensor:
     # Elementwise non-linearities
     # ------------------------------------------------------------------ #
     def exp(self) -> "Tensor":
-        out = self._make_child(get_backend().exp(self.data), (self,), "exp")
+        out = self._make_child(np.exp(self.data), (self,), "exp")
         if out.requires_grad:
             def _backward():
                 self._accumulate(out.grad * out.data)
@@ -409,7 +410,7 @@ class Tensor:
         return out
 
     def tanh(self) -> "Tensor":
-        value = get_backend().tanh(self.data)
+        value = np.tanh(self.data)
         out = self._make_child(value, (self,), "tanh")
         if out.requires_grad:
             def _backward():
@@ -429,7 +430,7 @@ class Tensor:
 
     def relu(self) -> "Tensor":
         if not self._needs_graph():
-            return self._make_child(get_backend().relu(self.data), (self,),
+            return self._make_child(np.maximum(self.data, 0.0), (self,),
                                     "relu")
         mask = self.data > 0
         out = self._make_child(self.data * mask, (self,), "relu")
@@ -484,31 +485,6 @@ class Tensor:
             axes = axis if isinstance(axis, tuple) else (axis,)
             count = int(np.prod([self.shape[a] for a in axes]))
         return self.sum(axis=axis, keepdims=keepdims) * (1.0 / count)
-
-    def max(self, axis=None, keepdims: bool = False) -> "Tensor":
-        value = self.data.max(axis=axis, keepdims=keepdims)
-        out = self._make_child(np.asarray(value), (self,), "max")
-        if out.requires_grad:
-            def _backward():
-                if axis is None:
-                    expanded = np.broadcast_to(out.data, self.shape)
-                    grad = np.broadcast_to(out.grad, self.shape)
-                else:
-                    axes = axis if isinstance(axis, tuple) else (axis,)
-                    axes = tuple(a % self.ndim for a in axes)
-                    expanded = out.data if keepdims else np.expand_dims(out.data, axes)
-                    grad = out.grad if keepdims else np.expand_dims(out.grad, axes)
-                    expanded = np.broadcast_to(expanded, self.shape)
-                    grad = np.broadcast_to(grad, self.shape)
-                mask = (self.data == expanded)
-                # Split the gradient evenly over ties (counts cast so the
-                # int64 division does not upcast a float32 gradient).
-                counts = mask.sum(axis=axis, keepdims=True) if axis is not None \
-                    else mask.sum()
-                counts = np.asarray(counts, dtype=self.data.dtype)
-                self._accumulate(grad * mask / counts)
-            out._backward = _backward
-        return out
 
     # ------------------------------------------------------------------ #
     # Shape manipulation

@@ -279,10 +279,15 @@ def _flush_backend_metrics(registry: _metrics.MetricsRegistry) -> None:
 
 def enable_tracing(sink: Any = None,
                    trace_id: Optional[str] = None) -> Tracer:
-    """Turn on process-wide tracing.  Returns the active :class:`Tracer`."""
+    """Turn on process-wide tracing.  Returns the active :class:`Tracer`.
+
+    The process metrics registry starts empty, so the ``metrics`` record
+    the session closes with holds this session's metrics only.
+    """
     global _TRACER
     if _TRACER is not None:
         raise RuntimeError("tracing is already enabled in this process")
+    _metrics.process_registry().reset()
     tracer = Tracer(trace_id=trace_id, sink=sink)
     tracer.emit({
         "type": "meta",

@@ -156,7 +156,7 @@ class TestTrainer:
         trainer = Trainer(model, tiny_dataset, rng=np.random.default_rng(2),
                           max_steps_per_epoch=2)
         history = trainer.train(epochs=2)
-        assert history.num_steps == 4
+        assert len(history.generator) == 4
         assert history.last("g_total") > 0
         assert history.mean("g_total") > 0
 

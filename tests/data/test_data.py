@@ -141,30 +141,6 @@ class TestFlashChannelDataset:
                                       dataset.program_levels[3])
         np.testing.assert_array_equal(subset.voltages[1], dataset.voltages[1])
 
-    def test_train_eval_split_sizes(self, dataset, rng):
-        train, evaluation = dataset.train_eval_split(0.25, rng=rng)
-        assert len(train) + len(evaluation) == len(dataset)
-        assert len(evaluation) == 4  # 25% of 8 arrays per P/E count
-
-    def test_train_eval_split_stratified(self, dataset, rng):
-        train, evaluation = dataset.train_eval_split(0.25, rng=rng)
-        assert set(train.unique_pe_cycles) == set(dataset.unique_pe_cycles)
-        assert set(evaluation.unique_pe_cycles) == set(dataset.unique_pe_cycles)
-
-    def test_train_eval_split_disjoint(self, channel, rng):
-        dataset = generate_paired_dataset(channel, pe_cycles=(4000,),
-                                          arrays_per_pe=8, array_size=16)
-        train, evaluation = dataset.train_eval_split(0.25, rng=rng)
-        train_ids = {array.tobytes() for array in train.voltages}
-        eval_ids = {array.tobytes() for array in evaluation.voltages}
-        assert not train_ids & eval_ids
-
-    def test_train_eval_split_invalid_fraction(self, dataset):
-        with pytest.raises(ValueError):
-            dataset.train_eval_split(0.0)
-        with pytest.raises(ValueError):
-            dataset.train_eval_split(1.0)
-
     def test_summary_fields(self, dataset):
         summary = dataset.summary()
         assert summary["num_arrays"] == 16

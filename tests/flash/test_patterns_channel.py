@@ -5,6 +5,7 @@ from __future__ import annotations
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -21,14 +22,11 @@ from repro.flash import (
     PECyclingExperiment,
     TOP_ERROR_PATTERNS,
     count_error_patterns,
-    extract_bitline_patterns,
-    extract_wordline_patterns,
     pattern_label,
     pattern_relative_frequencies,
     top_error_pattern_counts,
 )
 from repro.flash.cell import NUM_LEVELS
-from repro.flash.patterns import decode_pattern
 
 
 class TestPatternExtraction:
@@ -40,33 +38,9 @@ class TestPatternExtraction:
         with pytest.raises(ValueError):
             pattern_label(8, 0, 0)
 
-    def test_decode_pattern_roundtrip(self):
-        for pattern in ("707", "000", "123", "775"):
-            code = (int(pattern[0]) * 64 + int(pattern[1]) * 8 + int(pattern[2]))
-            assert decode_pattern(code) == pattern
-
-    def test_wordline_patterns_shape(self, rng):
-        levels = rng.integers(0, NUM_LEVELS, size=(6, 9))
-        assert extract_wordline_patterns(levels).shape == (6, 7)
-
-    def test_bitline_patterns_shape(self, rng):
-        levels = rng.integers(0, NUM_LEVELS, size=(6, 9))
-        assert extract_bitline_patterns(levels).shape == (4, 9)
-
-    def test_wordline_pattern_values(self):
-        levels = np.array([[7, 0, 7, 1]])
-        patterns = extract_wordline_patterns(levels)
-        assert decode_pattern(int(patterns[0, 0])) == "707"
-        assert decode_pattern(int(patterns[0, 1])) == "071"
-
-    def test_bitline_pattern_values(self):
-        levels = np.array([[7], [0], [6]])
-        patterns = extract_bitline_patterns(levels)
-        assert decode_pattern(int(patterns[0, 0])) == "706"
-
     def test_rejects_one_dimensional_input(self):
         with pytest.raises(ValueError):
-            extract_wordline_patterns(np.arange(5))
+            count_error_patterns(np.arange(5), np.arange(5.0), WORDLINE)
 
     def test_top_error_patterns_all_have_victim_zero(self):
         assert all(pattern[1] == "0" for pattern, _ in TOP_ERROR_PATTERNS)
@@ -112,6 +86,30 @@ class TestErrorPatternCounting:
         counts = count_error_patterns(levels, voltages, BITLINE,
                                       victim_level=3, params=params)
         assert counts == {"333": 1}
+
+    def test_victims_without_both_neighbours_are_not_counted(self, params):
+        """Only cells with a neighbour on each side along ``direction``
+        form a pattern: an error in the first column counts on the
+        bitline, where it is interior, and not on the wordline."""
+        levels = np.zeros((3, 3), dtype=int)
+        voltages = params.means_array[levels].astype(float)
+        voltages[1, 0] = 120.0                     # above Vth(01)
+        assert count_error_patterns(levels, voltages, BITLINE,
+                                    params=params) == {"000": 1}
+        assert count_error_patterns(levels, voltages, WORDLINE,
+                                    params=params) == {}
+
+    def test_stacked_arrays_count_as_the_sum_of_each(self, channel):
+        """A stack of arrays counts each array's patterns; no pattern
+        spans two arrays of the stack."""
+        program, voltages = channel.paired_blocks(4, 10000)
+        for direction in (BITLINE, WORDLINE):
+            stacked = count_error_patterns(program, voltages, direction)
+            assert sum(stacked.values()) > 0
+            separate = sum((count_error_patterns(levels, volts, direction)
+                            for levels, volts in zip(program, voltages)),
+                           Counter())
+            assert stacked == separate
 
     def test_invalid_direction_rejected(self, params):
         with pytest.raises(ValueError):

@@ -22,6 +22,7 @@ from repro.nn import (
     gaussian_kl_loss,
     get_backend,
     get_default_dtype,
+    l1_loss,
     mse_loss,
     no_grad,
     resolve_dtype,
@@ -352,11 +353,9 @@ class TestBackendConformance:
 class TestCJitKernelConformance:
     """Compiled kernels vs the NumPy kernels, per the documented contract.
 
-    Indexing kernels (im2col/col2im), the Adam update, ``leaky_relu``,
-    ``bn_bwd_dx`` and the LDPC min-sum decoder must be **bit-identical**;
-    the fused loss reductions accumulate in float64 sequentially instead
-    of NumPy's pairwise order, so their scalars are held to documented
-    tolerances instead.
+    Every compiled kernel — the indexing kernels (im2col/col2im), the
+    Adam update, ``leaky_relu``, ``bn_bwd_dx`` and the LDPC min-sum
+    decoder — must be **bit-identical**; no comparison has a tolerance.
     """
 
     #: Every warm window and one without padding, on planes of every shape
@@ -529,35 +528,56 @@ class TestCJitKernelConformance:
             iterations.update(want[1].tolist())
         assert {0, 30} <= iterations and len(iterations) >= 6
 
-    #: Relative tolerance of the fused loss scalars vs the NumPy pairwise
-    #: accumulation (see README "Compiled kernels (cjit)").
-    LOSS_RTOL = {np.dtype(np.float64): 1e-12, np.dtype(np.float32): 1e-5}
+    #: Every loss of the training objectives, called on two tensors of one
+    #: shape: a prediction and a target, logits against either label, or
+    #: the ``(mu, logvar)`` of a KL term.
+    LOSSES = {
+        "mse": lambda first, second: mse_loss(first, second),
+        "l1": lambda first, second: l1_loss(first, second),
+        "bce_real": lambda first, _: bce_with_logits_loss(first, 1.0),
+        "bce_fake": lambda first, _: bce_with_logits_loss(first, 0.0),
+        "gaussian_kl": lambda first, second: gaussian_kl_loss(first, second),
+    }
 
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
-    def test_fused_loss_reductions_within_tolerance(self, dtype,
+    @pytest.mark.parametrize("loss", sorted(LOSSES))
+    def test_loss_value_and_gradients_bit_identical(self, loss, dtype,
                                                     cjit_backend):
+        """Loss values are NumPy reductions outside the array backend, so
+        on cjit a loss reads numpy's value and gradients bit for bit."""
         rng = np.random.default_rng(14)
-        array = rng.standard_normal((8, 257)).astype(dtype)
-        reference = NumpyBackend()
-        rtol = self.LOSS_RTOL[np.dtype(dtype)]
-        for op, args in (("sum_squares", (array,)),
-                         ("mean_abs", (array,)),
-                         ("bce_logits", (array, 1.0)),
-                         ("bce_logits", (array, 0.0))):
-            got = getattr(cjit_backend, op)(*args)
-            want = getattr(reference, op)(*args)
-            assert got == pytest.approx(want, rel=rtol), op
-        mu = rng.standard_normal((8, 64)).astype(dtype)
-        logvar = (rng.standard_normal((8, 64)) * 0.3).astype(dtype)
-        assert cjit_backend.gaussian_kl(mu, logvar) == pytest.approx(
-            reference.gaussian_kl(mu, logvar), rel=rtol)
+        first = rng.standard_normal((8, 257)).astype(dtype)
+        second = (rng.standard_normal((8, 257)) * 0.3).astype(dtype)
+        results = {}
+        for name, backend in (("numpy", "numpy"), ("cjit", cjit_backend)):
+            with use_backend(backend):
+                inputs = (Tensor(first, requires_grad=True),
+                          Tensor(second, requires_grad=True))
+                value = self.LOSSES[loss](*inputs)
+                value.backward()
+                results[name] = (value.item(),
+                                 [tensor.grad for tensor in inputs])
+        (got, got_grads), (want, want_grads) = results["cjit"], \
+            results["numpy"]
+        assert got == want
+        assert [grad is None for grad in got_grads] \
+            == [grad is None for grad in want_grads]
+        assert want_grads[0] is not None
+        for got_grad, want_grad in zip(got_grads, want_grads):
+            if want_grad is not None:
+                assert got_grad.dtype == want_grad.dtype == dtype
+                assert got_grad.tobytes() == want_grad.tobytes()
+
 
 class TestFusedReductions:
-    def test_sum_squares_accumulates_in_float64(self):
-        backend = get_backend()
-        array = np.full(10_000, 1e-4, dtype=np.float32)
-        exact = 10_000 * 1e-8
-        assert backend.sum_squares(array) == pytest.approx(exact, rel=1e-5)
+    def test_mse_accumulates_in_float64(self):
+        """A float32 prediction's squared errors are summed in float64:
+        10,000 equal terms land within float64 round-off of the exact
+        mean, where a float32 sum would be off by ~1e-7 relative."""
+        value = np.float32(1e-4)
+        pred = Tensor(np.full(10_000, value, dtype=np.float32))
+        loss = mse_loss(pred, Tensor(np.zeros(10_000, dtype=np.float32)))
+        assert loss.item() == pytest.approx(float(value) ** 2, rel=1e-12)
 
     def test_fused_mse_matches_composition(self):
         rng = np.random.default_rng(2)
@@ -581,7 +601,6 @@ class TestFusedReductions:
                                    np.full((2, 1), 3 * 2.0 / 6))
 
     def test_fused_l1_unbroadcasts_gradient(self):
-        from repro.nn import l1_loss
         pred = Tensor(np.ones((2, 1)), requires_grad=True)
         l1_loss(pred, Tensor(np.zeros((2, 3)))).backward()
         assert pred.grad.shape == (2, 1)
@@ -651,49 +670,55 @@ def tiny_dataset():
                                    arrays_per_pe=8, array_size=8)
 
 
-def _weights_after_steps(arch, dtype, dataset, backend, steps=2):
-    """State dict of a tiny model after ``steps`` Adam steps on ``backend``."""
+def _train_steps(arch, dtype, dataset, backend, steps=2):
+    """Each step's loss stats and the state dict of a tiny model after
+    ``steps`` training steps on ``backend``."""
     with use_backend(backend):
         config = replace(ModelConfig.tiny(), dtype=dtype)
         model = build_model(arch, config, rng=np.random.default_rng(21))
         trainer = Trainer(model, dataset, rng=np.random.default_rng(22))
-        for _ in range(steps):
-            trainer.train_step(*dataset[0:4])
-        return model.state_dict()
+        stats = [trainer.train_step(*dataset[0:4]) for _ in range(steps)]
+        return stats, model.state_dict()
 
 
 class TestTrainStepBackendConformance:
-    """Whole training steps on any backend leave numpy's weights bit for bit.
+    """Whole training steps on any backend leave numpy's loss values and
+    weights bit for bit.
 
-    Every kernel cjit compiles on the training path is bit-identical, and
-    the BatchNorm reductions stay NumPy on every backend, so the weights
+    Every kernel cjit compiles on the training path is bit-identical, the
+    BatchNorm reductions stay NumPy on every backend, and loss values are
+    NumPy reductions outside the backend, so the stats and the weights
     after full optimizer steps must match exactly: on every architecture
     and both dtypes.  The reference backend never recycles arena scratch,
     so matching it shows the numpy backend's buffer reuse is invisible.
     """
 
     @staticmethod
-    def _assert_same_weights(got, want):
-        assert got.keys() == want.keys()
-        for key in want:
-            assert got[key].dtype == want[key].dtype, key
-            np.testing.assert_array_equal(got[key], want[key], err_msg=key)
+    def _assert_same_steps(got, want):
+        got_stats, got_weights = got
+        want_stats, want_weights = want
+        assert got_stats == want_stats
+        assert got_weights.keys() == want_weights.keys()
+        for key in want_weights:
+            assert got_weights[key].dtype == want_weights[key].dtype, key
+            np.testing.assert_array_equal(got_weights[key],
+                                          want_weights[key], err_msg=key)
 
     @needs_compiler
     @pytest.mark.parametrize("dtype", ["float32", "float64"])
     @pytest.mark.parametrize("arch",
                              ["cvae_gan", "cgan", "cvae", "bicycle_gan"])
-    def test_weights_bit_identical_after_two_adam_steps(
+    def test_stats_and_weights_bit_identical_after_two_train_steps(
             self, arch, dtype, tiny_dataset, cjit_backend):
-        want = _weights_after_steps(arch, dtype, tiny_dataset, "numpy")
-        got = _weights_after_steps(arch, dtype, tiny_dataset, cjit_backend)
-        self._assert_same_weights(got, want)
+        want = _train_steps(arch, dtype, tiny_dataset, "numpy")
+        got = _train_steps(arch, dtype, tiny_dataset, cjit_backend)
+        self._assert_same_steps(got, want)
 
     @pytest.mark.parametrize("dtype", ["float32", "float64"])
     @pytest.mark.parametrize("arch",
                              ["cvae_gan", "cgan", "cvae", "bicycle_gan"])
     def test_reference_backend_weights_bit_identical(self, arch, dtype,
                                                      tiny_dataset):
-        want = _weights_after_steps(arch, dtype, tiny_dataset, "numpy")
-        got = _weights_after_steps(arch, dtype, tiny_dataset, "reference")
-        self._assert_same_weights(got, want)
+        want = _train_steps(arch, dtype, tiny_dataset, "numpy")
+        got = _train_steps(arch, dtype, tiny_dataset, "reference")
+        self._assert_same_steps(got, want)

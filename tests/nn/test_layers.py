@@ -19,6 +19,7 @@ from repro.nn import (
     Tanh,
     Tensor,
     default_dtype,
+    no_grad,
 )
 
 from tests.nn.conftest import numerical_gradient
@@ -206,6 +207,84 @@ class TestBatchNorm:
         out_eval = layer(x)
         means = out_eval.data.mean(axis=(0, 2, 3))
         np.testing.assert_allclose(means, np.zeros(2), atol=0.2)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_eval_output_is_the_same_with_and_without_grad(self, dtype,
+                                                           rng):
+        """Eval mode is one affine map from the running statistics: a
+        forward that builds a graph gives the no-grad output bit for bit,
+        and that is the map ``BatchNorm2d.affine`` hands graph-free
+        callers."""
+        with default_dtype(dtype):
+            layer = BatchNorm2d(8)
+        layer(Tensor((rng.standard_normal((16, 8, 4, 4)) * 3 + 1)
+                     .astype(dtype)))
+        layer.weight.data = (rng.random(8) + 0.5).astype(dtype)
+        layer.bias.data = rng.standard_normal(8).astype(dtype)
+        layer.eval()
+        x = (rng.standard_normal((16, 8, 4, 4)) * 3 + 1).astype(dtype)
+        with_grad = layer(Tensor(x, requires_grad=True))
+        assert with_grad.requires_grad
+        with no_grad():
+            without_grad = layer(Tensor(x))
+        assert with_grad.dtype == without_grad.dtype == dtype
+        np.testing.assert_array_equal(with_grad.data, without_grad.data)
+        scale, shift = layer.affine(x)
+        np.testing.assert_array_equal(
+            with_grad.data,
+            x * scale.reshape(1, -1, 1, 1) + shift.reshape(1, -1, 1, 1))
+
+    def test_eval_gradients_match_numerical(self, rng):
+        layer = BatchNorm2d(3)
+        layer(Tensor(rng.standard_normal((5, 3, 3, 3)) * 2 + 1))
+        layer.weight.data = rng.standard_normal(3) + 1.0
+        layer.bias.data = rng.standard_normal(3)
+        layer.eval()
+        x = Tensor(rng.standard_normal((4, 3, 3, 3)), requires_grad=True)
+        weights = rng.standard_normal((4, 3, 3, 3))
+        (layer(x) * Tensor(weights)).sum().backward()
+
+        def forward():
+            with no_grad():
+                return float((layer(Tensor(x.data)).data * weights).sum())
+
+        for tensor in (x, layer.weight, layer.bias):
+            np.testing.assert_allclose(
+                tensor.grad, numerical_gradient(forward, tensor.data),
+                atol=1e-6)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_eval_backward_is_closed_form(self, dtype, rng):
+        """Eval mode's gradients in the layer's dtype: ``dx = g * scale``
+        exactly, ``dweight = Σ g·(x - running_mean)/sqrt(running_var +
+        eps)`` and ``dbias = Σ g`` over the batch and the plane."""
+        with default_dtype(dtype):
+            layer = BatchNorm2d(4)
+        layer(Tensor((rng.standard_normal((8, 4, 3, 3)) * 2 + 1)
+                     .astype(dtype)))
+        layer.weight.data = (rng.random(4) + 0.5).astype(dtype)
+        layer.bias.data = rng.standard_normal(4).astype(dtype)
+        layer.eval()
+        x_data = rng.standard_normal((6, 4, 3, 3)).astype(dtype)
+        g = rng.standard_normal((6, 4, 3, 3)).astype(dtype)
+        x = Tensor(x_data, requires_grad=True)
+        (layer(x) * Tensor(g)).sum().backward()
+        channel_shape = (1, -1, 1, 1)
+        scale, _ = layer.affine(x_data)
+        x_hat = ((x_data - layer._buffers["running_mean"]
+                  .reshape(channel_shape))
+                 / np.sqrt(layer._buffers["running_var"] + layer.eps)
+                 .reshape(channel_shape))
+        rtol = 1e-5 if dtype == np.float32 else 1e-12
+        for tensor in (x, layer.weight, layer.bias):
+            assert tensor.grad.dtype == dtype
+        np.testing.assert_array_equal(x.grad,
+                                      g * scale.reshape(channel_shape))
+        np.testing.assert_allclose(layer.weight.grad,
+                                   (g * x_hat).sum(axis=(0, 2, 3)),
+                                   rtol=rtol)
+        np.testing.assert_allclose(layer.bias.grad, g.sum(axis=(0, 2, 3)),
+                                   rtol=rtol)
 
     def test_rejects_non_nchw_input(self, rng):
         layer = BatchNorm2d(2)

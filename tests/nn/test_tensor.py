@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from repro.nn import Tensor, get_backend, no_grad
+from repro.nn import Tensor, bce_with_logits_loss, no_grad
 from repro.nn.tensor import concatenate, is_grad_enabled
 
 from tests.nn.conftest import numerical_gradient
@@ -246,11 +246,6 @@ class TestGradients:
         np.testing.assert_allclose(tensor.grad,
                                    np.full(tensor.shape, 1.0 / tensor.size))
 
-    def test_max_gradient_splits_ties(self):
-        tensor = Tensor([[1.0, 3.0, 3.0]], requires_grad=True)
-        tensor.max(axis=1).sum().backward()
-        np.testing.assert_allclose(tensor.grad, [[0.0, 0.5, 0.5]])
-
     def test_matmul_gradient(self, rng):
         a = _tensor(rng, (3, 5))
         b = _tensor(rng, (5, 2))
@@ -334,10 +329,12 @@ class TestPropertyBased:
     @given(hnp.arrays(np.float64, st.tuples(st.integers(1, 5),),
                       elements=st.floats(-50, 50)))
     @settings(max_examples=50, deadline=None)
-    def test_backend_sigmoid_in_unit_interval(self, array):
-        """The kernel behind the bce-with-logits gradient."""
-        out = get_backend().sigmoid(array)
-        assert np.all(out >= 0.0) and np.all(out <= 1.0)
+    def test_bce_logits_gradient_in_unit_interval(self, array):
+        """Against target 0 the bce-with-logits gradient is sigmoid / N."""
+        logits = Tensor(array, requires_grad=True)
+        bce_with_logits_loss(logits, 0.0).backward()
+        assert np.all(logits.grad >= 0.0)
+        assert np.all(logits.grad <= 1.0 / array.size)
 
     @given(st.integers(1, 6), st.integers(1, 6))
     @settings(max_examples=30, deadline=None)

@@ -76,13 +76,11 @@ class TestSummarize:
         assert summary["kernels"][0]["calls"] == 2
 
     def test_a_second_session_replaces_the_first(self, trace_file):
-        """A session truncates its path: the file summarizes to the second
-        session's trace id and counts only.  (The process metrics registry
-        is cumulative, so it is reset between the sessions, as
-        ``e2ebench/run.py`` does.)"""
+        """A session truncates its path and starts an empty metrics
+        registry: the file summarizes to the second session's trace id and
+        counts only."""
         from repro.obs import metrics
 
-        metrics.process_registry().reset()
         with trace.tracing(str(trace_file), trace_id="t-second"):
             with trace.span("exec.plan", units=1):
                 pass

@@ -73,6 +73,28 @@ class TestSpans:
         finally:
             trace.disable_tracing()
 
+    def test_each_session_closes_with_only_its_own_metrics(self):
+        """Tracing starts from an empty process registry, so no caller
+        resets it between sessions: a counter bumped before tracing and a
+        first session's observations stay out of the second's record."""
+        metrics.process_registry().inc("before.tracing")
+        snapshots = []
+        try:
+            for observations in (2, 1):
+                with trace.tracing() as tracer:
+                    for _ in range(observations):
+                        metrics.get_registry().observe("nn.kernel.matmul",
+                                                       0.5)
+                [record] = [r for r in tracer.records
+                            if r["type"] == "metrics"]
+                snapshots.append(record["snapshot"])
+        finally:
+            metrics.process_registry().reset()
+        assert [snapshot["nn.kernel.matmul"]["count"]
+                for snapshot in snapshots] == [2, 1]
+        assert not any("before.tracing" in snapshot
+                       for snapshot in snapshots)
+
     def test_last_span_name_tracks_entries(self):
         with trace.tracing():
             with trace.span("exec.shard"):
