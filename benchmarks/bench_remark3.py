@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
 from repro.experiments import run_remark3
@@ -13,13 +15,12 @@ from benchmarks.conftest import write_result
 def test_remark3_architecture_comparison(benchmark, results_dir, setup,
                                          evaluation_arrays):
     """Remark 3: dTV of cGAN / cVAE / BicycleGAN / cVAE-GAN to measured data."""
-    epochs = 2
-    config = setup.model_config()
+    config = replace(setup.model_config(), epochs=2)
     # Restrict to one evaluation read point to keep the comparison affordable.
     evaluation = {7000: evaluation_arrays[7000]}
 
     def regenerate():
-        return run_remark3(setup.dataset(), evaluation, config, epochs=epochs,
+        return run_remark3(setup.dataset(), evaluation, config,
                            params=setup.params, seed=17)
 
     result = benchmark.pedantic(regenerate, rounds=1, iterations=1)

@@ -46,22 +46,21 @@ def main(fast: bool = False) -> None:
     simulator = SimulatorChannel(params, geometry=BlockGeometry(16, 16),
                                  rng=rng)
     if fast:
-        config = replace(ModelConfig.tiny(), epochs=2)
-        arrays_per_pe, max_steps = 12, 2
+        config = ModelConfig.tiny()
+        arrays_per_pe, steps = 12, 4
     else:
         config = replace(ModelConfig.small(16, epochs=3, batch_size=8),
                          learning_rate=1e-3)
-        arrays_per_pe, max_steps = 60, None
+        arrays_per_pe, steps = 60, None
     dataset = generate_paired_dataset(simulator,
                                       pe_cycles=(4000.0, 10000.0),
                                       arrays_per_pe=arrays_per_pe,
                                       array_size=config.array_size)
     model = build_model("cvae_gan", config, rng=np.random.default_rng(1))
     trainer = Trainer(model, dataset, params=params,
-                      rng=np.random.default_rng(2),
-                      max_steps_per_epoch=max_steps)
+                      rng=np.random.default_rng(2))
     print("== training ==")
-    trainer.train(verbose=True)
+    trainer.train(steps, verbose=True)
     channel = GenerativeChannel(model, params=params,
                                 rng=np.random.default_rng(3))
 
@@ -69,9 +68,9 @@ def main(fast: bool = False) -> None:
         checkpoint = Path(workdir) / "cvae_gan-small"
 
         # 2. Checkpoint the trained backend.
-        manifest = save_channel(channel, checkpoint,
-                                training={"example": "checkpoint_roundtrip",
-                                          "epochs": config.epochs})
+        training = {"example": "checkpoint_roundtrip",
+                    "steps": len(trainer.history.generator)}
+        manifest = save_channel(channel, checkpoint, training=training)
         print(f"\n== saved checkpoint ({manifest.registry_name}) ==")
         report = inspect_checkpoint(checkpoint)
         for name, entry in report["files"].items():

@@ -3,7 +3,8 @@
 Four subcommands cover the checkpoint lifecycle:
 
 * ``save OUT --arch cvae_gan --preset tiny --epochs 2 --seed 7`` — train (or
-  fit) a reference backend against the simulated chip and checkpoint it;
+  fit) a reference backend against the simulated chip and checkpoint it
+  (``--steps N`` trains N optimisation steps instead of the passes);
 * ``inspect PATH`` — print the manifest without touching payloads;
 * ``verify PATH`` — re-hash every payload file against the manifest;
 * ``load PATH [--check-probe]`` — cold-start the backend and, with
@@ -43,6 +44,13 @@ def _baseline_archs() -> tuple[str, ...]:
     return tuple(cls.family for cls in BASELINE_MODELS)
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be positive, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro.artifacts",
@@ -59,10 +67,12 @@ def build_parser() -> argparse.ArgumentParser:
                       help="backend to train/fit and save")
     save.add_argument("--preset", default="tiny", choices=("tiny", "small"),
                       help="model configuration preset")
-    save.add_argument("--epochs", type=int, default=2,
-                      help="training epochs (generative backends)")
-    save.add_argument("--max-steps", type=int, default=None,
-                      help="cap on optimisation steps per epoch")
+    save.add_argument("--epochs", type=_positive_int, default=2,
+                      help="training passes over the data (generative "
+                           "backends)")
+    save.add_argument("--steps", type=_positive_int, default=None,
+                      help="total optimisation steps, in place of the "
+                           "--epochs passes (generative backends)")
     save.add_argument("--seed", type=int, default=0,
                       help="seed for data generation, init and training")
     save.add_argument("--dtype", default=None,
@@ -162,15 +172,12 @@ def _cmd_save(args) -> int:
         model = build_model(args.arch, config,
                             rng=np.random.default_rng(args.seed + 1))
         trainer = Trainer(model, dataset, params=params,
-                          rng=np.random.default_rng(args.seed + 2),
-                          max_steps_per_epoch=args.max_steps)
-        trainer.train()
+                          rng=np.random.default_rng(args.seed + 2))
+        trainer.train(args.steps)
         metadata.update(dataset=dataset.summary(), epochs=config.epochs,
+                        steps=len(trainer.history.generator),
                         dtype=config.dtype,
-                        final_loss=trainer.history.mean("g_total", last_n=10)
-                        if trainer.history.generator
-                        and "g_total" in trainer.history.generator[-1]
-                        else None)
+                        final_loss=trainer.history.mean("g_total", last_n=10))
         channel = GenerativeChannel(model, params=params,
                                     rng=np.random.default_rng(args.seed + 3))
 

@@ -53,7 +53,9 @@ class ModelConfig:
     batch_size:
         Mini-batch size (2 in Remark 2).
     epochs:
-        Number of training epochs (7 in Remark 2).
+        Training length in passes over the dataset (7 in Remark 2): the
+        default budget of :meth:`Trainer.train
+        <repro.core.trainer.Trainer.train>`, whose ``steps`` overrides it.
     samples_per_array:
         Latent samples drawn per program-level array during evaluation
         (10 in the paper).

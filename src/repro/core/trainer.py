@@ -1,15 +1,17 @@
 """Architecture-agnostic training loop (Remark 2 hyper-parameters).
 
-The trainer iterates mini-batches of the paired dataset, normalises their
-voltages and P/E cycle counts (the model encodes the integer program levels
-itself), and for each batch performs one discriminator step (when the
-architecture has a discriminator) followed by one generator/encoder step,
-both with Adam at the configured learning rate.
+The trainer takes a budget of optimisation steps over shuffled passes of the
+paired dataset.  Each step normalises a mini-batch's voltages and P/E cycle
+counts (the model encodes the integer program levels itself) and performs
+one discriminator step (when the architecture has a discriminator) followed
+by one generator/encoder step, both with Adam at the configured learning
+rate.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import islice
 
 import numpy as np
 
@@ -38,7 +40,10 @@ class TrainingHistory:
         raise KeyError(key)
 
     def mean(self, key: str, last_n: int | None = None) -> float:
-        """Mean of a generator-loss statistic over the last ``last_n`` steps."""
+        """Mean of a generator-loss statistic over the last ``last_n`` steps
+        (every step by default)."""
+        if last_n is not None and last_n < 1:
+            raise ValueError(f"last_n must be positive, got {last_n}")
         values = [record[key] for record in self.generator if key in record]
         if not values:
             raise KeyError(key)
@@ -53,13 +58,11 @@ class Trainer:
     def __init__(self, model: ConditionalGenerativeModel,
                  dataset: FlashChannelDataset,
                  params: FlashParameters | None = None,
-                 rng: np.random.Generator | None = None,
-                 max_steps_per_epoch: int | None = None):
+                 rng: np.random.Generator | None = None):
         self.model = model
         self.dataset = dataset
         self.params = params if params is not None else FlashParameters()
         self.rng = rng if rng is not None else np.random.default_rng()
-        self.max_steps_per_epoch = max_steps_per_epoch
 
         config = model.config
         self.voltage_normalizer = VoltageNormalizer(self.params)
@@ -105,33 +108,36 @@ class Trainer:
         stats.update(g_stats)
         return stats
 
-    def train_epoch(self) -> dict[str, float]:
-        """One pass over the dataset; returns the mean generator stats."""
-        iterator = BatchIterator(self.dataset,
-                                 batch_size=self.model.config.batch_size,
-                                 shuffle=True, rng=self.rng)
-        epoch_stats: list[dict[str, float]] = []
-        for step, (program_levels, voltages, pe_cycles) in enumerate(iterator):
-            if (self.max_steps_per_epoch is not None
-                    and step >= self.max_steps_per_epoch):
-                break
-            epoch_stats.append(self.train_step(program_levels, voltages,
-                                               pe_cycles))
-        if not epoch_stats:
-            raise RuntimeError("epoch produced no training steps")
-        keys = set().union(*(stat.keys() for stat in epoch_stats))
-        return {key: float(np.mean([stat[key] for stat in epoch_stats
-                                    if key in stat]))
-                for key in keys}
-
-    def train(self, epochs: int | None = None,
+    def train(self, steps: int | None = None,
               verbose: bool = False) -> TrainingHistory:
-        """Train for the configured number of epochs."""
-        epochs = epochs if epochs is not None else self.model.config.epochs
-        for epoch in range(1, epochs + 1):
-            summary = self.train_epoch()
+        """Take ``steps`` optimisation steps, one :meth:`train_step` a batch.
+
+        Batches come from successive passes over the dataset.  Each pass is
+        a fresh shuffle drawn from the trainer's generator when the pass
+        starts, so a budget that ends on a pass boundary draws no further
+        shuffle.  The default, ``steps=None``, is ``model.config.epochs``
+        full passes.  With ``verbose``, every pass prints the means of its
+        step statistics.
+        """
+        batches = BatchIterator(self.dataset,
+                                batch_size=self.model.config.batch_size,
+                                rng=self.rng)
+        per_pass = len(batches)
+        if steps is None:
+            steps = self.model.config.epochs * per_pass
+        if steps < 1:
+            raise ValueError(f"steps must be positive, got {steps}")
+        passes = -(-steps // per_pass)
+        for index in range(passes):
+            budget = min(per_pass, steps - index * per_pass)
+            pass_stats = [self.train_step(*batch)
+                          for batch in islice(batches, budget)]
             if verbose:
-                formatted = ", ".join(f"{key}={value:.4f}"
-                                      for key, value in sorted(summary.items()))
-                print(f"[epoch {epoch}/{epochs}] {formatted}")
+                label = f"epoch {index + 1}/{passes}"
+                if budget < per_pass:
+                    label += f", {budget}/{per_pass} steps"
+                means = ", ".join(
+                    f"{key}={np.mean([step[key] for step in pass_stats]):.4f}"
+                    for key in sorted(pass_stats[0]))
+                print(f"[{label}] {means}")
         return self.history

@@ -141,13 +141,6 @@ class BCHCode:
             raise ValueError(f"codeword must have shape ({self.n},)")
         return codeword[self.n_minus_k:].astype(np.int64)
 
-    def is_codeword(self, word: np.ndarray) -> bool:
-        """Whether ``word`` has all-zero syndromes."""
-        word = np.asarray(word)
-        if word.shape != (self.n,):
-            raise ValueError(f"word must have shape ({self.n},)")
-        return not self._syndromes(word[None] & 1).any()
-
     # ------------------------------------------------------------------ #
     # Decoding
     # ------------------------------------------------------------------ #

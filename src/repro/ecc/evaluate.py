@@ -60,10 +60,6 @@ class CodewordChannelResult:
     #: (identical for any executor/worker count at a fixed seed).
     frame_records: np.ndarray | None = None
 
-    @property
-    def frames_failed(self) -> int:
-        return int(round(self.frame_error_rate * self.codewords))
-
 
 def _transmit_lower_page(unit, rng: np.random.Generator, code,
                          channel: ChannelModel, pe_cycles: float

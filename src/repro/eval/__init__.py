@@ -19,7 +19,6 @@ from repro.eval.histograms import (
 )
 from repro.eval.divergences import (
     total_variation_distance,
-    kl_divergence,
     distribution_distance,
 )
 from repro.eval.ici_analysis import (
@@ -48,7 +47,6 @@ __all__ = [
     "conditional_pdfs",
     "histogram_bin_centers",
     "total_variation_distance",
-    "kl_divergence",
     "distribution_distance",
     "ici_error_profile",
     "top_pattern_frequencies",

@@ -135,20 +135,23 @@ class ExperimentSetup:
                                **model_kwargs) -> GenerativeChannel:
         """Train (and cache) a generative channel backend.
 
-        Returns the protocol adapter; its batched chunked sampling path is
-        what the figure drivers and benchmarks consume.
+        ``epochs`` overrides the setup's training length in passes.  Returns
+        the protocol adapter; its batched chunked sampling path is what the
+        figure drivers and benchmarks consume.
         """
         cache_key = architecture + repr(epochs) \
             + repr(sorted(model_kwargs.items()))
         if cache_key in self._models:
             return self._models[cache_key]
         config = self.model_config()
+        if epochs is not None:
+            config = replace(config, epochs=epochs)
         model = build_model(architecture, config,
                             rng=self.spawn_rng(f"init:{cache_key}"),
                             **model_kwargs)
         trainer = Trainer(model, self.dataset(), params=self.params,
                           rng=self.spawn_rng(f"train:{cache_key}"))
-        trainer.train(epochs=epochs if epochs is not None else config.epochs)
+        trainer.train()
         wrapper = GenerativeChannel(
             model, params=self.params,
             rng=self.spawn_rng(f"sample:{cache_key}"))

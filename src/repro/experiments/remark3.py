@@ -58,7 +58,7 @@ class Remark3Result:
 
 
 def _remark3_architecture_task(unit, rng, *, training_dataset,
-                               evaluation_arrays, config, epochs, params):
+                               evaluation_arrays, config, params):
     """Train one architecture and measure its dTV per P/E count — plan task.
 
     The unit generator is split into independent init/train/sample streams,
@@ -71,7 +71,7 @@ def _remark3_architecture_task(unit, rng, *, training_dataset,
         for _ in range(3))
     model = build_model(name, config, rng=init_rng)
     trainer = Trainer(model, training_dataset, params=params, rng=train_rng)
-    trainer.train(epochs=epochs)
+    trainer.train()
     backend = GenerativeChannel(model, params=params, rng=sample_rng)
     distances: dict[int, float] = {}
     for pe, (program, voltages) in sorted(evaluation_arrays.items()):
@@ -86,7 +86,6 @@ def run_remark3(training_dataset: FlashChannelDataset,
                 evaluation_arrays: dict[int, tuple[np.ndarray, np.ndarray]],
                 config: ModelConfig,
                 architectures: tuple[str, ...] = REMARK3_ARCHITECTURES,
-                epochs: int | None = None,
                 params: FlashParameters | None = None,
                 seed: int = 0,
                 executor=None, workers: int | None = None) -> Remark3Result:
@@ -103,9 +102,8 @@ def run_remark3(training_dataset: FlashChannelDataset,
     evaluation_arrays:
         Mapping from P/E cycle count to measured ``(PL, VL)`` arrays.
     config:
-        Model configuration (shared by all architectures, as in the paper).
-    epochs:
-        Training epochs per architecture (defaults to the configuration's).
+        Model configuration, training length (``config.epochs``) included,
+        shared by all architectures as in the paper.
     executor / workers:
         Execution backend for the per-architecture sweep
         (:func:`repro.exec.build_executor`).
@@ -116,7 +114,7 @@ def run_remark3(training_dataset: FlashChannelDataset,
         seed=stable_seed("remark3", seed),
         context=dict(training_dataset=training_dataset,
                      evaluation_arrays=evaluation_arrays, config=config,
-                     epochs=epochs, params=params),
+                     params=params),
         reducer=HistogramReducer(),
         executor=executor, workers=workers)
     return Remark3Result(tv_distances=distances)

@@ -186,30 +186,9 @@ class Tensor:
     def item(self) -> float:
         return float(self.data)
 
-    def astype(self, dtype) -> "Tensor":
-        """Differentiable dtype cast (gradients are cast back on backward).
-
-        A same-dtype cast is the identity: no copy, no graph node.
-        """
-        dtype = np.dtype(dtype)
-        if dtype == self.dtype:
-            return self
-        out = self._make_child(self.data.astype(dtype), (self,), "astype")
-        if out.requires_grad:
-            def _backward():
-                self._accumulate(out.grad)
-            out._backward = _backward
-        return out
-
-    def copy(self) -> "Tensor":
-        return Tensor(self.data.copy(), requires_grad=self.requires_grad)
-
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
         grad_flag = ", requires_grad=True" if self.requires_grad else ""
         return f"Tensor(shape={self.shape}{grad_flag}, op={self._op!r})"
-
-    def __len__(self) -> int:
-        return len(self.data)
 
     # ------------------------------------------------------------------ #
     # Graph utilities
@@ -341,22 +320,6 @@ class Tensor:
             out._backward = _backward
         return out
 
-    __radd__ = __add__
-
-    def __neg__(self) -> "Tensor":
-        out = self._make_child(-self.data, (self,), "neg")
-        if out.requires_grad:
-            def _backward():
-                self._accumulate(-out.grad)
-            out._backward = _backward
-        return out
-
-    def __sub__(self, other) -> "Tensor":
-        return self + (-Tensor._coerce(other, self.data.dtype))
-
-    def __rsub__(self, other) -> "Tensor":
-        return Tensor._coerce(other, self.data.dtype) + (-self)
-
     def __mul__(self, other) -> "Tensor":
         other = Tensor._coerce(other, self.data.dtype)
         out = self._make_child(self.data * other.data, (self, other), "mul")
@@ -370,33 +333,6 @@ class Tensor:
         return out
 
     __rmul__ = __mul__
-
-    def __truediv__(self, other) -> "Tensor":
-        other = Tensor._coerce(other, self.data.dtype)
-        out = self._make_child(self.data / other.data, (self, other), "div")
-        if out.requires_grad:
-            def _backward():
-                if self.requires_grad:
-                    self._accumulate(_unbroadcast(out.grad / other.data, self.shape))
-                if other.requires_grad:
-                    grad_other = -out.grad * self.data / (other.data ** 2)
-                    other._accumulate(_unbroadcast(grad_other, other.shape))
-            out._backward = _backward
-        return out
-
-    def __rtruediv__(self, other) -> "Tensor":
-        return Tensor._coerce(other, self.data.dtype) / self
-
-    def __pow__(self, exponent: float) -> "Tensor":
-        if not np.isscalar(exponent):
-            raise TypeError("only scalar exponents are supported")
-        out = self._make_child(self.data ** exponent, (self,), "pow")
-        if out.requires_grad:
-            def _backward():
-                grad = out.grad * exponent * self.data ** (exponent - 1)
-                self._accumulate(grad)
-            out._backward = _backward
-        return out
 
     # ------------------------------------------------------------------ #
     # Elementwise non-linearities
@@ -515,16 +451,6 @@ class Tensor:
             out._backward = _backward
         return out
 
-    def __getitem__(self, index) -> "Tensor":
-        out = self._make_child(self.data[index], (self,), "getitem")
-        if out.requires_grad:
-            def _backward():
-                grad = np.zeros_like(self.data)
-                np.add.at(grad, index, out.grad)
-                self._accumulate(grad)
-            out._backward = _backward
-        return out
-
     # ------------------------------------------------------------------ #
     # Linear algebra
     # ------------------------------------------------------------------ #
@@ -541,8 +467,6 @@ class Tensor:
                     other._accumulate(backend.matmul(self.data.T, out.grad))
             out._backward = _backward
         return out
-
-    __matmul__ = matmul
 
 
 def concatenate(tensors: Iterable[Tensor], axis: int = 0) -> Tensor:

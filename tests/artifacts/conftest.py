@@ -42,12 +42,12 @@ def dataset(params):
 def train_reference_channel(dtype: str, params, dataset,
                             **model_kwargs) -> GenerativeChannel:
     """A briefly trained tiny cVAE-GAN behind the generative adapter."""
-    config = dataclasses.replace(ModelConfig.tiny(), epochs=2, dtype=dtype)
+    config = dataclasses.replace(ModelConfig.tiny(), dtype=dtype)
     model = build_model("cvae_gan", config, rng=np.random.default_rng(11),
                         **model_kwargs)
     trainer = Trainer(model, dataset, params=params,
-                      rng=np.random.default_rng(12), max_steps_per_epoch=2)
-    trainer.train()
+                      rng=np.random.default_rng(12))
+    trainer.train(steps=4)
     return GenerativeChannel(model, params=params,
                              rng=np.random.default_rng(13))
 

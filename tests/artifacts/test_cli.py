@@ -13,8 +13,8 @@ import pytest
 
 from repro.artifacts.cli import main
 
-SAVE_ARGS = ["--preset", "tiny", "--epochs", "1", "--max-steps", "2",
-             "--arrays-per-pe", "8", "--seed", "7"]
+SAVE_ARGS = ["--preset", "tiny", "--steps", "2", "--arrays-per-pe", "8",
+             "--seed", "7"]
 
 
 @pytest.fixture(scope="module")
@@ -29,6 +29,28 @@ class TestSave:
     def test_save_writes_manifest_and_weights(self, cli_checkpoint):
         assert (cli_checkpoint / "manifest.json").is_file()
         assert (cli_checkpoint / "weights.npz").is_file()
+
+    def test_save_records_the_step_budget(self, cli_checkpoint):
+        manifest = json.loads((cli_checkpoint / "manifest.json").read_text())
+        assert manifest["training"]["steps"] == 2
+
+    def test_save_defaults_to_epochs_passes(self, tmp_path):
+        """Without ``--steps``, 16 arrays at batch 4 make 4 steps a pass."""
+        path = tmp_path / "passes"
+        assert main(["save", str(path), "--arch", "cvae", "--preset", "tiny",
+                     "--epochs", "2", "--arrays-per-pe", "8"]) == 0
+        manifest = json.loads((path / "manifest.json").read_text())
+        assert manifest["training"]["epochs"] == 2
+        assert manifest["training"]["steps"] == 8
+
+    @pytest.mark.parametrize("flag", ["--epochs", "--steps"])
+    def test_save_rejects_nonpositive_training_length(self, tmp_path, capsys,
+                                                      flag):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["save", str(tmp_path / "zero"), flag, "0"])
+        assert exit_info.value.code == 2
+        assert "must be positive" in capsys.readouterr().err
+        assert not (tmp_path / "zero").exists()
 
     def test_save_simulator(self, tmp_path, capsys):
         assert main(["save", str(tmp_path / "sim"), "--arch",

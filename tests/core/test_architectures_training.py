@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -14,8 +16,10 @@ from repro.core import (
     MODEL_REGISTRY,
     ModelConfig,
     Trainer,
+    TrainingHistory,
     build_model,
 )
+from repro.data import BatchIterator
 from repro.flash.cell import NUM_LEVELS
 
 ALL_ARCHITECTURES = ("cvae_gan", "cgan", "cvae", "bicycle_gan")
@@ -153,40 +157,136 @@ class TestTrainer:
 
     def test_history_records_steps(self, tiny_config, tiny_dataset):
         model = build_model("cvae", tiny_config, rng=np.random.default_rng(1))
-        trainer = Trainer(model, tiny_dataset, rng=np.random.default_rng(2),
-                          max_steps_per_epoch=2)
-        history = trainer.train(epochs=2)
+        trainer = Trainer(model, tiny_dataset, rng=np.random.default_rng(2))
+        history = trainer.train(steps=4)
         assert len(history.generator) == 4
         assert history.last("g_total") > 0
         assert history.mean("g_total") > 0
 
     def test_history_unknown_key(self, tiny_config, tiny_dataset):
         model = build_model("cvae", tiny_config, rng=np.random.default_rng(1))
-        trainer = Trainer(model, tiny_dataset, rng=np.random.default_rng(2),
-                          max_steps_per_epoch=1)
-        history = trainer.train(epochs=1)
+        trainer = Trainer(model, tiny_dataset, rng=np.random.default_rng(2))
+        history = trainer.train(steps=1)
         with pytest.raises(KeyError):
             history.last("nonexistent")
+
+    def test_history_mean_over_last_steps(self):
+        history = TrainingHistory(generator=[{"g_total": value}
+                                             for value in (1.0, 2.0, 6.0)])
+        assert history.mean("g_total") == 3.0
+        assert history.mean("g_total", last_n=2) == 4.0
+        assert history.mean("g_total", last_n=5) == 3.0
+
+    @pytest.mark.parametrize("last_n", [0, -1])
+    def test_history_mean_rejects_nonpositive_last_n(self, last_n):
+        history = TrainingHistory(generator=[{"g_total": value}
+                                             for value in (1.0, 2.0, 6.0)])
+        with pytest.raises(ValueError, match="last_n"):
+            history.mean("g_total", last_n=last_n)
 
     def test_training_reduces_reconstruction_loss(self, tiny_config,
                                                   tiny_dataset):
         """A short cVAE run must reduce the reconstruction loss."""
         model = build_model("cvae", tiny_config, rng=np.random.default_rng(7))
         trainer = Trainer(model, tiny_dataset, rng=np.random.default_rng(8))
-        history = trainer.train(epochs=8)
+        history = trainer.train(steps=48)
         first = np.mean([s["g_reconstruction"]
                          for s in history.generator[:3]])
         last = np.mean([s["g_reconstruction"]
                         for s in history.generator[-3:]])
         assert last < first
 
-    def test_epoch_summary_contains_means(self, tiny_config, tiny_dataset):
-        model = build_model("cvae_gan", tiny_config,
-                            rng=np.random.default_rng(1))
-        trainer = Trainer(model, tiny_dataset, rng=np.random.default_rng(2),
-                          max_steps_per_epoch=2)
-        summary = trainer.train_epoch()
-        assert "g_total" in summary and "d_total" in summary
+
+def _trainer(config, dataset, name="cvae_gan"):
+    model = build_model(name, config, rng=np.random.default_rng(1))
+    return Trainer(model, dataset, rng=np.random.default_rng(2))
+
+
+def _reference_training(trainer, cut=None):
+    """``config.epochs`` passes of a fresh :class:`BatchIterator` over the
+    trainer's generator, one ``train_step`` a batch, returning right after
+    step ``cut`` (so no later pass draws its shuffle)."""
+    config = trainer.model.config
+    taken = 0
+    for _ in range(config.epochs):
+        for batch in BatchIterator(trainer.dataset, config.batch_size,
+                                   rng=trainer.rng):
+            trainer.train_step(*batch)
+            taken += 1
+            if taken == cut:
+                return
+
+
+def _assert_same_training(trainer, reference):
+    state, expected = trainer.model.state_dict(), reference.model.state_dict()
+    assert list(state) == list(expected)
+    for name in state:
+        assert state[name].dtype == expected[name].dtype
+        assert np.array_equal(state[name], expected[name]), name
+    assert trainer.history == reference.history
+    assert trainer.rng.bit_generator.state == reference.rng.bit_generator.state
+
+
+class TestStepBudget:
+    """``Trainer.train(steps)`` is the reference epoch loop, cut at a
+    step budget: 24 arrays at batch 4 make 6 steps a pass."""
+
+    @pytest.fixture
+    def config(self, tiny_config):
+        return replace(tiny_config, epochs=2)
+
+    @pytest.mark.parametrize("name", ALL_ARCHITECTURES)
+    def test_default_trains_config_epochs_passes(self, config, tiny_dataset,
+                                                 name):
+        trainer, reference = (_trainer(config, tiny_dataset, name)
+                              for _ in range(2))
+        trainer.train()
+        _reference_training(reference)
+        assert len(trainer.history.generator) == 12
+        _assert_same_training(trainer, reference)
+
+    @pytest.mark.parametrize("name", ALL_ARCHITECTURES)
+    @pytest.mark.parametrize("steps", [6, 7])
+    def test_budget_cuts_the_reference_loop(self, config, tiny_dataset,
+                                            steps, name):
+        """A budget at or one step past a pass boundary draws no shuffle
+        for a pass it does not reach."""
+        trainer, reference = (_trainer(config, tiny_dataset, name)
+                              for _ in range(2))
+        trainer.train(steps=steps)
+        _reference_training(reference, cut=steps)
+        assert len(trainer.history.generator) == steps
+        _assert_same_training(trainer, reference)
+
+    def test_budget_outlasts_config_epochs(self, config, tiny_dataset):
+        trainer = _trainer(config, tiny_dataset)
+        trainer.train(steps=15)
+        assert len(trainer.history.generator) == 15
+        assert len(trainer.history.discriminator) == 15
+
+    @pytest.mark.parametrize("steps", [0, -3])
+    def test_rejects_nonpositive_budget(self, config, tiny_dataset, steps):
+        trainer = _trainer(config, tiny_dataset)
+        state = trainer.rng.bit_generator.state
+        with pytest.raises(ValueError, match="steps"):
+            trainer.train(steps=steps)
+        assert trainer.history.generator == []
+        assert trainer.rng.bit_generator.state == state
+
+    def test_verbose_prints_each_pass_means(self, config, tiny_dataset,
+                                            capsys):
+        trainer = _trainer(config, tiny_dataset)
+        trainer.train(steps=7, verbose=True)
+        lines = capsys.readouterr().out.splitlines()
+        assert [line.split("]")[0] for line in lines] == [
+            "[epoch 1/2", "[epoch 2/2, 1/6 steps"]
+        steps = trainer.history.generator
+        for line, pass_steps in zip(lines, (steps[:6], steps[6:])):
+            fields = dict(item.split("=")
+                          for item in line.split("] ")[1].split(", "))
+            assert {"g_total", "d_total"} <= set(fields)
+            mean = np.mean([step["g_total"] for step in pass_steps])
+            assert fields["g_total"] == f"{mean:.4f}"
 
 
 class TestGenerativeChannelSampling:

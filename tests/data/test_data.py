@@ -169,23 +169,26 @@ class TestNormalizers:
 
 
 class TestBatchIterator:
-    def test_number_of_batches(self, dataset, rng):
-        iterator = BatchIterator(dataset, batch_size=5, rng=rng)
-        assert len(iterator) == 4  # 16 arrays -> 3 full batches + 1 partial
+    @pytest.mark.parametrize("batch_size", [1, 4, 5, 15, 16, 17])
+    def test_number_of_batches(self, dataset, rng, batch_size):
+        """``len`` is the batches of one pass, which the trainer sizes its
+        passes by: 16 arrays, the last batch partial if need be."""
+        iterator = BatchIterator(dataset, batch_size=batch_size, rng=rng)
+        assert len(iterator) == -(-16 // batch_size)
+        assert len(iterator) == sum(1 for _ in iterator)
 
-    def test_drop_last(self, dataset, rng):
-        iterator = BatchIterator(dataset, batch_size=5, drop_last=True, rng=rng)
-        assert len(iterator) == 3
-        assert all(batch[0].shape[0] == 5 for batch in iterator)
+    def test_final_batch_holds_the_remainder(self, dataset, rng):
+        iterator = BatchIterator(dataset, batch_size=5, rng=rng)
+        assert [batch[0].shape[0] for batch in iterator] == [5, 5, 5, 1]
 
     def test_batches_cover_dataset(self, dataset, rng):
-        iterator = BatchIterator(dataset, batch_size=4, shuffle=True, rng=rng)
+        iterator = BatchIterator(dataset, batch_size=4, rng=rng)
         seen = sum(batch[0].shape[0] for batch in iterator)
         assert seen == len(dataset)
 
     def test_batch_components_aligned(self, dataset, rng):
         """Every (PL, VL, P/E) triple in a batch must stay paired."""
-        iterator = BatchIterator(dataset, batch_size=3, shuffle=True, rng=rng)
+        iterator = BatchIterator(dataset, batch_size=3, rng=rng)
         originals = {dataset.program_levels[i].tobytes():
                      (dataset.voltages[i].tobytes(), dataset.pe_cycles[i])
                      for i in range(len(dataset))}
@@ -195,10 +198,20 @@ class TestBatchIterator:
                 assert voltage.tobytes() == expected_voltage
                 assert pe == expected_pe
 
-    def test_no_shuffle_preserves_order(self, dataset):
-        iterator = BatchIterator(dataset, batch_size=16, shuffle=False)
-        programs, _, _ = next(iter(iterator))
-        np.testing.assert_array_equal(programs, dataset.program_levels)
+    def test_each_pass_shuffles_when_it_starts(self, dataset):
+        """A pass draws its order from the generator at its first batch."""
+        iterator = BatchIterator(dataset, batch_size=16,
+                                 rng=np.random.default_rng(4))
+        reference = np.random.default_rng(4)
+        state = iterator.rng.bit_generator.state
+        iter(iterator)
+        assert iterator.rng.bit_generator.state == state
+        for _ in range(2):
+            order = np.arange(len(dataset))
+            reference.shuffle(order)
+            programs, _, _ = next(iter(iterator))
+            np.testing.assert_array_equal(programs,
+                                          dataset.program_levels[order])
 
     def test_rejects_empty_dataset(self):
         empty = FlashChannelDataset(np.zeros((0, 4, 4), dtype=int),

@@ -148,7 +148,7 @@ class TestConstruction:
     def test_generator_divides_codewords(self, bch_15_7):
         message = np.ones(bch_15_7.k, dtype=int)
         codeword = bch_15_7.encode(message)
-        assert bch_15_7.is_codeword(codeword)
+        assert not any(_reference_syndromes(bch_15_7, codeword))
 
 
 class TestEncoding:
@@ -232,7 +232,8 @@ class TestDecoding:
                 detected_failures += 1
             else:
                 # Any successful decode must at least return a codeword.
-                assert bch_15_7.is_codeword(result.codeword)
+                assert not any(_reference_syndromes(bch_15_7,
+                                                    result.codeword))
         assert detected_failures > 0
 
     @settings(max_examples=30, deadline=None)
@@ -310,8 +311,6 @@ class TestBatchedCodec:
             bch_15_7.decode_batch(np.zeros(bch_15_7.n, dtype=int))
         with pytest.raises(ValueError):
             bch_15_7.decode_batch(np.zeros((2, bch_15_7.n - 1), dtype=int))
-        with pytest.raises(ValueError):
-            bch_15_7.is_codeword(np.zeros(3, dtype=int))
 
     @settings(max_examples=40, deadline=None)
     @given(data=st.data())

@@ -309,14 +309,6 @@ class TestEndToEndEvaluation:
         assert (rng.bit_generator.state,
                 channel.rng.bit_generator.state) == states
 
-    def test_frames_failed_property(self):
-        from repro.ecc.evaluate import CodewordChannelResult
-        result = CodewordChannelResult(pe_cycles=4000, codewords=10,
-                                       raw_bit_error_rate=0.01,
-                                       frame_error_rate=0.2,
-                                       post_correction_bit_error_rate=0.0)
-        assert result.frames_failed == 2
-
 
 class TestSeededDensityTable:
     """The LDPC campaign's default table: built by

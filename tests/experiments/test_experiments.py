@@ -9,6 +9,7 @@ full-quality numbers.
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -308,7 +309,7 @@ class TestFig6:
 class TestRemark3:
     @pytest.fixture(scope="class")
     def result(self, channel):
-        config = ModelConfig.tiny()
+        config = replace(ModelConfig.tiny(), epochs=1)
         dataset = generate_paired_dataset(channel, pe_cycles=(4000,),
                                           arrays_per_pe=16, array_size=8)
         from repro.data import crop_blocks
@@ -316,8 +317,7 @@ class TestRemark3:
         evaluation = {4000: (crop_blocks(program, 8),
                              crop_blocks(voltages, 8))}
         return run_remark3(dataset, evaluation, config,
-                           architectures=("cvae_gan", "cvae"), epochs=1,
-                           seed=3)
+                           architectures=("cvae_gan", "cvae"), seed=3)
 
     def test_requested_architectures_present(self, result):
         assert set(result.tv_distances) == {"cvae_gan", "cvae"}

@@ -219,8 +219,8 @@ def trained_channel(tiny_dataset):
     with use_backend("numpy"):
         model = build_model("cvae_gan", ModelConfig.tiny(),
                             rng=np.random.default_rng(31))
-        Trainer(model, tiny_dataset, rng=np.random.default_rng(32),
-                max_steps_per_epoch=3).train(epochs=1)
+        Trainer(model, tiny_dataset,
+                rng=np.random.default_rng(32)).train(steps=3)
     return GenerativeChannel(model, rng=np.random.default_rng(33))
 
 

@@ -172,17 +172,11 @@ UNARY_RULES = {
     "relu": (lambda t: t.relu(), lambda x, y: (x > 0).astype(x.dtype)),
     "tanh": (lambda t: t.tanh(), lambda x, y: 1.0 - y * y),
     "exp": (lambda t: t.exp(), lambda x, y: y),
-    "square": (lambda t: t ** 2, lambda x, y: 2.0 * x),
-    "cube": (lambda t: t ** 3, lambda x, y: 3.0 * x * x),
-    "neg": (lambda t: -t, lambda x, y: np.full_like(x, -1.0)),
+    "mul_self": (lambda t: t * t, lambda x, y: 2.0 * x),
     "mul_scalar": (lambda t: t * 0.5, lambda x, y: np.full_like(x, 0.5)),
     "rmul_scalar": (lambda t: 2.0 * t, lambda x, y: np.full_like(x, 2.0)),
-    "div_scalar": (lambda t: t / 3.0,
-                   lambda x, y: np.full_like(x, 1.0 / 3.0)),
+    "add_self": (lambda t: t + t, lambda x, y: np.full_like(x, 2.0)),
     "add_scalar": (lambda t: t + 1.5, lambda x, y: np.ones_like(x)),
-    "radd_scalar": (lambda t: 1.5 + t, lambda x, y: np.ones_like(x)),
-    "sub_scalar": (lambda t: t - 1.5, lambda x, y: np.ones_like(x)),
-    "rsub_scalar": (lambda t: 1.0 - t, lambda x, y: np.full_like(x, -1.0)),
 }
 
 

@@ -87,7 +87,7 @@ class TestAdam:
         parameters = [Tensor(np.ones(2), requires_grad=True),
                       Tensor(np.ones(3), requires_grad=True)]
         optimizer = Adam(parameters)
-        sum(p.sum() for p in parameters).backward()
+        (parameters[0].sum() + parameters[1].sum()).backward()
         assert all(p.grad is not None for p in parameters)
         optimizer.zero_grad()
         assert all(p.grad is None for p in parameters)
