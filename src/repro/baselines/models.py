@@ -147,11 +147,6 @@ class StatisticalChannelModel:
         centers, probabilities = self._erased_histograms[key]
         return rng.choice(centers, size=count, p=probabilities)
 
-    def total_kl(self, pe_cycles: float) -> float:
-        """Sum of the fitted KL divergences over programmed levels."""
-        fits = self._require_fit(pe_cycles)
-        return float(sum(fit["kl"] for fit in fits.values()))
-
     # ------------------------------------------------------------------ #
     # Fitted-state round-trip (the on-disk model zoo, repro.artifacts)
     # ------------------------------------------------------------------ #

@@ -9,7 +9,9 @@ paper's evaluation protocol).
 Models take plain arrays: integer program levels and normalised voltages of
 shape ``(N, H, W)``, and normalised P/E cycle counts of shape ``(N,)``.  They
 build their network tensors at the model dtype themselves, the levels
-through :func:`repro.core.pe_encoding.encode_levels`.
+through :func:`repro.core.pe_encoding.encode_levels`: sampling from the
+arrays directly, training through one :class:`TrainingBatch` per step that
+both of the step's losses read.
 """
 
 from __future__ import annotations
@@ -17,10 +19,41 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.config import ModelConfig
+from repro.core.encoder import ResNetEncoder
 from repro.core.pe_encoding import encode_levels
 from repro.nn import Module, Tensor
 
-__all__ = ["ConditionalGenerativeModel"]
+__all__ = ["ConditionalGenerativeModel", "TrainingBatch"]
+
+
+class TrainingBatch:
+    """One training step's mini-batch as network tensors at the model dtype.
+
+    :meth:`ConditionalGenerativeModel.training_batch` builds it, and the
+    trainer builds one per step and hands it to both of the step's losses.
+    It holds the encoded program levels ``(N, LEVEL_CHANNELS, H, W)``, the
+    normalised voltages as one ``(N, 1, H, W)`` channel and the normalised
+    P/E counts ``(N,)``, and, once a loss has asked for it, the encoder's
+    posterior on the real voltages (:meth:`posterior`), so a step encodes
+    its batch once.  A batch serves one step: its posterior is a graph on
+    that step's weights.
+    """
+
+    __slots__ = ("levels", "voltages", "pe_normalized", "_posterior")
+
+    def __init__(self, levels: Tensor, voltages: Tensor,
+                 pe_normalized: np.ndarray):
+        self.levels = levels
+        self.voltages = voltages
+        self.pe_normalized = pe_normalized
+        self._posterior: tuple[Tensor, Tensor] | None = None
+
+    def posterior(self, encoder: ResNetEncoder) -> tuple[Tensor, Tensor]:
+        """``(mu, logvar)`` of ``encoder`` on the batch's voltages: the
+        first call runs the encoder, every later call returns its nodes."""
+        if self._posterior is None:
+            self._posterior = encoder(self.voltages, self.pe_normalized)
+        return self._posterior
 
 
 class ConditionalGenerativeModel(Module):
@@ -53,26 +86,26 @@ class ConditionalGenerativeModel(Module):
     # ------------------------------------------------------------------ #
     # Losses
     # ------------------------------------------------------------------ #
-    def generator_loss(self, program_levels: np.ndarray,
-                       voltages: np.ndarray, pe_normalized: np.ndarray,
-                       rng: np.random.Generator) -> tuple[Tensor, dict[str, float]]:
+    def training_batch(self, program_levels: np.ndarray,
+                       voltages: np.ndarray,
+                       pe_normalized: np.ndarray) -> TrainingBatch:
+        """A step's batch for the losses: integer program levels and
+        normalised voltages ``(N, H, W)``, normalised P/E counts ``(N,)``."""
+        dtype = self.dtype
+        volts = np.asarray(voltages)[:, None].astype(dtype, copy=False)
+        return TrainingBatch(Tensor(encode_levels(program_levels, dtype)),
+                             Tensor(volts), pe_normalized)
+
+    def generator_loss(self, batch: TrainingBatch, rng: np.random.Generator
+                       ) -> tuple[Tensor, dict[str, float]]:
         """Loss minimised by the generator (and encoder, where present)."""
         raise NotImplementedError
 
-    def discriminator_loss(self, program_levels: np.ndarray,
-                           voltages: np.ndarray, pe_normalized: np.ndarray,
+    def discriminator_loss(self, batch: TrainingBatch,
                            rng: np.random.Generator
                            ) -> tuple[Tensor, dict[str, float]] | None:
         """Loss minimised by the discriminator, or ``None`` if there is none."""
         return None
-
-    def _network_inputs(self, program_levels: np.ndarray,
-                        voltages: np.ndarray) -> tuple[Tensor, Tensor]:
-        """A loss batch as network tensors at the model dtype: the encoded
-        levels and the voltages as one ``(N, 1, H, W)`` channel."""
-        dtype = self.dtype
-        volts = np.asarray(voltages)[:, None].astype(dtype, copy=False)
-        return Tensor(encode_levels(program_levels, dtype)), Tensor(volts)
 
     # ------------------------------------------------------------------ #
     # Sampling

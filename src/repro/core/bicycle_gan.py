@@ -7,6 +7,14 @@ BicycleGAN combines two cycles:
 * the **cLR-GAN** cycle (z -> VL~ -> z~): a latent vector drawn from the
   prior is decoded and then re-estimated by the encoder, with an l1 latent
   regression loss encouraging the generator to keep the latent information.
+
+As for the cVAE-GAN, a training step encodes the real voltages once: the
+discriminator step computes the batch's posterior
+(:meth:`~repro.core.base.TrainingBatch.posterior`) with gradients on and
+samples both fakes under ``no_grad``; the generator step samples the same
+posterior again and back-propagates through it, with the discriminator
+frozen.  The cLR-GAN cycle's encoder pass, on the generated voltages, is
+the step's only other encoder forward.
 """
 
 from __future__ import annotations
@@ -54,23 +62,22 @@ class BicycleGAN(ConditionalGenerativeModel):
     def discriminator_parameters(self):
         return self.discriminator.parameters()
 
-    def generator_loss(self, program_levels, voltages, pe_normalized, rng):
-        program_levels, voltages = self._network_inputs(program_levels,
-                                                        voltages)
+    def generator_loss(self, batch, rng):
+        """Both cycles' generator/encoder losses."""
+        levels, pe_normalized = batch.levels, batch.pe_normalized
         # --- cVAE-GAN cycle: encode the real voltages, reconstruct them. ---
-        mu, logvar = self.encoder(voltages, pe_normalized)
+        mu, logvar = batch.posterior(self.encoder)
         encoded_latent = self.encoder.sample_latent(mu, logvar, rng)
-        reconstructed = self.generator(program_levels, pe_normalized,
-                                       encoded_latent)
-        vae_logits = self.discriminator(program_levels, reconstructed)
+        reconstructed = self.generator(levels, pe_normalized, encoded_latent)
+        vae_logits = self.discriminator(levels, reconstructed)
         vae_adversarial = bce_with_logits_loss(vae_logits, 1.0)
-        reconstruction = mse_loss(reconstructed, voltages)
+        reconstruction = mse_loss(reconstructed, batch.voltages)
         kl = gaussian_kl_loss(mu, logvar)
 
         # --- cLR-GAN cycle: decode a prior latent, then recover it. ---
-        prior_latent = self.prior_latent(program_levels.shape[0], rng)
-        generated = self.generator(program_levels, pe_normalized, prior_latent)
-        lr_logits = self.discriminator(program_levels, generated)
+        prior_latent = self.prior_latent(levels.shape[0], rng)
+        generated = self.generator(levels, pe_normalized, prior_latent)
+        lr_logits = self.discriminator(levels, generated)
         lr_adversarial = bce_with_logits_loss(lr_logits, 1.0)
         recovered_mu = self.encoder.mean(generated, pe_normalized)
         latent_regression = l1_loss(recovered_mu, prior_latent)
@@ -88,22 +95,21 @@ class BicycleGAN(ConditionalGenerativeModel):
         }
         return total, stats
 
-    def discriminator_loss(self, program_levels, voltages, pe_normalized, rng):
-        program_levels, voltages = self._network_inputs(program_levels,
-                                                        voltages)
+    def discriminator_loss(self, batch, rng):
+        """The discriminator's BCE on the real pair (weighted twice) and on
+        both cycles' fakes, drawn under ``no_grad``."""
+        levels, pe_normalized = batch.levels, batch.pe_normalized
+        mu, logvar = batch.posterior(self.encoder)
         with no_grad():
-            mu, logvar = self.encoder(voltages, pe_normalized)
             encoded_latent = self.encoder.sample_latent(mu, logvar, rng)
-            reconstructed = self.generator(program_levels, pe_normalized,
+            reconstructed = self.generator(levels, pe_normalized,
                                            encoded_latent)
-            prior_latent = self.prior_latent(program_levels.shape[0], rng)
-            generated = self.generator(program_levels, pe_normalized,
-                                       prior_latent)
-        real_logits = self.discriminator(program_levels, voltages)
-        fake_vae_logits = self.discriminator(program_levels,
+            prior_latent = self.prior_latent(levels.shape[0], rng)
+            generated = self.generator(levels, pe_normalized, prior_latent)
+        real_logits = self.discriminator(levels, batch.voltages)
+        fake_vae_logits = self.discriminator(levels,
                                              Tensor(reconstructed.numpy()))
-        fake_lr_logits = self.discriminator(program_levels,
-                                            Tensor(generated.numpy()))
+        fake_lr_logits = self.discriminator(levels, Tensor(generated.numpy()))
         loss = 2.0 * bce_with_logits_loss(real_logits, 1.0) \
             + bce_with_logits_loss(fake_vae_logits, 0.0) \
             + bce_with_logits_loss(fake_lr_logits, 0.0)

@@ -46,14 +46,12 @@ class ConditionalGAN(ConditionalGenerativeModel):
     def discriminator_parameters(self):
         return self.discriminator.parameters()
 
-    def generator_loss(self, program_levels, voltages, pe_normalized, rng):
-        program_levels, voltages = self._network_inputs(program_levels,
-                                                        voltages)
-        latent = self.prior_latent(program_levels.shape[0], rng)
-        fake = self.generator(program_levels, pe_normalized, latent)
-        logits = self.discriminator(program_levels, fake)
+    def generator_loss(self, batch, rng):
+        latent = self.prior_latent(batch.levels.shape[0], rng)
+        fake = self.generator(batch.levels, batch.pe_normalized, latent)
+        logits = self.discriminator(batch.levels, fake)
         adversarial = bce_with_logits_loss(logits, 1.0)
-        reconstruction = mse_loss(fake, voltages)
+        reconstruction = mse_loss(fake, batch.voltages)
         total = adversarial + self.config.alpha * reconstruction
         stats = {
             "g_adversarial": adversarial.item(),
@@ -62,14 +60,12 @@ class ConditionalGAN(ConditionalGenerativeModel):
         }
         return total, stats
 
-    def discriminator_loss(self, program_levels, voltages, pe_normalized, rng):
-        program_levels, voltages = self._network_inputs(program_levels,
-                                                        voltages)
+    def discriminator_loss(self, batch, rng):
         with no_grad():
-            latent = self.prior_latent(program_levels.shape[0], rng)
-            fake = self.generator(program_levels, pe_normalized, latent)
-        real_logits = self.discriminator(program_levels, voltages)
-        fake_logits = self.discriminator(program_levels, Tensor(fake.numpy()))
+            latent = self.prior_latent(batch.levels.shape[0], rng)
+            fake = self.generator(batch.levels, batch.pe_normalized, latent)
+        real_logits = self.discriminator(batch.levels, batch.voltages)
+        fake_logits = self.discriminator(batch.levels, Tensor(fake.numpy()))
         loss = bce_with_logits_loss(real_logits, 1.0) \
             + bce_with_logits_loss(fake_logits, 0.0)
         return loss, {"d_total": loss.item()}

@@ -38,13 +38,11 @@ class ConditionalVAE(ConditionalGenerativeModel):
     def generator_parameters(self):
         return self.generator.parameters() + self.encoder.parameters()
 
-    def generator_loss(self, program_levels, voltages, pe_normalized, rng):
-        program_levels, voltages = self._network_inputs(program_levels,
-                                                        voltages)
-        mu, logvar = self.encoder(voltages, pe_normalized)
+    def generator_loss(self, batch, rng):
+        mu, logvar = batch.posterior(self.encoder)
         latent = self.encoder.sample_latent(mu, logvar, rng)
-        fake = self.generator(program_levels, pe_normalized, latent)
-        reconstruction = mse_loss(fake, voltages)
+        fake = self.generator(batch.levels, batch.pe_normalized, latent)
+        reconstruction = mse_loss(fake, batch.voltages)
         kl = gaussian_kl_loss(mu, logvar)
         total = self.config.alpha * reconstruction + self.config.beta * kl
         stats = {

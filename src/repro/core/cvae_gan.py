@@ -7,6 +7,15 @@ sample and the P/E features, and the PatchGAN discriminator judges (PL, VL)
 pairs.  The training objective is
 
     min_{Gen, Enc} max_{Dis}  L_GAN + alpha * L_recon + beta * L_KL
+
+Training alternates a discriminator step and a generator/encoder step on
+each batch (:meth:`repro.core.trainer.Trainer.train_step`), and both read
+one :class:`~repro.core.base.TrainingBatch`.  The discriminator step
+encodes the real voltages once, with gradients on, and draws its fake's
+latent from that posterior under ``no_grad``; the generator step draws its
+own latent from the same posterior nodes and back-propagates through them,
+with the discriminator frozen.  The BicycleGAN reference implementation
+runs one forward per iteration for its two updates the same way.
 """
 
 from __future__ import annotations
@@ -59,22 +68,17 @@ class ConditionalVAEGAN(ConditionalGenerativeModel):
     # ------------------------------------------------------------------ #
     # Losses
     # ------------------------------------------------------------------ #
-    def _posterior_sample(self, voltages: Tensor, pe_normalized: np.ndarray,
-                          rng: np.random.Generator
-                          ) -> tuple[Tensor, Tensor, Tensor]:
-        mu, logvar = self.encoder(voltages, pe_normalized)
+    def generator_loss(self, batch, rng):
+        """Eq. (1) for the generator and encoder: the discriminator's verdict
+        on the reconstruction from a posterior sample, plus ``alpha`` times
+        its MSE and ``beta`` times the posterior's KL to the prior."""
+        mu, logvar = batch.posterior(self.encoder)
         latent = self.encoder.sample_latent(mu, logvar, rng)
-        return latent, mu, logvar
-
-    def generator_loss(self, program_levels, voltages, pe_normalized, rng):
-        program_levels, voltages = self._network_inputs(program_levels,
-                                                        voltages)
-        latent, mu, logvar = self._posterior_sample(voltages, pe_normalized, rng)
-        fake = self.generator(program_levels, pe_normalized, latent)
-        logits = self.discriminator(program_levels, fake)
+        fake = self.generator(batch.levels, batch.pe_normalized, latent)
+        logits = self.discriminator(batch.levels, fake)
 
         adversarial = bce_with_logits_loss(logits, 1.0)
-        reconstruction = mse_loss(fake, voltages)
+        reconstruction = mse_loss(fake, batch.voltages)
         kl = gaussian_kl_loss(mu, logvar)
         total = adversarial + self.config.alpha * reconstruction \
             + self.config.beta * kl
@@ -86,14 +90,15 @@ class ConditionalVAEGAN(ConditionalGenerativeModel):
         }
         return total, stats
 
-    def discriminator_loss(self, program_levels, voltages, pe_normalized, rng):
-        program_levels, voltages = self._network_inputs(program_levels,
-                                                        voltages)
+    def discriminator_loss(self, batch, rng):
+        """The discriminator's BCE on the real pair and on a reconstruction
+        from a posterior sample drawn under ``no_grad``."""
+        mu, logvar = batch.posterior(self.encoder)
         with no_grad():
-            latent, _, _ = self._posterior_sample(voltages, pe_normalized, rng)
-            fake = self.generator(program_levels, pe_normalized, latent)
-        real_logits = self.discriminator(program_levels, voltages)
-        fake_logits = self.discriminator(program_levels, Tensor(fake.numpy()))
+            latent = self.encoder.sample_latent(mu, logvar, rng)
+            fake = self.generator(batch.levels, batch.pe_normalized, latent)
+        real_logits = self.discriminator(batch.levels, batch.voltages)
+        fake_logits = self.discriminator(batch.levels, Tensor(fake.numpy()))
         real_loss = bce_with_logits_loss(real_logits, 1.0)
         fake_loss = bce_with_logits_loss(fake_logits, 0.0)
         loss = real_loss + fake_loss

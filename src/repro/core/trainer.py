@@ -5,13 +5,17 @@ paired dataset.  Each step normalises a mini-batch's voltages and P/E cycle
 counts (the model encodes the integer program levels itself) and performs
 one discriminator step (when the architecture has a discriminator) followed
 by one generator/encoder step, both with Adam at the configured learning
-rate.
+rate.  The two steps share one :class:`~repro.core.base.TrainingBatch`, so
+the batch is encoded once, and the generator step runs with the
+discriminator frozen.
 """
 
 from __future__ import annotations
 
+import contextlib
 from dataclasses import dataclass, field
 from itertools import islice
+from typing import Sequence
 
 import numpy as np
 
@@ -20,7 +24,7 @@ from repro.data.dataset import FlashChannelDataset
 from repro.data.loaders import BatchIterator
 from repro.data.normalize import VoltageNormalizer
 from repro.flash.params import FlashParameters
-from repro.nn import Adam
+from repro.nn import Adam, Tensor
 
 __all__ = ["TrainingHistory", "Trainer"]
 
@@ -50,6 +54,20 @@ class TrainingHistory:
         if last_n is not None:
             values = values[-last_n:]
         return float(np.mean(values))
+
+
+@contextlib.contextmanager
+def _frozen(parameters: Sequence[Tensor]):
+    """Turn ``requires_grad`` off on ``parameters`` for the block, and
+    restore each flag on exit, also when the block raises."""
+    flags = [parameter.requires_grad for parameter in parameters]
+    for parameter in parameters:
+        parameter.requires_grad = False
+    try:
+        yield
+    finally:
+        for parameter, flag in zip(parameters, flags):
+            parameter.requires_grad = flag
 
 
 class Trainer:
@@ -82,27 +100,38 @@ class Trainer:
     # ------------------------------------------------------------------ #
     def train_step(self, program_levels: np.ndarray, voltages: np.ndarray,
                    pe_cycles: np.ndarray) -> dict[str, float]:
-        """One optimisation step on a single mini-batch, in train mode."""
+        """One optimisation step on a single mini-batch, in train mode.
+
+        The model turns the mini-batch into one
+        :class:`~repro.core.base.TrainingBatch`, which both losses read: an
+        encoder's posterior on the real voltages is computed once, by the
+        discriminator step where there is one, and the generator step
+        back-propagates through it.  The generator step runs with the
+        discriminator's parameters frozen, so its backward reaches the
+        discriminator's input but none of its weights, and their gradients
+        stay the discriminator step's.  Each optimizer clears its own
+        parameters' gradients before its backward.
+        """
         self.model.train()
-        volts = self.voltage_normalizer.normalize(voltages)
-        pe_normalized = self.params.normalized_wear(pe_cycles)
+        batch = self.model.training_batch(
+            program_levels, self.voltage_normalizer.normalize(voltages),
+            self.params.normalized_wear(pe_cycles))
         stats: dict[str, float] = {}
 
-        if self.discriminator_optimizer is not None:
-            loss, d_stats = self.model.discriminator_loss(
-                program_levels, volts, pe_normalized, self.rng)
-            self.discriminator_optimizer.zero_grad()
-            self.model.zero_grad()
+        discriminator = self.discriminator_optimizer
+        if discriminator is not None:
+            loss, d_stats = self.model.discriminator_loss(batch, self.rng)
+            discriminator.zero_grad()
             loss.backward()
-            self.discriminator_optimizer.step()
+            discriminator.step()
             self.history.discriminator.append(d_stats)
             stats.update(d_stats)
 
-        loss, g_stats = self.model.generator_loss(
-            program_levels, volts, pe_normalized, self.rng)
-        self.generator_optimizer.zero_grad()
-        self.model.zero_grad()
-        loss.backward()
+        with _frozen(() if discriminator is None
+                     else discriminator.parameters):
+            loss, g_stats = self.model.generator_loss(batch, self.rng)
+            self.generator_optimizer.zero_grad()
+            loss.backward()
         self.generator_optimizer.step()
         self.history.generator.append(g_stats)
         stats.update(g_stats)

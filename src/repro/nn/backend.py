@@ -247,6 +247,18 @@ class ArrayBackend:
     @profiled_kernel("matmul")
     def matmul(self, a: np.ndarray, b: np.ndarray,
                out: np.ndarray | None = None) -> np.ndarray:
+        """``np.matmul(a, b, out=out)``.
+
+        A product whose contracted dimension is 1 is an outer product per
+        stacked matrix (the innermost conv layers' weight gradients, the
+        PatchGAN head's input gradient): NumPy runs it in its non-BLAS
+        loop, so it is taken as the broadcast ``np.multiply`` of the
+        operands instead.  Each element is the same rounded product either
+        way; only a zero product's sign can differ, as the loop adds the
+        product to ``+0.0``.
+        """
+        if a.ndim >= 2 and b.ndim >= 2 and a.shape[-1] == 1 == b.shape[-2]:
+            return np.multiply(a, b, out=out)
         return np.matmul(a, b, out=out)
 
     # ------------------------------------------------------------------ #

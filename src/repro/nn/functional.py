@@ -78,8 +78,10 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None,
     # The column matrix is the largest allocation of the forward pass; it
     # must be fresh only when backward will actually read it — the weight
     # gradient is its sole backward consumer, so graph-free paths *and*
-    # frozen-weight convs (the GAN's alternating phases) recycle arena
-    # scratch.  The freeze decision is snapshot at forward time.
+    # frozen-weight convs recycle arena scratch.  The trainer freezes the
+    # discriminator for the generator step: there its convs take arena
+    # columns and their backward computes the input gradient alone.  The
+    # freeze decision is snapshot at forward time.
     weight_needs = needs_graph and weight.requires_grad
     out_data, cols = conv2d_data(x.data, weight.data,
                                  None if bias is None else bias.data,

@@ -116,11 +116,6 @@ class Module:
         for parameter in self.parameters():
             parameter.zero_grad()
 
-    def requires_grad_(self, requires: bool = True) -> "Module":
-        for parameter in self.parameters():
-            parameter.requires_grad = requires
-        return self
-
     # ------------------------------------------------------------------ #
     # Precision
     # ------------------------------------------------------------------ #

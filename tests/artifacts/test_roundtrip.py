@@ -132,8 +132,6 @@ class TestBaselineRoundtrip:
         np.testing.assert_array_equal(
             restored.model.pdf(1, 4000.0, grid),
             gaussian_channel.model.pdf(1, 4000.0, grid))
-        assert restored.model.total_kl(10000.0) \
-            == gaussian_channel.model.total_kl(10000.0)
 
     def test_probe_replay(self, tmp_path, gaussian_channel):
         path = tmp_path / "gaussian"

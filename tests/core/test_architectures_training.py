@@ -21,19 +21,21 @@ from repro.core import (
 )
 from repro.data import BatchIterator
 from repro.flash.cell import NUM_LEVELS
+from repro.nn import no_grad
 
 ALL_ARCHITECTURES = ("cvae_gan", "cgan", "cvae", "bicycle_gan")
 
 
-def _batch(config, batch=4, rng=None):
-    """A loss batch as the trainer passes it: integer program levels and
-    normalised voltages, both ``(N, H, W)``, and normalised P/E counts."""
+def _batch(model, batch=4, rng=None):
+    """A loss batch as the trainer builds it, from integer program levels
+    and normalised voltages, both ``(N, H, W)``, and normalised P/E
+    counts."""
     rng = rng if rng is not None else np.random.default_rng(0)
-    size = config.array_size
+    size = model.config.array_size
     program = rng.integers(0, NUM_LEVELS, size=(batch, size, size))
     voltages = rng.uniform(-1, 1, size=(batch, size, size))
     pe = rng.uniform(0.3, 1.0, size=batch)
-    return program, voltages, pe
+    return model.training_batch(program, voltages, pe)
 
 
 class TestZoo:
@@ -63,23 +65,21 @@ class TestArchitectureLosses:
     @pytest.mark.parametrize("name", ALL_ARCHITECTURES)
     def test_generator_loss_finite_and_reported(self, name, tiny_config, rng):
         model = build_model(name, tiny_config, rng=rng)
-        program, voltages, pe = _batch(tiny_config)
-        loss, stats = model.generator_loss(program, voltages, pe, rng)
+        loss, stats = model.generator_loss(_batch(model), rng)
         assert np.isfinite(loss.item())
         assert stats["g_total"] == pytest.approx(loss.item())
 
     @pytest.mark.parametrize("name", ["cvae_gan", "cgan", "bicycle_gan"])
     def test_discriminator_loss_finite(self, name, tiny_config, rng):
         model = build_model(name, tiny_config, rng=rng)
-        program, voltages, pe = _batch(tiny_config)
-        loss, stats = model.discriminator_loss(program, voltages, pe, rng)
+        loss, stats = model.discriminator_loss(_batch(model), rng)
         assert np.isfinite(loss.item())
         assert "d_total" in stats
 
     def test_cvae_has_no_discriminator(self, tiny_config, rng):
         model = build_model("cvae", tiny_config, rng=rng)
         assert not model.has_discriminator
-        assert model.discriminator_loss(*_batch(tiny_config), rng) is None
+        assert model.discriminator_loss(_batch(model), rng) is None
 
     @pytest.mark.parametrize("name", ["cvae_gan", "cgan", "bicycle_gan"])
     def test_parameter_groups_disjoint(self, name, tiny_config, rng):
@@ -90,12 +90,12 @@ class TestArchitectureLosses:
 
     def test_cvae_gan_kl_term_in_stats(self, tiny_config, rng):
         model = build_model("cvae_gan", tiny_config, rng=rng)
-        _, stats = model.generator_loss(*_batch(tiny_config), rng)
+        _, stats = model.generator_loss(_batch(model), rng)
         assert "g_kl" in stats and "g_reconstruction" in stats
 
     def test_bicycle_gan_has_latent_regression(self, tiny_config, rng):
         model = build_model("bicycle_gan", tiny_config, rng=rng)
-        _, stats = model.generator_loss(*_batch(tiny_config), rng)
+        _, stats = model.generator_loss(_batch(model), rng)
         assert "g_latent_regression" in stats
 
     @pytest.mark.parametrize("name", ALL_ARCHITECTURES)
@@ -202,16 +202,16 @@ def _trainer(config, dataset, name="cvae_gan"):
     return Trainer(model, dataset, rng=np.random.default_rng(2))
 
 
-def _reference_training(trainer, cut=None):
+def _reference_training(trainer, cut=None, step=Trainer.train_step):
     """``config.epochs`` passes of a fresh :class:`BatchIterator` over the
-    trainer's generator, one ``train_step`` a batch, returning right after
-    step ``cut`` (so no later pass draws its shuffle)."""
+    trainer's generator, one ``step`` a batch, returning right after step
+    ``cut`` (so no later pass draws its shuffle)."""
     config = trainer.model.config
     taken = 0
     for _ in range(config.epochs):
         for batch in BatchIterator(trainer.dataset, config.batch_size,
                                    rng=trainer.rng):
-            trainer.train_step(*batch)
+            step(trainer, *batch)
             taken += 1
             if taken == cut:
                 return
@@ -287,6 +287,158 @@ class TestStepBudget:
             assert {"g_total", "d_total"} <= set(fields)
             mean = np.mean([step["g_total"] for step in pass_steps])
             assert fields["g_total"] == f"{mean:.4f}"
+
+
+def _encode_twice_step(trainer, program_levels, voltages, pe_cycles):
+    """A train step that encodes the batch twice: under ``no_grad`` for
+    the discriminator step's fake, then again for the generator step, with
+    no discriminator freeze and both optimizers' gradients cleared through
+    the model.  The encoder's running statistics are put back after the
+    first encode, so they take the one momentum update per step the
+    trainer's single encode gives them."""
+    model = trainer.model
+    model.train()
+
+    def batch():
+        return model.training_batch(
+            program_levels, trainer.voltage_normalizer.normalize(voltages),
+            trainer.params.normalized_wear(pe_cycles))
+
+    discriminator_batch = batch()
+    running = [(module, dict(module._buffers))
+               for module in model.encoder.modules()]
+    with no_grad():
+        discriminator_batch.posterior(model.encoder)
+    for module, buffers in running:
+        module._buffers.update(buffers)
+    loss, d_stats = model.discriminator_loss(discriminator_batch, trainer.rng)
+    trainer.discriminator_optimizer.zero_grad()
+    model.zero_grad()
+    loss.backward()
+    trainer.discriminator_optimizer.step()
+    trainer.history.discriminator.append(d_stats)
+
+    loss, g_stats = model.generator_loss(batch(), trainer.rng)
+    trainer.generator_optimizer.zero_grad()
+    model.zero_grad()
+    loss.backward()
+    trainer.generator_optimizer.step()
+    trainer.history.generator.append(g_stats)
+
+
+class TestSharedPosteriorStep:
+    """One encoder forward on the real voltages per step, and a frozen
+    discriminator in the generator step, change no value: the budget of 7
+    steps crosses the reshuffle after the first 6."""
+
+    @pytest.mark.parametrize("dtype", ["float32", "float64"])
+    @pytest.mark.parametrize("name", ["cvae_gan", "bicycle_gan"])
+    def test_matches_encoding_twice(self, tiny_config, tiny_dataset, name,
+                                    dtype):
+        config = replace(tiny_config, epochs=2, dtype=dtype)
+        trainer, reference = (_trainer(config, tiny_dataset, name)
+                              for _ in range(2))
+        trainer.train(steps=7)
+        _reference_training(reference, cut=7, step=_encode_twice_step)
+        assert len(trainer.history.discriminator) == 7
+        _assert_same_training(trainer, reference)
+
+    @pytest.mark.parametrize("name", ["cvae_gan", "cvae", "bicycle_gan"])
+    def test_one_encoder_forward_on_the_real_voltages(self, tiny_config,
+                                                      tiny_dataset, name):
+        trainer = _trainer(tiny_config, tiny_dataset, name)
+        encoder = trainer.model.encoder
+        inputs = []
+        features = encoder._features
+
+        def spy(voltages, pe_normalized):
+            inputs.append(voltages.data[:, 0].copy())
+            return features(voltages, pe_normalized)
+
+        encoder._features = spy
+        levels, voltages, pe_cycles = tiny_dataset[0:4]
+        real = trainer.voltage_normalizer.normalize(voltages)
+        for _ in range(3):
+            trainer.train_step(levels, voltages, pe_cycles)
+        real_encodes = sum(np.array_equal(seen, real.astype(seen.dtype))
+                           for seen in inputs)
+        assert real_encodes == 3
+        # BicycleGAN's latent regression encodes each step's generated fake.
+        assert len(inputs) == (6 if name == "bicycle_gan" else 3)
+
+    @pytest.mark.parametrize("name", ["cvae_gan", "cgan", "bicycle_gan"])
+    def test_discriminator_keeps_its_own_step_gradients(self, tiny_config,
+                                                        tiny_dataset, name):
+        trainer = _trainer(tiny_config, tiny_dataset, name)
+        optimizer = trainer.discriminator_optimizer
+        seen = {}
+        step = optimizer.step
+
+        def spy():
+            seen["grads"] = [parameter.grad.copy()
+                             for parameter in optimizer.parameters]
+            step()
+
+        optimizer.step = spy
+        trainer.train_step(*tiny_dataset[0:4])
+        for parameter, grad in zip(optimizer.parameters, seen["grads"]):
+            np.testing.assert_array_equal(parameter.grad, grad)
+        assert all(parameter.requires_grad
+                   for parameter in trainer.model.parameters())
+        assert all(parameter.grad is not None
+                   for parameter in trainer.model.generator_parameters())
+
+    def test_freeze_is_lifted_when_the_generator_loss_raises(
+            self, tiny_config, tiny_dataset):
+        trainer = _trainer(tiny_config, tiny_dataset)
+        model = trainer.model
+
+        def failing_loss(batch, rng):
+            assert not any(parameter.requires_grad
+                           for parameter in model.discriminator_parameters())
+            assert all(parameter.requires_grad
+                       for parameter in model.generator_parameters())
+            raise FloatingPointError("diverged")
+
+        model.generator_loss = failing_loss
+        with pytest.raises(FloatingPointError, match="diverged"):
+            trainer.train_step(*tiny_dataset[0:4])
+        assert all(parameter.requires_grad
+                   for parameter in model.parameters())
+
+
+@pytest.mark.parametrize("dtype", ["float32", "float64"])
+@pytest.mark.parametrize("name", ["cvae_gan", "cvae", "bicycle_gan"])
+def test_sampling_never_runs_the_encoder(name, dtype):
+    """Sampling draws its latent from the prior: an encoder of noise,
+    running statistics included, leaves every sample's bytes as they
+    were (so a change to the encoder's running statistics is invisible
+    to the channel)."""
+    model = build_model(name, replace(ModelConfig.tiny(), dtype=dtype),
+                        rng=np.random.default_rng(9))
+    program = np.random.default_rng(0).integers(0, NUM_LEVELS,
+                                                size=(3, 8, 8))
+
+    def reads():
+        channel = GenerativeChannel(model, rng=np.random.default_rng(10))
+        return (model.sample(program, np.full(3, 0.5),
+                             np.random.default_rng(4)),
+                channel.read_voltages(program, 7000),
+                channel.read_repeated(program[0], 4000, num_samples=3))
+
+    want = reads()
+    noise = np.random.default_rng(11)
+    state = model.state_dict()
+    encoder = [key for key in state
+               if key.startswith(("encoder.", "buffer:encoder."))]
+    assert any(key.endswith("running_var") for key in encoder)
+    for key in encoder:
+        state[key] = noise.uniform(0.5, 2.0, state[key].shape).astype(
+            state[key].dtype)
+    model.load_state_dict(state)
+    for got, expected in zip(reads(), want):
+        assert got.dtype == expected.dtype
+        assert got.tobytes() == expected.tobytes()
 
 
 class TestGenerativeChannelSampling:

@@ -90,6 +90,15 @@ class TestExperimentSetup:
         setup = ExperimentSetup(arrays_per_pe=4, pe_cycles=(4000,))
         assert setup.dataset() is setup.dataset()
 
+    def test_own_training_length_is_the_default_model(self):
+        """Passing the setup's own length trains no second model; another
+        length does."""
+        setup = ExperimentSetup(arrays_per_pe=2, pe_cycles=(4000,),
+                                training_epochs=1)
+        default = setup.train_generative_model("cvae")
+        assert setup.train_generative_model("cvae", epochs=1) is default
+        assert setup.train_generative_model("cvae", epochs=2) is not default
+
     def test_paper_pe_cycles_constant(self):
         assert PAPER_PE_CYCLES == (4000, 7000, 10000)
 

@@ -314,6 +314,39 @@ class TestBackendConformance:
         assert results[under_test].dtype == dtype
 
     @pytest.mark.parametrize("backend_name", CONFORMANCE_BACKENDS)
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_matmul_with_contracted_dimension_one(self, dtype, backend_name,
+                                                  cjit_backend):
+        """A product over a dimension of 1 (an outer product per stacked
+        matrix) gives ``np.matmul``'s values, shape and dtype: stacked,
+        broadcast 2-D x 3-D either way, on a transposed view, into
+        ``out``; a mismatched inner dimension still raises."""
+        backend = cjit_backend if backend_name == "cjit" \
+            else build_backend(backend_name)
+        rng = np.random.default_rng(9)
+
+        def operand(*shape):
+            values = rng.standard_normal(shape).astype(dtype)
+            values.flat[::4] = 0.0  # zero products, some of them -0.0
+            return values
+
+        cases = [(operand(3, 5, 1), operand(3, 1, 7)),
+                 (operand(5, 1), operand(3, 1, 7)),
+                 (operand(3, 5, 1), operand(1, 7)),
+                 (operand(5, 1), operand(1, 7)),
+                 (operand(3, 5, 1), operand(3, 7, 1).transpose(0, 2, 1))]
+        for a, b in cases:
+            want = np.matmul(a, b)
+            got = backend.matmul(a, b)
+            assert got.shape == want.shape and got.dtype == dtype
+            np.testing.assert_array_equal(got, want)
+            out = np.full_like(want, np.nan)
+            assert backend.matmul(a, b, out=out) is out
+            np.testing.assert_array_equal(out, want)
+        with pytest.raises(ValueError):
+            backend.matmul(operand(5, 1), operand(2, 7))
+
+    @pytest.mark.parametrize("backend_name", CONFORMANCE_BACKENDS)
     def test_ldpc_min_sum_rejects_malformed_indexes(self, backend_name,
                                                     cjit_backend):
         """The compiled decoder addresses memory with the padded indexes,

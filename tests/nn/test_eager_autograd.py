@@ -264,7 +264,8 @@ class TestFrozenPhases:
         rng = np.random.default_rng(14)
         generator = Conv2d(1, 2, 3, padding=1, rng=rng)
         discriminator = Conv2d(2, 1, 4, stride=2, padding=1, rng=rng)
-        discriminator.requires_grad_(False)
+        for parameter in discriminator.parameters():
+            parameter.requires_grad = False
         fake = generator(Tensor(rng.standard_normal((2, 1, 8, 8))))
         discriminator(fake).mean().backward()
         assert all(p.grad is None for p in discriminator.parameters())

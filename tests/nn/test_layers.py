@@ -66,11 +66,6 @@ class TestModule:
         model.zero_grad()
         assert all(p.grad is None for p in model.parameters())
 
-    def test_requires_grad_toggle(self, rng):
-        model = TinyModel(rng)
-        model.requires_grad_(False)
-        assert all(not p.requires_grad for p in model.parameters())
-
     def test_state_dict_roundtrip(self, rng):
         model = TinyModel(rng)
         other = TinyModel(np.random.default_rng(99))
