@@ -27,10 +27,11 @@ The package is organised as a stack of subsystems:
     ``SimulatorChannel`` is the simulator that provides the "measured"
     data.
 ``repro.exec``
-    The sharded Monte-Carlo execution engine: every sweep is a
+    The sharded Monte-Carlo execution engine of the BCH/LDPC campaigns: a
     ``MonteCarloPlan`` run over pluggable serial/process/remote executors
-    with per-unit seed splitting (bit-identical for any worker count) and
-    mergeable reducers.
+    with per-unit seed splitting (bit-identical for any worker count).  The
+    paper's figures and the time-aware code selection loop over their units
+    with the same per-unit generators (``unit_rng``).
 ``repro.eval``
     Evaluation metrics: conditional PDFs, divergences, level error counts and
     ICI pattern analysis.

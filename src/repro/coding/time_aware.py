@@ -25,7 +25,7 @@ import numpy as np
 from repro.channel import ChannelModel, ConditionCache, resolve_channel
 from repro.coding.capacity import rate_penalty
 from repro.coding.constrained import ICIConstrainedCode
-from repro.exec import MeanReducer, MonteCarloPlan, run_plan, stable_seed
+from repro.exec import stable_seed, unit_rng
 from repro.flash.cell import ERASED_LEVEL
 from repro.flash.errors import level_error_rate, per_level_error_rates
 
@@ -60,9 +60,10 @@ class ConstraintOperatingPoint:
         return self.high_level is None
 
 
-def _block_error_metric(unit, rng, *, channel, code, pe_cycles, metric):
+def _block_error_rate(channel, code, pe_cycles: float, metric: str,
+                      rng: np.random.Generator) -> float:
     """Error rate of one (optionally constrained) random block, hard-read at
-    the channel's own thresholds — plan task."""
+    the channel's own thresholds."""
     levels = channel.program_random_block(rng=rng)
     if code is not None:
         levels, _ = code.encode(levels)
@@ -75,35 +76,34 @@ def _block_error_metric(unit, rng, *, channel, code, pe_cycles, metric):
 
 def _measure_error_rate(channel: ChannelModel, pe_cycles: float,
                         code: ICIConstrainedCode | None, num_blocks: int,
-                        metric: str = "level", seed: int = 0,
-                        executor=None, workers: int | None = None) -> float:
+                        metric: str = "level", seed: int = 0) -> float:
     """Average error rate of (optionally constrained) random blocks.
 
-    Runs as a :class:`~repro.exec.MonteCarloPlan` with one unit per block:
-    randomness is anchored per block, so the result is bit-identical for any
-    executor/worker count at a fixed seed.  The seed mixes in the P/E count
-    but *not* the constraint, so every constraint strength at one condition
-    is measured on the same random blocks — common random numbers, which
-    makes the tradeoff comparison paired and low-variance.
+    Block ``i`` draws from :func:`repro.exec.unit_rng`'s generator ``i`` of
+    a seed that mixes in the P/E count but *not* the constraint, so every
+    constraint strength at one condition is measured on the same random
+    blocks — common random numbers, which makes the tradeoff comparison
+    paired and low-variance.  The mean is a left-to-right sum scaled by
+    ``1 / num_blocks``.
     """
     if metric not in ERROR_METRICS:
         raise ValueError(f"metric must be one of {ERROR_METRICS}")
-    plan = MonteCarloPlan(
-        task=_block_error_metric,
-        units=tuple(range(num_blocks)),
-        seed=stable_seed(seed, float(pe_cycles)),
-        context=dict(channel=channel, code=code, pe_cycles=float(pe_cycles),
-                     metric=metric))
-    return float(run_plan(plan, reducer=MeanReducer(), executor=executor,
-                          workers=workers))
+    pe_cycles = float(pe_cycles)
+    entropy = stable_seed(seed, pe_cycles)
+    rates = [_block_error_rate(channel, code, pe_cycles, metric,
+                               unit_rng(entropy, index))
+             for index in range(num_blocks)]
+    total = rates[0]
+    for rate in rates[1:]:
+        total += rate
+    return float(total * (1.0 / num_blocks))
 
 
 def constraint_tradeoff_curve(channel, pe_cycles: float,
                               high_levels: tuple[int, ...] = (5, 6, 7),
                               num_blocks: int = 6,
                               metric: str = "level",
-                              seed: int | None = None,
-                              executor=None, workers: int | None = None
+                              seed: int | None = None
                               ) -> list[ConstraintOperatingPoint]:
     """Error rate versus rate penalty of each candidate constraint.
 
@@ -116,44 +116,25 @@ def constraint_tradeoff_curve(channel, pe_cycles: float,
     means).  ``metric`` selects what "error rate" means (see
     :data:`ERROR_METRICS`); use ``"erased"`` to study the victim population
     the constraint actually protects.  ``seed`` anchors the Monte-Carlo
-    randomness (drawn from the channel's generator when omitted);
-    ``executor``/``workers`` shard the per-constraint block sweeps
-    (:func:`repro.exec.build_executor`) with bit-identical results.
+    randomness (drawn from the channel's generator when omitted).
     """
     if num_blocks < 1:
         raise ValueError("num_blocks must be positive")
     channel = resolve_channel(channel)
     if seed is None:
         seed = int(channel.rng.integers(0, 2 ** 31))
-    # Resolve the executor once so a pool's workers serve every constraint —
-    # also when only ``workers`` is given, where leaving it unresolved would
-    # make run_plan build and tear down a fresh pool per operating point.
-    from repro.exec import Executor, build_executor
-
-    resolve = executor is not None or workers is not None
-    owns_backend = resolve and not isinstance(executor, Executor)
-    backend = build_executor(executor if executor is not None else "auto",
-                             workers) if resolve else None
-    try:
-        points = [ConstraintOperatingPoint(
-            pe_cycles=float(pe_cycles), high_level=None,
-            error_rate=_measure_error_rate(channel, pe_cycles, None,
-                                           num_blocks, metric,
-                                           seed=seed, executor=backend,
-                                           workers=workers),
-            rate_penalty=0.0)]
-        for high_level in high_levels:
-            code = ICIConstrainedCode(high_level=high_level)
-            points.append(ConstraintOperatingPoint(
-                pe_cycles=float(pe_cycles), high_level=int(high_level),
-                error_rate=_measure_error_rate(channel, pe_cycles, code,
-                                               num_blocks, metric,
-                                               seed=seed, executor=backend,
-                                               workers=workers),
-                rate_penalty=rate_penalty(high_level)))
-    finally:
-        if owns_backend:
-            backend.close()
+    points = [ConstraintOperatingPoint(
+        pe_cycles=float(pe_cycles), high_level=None,
+        error_rate=_measure_error_rate(channel, pe_cycles, None, num_blocks,
+                                       metric, seed=seed),
+        rate_penalty=0.0)]
+    for high_level in high_levels:
+        code = ICIConstrainedCode(high_level=high_level)
+        points.append(ConstraintOperatingPoint(
+            pe_cycles=float(pe_cycles), high_level=int(high_level),
+            error_rate=_measure_error_rate(channel, pe_cycles, code,
+                                           num_blocks, metric, seed=seed),
+            rate_penalty=rate_penalty(high_level)))
     return points
 
 
@@ -165,8 +146,9 @@ class TimeAwareCodeSelector:
     ----------
     channel:
         Any channel backend: a registered name (``"simulator"``,
-        ``"cvae_gan"``, ...), a :class:`repro.channel.ChannelModel`, or a
-        legacy concrete channel object (wrapped automatically).
+        ``"cvae_gan"``, ...), a :class:`repro.channel.ChannelModel`, a
+        trained generative or fitted statistical model (wrapped in its
+        adapter), or a :class:`repro.exec.ChannelRef`.
     error_rate_target:
         Maximum acceptable error rate, hard-read at the channel's own
         thresholds.
@@ -185,11 +167,6 @@ class TimeAwareCodeSelector:
         measured on the *same* random blocks (common random numbers — see
         :func:`_measure_error_rate`), so measurements are reproducible,
         independent of query order, and paired across constraints.
-    executor / workers:
-        Execution backend for the per-point block sweeps
-        (:func:`repro.exec.build_executor`); results are bit-identical for
-        any choice.  A backend name is resolved once, so a pool executor's
-        workers are reused across every point of a schedule.
     """
 
     channel: object
@@ -198,8 +175,6 @@ class TimeAwareCodeSelector:
     num_blocks: int = 6
     metric: str = "level"
     seed: int = 0
-    executor: object = None
-    workers: int | None = None
     # Generous capacity: a schedule sweep touches every (P/E, constraint)
     # pair and must never re-measure a point it already compared against.
     _cache: ConditionCache = field(
@@ -215,16 +190,6 @@ class TimeAwareCodeSelector:
         if self.metric not in ERROR_METRICS:
             raise ValueError(f"metric must be one of {ERROR_METRICS}")
         self.channel = resolve_channel(self.channel)
-        if self.executor is not None or self.workers is not None:
-            # Resolve once: a pool executor then keeps its workers across
-            # every (P/E, constraint) measurement of a schedule (also when
-            # only ``workers`` is given, which would otherwise rebuild a
-            # pool per measurement).
-            from repro.exec import build_executor
-
-            self.executor = build_executor(
-                self.executor if self.executor is not None else "auto",
-                self.workers)
 
     def _error_rate(self, pe_cycles: float, high_level: int | None) -> float:
         code = None if high_level is None \
@@ -233,9 +198,7 @@ class TimeAwareCodeSelector:
             (float(pe_cycles), high_level),
             lambda: _measure_error_rate(self.channel, pe_cycles, code,
                                         self.num_blocks, self.metric,
-                                        seed=self.seed,
-                                        executor=self.executor,
-                                        workers=self.workers))
+                                        seed=self.seed))
 
     def select(self, pe_cycles: float) -> ConstraintOperatingPoint:
         """Cheapest operating point meeting the target at ``pe_cycles``.
@@ -264,10 +227,3 @@ class TimeAwareCodeSelector:
         if not pe_points:
             raise ValueError("pe_points must not be empty")
         return [self.select(pe_cycles) for pe_cycles in pe_points]
-
-    def close(self) -> None:
-        """Release the executor's worker pool, if the selector holds one."""
-        from repro.exec import Executor
-
-        if isinstance(self.executor, Executor):
-            self.executor.close()

@@ -15,8 +15,8 @@ LDPC campaign's density table spans ``channel.params``' voltage window.
 
 The campaigns run on the sharded Monte-Carlo engine (:mod:`repro.exec`):
 codewords are evaluated in groups — each group programmed as one stacked
-array so the codeword bits see realistic wordline/bitline neighbours — with
-one :class:`~repro.exec.ShardSpec` per worker.  Randomness is anchored per
+array so the codeword bits see realistic wordline/bitline neighbours — and
+each group is one unit of the campaign's plan.  Randomness is anchored per
 group, so ``executor="process", workers=4`` returns bit-identical results to
 the serial path for the same seed.  Each group is encoded and decoded as
 one batch (``encode_batch``, then :meth:`repro.ecc.BCHCode.decode_batch` or
@@ -33,7 +33,7 @@ from repro.channel import ChannelModel, resolve_channel
 from repro.ecc.bch import BCHCode
 from repro.ecc.ldpc import LDPCCode
 from repro.ecc.llr import LevelDensityTable, densities_from_channel, page_llrs
-from repro.exec import MonteCarloPlan, RecordReducer, run_plan, stable_seed
+from repro.exec import MonteCarloPlan, run_plan, stable_seed
 from repro.flash.cell import LOWER_PAGE, levels_to_pages
 from repro.flash.pages import program_pages
 from repro.flash.thresholds import default_read_thresholds, hard_read
@@ -155,8 +155,8 @@ def _run_campaign(task, code, channel, pe_cycles: float,
         seed=stable_seed(seed, float(pe_cycles)),
         context=dict(code=code, channel=channel,
                      pe_cycles=float(pe_cycles), **task_options))
-    records = run_plan(plan, reducer=RecordReducer(stack=True),
-                       executor=executor, workers=workers)
+    records = np.concatenate(run_plan(plan, executor=executor,
+                                      workers=workers))
     num_codewords = sum(units)
     total_bits = num_codewords * code.n
     return CodewordChannelResult(

@@ -1,20 +1,19 @@
-"""Sharded Monte-Carlo execution engine (plan -> shard -> reduce).
+"""Sharded Monte-Carlo execution engine (plan -> shards -> results).
 
-Every sweep loop in this repository — constrained-code schedules, ECC
-frame-error campaigns, the figure drivers — runs through this package:
+The BCH/LDPC frame-error campaigns (:mod:`repro.ecc.evaluate`) run through
+this package, and so can any custom study:
 
 1. describe the sweep as a :class:`MonteCarloPlan` (a picklable task over
    independent units plus a seed and shared context);
 2. pick an execution backend by name via :func:`build_executor`
    (``"serial"``, ``"process"``, ``"remote"``, or ``"auto"``);
 3. :func:`run_plan` cuts the units into guided chunks that the workers pull
-   in order, runs them, and reduces the per-unit results with a mergeable
-   :class:`Reducer`.
+   in order, runs them, and returns the per-unit results in unit order.
 
-Randomness is anchored per unit (``SeedSequence(seed, spawn_key=(i,))``), so
-sharded execution is **bit-identical** to serial for a fixed seed — the
-worker count is a pure throughput knob.  See README.md for the architecture
-diagram and a scaling how-to.
+Randomness is anchored per unit (:func:`unit_rng`, ``SeedSequence(seed,
+spawn_key=(i,))``), so sharded execution is **bit-identical** to serial for
+a fixed seed — the worker count is a pure throughput knob.  See README.md
+for the architecture diagram and a scaling how-to.
 """
 
 from repro.exec.plan import (
@@ -23,13 +22,7 @@ from repro.exec.plan import (
     ShardResult,
     ShardSpec,
     stable_seed,
-)
-from repro.exec.reducers import (
-    HistogramReducer,
-    MeanReducer,
-    RecordReducer,
-    Reducer,
-    TallyReducer,
+    unit_rng,
 )
 from repro.exec.executors import (
     EXECUTOR_REGISTRY,
@@ -54,11 +47,7 @@ __all__ = [
     "ShardResult",
     "ChannelRef",
     "stable_seed",
-    "Reducer",
-    "TallyReducer",
-    "MeanReducer",
-    "RecordReducer",
-    "HistogramReducer",
+    "unit_rng",
     "Executor",
     "SerialExecutor",
     "ProcessExecutor",

@@ -1,11 +1,10 @@
-"""The sharded Monte-Carlo engine: plan -> shards -> reduce.
+"""The sharded Monte-Carlo engine: plan -> shards -> unit-ordered results.
 
-:func:`run_plan` is the single entry point every sweep in this repository
-goes through — the time-aware constrained-code selector, the BCH/LDPC
-frame-error campaigns, and the figure drivers.  It guarantees:
+:func:`run_plan` runs the BCH/LDPC frame-error campaigns
+(:mod:`repro.ecc.evaluate`) and any custom plan.  It guarantees:
 
 * **Determinism** — per-unit :class:`numpy.random.SeedSequence` splitting
-  and unit-ordered reduction make the output bit-identical for any executor,
+  and unit-ordered results make the output bit-identical for any executor,
   worker count and chunking (test-enforced in ``tests/exec/``).
 * **Load balance** — by default the units are cut into guided chunks
   (:meth:`~repro.exec.MonteCarloPlan.chunks`) that pool and fleet workers
@@ -21,30 +20,24 @@ density table).
 from __future__ import annotations
 
 import dataclasses
-from typing import Any
 
 from repro.exec.executors import Executor, build_executor
 from repro.exec.plan import MonteCarloPlan
-from repro.exec.reducers import Reducer
 from repro.obs import context as obs_context
-from repro.obs import trace as obs_trace
 
 __all__ = ["run_plan"]
 
 
-def run_plan(plan: MonteCarloPlan, reducer: Reducer | None = None,
+def run_plan(plan: MonteCarloPlan,
              executor: str | Executor | None = None,
              workers: int | None = None,
-             num_shards: int | None = None) -> Any:
-    """Execute a Monte-Carlo plan and reduce its per-unit results.
+             num_shards: int | None = None) -> list:
+    """Execute a Monte-Carlo plan; return its per-unit results in unit order.
 
     Parameters
     ----------
     plan:
         The sweep to run.
-    reducer:
-        Folds the per-unit results (in unit order) into the final value;
-        when omitted the raw per-unit result list is returned.
     executor:
         An executor backend name (``"auto"``, ``"serial"``, ``"process"``,
         ``"remote"``), a built :class:`Executor`, or None
@@ -83,8 +76,5 @@ def run_plan(plan: MonteCarloPlan, reducer: Reducer | None = None,
                 backend.close()
         if trace_ctx is not None:
             obs_context.merge_shard_envelopes(shard_results)
-        results = [result for shard_result in shard_results
-                   for result in shard_result.results]
-        with obs_trace.span("exec.reduce"):
-            return reducer.reduce(results) if reducer is not None \
-                else results
+    return [result for shard_result in shard_results
+            for result in shard_result.results]

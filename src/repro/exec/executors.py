@@ -50,11 +50,11 @@ class Executor:
 
     def close(self) -> None:
         """Release pool resources.  Pool executors keep their worker pool
-        alive across :func:`~repro.exec.run_plan` calls (a selector schedule
-        issues one plan per operating point — re-forking every time would
-        dominate small sweeps), so a long-lived caller that builds its own
-        executor should close it when done.  The engine closes executors it
-        built itself from a name."""
+        alive across :func:`~repro.exec.run_plan` calls (an ECC sweep runs
+        one plan per code, channel and P/E count — re-forking every time
+        would dominate small campaigns), so a long-lived caller that builds
+        its own executor should close it when done.  The engine closes
+        executors it built itself from a name."""
 
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
         return f"{type(self).__name__}(workers={self.workers})"

@@ -1,17 +1,18 @@
 """Monte-Carlo plans and deterministic shard specifications.
 
-Every quantitative result in this repository is a Monte-Carlo sweep: draw
-random blocks (or codewords, or latent samples), push them through a channel
-backend, and aggregate statistics.  A :class:`MonteCarloPlan` captures such a
-sweep as data — a picklable *task* applied to a sequence of *units*, a seed,
-and a shared *context* — so the same plan can run serially or across worker
-processes with **bit-identical** results.
+A :class:`MonteCarloPlan` captures a sweep as data — a picklable *task*
+applied to a sequence of *units*, a seed, and a shared *context* — so the
+same plan can run serially or across worker processes with
+**bit-identical** results.  The BCH/LDPC frame-error campaigns are the
+sweeps that run as plans.
 
 Determinism is anchored per *unit*, not per shard: unit ``i`` always draws
-from ``np.random.SeedSequence(seed, spawn_key=(i,))`` no matter which shard
-(or worker process) executes it, and reducers consume the per-unit results in
-unit order.  Changing the executor or the worker count therefore never
-changes the numbers — only the wall-clock time.
+from :func:`unit_rng` ``(seed, i)`` no matter which shard (or worker
+process) executes it, and the engine returns the per-unit results in unit
+order.  Changing the executor or the worker count therefore never changes
+the numbers — only the wall-clock time.  The paper's figures
+(:mod:`repro.experiments`) and the time-aware code selection loop over
+their units in-process and draw from the same per-unit generators.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from typing import Any, Callable, Mapping, Sequence
 import numpy as np
 
 __all__ = ["MonteCarloPlan", "ShardSpec", "ShardResult", "ChannelRef",
-           "stable_seed"]
+           "stable_seed", "unit_rng"]
 
 
 def stable_seed(*components: Any) -> tuple[int, ...]:
@@ -46,6 +47,17 @@ def stable_seed(*components: Any) -> tuple[int, ...]:
         else:
             entropy.append(zlib.crc32(repr(component).encode()))
     return tuple(entropy)
+
+
+def unit_rng(seed: int | tuple[int, ...], index: int) -> np.random.Generator:
+    """The generator of unit ``index`` of a sweep seeded with ``seed``.
+
+    ``default_rng(SeedSequence(seed, spawn_key=(index,)))``: independent of
+    every other unit's stream, so a unit draws the same numbers whichever
+    shard, process or loop runs it.
+    """
+    return np.random.default_rng(
+        np.random.SeedSequence(seed, spawn_key=(index,)))
 
 
 #: Channels cold-started from :class:`ChannelRef`\ s, keyed by
@@ -249,9 +261,7 @@ class ShardSpec:
 
     def unit_rng(self, offset: int) -> np.random.Generator:
         """The generator of the unit at ``offset`` within this shard."""
-        sequence = np.random.SeedSequence(
-            self.seed, spawn_key=(self.start + offset,))
-        return np.random.default_rng(sequence)
+        return unit_rng(self.seed, self.start + offset)
 
     def resolved_context(self) -> Mapping[str, Any]:
         """The context with every :class:`ChannelRef` replaced by its live
@@ -334,8 +344,7 @@ class MonteCarloPlan:
         """The generator unit ``index`` receives under any sharding."""
         if not 0 <= index < self.num_units:
             raise IndexError(f"unit index {index} out of range")
-        sequence = np.random.SeedSequence(self.seed, spawn_key=(index,))
-        return np.random.default_rng(sequence)
+        return unit_rng(self.seed, index)
 
     def shards(self, num_shards: int = 1) -> list[ShardSpec]:
         """Split the units into at most ``num_shards`` contiguous shards.

@@ -33,31 +33,12 @@ from repro.channel import (
 )
 from repro.core import ModelConfig, Trainer, build_model
 from repro.data import FlashChannelDataset, crop_blocks, generate_paired_dataset
-from repro.exec import MonteCarloPlan, Reducer, run_plan, stable_seed
 from repro.flash import BlockGeometry, FlashParameters
 
-__all__ = ["PAPER_PE_CYCLES", "ExperimentSetup", "sweep"]
+__all__ = ["PAPER_PE_CYCLES", "ExperimentSetup"]
 
 #: The read points of the paper's P/E cycling experiment.
 PAPER_PE_CYCLES: tuple[int, ...] = (4000, 7000, 10000)
-
-
-def sweep(task, units, *, seed, context=None, reducer: Reducer | None = None,
-          executor=None, workers: int | None = None):
-    """Run a figure driver's Monte-Carlo sweep on the sharded engine.
-
-    This is the single execution path of every experiment driver (Figs. 2,
-    4, 5, 6 and Remark 3): the driver describes its sweep as a picklable
-    ``task`` over independent ``units`` plus a shared ``context``, and this
-    helper builds the :class:`~repro.exec.MonteCarloPlan` and dispatches it
-    through :func:`~repro.exec.run_plan`.  ``seed`` may be an int or a
-    pre-mixed entropy tuple from :func:`~repro.exec.stable_seed`; results
-    are bit-identical for any ``executor``/``workers`` choice.
-    """
-    entropy = seed if isinstance(seed, tuple) else stable_seed(seed)
-    plan = MonteCarloPlan(task=task, units=tuple(units), seed=entropy,
-                          context=dict(context or {}))
-    return run_plan(plan, reducer=reducer, executor=executor, workers=workers)
 
 
 @dataclass

@@ -7,14 +7,14 @@ the bit-line direction at 4000 cycles) and the overall level error rate.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from repro.channel import resolve_channel
 from repro.eval.report import format_table
-from repro.exec import HistogramReducer, stable_seed
-from repro.experiments.common import PAPER_PE_CYCLES, sweep
+from repro.exec import stable_seed, unit_rng
+from repro.experiments.common import PAPER_PE_CYCLES
 from repro.flash import top_error_pattern_counts
 from repro.flash.patterns import BITLINE, TOP_ERROR_PATTERNS
 from repro.flash.thresholds import default_read_thresholds, hard_read
@@ -57,57 +57,47 @@ class Fig2Result:
         ])
 
 
-def _fig2_block_task(unit, rng, *, channel):
-    """Error statistics of one random block at one P/E count — plan task."""
-    pe, _block_index = unit
-    program, voltages = channel.paired_blocks(1, pe, rng=rng)
-    hard_levels = hard_read(voltages,
-                            default_read_thresholds(channel.params))
-    counts = top_error_pattern_counts(program, voltages,
-                                      params=channel.params)
-    return {int(pe): {
-        "errors": int(np.count_nonzero(hard_levels != program)),
-        "cells": int(program.size),
-        "patterns": {key: int(value) for key, value in counts.items()},
-    }}
-
-
 def run_fig2(channel=None,
              pe_cycles: tuple[int, ...] = PAPER_PE_CYCLES,
              blocks_per_pe: int = 60,
-             rng: np.random.Generator | None = None,
-             executor=None, workers: int | None = None) -> Fig2Result:
+             rng: np.random.Generator | None = None) -> Fig2Result:
     """Regenerate Fig. 2 from any channel backend.
 
     ``channel`` defaults to the simulator ("measured" data) and accepts any
     registered backend name or channel model, so the same driver profiles a
     trained generative network's spatio-temporal error statistics.  The
-    sweep runs one plan unit per (P/E count, block) pair on the sharded
-    engine; ``executor``/``workers`` scale it with bit-identical results.
+    sweep's root seed is drawn from ``rng`` when given, else from the
+    channel's generator; block ``i`` of the sweep (``blocks_per_pe`` blocks
+    per P/E count, in ``pe_cycles`` order) reads with
+    :func:`repro.exec.unit_rng`'s generator ``i``.
     """
+    if not pe_cycles:
+        raise ValueError("pe_cycles must not be empty")
     if blocks_per_pe < 1:
         raise ValueError("blocks_per_pe must be positive")
     channel = resolve_channel(
         channel if channel is not None else "simulator",
         rng=rng if rng is not None else np.random.default_rng(0))
-    seed = int(channel.rng.integers(0, 2 ** 31))
-
-    units = [(int(pe), block) for pe in pe_cycles
-             for block in range(blocks_per_pe)]
-    merged = sweep(_fig2_block_task, units,
-                   seed=stable_seed("fig2", seed),
-                   context={"channel": channel},
-                   reducer=HistogramReducer(),
-                   executor=executor, workers=workers)
+    generator = rng if rng is not None else channel.rng
+    seed = stable_seed("fig2", int(generator.integers(0, 2 ** 31)))
+    thresholds = default_read_thresholds(channel.params)
 
     raw: dict[tuple[str, str], dict[int, int]] = {key: {}
                                                   for key in TOP_ERROR_PATTERNS}
-    rates: dict[int, float] = {}
-    for pe in pe_cycles:
-        by_pe = merged[int(pe)]
-        rates[int(pe)] = by_pe["errors"] / by_pe["cells"]
-        for key, value in by_pe["patterns"].items():
-            raw[key][int(pe)] = int(value)
+    errors: dict[int, int] = {}
+    cells: dict[int, int] = {}
+    blocks = [int(pe) for pe in pe_cycles for _ in range(blocks_per_pe)]
+    for index, pe in enumerate(blocks):
+        program, voltages = channel.paired_blocks(1, pe,
+                                                  rng=unit_rng(seed, index))
+        misread = np.count_nonzero(hard_read(voltages, thresholds) != program)
+        errors[pe] = errors.get(pe, 0) + int(misread)
+        cells[pe] = cells.get(pe, 0) + int(program.size)
+        counts = top_error_pattern_counts(program, voltages,
+                                          params=channel.params)
+        for key, value in counts.items():
+            raw[key][pe] = raw[key].get(pe, 0) + int(value)
+    rates = {pe: errors[pe] / cells[pe] for pe in errors}
 
     reference = raw[("707", BITLINE)].get(int(pe_cycles[0]), 0)
     if reference == 0:

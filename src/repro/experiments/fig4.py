@@ -15,8 +15,7 @@ from repro.channel import resolve_channel
 from repro.eval.divergences import total_variation_distance
 from repro.eval.histograms import conditional_pdfs
 from repro.eval.report import format_table
-from repro.exec import RecordReducer, stable_seed
-from repro.experiments.common import sweep
+from repro.exec import stable_seed, unit_rng
 from repro.flash.cell import NUM_LEVELS
 
 __all__ = ["Fig4Result", "run_fig4"]
@@ -45,14 +44,8 @@ def _distribution_width(centers: np.ndarray, probabilities: np.ndarray) -> float
     return float(np.sqrt(np.sum((centers - mean) ** 2 * probabilities)))
 
 
-def _fig4_condition_task(unit, rng, *, model, levels, bins):
-    """PDF comparison at one P/E cycle count — plan task.
-
-    The unit carries its own measured arrays, so a shard is pickled with
-    exactly the conditions it evaluates rather than the whole dataset.
-    """
-    pe, program, voltages = unit
-    generated = model.read_voltages(program, pe, rng=rng)
+def _compare_condition(pe, program, voltages, generated, levels, bins):
+    """Measured and modeled PDFs at one P/E count, and their summary rows."""
     measured = conditional_pdfs(program, voltages, levels=levels, bins=bins)
     modeled = conditional_pdfs(program, generated, levels=levels, bins=bins)
     summary = []
@@ -71,15 +64,13 @@ def _fig4_condition_task(unit, rng, *, model, levels, bins):
             "tv_distance": total_variation_distance(measured_probabilities,
                                                     modeled_probabilities),
         })
-    return {"pe": pe, "measured": measured, "modeled": modeled,
-            "summary": summary}
+    return measured, modeled, summary
 
 
 def run_fig4(measured_arrays: dict[int, tuple[np.ndarray, np.ndarray]],
              model,
              levels: tuple[int, ...] = tuple(range(1, NUM_LEVELS)),
-             bins: int = 150,
-             executor=None, workers: int | None = None) -> Fig4Result:
+             bins: int = 150) -> Fig4Result:
     """Regenerate Fig. 4.
 
     Parameters
@@ -91,25 +82,26 @@ def run_fig4(measured_arrays: dict[int, tuple[np.ndarray, np.ndarray]],
         Any channel backend whose conditional PDFs are compared against the
         measured arrays — a registered name, a
         :class:`repro.channel.ChannelModel` (typically the trained
-        generative model), or a concrete model it wraps.
+        generative model), or a concrete model it wraps.  The P/E counts
+        are read in sorted order, the ``i``-th with
+        :func:`repro.exec.unit_rng`'s generator ``i`` of a seed drawn from
+        the model's generator.
     levels:
         Program levels whose PDFs are estimated (1..7 in the paper).
     bins:
         Histogram resolution.
-    executor / workers:
-        Execution backend for the per-condition sweep
-        (:func:`repro.exec.build_executor`); one plan unit per P/E count.
     """
+    if not measured_arrays:
+        raise ValueError("measured_arrays must not be empty")
     model = resolve_channel(model)
-    seed = int(model.rng.integers(0, 2 ** 31))
-    units = [(pe, *measured_arrays[pe]) for pe in sorted(measured_arrays)]
-    records = sweep(_fig4_condition_task, units,
-                    seed=stable_seed("fig4", seed),
-                    context=dict(model=model, levels=tuple(levels),
-                                 bins=bins),
-                    reducer=RecordReducer(),
-                    executor=executor, workers=workers)
-    measured = {record["pe"]: record["measured"] for record in records}
-    modeled = {record["pe"]: record["modeled"] for record in records}
-    summary = [row for record in records for row in record["summary"]]
+    seed = stable_seed("fig4", int(model.rng.integers(0, 2 ** 31)))
+    levels = tuple(levels)
+    measured, modeled, summary = {}, {}, []
+    for index, pe in enumerate(sorted(measured_arrays)):
+        program, voltages = measured_arrays[pe]
+        generated = model.read_voltages(program, pe,
+                                        rng=unit_rng(seed, index))
+        measured[pe], modeled[pe], rows = _compare_condition(
+            pe, program, voltages, generated, levels, bins)
+        summary.extend(rows)
     return Fig4Result(measured=measured, modeled=modeled, peak_summary=summary)

@@ -17,8 +17,7 @@ from repro.baselines.models import BASELINE_MODELS
 from repro.channel import ChannelModel, build_channel, resolve_channel
 from repro.data.dataset import FlashChannelDataset
 from repro.eval.report import format_table
-from repro.exec import HistogramReducer, stable_seed
-from repro.experiments.common import sweep
+from repro.exec import stable_seed, unit_rng
 from repro.flash.errors import per_level_error_counts
 from repro.flash.params import FlashParameters
 
@@ -60,29 +59,12 @@ class Fig5Result:
         return "\n".join([header, format_table(self.rows())])
 
 
-def _fig5_count_task(unit, rng, *, channels, params):
-    """Stacked error counts of one (P/E, model) pair — plan task.
-
-    The unit carries its evaluation arrays; units of one shard sharing a
-    P/E count pickle those arrays once (pickle memoizes shared objects).
-    """
-    pe, label, program, voltages = unit
-    if label == "M":
-        sampled = voltages
-    else:
-        sampled = channels[label].read_voltages(program, pe, rng=rng)
-    # Level 0 is left out: the paper stacks "program level 1 to 7".
-    counts = per_level_error_counts(program, sampled, params=params)[1:]
-    return {int(pe): {label: counts.astype(float)}}
-
-
 def run_fig5(training_dataset: FlashChannelDataset,
              evaluation_arrays: dict[int, tuple[np.ndarray, np.ndarray]],
              generative_model=None,
              params: FlashParameters | None = None,
              baseline_iterations: int = 250,
-             rng: np.random.Generator | None = None,
-             executor=None, workers: int | None = None) -> Fig5Result:
+             rng: np.random.Generator | None = None) -> Fig5Result:
     """Regenerate Fig. 5.
 
     Parameters
@@ -98,11 +80,14 @@ def run_fig5(training_dataset: FlashChannelDataset,
         'cV-G' bars.
     baseline_iterations:
         Nelder-Mead budget per (level, P/E) fit.
-    executor / workers:
-        Execution backend for the (P/E, model) sweep
-        (:func:`repro.exec.build_executor`); results are bit-identical for
-        any choice.
+    rng:
+        Generator of the baseline fits and of the sweep's root seed.  The
+        (P/E, model) pairs are counted in order — P/E counts sorted, then
+        'M' and the models — and pair ``i`` reads with
+        :func:`repro.exec.unit_rng`'s generator ``i``.
     """
+    if not evaluation_arrays:
+        raise ValueError("evaluation_arrays must not be empty")
     params = params if params is not None else FlashParameters()
     generator = rng if rng is not None else np.random.default_rng(0)
 
@@ -117,16 +102,18 @@ def run_fig5(training_dataset: FlashChannelDataset,
             model_class.family, dataset=training_dataset, params=params,
             rng=generator, fit_iterations=baseline_iterations)
 
-    seed = int(generator.integers(0, 2 ** 31))
-    units = [(int(pe), label, *evaluation_arrays[pe])
-             for pe in sorted(evaluation_arrays)
+    seed = stable_seed("fig5", int(generator.integers(0, 2 ** 31)))
+    counts: dict[int, dict[str, np.ndarray]] = {}
+    pairs = [(pe, label) for pe in sorted(evaluation_arrays)
              for label in ("M", *channels)]
-    counts: dict[int, dict[str, np.ndarray]] = sweep(
-        _fig5_count_task, units,
-        seed=stable_seed("fig5", seed),
-        context=dict(channels=channels, params=params),
-        reducer=HistogramReducer(),
-        executor=executor, workers=workers)
+    for index, (pe, label) in enumerate(pairs):
+        program, voltages = evaluation_arrays[pe]
+        if label != "M":
+            voltages = channels[label].read_voltages(
+                program, int(pe), rng=unit_rng(seed, index))
+        # Level 0 is left out: the paper stacks "program level 1 to 7".
+        stacks = per_level_error_counts(program, voltages, params=params)[1:]
+        counts.setdefault(int(pe), {})[label] = stacks.astype(float)
 
     first_pe = min(counts)
     reference_total = float(counts[first_pe]["M"].sum())

@@ -14,13 +14,11 @@ import numpy as np
 from repro.channel import resolve_channel
 from repro.eval.ici_analysis import (
     ici_error_profile,
-    pattern_rank_order,
     rank_agreement,
     top_pattern_frequencies,
 )
 from repro.eval.report import format_pie_summary, format_table
-from repro.exec import HistogramReducer, stable_seed
-from repro.experiments.common import sweep
+from repro.exec import stable_seed, unit_rng
 from repro.flash.params import FlashParameters
 from repro.flash.patterns import BITLINE, WORDLINE
 
@@ -68,27 +66,11 @@ class Fig6Result:
         return "\n".join(parts)
 
 
-def _fig6_profile_task(unit, rng, *, model, pe_cycles, params):
-    """One pie of the figure (measured or modeled) — plan task.
-
-    Each unit carries only the arrays its pie needs, so a shard never ships
-    the other pie's data.
-    """
-    kind, program, voltages = unit
-    if kind == "measured":
-        profile = ici_error_profile(program, voltages, params=params)
-    else:
-        generated = model.read_voltages(program, pe_cycles, rng=rng)
-        profile = ici_error_profile(program, generated, params=params)
-    return {kind: profile}
-
-
 def run_fig6(program_levels: np.ndarray, voltages: np.ndarray,
              model, pe_cycles: int = 7000,
              params: FlashParameters | None = None,
              measured_program: np.ndarray | None = None,
-             measured_voltages: np.ndarray | None = None,
-             executor=None, workers: int | None = None) -> Fig6Result:
+             measured_voltages: np.ndarray | None = None) -> Fig6Result:
     """Regenerate Fig. 6 from measured evaluation arrays and a trained model.
 
     ``model`` is any channel backend (registered name, channel model, or a
@@ -98,8 +80,9 @@ def run_fig6(program_levels: np.ndarray, voltages: np.ndarray,
     sample via ``measured_program``/``measured_voltages``: the paper's
     measured pie sums nearly 10^5 errors, and pattern frequencies estimated
     from only a few tens of errors are too noisy to preserve the
-    707-dominance ordering.  The measured and modeled pies are two units of
-    one engine plan, so they profile concurrently under a pool executor.
+    707-dominance ordering.  The backend reads the modeled pie with
+    generator 1 of :func:`repro.exec.unit_rng`, under a seed drawn from its
+    own generator (generator 0 is the measured pie's, which draws nothing).
     """
     if (measured_program is None) != (measured_voltages is None):
         raise ValueError("measured_program and measured_voltages must be "
@@ -107,16 +90,12 @@ def run_fig6(program_levels: np.ndarray, voltages: np.ndarray,
     if measured_program is None:
         measured_program, measured_voltages = program_levels, voltages
     model = resolve_channel(model)
-    seed = int(model.rng.integers(0, 2 ** 31))
-    units = (("measured", measured_program, measured_voltages),
-             ("modeled", program_levels, None))
-    profiles = sweep(_fig6_profile_task, units,
-                     seed=stable_seed("fig6", seed),
-                     context=dict(model=model, pe_cycles=pe_cycles,
-                                  params=params),
-                     reducer=HistogramReducer(),
-                     executor=executor, workers=workers)
-    measured, modeled = profiles["measured"], profiles["modeled"]
+    seed = stable_seed("fig6", int(model.rng.integers(0, 2 ** 31)))
+    measured = ici_error_profile(measured_program, measured_voltages,
+                                 params=params)
+    generated = model.read_voltages(program_levels, pe_cycles,
+                                    rng=unit_rng(seed, 1))
+    modeled = ici_error_profile(program_levels, generated, params=params)
     agreement = {direction: rank_agreement(measured[direction],
                                            modeled[direction], top_k=5)
                  for direction in (WORDLINE, BITLINE)}

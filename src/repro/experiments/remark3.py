@@ -16,8 +16,7 @@ from repro.core import ModelConfig, Trainer, build_model
 from repro.data.dataset import FlashChannelDataset
 from repro.eval.divergences import distribution_distance
 from repro.eval.report import format_table
-from repro.exec import HistogramReducer, stable_seed
-from repro.experiments.common import sweep
+from repro.exec import stable_seed, unit_rng
 from repro.flash.params import FlashParameters
 
 __all__ = ["Remark3Result", "run_remark3"]
@@ -57,15 +56,14 @@ class Remark3Result:
         return "\n".join([header, format_table(self.rows()), footer])
 
 
-def _remark3_architecture_task(unit, rng, *, training_dataset,
-                               evaluation_arrays, config, params):
-    """Train one architecture and measure its dTV per P/E count — plan task.
+def _architecture_distances(name, rng, training_dataset, evaluation_arrays,
+                            config, params) -> dict[int, float]:
+    """Train one architecture and measure its dTV per P/E count.
 
-    The unit generator is split into independent init/train/sample streams,
-    mirroring how :class:`repro.experiments.ExperimentSetup` derives its
-    component generators from one root seed.
+    ``rng`` is split into independent init/train/sample streams, mirroring
+    how :class:`repro.experiments.ExperimentSetup` derives its component
+    generators from one root seed.
     """
-    name = unit
     init_rng, train_rng, sample_rng = (
         np.random.default_rng(int(rng.integers(0, 2 ** 63)))
         for _ in range(3))
@@ -79,7 +77,7 @@ def _remark3_architecture_task(unit, rng, *, training_dataset,
         distances[int(pe)] = distribution_distance(
             voltages, generated,
             voltage_range=(params.voltage_min, params.voltage_max))
-    return {name: distances}
+    return distances
 
 
 def run_remark3(training_dataset: FlashChannelDataset,
@@ -87,13 +85,8 @@ def run_remark3(training_dataset: FlashChannelDataset,
                 config: ModelConfig,
                 architectures: tuple[str, ...] = REMARK3_ARCHITECTURES,
                 params: FlashParameters | None = None,
-                seed: int = 0,
-                executor=None, workers: int | None = None) -> Remark3Result:
+                seed: int = 0) -> Remark3Result:
     """Train every architecture on the same data and compare dTV.
-
-    Each architecture is one unit of an engine plan, so a pool executor
-    trains the comparison candidates concurrently — the heaviest
-    embarrassingly-parallel sweep in the repository.
 
     Parameters
     ----------
@@ -104,17 +97,16 @@ def run_remark3(training_dataset: FlashChannelDataset,
     config:
         Model configuration, training length (``config.epochs``) included,
         shared by all architectures as in the paper.
-    executor / workers:
-        Execution backend for the per-architecture sweep
-        (:func:`repro.exec.build_executor`).
+    seed:
+        Root seed: the ``i``-th architecture draws from
+        :func:`repro.exec.unit_rng`'s generator ``i``.
     """
+    if not architectures:
+        raise ValueError("architectures must not be empty")
     params = params if params is not None else FlashParameters()
-    distances: dict[str, dict[int, float]] = sweep(
-        _remark3_architecture_task, architectures,
-        seed=stable_seed("remark3", seed),
-        context=dict(training_dataset=training_dataset,
-                     evaluation_arrays=evaluation_arrays, config=config,
-                     params=params),
-        reducer=HistogramReducer(),
-        executor=executor, workers=workers)
+    root = stable_seed("remark3", seed)
+    distances = {name: _architecture_distances(
+                     name, unit_rng(root, index), training_dataset,
+                     evaluation_arrays, config, params)
+                 for index, name in enumerate(architectures)}
     return Remark3Result(tv_distances=distances)

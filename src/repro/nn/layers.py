@@ -101,7 +101,7 @@ class Module:
         return sum(parameter.size for parameter in self.parameters())
 
     # ------------------------------------------------------------------ #
-    # Mode switching and gradient bookkeeping
+    # Mode switching
     # ------------------------------------------------------------------ #
     def train(self, mode: bool = True) -> "Module":
         self.training = mode
@@ -111,10 +111,6 @@ class Module:
 
     def eval(self) -> "Module":
         return self.train(False)
-
-    def zero_grad(self) -> None:
-        for parameter in self.parameters():
-            parameter.zero_grad()
 
     # ------------------------------------------------------------------ #
     # Precision

@@ -6,7 +6,7 @@ Quick tour::
 
     with tracing("run.jsonl"):                 # enable + flush on exit
         with span("campaign", frames=1000):    # spans nest per thread
-            run_plan(plan, reducer, executor="remote", workers=4)
+            run_plan(plan, executor="remote", workers=4)
         get_registry().inc("frames.decoded", 1000)
 
     # then: python -m repro.obs summarize run.jsonl

@@ -158,6 +158,23 @@ class TestThresholdsFromTheChannel:
         # read about 0.18 at every constraint strength.
         assert all(point.error_rate < 0.01 for point in points)
 
+    def test_error_rate_is_a_left_fold_mean_of_the_block_rates(self,
+                                                               shifted):
+        """Block rates summed left to right, then scaled by
+        ``1 / num_blocks``: the arithmetic every recorded schedule was
+        computed with, so the figures stay bit-identical."""
+        points = constraint_tradeoff_curve(shifted, 10000, high_levels=(5,),
+                                           num_blocks=5, seed=3)
+        for point, reads in zip(points, (shifted.reads[:5],
+                                         shifted.reads[5:])):
+            rates = [level_error_rate(levels, voltages,
+                                      params=shifted.params)
+                     for levels, voltages in reads]
+            total = rates[0]
+            for rate in rates[1:]:
+                total += rate
+            assert point.error_rate == float(total * (1.0 / 5))
+
     def test_selector_reads_at_the_channel_thresholds(self, shifted):
         selector = TimeAwareCodeSelector(shifted, error_rate_target=0.01,
                                          num_blocks=4, seed=3)

@@ -313,14 +313,16 @@ def _encode_twice_step(trainer, program_levels, voltages, pe_cycles):
         module._buffers.update(buffers)
     loss, d_stats = model.discriminator_loss(discriminator_batch, trainer.rng)
     trainer.discriminator_optimizer.zero_grad()
-    model.zero_grad()
+    for parameter in model.parameters():
+        parameter.zero_grad()
     loss.backward()
     trainer.discriminator_optimizer.step()
     trainer.history.discriminator.append(d_stats)
 
     loss, g_stats = model.generator_loss(batch(), trainer.rng)
     trainer.generator_optimizer.zero_grad()
-    model.zero_grad()
+    for parameter in model.parameters():
+        parameter.zero_grad()
     loss.backward()
     trainer.generator_optimizer.step()
     trainer.history.generator.append(g_stats)

@@ -287,6 +287,23 @@ class TestEndToEndEvaluation:
         assert result.codewords == 6
         assert result.post_correction_bit_error_rate <= result.raw_bit_error_rate
 
+    def test_frame_records_stack_the_groups_in_codeword_order(self, channel):
+        """One int64 row per codeword, the groups' records concatenated in
+        unit order: a longer campaign at one seed extends a shorter one's
+        records, and the rates are the records' column totals."""
+        code = BCHCode(m=6, t=1)
+        short, long = (evaluate_bch_over_channel(
+            code, channel, 10000, num_codewords=count, group_size=4, seed=3)
+            for count in (8, 14))
+        records = long.frame_records
+        assert records.dtype == np.int64 and records.shape == (14, 3)
+        np.testing.assert_array_equal(records[:8], short.frame_records)
+        assert long.raw_bit_error_rate == \
+            int(records[:, 0].sum()) / (14 * code.n)
+        assert long.frame_error_rate == int(records[:, 1].sum()) / 14
+        assert long.post_correction_bit_error_rate == \
+            int(records[:, 2].sum()) / (14 * code.n)
+
     def test_num_codewords_validation(self, channel, density_table):
         """Bad sizes raise before the campaign draws its seed from the
         caller's or the channel's generator."""

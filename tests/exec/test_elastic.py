@@ -1,7 +1,7 @@
 """Fleet battery: deaths, heartbeats and worker sessions under guided chunks.
 
 The contract under test is the same as everywhere else in ``tests/exec/``:
-**bit-identical reducers under any schedule** — a worker killed mid-chunk
+**bit-identical results under any schedule** — a worker killed mid-chunk
 and a heartbeat-timed-out (silently partitioned) worker shrink the fleet
 mid-run, and must leave the output exactly equal to the serial reference.
 Every run here uses the engine's default guided chunks.

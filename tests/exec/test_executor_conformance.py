@@ -2,8 +2,8 @@
 
 The determinism contract of ``repro.exec`` says the executor is a pure
 throughput knob: for a fixed seed, every backend — serial, process pool,
-remote fleet — must produce bit-identical per-unit results and identical
-reductions, must be invariant under how the plan is cut (guided chunks or
+remote fleet — must produce bit-identical per-unit results in unit order,
+must be invariant under how the plan is cut (guided chunks or
 ``num_shards`` balanced shards), and must leave a worker's condition-cache
 entries in the worker.  This battery runs the same assertions over all
 three registered backends so a new executor cannot land without honouring
@@ -20,12 +20,9 @@ import pytest
 
 from repro.channel import build_channel
 from repro.exec import (
-    MeanReducer,
     MonteCarloPlan,
-    RecordReducer,
     RemoteExecutor,
     SerialExecutor,
-    TallyReducer,
     build_executor,
     run_plan,
 )
@@ -41,8 +38,15 @@ def _draw_unit(unit, rng, *, scale):
 
 
 def _record_unit(unit, rng):
-    """Array-valued results, for the stacking reducer."""
+    """Array-valued results, as the ECC campaigns' frame records are."""
     return rng.integers(0, 100, size=3)
+
+
+def _structured_unit(unit, rng):
+    """Nested results of varying shape, as a custom plan's task may return
+    them."""
+    return {"unit": unit, "rate": float(rng.random()),
+            "records": rng.integers(0, 100, size=(unit % 3 + 1, 3))}
 
 
 def _cached_draw(unit, rng, *, channel):
@@ -76,25 +80,34 @@ def reference(plan):
     return run_plan(plan, executor="serial")
 
 
-class TestReducerConformance:
+class TestResultConformance:
     def test_per_unit_results_bit_identical(self, backend, plan, reference):
         assert run_plan(plan, executor=backend) == reference
 
-    def test_tally_and_mean_reductions_identical(self, backend, plan,
-                                                 reference):
-        assert run_plan(plan, reducer=TallyReducer(),
-                        executor=backend) == sum(reference)
-        assert run_plan(plan, reducer=MeanReducer(),
-                        executor=backend) == np.mean(reference)
-
-    def test_stacked_records_identical(self, backend):
+    def test_array_results_identical_in_unit_order(self, backend):
         plan = MonteCarloPlan(task=_record_unit, units=tuple(range(9)),
                               seed=5)
-        expected = run_plan(plan, reducer=RecordReducer(stack=True),
-                            executor="serial")
-        stacked = run_plan(plan, reducer=RecordReducer(stack=True),
-                           executor=backend)
-        np.testing.assert_array_equal(stacked, expected)
+        expected = run_plan(plan, executor="serial")
+        results = run_plan(plan, executor=backend)
+        assert len(results) == len(expected) == 9
+        for result, reference in zip(results, expected):
+            np.testing.assert_array_equal(result, reference)
+
+    def test_structured_results_identical_in_unit_order(self, backend):
+        """Each unit's result comes back as its task built it: keys,
+        Python scalars and array dtypes and shapes included."""
+        plan = MonteCarloPlan(task=_structured_unit, units=tuple(range(9)),
+                              seed=6)
+        expected = run_plan(plan, executor="serial")
+        results = run_plan(plan, executor=backend)
+        assert [result["unit"] for result in results] == list(range(9))
+        for result, reference in zip(results, expected):
+            assert result.keys() == reference.keys()
+            assert type(result["rate"]) is float
+            assert result["rate"] == reference["rate"]
+            assert result["records"].dtype == reference["records"].dtype
+            np.testing.assert_array_equal(result["records"],
+                                          reference["records"])
 
 
 class TestCacheConformance:

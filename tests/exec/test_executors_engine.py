@@ -14,7 +14,6 @@ from repro.exec import (
     ProcessExecutor,
     RemoteExecutor,
     SerialExecutor,
-    TallyReducer,
     build_executor,
     run_plan,
 )
@@ -102,10 +101,10 @@ class TestRunPlan:
         many = run_plan(plan, executor="serial", num_shards=6)
         assert one == many
 
-    def test_reducer_applied_to_unit_ordered_results(self, plan):
-        total = run_plan(plan, reducer=TallyReducer(), executor="process",
-                         workers=2)
-        assert total == pytest.approx(sum(run_plan(plan)))
+    def test_results_are_in_unit_order(self, plan):
+        results = run_plan(plan, executor="process", workers=2)
+        assert results == [_draw(unit, plan.unit_rng(index))
+                           for index, unit in enumerate(plan.units)]
 
 
 class TestContextCaches:

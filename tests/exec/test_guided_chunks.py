@@ -3,9 +3,8 @@
 Each chunk takes ``ceil(remaining units / (2 * workers))`` units (one
 worker gets one chunk), so pool and fleet workers pulling chunks in order
 start with large chunks and even out on small ones.  Because randomness is anchored per unit, the per-unit
-results — and therefore every reduction — must be bit-identical for any
-worker count, cut and executor (the determinism contract of
-``repro.exec``).
+results must be bit-identical for any worker count, cut and executor (the
+determinism contract of ``repro.exec``).
 """
 
 from __future__ import annotations
@@ -18,7 +17,6 @@ import pytest
 
 from repro.exec import MonteCarloPlan, RemoteExecutor, run_plan
 from repro.exec.executors import ProcessExecutor, SerialExecutor
-from repro.exec.reducers import MeanReducer
 
 
 def draw_unit(unit, rng, scale=1.0):
@@ -133,12 +131,6 @@ class TestDeterminism:
             assert run_plan(plan, executor=RecordingExecutor(
                 workers=workers)) == reference
         assert run_plan(plan, executor="process", workers=3) == reference
-
-    def test_chunked_sweep_matches_unsharded_reduction(self, plan):
-        reference = run_plan(plan, reducer=MeanReducer(), executor="serial")
-        value = run_plan(plan, reducer=MeanReducer(), executor="process",
-                         workers=3)
-        assert value == reference
 
 
 class TestContextShipping:

@@ -25,7 +25,7 @@ from repro.obs import metrics, trace
 BACKENDS = ("serial", "process", "remote")
 WORKERS = 2
 
-TREE_SPANS = {"exec.plan", "exec.shard", "exec.reduce", "task.unit"}
+TREE_SPANS = {"exec.plan", "exec.shard", "task.unit"}
 
 
 def _traced_unit(unit, rng, *, scale):
@@ -105,7 +105,6 @@ class TestConformance:
         assert _span_tree(records) == {
             ("exec.plan", None): 1,
             ("exec.shard", "exec.plan"): 4,
-            ("exec.reduce", "exec.plan"): 1,
             ("task.unit", "exec.shard"): 12,
         }
         assert totals["task.units"] == 12

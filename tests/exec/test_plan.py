@@ -1,18 +1,11 @@
-"""Unit tests for Monte-Carlo plans, shard splitting and reducers."""
+"""Unit tests for Monte-Carlo plans, shard splitting and unit seeds."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
-from repro.exec import (
-    HistogramReducer,
-    MeanReducer,
-    MonteCarloPlan,
-    RecordReducer,
-    TallyReducer,
-    stable_seed,
-)
+from repro.exec import MonteCarloPlan, stable_seed, unit_rng
 
 
 def _draw(unit, rng, *, offset=0.0):
@@ -49,6 +42,27 @@ class TestMonteCarloPlan:
         with pytest.raises(IndexError):
             plan.unit_rng(4)
 
+    def test_plan_and_shards_draw_from_unit_rng(self):
+        """One per-unit generator serves the plan, every shard and the
+        sweeps that loop over their units in-process."""
+        seed = stable_seed("study", 3)
+        plan = MonteCarloPlan(task=_draw, units=tuple(range(5)), seed=seed)
+        expected = [unit_rng(seed, index).random() for index in range(5)]
+        assert [plan.unit_rng(index).random()
+                for index in range(5)] == expected
+        shards = plan.shards(2)
+        assert [shard.unit_rng(offset).random() for shard in shards
+                for offset in range(len(shard.units))] == expected
+        sequence = np.random.SeedSequence(seed, spawn_key=(4,))
+        assert expected[4] == np.random.default_rng(sequence).random()
+
+    def test_unit_rng_streams_differ_across_seeds(self):
+        """Unit ``i`` of sweeps seeded apart — two P/E counts of one
+        schedule, say — draws different numbers."""
+        seeds = (0, 1, stable_seed(0, 4000.0), stable_seed(0, 7000.0))
+        draws = {unit_rng(seed, 2).random() for seed in seeds}
+        assert len(draws) == len(seeds)
+
     def test_shards_cover_units_contiguously(self):
         plan = MonteCarloPlan(task=_draw, units=tuple(range(7)), seed=0)
         shards = plan.shards(3)
@@ -78,59 +92,3 @@ class TestMonteCarloPlan:
         plan = MonteCarloPlan(task=_draw, units=(0,), seed=0,
                               context={"offset": 10.0})
         assert plan.shards(1)[0].run().results[0] > 10.0
-
-
-class TestTallyAndMeanReducers:
-    def test_tally_sums_nested_structures(self):
-        results = [{"errors": 1, "counts": np.array([1, 0])},
-                   {"errors": 2, "counts": np.array([0, 3])}]
-        total = TallyReducer().reduce(results)
-        assert total["errors"] == 3
-        np.testing.assert_array_equal(total["counts"], [1, 3])
-
-    def test_tally_rejects_mismatched_keys_and_empty(self):
-        with pytest.raises(ValueError):
-            TallyReducer().reduce([{"a": 1}, {"b": 2}])
-        with pytest.raises(ValueError):
-            TallyReducer().reduce([])
-
-    def test_mean_divides_by_unit_count(self):
-        assert MeanReducer().reduce([1.0, 2.0, 3.0]) == pytest.approx(2.0)
-
-    def test_mean_matches_numpy_mean_of_scalars(self):
-        values = list(np.random.default_rng(0).random(9))
-        assert MeanReducer().reduce(values) == pytest.approx(np.mean(values))
-
-
-class TestRecordReducer:
-    def test_flattens_per_unit_record_lists(self):
-        assert RecordReducer().reduce([[1, 2], 3, (4,)]) == [1, 2, 3, 4]
-
-    def test_stack_concatenates_arrays_in_unit_order(self):
-        groups = [np.arange(6).reshape(2, 3), np.arange(6, 9).reshape(1, 3)]
-        stacked = RecordReducer(stack=True).reduce(groups)
-        np.testing.assert_array_equal(stacked, np.arange(9).reshape(3, 3))
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            RecordReducer().reduce([])
-
-
-class TestHistogramReducer:
-    def test_key_union_with_summed_leaves(self):
-        merged = HistogramReducer().reduce([
-            {4000: {"a": 1, "shared": np.array([1.0, 0.0])}},
-            {4000: {"b": 2, "shared": np.array([0.0, 2.0])}},
-            {7000: {"a": 5}},
-        ])
-        assert merged[4000]["a"] == 1 and merged[4000]["b"] == 2
-        np.testing.assert_array_equal(merged[4000]["shared"], [1.0, 2.0])
-        assert merged[7000] == {"a": 5}
-
-    def test_rejects_dict_vs_leaf_conflicts(self):
-        with pytest.raises(ValueError):
-            HistogramReducer().reduce([{"a": {"x": 1}}, {"a": 2}])
-
-    def test_rejects_unsupported_leaves(self):
-        with pytest.raises(ValueError):
-            HistogramReducer().reduce([{"a": "x"}, {"a": "y"}])

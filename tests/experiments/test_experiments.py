@@ -132,6 +132,32 @@ class TestFig2:
         with pytest.raises(ValueError):
             run_fig2(channel, blocks_per_pe=0)
 
+    def test_rng_alone_seeds_the_default_simulator_and_the_sweep(self):
+        """Without a channel, ``rng`` becomes the default simulator's
+        generator, and the sweep reads exactly as on a simulator built
+        with it."""
+        alone = run_fig2(pe_cycles=(4000, 10000), blocks_per_pe=6,
+                         rng=np.random.default_rng(4))
+        built = run_fig2(SimulatorChannel(rng=np.random.default_rng(4)),
+                         pe_cycles=(4000, 10000), blocks_per_pe=6)
+        assert alone.level_error_rates == built.level_error_rates
+        assert alone.raw_pattern_counts == built.raw_pattern_counts
+
+    def test_rng_decides_and_leaves_the_channel_generator_alone(self):
+        """Given ``rng``, a built backend's own generator is not drawn
+        from: ``rng`` alone seeds the sweep."""
+        untouched = np.random.default_rng(3).bit_generator.state
+        results = []
+        for seed in (1, 2, 1):
+            channel = SimulatorChannel(rng=np.random.default_rng(3))
+            result = run_fig2(channel, pe_cycles=(4000, 10000),
+                              blocks_per_pe=6, rng=np.random.default_rng(seed))
+            assert channel.rng.bit_generator.state == untouched
+            results.append((result.level_error_rates,
+                            result.raw_pattern_counts))
+        assert results[0] != results[1]
+        assert results[0] == results[2]
+
     #: Level error rate band per read point at 300 blocks: 20 seeds read
     #: 0.00482-0.00506, 0.00830-0.00860 and 0.01269-0.01317; each band is
     #: their mean +- 5 standard deviations, rounded outward.
@@ -344,3 +370,27 @@ class TestRemark3:
         assert len(rows) == 2
         assert "tv_mean" in rows[0]
         assert "Remark 3" in result.format()
+
+
+#: One empty-sweep call per figure, keyed by the argument it leaves
+#: empty.
+EMPTY_SWEEPS = {
+    "pe_cycles": lambda model, arrays, dataset: run_fig2(pe_cycles=()),
+    "measured_arrays": lambda model, arrays, dataset: run_fig4({}, model),
+    "evaluation_arrays": lambda model, arrays, dataset: run_fig5(
+        dataset, {}, generative_model=model, baseline_iterations=5),
+    "architectures": lambda model, arrays, dataset: run_remark3(
+        dataset, arrays, replace(ModelConfig.tiny(), epochs=1),
+        architectures=()),
+}
+
+
+@pytest.mark.parametrize("argument", list(EMPTY_SWEEPS))
+def test_empty_sweep_raises_naming_its_argument(argument, untrained_model,
+                                                evaluation_arrays):
+    small = SimulatorChannel(geometry=BlockGeometry(8, 8),
+                             rng=np.random.default_rng(5))
+    dataset = generate_paired_dataset(small, pe_cycles=(4000,),
+                                      arrays_per_pe=4, array_size=8)
+    with pytest.raises(ValueError, match=argument):
+        EMPTY_SWEEPS[argument](untrained_model, evaluation_arrays, dataset)

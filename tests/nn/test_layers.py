@@ -63,7 +63,8 @@ class TestModule:
         out = model(Tensor(rng.standard_normal((3, 4))))
         out.sum().backward()
         assert any(p.grad is not None for p in model.parameters())
-        model.zero_grad()
+        for parameter in model.parameters():
+            parameter.zero_grad()
         assert all(p.grad is None for p in model.parameters())
 
     def test_state_dict_roundtrip(self, rng):
