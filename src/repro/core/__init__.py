@@ -13,8 +13,6 @@ from repro.core.pe_encoding import (
     LEVEL_CHANNELS,
     encode_levels,
     pe_feature_vector,
-    spatial_replicate,
-    concat_condition,
 )
 from repro.core.encoder import ResNetEncoder, ResidualBlock
 from repro.core.generator import UNetGenerator
@@ -31,8 +29,6 @@ __all__ = [
     "LEVEL_CHANNELS",
     "encode_levels",
     "pe_feature_vector",
-    "spatial_replicate",
-    "concat_condition",
     "ResNetEncoder",
     "ResidualBlock",
     "UNetGenerator",

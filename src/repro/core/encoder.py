@@ -4,9 +4,11 @@
 layers with stride 1 and padding 1.  We then add two linear layers, which map
 output features to mean and variance for the latent vector."
 
-The encoder is conditioned on the P/E cycle count by concatenating the
-spatially-replicated P/E feature map with its input, so it parameterises the
-posterior Q(z | VL, P/E).
+The encoder is conditioned on the P/E cycle count through its stem: the P/E
+feature vector enters as spatially constant input channels after the
+voltage channel (the replicated P/E map of Section III-B, added as the
+stem's per-sample bias by :func:`repro.nn.functional.conv2d`'s ``vectors``),
+so it parameterises the posterior Q(z | VL, P/E).
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.config import ModelConfig
-from repro.core.pe_encoding import concat_condition, pe_feature_vector
+from repro.core.pe_encoding import pe_feature_vector
 from repro.nn import (
     BatchNorm2d,
     Conv2d,
@@ -47,7 +49,13 @@ class ResidualBlock(Module):
 
 
 class ResNetEncoder(Module):
-    """Map a (VL, P/E) pair to the mean and log-variance of the latent vector."""
+    """Map a (VL, P/E) pair to the mean and log-variance of the latent vector.
+
+    The stem convolves the voltage channel followed by ``pe_dim`` P/E
+    channels; the P/E channels are constant over the array, so the stem
+    takes the P/E feature vectors as ``vectors`` and never builds them as
+    planes.  The residual blocks have no constant channels.
+    """
 
     def __init__(self, config: ModelConfig,
                  rng: np.random.Generator | None = None):
@@ -88,8 +96,8 @@ class ResNetEncoder(Module):
                   pe_normalized: np.ndarray) -> Tensor:
         """The shared trunk: pooled residual features of the (VL, P/E) pair."""
         pe_features = pe_feature_vector(pe_normalized, self.config.pe_dim)
-        conditioned = concat_condition(voltages, pe_features)
-        out = self.activation(self.stem_bn(self.stem(conditioned)))
+        out = self.stem(voltages, pe_features.astype(voltages.dtype))
+        out = self.activation(self.stem_bn(out))
         out = self.block1(out)
         out = self.block2(out)
         return self.pool(out)

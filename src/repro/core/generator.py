@@ -3,11 +3,14 @@
 The generator reconstructs the voltage array from the program-level array.
 Following the paper:
 
-* every layer of the Down part receives the latent vector ``z`` by spatial
-  replication and channel-wise concatenation (the BicycleGAN "all-layers"
-  injection);
-* every layer (Down and Up) receives the replicated d-dimensional P/E feature
-  map, the spatio-temporal combination of Section III-B;
+* every layer of the Down part receives the latent vector ``z`` as if
+  spatially replicated and concatenated channel-wise (the BicycleGAN
+  "all-layers" injection);
+* every layer (Down and Up) receives the d-dimensional P/E feature vector the
+  same way, the spatio-temporal combination of Section III-B;
+* those constant channels are never built as planes: each conv takes the
+  vectors as ``vectors=`` (:func:`repro.nn.functional.conv2d`), which adds
+  their exact contribution as a per-sample bias;
 * every Up-part layer receives a skip connection from the corresponding
   Down-part layer (U-Net);
 * all convolutions are 4x4 kernels with stride 2 and padding 1, so each Down
@@ -24,12 +27,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.config import ModelConfig
-from repro.core.pe_encoding import (
-    LEVEL_CHANNELS,
-    concat_condition,
-    pe_feature_vector,
-    replicate_latent,
-)
+from repro.core.pe_encoding import LEVEL_CHANNELS, pe_feature_vector
 from repro.nn import (
     BatchNorm2d,
     Conv2d,
@@ -58,31 +56,6 @@ def _normalize_(norm: Module, out: np.ndarray) -> None:
         out += shift.reshape(1, -1, 1, 1)
 
 
-def _layer_input(features: np.ndarray, extra: np.ndarray | None,
-                 pe_features: np.ndarray | None) -> np.ndarray:
-    """One layer's input, written once into one buffer.
-
-    The channels are ``features``, then ``extra`` (the latent vectors as
-    ``(N, d, 1, 1)`` on the Down part, a skip map on the Up part), then the
-    P/E vectors as ``(N, d, 1, 1)``; vectors are replicated over the plane.
-    Values and dtype are those of the Tensor route's concatenations:
-    ``extra`` promotes, the P/E vectors are cast to the result.
-    """
-    parts = [features] if extra is None else [features, extra]
-    dtype = np.result_type(*parts)
-    if pe_features is not None:
-        parts.append(pe_features.astype(dtype, copy=False))
-    batch, _, height, width = features.shape
-    channels = sum(part.shape[1] for part in parts)
-    out = np.empty((batch, channels, height, width), dtype=dtype)
-    start = 0
-    for part in parts:
-        stop = start + part.shape[1]
-        out[:, start:stop] = part
-        start = stop
-    return out
-
-
 class _DownBlock(Module):
     """Convolution-BatchNorm-ReLU block of the Down part (stride 2)."""
 
@@ -95,14 +68,14 @@ class _DownBlock(Module):
         self.norm = BatchNorm2d(out_channels) if use_batchnorm else Identity()
         self.activation = LeakyReLU(0.2)
 
-    def forward(self, x: Tensor) -> Tensor:
-        return self.activation(self.norm(self.conv(x)))
+    def forward(self, x: Tensor, vectors: Tensor) -> Tensor:
+        return self.activation(self.norm(self.conv(x, vectors)))
 
-    def forward_data(self, x: np.ndarray) -> np.ndarray:
+    def forward_data(self, x: np.ndarray, vectors: np.ndarray) -> np.ndarray:
         """:meth:`forward` on arrays, with no graph."""
         conv = self.conv
-        out, _ = F.conv2d_data(x, conv.weight.data, conv.bias.data,
-                               conv.stride, conv.padding)
+        out = F.conv2d_data(x, conv.weight.data, conv.bias.data, conv.stride,
+                            conv.padding, vectors)
         _normalize_(self.norm, out)
         return get_backend().leaky_relu(out, self.activation.negative_slope)
 
@@ -121,14 +94,15 @@ class _UpBlock(Module):
         self.activation = Tanh() if final else ReLU()
         self.final = final
 
-    def forward(self, x: Tensor) -> Tensor:
-        return self.activation(self.norm(self.conv(x)))
+    def forward(self, x: Tensor, vectors: Tensor | None) -> Tensor:
+        return self.activation(self.norm(self.conv(x, vectors)))
 
-    def forward_data(self, x: np.ndarray) -> np.ndarray:
+    def forward_data(self, x: np.ndarray,
+                     vectors: np.ndarray | None) -> np.ndarray:
         """:meth:`forward` on arrays, with no graph."""
         conv = self.conv
         out = F.conv_transpose2d_data(x, conv.weight.data, conv.bias.data,
-                                      conv.stride, conv.padding)
+                                      conv.stride, conv.padding, vectors)
         _normalize_(self.norm, out)
         return np.tanh(out) if self.final else np.maximum(out, 0.0)
 
@@ -211,25 +185,9 @@ class UNetGenerator(Module):
         latent = Tensor.ensure(latent)
         pe_features = self._check_inputs(program_levels.shape, pe_normalized,
                                          latent.shape)
-        skips: list[Tensor] = []
-        out = program_levels
-        for block in self.downs:
-            height, width = out.shape[2], out.shape[3]
-            latent_map = replicate_latent(latent, height, width)
-            out = concatenate([out, latent_map], axis=1)
-            if pe_features is not None:
-                out = concat_condition(out, pe_features)
-            out = block(out)
-            skips.append(out)
-
-        for index, block in enumerate(self.ups):
-            if index > 0:
-                skip = skips[len(skips) - 1 - index]
-                out = concatenate([out, skip], axis=1)
-            if pe_features is not None:
-                out = concat_condition(out, pe_features)
-            out = block(out)
-        return out
+        return self._unet(program_levels, latent, pe_features,
+                          lambda block, x, vectors: block(x, vectors),
+                          lambda parts: concatenate(parts, axis=1))
 
     def forward_data(self, program_levels: np.ndarray,
                      pe_normalized: np.ndarray,
@@ -237,26 +195,45 @@ class UNetGenerator(Module):
         """The graph-free route: :meth:`forward_tensors` on plain arrays.
 
         Takes and returns arrays of the shapes :meth:`forward` takes and
-        returns.  Each layer's input (features, skip, latent and P/E
-        channels) is written once into one buffer, and the layers call the
-        backend kernels directly; no Tensor is created.  BatchNorm layers
-        in train mode normalise with the batch statistics and update their
-        running averages, as on the Tensor route.
+        returns.  The layers call the backend kernels directly, and no
+        Tensor is created.  An Up block's input (features, then skip) is
+        written once into one buffer.  The latent and P/E vectors are never
+        replicated: each conv adds them as a per-sample bias
+        (:func:`repro.nn.functional.conv2d_data`'s ``vectors``).  BatchNorm
+        layers in train mode normalise with the batch statistics and update
+        their running averages, as on the Tensor route.
         """
         latent = np.asarray(latent)
         pe_features = self._check_inputs(program_levels.shape, pe_normalized,
                                          latent.shape)
-        latent = latent[:, :, None, None]
+        return self._unet(program_levels, latent, pe_features,
+                          lambda block, x, vectors: block.forward_data(
+                              x, vectors),
+                          lambda parts: np.concatenate(parts, axis=1))
+
+    def _unet(self, levels, latent, pe_features: np.ndarray | None, run,
+              join):
+        """Both routes' U-Net: ``run(block, x, vectors)`` applies a block
+        and ``join(parts)`` concatenates along the channels.
+
+        Each Down block's vectors are ``(latent || P/E features)`` and each
+        Up block's the P/E features (none without P/E conditioning), in
+        the latent's dtype; its convolution adds them as the constant
+        channels after its input's.
+        """
+        down_vectors, up_vectors = latent, None
         if pe_features is not None:
-            pe_features = pe_features[:, :, None, None]
-        skips: list[np.ndarray] = []
-        out = program_levels
+            up_vectors = pe_features.astype(latent.dtype)
+            down_vectors = join([latent, up_vectors])
+        skips = []
+        out = levels
         for block in self.downs:
-            out = block.forward_data(_layer_input(out, latent, pe_features))
+            out = run(block, out, down_vectors)
             skips.append(out)
         for index, block in enumerate(self.ups):
-            skip = skips[len(skips) - 1 - index] if index > 0 else None
-            out = block.forward_data(_layer_input(out, skip, pe_features))
+            if index > 0:
+                out = join([out, skips[len(skips) - 1 - index]])
+            out = run(block, out, up_vectors)
         return out
 
     def _check_inputs(self, levels_shape: tuple, pe_normalized: np.ndarray,

@@ -9,6 +9,14 @@ d-dimensional P/E vector, which contains expressive powers of the normalized
 P/E cycle, e.g., P/E^2, sqrt(P/E), etc.  Then, we spatially replicate the
 d-dimensional P/E vector to the feature map with appropriate size H x W x d
 and concatenate it with the H x W x C feature from each layer."
+
+The networks compute the equivalent without building the replicated map: a
+constant plane's convolution is a per-sample bias that varies only where
+the window crosses the zero padding, so each conditioned convolution takes
+the vectors as ``vectors=`` (:func:`repro.nn.functional.conv2d`,
+:func:`~repro.nn.functional.conv_transpose2d`) and adds that bias.  The
+weights keep the replicated formulation's layout, with the vector channels
+after the feature channels.
 """
 
 from __future__ import annotations
@@ -16,10 +24,8 @@ from __future__ import annotations
 import numpy as np
 
 from repro.flash.cell import NUM_LEVELS
-from repro.nn.tensor import Tensor, concatenate
 
-__all__ = ["LEVEL_CHANNELS", "encode_levels", "pe_feature_vector",
-           "spatial_replicate", "concat_condition", "replicate_latent"]
+__all__ = ["LEVEL_CHANNELS", "encode_levels", "pe_feature_vector"]
 
 #: Channels :func:`encode_levels` gives one program-level array; it sizes
 #: the generator's first Down block and the discriminator's first conv.
@@ -79,68 +85,3 @@ def pe_feature_vector(pe_normalized: np.ndarray, pe_dim: int = 6) -> np.ndarray:
         raise ValueError("normalized P/E cycle counts must be non-negative")
     powers = np.asarray(_POWER_LADDER[:pe_dim])
     return values[:, None] ** powers[None, :]
-
-
-def spatial_replicate(vector: np.ndarray, height: int, width: int) -> np.ndarray:
-    """Replicate per-sample feature vectors over a spatial grid.
-
-    Parameters
-    ----------
-    vector:
-        Array of shape ``(N, d)``.
-    height, width:
-        Spatial size of the target feature map.
-
-    Returns
-    -------
-    numpy.ndarray
-        Array of shape ``(N, d, height, width)`` (NCHW layout).
-    """
-    vector = np.asarray(vector)
-    if vector.dtype.kind != "f":
-        vector = vector.astype(float)
-    if vector.ndim != 2:
-        raise ValueError("vector must have shape (N, d)")
-    if height < 1 or width < 1:
-        raise ValueError("height and width must be positive")
-    return np.broadcast_to(vector[:, :, None, None],
-                           (*vector.shape, height, width)).copy()
-
-
-def replicate_latent(latent: Tensor, height: int, width: int) -> Tensor:
-    """Spatially replicate a latent vector Tensor, keeping the autograd graph.
-
-    ``latent`` has shape ``(N, d)``; the result has shape ``(N, d, H, W)`` and
-    gradients flowing into any spatial position are summed back into the
-    original vector, so the encoder keeps receiving reconstruction gradients
-    through the re-parameterised sample.
-    """
-    if latent.ndim != 2:
-        raise ValueError("latent must have shape (N, d)")
-    if height < 1 or width < 1:
-        raise ValueError("height and width must be positive")
-    batch, dim = latent.shape
-    reshaped = latent.reshape(batch, dim, 1, 1)
-    ones = Tensor(np.ones((1, 1, height, width), dtype=latent.data.dtype))
-    return reshaped * ones
-
-
-def concat_condition(features: Tensor, condition: np.ndarray) -> Tensor:
-    """Channel-wise concatenation of a feature map with a conditioning map.
-
-    ``features`` has shape ``(N, C, H, W)``; ``condition`` is either already a
-    spatial map ``(N, d, H, W)`` or a per-sample vector ``(N, d)`` which is
-    replicated to the feature map's spatial size first.  The result has
-    ``C + d`` channels, the "channel-wise combination" of Section III-B.
-    """
-    # The conditioning map adopts the feature map's dtype so concatenation
-    # never upcasts a float32 activation graph.
-    condition = np.asarray(condition, dtype=features.dtype)
-    batch, _, height, width = features.shape
-    if condition.ndim == 2:
-        condition = spatial_replicate(condition, height, width)
-    if condition.shape[0] != batch or condition.shape[2:] != (height, width):
-        raise ValueError(
-            f"condition shape {condition.shape} incompatible with feature "
-            f"shape {features.shape}")
-    return concatenate([features, Tensor(condition)], axis=1)

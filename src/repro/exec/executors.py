@@ -33,6 +33,24 @@ __all__ = ["Executor", "SerialExecutor", "ProcessExecutor",
            "EXECUTOR_REGISTRY", "register_executor", "build_executor"]
 
 
+#: The parent script a fleet worker is re-importing as ``__mp_main__``
+#: (:mod:`repro.exec.worker` sets it while the script runs), else ``None``.
+_reimporting_main: str | None = None
+
+
+def _check_not_reimporting_main() -> None:
+    """Refuse to start a pool or fleet inside a worker's re-import of its
+    parent's script, as :mod:`multiprocessing`'s spawn start method does:
+    an unguarded script would otherwise re-run its whole body in every
+    worker and start a fleet of its own there."""
+    if _reimporting_main is not None:
+        raise RuntimeError(
+            f"{_reimporting_main} started a worker pool or fleet while a "
+            "fleet worker was importing it as its parent's main module; "
+            "start pools and fleets only under the script's "
+            "'if __name__ == \"__main__\":' guard")
+
+
 class Executor:
     """Base class of every shard executor."""
 
@@ -92,6 +110,7 @@ class ProcessExecutor(Executor):
             # One shard gains nothing from a pool; skip the fork entirely.
             return [shards[0].run()]
         if self._pool is None:
+            _check_not_reimporting_main()
             self._pool = concurrent.futures.ProcessPoolExecutor(
                 max_workers=self.workers)
         return list(self._pool.map(ShardSpec.run, shards))

@@ -54,7 +54,8 @@ from collections import deque
 from pathlib import Path
 from typing import Any
 
-from repro.exec.executors import Executor, register_executor
+from repro.exec.executors import (Executor, _check_not_reimporting_main,
+                                  register_executor)
 from repro.exec.plan import ShardResult, ShardSpec
 from repro.exec.transport import (
     PROTOCOL_VERSION,
@@ -362,6 +363,7 @@ class RemoteExecutor(Executor):
         last run (a ``--once`` server, a crashed host) leaves the local
         socket looking open, and only a round-trip proves it still serves.
         """
+        _check_not_reimporting_main()
         for worker in self._workers:
             if worker.dead() or not self._responds(worker):
                 worker.close(shutdown=False)

@@ -66,7 +66,7 @@ import time
 import traceback
 from typing import Any, Mapping
 
-from repro.exec import transport
+from repro.exec import executors, transport
 
 __all__ = ["WorkerLog", "serve_connection", "main"]
 
@@ -140,6 +140,10 @@ def _fixup_main_module(main_path: Any) -> None:
     ``__main__`` for unpickling.  Console entry points and interactive
     parents (no real ``.py`` path) are skipped — their tasks must live in
     importable modules, the same rule every spawn-based pool imposes.
+    While the script runs, starting a pool or fleet raises
+    :class:`RuntimeError` naming the script and its missing
+    ``if __name__ == "__main__":`` guard; the error is reported on stderr
+    and the worker keeps serving.
     """
     global _main_fixup_path
 
@@ -150,12 +154,15 @@ def _fixup_main_module(main_path: Any) -> None:
     import runpy
     import types
 
+    executors._reimporting_main = os.path.abspath(main_path)
     try:
         namespace = runpy.run_path(main_path, run_name="__mp_main__")
     except BaseException as error:
         print(f"repro-exec-worker: could not load parent main module "
               f"{main_path}: {error}", file=sys.stderr, flush=True)
         return
+    finally:
+        executors._reimporting_main = None
     module = types.ModuleType("__mp_main__")
     module.__dict__.update(namespace)
     sys.modules["__mp_main__"] = sys.modules["__main__"] = module

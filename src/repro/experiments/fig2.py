@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.channel import resolve_channel
+from repro.channel import ChannelModel, build_channel, resolve_channel
 from repro.eval.report import format_table
 from repro.exec import stable_seed, unit_rng
 from repro.experiments.common import PAPER_PE_CYCLES
@@ -66,19 +66,28 @@ def run_fig2(channel=None,
     ``channel`` defaults to the simulator ("measured" data) and accepts any
     registered backend name or channel model, so the same driver profiles a
     trained generative network's spatio-temporal error statistics.  The
-    sweep's root seed is drawn from ``rng`` when given, else from the
-    channel's generator; block ``i`` of the sweep (``blocks_per_pe`` blocks
-    per P/E count, in ``pe_cycles`` order) reads with
-    :func:`repro.exec.unit_rng`'s generator ``i``.
+    sweep's root seed is drawn from ``rng`` when given, else from a live
+    channel's own generator, else from a fresh ``default_rng(0)`` (a
+    registry name is built with that generator; a
+    :class:`repro.exec.ChannelRef` or a model resolves without one, so a
+    ref stays one memoized backend per thread).  Block ``i`` of the sweep
+    (``blocks_per_pe`` blocks per P/E count, in ``pe_cycles`` order) reads
+    with :func:`repro.exec.unit_rng`'s generator ``i``.
     """
     if not pe_cycles:
         raise ValueError("pe_cycles must not be empty")
     if blocks_per_pe < 1:
         raise ValueError("blocks_per_pe must be positive")
-    channel = resolve_channel(
-        channel if channel is not None else "simulator",
-        rng=rng if rng is not None else np.random.default_rng(0))
-    generator = rng if rng is not None else channel.rng
+    if channel is None:
+        channel = "simulator"
+    generator = rng
+    if generator is None:
+        generator = channel.rng if isinstance(channel, ChannelModel) \
+            else np.random.default_rng(0)
+    if isinstance(channel, str):
+        channel = build_channel(channel, rng=generator)
+    else:
+        channel = resolve_channel(channel)
     seed = stable_seed("fig2", int(generator.integers(0, 2 ** 31)))
     thresholds = default_read_thresholds(channel.params)
 

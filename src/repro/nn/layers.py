@@ -274,9 +274,12 @@ class Conv2d(Module):
         else:
             self.bias = None
 
-    def forward(self, x: Tensor) -> Tensor:
+    def forward(self, x: Tensor, vectors: Tensor | None = None) -> Tensor:
+        """Convolve ``x``; ``vectors`` ``(N, d)`` stand for the last ``d``
+        input channels, constant over the plane
+        (:func:`repro.nn.functional.conv2d`)."""
         return F.conv2d(x, self.weight, self.bias, stride=self.stride,
-                        padding=self.padding)
+                        padding=self.padding, vectors=vectors)
 
 
 class ConvTranspose2d(Module):
@@ -300,9 +303,12 @@ class ConvTranspose2d(Module):
         else:
             self.bias = None
 
-    def forward(self, x: Tensor) -> Tensor:
+    def forward(self, x: Tensor, vectors: Tensor | None = None) -> Tensor:
+        """Transpose-convolve ``x``; ``vectors`` ``(N, d)`` stand for the
+        last ``d`` input channels, constant over the plane
+        (:func:`repro.nn.functional.conv_transpose2d`)."""
         return F.conv_transpose2d(x, self.weight, self.bias, stride=self.stride,
-                                  padding=self.padding)
+                                  padding=self.padding, vectors=vectors)
 
 
 def _batch_statistics(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -12,14 +12,10 @@ from repro.core import (
     ModelConfig,
     PatchGANDiscriminator,
     UNetGenerator,
-    concat_condition,
     encode_levels,
     pe_feature_vector,
-    spatial_replicate,
 )
-from repro.core.pe_encoding import replicate_latent
 from repro.flash.cell import NUM_LEVELS
-from repro.nn import Tensor
 
 
 class TestModelConfig:
@@ -115,51 +111,6 @@ class TestPEFeatureVector:
         low = pe_feature_vector(np.array([0.4]), pe_dim=6)[0]
         high = pe_feature_vector(np.array([1.0]), pe_dim=6)[0]
         assert np.all(high >= low)
-
-
-class TestSpatialReplication:
-    def test_spatial_replicate_shape_and_values(self):
-        vector = np.array([[1.0, 2.0], [3.0, 4.0]])
-        replicated = spatial_replicate(vector, 3, 5)
-        assert replicated.shape == (2, 2, 3, 5)
-        assert np.all(replicated[0, 1] == 2.0)
-        assert np.all(replicated[1, 0] == 3.0)
-
-    def test_spatial_replicate_rejects_bad_inputs(self):
-        with pytest.raises(ValueError):
-            spatial_replicate(np.zeros(3), 2, 2)
-        with pytest.raises(ValueError):
-            spatial_replicate(np.zeros((2, 3)), 0, 2)
-
-    def test_concat_condition_adds_channels(self):
-        features = Tensor(np.zeros((2, 4, 8, 8)))
-        condition = np.ones((2, 6))
-        combined = concat_condition(features, condition)
-        assert combined.shape == (2, 10, 8, 8)
-        assert np.all(combined.data[:, 4:] == 1.0)
-
-    def test_concat_condition_accepts_precomputed_map(self):
-        features = Tensor(np.zeros((2, 4, 8, 8)))
-        condition = np.ones((2, 3, 8, 8))
-        assert concat_condition(features, condition).shape == (2, 7, 8, 8)
-
-    def test_concat_condition_rejects_mismatched_batch(self):
-        features = Tensor(np.zeros((2, 4, 8, 8)))
-        with pytest.raises(ValueError):
-            concat_condition(features, np.ones((3, 6)))
-
-    def test_replicate_latent_preserves_gradient_flow(self):
-        latent = Tensor(np.array([[1.0, -1.0]]), requires_grad=True)
-        replicated = replicate_latent(latent, 4, 4)
-        assert replicated.shape == (1, 2, 4, 4)
-        replicated.sum().backward()
-        np.testing.assert_allclose(latent.grad, [[16.0, 16.0]])
-
-    def test_replicate_latent_rejects_bad_shapes(self):
-        with pytest.raises(ValueError):
-            replicate_latent(Tensor(np.zeros(3)), 2, 2)
-        with pytest.raises(ValueError):
-            replicate_latent(Tensor(np.zeros((1, 3))), 0, 2)
 
 
 class TestLevelEncoding:

@@ -310,6 +310,68 @@ class TestWorkerMainFixup:
                 else:
                     sys.modules[name] = saved
 
+    _CAMPAIGN = (
+        "import numpy as np\n"
+        "from repro.channel import build_channel\n"
+        "from repro.ecc import LDPCCode, evaluate_ldpc_over_channel\n"
+        "from repro.exec import RemoteExecutor\n"
+        "from repro.flash import BlockGeometry\n"
+        "\n"
+        "def main():\n"
+        "    executor = RemoteExecutor(workers=1)\n"
+        "    code = LDPCCode.regular(252, rng=np.random.default_rng(1))\n"
+        "    channel = build_channel('simulator',\n"
+        "                            geometry=BlockGeometry(32, 32),\n"
+        "                            rng=np.random.default_rng(0))\n"
+        "    result = evaluate_ldpc_over_channel(\n"
+        "        code, channel, 7000, num_codewords=16, seed=3,\n"
+        "        executor=executor)\n"
+        "    print('FER', result.frame_error_rate)\n"
+        "    executor.close()\n"
+        "\n")
+
+    def _run_script(self, tmp_path, tail):
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        import repro
+
+        script = tmp_path / "campaign.py"
+        script.write_text(self._CAMPAIGN + tail)
+        env = dict(os.environ, PYTHONPATH=str(
+            Path(repro.__file__).resolve().parent.parent))
+        return subprocess.run([sys.executable, str(script)], cwd=tmp_path,
+                              env=env, capture_output=True, text=True,
+                              timeout=120)
+
+    def test_unguarded_script_runs_once_and_names_the_guard(self, tmp_path):
+        """Re-imported by the worker, a script with no ``__main__`` guard
+        may not start a fleet of its own: the worker reports the error and
+        keeps serving, so the parent's campaign prints once."""
+        done = self._run_script(tmp_path, "main()\n")
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.count("FER") == 1
+        assert "started a worker pool or fleet" in done.stderr
+        assert 'if __name__ == "__main__":' in done.stderr
+
+    def test_guarded_script_runs_once_without_warning(self, tmp_path):
+        done = self._run_script(tmp_path,
+                                "if __name__ == '__main__':\n    main()\n")
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.count("FER") == 1
+        assert "repro-exec-worker" not in done.stderr
+
+    def test_a_pool_is_refused_during_the_reimport(self, monkeypatch):
+        """The process pool refuses to start, as the fleet does."""
+        from repro.exec import executors
+
+        monkeypatch.setattr(executors, "_reimporting_main", "campaign.py")
+        executor = executors.ProcessExecutor(workers=2)
+        with pytest.raises(RuntimeError, match="campaign.py.*__main__"):
+            executor.map_shards([None, None])
+        assert executor._pool is None
+
 
 class TestFleetHealthProbe:
     def test_dead_serve_worker_detected_on_reuse(self):

@@ -158,6 +158,41 @@ class TestFig2:
         assert results[0] != results[1]
         assert results[0] == results[2]
 
+    def test_a_channel_ref_resolves_once_per_thread(self, tmp_path):
+        """Repeated calls on one :class:`ChannelRef`, with and without
+        ``rng``, load its checkpoint once per thread; ``rng`` still seeds
+        the sweep, and without it a fresh ``default_rng(0)`` does."""
+        import threading
+
+        from repro.channel import save_channel
+        from repro.exec import ChannelRef
+        from repro.exec import plan
+
+        save_channel(SimulatorChannel(rng=np.random.default_rng(3)), tmp_path)
+        ref = ChannelRef.from_checkpoint(tmp_path)
+        kwargs = dict(pe_cycles=(4000, 10000), blocks_per_pe=2)
+
+        def entries():
+            return [key for key in plan._RESOLVED_CHANNELS
+                    if key[0][1] == ref.checkpoint]
+
+        seeded = [run_fig2(ref, rng=np.random.default_rng(seed), **kwargs)
+                  for seed in (1, 2, 1)]
+        unseeded = [run_fig2(ref, **kwargs) for _ in range(3)]
+        assert len(entries()) == 1
+        assert seeded[0].raw_pattern_counts == seeded[2].raw_pattern_counts
+        assert seeded[0].raw_pattern_counts != seeded[1].raw_pattern_counts
+        assert unseeded[0].raw_pattern_counts \
+            == unseeded[2].raw_pattern_counts \
+            == run_fig2(rng=np.random.default_rng(0), **kwargs) \
+            .raw_pattern_counts
+        thread = threading.Thread(target=lambda: [run_fig2(ref, **kwargs)
+                                                  for _ in range(2)])
+        thread.start()
+        thread.join()
+        assert len(entries()) == 2
+        assert len({key[1] for key in entries()}) == 2
+
     #: Level error rate band per read point at 300 blocks: 20 seeds read
     #: 0.00482-0.00506, 0.00830-0.00860 and 0.01269-0.01317; each band is
     #: their mean +- 5 standard deviations, rounded outward.
